@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs (.github/workflows/ci.yml).
 
-.PHONY: all build test bench bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke fmt clean
+.PHONY: all build test bench bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke e2e-smoke fmt clean
 
 all: build
 
@@ -75,6 +75,19 @@ frontend-smoke: build
 	  test/corpus/syscall/normal.strace test/corpus/syscall/faulty.strace \
 	  --frontend syscall > /dev/null
 	dune exec bench/main.exe -- --frontend --quick --json frontend-bench-ci.json
+
+# the end-to-end benchmark smoke pass: each bench/e2e workload for 5 s
+# at seed 1 (plain closed loop, no tracing), writing its metrics to
+# e2e-<workload>.json; fails when any workload's outputs were wrong
+E2E_WORKLOADS = ilcs-wide lulesh-hang oddeven-store daemon-mix
+
+e2e-smoke:
+	status=0; \
+	for w in $(E2E_WORKLOADS); do \
+	  bash bench/e2e/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 \
+	    --out e2e-$$w.json || status=1; \
+	done; \
+	exit $$status
 
 # rewrite sources in place with ocamlformat (advisory in CI; see the
 # non-blocking fmt job)

@@ -14,11 +14,20 @@
 val bk : Linkage.t -> Linkage.t -> k:int -> float
 
 (** [bk_of_assignments x y] — Fowlkes–Mallows of two flat clusterings
-    given as leaf→cluster arrays of equal length. *)
+    given as leaf→cluster arrays of equal length, over the occupied
+    cells of their contingency table: O(n log n) time, O(n + kx + ky)
+    memory for [kx] and [ky] clusters. *)
 val bk_of_assignments : int array -> int array -> float
 
-(** [score a b] — mean B_k over k = 2 .. n−1 (1.0 when n < 3). *)
+(** [score a b] — mean B_k over k = 2 .. n−1 (1.0 when n < 3),
+    summed in ascending k. Bit-for-bit the mean of {!bk} over those
+    levels, but computed by {!series}'s single pass. *)
 val score : Linkage.t -> Linkage.t -> float
 
-(** [series a b] — [(k, B_k)] for k = 2 .. n−1. *)
+(** [series a b] — [(k, B_k)] for k = 2 .. n−1, bit-for-bit equal to
+    [bk a b ~k] at each level. One pass walks both merge lists from
+    all singletons down to k = 2 and updates the pair counts of a
+    sparse contingency table as clusters join, moving the smaller
+    cluster's leaves: O(n log n) in all. Raises [Invalid_argument] on a
+    leaf-count mismatch when n ≥ 3. *)
 val series : Linkage.t -> Linkage.t -> (int * float) list

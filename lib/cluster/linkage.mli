@@ -33,7 +33,15 @@ type t = { n : int; merges : merge array }
 
 (** [cluster method m] — [m] must be square and symmetric with zero
     diagonal. Raises [Invalid_argument] otherwise. A 1×1 input yields
-    an empty merge list. *)
+    an empty merge list.
+
+    Tie rule: each step merges the first active pair in ascending
+    [(a, b)] order, unless a later pair is smaller by more than 1e-15
+    than the pair picked so far (NaN distances are never picked). The
+    sweep keeps every row's minimum over the active clusters after it
+    and skips the rows whose minimum cannot win, so a step costs O(n)
+    plus O(n) per row it scans or rescans: O(n²) time overall on
+    typical inputs (O(n³) in the worst case), and O(n²) memory. *)
 val cluster : method_ -> float array array -> t
 
 (** [cut_k t k] — the flat clustering with exactly [k] clusters
@@ -42,7 +50,11 @@ val cluster : method_ -> float array array -> t
 val cut_k : t -> int -> int array
 
 (** [cut_height t h] — the flat clustering obtained by refusing merges
-    with [dist > h]. *)
+    with [dist > h], and every merge above a refused one (SciPy's
+    [fcluster] "distance" rule: a leaf pair shares a cluster iff its
+    cophenetic distance is at most [h]). The two differ only under
+    the height inversions of centroid and median linkage. Ids are
+    normalized as in {!cut_k}. *)
 val cut_height : t -> float -> int array
 
 (** [cophenetic t] — the n×n matrix of merge heights at which leaf

@@ -70,6 +70,12 @@ let test_cophenetic () =
 let test_validation () =
   Alcotest.check_raises "not square" (Invalid_argument "Linkage.cluster: not square")
     (fun () -> ignore (Linkage.cluster Linkage.Single [| [| 0.; 1. |] |]));
+  (* a short last row is named, not hit as an out-of-bounds read *)
+  Alcotest.check_raises "ragged" (Invalid_argument "Linkage.cluster: not square")
+    (fun () ->
+      ignore
+        (Linkage.cluster Linkage.Single
+           [| [| 0.; 1.; 2. |]; [| 1.; 0.; 3. |]; [| 2. |] |]));
   Alcotest.check_raises "asymmetric" (Invalid_argument "Linkage.cluster: not symmetric")
     (fun () ->
       ignore (Linkage.cluster Linkage.Single [| [| 0.; 1. |]; [| 2.; 0. |] |]));
@@ -130,6 +136,250 @@ let prop_cut_k_counts =
       let a = Linkage.cut_k t k in
       let distinct = List.sort_uniq Int.compare (Array.to_list a) in
       List.length distinct = k)
+
+let test_cut_height_inversion () =
+  (* centroid merges {0,1} at 1.0, then 2 at 0.923 < 1.0: at h = 0.95
+     the second merge sits on a refused one, so nothing merges *)
+  let m = [| [| 0.; 1.; 1.05 |]; [| 1.; 0.; 1.05 |]; [| 1.05; 1.05; 0. |] |] in
+  let t = Linkage.cluster Linkage.Centroid m in
+  Alcotest.(check (list (float 1e-3))) "inverted heights" [ 1.0; 0.923 ]
+    (Array.to_list (Array.map (fun mg -> mg.Linkage.dist) t.Linkage.merges));
+  Alcotest.(check (array int)) "h=0.95 nothing merged" [| 0; 1; 2 |]
+    (Linkage.cut_height t 0.95);
+  Alcotest.(check (array int)) "h=1.0 everything" [| 0; 0; 0 |]
+    (Linkage.cut_height t 1.0)
+
+(* ------------------------------------------------------------------ *)
+(* Naive oracles for the clustering fast paths                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The full-sweep agglomeration Linkage.cluster must equal bit for bit:
+   every step rescans every pair of active ids in ascending (i, j)
+   order, and a later pair wins only when smaller by more than 1e-15. *)
+let oracle_squared_space = function
+  | Linkage.Centroid | Linkage.Median | Linkage.Ward -> true
+  | Linkage.Single | Linkage.Complete | Linkage.Average | Linkage.Weighted -> false
+
+let oracle_lance_williams meth ~ni ~nj ~nk dki dkj dij =
+  let fi = float_of_int ni
+  and fj = float_of_int nj
+  and fk = float_of_int nk in
+  match meth with
+  | Linkage.Single -> Float.min dki dkj
+  | Linkage.Complete -> Float.max dki dkj
+  | Linkage.Average -> ((fi *. dki) +. (fj *. dkj)) /. (fi +. fj)
+  | Linkage.Weighted -> 0.5 *. (dki +. dkj)
+  | Linkage.Centroid ->
+    let s = fi +. fj in
+    ((fi /. s) *. dki) +. ((fj /. s) *. dkj) -. (fi *. fj /. (s *. s) *. dij)
+  | Linkage.Median -> (0.5 *. dki) +. (0.5 *. dkj) -. (0.25 *. dij)
+  | Linkage.Ward ->
+    let s = fk +. fi +. fj in
+    (((fk +. fi) *. dki) +. ((fk +. fj) *. dkj) -. (fk *. dij)) /. s
+
+let oracle_cluster meth m =
+  let n = Array.length m in
+  let sq = oracle_squared_space meth in
+  let size = 2 * n in
+  let d = Array.make_matrix size size nan in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      d.(i).(j) <- (if sq then m.(i).(j) *. m.(i).(j) else m.(i).(j))
+    done
+  done;
+  let active = Array.make size false in
+  let csize = Array.make size 0 in
+  for i = 0 to n - 1 do
+    active.(i) <- true;
+    csize.(i) <- 1
+  done;
+  let merges = ref [] in
+  for step = 0 to n - 2 do
+    let best = ref (-1, -1, infinity) in
+    for i = 0 to n + step - 1 do
+      if active.(i) then
+        for j = i + 1 to n + step - 1 do
+          if active.(j) then
+            let _, _, bd = !best in
+            if d.(i).(j) < bd -. 1e-15 then best := (i, j, d.(i).(j))
+        done
+    done;
+    let a, b, dij = !best in
+    let newc = n + step in
+    let ni = csize.(a) and nj = csize.(b) in
+    for k = 0 to newc - 1 do
+      if active.(k) && k <> a && k <> b then begin
+        let v =
+          oracle_lance_williams meth ~ni ~nj ~nk:csize.(k) d.(k).(a) d.(k).(b) dij
+        in
+        d.(k).(newc) <- v;
+        d.(newc).(k) <- v
+      end
+    done;
+    active.(a) <- false;
+    active.(b) <- false;
+    active.(newc) <- true;
+    csize.(newc) <- ni + nj;
+    let height = if sq then sqrt (Float.max 0.0 dij) else dij in
+    merges := { Linkage.a; b; dist = height; size = ni + nj } :: !merges
+  done;
+  { Linkage.n; merges = Array.of_list (List.rev !merges) }
+
+(* A cut from scratch: plain union-find over the first n - k merges,
+   ids renumbered by first appearance over the leaves. *)
+let oracle_cut_k (t : Linkage.t) k =
+  let n = t.Linkage.n in
+  let parent = Array.init (2 * n) (fun i -> i) in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  for step = 0 to n - k - 1 do
+    let mg = t.Linkage.merges.(step) in
+    parent.(find mg.Linkage.a) <- n + step;
+    parent.(find mg.Linkage.b) <- n + step
+  done;
+  let ids = Hashtbl.create 16 in
+  Array.init n (fun leaf ->
+      let root = find leaf in
+      match Hashtbl.find_opt ids root with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids root id;
+        id)
+
+(* B_k over a dense contingency table *)
+let oracle_bk_of_assignments x y =
+  let n = Array.length x in
+  let kx = 1 + Array.fold_left max 0 x and ky = 1 + Array.fold_left max 0 y in
+  let mm = Array.make_matrix kx ky 0 in
+  Array.iteri (fun i xi -> mm.(xi).(y.(i)) <- mm.(xi).(y.(i)) + 1) x;
+  let tk = ref 0 and pk = ref 0 and qk = ref 0 in
+  for a = 0 to kx - 1 do
+    let row = Array.fold_left ( + ) 0 mm.(a) in
+    Array.iter (fun c -> tk := !tk + (c * c)) mm.(a);
+    pk := !pk + (row * row)
+  done;
+  for b = 0 to ky - 1 do
+    let col = ref 0 in
+    for a = 0 to kx - 1 do
+      col := !col + mm.(a).(b)
+    done;
+    qk := !qk + (!col * !col)
+  done;
+  let tk = !tk - n and pk = !pk - n and qk = !qk - n in
+  if pk = 0 || qk = 0 then 1.0
+  else float_of_int tk /. sqrt (float_of_int pk *. float_of_int qk)
+
+(* (k, B_k) for k = 2 .. n-1, each level from scratch, and their mean *)
+let oracle_series (a : Linkage.t) (b : Linkage.t) =
+  let n = a.Linkage.n in
+  List.init (max 0 (n - 2)) (fun i ->
+      let k = i + 2 in
+      (k, oracle_bk_of_assignments (oracle_cut_k a k) (oracle_cut_k b k)))
+
+let oracle_score a b =
+  match oracle_series a b with
+  | [] -> 1.0
+  | s -> List.fold_left (fun acc (_, v) -> acc +. v) 0.0 s /. float_of_int (List.length s)
+
+let bits = Int64.bits_of_float
+
+let same_linkage (x : Linkage.t) (y : Linkage.t) =
+  x.Linkage.n = y.Linkage.n
+  && Array.length x.Linkage.merges = Array.length y.Linkage.merges
+  && Array.for_all2
+       (fun (p : Linkage.merge) (q : Linkage.merge) ->
+         p.Linkage.a = q.Linkage.a && p.Linkage.b = q.Linkage.b
+         && p.Linkage.size = q.Linkage.size
+         && bits p.Linkage.dist = bits q.Linkage.dist)
+       x.Linkage.merges y.Linkage.merges
+
+(* Zero-diagonal, NaN-free matrices that provoke ties: cells take one
+   of a few quantised levels (exact ties, and more of them as
+   Lance–Williams updates combine equal values), optionally moved by up
+   to 4 ulps (near-ties inside the 1e-15 pick tolerance; the two
+   triangles move independently, within the symmetry tolerance), or
+   are continuous. Built from a seed so large cases stay cheap to
+   shrink. *)
+type cells = Quantised | Jittered | Continuous
+
+let cells_name = function
+  | Quantised -> "quantised"
+  | Jittered -> "jittered"
+  | Continuous -> "continuous"
+
+let rec ulps k x =
+  if k = 0 then x
+  else if k > 0 then ulps (k - 1) (Float.succ x)
+  else ulps (k + 1) (Float.pred x)
+
+let tie_matrix kind ~levels ~n ~seed =
+  let st = Random.State.make [| seed |] in
+  let jitter v = ulps (Random.State.int st 9 - 4) v in
+  let m = Array.make_matrix n n 0.0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let q = float_of_int (Random.State.int st (levels + 1)) /. 4.0 in
+      let v, w =
+        match kind with
+        | Quantised -> (q, q)
+        | Jittered -> (jitter (q +. 0.25), jitter (q +. 0.25))
+        | Continuous ->
+          let c = Random.State.float st 1.5 in
+          (c, c)
+      in
+      m.(i).(j) <- v;
+      m.(j).(i) <- w
+    done
+  done;
+  m
+
+(* (kind, n, levels, seed of the normal run, seed of the faulty run) *)
+let tie_case_gen ~nmin ~nmax =
+  QCheck2.Gen.(
+    let* kind = oneofl [ Quantised; Jittered; Continuous ] in
+    let* n = int_range nmin nmax in
+    let* levels = int_range 1 6 in
+    let* s1 = int_bound 1_000_000 in
+    let* s2 = int_bound 1_000_000 in
+    return (kind, n, levels, s1, s2))
+
+let print_tie_case (kind, n, levels, s1, s2) =
+  Printf.sprintf "%s n=%d levels=%d seeds=%d,%d" (cells_name kind) n levels s1 s2
+
+let oracle_prop ?count name ~nmin ~nmax =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ?count ~name ~print:print_tie_case (tie_case_gen ~nmin ~nmax)
+       (fun (kind, n, levels, s1, s2) ->
+         let m1 = tie_matrix kind ~levels ~n ~seed:s1
+         and m2 = tie_matrix kind ~levels ~n ~seed:s2 in
+         List.for_all
+           (fun meth ->
+             let t1 = Linkage.cluster meth m1 and t2 = Linkage.cluster meth m2 in
+             same_linkage t1 (oracle_cluster meth m1)
+             && same_linkage t2 (oracle_cluster meth m2)
+             && bits (Bscore.score t1 t2) = bits (oracle_score t1 t2)
+             && List.for_all2
+                  (fun (k, v) (k', v') -> k = k' && bits v = bits v')
+                  (Bscore.series t1 t2) (oracle_series t1 t2))
+           Linkage.all_methods))
+
+let prop_oracle_small =
+  oracle_prop ~count:300 "cluster, score, series = naive oracles (n <= 60)" ~nmin:1
+    ~nmax:60
+
+let prop_oracle_large =
+  oracle_prop ~count:4 "cluster, score, series = naive oracles (n in 200..400)"
+    ~nmin:200 ~nmax:400
+
+let prop_cuts_match_oracle =
+  qtest "cut_k and bk = naive oracles"
+    QCheck2.Gen.(pair (tie_case_gen ~nmin:1 ~nmax:40) (int_range 1 40))
+    (fun ((kind, n, levels, s1, s2), k) ->
+      let k = 1 + ((k - 1) mod n) in
+      let t1 = Linkage.cluster Linkage.Average (tie_matrix kind ~levels ~n ~seed:s1)
+      and t2 = Linkage.cluster Linkage.Ward (tie_matrix kind ~levels ~n ~seed:s2) in
+      Linkage.cut_k t1 k = oracle_cut_k t1 k
+      && bits (Bscore.bk t1 t2 ~k) = bits (oracle_bk_of_assignments (oracle_cut_k t1 k) (oracle_cut_k t2 k)))
 
 (* ------------------------------------------------------------------ *)
 (* Dendrogram                                                          *)
@@ -340,12 +590,16 @@ let () =
           Alcotest.test_case "merge sizes" `Quick test_merge_sizes;
           Alcotest.test_case "cut_k" `Quick test_cut_k;
           Alcotest.test_case "cut_height" `Quick test_cut_height;
+          Alcotest.test_case "cut_height inversion" `Quick test_cut_height_inversion;
           Alcotest.test_case "cophenetic" `Quick test_cophenetic;
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "method names" `Quick test_method_names;
           prop_all_methods_terminate;
           prop_single_below_complete;
-          prop_cut_k_counts ] );
+          prop_cut_k_counts;
+          prop_cuts_match_oracle ] );
+      ( "oracle",
+        [ prop_oracle_small; prop_oracle_large ] );
       ( "dendrogram",
         [ Alcotest.test_case "structure" `Quick test_dendrogram_structure;
           Alcotest.test_case "single leaf" `Quick test_dendrogram_single_leaf;
