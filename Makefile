@@ -55,13 +55,21 @@ query-smoke: build
 vdiff-smoke: build
 	sh scripts/vdiff_smoke.sh
 
-# the fault-injection corpora on their own: deterministic bit flips,
-# truncations, chunk deletions and garbage appends against v1/v2
-# archives (see test/test_archive.ml, "resilience" suite), then the
-# same mutation battery against the ingestion frontends through the
+# the fault-injection corpora on their own, one per on-disk format that
+# shares lib/util/framed: deterministic bit flips, truncations, chunk
+# deletions and garbage appends against v1/v2 archives (test_archive
+# "resilience"), the analysis-store corruption corpus (test_store
+# "corruption"), the damaged and hostile event-DB indexes (test_eventdb
+# "persistence" 1 and 3), the corrupt campaign manifests (test_campaign
+# "resume" 2-3) and the framing module itself (test_util "framed"); then
+# the same mutation battery against the ingestion frontends through the
 # conformance checker (scripts/frontend_fuzz.sh)
 fuzz-smoke: build
 	dune exec test/test_archive.exe -- test resilience
+	dune exec test/test_store.exe -- test corruption
+	dune exec test/test_eventdb.exe -- test persistence 1,3
+	dune exec test/test_campaign.exe -- test resume 2,3
+	dune exec test/test_util.exe -- test framed
 	sh scripts/frontend_fuzz.sh
 
 # the frontend smoke pass: ingest + compare the checked-in CI-log and

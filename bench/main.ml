@@ -1217,10 +1217,7 @@ let frontend_bench () =
   section "N1" "Ingestion frontends: throughput sweep (seq vs. parallel)";
   let domains = max 2 (Domain.recommended_domain_count ()) in
   let par = Engine.parallel ~domains () in
-  let par_runner =
-    let r = Engine.runner par in
-    { Fe.run = (fun n f -> r.Engine.run n f) }
-  in
+  let par_runner = Engine.runner par in
   let scales = if quick then [ 1; 4 ] else [ 1; 4; 16 ] in
   let cases =
     List.concat_map
@@ -1244,7 +1241,7 @@ let frontend_bench () =
               (Printf.sprintf "frontend bench %s: %s" label
                  (Fe.error_to_string e))
         in
-        let ts, t_seq = time (fun () -> ingest Fe.sequential_runner) in
+        let ts, t_seq = time (fun () -> ingest Difftrace_util.Runner.sequential) in
         let tp, t_par = time (fun () -> ingest par_runner) in
         (* the parallel path must stay observably identical *)
         if Fe.digest ts <> Fe.digest tp then

@@ -322,12 +322,6 @@ let config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode =
   |> Config.with_engine engine
   |> Config.with_mode mode
 
-(* per-thread archive IO scheduled by the same engine as the analysis
-   stages *)
-let archive_runner engine =
-  let r = Engine.runner engine in
-  { Archive.run = (fun n f -> r.Engine.run n f) }
-
 (* --- run ----------------------------------------------------------- *)
 
 let run_cmd =
@@ -841,19 +835,14 @@ let frontend_cmd =
           (Session.Unknown_frontend
              { name = fename; known = Frontend_registry.known () })
       | Some fe -> (
-        match
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | exception Sys_error m ->
+        match Difftrace_util.Framed.read_file file with
+        | Error m ->
           Printf.eprintf "difftrace: cannot read %s: %s\n" file m;
           exit 1
-        | input -> (
+        | Ok input -> (
           match Conformance.check ?scratch fe input with
           | [] ->
-            (match fe.Frontend.ingest ~runner:Frontend.sequential_runner input with
+            (match fe.Frontend.ingest ~runner:Difftrace_util.Runner.sequential input with
             | Ok ts ->
               Printf.printf "ok: %d traces, %d events, digest %s\n"
                 (Trace_set.cardinal ts)
@@ -886,14 +875,13 @@ let archive_cmd =
       & opt (some string) None
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Archive directory.")
   in
-  let runner_of = archive_runner in
   let verify_cmd =
     let doc =
       "Scan an archive's checksummed chunks and event streams; print one \
        integrity row per trace. Exits 1 if any trace is damaged."
     in
     let action dir engine =
-      match Archive.verify ~runner:(runner_of engine) ~dir () with
+      match Archive.verify ~runner:(Engine.runner engine) ~dir () with
       | Error e ->
         Printf.eprintf "difftrace: %s\n" (Archive.error_to_string e);
         exit 1
@@ -915,7 +903,7 @@ let archive_cmd =
         & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Directory for the repaired archive.")
     in
     let action dir out engine =
-      match Archive.repair ~runner:(runner_of engine) ~src:dir ~dst:out () with
+      match Archive.repair ~runner:(Engine.runner engine) ~src:dir ~dst:out () with
       | Error e ->
         Printf.eprintf "difftrace: %s\n" (Archive.error_to_string e);
         exit 1

@@ -9,7 +9,8 @@ module Runtime = Difftrace_simulator.Runtime
 module Archive = Difftrace_parlot.Archive
 module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
-module Crc32 = Difftrace_util.Crc32
+module Framed = Difftrace_util.Framed
+module Runner = Difftrace_util.Runner
 module Eventdb = Difftrace_eventdb.Eventdb
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
@@ -261,34 +262,6 @@ let cell_dir dir index = Filename.concat dir (Printf.sprintf "cell_%d" index)
 let normal_dir dir seed = Filename.concat dir (Printf.sprintf "normal_s%d" seed)
 let meta_file adir = Filename.concat adir "cell.meta"
 
-(* never raises: a bad [dir] parameter must surface as an [Error] a
-   resident daemon can report, not as an exception that kills it *)
-let rec mkdir_p dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (Printf.sprintf "%s exists and is not a directory" dir)
-  else begin
-    let parent = Filename.dirname dir in
-    match if parent <> dir && parent <> "" then mkdir_p parent else Ok () with
-    | Error _ as e -> e
-    | Ok () -> (
-      match Sys.mkdir dir 0o755 with
-      | () -> Ok ()
-      | exception Sys_error _ when Sys.is_directory dir -> Ok () (* lost a race; fine *)
-      | exception Sys_error reason -> Error reason)
-  end
-
-(* atomic-enough replacement: write a sibling temp file, then rename
-   over the target, so an interrupted campaign never leaves a
-   half-written manifest (the CRC footer catches anything else) *)
-let write_file_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
 (* ------------------------------------------------------------------ *)
 (* Per-cell run metadata (beside the cell's archive)                   *)
 (* ------------------------------------------------------------------ *)
@@ -297,33 +270,18 @@ let write_file_atomic path contents =
    ended. Written when a cell is first simulated; consulted when an
    interrupted campaign re-adopts the archive. *)
 let write_meta adir ~deadlocked ~timed_out =
-  let body =
-    Printf.sprintf "deadlocked %d\ntimed_out %b\n" deadlocked timed_out
-  in
-  write_file_atomic (meta_file adir)
-    (body ^ Printf.sprintf "crc %08x\n" (Crc32.string body))
+  Framed.write_atomic ~path:(meta_file adir)
+    (Framed.seal
+       (Printf.sprintf "deadlocked %d\ntimed_out %b\n" deadlocked timed_out))
 
+(* damaged or missing metadata is [None]: the caller falls back to the
+   traces' truncation flags *)
 let read_meta adir =
-  let path = meta_file adir in
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let crc_len = String.length "crc 00000000\n" in
-      if String.length text <= crc_len then None
-      else
-        let body = String.sub text 0 (String.length text - crc_len) in
-        let footer = String.sub text (String.length text - crc_len) crc_len in
-        let crc = Scanf.sscanf footer "crc %x" (fun c -> c) in
-        if Crc32.string body <> crc then None
-        else
-          Scanf.sscanf body "deadlocked %d timed_out %b" (fun d t -> Some (d, t))
-    with _ -> None (* damaged metadata: fall back to trace truncation flags *)
+  match Result.map Framed.unseal (Framed.read_file (meta_file adir)) with
+  | Ok (Ok body) -> (
+    try Scanf.sscanf body "deadlocked %d timed_out %b" (fun d t -> Some (d, t))
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  | Ok (Error _) | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                            *)
@@ -385,10 +343,11 @@ let manifest_body m ~config_name results =
     results;
   Buffer.contents buf
 
+(* atomic replacement, so an interrupted campaign never leaves a
+   half-written manifest (the CRC footer catches anything else) *)
 let write_manifest ~dir m ~config_name results =
-  let body = manifest_body m ~config_name results in
-  write_file_atomic (manifest_file dir)
-    (body ^ Printf.sprintf "crc %08x\n" (Crc32.string body))
+  Framed.write_atomic ~path:(manifest_file dir)
+    (Framed.seal (manifest_body m ~config_name results))
 
 (* what [status] and resume read back *)
 type stored_cell = {
@@ -459,28 +418,14 @@ let load_manifest ~dir =
   let path = manifest_file dir in
   if not (Sys.file_exists path) then None
   else begin
-    let text =
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error _ | End_of_file -> ""
-    in
-    let crc_len = String.length "crc 00000000\n" in
+    let text = Result.value (Framed.read_file path) ~default:"" in
     (* with a valid footer, parse just the body; without one, parse
        everything we have (the stray footer line is then dropped and
        counted like any other unreadable line) *)
     let body, crc_ok =
-      if String.length text <= crc_len then (text, false)
-      else begin
-        let body = String.sub text 0 (String.length text - crc_len) in
-        let footer = String.sub text (String.length text - crc_len) crc_len in
-        match Scanf.sscanf footer "crc %x" (fun c -> c) with
-        | crc when Crc32.string body = crc -> (body, true)
-        | _ -> (text, false)
-        | exception _ -> (text, false)
-      end
+      match Framed.unseal text with
+      | Ok body -> (body, true)
+      | Error _ -> (text, false)
     in
     let salvaged = ref 0 in
     let drop () = incr salvaged in
@@ -616,14 +561,18 @@ let obtain ~kind_fn ~np ~max_steps ~fault ~seed ~adir : (sim, string * string) r
     match kind_fn ~np ~seed ~max_steps ~fault with
     | (o : Runtime.outcome) ->
       let deadlocked = List.length o.Runtime.deadlocked in
-      (try
+      (* archive persistence is best-effort: the in-memory traces still
+         feed the analysis, only resumability suffers *)
+      let warn reason =
+        Printf.eprintf "difftrace: could not archive %s: %s\n%!" adir reason
+      in
+      (match
          ignore (Archive.save ~dir:adir o.Runtime.traces : int);
          write_meta adir ~deadlocked ~timed_out:o.Runtime.timed_out
-       with e ->
-         (* archive persistence is best-effort: the in-memory traces
-            still feed the analysis, only resumability suffers *)
-         Printf.eprintf "difftrace: could not archive %s: %s\n%!" adir
-           (Printexc.to_string e));
+       with
+      | Ok () -> ()
+      | Error reason -> warn reason
+      | exception e -> warn (Printexc.to_string e));
       Ok
         { sm_set = o.Runtime.traces;
           sm_deadlocked = deadlocked;
@@ -729,7 +678,9 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
   match find_kind m.kind with
   | None -> Error (Unknown_kind m.kind)
   | Some kind_fn -> (
-  match mkdir_p dir with
+  (* never raises: a bad [dir] parameter must surface as an [Error] a
+     resident daemon can report, not as an exception that kills it *)
+  match Framed.mkdir_p dir with
   | Error reason -> Error (State_dir reason)
   | Ok () -> (
     let stored =
@@ -762,8 +713,8 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
          before the first cell runs — also what rewrites a clean,
          checksummed manifest over a salvaged one *)
       match write_manifest ~dir m ~config_name prior with
-      | exception Sys_error reason -> Error (Io ("campaign manifest: " ^ reason))
-      | () ->
+      | Error reason -> Error (Io ("campaign manifest: " ^ reason))
+      | Ok () ->
       let runner = Engine.runner config.Config.engine in
       (* fault-free reference runs, one per seed a pending cell needs *)
       let seeds_needed =
@@ -772,7 +723,7 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
       in
       let normals =
         Span.with_ "campaign.reference" @@ fun () ->
-        runner.Engine.run (Array.length seeds_needed) (fun i ->
+        runner.Runner.run (Array.length seeds_needed) (fun i ->
             let seed = seeds_needed.(i) in
             ( seed,
               obtain ~kind_fn ~np:m.np ~max_steps:m.max_steps
@@ -788,7 +739,7 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
       let pending_arr = Array.of_list pending in
       let sims =
         Span.with_ "campaign.cells" @@ fun () ->
-        runner.Engine.run (Array.length pending_arr) (fun i ->
+        runner.Runner.run (Array.length pending_arr) (fun i ->
             let c = pending_arr.(i) in
             obtain ~kind_fn ~np:m.np ~max_steps:m.max_steps ~fault:c.fault
               ~seed:c.seed ~adir:(cell_dir dir c.index))
@@ -823,10 +774,11 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
           in
           (* per-cell persistence is best-effort, like cell archives:
              a full disk costs resumability, not the running sweep *)
-          (try write_manifest ~dir m ~config_name snapshot
-           with Sys_error reason ->
-             Printf.eprintf "difftrace: could not write campaign manifest: %s\n%!"
-               reason);
+          (match write_manifest ~dir m ~config_name snapshot with
+          | Ok () -> ()
+          | Error reason ->
+            Printf.eprintf "difftrace: could not write campaign manifest: %s\n%!"
+              reason);
           (match store with
           | Some st -> (
             match Store.flush st with

@@ -99,6 +99,4 @@ let init t n f =
 
 let map t f arr = init t (Array.length arr) (fun i -> f arr.(i))
 
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-let runner t = { run = (fun n f -> init t n f) }
+let runner t = { Difftrace_util.Runner.run = (fun n f -> init t n f) }

@@ -50,11 +50,9 @@ val init : t -> int -> (int -> 'a) -> 'a array
 (** [map t f arr] = [Array.map f arr], scheduled by the engine. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** The engine as a first-class polymorphic record — the shape
-    libraries below the core (archive loads, campaign cells) accept so
-    they can fan independent work over an engine without depending on
-    this module's type. Same contract as {!init}. *)
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-(** [runner t] — [{ run = init t }]. *)
-val runner : t -> runner
+(** [runner t] — [{ run = init t }]: the engine as the
+    {!Difftrace_util.Runner.t} that libraries below the core (archive
+    loads, frontends, event-DB builds) accept, so they can fan
+    independent work over an engine without depending on it. Same
+    contract as {!init}. *)
+val runner : t -> Difftrace_util.Runner.t

@@ -89,21 +89,13 @@ let run_names t =
   Hashtbl.fold (fun k ts acc -> (k, Trace_set.cardinal ts) :: acc) t.runs []
   |> List.sort compare
 
-let archive_runner engine =
-  let r = Engine.runner engine in
-  { Archive.run = (fun n f -> r.Engine.run n f) }
-
-let frontend_runner engine =
-  let r = Engine.runner engine in
-  { Frontend.run = (fun n f -> r.Engine.run n f) }
-
 let ingest_source ~engine ~path ~frontend =
   match Frontend_registry.find frontend with
   | None ->
     Error
       (Unknown_frontend { name = frontend; known = Frontend_registry.known () })
   | Some fe -> (
-    match Frontend.ingest_file fe ~runner:(frontend_runner engine) path with
+    match Frontend.ingest_file fe ~runner:(Engine.runner engine) path with
     | Ok ts -> Ok (fe, ts)
     | Error e -> Error (Frontend_failed e))
 
@@ -115,7 +107,7 @@ let resolve t ~engine = function
     | None ->
       Error (Unknown_run { name; known = List.map fst (run_names t) }))
   | Archive { dir; salvage } -> (
-    match Archive.load ~runner:(archive_runner engine) ~salvage ~dir () with
+    match Archive.load ~runner:(Engine.runner engine) ~salvage ~dir () with
     | Ok l -> Ok (l.Archive.set, l.Archive.salvaged)
     | Error e -> Error (Archive_failed e))
   | Ingest { path; frontend } -> (
@@ -409,10 +401,6 @@ type query_response = {
   qy_output : string;
 }
 
-let eventdb_runner engine =
-  let r = Engine.runner engine in
-  { Eventdb.run = (fun n f -> r.Engine.run n f) }
-
 (* indexes persist under the session store so warm reruns skip the
    build; storeless sessions just build in memory *)
 let eventdb_dir t =
@@ -436,7 +424,7 @@ let query t config req =
         match resolve t ~engine source with
         | Error e -> Error e
         | Ok (ts, _salvaged) ->
-          Ok (Eventdb.open_ ~runner:(eventdb_runner engine) ?dir:(eventdb_dir t) ts)
+          Ok (Eventdb.open_ ~runner:(Engine.runner engine) ?dir:(eventdb_dir t) ts)
       in
       match open_db req.qy_source with
       | Error e -> Error e

@@ -3,7 +3,7 @@ module Context = Difftrace_fca.Context
 module Jsm = Difftrace_cluster.Jsm
 module Sketch = Difftrace_cluster.Sketch
 module Telemetry = Difftrace_obs.Telemetry
-module Crc32 = Difftrace_util.Crc32
+module Framed = Difftrace_util.Framed
 module Symmat = Difftrace_util.Symmat
 module Varint = Difftrace_util.Varint
 
@@ -30,9 +30,10 @@ let default_keep_vdiffs = 64
 let magic = "difftrace-store 1\n"
 let store_file = "analysis.store"
 
-type error = { path : string; reason : string }
+(* one line naming the path involved *)
+type error = string
 
-let error_to_string e = Printf.sprintf "%s: %s" e.path e.reason
+let error_to_string e = e
 
 (* a persisted JSM: labels with one attribute-set digest per object,
    plus the full (symmetric) matrix. [ns] partitions by Config.digest;
@@ -105,8 +106,8 @@ let object_digest ctx i =
 
 (* {2 Record encoding}
 
-   File = magic line, then records: varint payload length, payload,
-   CRC-32 of the payload (4 LE bytes). Payload byte 0 is the type.
+   File = magic line, then {!Framed} records. Payload byte 0 is the
+   type.
    Write order is symbols, loop bodies, summaries, signatures,
    matrices, vdiffs, so every reference points backwards and a
    salvaged prefix is self-consistent. Signature and vdiff records are
@@ -121,24 +122,6 @@ let tag_matrix = 4
 let tag_signature = 5
 let tag_vdiff = 6
 
-let write_elem buf = function
-  | Nlr.Sym id ->
-    Varint.write buf 0;
-    Varint.write buf id
-  | Nlr.Loop { body; count } ->
-    Varint.write buf 1;
-    Varint.write buf body;
-    Varint.write buf count
-
-let write_elems buf elems =
-  Varint.write buf (Array.length elems);
-  Array.iter (write_elem buf) elems
-
-let add_record buf payload =
-  Varint.write buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.add_string buf (Crc32.to_le_bytes (Crc32.string payload))
-
 let payload_symbol name =
   let b = Buffer.create (1 + String.length name) in
   Buffer.add_char b (Char.chr tag_symbol);
@@ -148,7 +131,7 @@ let payload_symbol name =
 let payload_body elems =
   let b = Buffer.create 64 in
   Buffer.add_char b (Char.chr tag_body);
-  write_elems b elems;
+  Nlr.write_elems b elems;
   Buffer.contents b
 
 let payload_summary ~key ~stamp (nlr : Nlr.t) =
@@ -157,7 +140,7 @@ let payload_summary ~key ~stamp (nlr : Nlr.t) =
   Buffer.add_string b key;
   Varint.write b stamp;
   Varint.write b nlr.input_length;
-  write_elems b nlr.elems;
+  Nlr.write_elems b nlr.elems;
   Buffer.contents b
 
 let payload_matrix (e : matrix_entry) =
@@ -209,8 +192,8 @@ let payload_vdiff ~key (e : vdiff_entry) =
 (* {2 Record decoding}
 
    Decoding validates structure against the running table sizes; any
-   violation is damage, diagnosed by a [Bad_record] that the caller
-   turns into a salvage point. *)
+   violation is damage, diagnosed by a [Bad_record] (or the element
+   codec's [Nlr.Corrupt]) that the scan turns into a salvage point. *)
 
 exception Bad_record of string
 
@@ -219,35 +202,6 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Bad_record s)) fmt
 let read_digest s pos =
   if pos + 16 > String.length s then bad "truncated digest";
   (String.sub s pos 16, pos + 16)
-
-let read_elem ~n_syms ~n_bodies s pos =
-  let tag, pos = Varint.read s pos in
-  match tag with
-  | 0 ->
-    let id, pos = Varint.read s pos in
-    if id >= n_syms then bad "symbol id %d out of range (%d known)" id n_syms;
-    (Nlr.Sym id, pos)
-  | 1 ->
-    let body, pos = Varint.read s pos in
-    let count, pos = Varint.read s pos in
-    if body >= n_bodies then
-      bad "loop body %d out of range (%d known)" body n_bodies;
-    (Nlr.Loop { body; count }, pos)
-  | _ -> bad "unknown element tag %d" tag
-
-let read_elems ~n_syms ~n_bodies s pos =
-  let n, pos = Varint.read s pos in
-  (* an element is at least two varint bytes — a count the remaining
-     payload cannot hold is corruption, not a huge allocation *)
-  if n * 2 > String.length s - pos then bad "element count %d overruns record" n;
-  let pos = ref pos in
-  let elems =
-    Array.init n (fun _ ->
-        let e, p = read_elem ~n_syms ~n_bodies s !pos in
-        pos := p;
-        e)
-  in
-  (elems, !pos)
 
 type raw =
   | Rsymbol of string
@@ -268,14 +222,14 @@ let decode_payload ~n_syms ~n_bodies s =
     else if tag = tag_body then begin
       (* a body's loops reference strictly earlier bodies (NLR creates
          inner loops first), so the running count is the right bound *)
-      let elems, pos = read_elems ~n_syms ~n_bodies s 1 in
+      let elems, pos = Nlr.read_elems ~n_syms ~n_bodies s 1 in
       (Rbody elems, pos)
     end
     else if tag = tag_summary then begin
       let key, pos = read_digest s 1 in
       let stamp, pos = Varint.read s pos in
       let input_length, pos = Varint.read s pos in
-      let elems, pos = read_elems ~n_syms ~n_bodies s pos in
+      let elems, pos = Nlr.read_elems ~n_syms ~n_bodies s pos in
       (Rsummary { key; stamp; nlr = { Nlr.elems; input_length } }, pos)
     end
     else if tag = tag_matrix then begin
@@ -366,60 +320,17 @@ let decode_payload ~n_syms ~n_bodies s =
    raises: truncation, bit flips, and malformed varints all fold into
    the [damage] component. *)
 
-let scan s =
-  let mlen = String.length magic in
-  if String.length s < mlen || String.sub s 0 mlen <> magic then
-    ([], Some "unrecognized magic/version", 0)
-  else begin
-    let total = String.length s in
-    let records = ref [] in
-    let damage = ref None in
-    let n_syms = ref 0 and n_bodies = ref 0 in
-    let pos = ref mlen in
-    (try
-       while !pos < total && !damage = None do
-         let len, p = Varint.read s !pos in
-         if p + len + 4 > total then begin
-           damage :=
-             Some (Printf.sprintf "truncated record at byte %d" !pos)
-         end
-         else begin
-           let payload = String.sub s p len in
-           let crc = Crc32.of_le_bytes s (p + len) in
-           if Crc32.string payload <> crc then
-             damage :=
-               Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
-           else begin
-             match
-               decode_payload ~n_syms:!n_syms ~n_bodies:!n_bodies payload
-             with
-             | Rsymbol _ as r ->
-               incr n_syms;
-               records := r :: !records;
-               pos := p + len + 4
-             | Rbody _ as r ->
-               incr n_bodies;
-               records := r :: !records;
-               pos := p + len + 4
-             | r ->
-               records := r :: !records;
-               pos := p + len + 4
-             | exception Bad_record reason ->
-               damage :=
-                 Some (Printf.sprintf "%s at byte %d" reason !pos)
-           end
-         end
-       done
-     with Invalid_argument _ ->
-       damage := Some (Printf.sprintf "malformed framing at byte %d" !pos));
-    (List.rev !records, !damage, total)
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let scan image =
+  let (records, _, _), damage =
+    Framed.fold ~magic image ~init:([], 0, 0)
+      ~f:(fun (records, n_syms, n_bodies) payload ->
+        match decode_payload ~n_syms ~n_bodies payload with
+        | Rsymbol _ as r -> Ok (r :: records, n_syms + 1, n_bodies)
+        | Rbody _ as r -> Ok (r :: records, n_syms, n_bodies + 1)
+        | r -> Ok (r :: records, n_syms, n_bodies)
+        | exception (Bad_record reason | Nlr.Corrupt reason) -> Error reason)
+  in
+  (List.rev records, damage)
 
 (* {2 Load} *)
 
@@ -462,7 +373,7 @@ let adopt t records =
 
 let load ~dir =
   if Sys.file_exists dir && not (Sys.is_directory dir) then
-    Error { path = dir; reason = "not a directory" }
+    Error (dir ^ ": not a directory")
   else begin
     let file = Filename.concat dir store_file in
     let t =
@@ -480,10 +391,10 @@ let load ~dir =
     in
     if not (Sys.file_exists file) then Ok t
     else
-      match read_file file with
-      | exception Sys_error reason -> Error { path = file; reason }
-      | image ->
-        let records, damage, _bytes = scan image in
+      match Framed.read_file file with
+      | Error reason -> Error (file ^ ": " ^ reason)
+      | Ok image ->
+        let records, damage = scan image in
         let damage =
           match damage with
           | Some _ as d ->
@@ -708,12 +619,6 @@ let evict ?(keep_summaries = default_keep_summaries)
 let gc ?keep_summaries ?keep_matrices ?keep_signatures ?keep_vdiffs t =
   evict ?keep_summaries ?keep_matrices ?keep_signatures ?keep_vdiffs t
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let has_new_summaries t =
   Memo.fold t.memo ~init:false ~f:(fun key _ acc ->
       acc || not (Hashtbl.mem t.stamps key))
@@ -723,10 +628,10 @@ let render t =
   Buffer.add_string buf magic;
   let symtab = Memo.symtab t.memo and table = Memo.loop_table t.memo in
   Array.iter
-    (fun name -> add_record buf (payload_symbol name))
+    (fun name -> Framed.add_record buf (payload_symbol name))
     (Difftrace_trace.Symtab.names symtab);
   for id = 0 to Nlr.Loop_table.size table - 1 do
-    add_record buf (payload_body (Nlr.Loop_table.body table id))
+    Framed.add_record buf (payload_body (Nlr.Loop_table.body table id))
   done;
   List.iter
     (fun (key, stamp, nlr) ->
@@ -739,13 +644,15 @@ let render t =
         end
         else stamp
       in
-      add_record buf (payload_summary ~key ~stamp nlr))
+      Framed.add_record buf (payload_summary ~key ~stamp nlr))
     (summary_entries t);
   List.iter
-    (fun (digest, e) -> add_record buf (payload_signature ~digest e))
+    (fun (digest, e) -> Framed.add_record buf (payload_signature ~digest e))
     (signature_entries t);
-  List.iter (fun (_, e) -> add_record buf (payload_matrix e)) (matrix_entries t);
-  List.iter (fun (key, e) -> add_record buf (payload_vdiff ~key e))
+  List.iter
+    (fun (_, e) -> Framed.add_record buf (payload_matrix e))
+    (matrix_entries t);
+  List.iter (fun (key, e) -> Framed.add_record buf (payload_vdiff ~key e))
     (vdiff_entries t);
   Buffer.contents buf
 
@@ -753,22 +660,15 @@ let flush t =
   if not (t.dirty || has_new_summaries t) then Ok ()
   else begin
     ignore (evict t : int * int * int * int);
-    match
-      mkdir_p t.dir;
-      let tmp = t.file ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (render t));
-      Sys.rename tmp t.file
-    with
-    | () ->
-      t.dirty <- false;
-      t.salvaged <- false;
-      Ok ()
-    | exception Sys_error reason -> Error { path = t.file; reason }
-    | exception Unix.Unix_error (e, _, arg) ->
-      Error { path = arg; reason = Unix.error_message e }
+    match Framed.mkdir_p t.dir with
+    | Error _ as e -> e
+    | Ok () -> (
+      match Framed.write_atomic ~path:t.file (render t) with
+      | Ok () ->
+        t.dirty <- false;
+        t.salvaged <- false;
+        Ok ()
+      | Error reason -> Error (t.file ^ ": " ^ reason))
   end
 
 type stats = {
@@ -833,10 +733,10 @@ let verify ~dir =
         c_bytes = 0;
         c_damage = None }
   else
-    match read_file file with
-    | exception Sys_error reason -> Error { path = file; reason }
-    | image ->
-      let records, damage, bytes = scan image in
+    match Framed.read_file file with
+    | Error reason -> Error (file ^ ": " ^ reason)
+    | Ok image ->
+      let records, damage = scan image in
       let sy = ref 0 and bo = ref 0 and su = ref 0 and ma = ref 0 in
       let sg = ref 0 and vd = ref 0 in
       List.iter
@@ -856,7 +756,7 @@ let verify ~dir =
           c_vdiffs = !vd;
           c_symbols = !sy;
           c_loop_bodies = !bo;
-          c_bytes = bytes;
+          c_bytes = String.length image;
           c_damage = damage }
 
 let render_check c =

@@ -41,10 +41,11 @@
       served a vdiff hold no such records, keeping the historical byte
       layout.
 
-    Robustness follows {!Archive}/{!Campaign} discipline: CRC-32/varint
-    record framing, atomic rewrite (tmp + rename), and a
-    result-returning loader that salvages the valid prefix of a damaged
-    file — or falls back to a cold store — instead of raising.
+    Robustness follows {!Archive}/{!Campaign} discipline, through the
+    same {!Difftrace_util.Framed} module: CRC-32/varint record framing,
+    atomic rewrite (tmp + rename), and a result-returning loader that
+    salvages the valid prefix of a damaged file — or falls back to a
+    cold store — instead of raising.
 
     Telemetry: [store.hits]/[store.misses] (JSM base lookups),
     [store.sig_hits]/[store.sig_misses] (signature lookups, sketch mode

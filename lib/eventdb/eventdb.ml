@@ -4,15 +4,13 @@ module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
 module Nlr = Difftrace_nlr.Nlr
 module Varint = Difftrace_util.Varint
+module Framed = Difftrace_util.Framed
+module Runner = Difftrace_util.Runner
 module Telemetry = Difftrace_obs.Telemetry
 
 let c_builds = Telemetry.Counter.make "eventdb.builds"
 let c_loads = Telemetry.Counter.make "eventdb.loads"
 let c_saved = Telemetry.Counter.make "eventdb.saved"
-
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-let sequential = { run = (fun n f -> Array.init n f) }
 
 type loop_span = { lp_body : int; lp_count : int; lp_start : int; lp_stop : int }
 
@@ -176,13 +174,13 @@ let remap_table ~from ~into =
   done;
   map
 
-let build ?(runner = sequential) ts =
+let build ?(runner = Runner.sequential) ts =
   Telemetry.Counter.incr c_builds;
   let symtab = Trace_set.symtab ts in
   let n_funcs = Symtab.size symtab in
   let traces = Trace_set.traces ts in
   let built =
-    runner.run (Array.length traces) (fun i ->
+    runner.Runner.run (Array.length traces) (fun i ->
         let tr = traces.(i) in
         let postings, call_pos = index_events ~n_funcs tr.Trace.events in
         let table = Nlr.Loop_table.create () in
@@ -219,10 +217,12 @@ let build ?(runner = sequential) ts =
 
 (* {2 On-disk encoding}
 
-   Records in backwards-reference order: symbols, loop bodies, then per
-   thread the event log (tag 3) followed by its postings (tag 4, one
-   record per called function, varint-delta positions), intervals
-   (tag 5) and loop spans (tag 6). *)
+   A magic line, then {!Framed} records in backwards-reference order:
+   symbols, loop bodies, then per thread the event log (tag 3)
+   followed by its postings (tag 4, one record per called function,
+   varint-delta positions), intervals (tag 5) and loop spans (tag 6). *)
+
+let magic = "difftrace-eventdb 1\n"
 
 let tag_symbol = 1
 let tag_body = 2
@@ -235,39 +235,6 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-let write_elems buf elems =
-  Varint.write buf (Array.length elems);
-  Array.iter
-    (function
-      | Nlr.Sym id ->
-        Varint.write buf 0;
-        Varint.write buf id
-      | Nlr.Loop { body; count } ->
-        Varint.write buf 1;
-        Varint.write buf body;
-        Varint.write buf count)
-    elems
-
-let read_elems s pos =
-  let n, pos = Varint.read s pos in
-  let pos = ref pos in
-  let elems =
-    Array.init n (fun _ ->
-        let kind, p = Varint.read s !pos in
-        match kind with
-        | 0 ->
-          let id, p = Varint.read s p in
-          pos := p;
-          Nlr.Sym id
-        | 1 ->
-          let body, p = Varint.read s p in
-          let count, p = Varint.read s p in
-          pos := p;
-          Nlr.Loop { body; count }
-        | k -> bad "unknown element kind %d" k)
-  in
-  (elems, !pos)
-
 let payload tag f =
   let b = Buffer.create 128 in
   Buffer.add_char b (Char.chr tag);
@@ -276,18 +243,18 @@ let payload tag f =
 
 let encode db =
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf Framing.magic;
+  Buffer.add_string buf magic;
   Array.iter
     (fun name ->
-      Framing.add_record buf (payload tag_symbol (fun b -> Buffer.add_string b name)))
+      Framed.add_record buf (payload tag_symbol (fun b -> Buffer.add_string b name)))
     (Symtab.names db.db_symtab);
   for id = 0 to Nlr.Loop_table.size db.db_table - 1 do
-    Framing.add_record buf
-      (payload tag_body (fun b -> write_elems b (Nlr.Loop_table.body db.db_table id)))
+    Framed.add_record buf
+      (payload tag_body (fun b -> Nlr.write_elems b (Nlr.Loop_table.body db.db_table id)))
   done;
   Array.iteri
     (fun ti th ->
-      Framing.add_record buf
+      Framed.add_record buf
         (payload tag_thread (fun b ->
              Varint.write b th.th_pid;
              Varint.write b th.th_tid;
@@ -297,7 +264,7 @@ let encode db =
       Array.iteri
         (fun func positions ->
           if Array.length positions > 0 then
-            Framing.add_record buf
+            Framed.add_record buf
               (payload tag_postings (fun b ->
                    Varint.write b ti;
                    Varint.write b func;
@@ -309,7 +276,7 @@ let encode db =
                        prev := p)
                      positions)))
         th.th_postings;
-      Framing.add_record buf
+      Framed.add_record buf
         (payload tag_intervals (fun b ->
              Varint.write b ti;
              Varint.write b (Array.length th.th_intervals);
@@ -323,7 +290,7 @@ let encode db =
                  Varint.write b iv.Intervals.iv_depth;
                  Varint.write b (iv.Intervals.iv_caller + 1))
                th.th_intervals));
-      Framing.add_record buf
+      Framed.add_record buf
         (payload tag_loops (fun b ->
              Varint.write b ti;
              Varint.write b (Array.length th.th_loops);
@@ -337,27 +304,17 @@ let encode db =
     db.db_threads;
   Buffer.contents buf
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-  else if not (Sys.is_directory dir) then
-    raise (Sys_error (dir ^ ": exists and is not a directory"))
-
 let index_file ~dir ~digest = Filename.concat dir (digest ^ ".edb")
 
+let ( let* ) = Result.bind
+
 let save ~dir db =
-  match
-    mkdir_p dir;
-    Framing.write_atomic ~path:(index_file ~dir ~digest:db.db_digest) (encode db)
-  with
-  | () ->
-    Telemetry.Counter.incr c_saved;
-    Ok ()
-  | exception Sys_error reason -> Error reason
-  | exception Unix.Unix_error (e, _, arg) ->
-    Error (Printf.sprintf "%s: %s" arg (Unix.error_message e))
+  let* () = Framed.mkdir_p dir in
+  let* () =
+    Framed.write_atomic ~path:(index_file ~dir ~digest:db.db_digest) (encode db)
+  in
+  Telemetry.Counter.incr c_saved;
+  Ok ()
 
 (* decoding: strict — structural surprises are damage, and damage means
    rebuild, so there is no salvage path to keep consistent *)
@@ -370,7 +327,14 @@ type partial = {
   mutable p_loops : loop_span array;
 }
 
-let decode ~digest payloads =
+(* a count of items each at least [width] bytes long: one the rest of
+   the record cannot hold is corruption, not a huge allocation *)
+let read_count ~width what s pos =
+  let n, pos = Varint.read s pos in
+  if n > (String.length s - pos) / width then bad "%s count %d overruns record" what n;
+  (n, pos)
+
+let decode ~digest image =
   let symtab = Symtab.create () in
   let table = Nlr.Loop_table.create () in
   let threads = ref [] in
@@ -381,141 +345,143 @@ let decode ~digest payloads =
     | Some p -> p
     | None -> bad "postings/intervals for unknown thread %d" ti
   in
-  List.iter
-    (fun s ->
-      if String.length s = 0 then bad "empty record";
-      let tag = Char.code s.[0] in
-      let pos = 1 in
-      if tag = tag_symbol then
-        ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
-      else if tag = tag_body then begin
-        let elems, pos = read_elems s pos in
-        if pos <> String.length s then bad "trailing bytes in body record";
-        ignore (Nlr.Loop_table.intern table elems)
-      end
-      else if tag = tag_thread then begin
-        let pid, pos = Varint.read s pos in
-        let tid, pos = Varint.read s pos in
-        let trunc, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
-        let events =
-          Array.init n (fun _ ->
-              let e, p = Varint.read s !pos in
-              pos := p;
-              Event.decode e)
-        in
-        if !pos <> String.length s then bad "trailing bytes in thread record";
-        let p =
-          { p_truncated = trunc <> 0;
-            p_events = events;
-            p_postings = [];
-            p_intervals = [||];
-            p_loops = [||] }
-        in
-        Hashtbl.replace partials (List.length !threads) p;
-        threads := (pid, tid) :: !threads
-      end
-      else if tag = tag_postings then begin
-        let ti, pos = Varint.read s pos in
-        let func, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
-        let prev = ref 0 in
-        let positions =
-          Array.init n (fun _ ->
-              let d, p = Varint.read s !pos in
-              pos := p;
-              prev := !prev + d;
-              !prev)
-        in
-        if !pos <> String.length s then bad "trailing bytes in postings record";
-        if func >= Symtab.size symtab then bad "postings for unknown function";
-        let p = nth ti in
-        p.p_postings <- (func, positions) :: p.p_postings
-      end
-      else if tag = tag_intervals then begin
-        let ti, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
-        let prev = ref 0 in
-        let ivs =
-          Array.init n (fun _ ->
-              let func, p = Varint.read s !pos in
-              let dstart, p = Varint.read s p in
-              let len, p = Varint.read s p in
-              let depth, p = Varint.read s p in
-              let caller1, p = Varint.read s p in
-              pos := p;
-              prev := !prev + dstart;
-              { Intervals.iv_func = func;
-                iv_start = !prev;
-                iv_stop = !prev + len;
-                iv_depth = depth;
-                iv_caller = caller1 - 1 })
-        in
-        if !pos <> String.length s then bad "trailing bytes in interval record";
-        (nth ti).p_intervals <- ivs
-      end
-      else if tag = tag_loops then begin
-        let ti, pos = Varint.read s pos in
-        let n, pos = Varint.read s pos in
-        let pos = ref pos in
-        let spans =
-          Array.init n (fun _ ->
-              let body, p = Varint.read s !pos in
-              let count, p = Varint.read s p in
-              let start, p = Varint.read s p in
-              let len, p = Varint.read s p in
-              pos := p;
-              if body >= Nlr.Loop_table.size table then
-                bad "span for unknown loop body";
-              { lp_body = body; lp_count = count; lp_start = start;
-                lp_stop = start + len })
-        in
-        if !pos <> String.length s then bad "trailing bytes in loop record";
-        (nth ti).p_loops <- spans
-      end
-      else bad "unknown record tag %d" tag)
-    payloads;
-  let n_funcs = Symtab.size symtab in
-  let ids = Array.of_list (List.rev !threads) in
-  let threads =
-    Array.mapi
-      (fun ti (pid, tid) ->
-        let p = Hashtbl.find partials ti in
-        let postings = Array.make n_funcs [||] in
-        List.iter (fun (func, ps) -> postings.(func) <- ps) p.p_postings;
-        { th_pid = pid;
-          th_tid = tid;
-          th_truncated = p.p_truncated;
-          th_events = p.p_events;
-          th_postings = postings;
-          th_intervals = p.p_intervals;
-          th_loops = p.p_loops })
-      ids
+  let record s =
+    if String.length s = 0 then bad "empty record";
+    let tag = Char.code s.[0] in
+    let pos = 1 in
+    if tag = tag_symbol then
+      ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
+    else if tag = tag_body then begin
+      let elems, pos =
+        Nlr.read_elems ~n_syms:(Symtab.size symtab)
+          ~n_bodies:(Nlr.Loop_table.size table) s pos
+      in
+      if pos <> String.length s then bad "trailing bytes in body record";
+      ignore (Nlr.Loop_table.intern table elems)
+    end
+    else if tag = tag_thread then begin
+      let pid, pos = Varint.read s pos in
+      let tid, pos = Varint.read s pos in
+      let trunc, pos = Varint.read s pos in
+      let n, pos = read_count ~width:1 "event" s pos in
+      let pos = ref pos in
+      let events =
+        Array.init n (fun _ ->
+            let e, p = Varint.read s !pos in
+            pos := p;
+            Event.decode e)
+      in
+      if !pos <> String.length s then bad "trailing bytes in thread record";
+      let p =
+        { p_truncated = trunc <> 0;
+          p_events = events;
+          p_postings = [];
+          p_intervals = [||];
+          p_loops = [||] }
+      in
+      Hashtbl.replace partials (List.length !threads) p;
+      threads := (pid, tid) :: !threads
+    end
+    else if tag = tag_postings then begin
+      let ti, pos = Varint.read s pos in
+      let func, pos = Varint.read s pos in
+      let n, pos = read_count ~width:1 "position" s pos in
+      let pos = ref pos in
+      let prev = ref 0 in
+      let positions =
+        Array.init n (fun _ ->
+            let d, p = Varint.read s !pos in
+            pos := p;
+            prev := !prev + d;
+            !prev)
+      in
+      if !pos <> String.length s then bad "trailing bytes in postings record";
+      if func >= Symtab.size symtab then bad "postings for unknown function";
+      let p = nth ti in
+      p.p_postings <- (func, positions) :: p.p_postings
+    end
+    else if tag = tag_intervals then begin
+      let ti, pos = Varint.read s pos in
+      let n, pos = read_count ~width:5 "interval" s pos in
+      let pos = ref pos in
+      let prev = ref 0 in
+      let ivs =
+        Array.init n (fun _ ->
+            let func, p = Varint.read s !pos in
+            let dstart, p = Varint.read s p in
+            let len, p = Varint.read s p in
+            let depth, p = Varint.read s p in
+            let caller1, p = Varint.read s p in
+            pos := p;
+            prev := !prev + dstart;
+            { Intervals.iv_func = func;
+              iv_start = !prev;
+              iv_stop = !prev + len;
+              iv_depth = depth;
+              iv_caller = caller1 - 1 })
+      in
+      if !pos <> String.length s then bad "trailing bytes in interval record";
+      (nth ti).p_intervals <- ivs
+    end
+    else if tag = tag_loops then begin
+      let ti, pos = Varint.read s pos in
+      let n, pos = read_count ~width:4 "span" s pos in
+      let pos = ref pos in
+      let spans =
+        Array.init n (fun _ ->
+            let body, p = Varint.read s !pos in
+            let count, p = Varint.read s p in
+            let start, p = Varint.read s p in
+            let len, p = Varint.read s p in
+            pos := p;
+            if body >= Nlr.Loop_table.size table then
+              bad "span for unknown loop body";
+            { lp_body = body; lp_count = count; lp_start = start;
+              lp_stop = start + len })
+      in
+      if !pos <> String.length s then bad "trailing bytes in loop record";
+      (nth ti).p_loops <- spans
+    end
+    else bad "unknown record tag %d" tag
   in
-  { db_digest = digest; db_symtab = symtab; db_table = table;
-    db_threads = threads }
+  match
+    Framed.fold ~magic image ~init:() ~f:(fun () s ->
+        match record s with
+        | () -> Ok ()
+        | exception (Bad reason | Nlr.Corrupt reason) -> Error reason)
+  with
+  | (), Some damage -> Error damage
+  | (), None ->
+    let n_funcs = Symtab.size symtab in
+    let ids = Array.of_list (List.rev !threads) in
+    let threads =
+      Array.mapi
+        (fun ti (pid, tid) ->
+          let p = Hashtbl.find partials ti in
+          let postings = Array.make n_funcs [||] in
+          List.iter (fun (func, ps) -> postings.(func) <- ps) p.p_postings;
+          { th_pid = pid;
+            th_tid = tid;
+            th_truncated = p.p_truncated;
+            th_events = p.p_events;
+            th_postings = postings;
+            th_intervals = p.p_intervals;
+            th_loops = p.p_loops })
+        ids
+    in
+    Ok { db_digest = digest; db_symtab = symtab; db_table = table;
+         db_threads = threads }
 
 let load ~dir ~digest =
   let path = index_file ~dir ~digest in
   if not (Sys.file_exists path) then Error "no index"
   else
-    match Framing.read_file path with
-    | exception Sys_error reason -> Error reason
-    | image -> (
-      match Framing.scan image with
-      | Error reason -> Error reason
-      | Ok payloads -> (
-        match decode ~digest payloads with
-        | db ->
-          Telemetry.Counter.incr c_loads;
-          Ok db
-        | exception Bad reason -> Error reason
-        | exception Invalid_argument reason -> Error reason))
+    let* image = Framed.read_file path in
+    let* db = decode ~digest image in
+    Telemetry.Counter.incr c_loads;
+    Ok db
 
-let open_ ?(runner = sequential) ?dir ts =
+let open_ ?(runner = Runner.sequential) ?dir ts =
   let dg = digest ts in
   match dir with
   | None -> (build ~runner ts, `Built)

@@ -8,8 +8,9 @@
     time-ordered event log itself — everything {!Query} needs to answer
     drill-down questions without rescanning archives.
 
-    Builds fan out per thread over an engine-provided {!runner} and the
-    result persists as one CRC-framed file (see {!Framing}) named by
+    Builds fan out per thread over an engine-provided runner and the
+    result persists as one CRC-framed file (see
+    {!Difftrace_util.Framed}) named by
     the content digest of its source traces, so a warm rerun loads
     instead of rebuilding. All positions are event indices into the
     owning thread's event array — the stable coordinates quoted by
@@ -19,13 +20,6 @@ module Event = Difftrace_trace.Event
 module Symtab = Difftrace_trace.Symtab
 module Trace_set = Difftrace_trace.Trace_set
 module Nlr = Difftrace_nlr.Nlr
-
-(** How to fan independent per-thread work out; mirrors
-    [Engine.runner] without depending on [lib/core]. *)
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-(** The in-order fallback runner. *)
-val sequential : runner
 
 (** One NLR loop instance of a thread — at any nesting depth — as a
     half-open event-position span [[lp_start, lp_stop)] covering the
@@ -71,7 +65,7 @@ val find_thread : t -> string -> thread option
     per-thread work over [runner]. Deterministic: the same traces
     produce the same database under any runner. Bumps the
     [eventdb.builds] counter. *)
-val build : ?runner:runner -> Trace_set.t -> t
+val build : ?runner:Difftrace_util.Runner.t -> Trace_set.t -> t
 
 (** [save ~dir db] writes [dir/<digest>.edb] atomically, creating
     [dir] as needed. *)
@@ -86,7 +80,11 @@ val load : dir:string -> digest:string -> (t, string) result
 (** [open_ ?runner ?dir ts] is the warm path: digest [ts], load the
     index from [dir] if present and intact, else build (and, with a
     [dir], persist best-effort). *)
-val open_ : ?runner:runner -> ?dir:string -> Trace_set.t -> t * [ `Built | `Loaded ]
+val open_ :
+  ?runner:Difftrace_util.Runner.t ->
+  ?dir:string ->
+  Trace_set.t ->
+  t * [ `Built | `Loaded ]
 
 (** [body_contains table ~outer ~inner] — does loop body [outer] equal
     or transitively contain loop body [inner]? *)

@@ -196,7 +196,7 @@ let ingest ~runner input =
         (Difftrace_util.Vec.to_array order)
     in
     let skeletons =
-      runner.Frontend.run (Array.length streams) (fun i ->
+      runner.Difftrace_util.Runner.run (Array.length streams) (fun i ->
           parse_stream streams.(i))
     in
     (* interning is sequential and in stream order, so the symbol

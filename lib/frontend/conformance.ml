@@ -14,7 +14,7 @@ let violation_to_string v =
    frontend that leans on evaluation order of the per-thread closures
    (e.g. by interning inside them) produces a different digest here *)
 let reversed_runner =
-  { Frontend.run =
+  { Difftrace_util.Runner.run =
       (fun n f ->
         if n = 0 then [||]
         else begin
@@ -36,7 +36,7 @@ let check ?(alt_runner = reversed_runner) ?scratch fe input =
   (* totality: the raw ingest function, not the ingest_string wrapper
      that charitably converts escaped exceptions into typed errors *)
   let raw =
-    match fe.Frontend.ingest ~runner:Frontend.sequential_runner input with
+    match fe.Frontend.ingest ~runner:Difftrace_util.Runner.sequential input with
     | r -> Some r
     | exception exn ->
       fail "totality"

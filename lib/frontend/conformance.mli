@@ -32,10 +32,10 @@ val violation_to_string : violation -> string
 (** A runner that evaluates indices in an adversarial (reversed)
     order — the cheapest schedule shake-up that catches accidental
     order dependence without needing the engine. *)
-val reversed_runner : Frontend.runner
+val reversed_runner : Difftrace_util.Runner.t
 
 val check :
-  ?alt_runner:Frontend.runner ->
+  ?alt_runner:Difftrace_util.Runner.t ->
   ?scratch:string ->
   Frontend.t ->
   string ->

@@ -4,15 +4,13 @@
 
 open Difftrace_trace
 module Telemetry = Difftrace_obs.Telemetry
+module Framed = Difftrace_util.Framed
+module Runner = Difftrace_util.Runner
 
 let c_ingests = Telemetry.Counter.make "frontend.ingests"
 let c_lines = Telemetry.Counter.make "frontend.lines"
 let c_events = Telemetry.Counter.make "frontend.events"
 let c_errors = Telemetry.Counter.make "frontend.errors"
-
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-let sequential_runner = { run = Array.init }
 
 type error = {
   fe_frontend : string;
@@ -31,7 +29,7 @@ let max_line_bytes = 1 lsl 20
 type t = {
   name : string;
   description : string;
-  ingest : runner:runner -> string -> (Trace_set.t, error) result;
+  ingest : runner:Runner.t -> string -> (Trace_set.t, error) result;
   render : Trace_set.t -> string;
 }
 
@@ -53,7 +51,7 @@ let all () = List.filter_map find (known ())
 
 (* --- driving ---------------------------------------------------------- *)
 
-let ingest_string fe ?(runner = sequential_runner) s =
+let ingest_string fe ?(runner = Runner.sequential) s =
   Telemetry.Counter.incr c_ingests;
   let r =
     (* a frontend that raises is breaking its contract, but the
@@ -73,18 +71,13 @@ let ingest_string fe ?(runner = sequential_runner) s =
   r
 
 let ingest_file fe ?runner path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error m ->
+  match Framed.read_file path with
+  | Error m ->
     Error
       { fe_frontend = fe.name;
         fe_line = None;
         fe_reason = "cannot read " ^ path ^ ": " ^ m }
-  | bytes -> ingest_string fe ?runner bytes
+  | Ok bytes -> ingest_string fe ?runner bytes
 
 (* --- canonical digest ------------------------------------------------- *)
 

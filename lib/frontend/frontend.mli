@@ -27,13 +27,6 @@
       [Archive.save] / [Archive.load ~salvage:true] round trip
       unchanged. *)
 
-(** Per-thread ingestion work is fanned over a runner, exactly like
-    {!Difftrace_parlot.Archive.runner} (the frontend layer cannot
-    depend on the engine, so callers inject one). *)
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-val sequential_runner : runner
-
 type error = {
   fe_frontend : string;
   fe_line : int option;  (** 1-based input line, when the failure has one *)
@@ -51,8 +44,12 @@ type t = {
   name : string;
   description : string;
   ingest :
-    runner:runner -> string -> (Difftrace_trace.Trace_set.t, error) result;
-      (** raw input bytes -> trace set. Must be total. *)
+    runner:Difftrace_util.Runner.t ->
+    string ->
+    (Difftrace_trace.Trace_set.t, error) result;
+      (** raw input bytes -> trace set. Must be total. Per-thread work
+          is fanned over [runner] (the frontend layer cannot depend on
+          the engine, so callers inject one). *)
   render : Difftrace_trace.Trace_set.t -> string;
       (** the canonical textual form of an ingested set; re-ingesting
           it must be a digest fixed point *)
@@ -77,12 +74,18 @@ val all : unit -> t list
     escaping exception (a conformance violation, but the daemon must
     not die for it) into a typed error. *)
 val ingest_string :
-  t -> ?runner:runner -> string -> (Difftrace_trace.Trace_set.t, error) result
+  t ->
+  ?runner:Difftrace_util.Runner.t ->
+  string ->
+  (Difftrace_trace.Trace_set.t, error) result
 
 (** [ingest_file fe path] — {!ingest_string} over the file's bytes;
     unreadable files are a typed error. *)
 val ingest_file :
-  t -> ?runner:runner -> string -> (Difftrace_trace.Trace_set.t, error) result
+  t ->
+  ?runner:Difftrace_util.Runner.t ->
+  string ->
+  (Difftrace_trace.Trace_set.t, error) result
 
 (** {2 Canonical digest}
 

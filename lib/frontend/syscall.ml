@@ -197,7 +197,7 @@ let ingest ~runner input =
         pids
     in
     let results =
-      runner.Frontend.run (Array.length pids) (fun i -> parse_pid per_pid.(i))
+      runner.Difftrace_util.Runner.run (Array.length pids) (fun i -> parse_pid per_pid.(i))
     in
     (* on multiple failures report the earliest line, whatever order
        the runner finished in *)

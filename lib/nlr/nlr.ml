@@ -4,6 +4,53 @@ type elem = Sym of int | Loop of { body : int; count : int }
 
 let elem_equal (a : elem) (b : elem) = a = b
 
+exception Corrupt of string
+
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+let write_elems buf elems =
+  Varint.write buf (Array.length elems);
+  Array.iter
+    (function
+      | Sym id ->
+        Varint.write buf 0;
+        Varint.write buf id
+      | Loop { body; count } ->
+        Varint.write buf 1;
+        Varint.write buf body;
+        Varint.write buf count)
+    elems
+
+let read_elem ~n_syms ~n_bodies s pos =
+  let tag, pos = Varint.read s pos in
+  match tag with
+  | 0 ->
+    let id, pos = Varint.read s pos in
+    if id >= n_syms then corrupt "symbol id %d out of range (%d known)" id n_syms;
+    (Sym id, pos)
+  | 1 ->
+    let body, pos = Varint.read s pos in
+    let count, pos = Varint.read s pos in
+    if body >= n_bodies then
+      corrupt "loop body %d out of range (%d known)" body n_bodies;
+    (Loop { body; count }, pos)
+  | _ -> corrupt "unknown element tag %d" tag
+
+let read_elems ~n_syms ~n_bodies s pos =
+  let n, pos = Varint.read s pos in
+  (* an element is at least two varint bytes — a count the remaining
+     bytes cannot hold is corruption, not a huge allocation *)
+  if n > (String.length s - pos) / 2 then
+    corrupt "element count %d overruns record" n;
+  let pos = ref pos in
+  let elems =
+    Array.init n (fun _ ->
+        let e, p = read_elem ~n_syms ~n_bodies s !pos in
+        pos := p;
+        e)
+  in
+  (elems, !pos)
+
 module Loop_table = struct
   (* Bodies are elem arrays; [by_body] interns them structurally so the
      same body found in any trace of the execution gets the same ID. *)

@@ -23,6 +23,27 @@ type elem =
 
 val elem_equal : elem -> elem -> bool
 
+(** {2 Binary codec}
+
+    The element-sequence encoding shared by the analysis store and the
+    event-DB index: a varint count, then per element the varints
+    [0 id] (a symbol) or [1 body count] (a loop). *)
+
+(** A structurally invalid element sequence, with the reason. *)
+exception Corrupt of string
+
+(** [write_elems buf elems] appends the encoding of [elems]. *)
+val write_elems : Buffer.t -> elem array -> unit
+
+(** [read_elems ~n_syms ~n_bodies s pos] decodes a sequence starting
+    at [pos] and returns it with the position just after it. Symbol
+    IDs must be below [n_syms] and loop bodies below [n_bodies] — the
+    table sizes the reader has rebuilt so far. Raises [Corrupt] on an
+    out-of-range ID, an unknown element tag, or an element count the
+    rest of [s] cannot hold (checked before allocating);
+    [Invalid_argument] on a truncated varint. *)
+val read_elems : n_syms:int -> n_bodies:int -> string -> int -> elem array * int
+
 (** The execution-wide table of distinct loop bodies. *)
 module Loop_table : sig
   type t

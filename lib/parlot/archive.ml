@@ -9,10 +9,6 @@ let c_salvaged = Telemetry.Counter.make "archive.salvaged_events"
 
 type format = V1 | V2
 
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-let sequential_runner = { run = Array.init }
-
 type error = { err_path : string; err_reason : string }
 
 let error_to_string e =
@@ -58,34 +54,20 @@ let trace_file dir ~pid ~tid =
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      invalid_arg
-        (Printf.sprintf "Archive.save: %s exists and is not a directory" dir)
-  end
-  else begin
-    let parent = Filename.dirname dir in
-    if parent <> dir && parent <> "" then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.is_directory dir -> () (* lost a race; fine *)
-  end
-
 let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+  match Framed.write_atomic ~path contents with
+  | Ok () -> ()
+  | Error m -> raise (Sys_error m)
 
 let chunk_magic = "DTA2"
 let default_chunk_size = 4096
 
-(* v2 trace file: the magic, then varint-length-prefixed chunks each
-   closed by a CRC-32 footer of its payload, then a zero-length
-   terminator chunk whose footer checksums the whole compressed
-   stream. Chunk boundaries are transport framing only — they need not
-   align with LZW code boundaries, which is why the decoder is
-   incremental. *)
+(* v2 trace file: the magic, then one framed record per chunk of the
+   compressed stream, then a zero-length terminator chunk whose footer
+   checksums the whole stream. Chunk boundaries are transport framing
+   only — they need not align with LZW code boundaries, which is why
+   the decoder is incremental. Chunks go out one at a time, so the
+   file is never buffered whole. *)
 let write_v2_trace path data ~chunk_size =
   let oc = open_out_bin path in
   Fun.protect
@@ -93,24 +75,20 @@ let write_v2_trace path data ~chunk_size =
     (fun () ->
       output_string oc chunk_magic;
       let total = String.length data in
-      let b = Buffer.create 8 in
+      let b = Buffer.create 4096 in
       let pos = ref 0 in
       while !pos < total do
         let len = min chunk_size (total - !pos) in
         Buffer.clear b;
-        Varint.write b len;
-        output_string oc (Buffer.contents b);
-        output_substring oc data !pos len;
-        output_string oc
-          (Crc32.to_le_bytes
-             (Crc32.finish (Crc32.update Crc32.init data ~pos:!pos ~len)));
+        Framed.add_record b (String.sub data !pos len);
+        Buffer.output_buffer oc b;
         Telemetry.Counter.incr c_chunks;
         pos := !pos + len
       done;
       Buffer.clear b;
       Varint.write b 0;
-      output_string oc (Buffer.contents b);
-      output_string oc (Crc32.to_le_bytes (Crc32.string data)))
+      Buffer.add_string b (Crc32.to_le_bytes (Crc32.string data));
+      Buffer.output_buffer oc b)
 
 let encode_trace (tr : Trace.t) =
   let enc = Lzw.encoder () in
@@ -126,7 +104,9 @@ let encode_trace (tr : Trace.t) =
 let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
   if chunk_size < 1 then invalid_arg "Archive.save: chunk_size must be >= 1";
   Span.with_ "archive.save" @@ fun () ->
-  mkdir_p dir;
+  (match Framed.mkdir_p dir with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Archive.save: " ^ m));
   let symtab = Trace_set.symtab ts in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -145,14 +125,12 @@ let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
            (if tr.Trace.truncated then "truncated" else "complete")
            (Trace.length tr)))
     traces;
-  (* the v2 manifest closes with a CRC-32 footer over everything above
-     it, so manifest corruption is detected, not misparsed *)
-  (match format with
-  | V1 -> ()
-  | V2 ->
-    Buffer.add_string buf
-      (Printf.sprintf "crc %08x\n" (Crc32.string (Buffer.contents buf))));
-  write_file (manifest_file dir) (Buffer.contents buf);
+  (* the v2 manifest is sealed with a CRC-32 footer over everything
+     above it, so manifest corruption is detected, not misparsed *)
+  write_file (manifest_file dir)
+    (match format with
+    | V1 -> Buffer.contents buf
+    | V2 -> Framed.seal (Buffer.contents buf));
   Array.iter
     (fun (tr : Trace.t) ->
       let data = encode_trace tr in
@@ -175,8 +153,6 @@ type manifest = {
 
 exception Bad of string
 
-let crc_footer_len = String.length "crc 00000000\n"
-
 let parse_manifest text =
   let fail msg = raise (Bad msg) in
   let version, body =
@@ -184,18 +160,11 @@ let parse_manifest text =
     then (1, text)
     else if
       String.length text >= 20 && String.sub text 0 20 = "difftrace-archive 2\n"
-    then begin
-      let n = String.length text in
-      if n < 20 + crc_footer_len then fail "missing manifest checksum";
-      let body = String.sub text 0 (n - crc_footer_len) in
-      let footer = String.sub text (n - crc_footer_len) crc_footer_len in
-      let crc =
-        try Scanf.sscanf footer "crc %x" (fun c -> c)
-        with _ -> fail "missing manifest checksum"
-      in
-      if Crc32.string body <> crc then fail "manifest checksum mismatch";
-      (2, body)
-    end
+    then
+      match Framed.unseal text with
+      | Ok body -> (2, body)
+      | Error `Missing -> fail "missing manifest checksum"
+      | Error `Mismatch -> fail "manifest checksum mismatch"
     else fail "bad magic"
   in
   match String.split_on_char '\n' body with
@@ -381,15 +350,9 @@ let scan_trace ~version path =
 
 let read_manifest dir =
   let path = manifest_file dir in
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error m ->
-    Error { err_path = path; err_reason = "cannot read manifest: " ^ m }
-  | text -> (
+  match Framed.read_file path with
+  | Error m -> Error { err_path = path; err_reason = "cannot read manifest: " ^ m }
+  | Ok text -> (
     match parse_manifest text with
     | m -> Ok m
     | exception Bad reason -> Error { err_path = path; err_reason = reason })
@@ -431,7 +394,7 @@ let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
           sv_reason = reason } )
   | Error reason -> T_err { err_path = path; err_reason = reason }
 
-let load ?(runner = sequential_runner) ?(salvage = false) ~dir () =
+let load ?(runner = Runner.sequential) ?(salvage = false) ~dir () =
   Span.with_ "archive.load" @@ fun () ->
   match read_manifest dir with
   | Error e -> Error e
@@ -468,16 +431,11 @@ let load ?(runner = sequential_runner) ?(salvage = false) ~dir () =
           version = m.m_version;
           salvaged })
 
-let load_exn ?runner ~dir () =
-  match load ?runner ~dir () with
-  | Ok l -> l.set
-  | Error e -> invalid_arg ("Archive.load: " ^ e.err_reason)
-
 (* ------------------------------------------------------------------ *)
 (* Verify / repair                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let verify ?(runner = sequential_runner) ~dir () =
+let verify ?(runner = Runner.sequential) ~dir () =
   Span.with_ "archive.verify" @@ fun () ->
   match read_manifest dir with
   | Error e -> Error e

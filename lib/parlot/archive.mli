@@ -18,26 +18,19 @@
                           CRC-32 footer; a zero-length terminator chunk
                           carries the whole-stream CRC-32
     v}
+    The footer line and the chunk records are
+    {!Difftrace_util.Framed}'s sealed text and framed records.
 
     Version 1 archives (bare LZW streams, no checksums) remain
     readable. Trace files are decoded incrementally — chunk by chunk
     through {!Lzw}'s streaming decoder — so a multi-GB archive never
     materializes a trace file as one string, and per-thread loads can
-    be fanned out over domains via a {!runner}. *)
+    be fanned out over domains via a {!Difftrace_util.Runner.t}. *)
 
 (** Archive wire format. [V2] (framed + checksummed) is the default for
     {!save}; [V1] is the legacy format, still written for
     interoperability tests and always readable. *)
 type format = V1 | V2
-
-(** How per-thread loads are scheduled: [run n f] must behave exactly
-    like [Array.init n f] (same contract as [Engine.init] in the core
-    library, which is the intended parallel instantiation — pass
-    [{ run = Engine.init engine }]). *)
-type runner = { run : 'a. int -> (int -> 'a) -> 'a array }
-
-(** [Array.init] — the default. *)
-val sequential_runner : runner
 
 (** A hard ingestion failure: which file, and why. *)
 type error = { err_path : string; err_reason : string }
@@ -67,8 +60,9 @@ type loaded = {
     files written. Re-encodes each decoded trace with the streaming LZW
     codec; under [V2] the compressed stream is framed into
     [chunk_size]-byte (default 4096) checksummed chunks.
-    Raises [Invalid_argument] if [dir] exists and is not a directory,
-    or if [chunk_size < 1]; [Sys_error] on IO failure. *)
+    Raises [Invalid_argument] if [dir] cannot be created (it or a
+    parent exists and is not a directory) or if [chunk_size < 1];
+    [Sys_error] on IO failure. *)
 val save :
   ?format:format ->
   ?chunk_size:int ->
@@ -77,7 +71,8 @@ val save :
   int
 
 (** [load ?runner ?salvage ~dir] reads a version 1 or 2 archive back
-    into a trace set.
+    into a trace set, fanning per-thread loads over [runner] (default
+    {!Difftrace_util.Runner.sequential}).
 
     Without [salvage] (the default), any corruption — a flipped bit, a
     truncated or deleted chunk, appended garbage, a manifest that fails
@@ -90,16 +85,11 @@ val save :
     marked [truncated] and reported in [salvaged]. Only manifest-level
     damage still yields [Error]. *)
 val load :
-  ?runner:runner ->
+  ?runner:Difftrace_util.Runner.t ->
   ?salvage:bool ->
   dir:string ->
   unit ->
   (loaded, error) result
-
-(** [load_exn ?runner ~dir] — strict compatibility wrapper: the [Ok]
-    trace set, or [Invalid_argument ("Archive.load: " ^ reason)]. *)
-val load_exn :
-  ?runner:runner -> dir:string -> unit -> Difftrace_trace.Trace_set.t
 
 (** {1 Verification} *)
 
@@ -124,7 +114,8 @@ type report = {
 
 (** [verify ?runner ~dir] scans every trace file without building a
     trace set. [Error] only when the manifest itself is unreadable. *)
-val verify : ?runner:runner -> dir:string -> unit -> (report, error) result
+val verify :
+  ?runner:Difftrace_util.Runner.t -> dir:string -> unit -> (report, error) result
 
 (** Human-readable rendering of a verify report (one row per trace). *)
 val render_report : report -> string
@@ -133,7 +124,7 @@ val render_report : report -> string
     the recovered set as a clean v2 archive at [dst]. Returns what was
     loaded plus the number of files written. *)
 val repair :
-  ?runner:runner ->
+  ?runner:Difftrace_util.Runner.t ->
   src:string ->
   dst:string ->
   unit ->

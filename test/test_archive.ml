@@ -22,6 +22,12 @@ let set_equal ts1 ts2 =
   in
   dump ts1 = dump ts2
 
+(* a strict load: the trace set, or the test fails with the reason *)
+let load_set ?runner ~dir () =
+  match Archive.load ?runner ~dir () with
+  | Ok l -> l.Archive.set
+  | Error e -> Alcotest.fail (Archive.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Archive                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -31,7 +37,7 @@ let test_archive_roundtrip () =
   let dir = tmpdir "roundtrip" in
   let n = Archive.save ~dir outcome.R.traces in
   Alcotest.(check int) "one file per thread" 4 n;
-  let loaded = Archive.load_exn ~dir () in
+  let loaded = load_set ~dir () in
   Alcotest.(check bool) "identical traces after reload" true
     (set_equal outcome.R.traces loaded)
 
@@ -41,7 +47,7 @@ let test_archive_preserves_truncation () =
   in
   let dir = tmpdir "truncated" in
   ignore (Archive.save ~dir outcome.R.traces);
-  let loaded = Archive.load_exn ~dir () in
+  let loaded = load_set ~dir () in
   Alcotest.(check bool) "truncation flags survive" true
     (set_equal outcome.R.traces loaded);
   let tr = Trace_set.find_exn loaded ~pid:5 ~tid:0 in
@@ -52,7 +58,7 @@ let test_archive_reanalysis_offline () =
   let outcome, _ = Odd_even.run ~np:4 ~fault:Fault.No_fault () in
   let dir = tmpdir "offline" in
   ignore (Archive.save ~dir outcome.R.traces);
-  let loaded = Archive.load_exn ~dir () in
+  let loaded = load_set ~dir () in
   let a = Difftrace.Pipeline.analyze (Difftrace.Config.make ()) loaded in
   Alcotest.(check string) "Table III reproducible from disk"
     "MPI_Init;MPI_Comm_rank;MPI_Comm_size;L0^2;MPI_Finalize"
@@ -66,9 +72,6 @@ let test_archive_corrupt_manifest () =
   let oc = open_out (Archive.manifest_file dir) in
   output_string oc "not an archive\n";
   close_out oc;
-  Alcotest.check_raises "bad magic" (Invalid_argument "Archive.load: bad magic")
-    (fun () -> ignore (Archive.load_exn ~dir ()));
-  (* the result API reports the same problem without raising *)
   match Archive.load ~dir () with
   | Ok _ -> Alcotest.fail "corrupt manifest loaded"
   | Error e -> Alcotest.(check string) "reason" "bad magic" e.Archive.err_reason
@@ -133,9 +136,7 @@ let make_archive ?format ?chunk_size name ts =
   ignore (Archive.save ?format ?chunk_size ~dir ts);
   dir
 
-let par_runner =
-  { Archive.run =
-      (fun n f -> Difftrace.Engine.init (Difftrace.Engine.parallel ~domains:4 ()) n f) }
+let par_runner = Difftrace.Engine.runner (Difftrace.Engine.parallel ~domains:4 ())
 
 let test_v1_still_loads () =
   let ts = sample_traces () in
@@ -149,16 +150,16 @@ let test_v1_still_loads () =
 
 let test_v1_v2_identical () =
   let ts = sample_traces () in
-  let v1 = Archive.load_exn ~dir:(make_archive ~format:Archive.V1 "x_v1" ts) () in
-  let v2 = Archive.load_exn ~dir:(make_archive ~format:Archive.V2 "x_v2" ts) () in
+  let v1 = load_set ~dir:(make_archive ~format:Archive.V1 "x_v1" ts) () in
+  let v2 = load_set ~dir:(make_archive ~format:Archive.V2 "x_v2" ts) () in
   Alcotest.(check bool) "v1 load = original" true (set_equal ts v1);
   Alcotest.(check bool) "v2 load = v1 load" true (set_equal v1 v2)
 
 let test_runner_parity () =
   let ts = sample_traces () in
   let dir = make_archive ~chunk_size:64 "parity" ts in
-  let seq = Archive.load_exn ~dir () in
-  let par = Archive.load_exn ~runner:par_runner ~dir () in
+  let seq = load_set ~dir () in
+  let par = load_set ~runner:par_runner ~dir () in
   Alcotest.(check bool) "sequential = parallel" true (set_equal seq par);
   Alcotest.(check bool) "both = original" true (set_equal ts seq)
 
@@ -190,7 +191,7 @@ let test_random_roundtrips () =
       (fun (format, chunk_size, tag) ->
         let name = Printf.sprintf "rand_%d_%s" seed tag in
         let dir = make_archive ~format ?chunk_size name ts in
-        let loaded = Archive.load_exn ~dir () in
+        let loaded = load_set ~dir () in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d %s roundtrips" seed tag)
           true (set_equal ts loaded))
@@ -354,7 +355,7 @@ let test_save_creates_parents () =
   let ts = sample_traces () in
   Alcotest.(check int) "saved through missing parents" 4 (Archive.save ~dir ts);
   Alcotest.(check bool) "and loads back" true
-    (set_equal ts (Archive.load_exn ~dir ()))
+    (set_equal ts (load_set ~dir ()))
 
 let test_save_dir_is_file () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "difftrace_blocker" in
@@ -666,7 +667,7 @@ let test_archive_empty_set () =
   let dir = tmpdir "empty" in
   Alcotest.(check int) "zero files" 0 (Archive.save ~dir ts);
   Alcotest.(check int) "load empty" 0
-    (Trace_set.cardinal (Archive.load_exn ~dir ()))
+    (Trace_set.cardinal (load_set ~dir ()))
 
 let () =
   Alcotest.run "archive+stacktree+collectives"

@@ -46,9 +46,7 @@ let random_traces ~recipe ~np ~seed =
 let recipe_gen =
   QCheck2.Gen.(triple (int_range 0 500) (int_range 2 6) (int_range 0 500))
 
-let parallel_runner =
-  let r = Engine.runner (Engine.Parallel { domains = 2 }) in
-  { Eventdb.run = (fun n f -> r.Engine.run n f) }
+let parallel_runner = Engine.runner (Engine.Parallel { domains = 2 })
 
 (* --- the linear-scan oracle ---------------------------------------- *)
 
@@ -254,6 +252,46 @@ let test_corrupt_index_rebuilds () =
   | Error m -> Alcotest.failf "index not healed: %s" m
   | Ok _ -> ()
 
+(* CRC-valid but hostile indexes: counts and ids taken on trust used to
+   reach [Array.init] and the loop table unchecked. Each must load as
+   an [Error] and send the warm path to a rebuild that heals the file,
+   with no exception escaping. *)
+let test_crafted_index_rebuilds () =
+  let ts = Lazy.force heat_traces in
+  let digest = Eventdb.digest ts in
+  let record tag fields =
+    let b = Buffer.create 16 in
+    Buffer.add_char b (Char.chr tag);
+    List.iter (Difftrace_util.Varint.write b) fields;
+    Buffer.contents b
+  in
+  let symbol = "\x01MPI_Init" in
+  List.iter
+    (fun (name, records) ->
+      let dir = tmpdir "crafted" in
+      let image = Buffer.create 64 in
+      Buffer.add_string image "difftrace-eventdb 1\n";
+      List.iter (Difftrace_util.Framed.add_record image) records;
+      Sys.mkdir dir 0o755;
+      Out_channel.with_open_bin
+        (Filename.concat dir (digest ^ ".edb"))
+        (fun oc -> Buffer.output_buffer oc image);
+      (match Eventdb.load ~dir ~digest with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: loaded" name);
+      let db, how = Eventdb.open_ ~dir ts in
+      Alcotest.(check bool) (name ^ ": rebuilt") true (how = `Built);
+      Alcotest.(check string) (name ^ ": same database") digest
+        db.Eventdb.db_digest;
+      match Eventdb.load ~dir ~digest with
+      | Error m -> Alcotest.failf "%s: index not healed: %s" name m
+      | Ok _ -> ())
+    [ (* one readable element, then a count no record can hold *)
+      ("huge element count", [ symbol; record 2 [ 1 lsl 40; 0; 0 ] ]);
+      ("symbol id out of range", [ symbol; record 2 [ 1; 0; 99 ] ]);
+      ("loop body out of range", [ symbol; record 2 [ 1; 1; 3; 2 ] ]);
+      ("huge event count", [ symbol; record 3 [ 0; 0; 0; 1 lsl 40; 0 ] ]) ]
+
 let test_open_warm () =
   let dir = tmpdir "warm" in
   let ts = Lazy.force heat_traces in
@@ -362,7 +400,9 @@ let () =
             test_save_load_roundtrip;
           Alcotest.test_case "corrupt index rebuilds" `Quick
             test_corrupt_index_rebuilds;
-          Alcotest.test_case "warm open loads" `Quick test_open_warm ] );
+          Alcotest.test_case "warm open loads" `Quick test_open_warm;
+          Alcotest.test_case "crafted index rebuilds" `Quick
+            test_crafted_index_rebuilds ] );
       ( "query",
         [ Alcotest.test_case "between markers" `Quick test_between_markers;
           Alcotest.test_case "under function" `Quick test_under_function;

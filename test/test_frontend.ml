@@ -34,9 +34,7 @@ let corpus =
     (Syscall.frontend, "corpus/syscall/faulty.strace");
     (Syscall.frontend, "corpus/syscall/unfinished.strace") ]
 
-let engine_runner =
-  let r = Engine.runner (Engine.parallel ~domains:3 ()) in
-  { Fe.run = (fun n f -> r.Engine.run n f) }
+let engine_runner = Engine.runner (Engine.parallel ~domains:3 ())
 
 let ingest_exn fe input =
   match Fe.ingest_string fe input with
@@ -135,7 +133,7 @@ let order_dependent : Fe.t =
       (fun ~runner input ->
         let order = Buffer.create 8 in
         ignore
-          (runner.Fe.run 4 (fun i ->
+          (runner.Difftrace_util.Runner.run 4 (fun i ->
                Buffer.add_string order (string_of_int i);
                i));
         let sym = Symtab.create () in

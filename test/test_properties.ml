@@ -77,7 +77,11 @@ let prop_archive_roundtrip_random =
           (Printf.sprintf "difftrace_prop_%d_%d_%d" recipe np seed)
       in
       ignore (Archive.save ~dir ts);
-      let loaded = Archive.load_exn ~dir () in
+      let loaded =
+        match Archive.load ~dir () with
+        | Ok l -> l.Archive.set
+        | Error e -> failwith (Archive.error_to_string e)
+      in
       let dump t =
         Array.to_list (Trace_set.traces t)
         |> List.map (fun tr ->

@@ -216,6 +216,91 @@ let test_crc32_detects_flip () =
   Alcotest.(check bool) "single bit flip changes digest" true
     (before <> Crc32.string (Bytes.to_string s))
 
+(* ------------------------------------------------------------------ *)
+(* Framed                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let framed_magic = "test-framed 1\n"
+
+(* magic + records "a", "bc", "def", each one length byte + payload + 4
+   CRC bytes: the records start at bytes 14, 20 and 27, and end at 35 *)
+let framed_image () =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf framed_magic;
+  List.iter (Framed.add_record buf) [ "a"; "bc"; "def" ];
+  Buffer.contents buf
+
+let collect ?(f = fun acc p -> Ok (p :: acc)) image =
+  let acc, damage = Framed.fold ~magic:framed_magic image ~init:[] ~f in
+  (List.rev acc, damage)
+
+let test_framed_fold () =
+  let image = framed_image () in
+  let damaged = Alcotest.(pair (list string) (option string)) in
+  Alcotest.check damaged "clean" ([ "a"; "bc"; "def" ], None) (collect image);
+  Alcotest.check damaged "bad magic"
+    ([], Some "unrecognized magic/version")
+    (collect ("x" ^ image));
+  Alcotest.check damaged "truncated"
+    ([ "a"; "bc" ], Some "truncated record at byte 27")
+    (collect (String.sub image 0 (String.length image - 1)));
+  let flipped = Bytes.of_string image in
+  Bytes.set flipped 21 'X';
+  Alcotest.check damaged "CRC"
+    ([ "a" ], Some "CRC mismatch at byte 20")
+    (collect (Bytes.to_string flipped));
+  Alcotest.check damaged "malformed length"
+    ([ "a"; "bc"; "def" ], Some "malformed framing at byte 35")
+    (collect (image ^ "\xff"));
+  Alcotest.check damaged "rejected payload"
+    ([ "a" ], Some "no bc at byte 20")
+    (collect image ~f:(fun acc p ->
+         if p = "bc" then Error "no bc" else Ok (p :: acc)));
+  Alcotest.check damaged "decoder raising Invalid_argument"
+    ([ "a"; "bc" ], Some "malformed framing at byte 27")
+    (collect image ~f:(fun acc p ->
+         if p = "def" then invalid_arg "truncated varint" else Ok (p :: acc)))
+
+let test_framed_seal () =
+  let body = "deadlocked 4\ntimed_out false\n" in
+  let sealed = Framed.seal body in
+  Alcotest.(check string) "footer line"
+    (Printf.sprintf "crc %08x\n" (Crc32.string body))
+    (String.sub sealed (String.length body) 13);
+  let outcome = function
+    | Ok b -> "ok " ^ b
+    | Error `Missing -> "missing"
+    | Error `Mismatch -> "mismatch"
+  in
+  Alcotest.(check string) "unseal" ("ok " ^ body) (outcome (Framed.unseal sealed));
+  Alcotest.(check string) "no footer" "missing" (outcome (Framed.unseal (body ^ body)));
+  Alcotest.(check string) "only a footer" "missing"
+    (outcome (Framed.unseal (Framed.seal "")));
+  Alcotest.(check string) "body changed" "mismatch"
+    (outcome (Framed.unseal ("x" ^ sealed)))
+
+let test_framed_files () =
+  let base = Filename.concat (Filename.get_temp_dir_name ()) "difftrace_framed" in
+  let dir = Filename.concat (Filename.concat base "a") "b" in
+  let path = Filename.concat dir "f" in
+  (try Sys.remove path with Sys_error _ -> ());
+  Alcotest.(check bool) "mkdir_p nested" true (Framed.mkdir_p dir = Ok ());
+  Alcotest.(check bool) "mkdir_p existing" true (Framed.mkdir_p dir = Ok ());
+  Alcotest.(check bool) "write" true (Framed.write_atomic ~path "one" = Ok ());
+  Alcotest.(check bool) "replace" true (Framed.write_atomic ~path "two" = Ok ());
+  Alcotest.(check bool) "read back" true (Framed.read_file path = Ok "two");
+  Alcotest.(check bool) "no sibling left" false (Sys.file_exists (path ^ ".tmp"));
+  Alcotest.(check bool) "mkdir_p over a file" true
+    (Framed.mkdir_p (Filename.concat path "sub")
+    = Error (path ^ " exists and is not a directory"));
+  (* a failed write (the target is a directory) leaves no sibling *)
+  Alcotest.(check bool) "failed write" true
+    (Result.is_error (Framed.write_atomic ~path:dir "x"));
+  Alcotest.(check bool) "failed write cleaned up" false
+    (Sys.file_exists (dir ^ ".tmp"));
+  Alcotest.(check bool) "missing file" true
+    (Result.is_error (Framed.read_file (Filename.concat dir "absent")))
+
 let prop_varint_roundtrip =
   qtest "varint roundtrip"
     QCheck2.Gen.(int_range 0 max_int)
@@ -348,6 +433,10 @@ let () =
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
           Alcotest.test_case "LE footer" `Quick test_crc32_le_bytes;
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip ] );
+      ( "framed",
+        [ Alcotest.test_case "fold and damage messages" `Quick test_framed_fold;
+          Alcotest.test_case "seal/unseal" `Quick test_framed_seal;
+          Alcotest.test_case "files" `Quick test_framed_files ] );
       ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "int bounds" `Quick test_prng_bounds;
