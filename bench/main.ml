@@ -871,6 +871,10 @@ let perf () =
   in
   let seq_a = Array.init 600 (fun i -> (i * 37) mod 11) in
   let seq_b = Array.init 600 (fun i -> (i * 53) mod 11) in
+  (* a hung run's shape: the normal trace against the short prefix the
+     faulty one reached before it stopped *)
+  let hung_a = Array.init 1700 (fun i -> (i * 37) mod 11) in
+  let hung_b = Array.sub hung_a 0 11 in
   let tsp = Tsp.make ~cities:40 ~seed:3 in
   let tests =
     [ Test.make ~name:"lzw.compress-60kB" (Staged.stage (fun () -> Lzw.compress raw_bytes));
@@ -892,6 +896,8 @@ let perf () =
         (Staged.stage (fun () -> Jsm.of_context big_ctx));
       Test.make ~name:"myers.diff-600"
         (Staged.stage (fun () -> Myers.diff ~equal:Int.equal seq_a seq_b));
+      Test.make ~name:"myers.diff-hung-1700x11"
+        (Staged.stage (fun () -> Myers.diff ~equal:Int.equal hung_a hung_b));
       Test.make ~name:"linkage.ward-40"
         (Staged.stage (fun () -> Linkage.cluster Linkage.Ward dist));
       Test.make ~name:"linkage.single-40"

@@ -1,56 +1,60 @@
 type 'a op = Keep of 'a | Delete of 'a | Insert of 'a
 
-(* Greedy O(ND) with stored per-round V arrays for backtracking, as in
-   Myers' paper §4. *)
+(* The greedy forward pass of Myers' paper §4: returns D, the length of
+   the minimal edit script. Round d reads only the d cells of diagonals
+   -(d-1) .. d-1 (step 2) that round d-1 left in [v]; when [rows] is
+   given they are saved as [rows.(d)], diagonal j at (j + d - 1) / 2, for
+   the backtracking of [diff]. Both sequences are non-empty. *)
+let forward ~equal ?rows a b =
+  let n = Array.length a and m = Array.length b in
+  let max_d = n + m in
+  let offset = max_d in
+  let v = Array.make ((2 * max_d) + 1) 0 in
+  let found = ref (-1) in
+  let d = ref 0 in
+  while !found < 0 && !d <= max_d do
+    let dd = !d in
+    (match rows with
+    | Some rows -> rows.(dd) <- Array.init dd (fun i -> v.(offset - dd + 1 + (2 * i)))
+    | None -> ());
+    let k = ref (-dd) in
+    while !found < 0 && !k <= dd do
+      let kk = !k in
+      let x =
+        ref
+          (if kk = -dd || (kk <> dd && v.(offset + kk - 1) < v.(offset + kk + 1))
+           then v.(offset + kk + 1)
+           else v.(offset + kk - 1) + 1)
+      in
+      while !x < n && !x - kk < m && equal a.(!x) b.(!x - kk) do
+        incr x
+      done;
+      v.(offset + kk) <- !x;
+      if !x >= n && !x - kk >= m then found := dd;
+      k := kk + 2
+    done;
+    incr d
+  done;
+  assert (!found >= 0);
+  !found
+
 let diff ~equal a b =
   let n = Array.length a and m = Array.length b in
   if n = 0 then List.init m (fun j -> Insert b.(j))
   else if m = 0 then List.init n (fun i -> Delete a.(i))
   else begin
-    let max_d = n + m in
-    let offset = max_d in
-    let v = Array.make ((2 * max_d) + 1) 0 in
-    let trace = ref [] in
-    let found = ref None in
-    let d = ref 0 in
-    while !found = None && !d <= max_d do
-      trace := Array.copy v :: !trace;
-      let dd = !d in
-      let k = ref (-dd) in
-      while !found = None && !k <= dd do
-        let kk = !k in
-        let x =
-          if kk = -dd || (kk <> dd && v.(offset + kk - 1) < v.(offset + kk + 1))
-          then v.(offset + kk + 1)
-          else v.(offset + kk - 1) + 1
-        in
-        let x = ref x in
-        let y () = !x - kk in
-        while !x < n && y () < m && equal a.(!x) b.(y ()) do
-          incr x
-        done;
-        v.(offset + kk) <- !x;
-        if !x >= n && y () >= m then found := Some dd;
-        k := !k + 2
-      done;
-      incr d
-    done;
-    let d_final = match !found with Some d -> d | None -> assert false in
-    (* Backtrack using the saved V arrays (most recent first). *)
-    let traces = Array.of_list (List.rev !trace) in
+    let rows = Array.make (n + m + 1) [||] in
+    let d_final = forward ~equal ~rows a b in
     let ops = ref [] in
     let x = ref n and y = ref m in
     for d = d_final downto 1 do
-      let v = traces.(d) in
-      (* v here is the V array *at the start* of round d, i.e. after
-         round d-1: index it with the predecessor k. *)
+      (* the cells round d started from, i.e. round d-1's: index them
+         with the predecessor k *)
+      let row = rows.(d) in
+      let v j = row.((j + d - 1) / 2) in
       let k = !x - !y in
-      let prev_k =
-        if k = -d || (k <> d && v.(offset + k - 1) < v.(offset + k + 1)) then
-          k + 1
-        else k - 1
-      in
-      let prev_x = v.(offset + prev_k) in
+      let prev_k = if k = -d || (k <> d && v (k - 1) < v (k + 1)) then k + 1 else k - 1 in
+      let prev_x = v prev_k in
       let prev_y = prev_x - prev_k in
       (* snake *)
       while !x > prev_x && !y > prev_y do
@@ -79,9 +83,8 @@ let diff ~equal a b =
   end
 
 let edit_distance ~equal a b =
-  List.fold_left
-    (fun acc -> function Keep _ -> acc | Delete _ | Insert _ -> acc + 1)
-    0 (diff ~equal a b)
+  let n = Array.length a and m = Array.length b in
+  if n = 0 then m else if m = 0 then n else forward ~equal a b
 
 let apply script =
   let a = ref [] and b = ref [] in

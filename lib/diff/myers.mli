@@ -1,5 +1,10 @@
 (** Myers' O(ND) difference algorithm (paper ref [18]) — the engine
-    under diffNLR, applied to totally-ordered trace/NLR sequences. *)
+    under diffNLR, applied to totally-ordered trace/NLR sequences.
+
+    Time is O((n+m)·D) for sequences of lengths [n] and [m] at edit
+    distance [D]; space is O(n+m) for the forward pass, plus about
+    D²/2 words of backtracking state in {!diff} (round [d] keeps the
+    [d] cells it reads). *)
 
 type 'a op =
   | Keep of 'a    (** present in both sequences *)
@@ -11,7 +16,8 @@ type 'a op =
 val diff : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> 'a op list
 
 (** [edit_distance ~equal a b] is the number of non-[Keep] operations
-    (the D in O(ND)). *)
+    of [diff ~equal a b] (the D in O(ND)). It runs the forward pass
+    only: no script and no backtracking state are built. *)
 val edit_distance : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 
 (** [apply script] replays the script, returning [(a, b)] — the two

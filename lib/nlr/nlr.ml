@@ -2,7 +2,12 @@ open Difftrace_util
 
 type elem = Sym of int | Loop of { body : int; count : int }
 
-let elem_equal (a : elem) (b : elem) = a = b
+let elem_equal a b =
+  match (a, b) with
+  | Sym x, Sym y -> Int.equal x y
+  | Loop { body = b1; count = c1 }, Loop { body = b2; count = c2 } ->
+    Int.equal b1 b2 && Int.equal c1 c2
+  | Sym _, Loop _ | Loop _, Sym _ -> false
 
 exception Corrupt of string
 
@@ -78,69 +83,68 @@ end
 
 type t = { elems : elem array; input_length : int }
 
-(* One reduction step over the top of the stack; returns true if the
-   stack changed. Two rules, from Procedure 1:
+(* [same_run x i y j b]: the [b] elements of [x] from [i] equal those of
+   [y] from [j]; stops at the first mismatch. *)
+let rec same_run x i y j b =
+  b = 0 || (elem_equal x.(i) y.(j) && same_run x (i + 1) y (j + 1) (b - 1))
+
+(* Windows [w] .. [repeats-1] of width [b] below the top of
+   [stack.(0 .. len-1)] all equal the top window. *)
+let rec windows_match stack len ~repeats b w =
+  w >= repeats
+  || (same_run stack (len - b) stack (len - ((w + 1) * b)) b
+     && windows_match stack len ~repeats b (w + 1))
+
+(* One reduction step over the top of the stack [stack.(0 .. len-1)],
+   trying widths [b] .. [k]; returns the new length, which is [len] iff
+   the stack did not change (each rule shrinks it). Two rules, from
+   Procedure 1, extension before creation at each width, the first
+   match winning:
    - extension: a loop sits at depth b+1 and the top b elements are
      isomorphic to its body -> absorb them, incrementing the count;
    - creation: the top [repeats] windows of length b are pairwise
      isomorphic -> replace them by a fresh loop element. *)
-let reduce_step ~table ~k ~repeats stack =
-  let len = Vec.length stack in
-  let exception Changed in
-  try
-    for b = 1 to k do
-      (* extension *)
-      (if len >= b + 1 then
-         match Vec.peek stack b with
-         | Loop { body; count } ->
-           let bd = Loop_table.body table body in
-           if
-             Array.length bd = b
-             && (let ok = ref true in
-                 for i = 0 to b - 1 do
-                   if not (elem_equal bd.(i) (Vec.peek stack (b - 1 - i))) then
-                     ok := false
-                 done;
-                 !ok)
-           then begin
-             Vec.truncate stack (len - b - 1);
-             Vec.push stack (Loop { body; count = count + 1 });
-             raise Changed
-           end
-         | Sym _ -> ());
-      (* creation *)
-      if len >= repeats * b then begin
-        let window w i = Vec.get stack (len - ((w + 1) * b) + i) in
-        let all_equal = ref true in
-        for w = 1 to repeats - 1 do
-          for i = 0 to b - 1 do
-            if not (elem_equal (window 0 i) (window w i)) then all_equal := false
-          done
-        done;
-        if !all_equal then begin
-          let body = Array.init b (fun i -> window 0 i) in
-          let id = Loop_table.intern table body in
-          Vec.truncate stack (len - (repeats * b));
-          Vec.push stack (Loop { body = id; count = repeats });
-          raise Changed
+let rec reduce_step ~table ~k ~repeats stack len b =
+  if b > k then len
+  else
+    let extended =
+      len >= b + 1
+      &&
+      match stack.(len - b - 1) with
+      | Loop { body; count } ->
+        let bd = Loop_table.body table body in
+        if Array.length bd = b && same_run bd 0 stack (len - b) b then begin
+          stack.(len - b - 1) <- Loop { body; count = count + 1 };
+          true
         end
-      end
-    done;
-    false
-  with Changed -> true
+        else false
+      | Sym _ -> false
+    in
+    if extended then len - b
+    else if len >= repeats * b && windows_match stack len ~repeats b 1 then begin
+      let base = len - (repeats * b) in
+      let id = Loop_table.intern table (Array.sub stack (len - b) b) in
+      stack.(base) <- Loop { body = id; count = repeats };
+      base + 1
+    end
+    else reduce_step ~table ~k ~repeats stack len (b + 1)
 
 let of_ids ~table ?(k = 10) ?(repeats = 2) ids =
   if k < 1 then invalid_arg "Nlr.of_ids: k must be >= 1";
   if repeats < 2 then invalid_arg "Nlr.of_ids: repeats must be >= 2";
-  let stack = Vec.with_capacity (Array.length ids) in
-  Array.iter
-    (fun id ->
-      Vec.push stack (Sym id);
-      while reduce_step ~table ~k ~repeats stack do
-        ()
-      done)
-    ids;
-  { elems = Vec.to_array stack; input_length = Array.length ids }
+  (* no rule grows the stack, so it never holds more than the input *)
+  let stack = Array.make (Array.length ids) (Sym 0) in
+  let len = ref 0 in
+  for i = 0 to Array.length ids - 1 do
+    stack.(!len) <- Sym ids.(i);
+    incr len;
+    let before = ref 0 in
+    while !len <> !before do
+      before := !len;
+      len := reduce_step ~table ~k ~repeats stack !len 1
+    done
+  done;
+  { elems = Array.sub stack 0 !len; input_length = Array.length ids }
 
 let length t = Array.length t.elems
 

@@ -12,7 +12,8 @@
     on. The representation is lossless: {!expand} returns the exact
     input sequence.
 
-    Complexity is [Θ(k² n)] for input length [n], as in the paper. *)
+    Complexity is [Θ(k² n)] for input length [n] in the worst case, as
+    in the paper; a window comparison stops at its first mismatch. *)
 
 (** A summarized trace element. *)
 type elem =
@@ -21,6 +22,9 @@ type elem =
       (** [count] consecutive repetitions of loop body [body] (an index
           into the execution's loop table) *)
 
+(** [elem_equal a b] is structural equality of elements — same symbol,
+    or same loop body and count — compared field by field, without the
+    polymorphic [=]. *)
 val elem_equal : elem -> elem -> bool
 
 (** {2 Binary codec}

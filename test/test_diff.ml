@@ -91,6 +91,143 @@ let prop_symmetry =
       in
       dist a b = dist b a)
 
+let prop_distance_counts_script =
+  qtest "edit_distance = non-Keep ops of diff"
+    QCheck2.Gen.(pair gen_seq gen_seq)
+    (fun (a, b) ->
+      let arr s = Array.init (String.length s) (String.get s) in
+      Myers.edit_distance ~equal:Char.equal (arr a) (arr b)
+      = List.length
+          (List.filter
+             (function Myers.Keep _ -> false | Myers.Delete _ | Myers.Insert _ -> true)
+             (diff_str a b)))
+
+(* ------------------------------------------------------------------ *)
+(* Myers against the textbook implementation                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: Myers' §4 greedy pass saving a full copy of V every
+   round, backtracking through those copies. [Myers.diff] must return
+   exactly this script — same ops, same tie-breaks. *)
+let naive_diff ~equal a b =
+  let n = Array.length a and m = Array.length b in
+  if n = 0 then List.init m (fun j -> Myers.Insert b.(j))
+  else if m = 0 then List.init n (fun i -> Myers.Delete a.(i))
+  else begin
+    let max_d = n + m in
+    let offset = max_d in
+    let v = Array.make ((2 * max_d) + 1) 0 in
+    let trace = ref [] in
+    let found = ref None in
+    let d = ref 0 in
+    while !found = None && !d <= max_d do
+      trace := Array.copy v :: !trace;
+      let dd = !d in
+      let k = ref (-dd) in
+      while !found = None && !k <= dd do
+        let kk = !k in
+        let x =
+          if kk = -dd || (kk <> dd && v.(offset + kk - 1) < v.(offset + kk + 1))
+          then v.(offset + kk + 1)
+          else v.(offset + kk - 1) + 1
+        in
+        let x = ref x in
+        let y () = !x - kk in
+        while !x < n && y () < m && equal a.(!x) b.(y ()) do
+          incr x
+        done;
+        v.(offset + kk) <- !x;
+        if !x >= n && y () >= m then found := Some dd;
+        k := !k + 2
+      done;
+      incr d
+    done;
+    let d_final = match !found with Some d -> d | None -> assert false in
+    let traces = Array.of_list (List.rev !trace) in
+    let ops = ref [] in
+    let x = ref n and y = ref m in
+    for d = d_final downto 1 do
+      let v = traces.(d) in
+      let k = !x - !y in
+      let prev_k =
+        if k = -d || (k <> d && v.(offset + k - 1) < v.(offset + k + 1)) then
+          k + 1
+        else k - 1
+      in
+      let prev_x = v.(offset + prev_k) in
+      let prev_y = prev_x - prev_k in
+      while !x > prev_x && !y > prev_y do
+        decr x;
+        decr y;
+        ops := Myers.Keep a.(!x) :: !ops
+      done;
+      if !x = prev_x then begin
+        decr y;
+        ops := Myers.Insert b.(!y) :: !ops
+      end
+      else begin
+        decr x;
+        ops := Myers.Delete a.(!x) :: !ops
+      end
+    done;
+    while !x > 0 && !y > 0 do
+      decr x;
+      decr y;
+      ops := Myers.Keep a.(!x) :: !ops
+    done;
+    !ops
+  end
+
+let gen_ints ~alpha lo hi =
+  QCheck2.Gen.(map Array.of_list (list_size (int_range lo hi) (int_range 0 (alpha - 1))))
+
+(* random pairs over alphabets of 1 to 4 symbols *)
+let gen_small_pair =
+  QCheck2.Gen.(
+    let* alpha = int_range 1 4 in
+    pair (gen_ints ~alpha 0 60) (gen_ints ~alpha 0 60))
+
+(* one side empty, either side *)
+let gen_empty_side =
+  QCheck2.Gen.(
+    let* s = gen_ints ~alpha:4 0 60 in
+    oneofl [ (s, [||]); ([||], s) ])
+
+let gen_identical = QCheck2.Gen.(map (fun s -> (s, Array.copy s)) (gen_ints ~alpha:4 0 200))
+
+(* a hung trace: a long normal run against a short faulty one, and the
+   mirror *)
+let gen_hung =
+  QCheck2.Gen.(
+    let* alpha = int_range 1 12 in
+    let* long = gen_ints ~alpha 0 400 and* short = gen_ints ~alpha 0 15 in
+    oneofl [ (long, short); (short, long) ])
+
+let parity name ?count gen =
+  qtest ?count ("diff = reference: " ^ name) gen (fun (a, b) ->
+      Myers.diff ~equal:Int.equal a b = naive_diff ~equal:Int.equal a b)
+
+(* A hung-run shape: 1700 calls of the normal run against the first 11
+   the faulty run made before it stopped, so D = 1689. Saving only the d
+   cells round d reads costs ~D²/2 = 1.43 M words (1.50 M measured in
+   all); the textbook implementation above, which copies all 2(n+m)+1
+   cells of V every round and boxes its inner-loop state, allocates
+   15.8 M. The bound pins the quadratic-in-D memory. *)
+let test_hung_allocation_bound () =
+  let a = Array.init 1700 (fun i -> (i * 37) mod 11) in
+  let b = Array.sub a 0 11 in
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let before = words () in
+  let script = Myers.diff ~equal:Int.equal a b in
+  let allocated = words () -. before in
+  let d = Myers.edit_distance ~equal:Int.equal a b in
+  Alcotest.(check int) "D" 1689 d;
+  Alcotest.(check int) "script length" 1700 (List.length script);
+  let bound = 0.6 *. float_of_int (d * d) in
+  if allocated > bound then
+    Alcotest.failf "Myers.diff allocated %.0f words on a 1700x11 pair (bound %.0f)"
+      allocated bound
+
 (* ------------------------------------------------------------------ *)
 (* blocks                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -295,7 +432,14 @@ let () =
           prop_apply_roundtrip;
           prop_distance_zero_iff_equal;
           prop_distance_bounds;
-          prop_symmetry ] );
+          prop_symmetry;
+          prop_distance_counts_script ] );
+      ( "myers-ref",
+        [ parity "alphabets 1-4" gen_small_pair;
+          parity "empty side" gen_empty_side;
+          parity "identical" gen_identical;
+          parity "hung shapes" ~count:100 gen_hung;
+          Alcotest.test_case "hung allocation bound" `Quick test_hung_allocation_bound ] );
       ( "blocks",
         [ Alcotest.test_case "grouping" `Quick test_blocks_grouping;
           Alcotest.test_case "trailing change" `Quick test_blocks_trailing_change;

@@ -168,6 +168,97 @@ let prop_shared_table_lossless =
       let nb = Nlr.of_ids ~table ~k:6 b in
       Nlr.expand ~table na = a && Nlr.expand ~table nb = b)
 
+(* --- the array-stack reduction against the textbook one -------------- *)
+
+module Vec = Difftrace_util.Vec
+
+(* The reference: Procedure 1 over a [Vec] stack, polymorphic equality,
+   every window compared in full. [Nlr.of_ids] must match it element for
+   element and intern the same bodies in the same order. *)
+let naive_reduce_step ~table ~k ~repeats stack =
+  let len = Vec.length stack in
+  let exception Changed in
+  try
+    for b = 1 to k do
+      (if len >= b + 1 then
+         match Vec.peek stack b with
+         | Nlr.Loop { body; count } ->
+           let bd = Nlr.Loop_table.body table body in
+           if
+             Array.length bd = b
+             && (let ok = ref true in
+                 for i = 0 to b - 1 do
+                   if not (bd.(i) = Vec.peek stack (b - 1 - i)) then ok := false
+                 done;
+                 !ok)
+           then begin
+             Vec.truncate stack (len - b - 1);
+             Vec.push stack (Nlr.Loop { body; count = count + 1 });
+             raise Changed
+           end
+         | Nlr.Sym _ -> ());
+      if len >= repeats * b then begin
+        let window w i = Vec.get stack (len - ((w + 1) * b) + i) in
+        let all_equal = ref true in
+        for w = 1 to repeats - 1 do
+          for i = 0 to b - 1 do
+            if not (window 0 i = window w i) then all_equal := false
+          done
+        done;
+        if !all_equal then begin
+          let body = Array.init b (fun i -> window 0 i) in
+          let id = Nlr.Loop_table.intern table body in
+          Vec.truncate stack (len - (repeats * b));
+          Vec.push stack (Nlr.Loop { body = id; count = repeats });
+          raise Changed
+        end
+      end
+    done;
+    false
+  with Changed -> true
+
+let naive_of_ids ~table ~k ~repeats ids =
+  let stack = Vec.with_capacity (Array.length ids) in
+  Array.iter
+    (fun id ->
+      Vec.push stack (Nlr.Sym id);
+      while naive_reduce_step ~table ~k ~repeats stack do
+        ()
+      done)
+    ids;
+  { Nlr.elems = Vec.to_array stack; input_length = Array.length ids }
+
+(* traces made of repeated random chunks, so loops — nested ones too —
+   are created and extended, mixed with plain random runs *)
+let structured_ids_gen =
+  QCheck2.Gen.(
+    let* alpha = int_range 1 6 in
+    let sym = int_range 0 (alpha - 1) in
+    let chunk =
+      let* body = list_size (int_range 1 5) sym and* times = int_range 1 6 in
+      return (List.concat (List.init times (fun _ -> body)))
+    in
+    let* parts = list_size (int_range 0 12) chunk in
+    return (Array.of_list (List.concat parts)))
+
+let prop_matches_reference =
+  qtest "of_ids = reference, shared table" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 1 12) (int_range 2 4)
+        (list_size (int_range 1 5) (oneof [ ids_gen; structured_ids_gen ])))
+    (fun (k, repeats, traces) ->
+      let table = Nlr.Loop_table.create () and ref_table = Nlr.Loop_table.create () in
+      List.for_all
+        (fun ids ->
+          let got = Nlr.of_ids ~table ~k ~repeats ids in
+          let want = naive_of_ids ~table:ref_table ~k ~repeats ids in
+          got.Nlr.elems = want.Nlr.elems && got.Nlr.input_length = want.Nlr.input_length)
+        traces
+      && Nlr.Loop_table.size table = Nlr.Loop_table.size ref_table
+      && List.for_all
+           (fun i -> Nlr.Loop_table.body table i = Nlr.Loop_table.body ref_table i)
+           (List.init (Nlr.Loop_table.size table) Fun.id))
+
 let () =
   Alcotest.run "nlr"
     [ ( "reduce",
@@ -191,4 +282,4 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation ] );
       ( "properties",
         [ prop_lossless; prop_lossless_various_k; prop_never_longer;
-          prop_shared_table_lossless ] ) ]
+          prop_shared_table_lossless; prop_matches_reference ] ) ]
