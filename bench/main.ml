@@ -4,7 +4,7 @@
    evaluation (§II walk-through, §IV ILCS Tables VI-VIII / Fig. 7,
    §V LULESH statistics and Table IX), printing paper-style output.
 
-   `--perf` instead runs the Bechamel micro-benchmarks: the codec,
+   `--perf` instead runs the Bechamel micro-benchmarks: the codec, archive load,
    NLR, lattice-construction (Godin vs. NextClosure), JSM, Myers and
    linkage kernels plus the DESIGN.md ablations. `--engine` runs only
    the engine/memo benches. `--quick` shrinks the workloads for
@@ -876,10 +876,18 @@ let perf () =
   let hung_a = Array.init 1700 (fun i -> (i * 37) mod 11) in
   let hung_b = Array.sub hung_a 0 11 in
   let tsp = Tsp.make ~cities:40 ~seed:3 in
+  let archive64 =
+    Filename.concat (Filename.get_temp_dir_name ()) "difftrace_bench_archive64"
+  in
+  ignore
+    (Difftrace_parlot.Archive.save ~dir:archive64
+       (fst (Odd_even.run ~np:64 ~fault:Fault.No_fault ())).R.traces);
   let tests =
     [ Test.make ~name:"lzw.compress-60kB" (Staged.stage (fun () -> Lzw.compress raw_bytes));
       Test.make ~name:"lzw.decompress-60kB"
         (Staged.stage (fun () -> Lzw.decompress compressed));
+      Test.make ~name:"archive.load-oddeven64"
+        (Staged.stage (fun () -> Difftrace_parlot.Archive.load ~dir:archive64 ()));
       Test.make ~name:"nlr.k10-20k-calls"
         (Staged.stage (fun () ->
              let table = Nlr.Loop_table.create () in

@@ -239,8 +239,13 @@ type scan = {
 let read_block_size = 65536
 
 (* Shared by load and verify; IO errors (missing file) are reported as
-   an issue, never an exception. *)
-let scan_trace ~version path =
+   an issue, never an exception. [expect] is the manifest's event count,
+   passed to the decoder as a preallocation hint only: it is untrusted,
+   and {!Tracer.stream} clamps it. Chunks are read into one reused
+   buffer and fed as slices, so no chunk is copied into a fresh string;
+   the decoder keeps nothing of a slice once the feed returns, which is
+   what makes viewing the buffer as a string safe. *)
+let scan_trace ~version ~expect path =
   match open_in_bin path with
   | exception Sys_error m ->
     { sc_chunks = 0;
@@ -254,7 +259,7 @@ let scan_trace ~version path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let size = in_channel_length ic in
-        let st = Tracer.stream () in
+        let st = Tracer.stream ~expect () in
         let chunks = ref 0 in
         let bytes = ref 0 in
         let consumed = ref 0 in
@@ -268,7 +273,8 @@ let scan_trace ~version path =
              let rec go () =
                let n = input ic buf 0 read_block_size in
                if n > 0 then begin
-                 Tracer.stream_feed st (Bytes.sub_string buf 0 n);
+                 Tracer.stream_feed_sub st (Bytes.unsafe_to_string buf) ~pos:0
+                   ~len:n;
                  bytes := !bytes + n;
                  consumed := pos_in ic;
                  go ()
@@ -294,11 +300,12 @@ let scan_trace ~version path =
              if magic <> chunk_magic then set_issue "bad trace file magic"
              else begin
                let stream_crc = ref Crc32.init in
+               let buf = ref Bytes.empty in
                let rec loop () =
                  let len = read_varint () in
                  if len = 0 then begin
-                   let expect = Crc32.of_le_bytes (really_input_string ic 4) 0 in
-                   if Crc32.finish !stream_crc <> expect then begin
+                   let footer = Crc32.of_le_bytes (really_input_string ic 4) 0 in
+                   if Crc32.finish !stream_crc <> footer then begin
                      Telemetry.Counter.incr c_crc_fail;
                      set_issue "whole-stream checksum mismatch"
                    end
@@ -312,9 +319,13 @@ let scan_trace ~version path =
                  end
                  else if len > size - pos_in ic then failwith "truncated chunk"
                  else begin
-                   let data = really_input_string ic len in
-                   let expect = Crc32.of_le_bytes (really_input_string ic 4) 0 in
-                   if Crc32.string data <> expect then begin
+                   if Bytes.length !buf < len then
+                     buf := Bytes.create (max len (2 * Bytes.length !buf));
+                   really_input ic !buf 0 len;
+                   let data = Bytes.unsafe_to_string !buf in
+                   let footer = Crc32.of_le_bytes (really_input_string ic 4) 0 in
+                   if Crc32.finish (Crc32.update Crc32.init data ~pos:0 ~len) <> footer
+                   then begin
                      Telemetry.Counter.incr c_crc_fail;
                      set_issue "chunk checksum mismatch"
                    end
@@ -323,7 +334,7 @@ let scan_trace ~version path =
                      Telemetry.Counter.incr c_chunks;
                      bytes := !bytes + len;
                      stream_crc := Crc32.update !stream_crc data ~pos:0 ~len;
-                     match Tracer.stream_feed st data with
+                     match Tracer.stream_feed_sub st data ~pos:0 ~len with
                      | () ->
                        consumed := pos_in ic;
                        loop ()
@@ -364,7 +375,7 @@ type thread_outcome =
 
 let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
   let path = trace_file dir ~pid ~tid in
-  let sc = scan_trace ~version path in
+  let sc = scan_trace ~version ~expect:len path in
   let outcome =
     match sc.sc_issue with
     | Some reason -> Error reason
@@ -444,7 +455,9 @@ let verify ?(runner = Runner.sequential) ~dir () =
     let checks =
       runner.run (Array.length threads) (fun i ->
           let pid, tid, _, len = threads.(i) in
-          let sc = scan_trace ~version:m.m_version (trace_file dir ~pid ~tid) in
+          let sc =
+            scan_trace ~version:m.m_version ~expect:len (trace_file dir ~pid ~tid)
+          in
           let events = Tracer.stream_events sc.sc_stream in
           let issue =
             match sc.sc_issue with

@@ -25,7 +25,15 @@
     readable. Trace files are decoded incrementally — chunk by chunk
     through {!Lzw}'s streaming decoder — so a multi-GB archive never
     materializes a trace file as one string, and per-thread loads can
-    be fanned out over domains via a {!Difftrace_util.Runner.t}. *)
+    be fanned out over domains via a {!Difftrace_util.Runner.t}.
+
+    Cost: a load does O(compressed bytes + decoded bytes) work, and
+    chunks are read into one reused buffer. The manifest's per-thread
+    event count is passed to the decoder as a preallocation hint, so a
+    pristine trace's event array is allocated once, at its final size.
+    That count is untrusted input: the hint is clamped to 65536 events,
+    and a wrong count costs only array growth before it is reported as
+    the usual [trace length mismatch]. *)
 
 (** Archive wire format. [V2] (framed + checksummed) is the default for
     {!save}; [V1] is the legacy format, still written for

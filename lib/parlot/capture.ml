@@ -25,7 +25,9 @@ let finish t =
     Hashtbl.fold
       (fun (pid, tid) tr acc ->
         let data, truncated = Tracer.finish tr in
-        Tracer.decode ~symtab:t.symtab ~pid ~tid ~truncated data :: acc)
+        Tracer.decode ~expect:(Tracer.events_recorded tr) ~symtab:t.symtab ~pid
+          ~tid ~truncated data
+        :: acc)
       t.tracers []
   in
   Trace_set.create t.symtab traces

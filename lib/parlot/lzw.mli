@@ -42,7 +42,13 @@ val compress : string -> string
     file. Corruption — an out-of-range code, a phrase code before any
     literal, an over-long varint run, or bytes after the end-of-stream
     marker — raises [Invalid_argument]; everything decoded before the
-    bad byte remains available via {!decode_take} for salvage. *)
+    bad byte remains available via {!decode_take} for salvage.
+
+    Cost: the dictionary is held in flat arrays (prefix code, last
+    byte, first byte and length per phrase), so each code costs O(1)
+    to define plus O(phrase length) to write its bytes, straight into
+    one growable output buffer; nothing is allocated per byte or per
+    code beyond amortized buffer growth. *)
 
 type decoder
 
@@ -54,9 +60,21 @@ val decoder : unit -> decoder
     end-of-stream marker. *)
 val decode_feed : decoder -> string -> unit
 
+(** [decode_feed_sub d s ~pos ~len] pushes bytes [pos, pos + len) of
+    [s], exactly as [decode_feed d (String.sub s pos len)] would,
+    without the copy. Raises [Invalid_argument] as {!decode_feed} does,
+    or if the slice is out of bounds. *)
+val decode_feed_sub : decoder -> string -> pos:int -> len:int -> unit
+
 (** [decode_take d] drains and returns the decompressed bytes produced
     since the last take. *)
 val decode_take : decoder -> string
+
+(** [decode_drain d f] drains the same bytes as {!decode_take} without
+    copying them: it marks them taken, then calls [f buf n], where
+    bytes [0, n) of [buf] are the output. [buf] is the decoder's own
+    buffer — read it inside [f] only; the next feed overwrites it. *)
+val decode_drain : decoder -> (Bytes.t -> int -> 'a) -> 'a
 
 (** [decode_finished d] — has the end-of-stream marker been consumed? *)
 val decode_finished : decoder -> bool

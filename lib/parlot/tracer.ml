@@ -63,53 +63,80 @@ let finish t =
   (data, t.truncated)
 
 (* Streaming decode: compressed bytes go through the incremental LZW
-   decoder, and the decompressed varint-event stream is parsed as it
-   drains — a partial event varint is carried across feeds, so the
-   archive layer can push arbitrary chunk slices. *)
+   decoder, and the decompressed varint-event stream is parsed in place
+   as it drains — a partial event varint is carried across feeds, so
+   the archive layer can push arbitrary chunk slices.
+
+   Events land in a plain array sized from the caller's count hint.
+   Growing it never forces a minor collection: OCaml 5's [Array.make]
+   does so for any array above 256 words filled with a young block, so
+   fresh arrays are filled with [filler], a static constant. Events
+   with an encoded value below [shared_bound] are taken from [shared],
+   one immutable value per encoding, so a decoded trace allocates
+   nothing per event in the common case. *)
+
+let shared_bound = 4096
+let shared = Array.init shared_bound Event.decode
+let filler = Event.Call 0
+let max_expect = 1 lsl 16
 
 type stream = {
   lzw : Lzw.decoder;
-  s_events : Event.t Vec.t;
+  mutable s_events : Event.t array;
+  mutable s_len : int;
   mutable s_acc : int; (* partial event varint *)
   mutable s_shift : int;
   mutable s_partial : bool; (* an event varint is in flight *)
   mutable s_bytes : int; (* compressed bytes fed so far *)
 }
 
-let stream () =
+let stream ?(expect = 0) () =
   { lzw = Lzw.decoder ();
-    s_events = Vec.create ();
+    s_events = Array.make (max 0 (min expect max_expect)) filler;
+    s_len = 0;
     s_acc = 0;
     s_shift = 0;
     s_partial = false;
     s_bytes = 0 }
 
-let drain st =
-  let raw = Lzw.decode_take st.lzw in
-  String.iter
-    (fun c ->
-      let b = Char.code c in
-      if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
-      st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
-      if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
-      if b land 0x80 = 0 then begin
-        Vec.push st.s_events (Event.decode st.s_acc);
-        st.s_acc <- 0;
-        st.s_shift <- 0;
-        st.s_partial <- false
-      end
-      else begin
-        st.s_shift <- st.s_shift + 7;
-        st.s_partial <- true
-      end)
-    raw
+let push st ev =
+  let cap = Array.length st.s_events in
+  if st.s_len = cap then begin
+    let a = Array.make (max 64 (2 * cap)) filler in
+    Array.blit st.s_events 0 a 0 st.s_len;
+    st.s_events <- a
+  end;
+  Array.unsafe_set st.s_events st.s_len ev;
+  st.s_len <- st.s_len + 1
 
-let stream_feed st data =
-  st.s_bytes <- st.s_bytes + String.length data;
-  Lzw.decode_feed st.lzw data;
+let drain st =
+  Lzw.decode_drain st.lzw (fun raw n ->
+      for i = 0 to n - 1 do
+        let b = Char.code (Bytes.unsafe_get raw i) in
+        if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
+        st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
+        if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
+        if b land 0x80 = 0 then begin
+          let v = st.s_acc in
+          push st (if v < shared_bound then Array.unsafe_get shared v else Event.decode v);
+          st.s_acc <- 0;
+          st.s_shift <- 0;
+          st.s_partial <- false
+        end
+        else begin
+          st.s_shift <- st.s_shift + 7;
+          st.s_partial <- true
+        end
+      done)
+
+let stream_feed_sub st data ~pos ~len =
+  st.s_bytes <- st.s_bytes + len;
+  Lzw.decode_feed_sub st.lzw data ~pos ~len;
   drain st
 
-let stream_events st = Vec.length st.s_events
+let stream_feed st data = stream_feed_sub st data ~pos:0 ~len:(String.length data)
+
+let stream_events st = st.s_len
 
 (* a zero-byte stream is a complete empty trace — the streaming analogue
    of [Lzw.decompress ""] = "" — not a missing end-of-stream marker *)
@@ -119,8 +146,13 @@ let stream_complete st =
 
 let stream_trace st ~pid ~tid ~truncated =
   Telemetry.Counter.incr c_decoded_traces;
-  Telemetry.Counter.add c_decoded_events (Vec.length st.s_events);
-  Trace.make ~pid ~tid ~truncated (Vec.to_array st.s_events)
+  Telemetry.Counter.add c_decoded_events st.s_len;
+  (* a full array is handed over as is: the next push would replace it *)
+  let events =
+    if st.s_len = Array.length st.s_events then st.s_events
+    else Array.sub st.s_events 0 st.s_len
+  in
+  Trace.make ~pid ~tid ~truncated events
 
 let stream_finish st ~pid ~tid ~truncated =
   drain st;
@@ -135,8 +167,8 @@ let stream_salvage st ~pid ~tid =
   (try drain st with Invalid_argument _ -> ());
   stream_trace st ~pid ~tid ~truncated:true
 
-let decode ~symtab ~pid ~tid ~truncated data =
+let decode ?expect ~symtab ~pid ~tid ~truncated data =
   ignore symtab;
-  let st = stream () in
+  let st = stream ?expect () in
   stream_feed st data;
   stream_finish st ~pid ~tid ~truncated

@@ -48,11 +48,13 @@ val compressed_so_far : t -> int
     contents together with the truncation flag. *)
 val finish : t -> string * bool
 
-(** [decode ~symtab ~pid ~tid ~truncated data] decompresses a finished
-    stream back into a {!Difftrace_trace.Trace.t} — the pipeline's
-    "ParLOT decoder" stage. Raises [Invalid_argument] on corrupt or
-    unterminated input (use the streaming API below to salvage). *)
+(** [decode ?expect ~symtab ~pid ~tid ~truncated data] decompresses a
+    finished stream back into a {!Difftrace_trace.Trace.t} — the
+    pipeline's "ParLOT decoder" stage. [expect] is the count hint of
+    {!stream}. Raises [Invalid_argument] on corrupt or unterminated
+    input (use the streaming API below to salvage). *)
 val decode :
+  ?expect:int ->
   symtab:Difftrace_trace.Symtab.t ->
   pid:int ->
   tid:int ->
@@ -66,18 +68,33 @@ val decode :
     accepted in arbitrary slices (the archive feeds checksummed chunks
     as it reads them), events materialize incrementally, and a damaged
     stream can be {e salvaged} — every event that decoded cleanly before
-    the first bad byte is kept. *)
+    the first bad byte is kept.
+
+    Cost: decoded bytes are parsed in place, with no copy and no
+    per-byte closure. Events whose encoding is below a fixed bound
+    (ids below 2048) are shared immutable values, so decoding allocates
+    nothing per event for them; a decoded trace's events may be
+    physically shared with other traces. *)
 
 type stream
 
-(** [stream ()] is a fresh streaming decoder for one trace file. *)
-val stream : unit -> stream
+(** [stream ?expect ()] is a fresh streaming decoder for one trace
+    file. [expect] (default 0) is a hint for the number of events: the
+    event array is preallocated to it, so a correct hint means no
+    growth and no final copy. The hint may come from untrusted input:
+    preallocation is clamped to [0, 65536] events, the array grows past
+    that as needed, and a wrong hint changes nothing but speed. *)
+val stream : ?expect:int -> unit -> stream
 
 (** [stream_feed st bytes] pushes compressed bytes; completed events
     accumulate inside. Raises [Invalid_argument] on corrupt input —
     events decoded before the bad byte are retained for
     {!stream_salvage}. *)
 val stream_feed : stream -> string -> unit
+
+(** [stream_feed_sub st bytes ~pos ~len] is
+    [stream_feed st (String.sub bytes pos len)] without the copy. *)
+val stream_feed_sub : stream -> string -> pos:int -> len:int -> unit
 
 (** [stream_events st] is the number of fully decoded events so far. *)
 val stream_events : stream -> int

@@ -21,14 +21,20 @@ let set v i x =
   check v i;
   v.data.(i) <- x
 
+(* OCaml 5's [Array.make] forces a minor collection whenever it builds
+   an array above 256 words from a young block, and the element being
+   pushed usually is one. [Array.append] never does (it also keeps float
+   arrays flat), so large arrays are built by doubling instead. *)
+let rec filled n x =
+  if n <= 256 then Array.make n x
+  else
+    let half = filled (n / 2) x in
+    if n land 1 = 0 then Array.append half half
+    else Array.concat [ half; half; [| x |] ]
+
 let grow v x =
-  let cap = Array.length v.data in
-  if cap = 0 then v.data <- Array.make (max 8 v.want) x
-  else begin
-    let nd = Array.make (2 * cap) x in
-    Array.blit v.data 0 nd 0 v.len;
-    v.data <- nd
-  end
+  if Array.length v.data = 0 then v.data <- filled (max 8 v.want) x
+  else v.data <- Array.append v.data v.data
 
 let push v x =
   if v.len = Array.length v.data then grow v x;

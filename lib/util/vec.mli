@@ -2,7 +2,8 @@
 
     The NLR reduction stack and the trace encoders are hot paths built on
     this structure; it provides amortized O(1) push/pop and O(1) random
-    access without the boxing overhead of lists. *)
+    access without the boxing overhead of lists. Growing a vector of
+    fresh (young) values never forces a minor collection. *)
 
 type 'a t
 

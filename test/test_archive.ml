@@ -414,6 +414,92 @@ let test_v1_length_mismatch () =
       (String.length e.Archive.err_reason >= 21
       && String.sub e.Archive.err_reason 0 21 = "trace length mismatch")
 
+let oddeven64 = lazy (fst (Odd_even.run ~np:64 ~fault:Fault.No_fault ())).R.traces
+
+(* The manifest's per-thread event count is untrusted input: it sizes
+   the decoder's preallocation only up to a clamp. A huge or negative
+   count must surface as the typed length mismatch from every entry
+   point — never as an exception, never as a huge allocation. *)
+let test_untrusted_event_count () =
+  let ts = Lazy.force oddeven64 in
+  let tr =
+    let src = (Trace_set.find_exn ts ~pid:0 ~tid:0).Trace.events in
+    Trace.make ~pid:0 ~tid:0 ~truncated:false
+      (Array.init 392 (fun i -> src.(i mod Array.length src)))
+  in
+  let dir = make_archive "untrusted_len" (Trace_set.create (Trace_set.symtab ts) [ tr ]) in
+  let path = Archive.manifest_file dir in
+  let body =
+    match Difftrace_util.Framed.unseal (read_file path) with
+    | Ok body -> body
+    | Error _ -> Alcotest.fail "fresh manifest does not unseal"
+  in
+  let line = "thread 0 0 complete 392" in
+  let at =
+    let rec find i =
+      if String.sub body i (String.length line) = line then i else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun n ->
+      let forged =
+        String.sub body 0 at
+        ^ Printf.sprintf "thread 0 0 complete %d" n
+        ^ String.sub body (at + String.length line)
+            (String.length body - at - String.length line)
+      in
+      write_file path (Difftrace_util.Framed.seal forged);
+      let want = Printf.sprintf "trace length mismatch (manifest %d, decoded 392)" n in
+      let ctx = Printf.sprintf "manifest declares %d: " n in
+      let allocated = Gc.allocated_bytes () in
+      (match Archive.load ~dir () with
+      | Ok _ -> Alcotest.fail (ctx ^ "strict load accepted it")
+      | Error e -> Alcotest.(check string) (ctx ^ "strict load") want e.Archive.err_reason
+      | exception e -> Alcotest.fail (ctx ^ "strict load raised " ^ Printexc.to_string e));
+      (match Archive.load ~salvage:true ~dir () with
+      | Error e -> Alcotest.fail (ctx ^ "salvage refused: " ^ Archive.error_to_string e)
+      | Ok l -> (
+        match l.Archive.salvaged with
+        | [ sv ] ->
+          Alcotest.(check string) (ctx ^ "salvage reason") want sv.Archive.sv_reason;
+          Alcotest.(check int) (ctx ^ "every event kept") 392 sv.Archive.sv_events;
+          Alcotest.(check int) (ctx ^ "no bytes dropped") 0 sv.Archive.sv_dropped_bytes
+        | _ -> Alcotest.fail (ctx ^ "expected one salvaged trace"))
+      | exception e -> Alcotest.fail (ctx ^ "salvage raised " ^ Printexc.to_string e));
+      (match Archive.verify ~dir () with
+      | Error e -> Alcotest.fail (ctx ^ "verify refused: " ^ Archive.error_to_string e)
+      | Ok r -> (
+        match r.Archive.rp_traces with
+        | [ t ] ->
+          Alcotest.(check (option string)) (ctx ^ "verify issue") (Some want)
+            t.Archive.tc_issue;
+          Alcotest.(check int) (ctx ^ "verify events") 392 t.Archive.tc_events
+        | _ -> Alcotest.fail (ctx ^ "expected one trace check"))
+      | exception e -> Alcotest.fail (ctx ^ "verify raised " ^ Printexc.to_string e));
+      let mb = (Gc.allocated_bytes () -. allocated) /. 1048576. in
+      Alcotest.(check bool)
+        (Printf.sprintf "%sallocated %.1f MB, under 8 MB" ctx mb)
+        true (mb < 8.))
+    [ 1 lsl 40; max_int; -1 ]
+
+(* OCaml 5's [Array.make] forces a minor collection for an array above
+   256 words filled with a young block; a decoder that grew its event
+   array that way paid at least one forced collection per trace file *)
+let test_load_minor_gcs () =
+  let ts = Lazy.force oddeven64 in
+  let dir = make_archive "minor_gcs" ts in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let loaded = load_set ~dir () in
+  let minors = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check bool) "loads back" true (set_equal ts loaded);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d minor collections for %d trace files" minors
+       (Trace_set.cardinal ts))
+    true
+    (minors < Trace_set.cardinal ts)
+
 (* ------------------------------------------------------------------ *)
 (* Stack trees                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -692,6 +778,8 @@ let () =
           Alcotest.test_case "save onto a file" `Quick test_save_dir_is_file;
           Alcotest.test_case "v1 length mismatch" `Quick test_v1_length_mismatch;
           Alcotest.test_case "empty stream input" `Quick test_stream_empty_input;
+          Alcotest.test_case "untrusted event count" `Quick test_untrusted_event_count;
+          Alcotest.test_case "load forces no minor GC" `Quick test_load_minor_gcs;
           Alcotest.test_case "zero-byte trace file" `Quick
             test_zero_byte_trace_file ] );
       ( "stacktree",

@@ -159,6 +159,302 @@ let prop_tracer_roundtrip =
       = List.map (fun (n, c) -> if c then n else "ret " ^ n) names)
 
 (* ------------------------------------------------------------------ *)
+(* Parity with the naive decoder                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The straightforward decoder that the flat-array one replaced, kept as
+   the oracle: phrases are (prefix, last byte) pairs in a Vec, walked
+   recursively per code; decoded bytes are copied out of a Buffer and
+   parsed with a per-byte closure into a Vec of freshly decoded events.
+   The fast decoder must match it byte for byte, event for event,
+   message for message — also on damaged input and after salvage. *)
+module Naive = struct
+  module Vec = Difftrace_util.Vec
+
+  let eos_code = 256
+  let first_code = 257
+
+  type decoder = {
+    phrases : (int * char) Vec.t;
+    dout : Buffer.t;
+    mutable prev : int;
+    mutable acc : int;
+    mutable shift : int;
+    mutable eos : bool;
+  }
+
+  let decoder () =
+    { phrases = Vec.create ();
+      dout = Buffer.create 256;
+      prev = -1;
+      acc = 0;
+      shift = 0;
+      eos = false }
+
+  let phrase_bytes d buf code =
+    let rec go code =
+      if code < 256 then Buffer.add_char buf (Char.chr code)
+      else begin
+        let prefix, last = Vec.get d.phrases (code - first_code) in
+        go prefix;
+        Buffer.add_char buf last
+      end
+    in
+    go code
+
+  let first_byte d code =
+    let rec go code =
+      if code < 256 then Char.chr code
+      else
+        let prefix, _ = Vec.get d.phrases (code - first_code) in
+        go prefix
+    in
+    go code
+
+  let decode_code d code =
+    if code = eos_code then d.eos <- true
+    else begin
+      let valid_max = first_code + Vec.length d.phrases in
+      if code > valid_max || code < 0 then invalid_arg "Lzw.decompress: bad code";
+      if d.prev < 0 && code >= first_code then
+        invalid_arg "Lzw.decompress: bad code";
+      if d.prev >= 0 then begin
+        let last =
+          if code = valid_max then first_byte d d.prev else first_byte d code
+        in
+        Vec.push d.phrases (d.prev, last)
+      end;
+      phrase_bytes d d.dout code;
+      d.prev <- code
+    end
+
+  let decode_feed d s =
+    String.iter
+      (fun c ->
+        if d.eos then
+          invalid_arg "Lzw.decompress: trailing bytes after end-of-stream";
+        let b = Char.code c in
+        if d.shift > 56 then invalid_arg "Lzw.decompress: bad code";
+        d.acc <- d.acc lor ((b land 0x7f) lsl d.shift);
+        if d.acc < 0 then invalid_arg "Lzw.decompress: bad code";
+        if b land 0x80 = 0 then begin
+          let code = d.acc in
+          d.acc <- 0;
+          d.shift <- 0;
+          decode_code d code
+        end
+        else d.shift <- d.shift + 7)
+      s
+
+  let decode_take d =
+    let s = Buffer.contents d.dout in
+    Buffer.clear d.dout;
+    s
+
+  let decode_finish d =
+    if not d.eos then invalid_arg "Lzw.decompress: missing end-of-stream";
+    decode_take d
+
+  type stream = {
+    lzw : decoder;
+    s_events : Event.t Vec.t;
+    mutable s_acc : int;
+    mutable s_shift : int;
+    mutable s_partial : bool;
+    mutable s_bytes : int;
+  }
+
+  let stream () =
+    { lzw = decoder ();
+      s_events = Vec.create ();
+      s_acc = 0;
+      s_shift = 0;
+      s_partial = false;
+      s_bytes = 0 }
+
+  let drain st =
+    let raw = decode_take st.lzw in
+    String.iter
+      (fun c ->
+        let b = Char.code c in
+        if st.s_shift > 56 then invalid_arg "Tracer.decode: event varint overflow";
+        st.s_acc <- st.s_acc lor ((b land 0x7f) lsl st.s_shift);
+        if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
+        if b land 0x80 = 0 then begin
+          Vec.push st.s_events (Event.decode st.s_acc);
+          st.s_acc <- 0;
+          st.s_shift <- 0;
+          st.s_partial <- false
+        end
+        else begin
+          st.s_shift <- st.s_shift + 7;
+          st.s_partial <- true
+        end)
+      raw
+
+  let stream_feed st data =
+    st.s_bytes <- st.s_bytes + String.length data;
+    decode_feed st.lzw data;
+    drain st
+
+  let stream_events st = Vec.length st.s_events
+
+  let stream_complete st =
+    drain st;
+    st.s_bytes = 0 || (st.lzw.eos && not st.s_partial)
+
+  let stream_trace st ~pid ~tid ~truncated =
+    Trace.make ~pid ~tid ~truncated (Vec.to_array st.s_events)
+
+  let stream_finish st ~pid ~tid ~truncated =
+    drain st;
+    if st.s_bytes > 0 then ignore (decode_finish st.lzw);
+    if st.s_partial then invalid_arg "Tracer.decode: truncated event stream";
+    stream_trace st ~pid ~tid ~truncated
+
+  let stream_salvage st ~pid ~tid =
+    (try drain st with Invalid_argument _ -> ());
+    stream_trace st ~pid ~tid ~truncated:true
+end
+
+(* A compressed stream, possibly damaged, and the slice lengths it is
+   fed in (cycled; all-ones feeds it a byte at a time). The plaintext is
+   either an event stream — small id alphabets make long phrases and
+   KwKwK codes, ids past 2048 leave the shared-event table — or raw
+   bytes, whose varints may run long or stop mid-event. *)
+type damage = Intact | Flip of int * int | Cut of int | Append of string
+
+let gen_damaged =
+  let open QCheck2.Gen in
+  let events =
+    let* hi = oneofl [ 3; 40; 5000 ] in
+    let* evs = list_size (int_range 0 400) (pair (int_range 0 hi) bool) in
+    let b = Buffer.create 256 in
+    List.iter
+      (fun (id, call) ->
+        Difftrace_util.Varint.write b
+          (Event.encode (if call then Event.Call id else Event.Return id)))
+      evs;
+    return (Buffer.contents b)
+  in
+  (* runs of continuation bytes: nine or more overflow an event varint *)
+  let raw =
+    let* runs =
+      list_size (int_range 0 30)
+        (triple (int_range 0 11) (oneofl [ '\x80'; '\xff' ]) (oneofl [ '\x00'; '\x01'; 'a' ]))
+    in
+    return (String.concat "" (List.map (fun (k, c, stop) -> String.make k c ^ String.make 1 stop) runs))
+  in
+  let* plain = oneof [ events; events; raw ] in
+  let* damage =
+    oneof
+      [ pure Intact;
+        map2 (fun p x -> Flip (p, x)) nat (int_range 1 255);
+        map (fun p -> Cut p) nat;
+        map (fun s -> Append s) (string_size (int_range 1 3)) ]
+  in
+  let* cuts = oneof [ pure [ 1 ]; list_size (int_range 1 6) (int_range 1 64) ] in
+  let c = Lzw.compress plain in
+  let n = String.length c in
+  let c =
+    match damage with
+    | Intact -> c
+    | Flip (p, x) ->
+      String.mapi (fun i ch -> if i = p mod n then Char.chr (Char.code ch lxor x) else ch) c
+    | Cut p -> String.sub c 0 (p mod (n + 1))
+    | Append s -> c ^ s
+  in
+  return (c, cuts)
+
+let print_damaged (c, cuts) =
+  Printf.sprintf "%S fed in slices %s" c
+    (String.concat "," (List.map string_of_int cuts))
+
+(* the slices of [c]: lengths cycle through [cuts] *)
+let slices c cuts =
+  let cuts = Array.of_list cuts in
+  let rec go pos i acc =
+    if pos >= String.length c then List.rev acc
+    else
+      let len = min cuts.(i mod Array.length cuts) (String.length c - pos) in
+      go (pos + len) (i + 1) ((pos, len) :: acc)
+  in
+  go 0 0 []
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+(* feed slices until the first error, logging [step ()] after each
+   feed; the flag says whether every feed went through *)
+let run_feeds feed c cuts step =
+  let rec go acc = function
+    | [] -> (List.rev acc, true)
+    | sl :: rest -> (
+      match outcome (fun () -> feed sl) with
+      | Ok () ->
+        let s = step () in
+        go (s :: acc) rest
+      | Error m -> (List.rev (("error: " ^ m) :: acc), false))
+  in
+  go [] (slices c cuts)
+
+let prop_lzw_parity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_damaged
+       ~name:"lzw decoder = naive oracle on sliced, damaged streams" gen_damaged
+       (fun (c, cuts) ->
+         let fast = Lzw.decoder () and naive = Naive.decoder () in
+         let log_fast, ok_fast =
+           run_feeds (fun (pos, len) -> Lzw.decode_feed_sub fast c ~pos ~len) c cuts
+             (fun () -> Lzw.decode_take fast)
+         in
+         let log_naive, ok_naive =
+           run_feeds (fun (pos, len) -> Naive.decode_feed naive (String.sub c pos len))
+             c cuts (fun () -> Naive.decode_take naive)
+         in
+         log_fast = log_naive && ok_fast = ok_naive
+         && (if ok_fast then
+               outcome (fun () -> Lzw.decode_finish fast)
+               = outcome (fun () -> Naive.decode_finish naive)
+             (* everything decoded before the bad byte stays takeable *)
+             else Lzw.decode_take fast = Naive.decode_take naive)))
+
+let prop_stream_parity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~print:print_damaged
+       ~name:"tracer stream = naive oracle on sliced, damaged streams"
+       gen_damaged (fun (c, cuts) ->
+         (* a deliberately wrong count hint: both growth and trimming run *)
+         let fast () =
+           let st = Tracer.stream ~expect:(String.length c) () in
+           ( st,
+             run_feeds
+               (fun (pos, len) -> Tracer.stream_feed_sub st c ~pos ~len)
+               c cuts
+               (fun () -> string_of_int (Tracer.stream_events st)) )
+         and naive () =
+           let st = Naive.stream () in
+           ( st,
+             run_feeds
+               (fun (pos, len) -> Naive.stream_feed st (String.sub c pos len))
+               c cuts
+               (fun () -> string_of_int (Naive.stream_events st)) )
+         in
+         let (f1, log_fast), (n1, log_naive) = (fast (), naive ()) in
+         let finished =
+           (not (snd log_fast))
+           || ( Tracer.stream_complete f1,
+                outcome (fun () ->
+                    Tracer.stream_finish f1 ~pid:1 ~tid:2 ~truncated:false) )
+              = ( Naive.stream_complete n1,
+                  outcome (fun () ->
+                      Naive.stream_finish n1 ~pid:1 ~tid:2 ~truncated:false) )
+         in
+         let (f2, _), (n2, _) = (fast (), naive ()) in
+         log_fast = log_naive && finished
+         && Tracer.stream_salvage f2 ~pid:1 ~tid:2
+            = Naive.stream_salvage n2 ~pid:1 ~tid:2))
+
+(* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -221,6 +517,7 @@ let () =
           Alcotest.test_case "image filter" `Quick test_tracer_image_filter;
           Alcotest.test_case "scoped exception truncates" `Quick test_tracer_scoped_exception;
           prop_tracer_roundtrip ] );
+      ("parity", [ prop_lzw_parity; prop_stream_parity ]);
       ( "capture",
         [ Alcotest.test_case "shared symtab + stats" `Quick
             test_capture_shared_symtab_and_stats;

@@ -136,6 +136,41 @@ let test_vec_empty_errors () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
       ignore (Vec.pop v))
 
+(* OCaml 5's [Array.make] forces a minor collection for any array above
+   256 words filled with a young block; growing a vector of fresh
+   values must not go through it, neither by doubling nor through the
+   [with_capacity] preallocation *)
+let test_vec_growth_no_minor_gc () =
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let v = Vec.create () in
+  for i = 1 to 4096 do
+    Vec.push v (ref i)
+  done;
+  let w = Vec.with_capacity 4096 in
+  Vec.push w (ref 0);
+  let forced = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 1 minor collection (saw %d)" forced)
+    true (forced <= 1);
+  Alcotest.(check int) "contents kept" 4096 !(Vec.get v 4095);
+  Alcotest.(check int) "preallocated push" 0 !(Vec.get w 0)
+
+let test_vec_with_capacity_sizes () =
+  List.iter
+    (fun n ->
+      let v = Vec.with_capacity n and f = Vec.with_capacity n in
+      for i = 0 to n + 9 do
+        Vec.push v i;
+        Vec.push f (float_of_int i)
+      done;
+      Alcotest.(check (list int)) (Printf.sprintf "ints, capacity %d" n)
+        (List.init (n + 10) Fun.id) (Vec.to_list v);
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "floats, capacity %d" n)
+        (List.init (n + 10) float_of_int) (Vec.to_list f))
+    [ 0; 1; 255; 256; 257; 1001; 4097 ]
+
 let prop_vec_roundtrip =
   qtest "vec of_array/to_array roundtrip"
     QCheck2.Gen.(list int)
@@ -421,6 +456,8 @@ let () =
           Alcotest.test_case "floats" `Quick test_vec_float;
           Alcotest.test_case "sub/iter/fold" `Quick test_vec_sub_iter;
           Alcotest.test_case "empty errors" `Quick test_vec_empty_errors;
+          Alcotest.test_case "growth forces no GC" `Quick test_vec_growth_no_minor_gc;
+          Alcotest.test_case "with_capacity sizes" `Quick test_vec_with_capacity_sizes;
           prop_vec_roundtrip ] );
       ( "varint",
         [ Alcotest.test_case "examples" `Quick test_varint_examples;
