@@ -11,9 +11,10 @@
      serve     resident analysis daemon speaking difftrace-rpc/1
      client    send protocol request lines to a running daemon
 
-   compare/analyze/record/triage are thin frontends over the Session
-   API (lib/core/session.ml) — the daemon serves the same functions, so
-   its responses are byte-identical to these subcommands' reports. *)
+   record/compare/analyze/triage/query/vdiff build one protocol call
+   from their flags and run it through the daemon's own handler
+   (Serve.Daemon.handle), so their reports are the daemon's responses
+   byte for byte. *)
 
 open Cmdliner
 open Difftrace
@@ -24,8 +25,7 @@ module Capture = Difftrace_parlot.Capture
 module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
 module F = Difftrace_filter.Filter
-module A = Difftrace_fca.Attributes
-module Linkage = Difftrace_cluster.Linkage
+module P = Serve.Protocol
 
 let workload_conv =
   let parse s =
@@ -199,8 +199,10 @@ let frontend_t =
 
 (* foreign traces have no MPI_* calls, so the MPI default filter would
    empty them; an explicit --filter still wins *)
-let frontend_filter ~frontend filter =
-  if frontend <> None && filter = "11.mpiall" then "11.all" else filter
+let frontend_filter ~frontend p =
+  if frontend <> None && p.P.pc_filter = "11.mpiall" then
+    { p with pc_filter = "11.all" }
+  else p
 
 (* --- the persistent analysis store ---------------------------------- *)
 
@@ -313,14 +315,52 @@ let run_profiled (profile, profile_json) ?config f =
     Fun.protect ~finally:finish f
   end
 
-let config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode =
-  Config.default
-  |> Config.with_filter (F.of_spec ~custom filter)
-  |> Config.with_attrs (A.of_name attrs)
-  |> Config.with_k k
-  |> Config.with_linkage (Linkage.method_of_string linkage)
-  |> Config.with_engine engine
-  |> Config.with_mode mode
+(* --- the one request path ------------------------------------------- *)
+
+(* the analysis-config flags as the wire carries them; the engine goes
+   to the handler as its default instead *)
+let config_params_t =
+  let make pc_filter pc_custom pc_attrs pc_k pc_linkage mode =
+    { P.pc_filter; pc_custom; pc_attrs; pc_k; pc_linkage; pc_engine = None;
+      pc_mode = Config.mode_name mode }
+  in
+  Term.(const make $ filter_t $ custom_t $ attrs_t $ k_t $ linkage_t $ mode_t)
+
+let workload_spec_t =
+  let make ws_workload ws_np ws_seed fault ws_all_images =
+    { P.ws_workload; ws_np; ws_seed; ws_fault = Fault.to_string fault;
+      ws_all_images }
+  in
+  Term.(const make $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t)
+
+let fail_with ?(hint = fun _ -> ()) e =
+  Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
+  hint e;
+  exit 1
+
+(* parsed exactly as the daemon parses a request's config, so a bad
+   flag is the same typed error, never an exception *)
+let config_or_exit ~engine params =
+  match P.config_of_params ~default_engine:engine params with
+  | Ok c -> c
+  | Error e -> fail_with e
+
+let salvage_hint ~salvage = function
+  | Session.Archive_failed _ when not salvage ->
+    prerr_endline
+      "hint: --salvage recovers the checksum-valid prefix of damaged traces"
+  | _ -> ()
+
+(* one call through the daemon's handler, on a fresh daemon over the
+   optional store; the report goes to stdout *)
+let run_call ?store ?hint ~engine call =
+  let store = open_store store in
+  let d = Serve.Daemon.create ?store ~default_engine:engine () in
+  let r = Serve.Daemon.handle d ~client:0 ~emit:ignore call in
+  flush_store store;
+  match r with
+  | Ok p -> print_string (P.payload_output p)
+  | Error e -> fail_with ?hint e
 
 (* --- run ----------------------------------------------------------- *)
 
@@ -381,15 +421,14 @@ let compare_cmd =
             "With $(b,--frontend): the normal and the faulty foreign-format \
              file, in that order.")
   in
-  let action w np seed fault all_images filter custom attrs k linkage engine
-      mode store diffnlr frontend files prof =
-    let filter = frontend_filter ~frontend filter in
-    let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
-    let sources =
+  let action ws params engine store diffnlr frontend files prof =
+    let params = frontend_filter ~frontend params in
+    let config = config_or_exit ~engine params in
+    let rq_normal, rq_faulty =
       match (frontend, files) with
       | Some fe, [ a; b ] ->
-        `Sources (Session.Ingest { path = a; frontend = fe },
-                  Session.Ingest { path = b; frontend = fe })
+        ( P.Src_ingest { path = a; frontend = fe },
+          P.Src_ingest { path = b; frontend = fe } )
       | Some _, _ ->
         Printf.eprintf
           "difftrace: compare --frontend needs exactly two FILE arguments \
@@ -400,40 +439,19 @@ let compare_cmd =
           "difftrace: positional FILE arguments require --frontend NAME\n";
         exit 2
       | None, [] ->
-        if fault = Fault.No_fault then
+        let none = Fault.to_string Fault.No_fault in
+        if ws.P.ws_fault = none then
           prerr_endline "warning: comparing a run against itself (--fault none)";
-        `Workload
+        (P.Src_workload { ws with P.ws_fault = none }, P.Src_workload ws)
     in
     run_profiled prof ~config @@ fun () ->
-    let normal_src, faulty_src =
-      match sources with
-      | `Sources (n, f) -> (n, f)
-      | `Workload ->
-        let level = level_of all_images in
-        let normal = run_workload w ~np ~seed ~level ~fault:Fault.No_fault in
-        let faulty = run_workload w ~np ~seed ~level ~fault in
-        (Session.Traces normal.R.traces, Session.Traces faulty.R.traces)
-    in
-    let store = open_store (store_of store) in
-    let ses = Session.create ?store () in
-    let r =
-      Session.compare ses config
-        { Session.cp_normal = normal_src;
-          cp_faulty = faulty_src;
-          cp_diffnlr = diffnlr }
-    in
-    flush_store store;
-    match r with
-    | Ok r -> print_string r.Session.cp_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      exit 1
+    run_call ?store:(store_of store) ~engine
+      (P.Compare
+         { rq_normal; rq_faulty; rq_config = params; rq_diffnlr = diffnlr })
   in
   Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const action $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t
-          $ filter_t $ custom_t $ attrs_t $ k_t $ linkage_t $ engine_t
-          $ mode_t $ store_flags_t $ diffnlr_t $ frontend_t $ files_t
-          $ profile_t)
+    Term.(const action $ workload_spec_t $ config_params_t $ engine_t
+          $ store_flags_t $ diffnlr_t $ frontend_t $ files_t $ profile_t)
 
 (* --- table --------------------------------------------------------- *)
 
@@ -448,16 +466,24 @@ let table_cmd =
   in
   let action w np seed fault all_images filters custom k linkage engine store
       prof =
+    (* one config per -F spec (never empty: it defaults to one spec) *)
+    let configs =
+      List.map
+        (fun pc_filter ->
+          config_or_exit ~engine
+            { P.default_config with
+              pc_filter; pc_custom = custom; pc_linkage = linkage })
+        filters
+    in
     run_profiled prof @@ fun () ->
     let level = level_of all_images in
     let normal = run_workload w ~np ~seed ~level ~fault:Fault.No_fault in
     let faulty = run_workload w ~np ~seed ~level ~fault in
-    let filters = List.map (F.of_spec ~custom) filters in
     let store = open_store (store_of store) in
     let grid =
-      Ranking.grid ~filters ~k
-        ~linkage:(Linkage.method_of_string linkage)
-        ~engine ()
+      Ranking.grid
+        ~filters:(List.map (fun c -> c.Config.filter) configs)
+        ~k ~linkage:(List.hd configs).Config.linkage ~engine ()
     in
     let rows =
       match store with
@@ -489,29 +515,11 @@ let record_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Archive directory to write.")
   in
-  let v1_t =
-    Arg.(
-      value & flag
-      & info [ "v1" ]
-          ~doc:
-            "Write the legacy v1 archive format (bare LZW streams, no \
-             checksums) instead of the framed, checksummed v2 format.")
+  let action ws out =
+    run_call ~engine:Engine.Sequential
+      (P.Record { rq_workload = ws; rq_name = None; rq_out = Some out })
   in
-  let action w np seed fault all_images out v1 =
-    let outcome = run_workload w ~np ~seed ~level:(level_of all_images) ~fault in
-    let format = if v1 then Archive.V1 else Archive.V2 in
-    match
-      Session.record (Session.create ()) ~outcome
-        { Session.rc_name = None; rc_dir = Some out; rc_format = format }
-    with
-    | Ok r -> print_string r.Session.rc_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      exit 1
-  in
-  Cmd.v (Cmd.info "record" ~doc)
-    Term.(const action $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t $ out_t
-          $ v1_t)
+  Cmd.v (Cmd.info "record" ~doc) Term.(const action $ workload_spec_t $ out_t)
 
 let analyze_cmd =
   let doc =
@@ -545,43 +553,28 @@ let analyze_cmd =
              cleanly-decoding prefix of each corrupt trace (marked \
              truncated) instead of refusing the whole run.")
   in
-  let action normal_dir faulty_dir filter custom attrs k linkage engine mode
-      store salvage diffnlr frontend prof =
-    let filter = frontend_filter ~frontend filter in
-    let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
-    run_profiled prof ~config @@ fun () ->
-    let store = open_store (store_of store) in
-    let ses = Session.create ?store () in
+  let action normal_dir faulty_dir params engine store salvage diffnlr frontend
+      prof =
+    let params = frontend_filter ~frontend params in
+    let config = config_or_exit ~engine params in
     (* with --frontend, --normal/--faulty name foreign-format files
        rather than archive directories *)
     let source_of path =
       match frontend with
-      | Some fe -> Session.Ingest { path; frontend = fe }
-      | None -> Session.Archive { dir = path; salvage }
+      | Some fe -> P.Src_ingest { path; frontend = fe }
+      | None -> P.Src_archive { dir = path; salvage }
     in
-    let r =
-      Session.analyze ses config
-        { Session.cp_normal = source_of normal_dir;
-          cp_faulty = source_of faulty_dir;
-          cp_diffnlr = diffnlr }
-    in
-    flush_store store;
-    match r with
-    | Ok r -> print_string r.Session.cp_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      (match e with
-      | Session.Archive_failed _ when not salvage ->
-        prerr_endline
-          "hint: --salvage recovers the checksum-valid prefix of damaged \
-           traces"
-      | _ -> ());
-      exit 1
+    run_profiled prof ~config @@ fun () ->
+    run_call ?store:(store_of store) ~hint:(salvage_hint ~salvage) ~engine
+      (P.Analyze
+         { rq_normal = source_of normal_dir;
+           rq_faulty = source_of faulty_dir;
+           rq_config = params;
+           rq_diffnlr = diffnlr })
   in
   Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const action $ normal_t $ faulty_t $ filter_t $ custom_t $ attrs_t
-          $ k_t $ linkage_t $ engine_t $ mode_t $ store_flags_t $ salvage_t
-          $ diffnlr_t $ frontend_t $ profile_t)
+    Term.(const action $ normal_t $ faulty_t $ config_params_t $ engine_t
+          $ store_flags_t $ salvage_t $ diffnlr_t $ frontend_t $ profile_t)
 
 (* --- vdiff: n-way variational diffing -------------------------------- *)
 
@@ -648,8 +641,7 @@ let vdiff_cmd =
     Printf.eprintf "difftrace: %s\n" m;
     exit 2
   in
-  let action runs axes bad trace filter custom attrs k linkage engine mode
-      store salvage frontend prof =
+  let action runs axes bad trace params engine store salvage frontend prof =
     let named =
       List.map
         (fun spec ->
@@ -695,43 +687,29 @@ let vdiff_cmd =
         if not (known n) then
           usage_exit (Printf.sprintf "--bad %S: no --run with that name" n))
       bad;
-    let filter = frontend_filter ~frontend filter in
-    let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
-    run_profiled prof ~config @@ fun () ->
-    let store = open_store (store_of store) in
-    let ses = Session.create ?store () in
-    let vd_runs =
+    let params = frontend_filter ~frontend params in
+    let config = config_or_exit ~engine params in
+    let rq_runs =
       List.map
         (fun (name, dir) ->
-          { Session.vdr_name = name;
-            vdr_source =
+          { P.vs_name = name;
+            vs_source =
               (match frontend with
-              | Some fe -> Session.Ingest { path = dir; frontend = fe }
-              | None -> Session.Archive { dir; salvage });
-            vdr_axes =
+              | Some fe -> P.Src_ingest { path = dir; frontend = fe }
+              | None -> P.Src_archive { dir; salvage });
+            vs_axes =
               List.concat_map snd
                 (List.filter (fun (n, _) -> n = name) axes_of);
-            vdr_bad = List.mem name bad })
+            vs_bad = List.mem name bad })
         named
     in
-    let r = Session.vdiff ses config { Session.vd_runs; vd_trace = trace } in
-    flush_store store;
-    match r with
-    | Ok r -> print_string r.Session.vd_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      (match e with
-      | Session.Archive_failed _ when not salvage ->
-        prerr_endline
-          "hint: --salvage recovers the checksum-valid prefix of damaged \
-           traces"
-      | _ -> ());
-      exit 1
+    run_profiled prof ~config @@ fun () ->
+    run_call ?store:(store_of store) ~hint:(salvage_hint ~salvage) ~engine
+      (P.Vdiff { rq_runs; rq_trace = trace; rq_config = params })
   in
   Cmd.v (Cmd.info "vdiff" ~doc)
-    Term.(const action $ runs_t $ axes_t $ bad_t $ trace_t $ filter_t
-          $ custom_t $ attrs_t $ k_t $ linkage_t $ engine_t $ mode_t
-          $ store_flags_t $ salvage_t $ frontend_t $ profile_t)
+    Term.(const action $ runs_t $ axes_t $ bad_t $ trace_t $ config_params_t
+          $ engine_t $ store_flags_t $ salvage_t $ frontend_t $ profile_t)
 
 (* --- frontend: foreign-format ingestion ------------------------------ *)
 
@@ -932,28 +910,16 @@ let triage_cmd =
     "Analyze a single (possibly faulty) run: JSM outliers, dendrogram, and \
      the least-progressed threads — no reference execution needed."
   in
-  let action w np seed fault all_images filter custom attrs k linkage engine
-      mode store prof =
-    let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
+  let action ws params engine store prof =
+    let config = config_or_exit ~engine params in
     run_profiled prof ~config @@ fun () ->
-    let outcome = run_workload w ~np ~seed ~level:(level_of all_images) ~fault in
-    let store = open_store (store_of store) in
-    let ses = Session.create ?store () in
-    let r =
-      Session.triage ~outcome ses config
-        { Session.tg_subject = Session.Traces outcome.R.traces; tg_limit = 8 }
-    in
-    flush_store store;
-    match r with
-    | Ok r -> print_string r.Session.tg_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      exit 1
+    run_call ?store:(store_of store) ~engine
+      (P.Triage
+         { rq_subject = P.Src_workload ws; rq_config = params; rq_limit = 8 })
   in
   Cmd.v (Cmd.info "triage" ~doc)
-    Term.(const action $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t
-          $ filter_t $ custom_t $ attrs_t $ k_t $ linkage_t $ engine_t
-          $ mode_t $ store_flags_t $ profile_t)
+    Term.(const action $ workload_spec_t $ config_params_t $ engine_t
+          $ store_flags_t $ profile_t)
 
 (* --- export (OTF2-style archive) ------------------------------------ *)
 
@@ -1127,21 +1093,13 @@ let query_cmd =
   let action query archive against salvage engine store prof =
     let config = Config.default |> Config.with_engine engine in
     run_profiled prof ~config @@ fun () ->
-    let store = open_store (store_of store) in
-    let ses = Session.create ?store () in
-    let r =
-      Session.query ses config
-        { Session.qy_text = query;
-          qy_source = Session.Archive { dir = archive; salvage };
-          qy_against =
-            Option.map (fun dir -> Session.Archive { dir; salvage }) against }
-    in
-    flush_store store;
-    match r with
-    | Ok r -> print_string r.Session.qy_output
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      exit 1
+    run_call ?store:(store_of store) ~engine
+      (P.Query
+         { rq_q = query;
+           rq_source = P.Src_archive { dir = archive; salvage };
+           rq_against =
+             Option.map (fun dir -> P.Src_archive { dir; salvage }) against;
+           rq_config = P.default_config })
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(const action $ query_t $ archive_t $ against_t $ salvage_t
@@ -1203,8 +1161,7 @@ let campaign_cmd =
        and hangs become per-cell verdicts, never campaign aborts. Re-running \
        resumes from the manifest."
     in
-    let action dir kind np faults nseeds max_steps filter custom attrs k
-        linkage engine mode store prof =
+    let action dir kind np faults nseeds max_steps params engine store prof =
       if faults = [] then begin
         prerr_endline
           "difftrace: campaign run needs at least one --fault (repeatable)";
@@ -1212,12 +1169,12 @@ let campaign_cmd =
       end;
       (* corpus cells hold foreign traces; the MPI default filter would
          empty them (an explicit --filter still wins) *)
-      let filter =
+      let params =
         if String.length kind >= 7 && String.sub kind 0 7 = "corpus:" then
-          frontend_filter ~frontend:(Some kind) filter
-        else filter
+          frontend_filter ~frontend:(Some kind) params
+        else params
       in
-      let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
+      let config = config_or_exit ~engine params in
       run_profiled prof ~config @@ fun () ->
       (* campaigns persist analysis by default, beside their archives;
          a resumed campaign re-adopts the store like everything else *)
@@ -1251,8 +1208,8 @@ let campaign_cmd =
     in
     Cmd.v (Cmd.info "run" ~doc)
       Term.(const action $ dir_t $ kind_t $ np_t $ faults_t $ nseeds_t
-            $ max_steps_t $ filter_t $ custom_t $ attrs_t $ k_t $ linkage_t
-            $ engine_t $ mode_t $ store_flags_t $ profile_t)
+            $ max_steps_t $ config_params_t $ engine_t $ store_flags_t
+            $ profile_t)
   in
   let status_cmd =
     let doc =
@@ -1293,9 +1250,8 @@ let campaign_cmd =
                axes, and name the minimal condition discriminating the bad \
                cells.")
     in
-    let action dir diffnlr variational filter custom attrs k linkage engine
-        mode store prof =
-      let config = config_of ~filter ~custom ~attrs ~k ~linkage ~engine ~mode in
+    let action dir diffnlr variational params engine store prof =
+      let config = config_or_exit ~engine params in
       run_profiled prof ~config @@ fun () ->
       match C.status ~dir with
       | Error e ->
@@ -1321,9 +1277,8 @@ let campaign_cmd =
         end)
     in
     Cmd.v (Cmd.info "report" ~doc)
-      Term.(const action $ dir_t $ diffnlr_t $ variational_t $ filter_t
-            $ custom_t $ attrs_t $ k_t $ linkage_t $ engine_t $ mode_t
-            $ store_flags_t $ profile_t)
+      Term.(const action $ dir_t $ diffnlr_t $ variational_t $ config_params_t
+            $ engine_t $ store_flags_t $ profile_t)
   in
   let doc =
     "Fault campaigns: run a declarative fault x scheduler-seed matrix with \

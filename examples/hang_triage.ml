@@ -72,8 +72,7 @@ let () =
   section "4. Preserve the evidence";
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "lulesh_hang" in
   (match
-     Session.record ses ~outcome
-       { Session.rc_name = None; rc_dir = Some dir; rc_format = Archive.V2 }
+     Session.record ses ~outcome { Session.rc_name = None; rc_dir = Some dir }
    with
   | Error e -> prerr_endline (Session.error_to_string e)
   | Ok r ->

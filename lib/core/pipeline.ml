@@ -312,14 +312,3 @@ let find_phasediff c label =
              ~faulty:(raw_calls c.faulty f)
              ()))
   | Error e, _ | _, Error e -> Error e
-
-module Legacy = struct
-  let nlr_of analysis label =
-    match find_nlr analysis label with Ok v -> v | Error _ -> raise Not_found
-
-  let diffnlr c label =
-    match find_diffnlr c label with Ok d -> d | Error _ -> raise Not_found
-
-  let phasediff c label =
-    match find_phasediff c label with Ok p -> p | Error _ -> raise Not_found
-end

@@ -129,22 +129,3 @@ val dendrogram : analysis -> string
     {!Difftrace_diff.Phasediff}). *)
 val find_phasediff :
   comparison -> string -> (Difftrace_diff.Phasediff.t, lookup_error) result
-
-
-(** {2 Legacy raising lookups}
-
-    The pre-session raising forms, kept for out-of-tree callers only —
-    everything in-tree (CLI, daemon, examples) goes through the
-    result-returning {!find_nlr}/{!find_diffnlr}/{!find_phasediff} and
-    the {!Session} API. Each raises [Not_found] for unknown labels
-    instead of reporting what {e is} known. *)
-module Legacy : sig
-  val nlr_of : analysis -> string -> Difftrace_nlr.Nlr.t * bool
-  [@@ocaml.deprecated "use Pipeline.find_nlr"]
-
-  val diffnlr : comparison -> string -> Difftrace_diff.Diffnlr.t
-  [@@ocaml.deprecated "use Pipeline.find_diffnlr"]
-
-  val phasediff : comparison -> string -> Difftrace_diff.Phasediff.t
-  [@@ocaml.deprecated "use Pipeline.find_phasediff"]
-end

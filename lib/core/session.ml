@@ -120,7 +120,6 @@ let resolve t ~engine = function
 type record_request = {
   rc_name : string option;
   rc_dir : string option;
-  rc_format : Archive.format;
 }
 
 type record_response = {
@@ -142,7 +141,7 @@ let record t ~outcome req =
       match req.rc_dir with
       | None -> Ok 0
       | Some dir -> (
-        match Archive.save ~format:req.rc_format ~dir ts with
+        match Archive.save ~dir ts with
         | n ->
           Buffer.add_string buf
             (Printf.sprintf "archived %d trace files to %s\n" n dir);

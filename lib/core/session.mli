@@ -91,8 +91,7 @@ val resolve :
 
 type record_request = {
   rc_name : string option;  (** register the run in-memory under this name *)
-  rc_dir : string option;  (** archive it to this directory *)
-  rc_format : Difftrace_parlot.Archive.format;
+  rc_dir : string option;  (** archive it to this directory (v2 format) *)
 }
 
 type record_response = {

@@ -4,10 +4,10 @@
    serve_stdio/serve_socket are thin transports over it. *)
 
 module Session = Difftrace_core.Session
+module Pipeline = Difftrace_core.Pipeline
 module Store = Difftrace_core.Store
 module Memo = Difftrace_core.Memo
 module Engine = Difftrace_core.Engine
-module Archive = Difftrace_parlot.Archive
 module Tracer = Difftrace_parlot.Tracer
 module Fault = Difftrace_simulator.Fault
 module Runtime = Difftrace_simulator.Runtime
@@ -90,6 +90,8 @@ let record_dir t ~name ~out =
     | Some n, Some sd -> Some (Filename.concat (Filename.concat sd "runs") n)
     | _ -> None)
 
+let config_of t = P.config_of_params ~default_engine:t.default_engine
+
 let dispatch t ~client ~emit call =
   match call with
   | P.Status ->
@@ -117,7 +119,7 @@ let dispatch t ~client ~emit call =
              (if rq_events then "subscribed to events\n" else "unsubscribed\n")
          })
   | P.Shutdown -> Ok (P.P_shutdown { pr_output = "daemon stopping\n" })
-  | P.Record { rq_workload; rq_name; rq_out; rq_v1 } ->
+  | P.Record { rq_workload; rq_name; rq_out } ->
     let* outcome = run_workload rq_workload in
     broadcast t ~emit
       { P.ev_name = "record.run";
@@ -127,9 +129,7 @@ let dispatch t ~client ~emit call =
     let dir = record_dir t ~name:rq_name ~out:rq_out in
     let* r =
       Session.record t.dm_session ~outcome
-        { Session.rc_name = rq_name;
-          rc_dir = dir;
-          rc_format = (if rq_v1 then Archive.V1 else Archive.V2) }
+        { Session.rc_name = rq_name; rc_dir = dir }
     in
     Ok
       (P.P_record
@@ -142,9 +142,7 @@ let dispatch t ~client ~emit call =
   | P.Compare { rq_normal; rq_faulty; rq_config; rq_diffnlr }
   | P.Analyze { rq_normal; rq_faulty; rq_config; rq_diffnlr } ->
     let style = match call with P.Compare _ -> `Compare | _ -> `Analyze in
-    let* config =
-      P.config_of_params ~default_engine:t.default_engine rq_config
-    in
+    let* config = config_of t rq_config in
     let* src_n, _ = source_of_spec rq_normal in
     let* src_f, _ = source_of_spec rq_faulty in
     let req =
@@ -163,9 +161,7 @@ let dispatch t ~client ~emit call =
            pr_suspects = Array.to_list r.Session.cp_suspects;
            pr_output = r.Session.cp_output })
   | P.Triage { rq_subject; rq_config; rq_limit } ->
-    let* config =
-      P.config_of_params ~default_engine:t.default_engine rq_config
-    in
+    let* config = config_of t rq_config in
     let* src, outcome = source_of_spec rq_subject in
     let* r =
       Session.triage ?outcome t.dm_session config
@@ -175,15 +171,11 @@ let dispatch t ~client ~emit call =
       (P.P_triage
          { pr_outliers =
              Array.to_list r.Session.tg_entries
-             |> List.map (fun (e : Difftrace_core.Pipeline.triage_entry) ->
-                    ( e.Difftrace_core.Pipeline.tr_label,
-                      e.Difftrace_core.Pipeline.tr_score,
-                      e.Difftrace_core.Pipeline.tr_truncated ));
+             |> List.map (fun (e : Pipeline.triage_entry) ->
+                    (e.Pipeline.tr_label, e.tr_score, e.tr_truncated));
            pr_output = r.Session.tg_output })
   | P.Query { rq_q; rq_source; rq_against; rq_config } ->
-    let* config =
-      P.config_of_params ~default_engine:t.default_engine rq_config
-    in
+    let* config = config_of t rq_config in
     let* src, _ = source_of_spec rq_source in
     let* against =
       match rq_against with
@@ -203,9 +195,7 @@ let dispatch t ~client ~emit call =
            pq_warm = r.Session.qy_warm;
            pq_output = r.Session.qy_output })
   | P.Vdiff { rq_runs; rq_trace; rq_config } ->
-    let* config =
-      P.config_of_params ~default_engine:t.default_engine rq_config
-    in
+    let* config = config_of t rq_config in
     let* vd_runs =
       List.fold_left
         (fun acc (r : P.vdiff_run_spec) ->
@@ -233,7 +223,7 @@ let dispatch t ~client ~emit call =
            pv_output = r.Session.vd_output })
 
 (* the daemon must survive anything a request throws at it *)
-let dispatch_safe t ~client ~emit call =
+let handle t ~client ~emit call =
   match dispatch t ~client ~emit call with
   | r -> r
   | exception Invalid_argument m -> Error (Session.Invalid m)
@@ -256,7 +246,7 @@ let on_line t ~client ~emit line =
           [ ("id", Json.String req_id); ("method", Json.String meth) ] };
     (match
        Span.with_root ("rpc." ^ meth) (fun () ->
-           dispatch_safe t ~client ~emit req_call)
+           handle t ~client ~emit req_call)
      with
     | Ok payload -> reply { P.rsp_id = Some req_id; rsp_body = Ok payload }
     | Error e ->

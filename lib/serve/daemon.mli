@@ -44,6 +44,20 @@ val requests_served : t -> int
     pre-expanded into one [Send] per subscribed client. *)
 type directive = Send of { client : int; line : string }
 
+(** [handle t ~client ~emit call] runs one call against the daemon's
+    session — the one request path behind both {!on_line} and the
+    one-shot CLI subcommands. Total: an exception escaping the session
+    becomes [Invalid] ([Invalid_argument]) or [Run_failed] (anything
+    else). [emit] receives the events the call broadcasts to
+    subscribers. Unlike {!on_line} it opens no telemetry span, counts
+    no request and flushes nothing; the caller owns those. *)
+val handle :
+  t ->
+  client:int ->
+  emit:(directive -> unit) ->
+  Protocol.call ->
+  (Protocol.payload, Session.error) result
+
 (** [on_line t ~client ~emit line] handles one request line from
     [client]: decodes it, dispatches, and emits the response (and any
     events due to subscribers) via [emit]. Total — a malformed,

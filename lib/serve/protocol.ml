@@ -75,12 +75,12 @@ type vdiff_run_spec = {
   vs_bad : bool;
 }
 
+
 type call =
   | Record of {
       rq_workload : workload_spec;
       rq_name : string option;
       rq_out : string option;
-      rq_v1 : bool;
     }
   | Compare of {
       rq_normal : source_spec;
@@ -115,17 +115,6 @@ type call =
   | Shutdown
 
 type request = { req_id : string; req_call : call }
-
-let method_name = function
-  | Record _ -> "record"
-  | Compare _ -> "compare"
-  | Analyze _ -> "analyze"
-  | Triage _ -> "triage"
-  | Query _ -> "query"
-  | Vdiff _ -> "vdiff"
-  | Status -> "status"
-  | Subscribe _ -> "subscribe"
-  | Shutdown -> "shutdown"
 
 type payload =
   | P_record of {
@@ -198,159 +187,184 @@ let error_response ~id e = { rsp_id = id; rsp_body = Error (error_body_of e) }
 
 type event = { ev_name : string; ev_fields : (string * Json.t) list }
 
-(* --- JSON field access (total) --------------------------------------- *)
+(* --- one field list per message ---------------------------------------- *)
 
-let str = function Json.String s -> Some s | _ -> None
+(* Every wire object is described once, as a list of fields: encoding
+   writes them in list order, decoding reads them back in the same
+   order and the first bad field wins. A message's values travel as a
+   heterogeneous list ([H.t]) whose shape its field list fixes, so
+   [inj]/[prj] are the only per-message code. *)
 
-let int_ = function
-  | Json.Int i -> Some i
-  | Json.Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
+module H = struct
+  type _ t = [] : unit t | ( :: ) : 'a * 'b t -> ('a * 'b) t
+end
 
-let float_ = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
+module F = struct
+  (* one JSON value both ways; [dec ctx name j] names the field at fault *)
+  type 'a codec = {
+    enc : 'a -> Json.t;
+    dec : string -> string -> Json.t -> ('a, string) result;
+  }
 
-let bool_ = function Json.Bool b -> Some b | _ -> None
+  type 'a field =
+    | Req of { name : string; what : string; codec : 'a codec }
+        (* absent or null: "missing <what>" *)
+    | Opt of { name : string; codec : 'a codec; default : 'a }
+    | Inline of 'a shape  (* another shape's fields, flattened in *)
 
-let str_list = function
+  and _ t = [] : unit t | ( :: ) : 'a field * 'b t -> ('a * 'b) t
+
+  (* an object shape; for one constructor of a sum type, [name] is its
+     wire tag and [prj] answers [None] for the other constructors *)
+  and 'a shape =
+    | Shape : {
+        name : string;
+        fields : 'v t;
+        inj : 'v H.t -> 'a;
+        prj : 'a -> 'v H.t option;
+      }
+        -> 'a shape
+end
+
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+let wrong_type ctx name = fail "%s: field %S has the wrong type" ctx name
+
+let rec enc_fields : type v. v F.t -> v H.t -> (string * Json.t) list =
+ fun fs vs ->
+  match (fs, vs) with
+  | [], [] -> []
+  | (Req { name; codec; _ } | Opt { name; codec; _ }) :: fs, v :: vs ->
+    (name, codec.enc v) :: enc_fields fs vs
+  | Inline s :: fs, v :: vs -> snd (encode [ s ] v) @ enc_fields fs vs
+
+(* the tag of the shape that projects [x], and [x]'s fields *)
+and encode : type a. a F.shape list -> a -> string * (string * Json.t) list =
+ fun shapes x ->
+  Option.get
+    (List.find_map
+       (fun (F.Shape s) ->
+         Option.map (fun vs -> (s.name, enc_fields s.fields vs)) (s.prj x))
+       shapes)
+
+let rec dec_fields :
+    type v. string -> Json.t -> v F.t -> (v H.t, string) result =
+ fun ctx obj -> function
+  | [] -> Ok []
+  | f :: fs ->
+    let* v = dec_field ctx obj f in
+    let* vs = dec_fields ctx obj fs in
+    Ok H.(v :: vs)
+
+and dec_field : type a. string -> Json.t -> a F.field -> (a, string) result =
+ fun ctx obj -> function
+  | Req { name; what; codec } -> (
+    match Json.member name obj with
+    | None | Some Json.Null -> fail "%s: missing %s %S" ctx what name
+    | Some j -> codec.dec ctx name j)
+  | Opt { name; codec; default } -> (
+    match Json.member name obj with
+    | None | Some Json.Null -> Ok default
+    | Some j -> codec.dec ctx name j)
+  | Inline s -> decode ctx obj s
+
+and decode : type a. string -> Json.t -> a F.shape -> (a, string) result =
+ fun ctx obj (F.Shape s) -> Result.map s.inj (dec_fields ctx obj s.fields)
+
+let find_shape shapes tag =
+  List.find_opt (fun (F.Shape s) -> s.name = tag) shapes
+
+let shape_names shapes = List.map (fun (F.Shape s) -> s.name) shapes
+let case name fields inj prj = F.Shape { name; fields; inj; prj }
+
+let record fields inj prj =
+  F.Shape { name = ""; fields; inj; prj = (fun x -> Some (prj x)) }
+
+let req ?(what = "field") name codec = F.Req { name; what; codec }
+let opt name codec default = F.Opt { name; codec; default }
+
+(* --- codecs ----------------------------------------------------------- *)
+
+let scalar enc conv =
+  { F.enc;
+    dec =
+      (fun ctx name j ->
+        match conv j with Some x -> Ok x | None -> wrong_type ctx name) }
+
+let str =
+  scalar (fun s -> Json.String s) (function Json.String s -> Some s | _ -> None)
+
+let int =
+  scalar
+    (fun i -> Json.Int i)
+    (function
+      | Json.Int i -> Some i
+      | Json.Float f when Float.is_integer f -> Some (int_of_float f)
+      | _ -> None)
+
+let float =
+  scalar
+    (fun f -> Json.Float f)
+    (function
+      | Json.Float f -> Some f
+      | Json.Int i -> Some (float_of_int i)
+      | _ -> None)
+
+let bool =
+  scalar (fun b -> Json.Bool b) (function Json.Bool b -> Some b | _ -> None)
+
+(* [None] is null, which an [opt] field reads as its default *)
+let nullable c =
+  { F.enc = (function None -> Json.Null | Some v -> c.F.enc v);
+    dec = (fun ctx name j -> Result.map Option.some (c.F.dec ctx name j)) }
+
+(* a nested object whose errors name their own path, [ctx.name] *)
+let obj s =
+  { F.enc = (fun x -> Json.Obj (snd (encode [ s ] x)));
+    dec =
+      (fun ctx name -> function
+        | Json.Obj _ as o -> decode (ctx ^ "." ^ name) o s
+        | _ -> wrong_type ctx name) }
+
+(* any error inside reads as this field having the wrong type *)
+let opaque c =
+  { c with
+    F.dec =
+      (fun ctx name j ->
+        match c.F.dec ctx name j with
+        | Ok _ as r -> r
+        | Error _ -> wrong_type ctx name) }
+
+let elements ctx name dec = function
   | Json.List l ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Json.String s :: tl -> go (s :: acc) tl
-      | _ -> None
+    let rec go acc i = function
+      | [] -> Ok (List.rev acc)
+      | j :: tl ->
+        let* x = dec i j in
+        go (x :: acc) (i + 1) tl
     in
-    go [] l
-  | _ -> None
+    go [] 0 l
+  | _ -> wrong_type ctx name
 
-let bad ctx name =
-  Error (Session.Invalid (Printf.sprintf "%s: field %S has the wrong type" ctx name))
+let list c =
+  let c = opaque c in
+  { F.enc = (fun l -> Json.List (List.map c.F.enc l));
+    dec = (fun ctx name -> elements ctx name (fun _ -> c.F.dec ctx name)) }
 
-let field ctx obj name conv =
-  match Json.member name obj with
-  | None | Some Json.Null ->
-    Error (Session.Invalid (Printf.sprintf "%s: missing field %S" ctx name))
-  | Some v -> ( match conv v with Some x -> Ok x | None -> bad ctx name)
+(* a list of objects, element [i]'s errors naming it [ctx.name[i]] *)
+let objects s =
+  { F.enc = (fun l -> Json.List (List.map (obj s).F.enc l));
+    dec =
+      (fun ctx name ->
+        elements ctx name (fun i j ->
+            let ctx = Printf.sprintf "%s.%s[%d]" ctx name i in
+            match j with
+            | Json.Obj _ -> decode ctx j s
+            | _ -> fail "%s: must be an object" ctx)) }
 
-let field_opt ctx obj name conv ~default =
-  match Json.member name obj with
-  | None | Some Json.Null -> Ok default
-  | Some v -> ( match conv v with Some x -> Ok x | None -> bad ctx name)
-
-(* --- request decode --------------------------------------------------- *)
-
-let workload_of_obj ctx obj =
-  let* ws_workload = field ctx obj "workload" str in
-  let* ws_np = field_opt ctx obj "np" int_ ~default:8 in
-  let* ws_seed = field_opt ctx obj "seed" int_ ~default:1 in
-  let* ws_fault = field_opt ctx obj "fault" str ~default:"none" in
-  let* ws_all_images = field_opt ctx obj "all_images" bool_ ~default:false in
-  Ok { ws_workload; ws_np; ws_seed; ws_fault; ws_all_images }
-
-let source_of_json ctx name j =
-  match j with
-  (* shorthand: a bare string names a registered run *)
-  | Json.String s -> Ok (Src_run s)
-  | Json.Obj _ as obj -> (
-    match
-      ( Json.member "run" obj,
-        Json.member "archive" obj,
-        Json.member "workload" obj,
-        Json.member "file" obj )
-    with
-    | Some (Json.String r), None, None, None -> Ok (Src_run r)
-    | None, Some (Json.String dir), None, None ->
-      let* salvage = field_opt ctx obj "salvage" bool_ ~default:false in
-      Ok (Src_archive { dir; salvage })
-    | None, None, Some _, None ->
-      let* ws = workload_of_obj ctx obj in
-      Ok (Src_workload ws)
-    | None, None, None, Some (Json.String path) ->
-      let* frontend = field ctx obj "frontend" str in
-      Ok (Src_ingest { path; frontend })
-    | _ ->
-      Error
-        (Session.Invalid
-           (Printf.sprintf
-              "%s: source %S needs exactly one of \"run\", \"archive\", \
-               \"workload\" or \"file\""
-              ctx name)))
-  | _ ->
-    Error
-      (Session.Invalid
-         (Printf.sprintf "%s: source %S must be a string or an object" ctx name))
-
-let source_field ctx obj name =
-  match Json.member name obj with
-  | None | Some Json.Null ->
-    Error (Session.Invalid (Printf.sprintf "%s: missing source %S" ctx name))
-  | Some j -> source_of_json ctx name j
-
-let config_params_of_json ctx obj =
-  match Json.member "config" obj with
-  | None | Some Json.Null -> Ok default_config
-  | Some (Json.Obj _ as c) ->
-    let d = default_config in
-    let ctx = ctx ^ ".config" in
-    let* pc_filter = field_opt ctx c "filter" str ~default:d.pc_filter in
-    let* pc_custom = field_opt ctx c "custom" str_list ~default:d.pc_custom in
-    let* pc_attrs = field_opt ctx c "attrs" str ~default:d.pc_attrs in
-    let* pc_k = field_opt ctx c "k" int_ ~default:d.pc_k in
-    let* pc_linkage = field_opt ctx c "linkage" str ~default:d.pc_linkage in
-    let* pc_engine =
-      field_opt ctx c "engine" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    let* pc_mode = field_opt ctx c "mode" str ~default:d.pc_mode in
-    Ok { pc_filter; pc_custom; pc_attrs; pc_k; pc_linkage; pc_engine; pc_mode }
-  | Some _ -> bad ctx "config"
-
-let call_of_json ~meth obj =
-  let ctx = meth in
-  match meth with
-  | "record" ->
-    let* rq_workload = workload_of_obj ctx obj in
-    let* rq_name =
-      field_opt ctx obj "name" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    let* rq_out =
-      field_opt ctx obj "out" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    let* rq_v1 = field_opt ctx obj "v1" bool_ ~default:false in
-    Ok (Record { rq_workload; rq_name; rq_out; rq_v1 })
-  | "compare" | "analyze" ->
-    let* rq_normal = source_field ctx obj "normal" in
-    let* rq_faulty = source_field ctx obj "faulty" in
-    let* rq_config = config_params_of_json ctx obj in
-    let* rq_diffnlr =
-      field_opt ctx obj "diffnlr" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    if meth = "compare" then
-      Ok (Compare { rq_normal; rq_faulty; rq_config; rq_diffnlr })
-    else Ok (Analyze { rq_normal; rq_faulty; rq_config; rq_diffnlr })
-  | "triage" ->
-    let* rq_subject = source_field ctx obj "subject" in
-    let* rq_config = config_params_of_json ctx obj in
-    let* rq_limit = field_opt ctx obj "limit" int_ ~default:8 in
-    Ok (Triage { rq_subject; rq_config; rq_limit })
-  | "query" ->
-    let* rq_q = field ctx obj "q" str in
-    let* rq_source = source_field ctx obj "source" in
-    let* rq_against =
-      match Json.member "against" obj with
-      | None | Some Json.Null -> Ok None
-      | Some j ->
-        let* s = source_of_json ctx "against" j in
-        Ok (Some s)
-    in
-    let* rq_config = config_params_of_json ctx obj in
-    Ok (Query { rq_q; rq_source; rq_against; rq_config })
-  | "vdiff" ->
-    let axes_of_json = function
+let axes =
+  scalar
+    (fun l -> Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) l))
+    (function
       | Json.Obj fields ->
         let rec go acc = function
           | [] -> Some (List.rev acc)
@@ -358,47 +372,237 @@ let call_of_json ~meth obj =
           | _ -> None
         in
         go [] fields
-      | _ -> None
-    in
-    let* rq_runs =
-      match Json.member "runs" obj with
-      | None | Some Json.Null ->
-        Error (Session.Invalid (ctx ^ ": missing field \"runs\""))
-      | Some (Json.List l) ->
-        let rec go acc i = function
-          | [] -> Ok (List.rev acc)
-          | j :: tl -> (
-            let rctx = Printf.sprintf "%s.runs[%d]" ctx i in
-            match j with
-            | Json.Obj _ ->
-              let* vs_name = field rctx j "name" str in
-              let* vs_source = source_field rctx j "source" in
-              let* vs_axes = field_opt rctx j "axes" axes_of_json ~default:[] in
-              let* vs_bad = field_opt rctx j "bad" bool_ ~default:false in
-              go ({ vs_name; vs_source; vs_axes; vs_bad } :: acc) (i + 1) tl
-            | _ -> Error (Session.Invalid (rctx ^ ": must be an object")))
-        in
-        go [] 0 l
-      | Some _ -> bad ctx "runs"
-    in
-    let* rq_trace =
-      field_opt ctx obj "trace" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    let* rq_config = config_params_of_json ctx obj in
-    Ok (Vdiff { rq_runs; rq_trace; rq_config })
-  | "status" -> Ok Status
-  | "subscribe" ->
-    let* rq_events = field_opt ctx obj "events" bool_ ~default:true in
-    Ok (Subscribe { rq_events })
-  | "shutdown" -> Ok Shutdown
-  | _ ->
-    Error
-      (Session.Protocol
-         (Printf.sprintf
-            "unknown method %S (methods: record, analyze, compare, triage, \
-             query, vdiff, status, subscribe, shutdown)"
-            meth))
+      | _ -> None)
+
+let pair a b =
+  obj (record F.[ a; b ] (fun H.[ x; y ] -> (x, y)) (fun (x, y) -> H.[ x; y ]))
+
+(* --- the messages ------------------------------------------------------ *)
+
+let workload =
+  record
+    F.[ req "workload" str; opt "np" int 8; opt "seed" int 1;
+        opt "fault" str "none"; opt "all_images" bool false ]
+    (fun H.[ ws_workload; ws_np; ws_seed; ws_fault; ws_all_images ] ->
+      { ws_workload; ws_np; ws_seed; ws_fault; ws_all_images })
+    (fun w ->
+      H.[ w.ws_workload; w.ws_np; w.ws_seed; w.ws_fault; w.ws_all_images ])
+
+let config =
+  let d = default_config in
+  record
+    F.[ opt "filter" str d.pc_filter; opt "custom" (list str) d.pc_custom;
+        opt "attrs" str d.pc_attrs; opt "k" int d.pc_k;
+        opt "linkage" str d.pc_linkage; opt "engine" (nullable str) d.pc_engine;
+        opt "mode" str d.pc_mode ]
+    (fun H.[ pc_filter; pc_custom; pc_attrs; pc_k; pc_linkage; pc_engine;
+             pc_mode ] ->
+      { pc_filter; pc_custom; pc_attrs; pc_k; pc_linkage; pc_engine; pc_mode })
+    (fun p ->
+      H.[ p.pc_filter; p.pc_custom; p.pc_attrs; p.pc_k; p.pc_linkage;
+          p.pc_engine; p.pc_mode ])
+
+(* each source kind is tagged by the key naming it *)
+let sources =
+  [ case "run" F.[ req "run" str ]
+      (fun H.[ r ] -> Src_run r)
+      (function Src_run r -> Some H.[ r ] | _ -> None);
+    case "archive" F.[ req "archive" str; opt "salvage" bool false ]
+      (fun H.[ dir; salvage ] -> Src_archive { dir; salvage })
+      (function
+        | Src_archive { dir; salvage } -> Some H.[ dir; salvage ] | _ -> None);
+    case "workload" F.[ Inline workload ]
+      (fun H.[ ws ] -> Src_workload ws)
+      (function Src_workload ws -> Some H.[ ws ] | _ -> None);
+    case "file" F.[ req "file" str; req "frontend" str ]
+      (fun H.[ path; frontend ] -> Src_ingest { path; frontend })
+      (function
+        | Src_ingest { path; frontend } -> Some H.[ path; frontend ]
+        | _ -> None) ]
+
+let source =
+  { F.enc = (fun s -> Json.Obj (snd (encode sources s)));
+    dec =
+      (fun ctx name -> function
+        (* shorthand: a bare string names a registered run *)
+        | Json.String s -> Ok (Src_run s)
+        | Json.Obj _ as o -> (
+          let tag =
+            match
+              ( Json.member "run" o,
+                Json.member "archive" o,
+                Json.member "workload" o,
+                Json.member "file" o )
+            with
+            | Some (Json.String _), None, None, None -> Some "run"
+            | None, Some (Json.String _), None, None -> Some "archive"
+            | None, None, Some _, None -> Some "workload"
+            | None, None, None, Some (Json.String _) -> Some "file"
+            | _ -> None
+          in
+          match Option.bind tag (find_shape sources) with
+          | Some s -> decode ctx o s
+          | None ->
+            fail
+              "%s: source %S needs exactly one of \"run\", \"archive\", \
+               \"workload\" or \"file\""
+              ctx name)
+        | _ -> fail "%s: source %S must be a string or an object" ctx name) }
+
+let src name = req ~what:"source" name source
+let config_field = opt "config" (obj config) default_config
+let str_opt name = opt name (nullable str) None
+
+let vdiff_run =
+  record
+    F.[ req "name" str; src "source"; opt "axes" axes []; opt "bad" bool false ]
+    (fun H.[ vs_name; vs_source; vs_axes; vs_bad ] ->
+      { vs_name; vs_source; vs_axes; vs_bad })
+    (fun r -> H.[ r.vs_name; r.vs_source; r.vs_axes; r.vs_bad ])
+
+let compare_fields =
+  F.[ src "normal"; src "faulty"; config_field; str_opt "diffnlr" ]
+
+(* the methods, in the order the unknown-method error lists them *)
+let calls =
+  [ case "record" F.[ Inline workload; str_opt "name"; str_opt "out" ]
+      (fun H.[ rq_workload; rq_name; rq_out ] ->
+        Record { rq_workload; rq_name; rq_out })
+      (function
+        | Record r -> Some H.[ r.rq_workload; r.rq_name; r.rq_out ]
+        | _ -> None);
+    case "analyze" compare_fields
+      (fun H.[ rq_normal; rq_faulty; rq_config; rq_diffnlr ] ->
+        Analyze { rq_normal; rq_faulty; rq_config; rq_diffnlr })
+      (function
+        | Analyze r ->
+          Some H.[ r.rq_normal; r.rq_faulty; r.rq_config; r.rq_diffnlr ]
+        | _ -> None);
+    case "compare" compare_fields
+      (fun H.[ rq_normal; rq_faulty; rq_config; rq_diffnlr ] ->
+        Compare { rq_normal; rq_faulty; rq_config; rq_diffnlr })
+      (function
+        | Compare r ->
+          Some H.[ r.rq_normal; r.rq_faulty; r.rq_config; r.rq_diffnlr ]
+        | _ -> None);
+    case "triage" F.[ src "subject"; config_field; opt "limit" int 8 ]
+      (fun H.[ rq_subject; rq_config; rq_limit ] ->
+        Triage { rq_subject; rq_config; rq_limit })
+      (function
+        | Triage r -> Some H.[ r.rq_subject; r.rq_config; r.rq_limit ]
+        | _ -> None);
+    case "query"
+      F.[ req "q" str; src "source"; opt "against" (nullable source) None;
+          config_field ]
+      (fun H.[ rq_q; rq_source; rq_against; rq_config ] ->
+        Query { rq_q; rq_source; rq_against; rq_config })
+      (function
+        | Query r -> Some H.[ r.rq_q; r.rq_source; r.rq_against; r.rq_config ]
+        | _ -> None);
+    case "vdiff"
+      F.[ req "runs" (objects vdiff_run); str_opt "trace"; config_field ]
+      (fun H.[ rq_runs; rq_trace; rq_config ] ->
+        Vdiff { rq_runs; rq_trace; rq_config })
+      (function
+        | Vdiff r -> Some H.[ r.rq_runs; r.rq_trace; r.rq_config ] | _ -> None);
+    case "status" F.[]
+      (fun H.[] -> Status)
+      (function Status -> Some H.[] | _ -> None);
+    case "subscribe" F.[ opt "events" bool true ]
+      (fun H.[ rq_events ] -> Subscribe { rq_events })
+      (function Subscribe { rq_events } -> Some H.[ rq_events ] | _ -> None);
+    case "shutdown" F.[]
+      (fun H.[] -> Shutdown)
+      (function Shutdown -> Some H.[] | _ -> None) ]
+
+let method_name c = fst (encode calls c)
+
+(* every payload ends with the report as the CLI prints it *)
+let output = req "output" str
+
+let report style =
+  case
+    (match style with `Compare -> "compare" | `Analyze -> "analyze")
+    F.[ req "bscore" float; req "top_processes" (list int);
+        req "top_threads" (list str);
+        req "suspects" (list (pair (req "trace" str) (req "score" float)));
+        output ]
+    (fun H.[ pr_bscore; pr_top_processes; pr_top_threads; pr_suspects;
+             pr_output ] ->
+      P_report { pr_style = style; pr_bscore; pr_top_processes; pr_top_threads;
+                 pr_suspects; pr_output })
+    (function
+      | P_report r when r.pr_style = style ->
+        Some H.[ r.pr_bscore; r.pr_top_processes; r.pr_top_threads;
+                 r.pr_suspects; r.pr_output ]
+      | _ -> None)
+
+let outlier =
+  record
+    F.[ req "trace" str; req "score" float; req "truncated" bool ]
+    (fun H.[ l; s; tr ] -> (l, s, tr))
+    (fun (l, s, tr) -> H.[ l; s; tr ])
+
+let payloads =
+  [ case "record"
+      F.[ req "files" int; req "traces" int; req "events" int; req "hung" int;
+          str_opt "run"; output ]
+      (fun H.[ pr_files; pr_traces; pr_events; pr_hung; pr_run; pr_output ] ->
+        P_record { pr_files; pr_traces; pr_events; pr_hung; pr_run; pr_output })
+      (function
+        | P_record r ->
+          Some H.[ r.pr_files; r.pr_traces; r.pr_events; r.pr_hung; r.pr_run;
+                   r.pr_output ]
+        | _ -> None);
+    report `Compare;
+    report `Analyze;
+    case "triage" F.[ req "outliers" (list (obj outlier)); output ]
+      (fun H.[ pr_outliers; pr_output ] -> P_triage { pr_outliers; pr_output })
+      (function
+        | P_triage r -> Some H.[ r.pr_outliers; r.pr_output ] | _ -> None);
+    case "query" F.[ req "kind" str; req "size" int; req "warm" bool; output ]
+      (fun H.[ pq_kind; pq_size; pq_warm; pq_output ] ->
+        P_query { pq_kind; pq_size; pq_warm; pq_output })
+      (function
+        | P_query r -> Some H.[ r.pq_kind; r.pq_size; r.pq_warm; r.pq_output ]
+        | _ -> None);
+    case "vdiff"
+      F.[ req "nruns" int; req "columns" int; req "regions" int;
+          req "warm" bool; str_opt "condition"; output ]
+      (fun H.[ pv_nruns; pv_columns; pv_regions; pv_warm; pv_condition;
+               pv_output ] ->
+        P_vdiff { pv_nruns; pv_columns; pv_regions; pv_warm; pv_condition;
+                  pv_output })
+      (function
+        | P_vdiff r ->
+          Some H.[ r.pv_nruns; r.pv_columns; r.pv_regions; r.pv_warm;
+                   r.pv_condition; r.pv_output ]
+        | _ -> None);
+    case "status"
+      F.[ req "requests" int;
+          req "runs" (list (pair (req "name" str) (req "traces" int)));
+          req "summaries" int; req "hits" int; req "misses" int;
+          opt "store"
+            (nullable
+               (opaque (pair (req "summaries" int) (req "matrices" int))))
+            None;
+          output ]
+      (fun H.[ pr_requests; pr_runs; pr_summaries; pr_hits; pr_misses;
+               pr_store; pr_output ] ->
+        P_status { pr_requests; pr_runs; pr_summaries; pr_hits; pr_misses;
+                   pr_store; pr_output })
+      (function
+        | P_status r ->
+          Some H.[ r.pr_requests; r.pr_runs; r.pr_summaries; r.pr_hits;
+                   r.pr_misses; r.pr_store; r.pr_output ]
+        | _ -> None);
+    case "subscribe" F.[ req "events" bool; output ]
+      (fun H.[ pr_events; pr_output ] -> P_subscribe { pr_events; pr_output })
+      (function
+        | P_subscribe r -> Some H.[ r.pr_events; r.pr_output ] | _ -> None);
+    case "shutdown" F.[ output ]
+      (fun H.[ pr_output ] -> P_shutdown { pr_output })
+      (function P_shutdown { pr_output } -> Some H.[ pr_output ] | _ -> None) ]
 
 (* Best-effort lexical extraction of the "id" field from a line that
    failed to parse, so even a malformed request is answered under its
@@ -490,192 +694,39 @@ let decode_request line =
             match params with
             | Error e -> fail e
             | Ok params -> (
-              match call_of_json ~meth params with
-              | Ok req_call -> Ok { req_id; req_call }
-              | Error e -> fail e))
+              match find_shape calls meth with
+              | None ->
+                fail
+                  (Session.Protocol
+                     (Printf.sprintf "unknown method %S (methods: %s)" meth
+                        (String.concat ", " (shape_names calls))))
+              | Some c -> (
+                match decode meth params c with
+                | Ok req_call -> Ok { req_id; req_call }
+                | Error m -> fail (Session.Invalid m))))
           | _ ->
             fail (Session.Protocol "request: missing string \"method\" field"))))
     | _ ->
       Error (None, Session.Protocol "malformed JSON: expected an object")
 
+
 (* --- encode ----------------------------------------------------------- *)
 
-let json_opt f = function None -> Json.Null | Some v -> f v
-
-let workload_fields ws =
-  [ ("workload", Json.String ws.ws_workload);
-    ("np", Json.Int ws.ws_np);
-    ("seed", Json.Int ws.ws_seed);
-    ("fault", Json.String ws.ws_fault);
-    ("all_images", Json.Bool ws.ws_all_images) ]
-
-let source_to_json = function
-  | Src_run r -> Json.Obj [ ("run", Json.String r) ]
-  | Src_ingest { path; frontend } ->
-    Json.Obj [ ("file", Json.String path); ("frontend", Json.String frontend) ]
-  | Src_archive { dir; salvage } ->
-    Json.Obj [ ("archive", Json.String dir); ("salvage", Json.Bool salvage) ]
-  | Src_workload ws -> Json.Obj (workload_fields ws)
-
-let config_to_json p =
-  Json.Obj
-    [ ("filter", Json.String p.pc_filter);
-      ("custom", Json.List (List.map (fun s -> Json.String s) p.pc_custom));
-      ("attrs", Json.String p.pc_attrs);
-      ("k", Json.Int p.pc_k);
-      ("linkage", Json.String p.pc_linkage);
-      ("engine", json_opt (fun s -> Json.String s) p.pc_engine);
-      ("mode", Json.String p.pc_mode) ]
-
-let params_of_call = function
-  | Record { rq_workload; rq_name; rq_out; rq_v1 } ->
-    Json.Obj
-      (workload_fields rq_workload
-      @ [ ("name", json_opt (fun s -> Json.String s) rq_name);
-          ("out", json_opt (fun s -> Json.String s) rq_out);
-          ("v1", Json.Bool rq_v1) ])
-  | Compare { rq_normal; rq_faulty; rq_config; rq_diffnlr }
-  | Analyze { rq_normal; rq_faulty; rq_config; rq_diffnlr } ->
-    Json.Obj
-      [ ("normal", source_to_json rq_normal);
-        ("faulty", source_to_json rq_faulty);
-        ("config", config_to_json rq_config);
-        ("diffnlr", json_opt (fun s -> Json.String s) rq_diffnlr) ]
-  | Triage { rq_subject; rq_config; rq_limit } ->
-    Json.Obj
-      [ ("subject", source_to_json rq_subject);
-        ("config", config_to_json rq_config);
-        ("limit", Json.Int rq_limit) ]
-  | Query { rq_q; rq_source; rq_against; rq_config } ->
-    Json.Obj
-      [ ("q", Json.String rq_q);
-        ("source", source_to_json rq_source);
-        ("against", json_opt source_to_json rq_against);
-        ("config", config_to_json rq_config) ]
-  | Vdiff { rq_runs; rq_trace; rq_config } ->
-    Json.Obj
-      [ ( "runs",
-          Json.List
-            (List.map
-               (fun r ->
-                 Json.Obj
-                   [ ("name", Json.String r.vs_name);
-                     ("source", source_to_json r.vs_source);
-                     ( "axes",
-                       Json.Obj
-                         (List.map (fun (k, v) -> (k, Json.String v)) r.vs_axes)
-                     );
-                     ("bad", Json.Bool r.vs_bad) ])
-               rq_runs) );
-        ("trace", json_opt (fun s -> Json.String s) rq_trace);
-        ("config", config_to_json rq_config) ]
-  | Status | Shutdown -> Json.Obj []
-  | Subscribe { rq_events } -> Json.Obj [ ("events", Json.Bool rq_events) ]
-
 let encode_request r =
+  let meth, params = encode calls r.req_call in
   Json.to_string
     (Json.Obj
        [ ("difftrace-rpc", Json.Int version);
          ("id", Json.String r.req_id);
-         ("method", Json.String (method_name r.req_call));
-         ("params", params_of_call r.req_call) ])
-
-let payload_to_json = function
-  | P_record { pr_files; pr_traces; pr_events; pr_hung; pr_run; pr_output } ->
-    Json.Obj
-      [ ("method", Json.String "record");
-        ("files", Json.Int pr_files);
-        ("traces", Json.Int pr_traces);
-        ("events", Json.Int pr_events);
-        ("hung", Json.Int pr_hung);
-        ("run", json_opt (fun s -> Json.String s) pr_run);
-        ("output", Json.String pr_output) ]
-  | P_report
-      { pr_style; pr_bscore; pr_top_processes; pr_top_threads; pr_suspects;
-        pr_output } ->
-    Json.Obj
-      [ ( "method",
-          Json.String
-            (match pr_style with `Compare -> "compare" | `Analyze -> "analyze")
-        );
-        ("bscore", Json.Float pr_bscore);
-        ( "top_processes",
-          Json.List (List.map (fun p -> Json.Int p) pr_top_processes) );
-        ( "top_threads",
-          Json.List (List.map (fun t -> Json.String t) pr_top_threads) );
-        ( "suspects",
-          Json.List
-            (List.map
-               (fun (l, s) ->
-                 Json.Obj
-                   [ ("trace", Json.String l); ("score", Json.Float s) ])
-               pr_suspects) );
-        ("output", Json.String pr_output) ]
-  | P_triage { pr_outliers; pr_output } ->
-    Json.Obj
-      [ ("method", Json.String "triage");
-        ( "outliers",
-          Json.List
-            (List.map
-               (fun (l, s, tr) ->
-                 Json.Obj
-                   [ ("trace", Json.String l);
-                     ("score", Json.Float s);
-                     ("truncated", Json.Bool tr) ])
-               pr_outliers) );
-        ("output", Json.String pr_output) ]
-  | P_query { pq_kind; pq_size; pq_warm; pq_output } ->
-    Json.Obj
-      [ ("method", Json.String "query");
-        ("kind", Json.String pq_kind);
-        ("size", Json.Int pq_size);
-        ("warm", Json.Bool pq_warm);
-        ("output", Json.String pq_output) ]
-  | P_vdiff { pv_nruns; pv_columns; pv_regions; pv_warm; pv_condition;
-              pv_output } ->
-    Json.Obj
-      [ ("method", Json.String "vdiff");
-        ("nruns", Json.Int pv_nruns);
-        ("columns", Json.Int pv_columns);
-        ("regions", Json.Int pv_regions);
-        ("warm", Json.Bool pv_warm);
-        ("condition", json_opt (fun s -> Json.String s) pv_condition);
-        ("output", Json.String pv_output) ]
-  | P_status
-      { pr_requests; pr_runs; pr_summaries; pr_hits; pr_misses; pr_store;
-        pr_output } ->
-    Json.Obj
-      [ ("method", Json.String "status");
-        ("requests", Json.Int pr_requests);
-        ( "runs",
-          Json.List
-            (List.map
-               (fun (n, c) ->
-                 Json.Obj [ ("name", Json.String n); ("traces", Json.Int c) ])
-               pr_runs) );
-        ("summaries", Json.Int pr_summaries);
-        ("hits", Json.Int pr_hits);
-        ("misses", Json.Int pr_misses);
-        ( "store",
-          json_opt
-            (fun (s, m) ->
-              Json.Obj [ ("summaries", Json.Int s); ("matrices", Json.Int m) ])
-            pr_store );
-        ("output", Json.String pr_output) ]
-  | P_subscribe { pr_events; pr_output } ->
-    Json.Obj
-      [ ("method", Json.String "subscribe");
-        ("events", Json.Bool pr_events);
-        ("output", Json.String pr_output) ]
-  | P_shutdown { pr_output } ->
-    Json.Obj
-      [ ("method", Json.String "shutdown"); ("output", Json.String pr_output) ]
+         ("method", Json.String meth);
+         ("params", Json.Obj params) ])
 
 let encode_response r =
-  let id = json_opt (fun s -> Json.String s) r.rsp_id in
   let body =
     match r.rsp_body with
-    | Ok p -> ("ok", payload_to_json p)
+    | Ok p ->
+      let meth, fields = encode payloads p in
+      ("ok", Json.Obj (("method", Json.String meth) :: fields))
     | Error e ->
       ( "error",
         Json.Obj
@@ -683,7 +734,10 @@ let encode_response r =
             ("message", Json.String e.err_message) ] )
   in
   Json.to_string
-    (Json.Obj [ ("difftrace-rpc", Json.Int version); ("id", id); body ])
+    (Json.Obj
+       [ ("difftrace-rpc", Json.Int version);
+         ("id", (nullable str).F.enc r.rsp_id);
+         body ])
 
 let encode_event ev =
   Json.to_string
@@ -694,126 +748,20 @@ let encode_event ev =
 
 (* --- response / message decode (client side) -------------------------- *)
 
-let ofail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let req ctx obj name conv =
-  match Json.member name obj with
-  | None | Some Json.Null -> ofail "%s: missing field %S" ctx name
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> ofail "%s: field %S has the wrong type" ctx name)
-
-let opt ctx obj name conv ~default =
-  match Json.member name obj with
-  | None | Some Json.Null -> Ok default
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None -> ofail "%s: field %S has the wrong type" ctx name)
-
-let list_of conv = function
-  | Json.List l ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | hd :: tl -> ( match conv hd with Some x -> go (x :: acc) tl | None -> None)
-    in
-    go [] l
-  | _ -> None
-
 let payload_of_json obj =
-  let* meth = req "ok" obj "method" str in
+  let* meth = dec_field "ok" obj (req "method" str) in
   let ctx = "ok." ^ meth in
-  let* output = req ctx obj "output" str in
-  match meth with
-  | "record" ->
-    let* pr_files = req ctx obj "files" int_ in
-    let* pr_traces = req ctx obj "traces" int_ in
-    let* pr_events = req ctx obj "events" int_ in
-    let* pr_hung = req ctx obj "hung" int_ in
-    let* pr_run =
-      opt ctx obj "run" (fun j -> Option.map Option.some (str j)) ~default:None
-    in
-    Ok (P_record { pr_files; pr_traces; pr_events; pr_hung; pr_run;
-                   pr_output = output })
-  | "compare" | "analyze" ->
-    let suspect j =
-      match (Json.member "trace" j, Json.member "score" j) with
-      | Some (Json.String l), Some s -> Option.map (fun f -> (l, f)) (float_ s)
-      | _ -> None
-    in
-    let* pr_bscore = req ctx obj "bscore" float_ in
-    let* pr_top_processes = req ctx obj "top_processes" (list_of int_) in
-    let* pr_top_threads = req ctx obj "top_threads" (list_of str) in
-    let* pr_suspects = req ctx obj "suspects" (list_of suspect) in
-    Ok
-      (P_report
-         { pr_style = (if meth = "compare" then `Compare else `Analyze);
-           pr_bscore; pr_top_processes; pr_top_threads; pr_suspects;
-           pr_output = output })
-  | "triage" ->
-    let outlier j =
-      match
-        (Json.member "trace" j, Json.member "score" j, Json.member "truncated" j)
-      with
-      | Some (Json.String l), Some s, Some (Json.Bool tr) ->
-        Option.map (fun f -> (l, f, tr)) (float_ s)
-      | _ -> None
-    in
-    let* pr_outliers = req ctx obj "outliers" (list_of outlier) in
-    Ok (P_triage { pr_outliers; pr_output = output })
-  | "query" ->
-    let* pq_kind = req ctx obj "kind" str in
-    let* pq_size = req ctx obj "size" int_ in
-    let* pq_warm = req ctx obj "warm" bool_ in
-    Ok (P_query { pq_kind; pq_size; pq_warm; pq_output = output })
-  | "vdiff" ->
-    let* pv_nruns = req ctx obj "nruns" int_ in
-    let* pv_columns = req ctx obj "columns" int_ in
-    let* pv_regions = req ctx obj "regions" int_ in
-    let* pv_warm = req ctx obj "warm" bool_ in
-    let* pv_condition =
-      opt ctx obj "condition" (fun j -> Option.map Option.some (str j))
-        ~default:None
-    in
-    Ok (P_vdiff { pv_nruns; pv_columns; pv_regions; pv_warm; pv_condition;
-                  pv_output = output })
-  | "status" ->
-    let run j =
-      match (Json.member "name" j, Json.member "traces" j) with
-      | Some (Json.String n), Some c -> Option.map (fun i -> (n, i)) (int_ c)
-      | _ -> None
-    in
-    let store j =
-      match (Json.member "summaries" j, Json.member "matrices" j) with
-      | Some s, Some m -> (
-        match (int_ s, int_ m) with
-        | Some s, Some m -> Some (s, m)
-        | _ -> None)
-      | _ -> None
-    in
-    let* pr_requests = req ctx obj "requests" int_ in
-    let* pr_runs = req ctx obj "runs" (list_of run) in
-    let* pr_summaries = req ctx obj "summaries" int_ in
-    let* pr_hits = req ctx obj "hits" int_ in
-    let* pr_misses = req ctx obj "misses" int_ in
-    let* pr_store =
-      opt ctx obj "store" (fun j -> Option.map Option.some (store j))
-        ~default:None
-    in
-    Ok (P_status { pr_requests; pr_runs; pr_summaries; pr_hits; pr_misses;
-                   pr_store; pr_output = output })
-  | "subscribe" ->
-    let* pr_events = req ctx obj "events" bool_ in
-    Ok (P_subscribe { pr_events; pr_output = output })
-  | "shutdown" -> Ok (P_shutdown { pr_output = output })
-  | _ -> ofail "ok: unknown method %S in response" meth
+  (* a missing output is reported before any method-specific field *)
+  let* _ = dec_field ctx obj output in
+  match find_shape payloads meth with
+  | Some s -> decode ctx obj s
+  | None -> fail "ok: unknown method %S in response" meth
 
 type message = Response of response | Event of event
 
 let decode_message line =
   match Json.of_string line with
-  | exception Json.Parse_error m -> ofail "malformed JSON: %s" m
+  | exception Json.Parse_error m -> fail "malformed JSON: %s" m
   | Json.Obj fields as obj -> (
     match check_version "message" obj with
     | Error e -> Error (Session.error_to_string e)
@@ -837,8 +785,8 @@ let decode_message line =
           let* p = payload_of_json ok in
           Ok (Response { rsp_id; rsp_body = Ok p })
         | None, Some (Json.Obj _ as err) ->
-          let* err_kind = req "error" err "kind" str in
-          let* err_message = req "error" err "message" str in
+          let* err_kind = dec_field "error" err (req "kind" str) in
+          let* err_message = dec_field "error" err (req "message" str) in
           Ok (Response { rsp_id; rsp_body = Error { err_kind; err_message } })
         | _ -> Error "message: expected exactly one of \"ok\" or \"error\"")))
   | _ -> Error "malformed JSON: expected an object"

@@ -94,7 +94,6 @@ type call =
       rq_workload : workload_spec;
       rq_name : string option;  (** register warm under this name *)
       rq_out : string option;  (** archive here (default: state dir) *)
-      rq_v1 : bool;  (** write the legacy v1 archive format *)
     }
   | Compare of {
       rq_normal : source_spec;
@@ -132,7 +131,8 @@ type call =
 
 type request = { req_id : string; req_call : call }
 
-(** The wire name of a call ("record", "compare", ...). *)
+(** The wire name of a call ("record", "compare", ...), read off the
+    same per-method field table that encodes and decodes it. *)
 val method_name : call -> string
 
 (** {2 Responses} *)

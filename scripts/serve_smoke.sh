@@ -1,7 +1,8 @@
 #!/bin/sh
 # serve-smoke: boot a socket daemon, drive one scripted client session
-# (record -> record -> analyze -> compare -> status -> shutdown), and
-# check the per-request telemetry profile the daemon writes on exit.
+# (record -> record -> analyze -> compare -> triage -> a bad-config
+# compare -> status -> shutdown), and check the per-request telemetry
+# profile the daemon writes on exit.
 #
 #   make serve-smoke                  # local, against the dune build
 #   DIFFTRACE="difftrace" sh scripts/serve_smoke.sh   # installed binary
@@ -25,21 +26,39 @@ DAEMON=$!
 
 # one scripted session: archive two runs, re-analyze them from their
 # archives (the streaming ingestion path), compare the registered warm
-# sets, then shut the daemon down
+# sets, triage the faulty one
 $DIFFTRACE client --socket "$SOCK" --decode \
   -e '{"difftrace-rpc":1,"id":"s1","method":"record","params":{"workload":"oddeven","np":8,"name":"normal","out":"'"$DIR"'/normal"}}' \
   -e '{"difftrace-rpc":1,"id":"s2","method":"record","params":{"workload":"oddeven","np":8,"fault":"swapBug(rank=3,after=4)","name":"faulty","out":"'"$DIR"'/faulty"}}' \
   -e '{"difftrace-rpc":1,"id":"s3","method":"analyze","params":{"normal":{"archive":"'"$DIR"'/normal"},"faulty":{"archive":"'"$DIR"'/faulty"}}}' \
   -e '{"difftrace-rpc":1,"id":"s4","method":"compare","params":{"normal":"normal","faulty":"faulty"}}' \
-  -e '{"difftrace-rpc":1,"id":"s5","method":"status"}' \
-  -e '{"difftrace-rpc":1,"id":"s6","method":"shutdown"}'
+  -e '{"difftrace-rpc":1,"id":"s5","method":"triage","params":{"subject":"faulty"}}'
+
+# a bad config is answered with a typed invalid-params error (the
+# decoding client exits 1 on it) ...
+if $DIFFTRACE client --socket "$SOCK" --decode \
+  -e '{"difftrace-rpc":1,"id":"s6","method":"compare","params":{"normal":"normal","faulty":"faulty","config":{"linkage":"bogus"}}}' \
+  2> "$DIR/bad-config.err"; then
+  echo "serve-smoke: a bad linkage was accepted" >&2
+  exit 1
+fi
+grep -q "invalid-params" "$DIR/bad-config.err" || {
+  echo "serve-smoke: bad config not answered with invalid-params:" >&2
+  cat "$DIR/bad-config.err" >&2
+  exit 1
+}
+
+# ... and the daemon keeps serving
+$DIFFTRACE client --socket "$SOCK" --decode \
+  -e '{"difftrace-rpc":1,"id":"s7","method":"status"}' \
+  -e '{"difftrace-rpc":1,"id":"s8","method":"shutdown"}'
 
 wait "$DAEMON"
 
 # the daemon's lifetime profile must show every per-request span and
 # the request counters
-for needle in rpc.record rpc.analyze rpc.compare rpc.status rpc.shutdown \
-    rpc.requests; do
+for needle in rpc.record rpc.analyze rpc.compare rpc.triage rpc.status \
+    rpc.shutdown rpc.requests; do
   grep -q "$needle" "$PROFILE" || {
     echo "serve-smoke: $needle missing from $PROFILE" >&2
     exit 1

@@ -100,8 +100,7 @@ let sample_requests =
               { P.ws_workload = "oddeven"; ws_np = 4; ws_seed = 2;
                 ws_fault = "none"; ws_all_images = false };
             rq_name = Some "normal";
-            rq_out = None;
-            rq_v1 = true } };
+            rq_out = Some "out/dir" } };
     { P.req_id = "a2";
       req_call =
         P.Compare
@@ -130,6 +129,34 @@ let sample_requests =
                   ws_all_images = true };
             rq_config = P.default_config;
             rq_limit = 4 } };
+    { P.req_id = "a8";
+      req_call =
+        P.Query
+          { rq_q = "count MPI_Send on 3";
+            rq_source = P.Src_archive { dir = "n"; salvage = false };
+            rq_against = None;
+            rq_config = P.default_config } };
+    { P.req_id = "a9";
+      req_call =
+        P.Query
+          { rq_q = "diverge";
+            rq_source = P.Src_run "normal";
+            rq_against =
+              Some (P.Src_ingest { path = "f.log"; frontend = "cilog" });
+            rq_config =
+              { P.default_config with pc_engine = Some "sequential" } } };
+    { P.req_id = "a10";
+      req_call =
+        P.Vdiff
+          { rq_runs =
+              [ { P.vs_name = "r0"; vs_source = P.Src_run "normal";
+                  vs_axes = []; vs_bad = false };
+                { P.vs_name = "cell7";
+                  vs_source = P.Src_archive { dir = "c7"; salvage = true };
+                  vs_axes = [ ("fault", "f2"); ("seed", "3") ];
+                  vs_bad = true } ];
+            rq_trace = Some "1.0";
+            rq_config = { P.default_config with pc_mode = "sketch" } } };
     { P.req_id = "a5"; req_call = P.Status };
     { P.req_id = "a6"; req_call = P.Subscribe { rq_events = false } };
     { P.req_id = "a7"; req_call = P.Shutdown } ]
@@ -159,6 +186,15 @@ let sample_payloads =
     P.P_triage
       { pr_outliers = [ ("2", 0.286, true); ("0", 0.0, false) ];
         pr_output = "JSM outliers\n" };
+    P.P_query
+      { pq_kind = "count"; pq_size = 12; pq_warm = true;
+        pq_output = "calls of MPI_Send: 12\n" };
+    P.P_vdiff
+      { pv_nruns = 3; pv_columns = 17; pv_regions = 4; pv_warm = false;
+        pv_condition = None; pv_output = "" };
+    P.P_vdiff
+      { pv_nruns = 2; pv_columns = 9; pv_regions = 2; pv_warm = true;
+        pv_condition = Some "fault=f2"; pv_output = "variational NLR\n" };
     P.P_status
       { pr_requests = 3; pr_runs = [ ("normal", 8) ]; pr_summaries = 5;
         pr_hits = 47; pr_misses = 17; pr_store = Some (5, 2);
@@ -183,6 +219,24 @@ let test_response_round_trip () =
   match P.decode_response (P.encode_response err) with
   | Ok r' -> Alcotest.(check bool) "error response" true (err = r')
   | Error m -> Alcotest.fail m
+
+(* the unknown-method error lists every method the codec knows *)
+let test_unknown_method_lists_all () =
+  match P.decode_request {|{"difftrace-rpc":1,"id":"u","method":"frob"}|} with
+  | Error (_, Session.Protocol m) ->
+    let listed =
+      match String.index_opt m ':' with
+      | Some i ->
+        String.sub m (i + 2) (String.length m - i - 3)
+        |> String.split_on_char ',' |> List.map String.trim
+      | None -> Alcotest.failf "no method list in %S" m
+    in
+    List.iter
+      (fun r ->
+        let name = P.method_name r.P.req_call in
+        Alcotest.(check bool) ("lists " ^ name) true (List.mem name listed))
+      sample_requests
+  | _ -> Alcotest.fail "expected a protocol error"
 
 let test_event_round_trip () =
   let ev =
@@ -518,7 +572,9 @@ let () =
         [ Alcotest.test_case "request round-trip" `Quick test_request_round_trip;
           Alcotest.test_case "response round-trip" `Quick
             test_response_round_trip;
-          Alcotest.test_case "event round-trip" `Quick test_event_round_trip ] );
+          Alcotest.test_case "event round-trip" `Quick test_event_round_trip;
+          Alcotest.test_case "unknown method lists every method" `Quick
+            test_unknown_method_lists_all ] );
       ( "hardening",
         [ Alcotest.test_case "decoder never raises, ids recovered" `Quick
             test_decoder_hardening;
