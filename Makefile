@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs (.github/workflows/ci.yml).
 
-.PHONY: all build test bench bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke e2e-smoke fmt clean
+.PHONY: all build test bench perf bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke e2e-smoke fmt clean
 
 all: build
 
@@ -13,6 +13,11 @@ test:
 # full paper reproduction + trajectory artifact
 bench:
 	dune exec bench/main.exe -- --json BENCH_OUT.json
+
+# the Bechamel micro-benchmarks alone (codec, archive load, NLR,
+# lattice, JSM, Myers kernels, linkage, ...), in ns/run
+perf:
+	dune exec bench/main.exe -- --perf
 
 # the CI smoke pass: quick engine/memo benches + a parseable artifact
 bench-smoke:

@@ -875,6 +875,14 @@ let perf () =
      faulty one reached before it stopped *)
   let hung_a = Array.init 1700 (fun i -> (i * 37) mod 11) in
   let hung_b = Array.sub hung_a 0 11 in
+  (* the same prefix, 14 long, whose last 3 calls left the normal path
+     (P = 3) *)
+  let nearhung_b =
+    Array.mapi (fun i x -> if i >= 11 then 11 + x else x) (Array.sub hung_a 0 14)
+  in
+  (* the paper-scale LULESH suspect (edge=6, cycles=2): 5348 vs 11 *)
+  let hung5k_a = Array.init 5348 (fun i -> (i * 37) mod 11) in
+  let hung5k_b = Array.sub hung5k_a 0 11 in
   let tsp = Tsp.make ~cities:40 ~seed:3 in
   let archive64 =
     Filename.concat (Filename.get_temp_dir_name ()) "difftrace_bench_archive64"
@@ -906,6 +914,10 @@ let perf () =
         (Staged.stage (fun () -> Myers.diff ~equal:Int.equal seq_a seq_b));
       Test.make ~name:"myers.diff-hung-1700x11"
         (Staged.stage (fun () -> Myers.diff ~equal:Int.equal hung_a hung_b));
+      Test.make ~name:"myers.diff-nearhung-1700x14"
+        (Staged.stage (fun () -> Myers.diff ~equal:Int.equal hung_a nearhung_b));
+      Test.make ~name:"myers.diff-hung-5348x11"
+        (Staged.stage (fun () -> Myers.diff ~equal:Int.equal hung5k_a hung5k_b));
       Test.make ~name:"linkage.ward-40"
         (Staged.stage (fun () -> Linkage.cluster Linkage.Ward dist));
       Test.make ~name:"linkage.single-40"

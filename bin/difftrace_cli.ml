@@ -472,7 +472,7 @@ let table_cmd =
         (fun pc_filter ->
           config_or_exit ~engine
             { P.default_config with
-              pc_filter; pc_custom = custom; pc_linkage = linkage })
+              pc_filter; pc_custom = custom; pc_k = k; pc_linkage = linkage })
         filters
     in
     run_profiled prof @@ fun () ->

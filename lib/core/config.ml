@@ -45,7 +45,10 @@ let default = make ()
 
 let with_filter filter t = { t with filter }
 let with_attrs attrs t = { t with attrs }
-let with_k k t = { t with k }
+(* the NLR window: [Nlr.of_ids] would raise the same message mid-run *)
+let with_k k t =
+  if k < 1 then invalid_arg "Nlr.of_ids: k must be >= 1";
+  { t with k }
 let with_repeats repeats t = { t with repeats }
 let with_linkage linkage t = { t with linkage }
 let with_engine engine t = { t with engine }

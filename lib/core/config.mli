@@ -56,7 +56,12 @@ val default : t
 
 val with_filter : Difftrace_filter.Filter.t -> t -> t
 val with_attrs : Difftrace_fca.Attributes.spec -> t -> t
+
+(** [with_k k t] sets the NLR window. Raises [Invalid_argument] when
+    [k < 1], so a bad [-k] fails where the config is parsed, as a typed
+    error, instead of inside a campaign cell. *)
 val with_k : int -> t -> t
+
 val with_repeats : int -> t -> t
 val with_linkage : Difftrace_cluster.Linkage.method_ -> t -> t
 val with_engine : Engine.t -> t -> t

@@ -1,60 +1,111 @@
 type 'a op = Keep of 'a | Delete of 'a | Insert of 'a
 
-(* The greedy forward pass of Myers' paper §4: returns D, the length of
-   the minimal edit script. Round d reads only the d cells of diagonals
-   -(d-1) .. d-1 (step 2) that round d-1 left in [v]; when [rows] is
-   given they are saved as [rows.(d)], diagonal j at (j + d - 1) / 2, for
-   the backtracking of [diff]. Both sequences are non-empty. *)
-let forward ~equal ?rows a b =
+(* [slide ~equal a b k x] — the end of the snake (the run of equal
+   pairs) that starts at (x, x - k) on diagonal k = x - y. *)
+let[@inline] slide ~equal a b k x =
   let n = Array.length a and m = Array.length b in
-  let max_d = n + m in
-  let offset = max_d in
-  let v = Array.make ((2 * max_d) + 1) 0 in
-  let found = ref (-1) in
-  let d = ref 0 in
-  while !found < 0 && !d <= max_d do
-    let dd = !d in
-    (match rows with
-    | Some rows -> rows.(dd) <- Array.init dd (fun i -> v.(offset - dd + 1 + (2 * i)))
-    | None -> ());
-    let k = ref (-dd) in
-    while !found < 0 && !k <= dd do
-      let kk = !k in
-      let x =
-        ref
-          (if kk = -dd || (kk <> dd && v.(offset + kk - 1) < v.(offset + kk + 1))
-           then v.(offset + kk + 1)
-           else v.(offset + kk - 1) + 1)
-      in
-      while !x < n && !x - kk < m && equal a.(!x) b.(!x - kk) do
-        incr x
-      done;
-      v.(offset + kk) <- !x;
-      if !x >= n && !x - kk >= m then found := dd;
-      k := kk + 2
-    done;
-    incr d
+  let x = ref x in
+  while !x < n && !x - k < m && equal a.(!x) b.(!x - k) do
+    incr x
   done;
-  assert (!found >= 0);
-  !found
+  !x
 
+(* one cell of [distance]: the furthest x on diagonal k, from a delete
+   off diagonal k-1 or an insert off diagonal k+1, then its snake *)
+let np_step ~equal a b fp off k =
+  let i = off + k in
+  let del = fp.(i - 1) + 1 and ins = fp.(i + 1) in
+  fp.(i) <- slide ~equal a b k (if del > ins then del else ins)
+
+(* Wu, Manber, Myers and Miller's O(NP) pass ("An O(NP) sequence
+   comparison algorithm", IPL 1990): D, the length of a minimal edit
+   script, in (P+1)·(|Δ|+P) cells, where Δ = n - m and P = (D - |Δ|)/2.
+   [fp.(off + k)] is the furthest x on diagonal k that a path with at
+   most p moves away from Δ reaches (-1: none yet). Round p sweeps the
+   diagonals on each side of Δ towards it, then Δ; the first round
+   whose Δ cell reaches (n, m) gives D = |Δ| + 2p. Both sequences are
+   non-empty. *)
+let distance ~equal a b =
+  let n = Array.length a and m = Array.length b in
+  let delta = n - m in
+  let off = m + 1 in
+  let fp = Array.make (n + m + 3) (-1) in
+  let p = ref (-1) in
+  while fp.(off + delta) < n do
+    incr p;
+    let p = !p in
+    if delta >= 0 then begin
+      for k = -p to delta - 1 do
+        np_step ~equal a b fp off k
+      done;
+      for k = delta + p downto delta + 1 do
+        np_step ~equal a b fp off k
+      done
+    end
+    else begin
+      for k = p downto delta + 1 do
+        np_step ~equal a b fp off k
+      done;
+      for k = delta - p to delta - 1 do
+        np_step ~equal a b fp off k
+      done
+    end;
+    np_step ~equal a b fp off delta
+  done;
+  abs delta + (2 * !p)
+
+(* Myers' tie-break at round d, diagonal k: whether the path came by an
+   insert off diagonal k+1 (else by a delete off k-1), where
+   [cells.(j)] and [cells.(j + 1)] hold round d-1's diagonals k-1 and
+   k+1 *)
+let[@inline] from_insert (cells : int array) d k j =
+  k = -d || (k <> d && cells.(j) < cells.(j + 1))
+
+(* The script: Myers' §4 greedy forward pass, restricted to the band of
+   cells a D-path to (n, m) can cross — round d, diagonal k with
+   d + |Δ - k| <= D — then backtracking from (n, m). A band cell reads
+   only band cells (|Δ - (k±1)| <= |Δ - k| + 1), and every cell of a
+   D-path to (n, m) is in the band, so each value backtracking reads and
+   each tie-break equals the unbanded pass: the script is the same.
+   Rounds 0 .. D-1 are kept, round d's band from [cells.(start.(d))],
+   one word per cell in diagonal order. *)
 let diff ~equal a b =
   let n = Array.length a and m = Array.length b in
   if n = 0 then List.init m (fun j -> Insert b.(j))
   else if m = 0 then List.init n (fun i -> Delete a.(i))
   else begin
-    let rows = Array.make (n + m + 1) [||] in
-    let d_final = forward ~equal ~rows a b in
+    let d_final = distance ~equal a b in
+    let delta = n - m in
+    (* round d's band: diagonals lo d, lo d + 2, .., hi d *)
+    let lo d = Int.max (-d) (delta - d_final + d)
+    and hi d = Int.min d (delta + d_final - d) in
+    let start = Array.make (d_final + 1) 0 in
+    for d = 1 to d_final do
+      start.(d) <- start.(d - 1) + ((hi (d - 1) - lo (d - 1)) / 2) + 1
+    done;
+    (* where diagonal k-1 of round d-1 sits, for a diagonal k of round d *)
+    let below d k = start.(d - 1) + ((k - 1 - lo (d - 1)) asr 1) in
+    let cells = Array.make start.(d_final) 0 in
+    if d_final > 0 then cells.(0) <- slide ~equal a b 0 0;
+    for d = 1 to d_final - 1 do
+      let lo_d = lo d and row = start.(d) in
+      let j0 = below d lo_d in
+      for i = 0 to start.(d + 1) - row - 1 do
+        let k = lo_d + (2 * i) and j = j0 + i in
+        let x =
+          if from_insert cells d k j then cells.(j + 1) else cells.(j) + 1
+        in
+        cells.(row + i) <- slide ~equal a b k x
+      done
+    done;
     let ops = ref [] in
     let x = ref n and y = ref m in
     for d = d_final downto 1 do
-      (* the cells round d started from, i.e. round d-1's: index them
-         with the predecessor k *)
-      let row = rows.(d) in
-      let v j = row.((j + d - 1) / 2) in
       let k = !x - !y in
-      let prev_k = if k = -d || (k <> d && v (k - 1) < v (k + 1)) then k + 1 else k - 1 in
-      let prev_x = v prev_k in
+      let j = below d k in
+      let ins = from_insert cells d k j in
+      let prev_k = if ins then k + 1 else k - 1 in
+      let prev_x = cells.(if ins then j + 1 else j) in
       let prev_y = prev_x - prev_k in
       (* snake *)
       while !x > prev_x && !y > prev_y do
@@ -84,7 +135,7 @@ let diff ~equal a b =
 
 let edit_distance ~equal a b =
   let n = Array.length a and m = Array.length b in
-  if n = 0 then m else if m = 0 then n else forward ~equal a b
+  if n = 0 then m else if m = 0 then n else distance ~equal a b
 
 let apply script =
   let a = ref [] and b = ref [] in

@@ -1,10 +1,17 @@
 (** Myers' O(ND) difference algorithm (paper ref [18]) — the engine
     under diffNLR, applied to totally-ordered trace/NLR sequences.
 
-    Time is O((n+m)·D) for sequences of lengths [n] and [m] at edit
-    distance [D]; space is O(n+m) for the forward pass, plus about
-    D²/2 words of backtracking state in {!diff} (round [d] keeps the
-    [d] cells it reads). *)
+    For sequences of lengths [n] and [m] at edit distance [D], with
+    [P = (D - |n - m|) / 2], time is O((P+1)·(n+m)); space is O(n+m)
+    plus at most (P+1)·D words of backtracking state in {!diff}. A hung
+    trace (a prefix of the normal one) has P near 0, so both are linear.
+
+    {!diff} first gets D from Wu, Manber, Myers and Miller's O(NP) pass
+    ("An O(NP) sequence comparison algorithm", IPL 1990), then runs
+    Myers' greedy pass only over the band of cells [(d, k)] with
+    [d + |n - m - k| <= D]. A band cell reads only band cells, and every
+    cell of a D-path to [(n, m)] is in the band, so the script is the
+    unbanded pass's, op for op and tie-break for tie-break. *)
 
 type 'a op =
   | Keep of 'a    (** present in both sequences *)
@@ -16,8 +23,8 @@ type 'a op =
 val diff : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> 'a op list
 
 (** [edit_distance ~equal a b] is the number of non-[Keep] operations
-    of [diff ~equal a b] (the D in O(ND)). It runs the forward pass
-    only: no script and no backtracking state are built. *)
+    of [diff ~equal a b] (the D in O(ND)). It runs the O(NP) pass only:
+    no script and no backtracking state are built. *)
 val edit_distance : equal:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 
 (** [apply script] replays the script, returning [(a, b)] — the two

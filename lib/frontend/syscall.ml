@@ -179,16 +179,20 @@ let ingest ~runner input =
           | None -> (0, line)
         in
         let rest = drop_timestamp rest in
-        let v =
-          match Hashtbl.find_opt groups pid with
-          | Some v -> v
-          | None ->
-            let v = Difftrace_util.Vec.create () in
-            Hashtbl.add groups pid v;
-            Difftrace_util.Vec.push order pid;
-            v
-        in
-        Difftrace_util.Vec.push v (i + 1, rest))
+        (* a line blank but for its pid or timestamp holds no event, so
+           it opens no process: render would drop that empty trace *)
+        if String.trim rest <> "" then begin
+          let v =
+            match Hashtbl.find_opt groups pid with
+            | Some v -> v
+            | None ->
+              let v = Difftrace_util.Vec.create () in
+              Hashtbl.add groups pid v;
+              Difftrace_util.Vec.push order pid;
+              v
+          in
+          Difftrace_util.Vec.push v (i + 1, rest)
+        end)
       lines;
     let pids = Difftrace_util.Vec.to_array order in
     let per_pid =

@@ -301,6 +301,24 @@ let test_syscall_mismatched_resume_rejected () =
   | Error e ->
     Alcotest.(check (option int)) "line pinned" (Some 1) e.Fe.fe_line
 
+(* a line blank after its pid and timestamp opened an empty process
+   that render dropped, so re-ingesting was not a fixed point (the
+   structured property found "10:04:33 " now and then) *)
+let test_syscall_blank_lines_open_no_process () =
+  List.iter
+    (fun (input, traces) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%S traces" input)
+        traces
+        (Trace_set.cardinal (ingest_exn Syscall.frontend input));
+      Alcotest.(check (list string))
+        (Printf.sprintf "%S conformant" input)
+        []
+        (List.map Conformance.violation_to_string
+           (Conformance.check Syscall.frontend input)))
+    [ ("\n", 0); ("10:04:33 ", 0); ("[pid 3] ", 0);
+      ("[pid 2] read() = 0\n\n[pid 3] \n", 1) ]
+
 (* ---------------------------------------------------------------- *)
 (* registry                                                          *)
 (* ---------------------------------------------------------------- *)
@@ -357,7 +375,9 @@ let () =
           Alcotest.test_case "signal inside window" `Quick
             test_syscall_signal_inside_window;
           Alcotest.test_case "mismatched resume rejected" `Quick
-            test_syscall_mismatched_resume_rejected ] );
+            test_syscall_mismatched_resume_rejected;
+          Alcotest.test_case "blank lines open no process" `Quick
+            test_syscall_blank_lines_open_no_process ] );
       ( "registry",
         [ Alcotest.test_case "builtins" `Quick test_registry_builtin;
           Alcotest.test_case "oversized line" `Quick
