@@ -5,8 +5,9 @@
    §V LULESH statistics and Table IX), printing paper-style output.
 
    `--perf` instead runs the Bechamel micro-benchmarks: the codec, archive load,
-   NLR, lattice-construction (Godin vs. NextClosure), JSM, Myers and
-   linkage kernels plus the DESIGN.md ablations. `--engine` runs only
+   NLR, memo key, LULESH summarization, lattice-construction (Godin vs.
+   NextClosure), JSM, Myers and linkage kernels plus the DESIGN.md
+   ablations. `--engine` runs only
    the engine/memo benches. `--quick` shrinks the workloads for
    CI-speed runs. `--json FILE` additionally records every named
    metric, the telemetry stage spans and the pipeline counters into a
@@ -883,6 +884,13 @@ let perf () =
   (* the paper-scale LULESH suspect (edge=6, cycles=2): 5348 vs 11 *)
   let hung5k_a = Array.init 5348 (fun i -> (i * 37) mod 11) in
   let hung5k_b = Array.sub hung5k_a 0 11 in
+  (* a LULESH normal run's length in call IDs, over its 410 functions *)
+  let key_ids = Array.init 25_000 (fun _ -> Difftrace_util.Prng.int rng 410) in
+  (* the lulesh-hang workload's normal run, filtered as it filters it *)
+  let lulesh4 =
+    F.apply_set (F.of_spec "11.all")
+      (Lulesh.run ~edge:4 ~cycles:2 ~fault:Fault.No_fault ()).R.traces
+  in
   let tsp = Tsp.make ~cities:40 ~seed:3 in
   let archive64 =
     Filename.concat (Filename.get_temp_dir_name ()) "difftrace_bench_archive64"
@@ -904,6 +912,14 @@ let perf () =
         (Staged.stage (fun () ->
              let table = Nlr.Loop_table.create () in
              Nlr.of_ids ~table ~k:50 ids));
+      Test.make ~name:"memo.key-25k"
+        (Staged.stage (fun () -> Memo.key ~ids:key_ids ~k:10 ~repeats:2));
+      Test.make ~name:"pipeline.summarize-lulesh4"
+        (Staged.stage (fun () ->
+             let memo = Memo.create () in
+             Pipeline.summarize ~engine:Engine.Sequential ~memo
+               ~symtab:(Memo.symtab memo) ~table:(Memo.loop_table memo) ~k:10
+               ~repeats:2 lulesh4));
       Test.make ~name:"lattice.godin-40x60"
         (Staged.stage (fun () -> Lattice.of_context_incremental big_ctx));
       Test.make ~name:"lattice.next-closure-40x60"

@@ -27,17 +27,43 @@ let create () =
 let symtab t = t.symtab
 let loop_table t = t.loop_table
 
+(* [decimal_length n] is [String.length (string_of_int n)]; it counts
+   on the non-positive side so [min_int] needs no special case. *)
+let decimal_length n =
+  let rec digits m acc = if m > -10 then acc else digits (m / 10) (acc + 1) in
+  if n < 0 then digits n 2 else digits (-n) 1
+
+(* [write_decimal b stop n] writes [string_of_int n] into [b] so that
+   it ends just before [stop], and returns where it starts. *)
+let write_decimal b stop n =
+  let rec digits m pos =
+    let pos = pos - 1 in
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (m mod 10)));
+    if m > -10 then pos else digits (m / 10) pos
+  in
+  if n < 0 then begin
+    let pos = digits n stop - 1 in
+    Bytes.unsafe_set b pos '-';
+    pos
+  end
+  else digits (-n) stop
+
+(* The digest of ["k;repeats;id;...;id"] in decimal. The buffer is sized
+   exactly, then filled from its end backwards. *)
 let key ~ids ~k ~repeats =
-  let buf = Buffer.create ((4 * Array.length ids) + 16) in
-  Buffer.add_string buf (string_of_int k);
-  Buffer.add_char buf ';';
-  Buffer.add_string buf (string_of_int repeats);
-  Array.iter
-    (fun id ->
-      Buffer.add_char buf ';';
-      Buffer.add_string buf (string_of_int id))
-    ids;
-  Digest.string (Buffer.contents buf)
+  let size = ref (decimal_length k + 1 + decimal_length repeats) in
+  Array.iter (fun id -> size := !size + 1 + decimal_length id) ids;
+  let b = Bytes.create !size in
+  let pos = ref !size in
+  for i = Array.length ids - 1 downto 0 do
+    let p = write_decimal b !pos ids.(i) - 1 in
+    Bytes.unsafe_set b p ';';
+    pos := p
+  done;
+  let p = write_decimal b !pos repeats - 1 in
+  Bytes.unsafe_set b p ';';
+  assert (write_decimal b p k = 0);
+  Digest.bytes b
 
 let find t key =
   match Hashtbl.find_opt t.cache key with

@@ -38,7 +38,11 @@ val symtab : t -> Difftrace_trace.Symtab.t
 val loop_table : t -> Difftrace_nlr.Nlr.Loop_table.t
 
 (** [key ~ids ~k ~repeats] — digest of a filtered, symtab-remapped
-    call-ID sequence and the NLR constants. *)
+    call-ID sequence and the NLR constants: the 16-byte MD5 of the
+    ASCII string ["k;repeats;id;…;id"], every number in decimal as
+    [string_of_int] writes it (["10;2"] for no IDs). {!Store} persists
+    these bytes, so the format cannot change without invalidating
+    every store on disk. *)
 val key : ids:int array -> k:int -> repeats:int -> key
 
 (** [find t key] — the cached summary, counting a hit or a miss. *)

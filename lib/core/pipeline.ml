@@ -31,31 +31,62 @@ let lookup_error_to_string e =
   Printf.sprintf "unknown trace label %S (known labels: %s)" e.unknown
     (String.concat ", " (Array.to_list e.known))
 
-(* Re-intern a trace's call IDs into the shared symbol table so that
-   the normal and faulty runs (separate captures) agree on IDs — a
-   precondition for sharing the loop table across the two runs. *)
-let remap_calls ~shared ~own (tr : Trace.t) =
+(* The call IDs of every trace, re-interned into the shared symbol
+   table so that the normal and faulty runs (separate captures) agree
+   on IDs — a precondition for sharing the loop table across the two
+   runs. [map] sends an own ID to its shared one and is filled on first
+   sight, so [Symtab.intern] sees each name once, in the order of a
+   per-event pass, and assigns the same IDs. *)
+let remap_calls ~shared ~own traces =
+  let map = Array.make (Symtab.size own) (-1) in
   Array.map
-    (fun id -> Symtab.intern shared (Symtab.name own id))
-    (Trace.call_ids tr)
+    (fun (tr : Trace.t) ->
+      let calls =
+        Array.fold_left
+          (fun n -> function Event.Call _ -> n + 1 | Event.Return _ -> n)
+          0 tr.Trace.events
+      in
+      let ids = Array.make calls 0 in
+      let j = ref 0 in
+      Array.iter
+        (function
+          | Event.Call id ->
+            if map.(id) < 0 then map.(id) <- Symtab.intern shared (Symtab.name own id);
+            ids.(!j) <- map.(id);
+            incr j
+          | Event.Return _ -> ())
+        tr.Trace.events;
+      ids)
+    traces
 
 (* Summarize every trace, in three stages:
-   1. probe the memo cache (sequential);
-   2. summarize the misses, each into its own private loop table — the
-      engine may fan this out across domains;
+   1. key every trace and probe the memo cache (sequential);
+   2. summarize the misses, one per distinct key — the first trace with
+      it — each into its own private loop table; the engine may fan
+      this out across domains;
    3. re-intern the private tables into the shared one in trace order
       (sequential), which assigns the exact IDs a sequential
       shared-table run would, and fill the cache.
-   The output is byte-identical across engines and to the historical
-   direct-interning implementation (see {!Nlr.reintern}). *)
-let summarize ~engine ~memo ~table ~k ~repeats idss =
+   SPMD ranks and OpenMP workers often repeat a call sequence exactly;
+   a repeat takes its first copy's shared summary, which is what its
+   own reduction and re-interning would have produced (they would add
+   no body). The output is byte-identical across engines and to the
+   historical direct-interning implementation (see {!Nlr.reintern}). *)
+let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
   Span.with_ "summarize" @@ fun () ->
+  let idss = remap_calls ~shared:symtab ~own:(Trace_set.symtab ts) (Trace_set.traces ts) in
   let n = Array.length idss in
-  let keys =
-    match memo with
-    | None -> [||]
-    | Some _ -> Array.map (fun ids -> Memo.key ~ids ~k ~repeats) idss
-  in
+  let keys = Array.map (fun ids -> Memo.key ~ids ~k ~repeats) idss in
+  (* first.(i): the lowest index whose ids equal trace i's *)
+  let first = Array.init n Fun.id in
+  let seen = Hashtbl.create n in
+  Array.iteri
+    (fun i key ->
+      match Hashtbl.find_opt seen key with
+      | Some j when idss.(j) = idss.(i) -> first.(i) <- j
+      | Some _ -> () (* a digest collision: reduce it on its own *)
+      | None -> Hashtbl.add seen key i)
+    keys;
   let cached =
     match memo with
     | None -> Array.make n None
@@ -64,24 +95,30 @@ let summarize ~engine ~memo ~table ~k ~repeats idss =
   let fresh =
     Engine.init engine n (fun i ->
         match cached.(i) with
-        | Some _ -> None
-        | None ->
+        | None when first.(i) = i ->
           let local = Nlr.Loop_table.create () in
-          Some (local, Nlr.of_ids ~table:local ~k ~repeats idss.(i)))
+          Some (local, Nlr.of_ids ~table:local ~k ~repeats idss.(i))
+        | _ -> None)
   in
   Telemetry.Counter.add c_summaries
     (Array.fold_left
        (fun acc o -> match o with Some _ -> acc + 1 | None -> acc)
        0 fresh);
-  Array.mapi
-    (fun i -> function
-      | None -> (
-        match cached.(i) with Some nlr -> nlr | None -> assert false)
-      | Some (local, nlr) ->
-        let nlr = Nlr.reintern ~from:local ~into:table nlr in
-        (match memo with Some m -> Memo.add m keys.(i) nlr | None -> ());
+  let summaries = Array.make n { Nlr.elems = [||]; input_length = 0 } in
+  for i = 0 to n - 1 do
+    summaries.(i) <-
+      (match cached.(i) with
+      | Some nlr -> nlr
+      | None ->
+        let nlr =
+          match fresh.(i) with
+          | Some (local, nlr) -> Nlr.reintern ~from:local ~into:table nlr
+          | None -> summaries.(first.(i))
+        in
+        Option.iter (fun m -> Memo.add m keys.(i) nlr) memo;
         nlr)
-    fresh
+  done;
+  summaries
 
 let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
   let memo =
@@ -109,17 +146,15 @@ let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
   Span.with_ "analyze" @@ fun () ->
   let engine = config.Config.engine in
   let filtered = Span.with_ "filter" (fun () -> Filter.apply_set config.Config.filter ts) in
-  let own = Trace_set.symtab filtered in
   let traces = Trace_set.traces filtered in
   Telemetry.Counter.add c_traces (Array.length traces);
   (* single-threaded runs are labeled "5", hybrid runs "5.0"/"5.4",
      matching the paper's tables *)
   let short = Array.for_all (fun tr -> tr.Trace.tid = 0) traces in
   let labels = Array.map (fun tr -> Trace.label ~short tr) traces in
-  let idss = Array.map (fun tr -> remap_calls ~shared ~own tr) traces in
   let summaries =
-    summarize ~engine ~memo ~table ~k:config.Config.k
-      ~repeats:config.Config.repeats idss
+    summarize ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
+      ~repeats:config.Config.repeats filtered
   in
   let nlrs =
     Array.mapi (fun i nlr -> (nlr, traces.(i).Trace.truncated)) summaries

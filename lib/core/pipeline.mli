@@ -33,6 +33,24 @@ type lookup_error = { unknown : string; known : string array }
 
 val lookup_error_to_string : lookup_error -> string
 
+(** [summarize ~engine ?memo ~symtab ~table ~k ~repeats ts] — the NLR
+    stage of {!analyze}: every trace of the (filtered) set [ts], its
+    call IDs re-interned into the shared [symtab], summarized against
+    the shared loop [table], in trace order. Each distinct call
+    sequence is reduced once per call; a repeat gets its first copy's
+    summary. When [memo] is given, [symtab] and [table] must be its
+    own tables; every trace probes it (one hit or miss each) and every
+    miss is added to it. The result is independent of [engine]. *)
+val summarize :
+  engine:Engine.t ->
+  ?memo:Memo.t ->
+  symtab:Difftrace_trace.Symtab.t ->
+  table:Difftrace_nlr.Nlr.Loop_table.t ->
+  k:int ->
+  repeats:int ->
+  Difftrace_trace.Trace_set.t ->
+  Difftrace_nlr.Nlr.t array
+
 (** [analyze ?symtab ?loop_table ?memo ?store config ts] — fresh shared
     tables are created when not supplied. When [memo] is given it
     provides the shared tables itself (passing [?symtab]/[?loop_table]

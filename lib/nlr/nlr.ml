@@ -2,13 +2,6 @@ open Difftrace_util
 
 type elem = Sym of int | Loop of { body : int; count : int }
 
-let elem_equal a b =
-  match (a, b) with
-  | Sym x, Sym y -> Int.equal x y
-  | Loop { body = b1; count = c1 }, Loop { body = b2; count = c2 } ->
-    Int.equal b1 b2 && Int.equal c1 c2
-  | Sym _, Loop _ | Loop _, Sym _ -> false
-
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
@@ -38,6 +31,7 @@ let read_elem ~n_syms ~n_bodies s pos =
     let count, pos = Varint.read s pos in
     if body >= n_bodies then
       corrupt "loop body %d out of range (%d known)" body n_bodies;
+    if count < 2 then corrupt "loop count %d below 2" count;
     (Loop { body; count }, pos)
   | _ -> corrupt "unknown element tag %d" tag
 
@@ -83,19 +77,58 @@ end
 
 type t = { elems : elem array; input_length : int }
 
-(* [same_run x i y j b]: the [b] elements of [x] from [i] equal those of
-   [y] from [j]; stops at the first mismatch. *)
-let rec same_run x i y j b =
-  b = 0 || (elem_equal x.(i) y.(j) && same_run x (i + 1) y (j + 1) (b - 1))
+(* The reduction stack, unboxed: element [i] is the pair
+   [(syms.(i), cnts.(i))] — a symbol ID and 0, or a loop's body ID and
+   its count, which is >= 2 — so two elements are equal iff both words
+   are. [body_syms]/[body_cnts] cache, by body ID, the bodies this call
+   creates in the same split form, loaded from the table on first
+   sight; [[||]] marks an uncached ID (no body is empty). *)
+type stack = {
+  syms : int array;
+  cnts : int array;
+  mutable body_syms : int array array;
+  mutable body_cnts : int array array;
+}
 
-(* Windows [w] .. [repeats-1] of width [b] below the top of
-   [stack.(0 .. len-1)] all equal the top window. *)
-let rec windows_match stack len ~repeats b w =
+let elem_at s i =
+  if s.cnts.(i) = 0 then Sym s.syms.(i)
+  else Loop { body = s.syms.(i); count = s.cnts.(i) }
+
+let cache_body s table id =
+  let cap = Array.length s.body_syms in
+  if id >= cap then begin
+    let grow a =
+      let a' = Array.make (max (id + 1) (2 * cap)) [||] in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    s.body_syms <- grow s.body_syms;
+    s.body_cnts <- grow s.body_cnts
+  end;
+  if Array.length s.body_syms.(id) = 0 then begin
+    let bd = Loop_table.body table id in
+    s.body_syms.(id) <- Array.map (function Sym x -> x | Loop { body; _ } -> body) bd;
+    s.body_cnts.(id) <- Array.map (function Sym _ -> 0 | Loop { count; _ } -> count) bd
+  end
+
+(* [same_run xs xc i ys yc j b]: the [b] split elements of [xs]/[xc]
+   from [i] equal those of [ys]/[yc] from [j]; stops at the first
+   mismatch. *)
+let rec same_run (xs : int array) (xc : int array) i (ys : int array)
+    (yc : int array) j b =
+  b = 0
+  || xs.(i) = ys.(j)
+     && xc.(i) = yc.(j)
+     && same_run xs xc (i + 1) ys yc (j + 1) (b - 1)
+
+(* Windows [w] .. [repeats-1] of width [b] below the top of the stack
+   of length [len] all equal the top window. *)
+let rec windows_match s len ~repeats b w =
   w >= repeats
-  || (same_run stack (len - b) stack (len - ((w + 1) * b)) b
-     && windows_match stack len ~repeats b (w + 1))
+  || same_run s.syms s.cnts (len - b) s.syms s.cnts (len - ((w + 1) * b)) b
+     && windows_match s len ~repeats b (w + 1)
 
-(* One reduction step over the top of the stack [stack.(0 .. len-1)],
+(* One reduction step over the top of the stack [s] of length [len],
    trying widths [b] .. [k]; returns the new length, which is [len] iff
    the stack did not change (each rule shrinks it). Two rules, from
    Procedure 1, extension before creation at each width, the first
@@ -103,48 +136,67 @@ let rec windows_match stack len ~repeats b w =
    - extension: a loop sits at depth b+1 and the top b elements are
      isomorphic to its body -> absorb them, incrementing the count;
    - creation: the top [repeats] windows of length b are pairwise
-     isomorphic -> replace them by a fresh loop element. *)
-let rec reduce_step ~table ~k ~repeats stack len b =
-  if b > k then len
+     isomorphic -> replace them by a fresh loop element.
+   Neither rule fits a width [b >= len]. Each rule first tests what a
+   few array loads decide — a loop at depth b+1 whose body is b long,
+   equal top elements in the two top windows — so most widths are
+   rejected without a call. Every loop on the stack was created by this
+   call, so its body is cached. *)
+let rec reduce_step ~table ~k ~repeats s len b =
+  if b > k || b >= len then len
   else
-    let extended =
-      len >= b + 1
+    let syms = s.syms and cnts = s.cnts in
+    let d = len - b - 1 in
+    if
+      cnts.(d) > 0
       &&
-      match stack.(len - b - 1) with
-      | Loop { body; count } ->
-        let bd = Loop_table.body table body in
-        if Array.length bd = b && same_run bd 0 stack (len - b) b then begin
-          stack.(len - b - 1) <- Loop { body; count = count + 1 };
-          true
-        end
-        else false
-      | Sym _ -> false
-    in
-    if extended then len - b
-    else if len >= repeats * b && windows_match stack len ~repeats b 1 then begin
+      let body = syms.(d) in
+      Array.length s.body_syms.(body) = b
+      && same_run s.body_syms.(body) s.body_cnts.(body) 0 syms cnts (len - b) b
+    then begin
+      cnts.(d) <- cnts.(d) + 1;
+      len - b
+    end
+    else if
+      len >= repeats * b
+      && syms.(len - 1) = syms.(d)
+      && cnts.(len - 1) = cnts.(d)
+      && windows_match s len ~repeats b 1
+    then begin
       let base = len - (repeats * b) in
-      let id = Loop_table.intern table (Array.sub stack (len - b) b) in
-      stack.(base) <- Loop { body = id; count = repeats };
+      let id =
+        Loop_table.intern table (Array.init b (fun i -> elem_at s (len - b + i)))
+      in
+      cache_body s table id;
+      syms.(base) <- id;
+      cnts.(base) <- repeats;
       base + 1
     end
-    else reduce_step ~table ~k ~repeats stack len (b + 1)
+    else reduce_step ~table ~k ~repeats s len (b + 1)
 
 let of_ids ~table ?(k = 10) ?(repeats = 2) ids =
   if k < 1 then invalid_arg "Nlr.of_ids: k must be >= 1";
   if repeats < 2 then invalid_arg "Nlr.of_ids: repeats must be >= 2";
   (* no rule grows the stack, so it never holds more than the input *)
-  let stack = Array.make (Array.length ids) (Sym 0) in
+  let n = Array.length ids in
+  let s =
+    { syms = Array.make n 0;
+      cnts = Array.make n 0;
+      body_syms = Array.make 16 [||];
+      body_cnts = Array.make 16 [||] }
+  in
   let len = ref 0 in
-  for i = 0 to Array.length ids - 1 do
-    stack.(!len) <- Sym ids.(i);
+  for i = 0 to n - 1 do
+    s.syms.(!len) <- ids.(i);
+    s.cnts.(!len) <- 0;
     incr len;
     let before = ref 0 in
     while !len <> !before do
       before := !len;
-      len := reduce_step ~table ~k ~repeats stack !len 1
+      len := reduce_step ~table ~k ~repeats s !len 1
     done
   done;
-  { elems = Array.sub stack 0 !len; input_length = Array.length ids }
+  { elems = Array.init !len (elem_at s); input_length = n }
 
 let length t = Array.length t.elems
 

@@ -13,19 +13,20 @@
     input sequence.
 
     Complexity is [Θ(k² n)] for input length [n] in the worst case, as
-    in the paper; a window comparison stops at its first mismatch. *)
+    in the paper; a window comparison stops at its first mismatch. The
+    stack is unboxed — two int arrays, an element's symbol or body ID
+    and a count that is 0 for a symbol — and so are the bodies a
+    reduction compares against, so a comparison is two integer loads
+    per element, and a width whose top elements already differ is
+    rejected without a call. *)
 
 (** A summarized trace element. *)
 type elem =
   | Sym of int  (** a function ID *)
   | Loop of { body : int; count : int }
       (** [count] consecutive repetitions of loop body [body] (an index
-          into the execution's loop table) *)
-
-(** [elem_equal a b] is structural equality of elements — same symbol,
-    or same loop body and count — compared field by field, without the
-    polymorphic [=]. *)
-val elem_equal : elem -> elem -> bool
+          into the execution's loop table); [count >= 2], since a loop
+          is only created from at least two copies *)
 
 (** {2 Binary codec}
 
@@ -43,8 +44,9 @@ val write_elems : Buffer.t -> elem array -> unit
     at [pos] and returns it with the position just after it. Symbol
     IDs must be below [n_syms] and loop bodies below [n_bodies] — the
     table sizes the reader has rebuilt so far. Raises [Corrupt] on an
-    out-of-range ID, an unknown element tag, or an element count the
-    rest of [s] cannot hold (checked before allocating);
+    out-of-range ID, a loop count below 2, an unknown element tag, or
+    an element count the rest of [s] cannot hold (checked before
+    allocating);
     [Invalid_argument] on a truncated varint. *)
 val read_elems : n_syms:int -> n_bodies:int -> string -> int -> elem array * int
 

@@ -269,6 +269,217 @@ let test_hit_rate_degenerate () =
   Alcotest.(check (float 1e-9)) "all hits" 1.0
     (Memo.hit_rate { Memo.hits = 5; misses = 0 })
 
+(* ------------------------------------------------------------------ *)
+(* Memo keys: the persisted bytes                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Symtab = Difftrace_trace.Symtab
+module Trace = Difftrace_trace.Trace
+module Trace_set = Difftrace_trace.Trace_set
+module Event = Difftrace_trace.Event
+module Nlr = Difftrace_nlr.Nlr
+
+let qtest ?(count = 200) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* the raw digest bytes of [Memo.key], as the store persists them *)
+let raw_key ~ids ~k ~repeats =
+  let m = Memo.create () in
+  Memo.add m (Memo.key ~ids ~k ~repeats) { Nlr.elems = [||]; input_length = 0 };
+  match Memo.fold m ~init:[] ~f:(fun key _ acc -> key :: acc) with
+  | [ key ] -> key
+  | _ -> assert false
+
+let reference_key ~ids ~k ~repeats =
+  Digest.string
+    (String.concat ";" (List.map string_of_int (k :: repeats :: Array.to_list ids)))
+
+(* digests of analysis stores already on disk *)
+let test_memo_key_golden () =
+  let wide = [| 0; 9; 10; 99; 100; 1_000_000 |] in
+  List.iter
+    (fun (ids, k, repeats, hex) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d ids, k=%d repeats=%d" (Array.length ids) k repeats)
+        hex
+        (Digest.to_hex (raw_key ~ids ~k ~repeats)))
+    [ ([||], 10, 2, "af4c0e6fe46173cb972b67fddc54a9b1");
+      ([||], 50, 3, "a2c81937870fe210de473d04642ef78b");
+      (wide, 10, 2, "47af6faa193a45fad6a79ff35f5de8e9");
+      (wide, 50, 3, "1155e9d161fef022bc67b1edb7a1e16e") ]
+
+let prop_memo_key_reference =
+  qtest "key = MD5 of the decimal reference string" ~count:500
+    QCheck2.Gen.(
+      let edge = oneofl [ 0; 9; 10; -1; -10; max_int; min_int; 999_999 ] in
+      let id = frequency [ (6, int_range 0 5000); (1, int); (1, edge) ] in
+      triple (array_size (int_range 0 60) id) (oneof [ int_range 1 60; edge ])
+        (oneof [ int_range 2 5; edge ]))
+    (fun (ids, k, repeats) ->
+      String.equal (raw_key ~ids ~k ~repeats) (reference_key ~ids ~k ~repeats))
+
+(* ------------------------------------------------------------------ *)
+(* Pipeline.summarize against the per-trace reference                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The summarization stage as it stood before traces were deduplicated:
+   a per-event [Symtab.intern] remap, a [Buffer]-built key, every trace
+   reduced. Its memo is a plain table keyed by the raw digest, so the
+   oracle shares no code with [Memo]. *)
+module Naive = struct
+  type memo = { cache : (string, Nlr.t) Hashtbl.t; mutable hits : int; mutable misses : int }
+
+  let remap_calls ~shared ~own tr =
+    Array.map (fun id -> Symtab.intern shared (Symtab.name own id)) (Trace.call_ids tr)
+
+  let key ~ids ~k ~repeats =
+    let buf = Buffer.create ((4 * Array.length ids) + 16) in
+    Buffer.add_string buf (string_of_int k);
+    Buffer.add_char buf ';';
+    Buffer.add_string buf (string_of_int repeats);
+    Array.iter
+      (fun id ->
+        Buffer.add_char buf ';';
+        Buffer.add_string buf (string_of_int id))
+      ids;
+    Digest.string (Buffer.contents buf)
+
+  let summarize ~memo ~symtab ~table ~k ~repeats ts =
+    let own = Trace_set.symtab ts in
+    let idss = Array.map (remap_calls ~shared:symtab ~own) (Trace_set.traces ts) in
+    let keys = Array.map (fun ids -> key ~ids ~k ~repeats) idss in
+    let cached =
+      Array.map
+        (fun key ->
+          match memo with
+          | None -> None
+          | Some m -> (
+            match Hashtbl.find_opt m.cache key with
+            | Some _ as hit ->
+              m.hits <- m.hits + 1;
+              hit
+            | None ->
+              m.misses <- m.misses + 1;
+              None))
+        keys
+    in
+    Array.mapi
+      (fun i ids ->
+        match cached.(i) with
+        | Some nlr -> nlr
+        | None ->
+          let local = Nlr.Loop_table.create () in
+          let nlr = Nlr.reintern ~from:local ~into:table (Nlr.of_ids ~table:local ~k ~repeats ids) in
+          Option.iter (fun m -> Hashtbl.replace m.cache keys.(i) nlr) memo;
+          nlr)
+      idss
+end
+
+(* A trace set over [n_names] functions, most of whose sequences start
+   with one shared 10-call prefix and many of which repeat an earlier
+   trace exactly, the way SPMD ranks do. Returns sprinkle the events;
+   some names are never called. *)
+let trace_set_gen =
+  QCheck2.Gen.(
+    let* n_names = int_range 1 12 in
+    let sym = int_range 0 (n_names - 1) in
+    let* prefix = array_repeat 10 sym in
+    let chunk =
+      let* body = list_size (int_range 1 4) sym and* times = int_range 1 5 in
+      return (List.concat (List.init times (fun _ -> body)))
+    in
+    let fresh =
+      let* shared = bool and* parts = list_size (int_range 0 8) chunk in
+      let tail = List.concat parts in
+      return (if shared then Array.to_list prefix @ tail else tail)
+    in
+    let* n_traces = int_range 0 10 in
+    let* seqs =
+      let rec go i acc =
+        if i = n_traces then return (List.rev acc)
+        else
+          let* s = if acc = [] then fresh else oneof [ fresh; oneofl acc ] in
+          go (i + 1) (s :: acc)
+      in
+      go 0 []
+    in
+    let* returns = list_repeat n_traces (list_repeat 40 bool) in
+    let* order = shuffle_l (List.init n_names Fun.id) in
+    return (n_names, order, List.combine seqs returns))
+
+let build_set (n_names, _, traces) =
+  let symtab = Symtab.create () in
+  for i = 0 to n_names - 1 do
+    ignore (Symtab.intern symtab (Printf.sprintf "f%d" i))
+  done;
+  let trace pid (calls, returns) =
+    let events =
+      List.concat
+        (List.mapi
+           (fun i id ->
+             if List.nth returns (i mod 40) then [ Event.Call id; Event.Return id ]
+             else [ Event.Call id ])
+           calls)
+    in
+    Trace.make ~pid ~tid:0 ~truncated:false (Array.of_list events)
+  in
+  Trace_set.create symtab (List.mapi trace traces)
+
+(* the shared symtab starts with one name the traces never use and
+   every other of theirs, shuffled, so the remap both renumbers known
+   names and interns new ones *)
+let preseed symtab (_, order, _) =
+  ignore (Symtab.intern symtab "unused");
+  List.iteri
+    (fun j i -> if j mod 2 = 0 then ignore (Symtab.intern symtab (Printf.sprintf "f%d" i)))
+    order
+
+let bodies table =
+  List.init (Nlr.Loop_table.size table) (Nlr.Loop_table.body table)
+
+let prop_summarize_parity =
+  qtest "summarize = per-trace reference" ~count:100
+    QCheck2.Gen.(triple trace_set_gen trace_set_gen (pair (int_range 1 12) (int_range 2 3)))
+    (fun (case, warmup, (k, repeats)) ->
+      let ts = build_set case and warm_ts = build_set warmup in
+      List.for_all
+        (fun (engine, mode) ->
+          let memo, symtab, table =
+            match mode with
+            | `Absent -> (None, Symtab.create (), Nlr.Loop_table.create ())
+            | `Fresh | `Warmed ->
+              let m = Memo.create () in
+              (Some m, Memo.symtab m, Memo.loop_table m)
+          in
+          let naive_memo =
+            Option.map (fun _ -> { Naive.cache = Hashtbl.create 16; hits = 0; misses = 0 }) memo
+          in
+          let n_symtab = Symtab.create () and n_table = Nlr.Loop_table.create () in
+          preseed symtab case;
+          preseed n_symtab case;
+          let run ts =
+            ( Pipeline.summarize ~engine ?memo ~symtab ~table ~k ~repeats ts,
+              Naive.summarize ~memo:naive_memo ~symtab:n_symtab ~table:n_table ~k ~repeats ts )
+          in
+          if mode = `Warmed then ignore (run warm_ts);
+          let got, want = run ts in
+          let keys m = List.sort compare (Memo.fold m ~init:[] ~f:(fun key _ acc -> key :: acc)) in
+          Array.length got = Array.length want
+          && Array.for_all2
+               (fun (a : Nlr.t) (b : Nlr.t) -> a.elems = b.elems && a.input_length = b.input_length)
+               got want
+          && Symtab.names symtab = Symtab.names n_symtab
+          && bodies table = bodies n_table
+          &&
+          match (memo, naive_memo) with
+          | Some m, Some nm ->
+            keys m = List.sort compare (List.of_seq (Hashtbl.to_seq_keys nm.Naive.cache))
+            && Memo.stats m = { Memo.hits = nm.Naive.hits; misses = nm.Naive.misses }
+            && Memo.length m = Hashtbl.length nm.Naive.cache
+          | _ -> true)
+        [ (Engine.Sequential, `Absent); (Engine.Sequential, `Fresh);
+          (Engine.Sequential, `Warmed); (par4, `Absent); (par4, `Fresh); (par4, `Warmed) ])
+
 let () =
   Alcotest.run "engine"
     [ ( "engine",
@@ -296,4 +507,8 @@ let () =
           Alcotest.test_case "memo + explicit tables rejected" `Quick
             test_memo_rejects_conflicting_tables;
           Alcotest.test_case "hit rate degenerate cases" `Quick
-            test_hit_rate_degenerate ] ) ]
+            test_hit_rate_degenerate ] );
+      ( "memo-key",
+        [ Alcotest.test_case "golden digests" `Quick test_memo_key_golden;
+          prop_memo_key_reference ] );
+      ("summarize-parity", [ prop_summarize_parity ]) ]

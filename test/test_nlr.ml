@@ -259,6 +259,78 @@ let prop_matches_reference =
            (fun i -> Nlr.Loop_table.body table i = Nlr.Loop_table.body ref_table i)
            (List.init (Nlr.Loop_table.size table) Fun.id))
 
+(* traces built from loops of loops: an outer repetition of chunks that
+   themselves repeat, so bodies reference earlier bodies *)
+let nested_ids_gen =
+  QCheck2.Gen.(
+    let* alpha = int_range 1 8 in
+    let sym = int_range 0 (alpha - 1) in
+    let repeat times l = List.concat (List.init times (fun _ -> l)) in
+    let inner =
+      let* body = list_size (int_range 1 4) sym and* times = int_range 2 5 in
+      return (repeat times body)
+    in
+    let outer =
+      let* parts = list_size (int_range 1 4) (oneof [ inner; map (fun s -> [ s ]) sym ])
+      and* times = int_range 2 4 in
+      return (repeat times (List.concat parts))
+    in
+    let* parts = list_size (int_range 0 6) (oneof [ outer; inner; list_size (int_range 1 3) sym ]) in
+    return (Array.of_list (List.concat parts)))
+
+(* The last trace meets a table that earlier traces filled, so a window
+   it folds may intern to an existing body, and the stack then extends
+   that loop through the body cache loaded from the table. The earlier
+   traces are reduced by the reference alone into both tables. *)
+let prop_matches_reference_preseeded =
+  qtest "of_ids = reference, k <= 50, table pre-seeded" ~count:300
+    QCheck2.Gen.(
+      let* k = int_range 1 50
+      and* repeats = int_range 2 3
+      and* seeds = list_size (int_range 1 4) (oneof [ nested_ids_gen; structured_ids_gen ]) in
+      let* last = oneof [ nested_ids_gen; oneofl seeds ] in
+      return (k, repeats, seeds, last))
+    (fun (k, repeats, seeds, last) ->
+      let table = Nlr.Loop_table.create () and ref_table = Nlr.Loop_table.create () in
+      List.iter
+        (fun ids ->
+          ignore (naive_of_ids ~table ~k ~repeats ids);
+          ignore (naive_of_ids ~table:ref_table ~k ~repeats ids))
+        seeds;
+      let got = Nlr.of_ids ~table ~k ~repeats last in
+      let want = naive_of_ids ~table:ref_table ~k ~repeats last in
+      got.Nlr.elems = want.Nlr.elems
+      && Nlr.Loop_table.size table = Nlr.Loop_table.size ref_table
+      && List.for_all
+           (fun i -> Nlr.Loop_table.body table i = Nlr.Loop_table.body ref_table i)
+           (List.init (Nlr.Loop_table.size table) Fun.id))
+
+(* --- the element codec ---------------------------------------------- *)
+
+let encode elems =
+  let b = Buffer.create 16 in
+  Nlr.write_elems b elems;
+  Buffer.contents b
+
+let test_codec_roundtrip () =
+  let elems = [| Nlr.Sym 0; Nlr.Loop { body = 1; count = 2 }; Nlr.Sym 3 |] in
+  let s = encode elems in
+  let got, pos = Nlr.read_elems ~n_syms:4 ~n_bodies:2 s 0 in
+  Alcotest.(check bool) "same elements" true (got = elems);
+  Alcotest.(check int) "consumed everything" (String.length s) pos
+
+(* no reduction makes a loop of fewer than two iterations; a record
+   holding one is damage, not a loop to render as "L0^0" *)
+let test_codec_rejects_short_loops () =
+  List.iter
+    (fun count ->
+      let s = encode [| Nlr.Sym 0; Nlr.Loop { body = 0; count } |] in
+      Alcotest.check_raises
+        (Printf.sprintf "count %d" count)
+        (Nlr.Corrupt (Printf.sprintf "loop count %d below 2" count))
+        (fun () -> ignore (Nlr.read_elems ~n_syms:1 ~n_bodies:1 s 0)))
+    [ 0; 1 ]
+
 let () =
   Alcotest.run "nlr"
     [ ( "reduce",
@@ -282,4 +354,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation ] );
       ( "properties",
         [ prop_lossless; prop_lossless_various_k; prop_never_longer;
-          prop_shared_table_lossless; prop_matches_reference ] ) ]
+          prop_shared_table_lossless; prop_matches_reference;
+          prop_matches_reference_preseeded ] );
+      ( "codec",
+        [ Alcotest.test_case "round trip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "loop count below 2 is corrupt" `Quick
+            test_codec_rejects_short_loops ] ) ]

@@ -239,6 +239,51 @@ let test_dir_is_a_file () =
       (let s = Store.error_to_string e in
        String.length s > 0)
 
+(* A CRC-valid record whose loop runs fewer than two times: no
+   reduction writes one, so it is damage — the load salvages the
+   records before it instead of adopting an "L0^0" loop. *)
+let test_short_loop_record_salvaged () =
+  let ts = sample_traces () in
+  let reference = Pipeline.analyze (config ()) ts in
+  let record tag fill =
+    let b = Buffer.create 32 in
+    Buffer.add_char b (Char.chr tag);
+    fill b;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, payload) ->
+      let dir = make_store "shortloop" ts in
+      let victim = store_path dir in
+      let clean = Store.stats (get (Store.load ~dir)) in
+      Alcotest.(check bool) (name ^ ": the store has a body to cite") true
+        (clean.Store.loop_bodies > 0);
+      let image = Buffer.create 4096 in
+      Buffer.add_string image (read_file victim);
+      Difftrace_util.Framed.add_record image payload;
+      write_file victim (Buffer.contents image);
+      match Store.load ~dir with
+      | Error e -> Alcotest.fail (name ^ ": " ^ Store.error_to_string e)
+      | exception e -> Alcotest.fail (name ^ ": raised " ^ Printexc.to_string e)
+      | Ok st ->
+        let s = Store.stats st in
+        Alcotest.(check bool) (name ^ ": salvaged") true s.Store.salvaged;
+        Alcotest.(check int) (name ^ ": summaries kept") clean.Store.summaries
+          s.Store.summaries;
+        Alcotest.(check int) (name ^ ": bodies kept") clean.Store.loop_bodies
+          s.Store.loop_bodies;
+        let a = Pipeline.analyze ~store:st (config ()) ts in
+        Alcotest.(check bool) (name ^ ": analysis unaffected") true
+          (jsm_equal reference.Pipeline.jsm a.Pipeline.jsm))
+    [ ( "summary with count 0",
+        record 3 (fun b ->
+            Buffer.add_string b (String.make 16 'x');
+            Difftrace_util.Varint.write b 0;
+            Difftrace_util.Varint.write b 2;
+            Nlr.write_elems b [| Nlr.Loop { body = 0; count = 0 } |]) );
+      ( "body with count 1",
+        record 2 (fun b -> Nlr.write_elems b [| Nlr.Sym 0; Nlr.Loop { body = 0; count = 1 } |]) ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Gc / eviction                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -373,7 +418,9 @@ let () =
           Alcotest.test_case "foreign files in the dir are ignored" `Quick
             test_foreign_file_ignored;
           Alcotest.test_case "dir being a regular file is an error" `Quick
-            test_dir_is_a_file ] );
+            test_dir_is_a_file;
+          Alcotest.test_case "re-sealed loop count below 2 salvages" `Quick
+            test_short_loop_record_salvaged ] );
       ( "gc",
         [ Alcotest.test_case "gc drops oldest and counts evictions" `Quick
             test_gc_and_eviction_accounting;
