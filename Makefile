@@ -1,6 +1,6 @@
 # Convenience targets mirroring what CI runs (.github/workflows/ci.yml).
 
-.PHONY: all build test bench perf bench-smoke campaign-smoke fuzz-smoke store-smoke sketch-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke e2e-smoke fmt clean
+.PHONY: all build test bench perf campaign-smoke fuzz-smoke store-smoke serve-smoke query-smoke vdiff-smoke frontend-smoke e2e-gate fmt clean
 
 all: build
 
@@ -10,18 +10,14 @@ build:
 test:
 	dune runtest
 
-# full paper reproduction + trajectory artifact
+# full paper reproduction: every table and figure of the evaluation
 bench:
-	dune exec bench/main.exe -- --json BENCH_OUT.json
+	dune exec bench/main.exe
 
 # the Bechamel micro-benchmarks alone (codec, archive load, NLR,
 # lattice, JSM, Myers kernels, linkage, ...), in ns/run
 perf:
 	dune exec bench/main.exe -- --perf
-
-# the CI smoke pass: quick engine/memo benches + a parseable artifact
-bench-smoke:
-	dune build @bench-smoke
 
 # the campaign smoke pass: a 2-fault x 3-seed selftest matrix (one
 # deadlocking fault, one crashing fault) must complete every cell,
@@ -29,17 +25,22 @@ bench-smoke:
 campaign-smoke:
 	dune build @campaign-smoke
 
-# the persistent-store smoke pass: cold vs. warm disk-backed analysis
-# (CI pairs this with an actions/cache of the store directory)
-store-smoke:
-	dune exec bench/main.exe -- --store --quick
-
-# the sketch-tier smoke pass: MinHash/LSH vs. exact JSM sweep; dies
-# unless the sketch tier does <25% of exact's Jaccard evaluations at
-# the largest corpus (CI additionally asserts strictly-fewer evals at
-# every size off the JSON artifact)
-sketch-smoke:
-	dune exec bench/main.exe -- --sketch --quick --json sketch-bench-ci.json
+# the persistent-store smoke pass: the same compare twice against one
+# --store directory under _build/store-smoke; the warm run must answer
+# from the store (store.hits present, no nlr.summaries row at all) and
+# the store must verify. CI caches the directory across runs, so once
+# the cache is primed even the first compare is warm.
+store-smoke: build
+	mkdir -p _build/store-smoke
+	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
+	  -f 'swapBug(rank=3,after=5)' --store _build/store-smoke/store \
+	  --profile > _build/store-smoke/cold.txt
+	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
+	  -f 'swapBug(rank=3,after=5)' --store _build/store-smoke/store \
+	  --profile > _build/store-smoke/warm.txt
+	grep -q 'store.hits' _build/store-smoke/warm.txt
+	! grep -q 'nlr.summaries' _build/store-smoke/warm.txt
+	_build/default/bin/difftrace_cli.exe store verify -d _build/store-smoke/store
 
 # the serve smoke pass: boot a socket daemon, run one scripted client
 # transcript (record -> analyze -> compare -> shutdown), and check the
@@ -48,8 +49,7 @@ serve-smoke: build
 	sh scripts/serve_smoke.sh
 
 # the query smoke pass: record two archives, drill into them with the
-# event-DB query language, prove the warm rerun rebuilds no index, and
-# emit the difftrace-bench/1 artifact with the build/load/query timings
+# event-DB query language, and prove the warm rerun rebuilds no index
 query-smoke: build
 	sh scripts/query_smoke.sh
 
@@ -78,8 +78,7 @@ fuzz-smoke: build
 	sh scripts/frontend_fuzz.sh
 
 # the frontend smoke pass: ingest + compare the checked-in CI-log and
-# strace fixtures end to end, then the --frontend ingest-throughput
-# bench with its difftrace-bench/1 artifact
+# strace fixtures end to end
 frontend-smoke: build
 	_build/default/bin/difftrace_cli.exe compare \
 	  test/corpus/cilog/build_pass.log test/corpus/cilog/build_fail.log \
@@ -87,20 +86,16 @@ frontend-smoke: build
 	_build/default/bin/difftrace_cli.exe compare \
 	  test/corpus/syscall/normal.strace test/corpus/syscall/faulty.strace \
 	  --frontend syscall > /dev/null
-	dune exec bench/main.exe -- --frontend --quick --json frontend-bench-ci.json
 
-# the end-to-end benchmark smoke pass: each bench/e2e workload for 5 s
-# at seed 1 (plain closed loop, no tracing), writing its metrics to
-# e2e-<workload>.json; fails when any workload's outputs were wrong
-E2E_WORKLOADS = ilcs-wide lulesh-hang oddeven-store daemon-mix
-
-e2e-smoke:
-	status=0; \
-	for w in $(E2E_WORKLOADS); do \
-	  bash bench/e2e/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 \
-	    --out e2e-$$w.json || status=1; \
-	done; \
-	exit $$status
+# the end-to-end perf gate: every bench/e2e workload, plain and
+# traced, twice for 5 s each at seed 1 (into e2e-ci.json), then judged
+# by `run.sh diff` against the newest committed BENCH_<n>.json. Fails
+# on a wrong output, a count that differs, or a regressed metric; times
+# from a host of another speed come out unresolved, not failed.
+e2e-gate:
+	bash bench/e2e/run.sh all --seed 1 --seconds 5 --runs 2 --out e2e-ci.json
+	bash bench/e2e/run.sh diff \
+	  "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 1)" e2e-ci.json
 
 # rewrite sources in place with ocamlformat (advisory in CI; see the
 # non-blocking fmt job)

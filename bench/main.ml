@@ -1,18 +1,15 @@
-(* Reproduction + benchmark harness.
+(* Paper reproduction + micro-benchmarks.
 
    Default mode regenerates every table and figure of the paper's
    evaluation (§II walk-through, §IV ILCS Tables VI-VIII / Fig. 7,
-   §V LULESH statistics and Table IX), printing paper-style output.
+   §V LULESH statistics and Table IX) and the DESIGN.md ablations,
+   printing paper-style output.
 
-   `--perf` instead runs the Bechamel micro-benchmarks: the codec, archive load,
-   NLR, memo key, LULESH summarization, lattice-construction (Godin vs.
-   NextClosure), JSM, Myers and linkage kernels plus the DESIGN.md
-   ablations. `--engine` runs only
-   the engine/memo benches. `--quick` shrinks the workloads for
-   CI-speed runs. `--json FILE` additionally records every named
-   metric, the telemetry stage spans and the pipeline counters into a
-   machine-readable BENCH_*.json trajectory file (schema
-   difftrace-bench/1) that CI archives on every commit. *)
+   `--perf` instead runs the Bechamel micro-benchmarks: the codec,
+   archive load, NLR, memo key, LULESH summarization,
+   lattice-construction (Godin vs. NextClosure), JSM, Myers and linkage
+   kernels, in ns/run. `--quick` shrinks the paper workloads for
+   CI-speed runs. End-to-end timings and their gate live in bench/e2e. *)
 
 open Difftrace
 module R = Difftrace_simulator.Runtime
@@ -22,7 +19,6 @@ module Capture = Difftrace_parlot.Capture
 module Lzw = Difftrace_parlot.Lzw
 module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
-module Symtab = Difftrace_trace.Symtab
 module F = Difftrace_filter.Filter
 module Nlr = Difftrace_nlr.Nlr
 module A = Difftrace_fca.Attributes
@@ -38,96 +34,36 @@ module Ilcs = Difftrace_workloads.Ilcs
 module Lulesh = Difftrace_workloads.Lulesh
 module Tsp = Difftrace_workloads.Tsp
 
-module Telemetry = Difftrace_obs.Telemetry
-module Json = Telemetry.Json
-
 (* the bench grids are hard-coded and non-empty, so a sweep error is a bug *)
 let autotune_exn = function
   | Ok r -> r
   | Error e -> failwith (Session.error_to_string e)
 
-type options = {
-  quick : bool;
-  perf : bool;
-  engine : bool;
-  store : bool;
-  sketch : bool;
-  query : bool;
-  vdiff : bool;
-  frontend : bool;
-  json : string option;
-}
+type options = { quick : bool; perf : bool }
 
 let usage oc =
   output_string oc
-    "usage: bench [--quick] [--perf | --engine | --store | --sketch | \
-     --query | --vdiff | --frontend] [--json FILE]\n\n\
+    "usage: bench [--quick] [--perf]\n\n\
     \  (no mode)    regenerate every paper table and figure\n\
     \  --perf       Bechamel micro-benchmarks only\n\
-    \  --engine     engine/memo-cache benchmarks only\n\
-    \  --store      cold vs. warm persistent-store benchmarks only\n\
-    \  --sketch     MinHash/LSH sketch tier vs. exact JSM sweep only\n\
-    \  --query      event-DB index build/load and query-latency benches only\n\
-    \  --vdiff      k-way variational merge wall-time sweep only\n\
-    \  --frontend   ingestion-frontend throughput sweep only\n\
-    \  --quick      shrink workloads to CI scale\n\
-    \  --json FILE  write metrics + telemetry to FILE (difftrace-bench/1)\n"
+    \  --quick      shrink workloads to CI scale\n"
 
 let opts =
-  let die msg =
-    Printf.eprintf "bench: %s\n" msg;
-    usage stderr;
-    exit 2
-  in
   let rec parse acc = function
     | [] -> acc
-    | "--help" :: _ | "-h" :: _ ->
+    | "--help" :: _ ->
       usage stdout;
       exit 0
     | "--quick" :: rest -> parse { acc with quick = true } rest
     | "--perf" :: rest -> parse { acc with perf = true } rest
-    | "--engine" :: rest -> parse { acc with engine = true } rest
-    | "--store" :: rest -> parse { acc with store = true } rest
-    | "--sketch" :: rest -> parse { acc with sketch = true } rest
-    | "--query" :: rest -> parse { acc with query = true } rest
-    | "--vdiff" :: rest -> parse { acc with vdiff = true } rest
-    | "--frontend" :: rest -> parse { acc with frontend = true } rest
-    | "--json" :: file :: rest when file = "" || file.[0] <> '-' ->
-      parse { acc with json = Some file } rest
-    | [ "--json" ] | "--json" :: _ -> die "--json requires FILE"
-    | arg :: _ -> die (Printf.sprintf "unrecognized argument %S" arg)
+    | arg :: _ ->
+      Printf.eprintf "bench: unrecognized argument %S\n" arg;
+      usage stderr;
+      exit 2
   in
-  let o =
-    parse
-      { quick = false; perf = false; engine = false; store = false;
-        sketch = false; query = false; vdiff = false; frontend = false;
-        json = None }
-      (List.tl (Array.to_list Sys.argv))
-  in
-  if (if o.perf then 1 else 0) + (if o.engine then 1 else 0)
-     + (if o.store then 1 else 0) + (if o.sketch then 1 else 0)
-     + (if o.query then 1 else 0) + (if o.vdiff then 1 else 0)
-     + (if o.frontend then 1 else 0)
-     > 1
-  then
-    die
-      "--perf, --engine, --store, --sketch, --query, --vdiff and --frontend \
-       are exclusive";
-  o
+  parse { quick = false; perf = false } (List.tl (Array.to_list Sys.argv))
 
 let quick = opts.quick
-let perf_only = opts.perf
-let engine_only = opts.engine
-let store_only = opts.store
-let sketch_only = opts.sketch
-let query_only = opts.query
-let vdiff_only = opts.vdiff
-let frontend_only = opts.frontend
-
-(* named scalar metrics collected for --json; every section that
-   measures something worth tracking across commits pushes here *)
-let metrics : (string * float * string) list ref = ref []
-let metric ?(unit = "s") name value = metrics := (name, value, unit) :: !metrics
 
 let section id title =
   Printf.printf "\n==== %s %s %s\n" id title
@@ -675,176 +611,6 @@ let classification () =
     (Classifier.accuracy m test)
 
 (* ------------------------------------------------------------------ *)
-(* Engine and memo-cache benchmarks                                    *)
-(* ------------------------------------------------------------------ *)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-let engine_bench () =
-  section "E1" "Engine: sequential vs. parallel JSM + NLR (same bytes out)";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "host parallelism: %d core(s) (Domain.recommended_domain_count)\n"
-    cores;
-  if cores < 2 then
-    print_endline
-      "NOTE: single-core host — the parallel engine cannot beat sequential \
-       wall-clock here; the byte-identity checks below still exercise it.";
-  (* a synthetic context large enough that the O(n^2) Jaccard stage
-     dominates: n objects with wide, dense, overlapping attribute sets *)
-  let n_objects = if quick then 300 else 800 in
-  let n_attrs = if quick then 300 else 800 in
-  let universe = 3 * n_attrs in
-  let big_ctx =
-    Context.of_attr_sets
-      (List.init n_objects (fun i ->
-           ( Printf.sprintf "o%d" i,
-             List.init n_attrs (fun j ->
-                 Printf.sprintf "a%d" (((i * 7) + (j * 3)) mod universe)) )))
-  in
-  let js, t_seq =
-    time (fun () -> Jsm.compute ~init:(Engine.init Engine.sequential) big_ctx)
-  in
-  let domains = 4 in
-  let par = Engine.parallel ~domains () in
-  let jp, t_par = time (fun () -> Jsm.compute ~init:(Engine.init par) big_ctx) in
-  Printf.printf
-    "JSM %dx%d: sequential %.3fs, parallel(%d) %.3fs — speedup %.2fx, \
-     identical %b\n"
-    n_objects n_objects t_seq domains t_par (t_seq /. t_par) (js = jp);
-  metric "engine.jsm.sequential" t_seq;
-  metric "engine.jsm.parallel4" t_par;
-  metric ~unit:"x" "engine.jsm.speedup" (t_seq /. t_par);
-  metric ~unit:"bool" "engine.jsm.identical" (if js = jp then 1.0 else 0.0);
-  (* whole-pipeline parity on a real workload *)
-  let np = if quick then 8 else 16 in
-  let normal = (fst (Odd_even.run ~np ~fault:Fault.No_fault ())).R.traces in
-  let faulty =
-    (fst
-       (Odd_even.run ~np
-          ~fault:(Fault.Swap_send_recv { rank = 5; after_iter = 7 })
-          ()))
-      .R.traces
-  in
-  let compare_with engine =
-    Pipeline.compare_runs
-      (Config.default |> Config.with_engine engine)
-      ~normal ~faulty
-  in
-  let cs, t_cseq = time (fun () -> compare_with Engine.sequential) in
-  let cp, t_cpar = time (fun () -> compare_with par) in
-  let render c =
-    let suspect = fst c.Pipeline.suspects.(0) in
-    Diffnlr.render ~title:"d" (diffnlr_exn c suspect)
-  in
-  let parity =
-    cs.Pipeline.bscore = cp.Pipeline.bscore
-    && cs.Pipeline.suspects = cp.Pipeline.suspects
-    && render cs = render cp
-  in
-  Printf.printf
-    "compare_runs oddeven%d: sequential %.3fs, parallel(%d) %.3fs; bscore, \
-     suspects and diffNLR identical: %b\n"
-    np t_cseq domains t_cpar parity;
-  metric "engine.compare.sequential" t_cseq;
-  metric "engine.compare.parallel4" t_cpar;
-  metric ~unit:"bool" "engine.compare.identical" (if parity then 1.0 else 0.0)
-
-let memo_bench () =
-  section "E2" "Memo: cold vs. warm NLR-summary cache on the autotune grid";
-  let np = if quick then 8 else 16 in
-  let normal = (fst (Odd_even.run ~np ~fault:Fault.No_fault ())).R.traces in
-  let faulty =
-    (fst
-       (Odd_even.run ~np
-          ~fault:(Fault.Swap_send_recv { rank = 5; after_iter = 7 })
-          ()))
-      .R.traces
-  in
-  let r_cold, t_cold =
-    time (fun () -> autotune_exn (Autotune.search ~normal ~faulty ()))
-  in
-  let c = r_cold.Autotune.cache in
-  Printf.printf
-    "cold sweep: %d configs in %.3fs — cache %d hits / %d misses (hit rate \
-     %.0f%%)\n"
-    r_cold.Autotune.evaluated t_cold c.Memo.hits c.Memo.misses
-    (100.0 *. Memo.hit_rate c);
-  metric "memo.sweep.cold" t_cold;
-  metric ~unit:"ratio" "memo.sweep.cold_hit_rate" (Memo.hit_rate c);
-  (* a second sweep against the same memo never re-summarizes anything *)
-  let memo = Memo.create () in
-  let _ = Autotune.search ~memo ~normal ~faulty () in
-  let r_warm, t_warm =
-    time (fun () -> autotune_exn (Autotune.search ~memo ~normal ~faulty ()))
-  in
-  let w = r_warm.Autotune.cache in
-  Printf.printf
-    "warm sweep: %d configs in %.3fs — cache %d hits / %d misses (speedup \
-     %.2fx)\n"
-    r_warm.Autotune.evaluated t_warm w.Memo.hits w.Memo.misses
-    (t_cold /. t_warm);
-  metric "memo.sweep.warm" t_warm;
-  metric ~unit:"x" "memo.sweep.speedup" (t_cold /. t_warm)
-
-let store_bench () =
-  section "E3" "Store: cold vs. warm disk-backed analysis (same bytes out)";
-  let np, workers = ilcs_args in
-  let normal = (fst (Ilcs.run ~np ~workers ~fault:Fault.No_fault ())).R.traces in
-  let faulty =
-    (fst (Ilcs.run ~np ~workers ~fault:(Fault.Wrong_collective_size { rank = 2 }) ()))
-      .R.traces
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "difftrace_bench_store"
-  in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  let with_store f =
-    match Store.load ~dir with
-    | Error e -> failwith ("store: " ^ Store.error_to_string e)
-    | Ok st ->
-      let v = f st in
-      (match Store.flush st with
-      | Ok () -> ()
-      | Error e -> failwith ("store flush: " ^ Store.error_to_string e));
-      (v, st)
-  in
-  let config = Config.make () in
-  let c_none, t_none =
-    time (fun () -> Pipeline.compare_runs config ~normal ~faulty)
-  in
-  let (c_cold, _), t_cold =
-    time (fun () ->
-        with_store (fun st -> Pipeline.compare_runs ~store:st config ~normal ~faulty))
-  in
-  let (c_warm, st), t_warm =
-    time (fun () ->
-        with_store (fun st -> Pipeline.compare_runs ~store:st config ~normal ~faulty))
-  in
-  let same a b =
-    a.Pipeline.bscore = b.Pipeline.bscore
-    && a.Pipeline.suspects = b.Pipeline.suspects
-    && a.Pipeline.jsm_d = b.Pipeline.jsm_d
-  in
-  let identical = same c_none c_cold && same c_none c_warm in
-  let s = Store.stats st in
-  Printf.printf
-    "compare ilcs np=%d: storeless %.3fs, cold+flush %.3fs, warm %.3fs \
-     (speedup %.2fx vs. storeless); results identical: %b\n"
-    np t_none t_cold t_warm (t_none /. t_warm) identical;
-  Printf.printf "store after warm run: %d summaries, %d matrices, %d bytes\n"
-    s.Store.summaries s.Store.matrices s.Store.file_bytes;
-  metric "store.compare.nostore" t_none;
-  metric "store.compare.cold" t_cold;
-  metric "store.compare.warm" t_warm;
-  metric ~unit:"x" "store.compare.warm_speedup" (t_none /. t_warm);
-  metric ~unit:"bool" "store.compare.identical" (if identical then 1.0 else 0.0);
-  metric ~unit:"B" "store.file_bytes" (float_of_int s.Store.file_bytes)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel perf benches                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -960,452 +726,14 @@ let perf () =
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-32s %12.0f ns/run\n" name est;
-            metric ~unit:"ns/run" ("perf." ^ name) est
+          | Some [ est ] -> Printf.printf "%-32s %12.0f ns/run\n" name est
           | _ -> Printf.printf "%-32s (no estimate)\n" name)
         ols)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* --query: event-DB index build/load and query latency                *)
-(* ------------------------------------------------------------------ *)
-
-let query_bench () =
-  section "Q1" "Event DB: cold index build vs. warm load, query latency";
-  let np, workers = ilcs_args in
-  let normal = (fst (Ilcs.run ~np ~workers ~fault:Fault.No_fault ())).R.traces in
-  let faulty =
-    (fst (Ilcs.run ~np ~workers ~fault:(Fault.Wrong_collective_size { rank = 2 }) ()))
-      .R.traces
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "difftrace_bench_edb"
-  in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  let db, t_build = time (fun () -> Eventdb.build normal) in
-  let db_faulty = Eventdb.build faulty in
-  (match Eventdb.save ~dir db with
-  | Ok () -> ()
-  | Error m -> failwith ("eventdb save: " ^ m));
-  let _, t_load =
-    time (fun () ->
-        match Eventdb.load ~dir ~digest:db.Eventdb.db_digest with
-        | Ok db -> db
-        | Error m -> failwith ("eventdb load: " ^ m))
-  in
-  Printf.printf
-    "%d threads, %d events: cold build %.4fs, warm load %.4fs (%.1fx)\n"
-    (Array.length db.Eventdb.db_threads)
-    (Trace_set.total_events normal) t_build t_load (t_build /. t_load);
-  metric "eventdb.build.cold" t_build;
-  metric "eventdb.load.warm" t_load;
-  metric ~unit:"x" "eventdb.load.speedup" (t_build /. t_load);
-  let top_fn =
-    let funcs =
-      match Query.parse "funcs limit 1" with
-      | Ok q -> Query.eval db q
-      | Error m -> failwith m
-    in
-    match funcs with
-    | Ok (Query.R_funcs { rows = (name, _, _) :: _; _ }) -> name
-    | _ -> failwith "eventdb: no functions in the corpus"
-  in
-  let reps = if quick then 50 else 200 in
-  let bench_q name ?against q =
-    let ast = match Query.parse q with Ok a -> a | Error m -> failwith m in
-    let _, t =
-      time (fun () ->
-          for _ = 1 to reps do
-            ignore (Query.eval db ?against ast)
-          done)
-    in
-    let per = t /. float_of_int reps in
-    Printf.printf "  %-10s %.6f s/query   (%s)\n" name per q;
-    metric (Printf.sprintf "eventdb.query.%s" name) per
-  in
-  bench_q "count" (Printf.sprintf "count %s" top_fn);
-  bench_q "list" (Printf.sprintf "list %s limit 10" top_fn);
-  bench_q "sites" (Printf.sprintf "sites %s" top_fn);
-  bench_q "diverge" ~against:db_faulty "diverge"
-
-(* ------------------------------------------------------------------ *)
-(* --sketch: MinHash/LSH sketch tier vs. exact JSM                     *)
-(* ------------------------------------------------------------------ *)
-
-module Sketch = Difftrace_cluster.Sketch
-
-let c_jaccard_evals = Telemetry.Counter.make "jsm.jaccard_evals"
-
-(* clustered synthetic corpus: groups of ~12 traces sharing a core
-   attribute block plus per-trace noise — the sparse-similarity shape
-   (most pairs near 0) the sketch tier is built for, and the shape real
-   fleet corpora take (a few behavior classes, many members). *)
-let sketch_context n =
-  let group_size = 12 in
-  Context.of_attr_sets
-    (List.init n (fun i ->
-         let g = i / group_size in
-         let core = List.init 20 (fun j -> Printf.sprintf "g%d.c%d" g j) in
-         let noise = List.init 6 (fun j -> Printf.sprintf "o%d.n%d" i j) in
-         (Printf.sprintf "t%d" i, core @ noise)))
-
-let sketch_bench () =
-  (* counters only move while telemetry is on; --sketch needs
-     jsm.jaccard_evals regardless of --json *)
-  if not (Telemetry.enabled ()) then Telemetry.enable ();
-  section "SK1" "MinHash/LSH sketch tier vs. exact JSM";
-  Printf.printf "k=%d hashes, %d rows/band (%d bands), LSH threshold ~%.3f\n"
-    Sketch.default_k Sketch.rows_per_band
-    (Sketch.bands_for Sketch.default_k)
-    (Sketch.threshold Sketch.default_k);
-  let sizes =
-    if quick then [ 60; 120; 240; 480 ] else [ 60; 120; 240; 480; 960; 1920 ]
-  in
-  let timed_evals f =
-    let v0 = Telemetry.Counter.value c_jaccard_evals in
-    let r, dt = time f in
-    (r, dt, Telemetry.Counter.value c_jaccard_evals - v0)
-  in
-  let crossover = ref None in
-  let last_ratio = ref 1.0 in
-  let rows =
-    List.map
-      (fun n ->
-        let ctx = sketch_context n in
-        let exact, exact_s, exact_evals =
-          timed_evals (fun () -> Jsm.compute ~init:Array.init ctx)
-        in
-        let sketch, sketch_s, sketch_evals =
-          timed_evals (fun () ->
-              let sigs = Sketch.of_context ctx in
-              let candidates = Sketch.candidates sigs in
-              Jsm.compute_sketch ~init:Array.init ~candidates ctx)
-        in
-        (* candidate pairs carry exact Jaccard values, so the sketch
-           tier's whole approximation error is the true similarity of
-           the pairs LSH pruned *)
-        let max_err = ref 0.0 in
-        for i = 0 to n - 1 do
-          for j = i + 1 to n - 1 do
-            let d = Float.abs (Jsm.get exact i j -. Jsm.get sketch i j) in
-            if d > !max_err then max_err := d
-          done
-        done;
-        if !crossover = None && sketch_s < exact_s then crossover := Some n;
-        last_ratio :=
-          float_of_int sketch_evals /. float_of_int (max 1 exact_evals);
-        metric (Printf.sprintf "sketch.n%d.exact_s" n) exact_s;
-        metric (Printf.sprintf "sketch.n%d.sketch_s" n) sketch_s;
-        metric ~unit:"evals"
-          (Printf.sprintf "sketch.n%d.exact_evals" n)
-          (float_of_int exact_evals);
-        metric ~unit:"evals"
-          (Printf.sprintf "sketch.n%d.sketch_evals" n)
-          (float_of_int sketch_evals);
-        metric ~unit:"jaccard" (Printf.sprintf "sketch.n%d.max_error" n) !max_err;
-        [ string_of_int n;
-          Printf.sprintf "%.4f" exact_s;
-          Printf.sprintf "%.4f" sketch_s;
-          string_of_int exact_evals;
-          string_of_int sketch_evals;
-          Printf.sprintf "%.1f%%" (100.0 *. !last_ratio);
-          Printf.sprintf "%.3f" !max_err ])
-      sizes
-  in
-  Difftrace_util.Texttable.print
-    ~headers:
-      [ "n"; "exact s"; "sketch s"; "exact evals"; "sketch evals"; "evals %";
-        "max |err|" ]
-    rows;
-  (match !crossover with
-  | Some n ->
-    Printf.printf "sketch faster than exact from n=%d in this sweep\n" n;
-    metric ~unit:"n" "sketch.crossover_n" (float_of_int n)
-  | None ->
-    print_endline "sketch never beat exact wall-clock in this sweep");
-  metric ~unit:"ratio" "sketch.largest.evals_ratio" !last_ratio;
-  (* acceptance bar: at the largest corpus the sketch tier must do
-     < 25% of exact's Jaccard evaluations *)
-  if !last_ratio >= 0.25 then begin
-    Printf.eprintf
-      "bench: FAIL — sketch did %.1f%% of exact's Jaccard evaluations at the \
-       largest corpus (bar: < 25%%)\n"
-      (100.0 *. !last_ratio);
-    exit 1
-  end;
-  Printf.printf
-    "largest corpus: sketch evaluated %.1f%% of exact's pairs (bar: < 25%%)\n"
-    (100.0 *. !last_ratio)
-
-(* ------------------------------------------------------------------ *)
-(* --vdiff: k-way variational merge wall time                          *)
-(* ------------------------------------------------------------------ *)
-
-(* synthetic run family: a shared core sequence with per-run edits —
-   one block only the "bad" half carries, plus per-run noise — the
-   shape a campaign's run set takes (one structural divergence under a
-   fault axis, scheduler jitter everywhere else) *)
-let vdiff_runs k len =
-  List.init k (fun i ->
-      let bad = i >= k / 2 in
-      let elems =
-        List.concat_map
-          (fun j ->
-            let core = Printf.sprintf "f%d" j in
-            if bad && j = len / 2 then [ core; Printf.sprintf "bad%d" j ]
-            else if (j + i) mod 17 = 0 then
-              [ core; Printf.sprintf "r%d.n%d" i j ]
-            else [ core ])
-          (List.init len Fun.id)
-      in
-      { Variational.vr_name = Printf.sprintf "run%d" i;
-        vr_elems = elems;
-        vr_axes =
-          [ ("fault", (if bad then "f1" else "none"));
-            ("seed", string_of_int i) ];
-        vr_bad = bad })
-
-let vdiff_bench () =
-  section "V1" "k-way variational merge: wall time and alignment width";
-  let len = if quick then 120 else 400 in
-  let ks = if quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16; 32 ] in
-  let rows =
-    List.map
-      (fun k ->
-        let runs = vdiff_runs k len in
-        let v, t = time (fun () -> Variational.merge runs) in
-        (* the merge must stay lossless at every k *)
-        List.iteri
-          (fun i r ->
-            if Variational.reconstruct v i <> r.Variational.vr_elems then
-              failwith (Printf.sprintf "vdiff: k=%d run %d not lossless" k i))
-          runs;
-        let cols = Array.length v.Variational.columns in
-        let nregions = List.length (Variational.regions v) in
-        metric (Printf.sprintf "vdiff.k%d.merge_s" k) t;
-        metric ~unit:"columns" (Printf.sprintf "vdiff.k%d.columns" k)
-          (float_of_int cols);
-        [ string_of_int k;
-          Printf.sprintf "%.4f" t;
-          string_of_int cols;
-          string_of_int nregions;
-          (match Variational.discriminating v with
-          | Some c -> Variational.condition_to_string c
-          | None -> "-") ])
-      ks
-  in
-  Difftrace_util.Texttable.print
-    ~headers:[ "k"; "merge s"; "columns"; "regions"; "condition" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* --frontend: ingestion-frontend throughput sweep                     *)
-(* ------------------------------------------------------------------ *)
-
-module Fe = Difftrace_frontend.Frontend
-module Fe_cilog = Difftrace_frontend.Cilog
-module Fe_syscall = Difftrace_frontend.Syscall
-
-(* synthetic GH-Actions-style build log: [steps] ##[group] blocks of
-   [lines_per_step] timestamped lines carrying the token shapes the
-   normalizer must fold (clocks, paths, counters, hex) *)
-let synth_cilog ~steps ~lines_per_step ~fail =
-  let b = Buffer.create (steps * lines_per_step * 56) in
-  for s = 0 to steps - 1 do
-    let ts l = Printf.sprintf "10:%02d:%02d" (s mod 60) (l mod 60) in
-    Buffer.add_string b
-      (Printf.sprintf "%s ##[group]phase %d\n" (ts 0) s);
-    for l = 1 to lines_per_step do
-      if fail && s = steps / 2 && l = lines_per_step / 2 then
-        Buffer.add_string b
-          (Printf.sprintf "%s ERROR /src/mod%d.ml build failed\n" (ts l) l)
-      else
-        Buffer.add_string b
-          (Printf.sprintf "%s compiled /src/mod%d.ml in %d ms id %08x\n"
-             (ts l) l (l mod 97) (0xbeef0000 + l))
-    done;
-    Buffer.add_string b (Printf.sprintf "%s ##[endgroup]\n" (ts 61))
-  done;
-  Buffer.contents b
-
-(* synthetic strace capture: [pids] threads of [calls] syscalls each,
-   one per-thread exit leaf; the faulty variant takes a SIGSEGV *)
-let synth_strace ~pids ~calls ~fail =
-  let names = [| "read"; "write"; "openat"; "close"; "mmap"; "futex" |] in
-  let b = Buffer.create (pids * calls * 36) in
-  for p = 0 to pids - 1 do
-    for c = 0 to calls - 1 do
-      if fail && p = 0 && c = calls / 2 then
-        Buffer.add_string b
-          (Printf.sprintf "[pid %d] --- SIGSEGV {si_signo=SIGSEGV} ---\n"
-             (1000 + p))
-      else
-        Buffer.add_string b
-          (Printf.sprintf "[pid %d] %s(%d) = %d\n" (1000 + p)
-             names.((c + p) mod Array.length names)
-             c (c mod 7))
-    done;
-    Buffer.add_string b
-      (Printf.sprintf "[pid %d] +++ exited with 0 +++\n" (1000 + p))
-  done;
-  Buffer.contents b
-
-let count_lines s =
-  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
-
-let frontend_bench () =
-  section "N1" "Ingestion frontends: throughput sweep (seq vs. parallel)";
-  let domains = max 2 (Domain.recommended_domain_count ()) in
-  let par = Engine.parallel ~domains () in
-  let par_runner = Engine.runner par in
-  let scales = if quick then [ 1; 4 ] else [ 1; 4; 16 ] in
-  let cases =
-    List.concat_map
-      (fun scale ->
-        [ ( Fe_cilog.frontend,
-            Printf.sprintf "cilog.x%d" scale,
-            synth_cilog ~steps:(8 * scale) ~lines_per_step:200 ~fail:false );
-          ( Fe_syscall.frontend,
-            Printf.sprintf "syscall.x%d" scale,
-            synth_strace ~pids:(4 * scale) ~calls:400 ~fail:false ) ])
-      scales
-  in
-  let rows =
-    List.map
-      (fun (fe, label, input) ->
-        let ingest runner =
-          match Fe.ingest_string fe ~runner input with
-          | Ok ts -> ts
-          | Error e ->
-            failwith
-              (Printf.sprintf "frontend bench %s: %s" label
-                 (Fe.error_to_string e))
-        in
-        let ts, t_seq = time (fun () -> ingest Difftrace_util.Runner.sequential) in
-        let tp, t_par = time (fun () -> ingest par_runner) in
-        (* the parallel path must stay observably identical *)
-        if Fe.digest ts <> Fe.digest tp then
-          failwith (Printf.sprintf "frontend bench %s: seq/par digest" label);
-        let lines = count_lines input in
-        let lps = float_of_int lines /. t_seq in
-        metric (Printf.sprintf "frontend.%s.ingest_s" label) t_seq;
-        metric ~unit:"lines/s" (Printf.sprintf "frontend.%s.lines_per_s" label)
-          lps;
-        [ label;
-          string_of_int lines;
-          Printf.sprintf "%.1f KB" (float_of_int (String.length input) /. 1e3);
-          string_of_int (Trace_set.cardinal ts);
-          string_of_int (Trace_set.total_events ts);
-          Printf.sprintf "%.4f" t_seq;
-          Printf.sprintf "%.4f" t_par;
-          Printf.sprintf "%.0f" lps ])
-      cases
-  in
-  Difftrace_util.Texttable.print
-    ~headers:
-      [ "input"; "lines"; "bytes"; "traces"; "events"; "seq s"; "par s";
-        "lines/s" ]
-    rows;
-  (* one end-to-end compare per frontend: synthesize a pass/fail pair,
-     ingest both sides, and run the whole pipeline — ingestion must not
-     be the only stage this mode times *)
-  section "N2" "Ingestion frontends: end-to-end compare wall time";
-  let config = Config.default |> Config.with_filter (F.of_spec "11.all") in
-  let e2e =
-    List.map
-      (fun (name, normal, faulty) ->
-        let tmp tag text =
-          let file = Filename.temp_file ("bench-fe-" ^ tag) ".log" in
-          let oc = open_out_bin file in
-          output_string oc text;
-          close_out oc;
-          file
-        in
-        let a = tmp (name ^ "-normal") normal
-        and b = tmp (name ^ "-faulty") faulty in
-        let session = Session.create () in
-        let resp, t =
-          time (fun () ->
-              autotune_exn
-                (Session.compare session config
-                   { Session.cp_normal = Session.Ingest { path = a; frontend = name };
-                     cp_faulty = Session.Ingest { path = b; frontend = name };
-                     cp_diffnlr = None }))
-        in
-        Sys.remove a;
-        Sys.remove b;
-        metric (Printf.sprintf "frontend.%s.compare_s" name) t;
-        [ name;
-          Printf.sprintf "%.3f" resp.Session.cp_bscore;
-          string_of_int (Array.length resp.Session.cp_suspects);
-          Printf.sprintf "%.4f" t ])
-      [ ( "cilog",
-          synth_cilog ~steps:8 ~lines_per_step:120 ~fail:false,
-          synth_cilog ~steps:8 ~lines_per_step:120 ~fail:true );
-        ( "syscall",
-          synth_strace ~pids:4 ~calls:300 ~fail:false,
-          synth_strace ~pids:4 ~calls:300 ~fail:true ) ]
-  in
-  Difftrace_util.Texttable.print
-    ~headers:[ "frontend"; "B-score"; "suspects"; "compare s" ]
-    e2e
-
-(* ------------------------------------------------------------------ *)
-(* --json trajectory artifact                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_schema_version = "difftrace-bench/1"
-
-let write_json file =
-  let mode =
-    Json.Obj
-      [ ("quick", Json.Bool opts.quick);
-        ("perf", Json.Bool opts.perf);
-        ("engine", Json.Bool opts.engine);
-        ("store", Json.Bool opts.store);
-        ("sketch", Json.Bool opts.sketch);
-        ("query", Json.Bool opts.query);
-        ("vdiff", Json.Bool opts.vdiff);
-        ("frontend", Json.Bool opts.frontend) ]
-  in
-  let metric_objs =
-    List.rev_map
-      (fun (name, value, unit) ->
-        Json.Obj
-          [ ("name", Json.String name);
-            ("value", Json.Float value);
-            ("unit", Json.String unit) ])
-      !metrics
-  in
-  let doc =
-    Json.Obj
-      [ ("schema", Json.String bench_schema_version);
-        ("mode", mode);
-        ("metrics", Json.List metric_objs);
-        ("telemetry", Telemetry.report_to_json (Telemetry.report ())) ]
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "\nbench: wrote %d metric(s) to %s (%s)\n"
-    (List.length !metrics) file bench_schema_version
-
 let () =
-  (* with --json, also collect stage spans and pipeline counters so the
-     artifact captures where the time went, not just the headline numbers *)
-  if opts.json <> None then Telemetry.enable ();
-  if engine_only then begin
-    engine_bench ();
-    memo_bench ()
-  end
-  else if store_only then store_bench ()
-  else if sketch_only then sketch_bench ()
-  else if query_only then query_bench ()
-  else if vdiff_only then vdiff_bench ()
-  else if frontend_only then frontend_bench ()
-  else if not perf_only then begin
+  if opts.perf then perf ()
+  else begin
     table_i ();
     odd_even_walkthrough ();
     sec_iig ();
@@ -1417,12 +745,7 @@ let () =
     stability ();
     baseline_comparison ();
     classification ();
-    engine_bench ();
-    memo_bench ();
-    store_bench ();
     print_newline ();
     print_endline "All reproduction sections completed.";
     print_endline "Run with --perf for Bechamel micro-benchmarks."
   end
-  else perf ();
-  Option.iter write_json opts.json

@@ -153,8 +153,8 @@ let check_candidates op candidates n =
    0.0 everywhere else, 1.0 on the diagonal without an evaluation.
    The matrix is a pure function of the context and the adjacency, so
    it is deterministic across engines, and [jsm.jaccard_evals] counts
-   only the candidate evaluations — the number the sketch bench and
-   the CI sketch-smoke assert on. *)
+   only the candidate evaluations — the number test_sketch's pruning
+   case asserts on. *)
 let compute_sketch ~init ~candidates ctx =
   let n = Context.n_objects ctx in
   check_candidates "compute_sketch" candidates n;

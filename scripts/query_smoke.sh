@@ -2,17 +2,13 @@
 # query-smoke: record two archives, drill into them with the event-DB
 # query language, and prove the persisted index makes warm reruns
 # rebuild-free (eventdb.loads moves, eventdb.builds must not appear).
-# Finishes with the --query bench so the difftrace-bench/1 artifact
-# carries the index build/load timings.
 #
 #   make query-smoke                  # local, against the dune build
 #   DIFFTRACE="difftrace" sh scripts/query_smoke.sh   # installed binary
 set -eu
 
 DIFFTRACE=${DIFFTRACE:-"_build/default/bin/difftrace_cli.exe"}
-BENCH=${BENCH:-"_build/default/bench/main.exe"}
 DIR=${SMOKE_DIR:-_build/query-smoke}
-BENCH_JSON=${BENCH_JSON:-query-bench.json}
 
 rm -rf "$DIR"
 mkdir -p "$DIR"
@@ -51,13 +47,4 @@ if grep -q 'eventdb.builds' "$DIR/warm"; then
   exit 1
 fi
 
-# the bench artifact must carry the index build/load and query timings
-$BENCH --query --quick --json "$BENCH_JSON" > /dev/null
-for needle in eventdb.build.cold eventdb.load.warm eventdb.query.count \
-    eventdb.query.diverge; do
-  grep -q "$needle" "$BENCH_JSON" || {
-    echo "query-smoke: $needle missing from $BENCH_JSON" >&2
-    exit 1
-  }
-done
-echo "query-smoke: OK ($BENCH_JSON)"
+echo "query-smoke: OK"

@@ -15,7 +15,10 @@
      (context, candidates) — bit-identical across sequential and
      parallel engines — and [extend_sketch] over any cold/warm split
      reproduces it bit for bit (candidacy is pairwise in the two
-     signatures, so a warm base can never change a verdict). *)
+     signatures, so a warm base can never change a verdict).
+   - Pruning: on a clustered corpus the sketch tier evaluates strictly
+     fewer Jaccard pairs than exact at every size, and under 25% of
+     exact's at the largest, counted by [jsm.jaccard_evals]. *)
 
 open Difftrace
 module Context = Difftrace_fca.Context
@@ -178,6 +181,48 @@ let test_candidates_shape () =
   Alcotest.(check bool) "adjacency is symmetric" true (Bitset.mem c.(1) 0);
   Alcotest.(check bool) "no self loops" false (Bitset.mem c.(0) 0)
 
+(* the corpus shape the sketch tier is built for: groups of 12 traces
+   sharing 20 core attributes, plus 6 noise attributes per trace — most
+   pairs near J = 0, a few behaviour classes with many members *)
+let grouped_context n =
+  Context.of_attr_sets
+    (List.init n (fun i ->
+         let g = i / 12 in
+         ( Printf.sprintf "t%d" i,
+           List.init 20 (fun j -> Printf.sprintf "g%d.c%d" g j)
+           @ List.init 6 (fun j -> Printf.sprintf "o%d.n%d" i j) )))
+
+let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
+
+let evals f =
+  let before = Telemetry.Counter.value c_evals in
+  ignore (f () : Jsm.t);
+  Telemetry.Counter.value c_evals - before
+
+let test_sketch_prunes_evals () =
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      List.iter
+        (fun n ->
+          let ctx = grouped_context n in
+          let exact = evals (fun () -> Jsm.compute ~init:Array.init ctx) in
+          let sketch =
+            evals (fun () ->
+                Jsm.compute_sketch ~init:Array.init
+                  ~candidates:(Sketch.candidates (Sketch.of_context ctx))
+                  ctx)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: sketch %d < exact %d evals" n sketch exact)
+            true (sketch < exact);
+          if n = 480 then
+            Alcotest.(check bool)
+              (Printf.sprintf "n=480: sketch %d < 25%% of exact %d evals" sketch
+                 exact)
+              true
+              (4 * sketch < exact))
+        [ 60; 120; 240; 480 ])
+
 let test_hasher_k_validated () =
   let ctx = Context.of_attr_sets [ ("a", [ "x" ]) ] in
   Alcotest.check_raises "k must be positive"
@@ -195,7 +240,9 @@ let () =
       ( "lsh",
         [ prop_lsh_recall_above_threshold;
           Alcotest.test_case "candidate adjacency shape" `Quick
-            test_candidates_shape ] );
+            test_candidates_shape;
+          Alcotest.test_case "sketch prunes Jaccard evals on clustered corpora"
+            `Quick test_sketch_prunes_evals ] );
       ( "jsm",
         [ prop_compute_sketch_engine_identity;
           prop_extend_sketch_equals_compute_sketch ] ) ]

@@ -30,13 +30,42 @@ let any_seqs_gen = QCheck2.Gen.(int_range 2 6 >>= seqs_gen)
 
 (* --- the qcheck properties ------------------------------------------- *)
 
+let lossless runs =
+  let v = V.merge runs in
+  List.for_all Fun.id
+    (List.mapi (fun i r -> V.reconstruct v i = r.V.vr_elems) runs)
+
 let prop_lossless =
   qtest "merge is lossless for every run" any_seqs_gen (fun seqs ->
-      let v = V.merge (mk seqs) in
-      List.for_all2
-        (fun i elems -> V.reconstruct v i = elems)
-        (List.init (List.length seqs) Fun.id)
-        seqs)
+      lossless (mk seqs))
+
+(* a campaign's run family, longer and wider than the generator draws:
+   a shared 120-call core, one [bad] block only the faulty half carries,
+   and stride-17 per-run noise (scheduler jitter) *)
+let run_family k =
+  let len = 120 in
+  let bad i = i >= k / 2 in
+  mk ~bad
+    ~axes:(fun i ->
+      [ ("fault", if bad i then "f1" else "none"); ("seed", string_of_int i) ])
+    (List.init k (fun i ->
+         List.concat_map
+           (fun j ->
+             let core = Printf.sprintf "f%d" j in
+             if bad i && j = len / 2 then [ core; Printf.sprintf "bad%d" j ]
+             else if (j + i) mod 17 = 0 then
+               [ core; Printf.sprintf "r%d.n%d" i j ]
+             else [ core ])
+           (List.init len Fun.id)))
+
+let test_lossless_run_family () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d family reads back verbatim" k)
+        true
+        (lossless (run_family k)))
+    [ 2; 4; 8 ]
 
 let prop_presence_nonempty =
   qtest "every column's presence set is non-empty and in range" any_seqs_gen
@@ -189,7 +218,9 @@ let () =
           prop_regions_partition;
           prop_two_run_diffnlr_identical;
           prop_columns_roundtrip;
-          prop_condition_exact ] );
+          prop_condition_exact;
+          Alcotest.test_case "merge is lossless for a k=2/4/8 run family"
+            `Quick test_lossless_run_family ] );
       ( "conditions",
         [ Alcotest.test_case "discriminating fault axis" `Quick
             test_discriminating_fault_axis;
