@@ -29,7 +29,7 @@ module P = Serve.Protocol
 
 let workload_conv =
   let parse s =
-    if List.mem s Serve.Workload.known then Ok s
+    if List.mem s Workloads.Catalog.names then Ok s
     else Error (`Msg ("unknown workload: " ^ s))
   in
   Arg.conv (parse, Format.pp_print_string)
@@ -44,11 +44,15 @@ let fault_conv =
 
 (* the one name -> program mapping, shared with the daemon *)
 let run_workload w ~np ~seed ~level ~fault =
-  match Serve.Workload.run w ~np ~seed ~level ~fault with
-  | Ok outcome -> outcome
-  | Error e ->
+  let fail e =
     Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
     exit 1
+  in
+  match Workloads.Catalog.run ~level w ~np ~seed ~fault with
+  | Some outcome -> outcome
+  | None ->
+    fail (Session.Unknown_workload { name = w; known = Workloads.Catalog.names })
+  | exception exn -> fail (Session.Run_failed (Printexc.to_string exn))
 
 (* common options *)
 let workload_t =
@@ -757,12 +761,8 @@ let frontend_cmd =
     let action file fename out engine =
       let config = Config.default |> Config.with_engine engine in
       match
-        Session.ingest (Session.create ()) config
-          { Session.ig_path = file;
-            ig_frontend = fename;
-            ig_name = None;
-            ig_dir = out;
-            ig_format = Archive.V2 }
+        Session.ingest config
+          { Session.ig_path = file; ig_frontend = fename; ig_dir = out }
       with
       | Ok r ->
         print_string r.Session.ig_output;
@@ -1022,12 +1022,11 @@ let autotune_cmd =
       & opt_all int [ 10 ]
       & info [ "K" ] ~docv:"K" ~doc:"NLR constants to sweep (repeatable).")
   in
-  let action w np seed fault all_images custom ks engine store prof =
+  let action w np seed fault all_images ks engine store prof =
     run_profiled prof @@ fun () ->
     let level = level_of all_images in
     let normal = run_workload w ~np ~seed ~level ~fault:Fault.No_fault in
     let faulty = run_workload w ~np ~seed ~level ~fault in
-    ignore custom;
     let store = open_store (store_of store) in
     let r =
       Autotune.search ~engine ?store ~ks ~normal:normal.R.traces
@@ -1048,7 +1047,7 @@ let autotune_cmd =
   in
   Cmd.v (Cmd.info "autotune" ~doc)
     Term.(const action $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t
-          $ custom_t $ ks_t $ engine_t $ store_flags_t $ profile_t)
+          $ ks_t $ engine_t $ store_flags_t $ profile_t)
 
 (* --- query: the event-DB drill-down language ------------------------- *)
 

@@ -11,14 +11,11 @@ module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
 module Framed = Difftrace_util.Framed
 module Runner = Difftrace_util.Runner
-module Eventdb = Difftrace_eventdb.Eventdb
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
 module Odd_even = Difftrace_workloads.Odd_even
-module Ilcs = Difftrace_workloads.Ilcs
-module Lulesh = Difftrace_workloads.Lulesh
-module Heat = Difftrace_workloads.Heat
-module Heat2d = Difftrace_workloads.Heat2d
+module Catalog = Difftrace_workloads.Catalog
+module Frontend_registry = Difftrace_frontend.Registry
 
 let c_cells = Telemetry.Counter.make "campaign.cells"
 let c_failed = Telemetry.Counter.make "campaign.failed"
@@ -48,6 +45,14 @@ type kind_fn =
   fault:Fault.t ->
   Runtime.outcome
 
+(* one obtained run: the traces plus how the run ended *)
+type sim = {
+  sm_set : Trace_set.t;
+  sm_deadlocked : int;
+  sm_timed_out : bool;
+  sm_salvaged : int;
+}
+
 (* the registry is written only at module init and by [register_kind];
    campaign fan-out only reads it *)
 let kind_tbl : (string, kind_fn) Hashtbl.t = Hashtbl.create 16
@@ -57,10 +62,16 @@ let register_kind name fn =
   Hashtbl.replace kind_tbl name fn
 
 let kinds () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) kind_tbl [] |> List.sort String.compare
+  Hashtbl.fold (fun k _ acc -> k :: acc) kind_tbl Catalog.names
+  |> List.sort_uniq String.compare
 
-let oddeven ~np ~seed ~max_steps ~fault =
-  fst (Odd_even.run ~np ~seed ?max_steps ~fault ())
+(* a kind's run, reduced to what a cell keeps of it *)
+let simulated (fn : kind_fn) ~np ~seed ~max_steps ~fault =
+  let o = fn ~np ~seed ~max_steps ~fault in
+  { sm_set = o.Runtime.traces;
+    sm_deadlocked = List.length o.Runtime.deadlocked;
+    sm_timed_out = o.Runtime.timed_out;
+    sm_salvaged = 0 }
 
 (* Frontend-backed corpus cells: the kind "corpus:FRONTEND:DIR" doesn't
    execute anything — it ingests checked-in foreign-format files (CI
@@ -68,98 +79,74 @@ let oddeven ~np ~seed ~max_steps ~fault =
    reference run ingests the first file of DIR (sorted); a faulty cell
    with seed s ingests file s mod n, so one campaign sweep ranks every
    corpus member against the baseline. The fault axis only
-   distinguishes reference from cell; ingestion failures raise and are
-   contained by the campaign's crash isolation. *)
+   distinguishes reference from cell. *)
 let corpus_prefix = "corpus:"
 
-let corpus_kind name : kind_fn option =
+(* "corpus:FRONTEND:DIR" -> (FRONTEND, DIR) *)
+let parse_corpus name =
   if not (String.starts_with ~prefix:corpus_prefix name) then None
   else
-    let rest =
-      String.sub name (String.length corpus_prefix)
-        (String.length name - String.length corpus_prefix)
-    in
+    let p = String.length corpus_prefix in
+    let rest = String.sub name p (String.length name - p) in
     match String.index_opt rest ':' with
-    | None -> None
-    | Some i ->
-      let fename = String.sub rest 0 i in
-      let dir = String.sub rest (i + 1) (String.length rest - i - 1) in
-      if fename = "" || dir = "" then None
-      else
-        Some
-          (fun ~np:_ ~seed ~max_steps:_ ~fault ->
-            let module Frontend = Difftrace_frontend.Frontend in
-            let fe =
-              match Difftrace_frontend.Registry.find fename with
-              | Some fe -> fe
-              | None ->
-                failwith (Printf.sprintf "corpus cell: unknown frontend %S" fename)
-            in
-            let files =
-              match Sys.readdir dir with
-              | a ->
-                Array.to_list a
-                |> List.filter (fun f ->
-                       not (Sys.is_directory (Filename.concat dir f)))
-                |> List.sort String.compare
-              | exception Sys_error m -> failwith ("corpus cell: " ^ m)
-            in
-            let n = List.length files in
-            if n = 0 then failwith ("corpus cell: no files in " ^ dir);
-            let idx =
-              if fault = Fault.No_fault then 0 else ((seed mod n) + n) mod n
-            in
-            let file = Filename.concat dir (List.nth files idx) in
-            match Frontend.ingest_file fe file with
-            | Error e -> failwith (Frontend.error_to_string e)
-            | Ok ts ->
-              let threads = Trace_set.cardinal ts in
-              let total_events = Trace_set.total_events ts in
-              { Runtime.traces = ts;
-                stats =
-                  { Difftrace_parlot.Capture.threads;
-                    total_events;
-                    total_compressed_bytes = 0;
-                    mean_compressed_bytes = 0.;
-                    mean_events_per_process =
-                      (if threads = 0 then 0.
-                       else float_of_int total_events /. float_of_int threads);
-                    mean_distinct_functions = 0.;
-                    compression_ratio = 0. };
-                deadlocked = [];
-                timed_out = false;
-                collective_mismatch = None;
-                races = [];
-                sync_log = [] })
+    | Some i when i > 0 && i < String.length rest - 1 ->
+      Some
+        ( String.sub rest 0 i,
+          String.sub rest (i + 1) (String.length rest - i - 1) )
+    | _ -> None
 
-(* registered kinds, plus the parameterized corpus family *)
+(* the corpus members, sorted; raises [Sys_error] on an unreadable DIR *)
+let corpus_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> not (Sys.is_directory (Filename.concat dir f)))
+  |> List.sort String.compare
+
+(* cells already run inside the engine fan-out, so each ingests on the
+   sequential engine; a failure raises into the campaign's crash
+   isolation *)
+let corpus_program ~frontend ~dir ~np:_ ~seed ~max_steps:_ ~fault =
+  let files = corpus_files dir in
+  let n = List.length files in
+  if n = 0 then failwith ("corpus cell: no files in " ^ dir);
+  let idx = if fault = Fault.No_fault then 0 else ((seed mod n) + n) mod n in
+  let path = Filename.concat dir (List.nth files idx) in
+  match
+    Session.resolve (Session.create ()) ~engine:Engine.Sequential
+      (Session.Ingest { path; frontend })
+  with
+  | Ok (ts, _) ->
+    { sm_set = ts; sm_deadlocked = 0; sm_timed_out = false; sm_salvaged = 0 }
+  | Error e -> failwith (Session.error_to_string e)
+
+(* registered kinds first (selftest, user kinds), then the bundled
+   workload table, then the parameterized corpus family *)
 let find_kind name =
   match Hashtbl.find_opt kind_tbl name with
-  | Some fn -> Some fn
-  | None -> corpus_kind name
+  | Some fn -> Some (simulated fn)
+  | None when List.mem name Catalog.names ->
+    Some
+      (simulated (fun ~np ~seed ~max_steps ~fault ->
+           Option.get (Catalog.run ?max_steps name ~np ~seed ~fault)))
+  | None ->
+    Option.map
+      (fun (frontend, dir) -> corpus_program ~frontend ~dir)
+      (parse_corpus name)
 
+(* the diagnostics kind: odd/even plus two synthetic failure modes, so
+   crash isolation is exercisable from the CLI and CI *)
 let () =
-  register_kind "oddeven" oddeven;
-  register_kind "ilcs" (fun ~np ~seed ~max_steps ~fault ->
-      fst (Ilcs.run ~np ~seed ?max_steps ~fault ()));
-  register_kind "lulesh" (fun ~np ~seed ~max_steps ~fault ->
-      Lulesh.run ~np ~seed ?max_steps ~fault ());
-  register_kind "heat" (fun ~np ~seed ~max_steps ~fault ->
-      fst (Heat.run ~np ~seed ?max_steps ~fault ()));
-  register_kind "heat2d" (fun ~np ~seed ~max_steps ~fault ->
-      let px = max 1 (np / 2) and py = if np >= 2 then 2 else 1 in
-      fst (Heat2d.run ~px ~py ~seed ?max_steps ~fault ()));
-  (* the diagnostics kind: odd/even plus two synthetic failure modes,
-     so crash isolation is exercisable from the CLI and CI *)
   register_kind "selftest" (fun ~np ~seed ~max_steps ~fault ->
+      let oddeven ?max_steps fault =
+        fst (Odd_even.run ~np ~seed ?max_steps ~fault ())
+      in
       match fault with
       | Fault.Skip_function { func = "raise"; _ } ->
         failwith "selftest: injected crash"
       | Fault.Skip_function { func = "spin"; _ } ->
         (* a budget small enough that the sort cannot finish: the
            deterministic stand-in for a livelocked cell *)
-        oddeven ~np ~seed ~max_steps:(Some 10) ~fault:Fault.No_fault
-      | fault -> oddeven ~np ~seed ~max_steps ~fault)
+        oddeven ~max_steps:10 Fault.No_fault
+      | fault -> oddeven ?max_steps fault)
 
 let error_to_string = function
   | State_dir reason -> "campaign state dir: " ^ reason
@@ -191,11 +178,31 @@ type matrix = {
   max_steps : int option;
 }
 
+(* a corpus kind must name a registered frontend and a DIR with at
+   least one file, so a typo fails before any cell runs *)
+let check_corpus kind =
+  Option.iter
+    (fun (frontend, dir) ->
+      let fail m =
+        invalid_arg (Printf.sprintf "Campaign.matrix: corpus kind %S: %s" kind m)
+      in
+      if Frontend_registry.find frontend = None then
+        fail
+          (Session.error_to_string
+             (Session.Unknown_frontend
+                { name = frontend; known = Frontend_registry.known () }));
+      match corpus_files dir with
+      | [] -> fail (Printf.sprintf "no regular file in %s" dir)
+      | _ :: _ -> ()
+      | exception Sys_error m -> fail m)
+    (parse_corpus kind)
+
 let matrix ?max_steps ~kind ~np ~faults ~seeds () =
   if Option.is_none (find_kind kind) then
     invalid_arg
       (Printf.sprintf "Campaign.matrix: unknown cell kind %S (known: %s)" kind
          (String.concat ", " (kinds ())));
+  check_corpus kind;
   if np < 1 then invalid_arg "Campaign.matrix: np must be >= 1";
   if faults = [] then invalid_arg "Campaign.matrix: no faults";
   if seeds = [] then invalid_arg "Campaign.matrix: no seeds";
@@ -537,14 +544,6 @@ let manifest_matches m ~config_name lm =
 (* Cell execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* one obtained run: the traces plus how the run ended *)
-type sim = {
-  sm_set : Trace_set.t;
-  sm_deadlocked : int;
-  sm_timed_out : bool;
-  sm_salvaged : int;
-}
-
 let count_truncated set =
   Array.fold_left
     (fun acc (tr : Trace.t) -> if tr.Trace.truncated then acc + 1 else acc)
@@ -556,28 +555,24 @@ let count_truncated set =
    execute the cell program and persist a fresh archive. All failure
    modes are captured as data; nothing escapes into the engine
    fan-out. *)
-let obtain ~kind_fn ~np ~max_steps ~fault ~seed ~adir : (sim, string * string) result =
+let obtain ~adir (execute : unit -> sim) : (sim, string * string) result =
   let simulate () =
-    match kind_fn ~np ~seed ~max_steps ~fault with
-    | (o : Runtime.outcome) ->
-      let deadlocked = List.length o.Runtime.deadlocked in
+    match execute () with
+    | sim ->
       (* archive persistence is best-effort: the in-memory traces still
          feed the analysis, only resumability suffers *)
       let warn reason =
         Printf.eprintf "difftrace: could not archive %s: %s\n%!" adir reason
       in
       (match
-         ignore (Archive.save ~dir:adir o.Runtime.traces : int);
-         write_meta adir ~deadlocked ~timed_out:o.Runtime.timed_out
+         ignore (Archive.save ~dir:adir sim.sm_set : int);
+         write_meta adir ~deadlocked:sim.sm_deadlocked
+           ~timed_out:sim.sm_timed_out
        with
       | Ok () -> ()
       | Error reason -> warn reason
       | exception e -> warn (Printexc.to_string e));
-      Ok
-        { sm_set = o.Runtime.traces;
-          sm_deadlocked = deadlocked;
-          sm_timed_out = o.Runtime.timed_out;
-          sm_salvaged = 0 }
+      Ok sim
     | exception e ->
       Error (Printexc.to_string e, Printexc.get_backtrace ())
   in
@@ -677,7 +672,7 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
      refusal, not a Not_found crash mid-campaign *)
   match find_kind m.kind with
   | None -> Error (Unknown_kind m.kind)
-  | Some kind_fn -> (
+  | Some program -> (
   (* never raises: a bad [dir] parameter must surface as an [Error] a
      resident daemon can report, not as an exception that kills it *)
   match Framed.mkdir_p dir with
@@ -726,8 +721,9 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
         runner.Runner.run (Array.length seeds_needed) (fun i ->
             let seed = seeds_needed.(i) in
             ( seed,
-              obtain ~kind_fn ~np:m.np ~max_steps:m.max_steps
-                ~fault:Fault.No_fault ~seed ~adir:(normal_dir dir seed) ))
+              obtain ~adir:(normal_dir dir seed) (fun () ->
+                  program ~np:m.np ~seed ~max_steps:m.max_steps
+                    ~fault:Fault.No_fault) ))
       in
       let normal_for seed =
         match Array.find_opt (fun (s, _) -> s = seed) normals with
@@ -741,8 +737,9 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
         Span.with_ "campaign.cells" @@ fun () ->
         runner.Runner.run (Array.length pending_arr) (fun i ->
             let c = pending_arr.(i) in
-            obtain ~kind_fn ~np:m.np ~max_steps:m.max_steps ~fault:c.fault
-              ~seed:c.seed ~adir:(cell_dir dir c.index))
+            obtain ~adir:(cell_dir dir c.index) (fun () ->
+                program ~np:m.np ~seed:c.seed ~max_steps:m.max_steps
+                  ~fault:c.fault))
       in
       (* analysis: sequential, one shared memo — every cell of a seed
          reuses the reference run's NLR summaries — with the manifest
@@ -921,34 +918,27 @@ let top_cell_diffnlr ?(config = Config.default) ?store ~dir o =
   match candidates with
   | [] -> Error "no analyzable cell with a suspicious trace"
   | top :: _ -> (
+    let ses = Session.create () in
     let load adir =
-      match Archive.load ~salvage:true ~dir:adir () with
-      | Ok l -> Ok l.Archive.set
-      | Error e -> Error (Archive.error_to_string e)
+      Session.resolve ses ~engine:config.Config.engine
+        (Session.Archive { dir = adir; salvage = true })
     in
     match
       (load (normal_dir dir top.cell.seed), load (cell_dir dir top.cell.index))
     with
-    | Error e, _ | _, Error e -> Error e
-    | Ok normal, Ok faulty -> (
+    | Error e, _ | _, Error e -> Error (Session.error_to_string e)
+    | Ok (normal, _), Ok (faulty, _) -> (
       match Pipeline.compare_runs ?store config ~normal ~faulty with
       | exception e -> Error ("analysis: " ^ Printexc.to_string e)
       | cmp -> (
         let label = fst (List.hd top.suspects) in
-        match Pipeline.find_diffnlr cmp label with
-        | Error e -> Error (Pipeline.lookup_error_to_string e)
-        | Ok d ->
-          let note =
-            Option.value ~default:""
-              (Eventdb.divergence_note ~normal ~faulty ~label)
-          in
+        match Session.diffnlr_section ~normal ~faulty cmp (Some label) with
+        | Error e -> Error (Session.error_to_string e)
+        | Ok section ->
           Ok
             (Printf.sprintf "cell %d [%s]:\n%s" top.cell.index
                (cell_label top.cell)
-               (Difftrace_diff.Diffnlr.render
-                  ~title:(Printf.sprintf "diffNLR(%s)" label)
-                  d
-               ^ note)))))
+               (Option.value section ~default:"")))))
 
 (* the n-way drill-down: merge every archived run of the campaign —
    the per-seed fault-free references plus every recorded cell that

@@ -67,14 +67,15 @@ val error_to_string : error -> string
 
 (** {1 Cell kinds}
 
-    A {e kind} names the program a cell executes. The bundled
-    workloads are pre-registered ("oddeven", "ilcs", "lulesh", "heat",
-    "heat2d"), plus "selftest" — a diagnostics kind that delegates to
-    the odd/even sort but interprets [Skip_function {func = "raise"}]
-    as an injected exception and [Skip_function {func = "spin"}] as a
-    forced step-budget timeout, so campaign crash isolation can be
-    exercised end to end from the CLI. See EXTENDING.md for adding
-    kinds.
+    A {e kind} names the program a cell executes. A name resolves, in
+    order, to a registered kind — "selftest", a diagnostics kind that
+    delegates to the odd/even sort but interprets
+    [Skip_function {func = "raise"}] as an injected exception and
+    [Skip_function {func = "spin"}] as a forced step-budget timeout, so
+    campaign crash isolation can be exercised end to end from the CLI,
+    plus any {!register_kind} added — then to a bundled workload of
+    {!Difftrace_workloads.Catalog} ("oddeven", "ilcs", "lulesh",
+    "heat", "heat2d"). See EXTENDING.md for adding kinds.
 
     One kind family is parameterized rather than registered:
     ["corpus:FRONTEND:DIR"] cells execute nothing — each ingests a
@@ -82,8 +83,9 @@ val error_to_string : error -> string
     {!Difftrace_frontend.Registry} frontend. The fault-free reference
     ingests the first file (sorted); a cell with seed [s] ingests file
     [s mod n], so one sweep ranks every corpus member against the
-    baseline. Ingestion failures surface as [Failed] verdicts through
-    the campaign's crash isolation. *)
+    baseline. {!matrix} rejects an unregistered frontend and a [DIR]
+    without a file; an ingestion failure at run time surfaces as a
+    [Failed] verdict through the campaign's crash isolation. *)
 
 (** [run ~np ~seed ~max_steps ~fault] — execute one cell program.
     [max_steps] is the campaign's per-cell step budget (None = the
@@ -98,10 +100,12 @@ type kind_fn =
   fault:Difftrace_simulator.Fault.t ->
   Difftrace_simulator.Runtime.outcome
 
-(** [register_kind name fn] — add (or replace) a cell kind. *)
+(** [register_kind name fn] — add (or replace) a cell kind; a
+    registered kind shadows a bundled workload of the same name. *)
 val register_kind : string -> kind_fn -> unit
 
-(** Registered kind names, sorted. *)
+(** Registered kinds and bundled workload names, sorted, without
+    duplicates. *)
 val kinds : unit -> string list
 
 (** {1 The matrix} *)
@@ -115,8 +119,10 @@ type matrix = private {
 }
 
 (** [matrix ?max_steps ~kind ~np ~faults ~seeds ()] — validate and
-    build. Raises [Invalid_argument] on an unknown kind, an empty
-    fault or seed list, or [np < 1]. Cells are the cross product
+    build. Raises [Invalid_argument] on an unknown kind, a corpus
+    kind whose frontend is unregistered (the message lists the known
+    frontends) or whose [DIR] holds no file, an empty fault or seed
+    list, or [np < 1]. Cells are the cross product
     faults × seeds, numbered fault-major from 0. *)
 val matrix :
   ?max_steps:int ->

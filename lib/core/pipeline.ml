@@ -120,7 +120,10 @@ let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
   done;
   summaries
 
-let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
+(* [tables] are the shared symbol and loop tables to intern into when
+   there is no memo; a memo (the store's, when there is one) carries
+   its own *)
+let analyze_into ~tables ?memo ?store (config : Config.t) ts =
   let memo =
     match store with
     | None -> memo
@@ -133,15 +136,8 @@ let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
   in
   let shared, table =
     match memo with
-    | Some m ->
-      if symtab <> None || loop_table <> None then
-        invalid_arg
-          "Pipeline.analyze: ?memo carries its own shared tables; do not also \
-           pass ?symtab/?loop_table";
-      (Memo.symtab m, Memo.loop_table m)
-    | None ->
-      ( (match symtab with Some s -> s | None -> Symtab.create ()),
-        match loop_table with Some t -> t | None -> Nlr.Loop_table.create () )
+    | Some m -> (Memo.symtab m, Memo.loop_table m)
+    | None -> tables
   in
   Span.with_ "analyze" @@ fun () ->
   let engine = config.Config.engine in
@@ -191,6 +187,11 @@ let analyze ?symtab ?loop_table ?memo ?store (config : Config.t) ts =
              ~candidates:(Difftrace_cluster.Sketch.candidates sigs)
              context)) }
 
+let fresh_tables () = (Symtab.create (), Nlr.Loop_table.create ())
+
+let analyze ?memo ?store config ts =
+  analyze_into ~tables:(fresh_tables ()) ?memo ?store config ts
+
 let index_of labels label =
   let found = ref None in
   Array.iteri
@@ -216,13 +217,11 @@ type comparison = {
 
 let compare_runs ?memo ?store (config : Config.t) ~normal ~faulty =
   Span.with_ "compare_runs" @@ fun () ->
-  let symtab, loop_table =
-    match (memo, store) with
-    | Some _, _ | _, Some _ -> (None, None)
-    | None, None -> (Some (Symtab.create ()), Some (Nlr.Loop_table.create ()))
-  in
-  let a_n = analyze ?symtab ?loop_table ?memo ?store config normal in
-  let a_f = analyze ?symtab ?loop_table ?memo ?store config faulty in
+  (* without a memo, both runs still intern into one pair of tables,
+     so their NLR element IDs mean the same thing *)
+  let tables = fresh_tables () in
+  let a_n = analyze_into ~tables ?memo ?store config normal in
+  let a_f = analyze_into ~tables ?memo ?store config faulty in
   let jn, jf = Span.with_ "align" (fun () -> Jsm.align a_n.jsm a_f.jsm) in
   let jsm_d = Span.with_ "jsm_d" (fun () -> Jsm.diff a_n.jsm a_f.jsm) in
   let bscore =

@@ -51,17 +51,14 @@ val summarize :
   Difftrace_trace.Trace_set.t ->
   Difftrace_nlr.Nlr.t array
 
-(** [analyze ?symtab ?loop_table ?memo ?store config ts] — fresh shared
-    tables are created when not supplied. When [memo] is given it
-    provides the shared tables itself (passing [?symtab]/[?loop_table]
-    too raises [Invalid_argument]) and NLR summaries are looked up in /
+(** [analyze ?memo ?store config ts] — without [memo], the analysis
+    interns into fresh shared tables. When [memo] is given it provides
+    the shared tables itself and NLR summaries are looked up in /
     added to its cache. When [store] is given it provides the memo
     (passing [?memo] too raises [Invalid_argument]) {e and} the JSM
     stage reuses/extends cached matrices via {!Store.jsm}; results are
     bit-identical either way. The caller owns {!Store.flush}. *)
 val analyze :
-  ?symtab:Difftrace_trace.Symtab.t ->
-  ?loop_table:Difftrace_nlr.Nlr.Loop_table.t ->
   ?memo:Memo.t ->
   ?store:Store.t ->
   Config.t ->

@@ -183,9 +183,7 @@ let record t ~outcome req =
 type ingest_request = {
   ig_path : string;
   ig_frontend : string;
-  ig_name : string option;
   ig_dir : string option;
-  ig_format : Archive.format;
 }
 
 type ingest_response = {
@@ -196,7 +194,7 @@ type ingest_response = {
   ig_output : string;
 }
 
-let ingest t config req =
+let ingest config req =
   let engine = config.Config.engine in
   match
     ingest_source ~engine ~path:req.ig_path ~frontend:req.ig_frontend
@@ -211,7 +209,7 @@ let ingest t config req =
       match req.ig_dir with
       | None -> Ok 0
       | Some dir -> (
-        match Archive.save ~format:req.ig_format ~dir ts with
+        match Archive.save ~dir ts with
         | n ->
           Buffer.add_string buf
             (Printf.sprintf "archived %d trace files to %s\n" n dir);
@@ -222,7 +220,6 @@ let ingest t config req =
     match archived with
     | Error e -> Error e
     | Ok files ->
-      Option.iter (fun name -> Hashtbl.replace t.runs name ts) req.ig_name;
       Ok
         { ig_traces = Trace_set.cardinal ts;
           ig_events = Trace_set.total_events ts;

@@ -120,17 +120,16 @@ val run_names : t -> (string * int) list
 
 (** {2 Ingest}
 
-    Pull a foreign-format file through a registered frontend once, and
-    keep the result: as a named in-session run, as an on-disk archive,
-    or both — after which every other operation (compare, triage,
-    query, vdiff) consumes it like any simulator run. *)
+    Pull a foreign-format file through a registered frontend once and
+    report its size and digest, optionally keeping the result as an
+    on-disk (v2) archive — after which every other operation (compare,
+    triage, query, vdiff) consumes it like any simulator run. Ingest
+    touches no session state, so it takes no {!t}. *)
 
 type ingest_request = {
   ig_path : string;
   ig_frontend : string;
-  ig_name : string option;  (** register the set under this run name *)
   ig_dir : string option;  (** archive it to this directory *)
-  ig_format : Difftrace_parlot.Archive.format;
 }
 
 type ingest_response = {
@@ -144,8 +143,7 @@ type ingest_response = {
   ig_output : string;
 }
 
-val ingest :
-  t -> Config.t -> ingest_request -> (ingest_response, error) result
+val ingest : Config.t -> ingest_request -> (ingest_response, error) result
 
 (** {2 Compare / analyze} *)
 
@@ -175,6 +173,19 @@ val compare :
     ranking). *)
 val analyze :
   t -> Config.t -> compare_request -> (compare_response, error) result
+
+(** [diffnlr_section ~normal ~faulty c label] — the diffNLR of trace
+    [label] (default: [c]'s top suspect) followed by its event-DB
+    footer, the first raw-event divergence of that trace; the tail of
+    every compare/analyze report. [Ok None] when [label] is [None] and
+    the runs have no trace in common; [Unknown_label] when [label] is
+    in neither run. *)
+val diffnlr_section :
+  normal:Difftrace_trace.Trace_set.t ->
+  faulty:Difftrace_trace.Trace_set.t ->
+  Pipeline.comparison ->
+  string option ->
+  (string option, error) result
 
 (** {2 Triage} *)
 

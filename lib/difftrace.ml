@@ -60,7 +60,7 @@ module Campaign = Difftrace_campaign.Campaign
 
 (* The resident analysis daemon and its difftrace-rpc/1 protocol
    (lib/serve), grouped under the library name: [Serve.Protocol],
-   [Serve.Daemon], [Serve.Client], [Serve.Workload]. *)
+   [Serve.Daemon], [Serve.Client]. *)
 module Serve = Difftrace_serve
 
 (* The indexed event database and its drill-down query language. *)
@@ -82,7 +82,8 @@ module Otf2 = Difftrace_temporal.Otf2
 module Progress = Difftrace_temporal.Progress
 
 (* Bundled workloads, the SMM baseline and the bug classifier, grouped
-   under their library names (e.g. [Workloads.Odd_even.run]). *)
+   under their library names (e.g. [Workloads.Odd_even.run]);
+   [Workloads.Catalog] maps a bundled workload name to its program. *)
 module Workloads = Difftrace_workloads
 module Baseline = Difftrace_baseline
 module Classify = Difftrace_classify

@@ -156,24 +156,6 @@ let index_events ~n_funcs events =
   in
   (postings, call_pos)
 
-(* re-intern a private table into the shared one, returning the body-ID
-   map; body references inside a body always point backwards (bodies
-   are created innermost-first), so a single forward pass suffices *)
-let remap_table ~from ~into =
-  let n = Nlr.Loop_table.size from in
-  let map = Array.make n (-1) in
-  for id = 0 to n - 1 do
-    let rewritten =
-      Array.map
-        (function
-          | Nlr.Sym s -> Nlr.Sym s
-          | Nlr.Loop { body; count } -> Nlr.Loop { body = map.(body); count })
-        (Nlr.Loop_table.body from id)
-    in
-    map.(id) <- Nlr.Loop_table.intern into rewritten
-  done;
-  map
-
 let build ?(runner = Runner.sequential) ts =
   Telemetry.Counter.incr c_builds;
   let symtab = Trace_set.symtab ts in
@@ -200,7 +182,7 @@ let build ?(runner = Runner.sequential) ts =
     Array.mapi
       (fun i b ->
         let tr = traces.(i) in
-        let map = remap_table ~from:b.b_table ~into:shared in
+        let map = Nlr.Loop_table.remap ~from:b.b_table ~into:shared in
         { th_pid = tr.Trace.pid;
           th_tid = tr.Trace.tid;
           th_truncated = tr.Trace.truncated;

@@ -50,6 +50,11 @@ let read_elems ~n_syms ~n_bodies s pos =
   in
   (elems, !pos)
 
+(* [rename map e] — [e] with its loop body ID looked up in [map] *)
+let rename map = function
+  | Sym _ as e -> e
+  | Loop { body; count } -> Loop { body = map.(body); count }
+
 module Loop_table = struct
   (* Bodies are elem arrays; [by_body] interns them structurally so the
      same body found in any trace of the execution gets the same ID. *)
@@ -73,6 +78,17 @@ module Loop_table = struct
       id
 
   let label id = "L" ^ string_of_int id
+
+  (* A body only references loops created before it, so ascending order
+     fills [map] for every ID a body mentions — and replays [from]'s
+     intern calls in their original order. *)
+  let remap ~from ~into =
+    let n = size from in
+    let map = Array.make n (-1) in
+    for id = 0 to n - 1 do
+      map.(id) <- intern into (Array.map (rename map) (Vec.get from.bodies id))
+    done;
+    map
 end
 
 type t = { elems : elem array; input_length : int }
@@ -201,20 +217,8 @@ let of_ids ~table ?(k = 10) ?(repeats = 2) ids =
 let length t = Array.length t.elems
 
 let reintern ~from ~into t =
-  let n = Loop_table.size from in
-  let map = Array.make n (-1) in
-  let remap_elem = function
-    | Sym _ as e -> e
-    | Loop { body; count } -> Loop { body = map.(body); count }
-  in
-  (* A body only references loops created before it, so ascending order
-     guarantees [map] is filled for every id a body mentions — and it
-     replays [from]'s intern calls in their original order, which is
-     what keeps shared-table ids identical to a fully sequential run. *)
-  for id = 0 to n - 1 do
-    map.(id) <- Loop_table.intern into (Array.map remap_elem (Loop_table.body from id))
-  done;
-  { t with elems = Array.map remap_elem t.elems }
+  let map = Loop_table.remap ~from ~into in
+  { t with elems = Array.map (rename map) t.elems }
 
 let expand ~table t =
   let out = Vec.with_capacity t.input_length in

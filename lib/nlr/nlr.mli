@@ -67,6 +67,13 @@ module Loop_table : sig
 
   (** [label id] is the paper's display name, ["L0"], ["L1"], … *)
   val label : int -> string
+
+  (** [remap ~from ~into] interns every body of [from] into [into], in
+      creation order and with its loop IDs rewritten, and returns the
+      map from [from]'s body IDs to [into]'s. Replaying the intern
+      calls in their original order gives [into] the exact IDs that
+      interning into it directly would have. *)
+  val remap : from:t -> into:t -> int array
 end
 
 (** A summarized (NLR) trace. *)

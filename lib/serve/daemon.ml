@@ -11,6 +11,7 @@ module Engine = Difftrace_core.Engine
 module Tracer = Difftrace_parlot.Tracer
 module Fault = Difftrace_simulator.Fault
 module Runtime = Difftrace_simulator.Runtime
+module Catalog = Difftrace_workloads.Catalog
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
 module Json = Telemetry.Json
@@ -68,7 +69,11 @@ let run_workload (ws : P.workload_spec) =
   let level =
     if ws.P.ws_all_images then Tracer.All_images else Tracer.Main_image
   in
-  Workload.run ws.P.ws_workload ~np:ws.P.ws_np ~seed:ws.P.ws_seed ~level ~fault
+  let name = ws.P.ws_workload in
+  match Catalog.run ~level name ~np:ws.P.ws_np ~seed:ws.P.ws_seed ~fault with
+  | Some outcome -> Ok outcome
+  | None -> Error (Session.Unknown_workload { name; known = Catalog.names })
+  | exception exn -> Error (Session.Run_failed (Printexc.to_string exn))
 
 (* a workload source carries its outcome out, so triage can render the
    outcome-only sections (HUNG banner, logical clocks) exactly like the

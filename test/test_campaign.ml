@@ -332,6 +332,93 @@ let test_mismatched_matrix_rejected () =
   | Ok _ -> Alcotest.fail "accepted a different campaign in the same dir"
 
 (* ------------------------------------------------------------------ *)
+(* corpus cells                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Frontend = Difftrace_frontend.Frontend
+
+let cilog_dir = "corpus/cilog"
+
+(* the digest of [file] ingested straight through cilog *)
+let cilog_digest file =
+  let fe = Option.get (Difftrace_frontend.Registry.find "cilog") in
+  match Frontend.ingest_file fe (Filename.concat cilog_dir file) with
+  | Ok ts -> Frontend.digest ts
+  | Error e -> Alcotest.fail (Frontend.error_to_string e)
+
+let archive_digest adir =
+  match Difftrace_parlot.Archive.load ~dir:adir () with
+  | Ok l -> Frontend.digest l.Difftrace_parlot.Archive.set
+  | Error e -> Alcotest.fail (Difftrace_parlot.Archive.error_to_string e)
+
+(* the sorted corpus is ansi_interleaved, build_fail, build_pass: the
+   reference ingests the first, seed s ingests file s mod 3 *)
+let test_corpus_campaign () =
+  let dir = tmpdir "corpus" in
+  let config =
+    Difftrace_core.Config.(
+      with_filter (Difftrace_filter.Filter.of_spec "11.all") default)
+  in
+  let m =
+    C.matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
+      ~seeds:[ 1; 2; 3 ] ()
+  in
+  match C.run ~config ~dir m with
+  | Error e -> Alcotest.fail (C.error_to_string e)
+  | Ok o ->
+    List.iter
+      (fun i ->
+        match verdict_of o i with
+        | C.Completed -> ()
+        | v -> Alcotest.failf "corpus cell %d: %s" i (C.verdict_to_string v))
+      [ 0; 1; 2 ];
+    let reference = cilog_digest "ansi_interleaved.log" in
+    List.iter
+      (fun seed ->
+        Alcotest.(check string)
+          (Printf.sprintf "reference s%d ingests the first file" seed)
+          reference
+          (archive_digest
+             (Filename.concat dir (Printf.sprintf "normal_s%d" seed))))
+      [ 1; 2; 3 ];
+    List.iter
+      (fun (index, file) ->
+        Alcotest.(check string)
+          (Printf.sprintf "cell %d ingests %s" index file)
+          (cilog_digest file)
+          (archive_digest
+             (Filename.concat dir (Printf.sprintf "cell_%d" index))))
+      [ (0, "build_fail.log"); (1, "build_pass.log"); (2, "ansi_interleaved.log") ]
+
+let invalid_message f =
+  match f () with
+  | _ -> Alcotest.fail "matrix accepted"
+  | exception Invalid_argument m -> m
+
+let test_corpus_unknown_frontend () =
+  let m =
+    invalid_message (fun () ->
+        C.matrix ~kind:("corpus:nope:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
+          ~seeds:[ 1 ] ())
+  in
+  List.iter
+    (fun known ->
+      Alcotest.(check bool) ("names frontend " ^ known) true (contains known m))
+    [ "\"nope\""; "cilog"; "syscall" ]
+
+let test_corpus_empty_dir () =
+  let dir = tmpdir "corpus_empty" in
+  Sys.mkdir dir 0o755;
+  (* a subdirectory is not a corpus member *)
+  Sys.mkdir (Filename.concat dir "sub") 0o755;
+  let m =
+    invalid_message (fun () ->
+        C.matrix ~kind:("corpus:cilog:" ^ dir) ~np:1 ~faults:[ swap_fault ]
+          ~seeds:[ 1 ] ())
+  in
+  Alcotest.(check bool) "names the directory" true (contains dir m)
+
+(* ------------------------------------------------------------------ *)
 (* reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -388,6 +475,13 @@ let () =
             test_unknown_kind_refused;
           Alcotest.test_case "mismatch rejected" `Quick
             test_mismatched_matrix_rejected ] );
+      ( "corpus",
+        [ Alcotest.test_case "cilog sweep picks files by seed" `Quick
+            test_corpus_campaign;
+          Alcotest.test_case "unknown frontend rejected" `Quick
+            test_corpus_unknown_frontend;
+          Alcotest.test_case "empty directory rejected" `Quick
+            test_corpus_empty_dir ] );
       ( "report",
         [ Alcotest.test_case "ranking" `Quick test_render_ranks_failures_first;
           Alcotest.test_case "top-cell diffNLR" `Quick test_top_cell_diffnlr ] ) ]

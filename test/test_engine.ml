@@ -250,16 +250,6 @@ let test_memo_cold_equals_plain () =
   Alcotest.(check int) "warm pass fully cached" (after_cold.Memo.hits + 32)
     s.Memo.hits
 
-let test_memo_rejects_conflicting_tables () =
-  let memo = Memo.create () in
-  let ts = Lazy.force oe16_normal in
-  match
-    Pipeline.analyze ~symtab:(Difftrace_trace.Symtab.create ()) ~memo
-      Config.default ts
-  with
-  | _ -> Alcotest.fail "analyze should reject memo + explicit symtab"
-  | exception Invalid_argument _ -> ()
-
 let test_hit_rate_degenerate () =
   (* regression: an all-miss (or untouched) cache once divided by zero *)
   Alcotest.(check (float 1e-9)) "empty stats" 0.0
@@ -504,8 +494,6 @@ let () =
             test_autotune_memo_correctness;
           Alcotest.test_case "cold cache == no cache" `Quick
             test_memo_cold_equals_plain;
-          Alcotest.test_case "memo + explicit tables rejected" `Quick
-            test_memo_rejects_conflicting_tables;
           Alcotest.test_case "hit rate degenerate cases" `Quick
             test_hit_rate_degenerate ] );
       ( "memo-key",

@@ -17,12 +17,20 @@ module P = Serve.Protocol
 module Daemon = Serve.Daemon
 module R = Runtime
 
+(* empties [dir] recursively: a rerun finds the archives an earlier
+   run's [record] left under [<state>/runs/] *)
+let rec rm_contents dir =
+  Array.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.is_directory p then (rm_contents p; Sys.rmdir p) else Sys.remove p)
+    (Sys.readdir dir)
+
 let tmpdir name =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) ("difftrace_serve_" ^ name)
   in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  if Sys.file_exists dir then rm_contents dir;
   dir
 
 let contains ~sub s =
