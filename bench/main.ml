@@ -8,8 +8,9 @@
    `--perf` instead runs the Bechamel micro-benchmarks: the codec,
    archive load, NLR, memo key, LULESH summarization,
    lattice-construction (Godin vs. NextClosure), JSM, Myers and linkage
-   kernels, in ns/run. `--quick` shrinks the paper workloads for
-   CI-speed runs. End-to-end timings and their gate live in bench/e2e. *)
+   kernels, in ns/run. The default output is pinned in paper.expected
+   and checked by `dune runtest`. End-to-end timings and their gate
+   live in bench/e2e. *)
 
 open Difftrace
 module R = Difftrace_simulator.Runtime
@@ -35,35 +36,29 @@ module Lulesh = Difftrace_workloads.Lulesh
 module Tsp = Difftrace_workloads.Tsp
 
 (* the bench grids are hard-coded and non-empty, so a sweep error is a bug *)
-let autotune_exn = function
-  | Ok r -> r
+let rows_exn = function
+  | Ok s -> s.Ranking.rows
   | Error e -> failwith (Session.error_to_string e)
-
-type options = { quick : bool; perf : bool }
 
 let usage oc =
   output_string oc
-    "usage: bench [--quick] [--perf]\n\n\
+    "usage: bench [--perf]\n\n\
     \  (no mode)    regenerate every paper table and figure\n\
-    \  --perf       Bechamel micro-benchmarks only\n\
-    \  --quick      shrink workloads to CI scale\n"
+    \  --perf       Bechamel micro-benchmarks only\n"
 
-let opts =
-  let rec parse acc = function
-    | [] -> acc
+let perf_mode =
+  let rec parse perf = function
+    | [] -> perf
     | "--help" :: _ ->
       usage stdout;
       exit 0
-    | "--quick" :: rest -> parse { acc with quick = true } rest
-    | "--perf" :: rest -> parse { acc with perf = true } rest
+    | "--perf" :: rest -> parse true rest
     | arg :: _ ->
       Printf.eprintf "bench: unrecognized argument %S\n" arg;
       usage stderr;
       exit 2
   in
-  parse { quick = false; perf = false } (List.tl (Array.to_list Sys.argv))
-
-let quick = opts.quick
+  parse false (List.tl (Array.to_list Sys.argv))
 
 let section id title =
   Printf.printf "\n==== %s %s %s\n" id title
@@ -209,12 +204,10 @@ let sec_iig () =
 (* §IV: ILCS — Tables VI-VIII, Fig. 7                                  *)
 (* ------------------------------------------------------------------ *)
 
-let ilcs_args = if quick then (4, 2) else (8, 4)
-
-(* fault targets that exist at either scale *)
-let nc_rank, nc_thread = if quick then (2, 1) else (6, 4)
+let ilcs_args = (8, 4)
+let nc_rank, nc_thread = (6, 4)
 let nc_label = Printf.sprintf "%d.%d" nc_rank nc_thread
-let mid_rank_label = if quick then "1.0" else "4.0"
+let mid_rank_label = "4.0"
 
 let ilcs_case_study () =
   let np, workers = ilcs_args in
@@ -241,7 +234,7 @@ let ilcs_case_study () =
   in
   print_string
     (Ranking.render ~max_rows:10
-       (Ranking.sweep (Ranking.grid ~filters:mem_filters ()) ~normal ~faulty:faulty_nc));
+       (rows_exn (Ranking.sweep ~filters:mem_filters ~normal ~faulty:faulty_nc ())));
 
   section "F7a"
     (Printf.sprintf "Fig. 7a: diffNLR(%s) — the unprotected memcpy" nc_label);
@@ -262,7 +255,7 @@ let ilcs_case_study () =
   in
   print_string
     (Ranking.render ~max_rows:10
-       (Ranking.sweep (Ranking.grid ~filters:mpi_filters ()) ~normal ~faulty:faulty_ws));
+       (rows_exn (Ranking.sweep ~filters:mpi_filters ~normal ~faulty:faulty_ws ())));
 
   section "F7b"
     (Printf.sprintf
@@ -285,7 +278,7 @@ let ilcs_case_study () =
   in
   print_string
     (Ranking.render ~max_rows:10
-       (Ranking.sweep (Ranking.grid ~filters:mpi_filters ()) ~normal ~faulty:faulty_wo));
+       (rows_exn (Ranking.sweep ~filters:mpi_filters ~normal ~faulty:faulty_wo ())));
 
   section "F7c" "Fig. 7c: diffNLR(5) — extra reduction/broadcast rounds";
   let c =
@@ -295,14 +288,13 @@ let ilcs_case_study () =
   in
   print_string
     (Diffnlr.render
-       ~title:(Printf.sprintf "diffNLR(%s)" (if quick then "1.0" else "5.0"))
-       (diffnlr_exn c (if quick then "1.0" else "5.0")))
+       ~title:"diffNLR(5.0)" (diffnlr_exn c "5.0"))
 
 (* ------------------------------------------------------------------ *)
 (* §V: LULESH — statistics, K sweep, Table IX                          *)
 (* ------------------------------------------------------------------ *)
 
-let lulesh_args = if quick then (4, 1) else (6, 2)
+let lulesh_args = (6, 2)
 
 let lulesh_study () =
   let edge, cycles = lulesh_args in
@@ -331,9 +323,9 @@ let lulesh_study () =
     (List.length faulty.R.deadlocked);
   print_string
     (Ranking.render
-       (Ranking.sweep
-          (Ranking.grid ~filters:[ F.make [ F.Everything ] ] ())
-          ~normal:normal.R.traces ~faulty:faulty.R.traces))
+       (rows_exn
+          (Ranking.sweep ~filters:[ F.make [ F.Everything ] ]
+             ~normal:normal.R.traces ~faulty:faulty.R.traces ())))
 
 (* ------------------------------------------------------------------ *)
 (* Heat diffusion: a silent protocol bug end to end                    *)
@@ -351,15 +343,15 @@ let heat_study () =
      residual %d) — the bug is silent\n"
     nres.Heat.iterations nres.Heat.final_residual fres.Heat.iterations
     fres.Heat.final_residual;
-  let r =
-    autotune_exn
-      (Autotune.search ~normal:normal.R.traces ~faulty:faulty.R.traces ())
+  let ranked =
+    Ranking.refine
+      (rows_exn (Ranking.sweep ~normal:normal.R.traces ~faulty:faulty.R.traces ()))
   in
-  Printf.printf "autotune over %d configurations -> %s\n" r.Autotune.evaluated
-    (Config.name r.Autotune.best.Autotune.config);
+  let best = (List.hd ranked).Ranking.config in
+  Printf.printf "autotune over %d configurations -> %s\n" (List.length ranked)
+    (Config.name best);
   let c =
-    Pipeline.compare_runs r.Autotune.best.Autotune.config ~normal:normal.R.traces
-      ~faulty:faulty.R.traces
+    Pipeline.compare_runs best ~normal:normal.R.traces ~faulty:faulty.R.traces
   in
   let suspect = fst c.Pipeline.suspects.(0) in
   Printf.printf "top suspect: %s\n" suspect;
@@ -732,7 +724,7 @@ let perf () =
     tests
 
 let () =
-  if opts.perf then perf ()
+  if perf_mode then perf ()
   else begin
     table_i ();
     odd_even_walkthrough ();

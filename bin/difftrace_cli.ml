@@ -208,6 +208,11 @@ let frontend_filter ~frontend p =
     { p with pc_filter = "11.all" }
   else p
 
+(* corpus cells hold foreign traces too: a corpus campaign's run and
+   report both get the frontend default *)
+let campaign_filter ~kind p =
+  frontend_filter ~frontend:(Campaign.corpus_frontend kind) p
+
 (* --- the persistent analysis store ---------------------------------- *)
 
 (* every analysis command takes --store DIR (reuse NLR summaries and
@@ -484,21 +489,14 @@ let table_cmd =
     let normal = run_workload w ~np ~seed ~level ~fault:Fault.No_fault in
     let faulty = run_workload w ~np ~seed ~level ~fault in
     let store = open_store (store_of store) in
-    let grid =
-      Ranking.grid
+    let r =
+      Ranking.sweep ?store ~engine
         ~filters:(List.map (fun c -> c.Config.filter) configs)
-        ~k ~linkage:(List.hd configs).Config.linkage ~engine ()
-    in
-    let rows =
-      match store with
-      | Some _ ->
-        Ranking.sweep ?store grid ~normal:normal.R.traces
-          ~faulty:faulty.R.traces
-      | None ->
-        Ranking.sweep ~memo:(Memo.create ()) grid ~normal:normal.R.traces
-          ~faulty:faulty.R.traces
+        ~ks:[ k ] ~linkages:[ (List.hd configs).Config.linkage ]
+        ~normal:normal.R.traces ~faulty:faulty.R.traces ()
     in
     flush_store store;
+    let rows = match r with Ok s -> s.Ranking.rows | Error e -> fail_with e in
     print_string (Ranking.render rows)
   in
   Cmd.v (Cmd.info "table" ~doc)
@@ -1029,21 +1027,20 @@ let autotune_cmd =
     let faulty = run_workload w ~np ~seed ~level ~fault in
     let store = open_store (store_of store) in
     let r =
-      Autotune.search ~engine ?store ~ks ~normal:normal.R.traces
+      Ranking.sweep ?store ~engine ~ks ~normal:normal.R.traces
         ~faulty:faulty.R.traces ()
     in
     flush_store store;
     match r with
-    | Error e ->
-      Printf.eprintf "difftrace: %s\n" (Session.error_to_string e);
-      exit 1
-    | Ok r ->
-      Printf.printf "evaluated %d configurations\n" r.Autotune.evaluated;
-      print_string (Autotune.render r);
+    | Error e -> fail_with e
+    | Ok s ->
+      let ranked = Ranking.refine s.Ranking.rows in
+      let best = List.hd ranked in
+      Printf.printf "evaluated %d configurations\n" (List.length ranked);
+      print_string (Ranking.render_refined ranked);
       Printf.printf "best: %s (B-score %.3f, top suspect %s)\n"
-        (Config.name r.Autotune.best.Autotune.config)
-        r.Autotune.best.Autotune.bscore
-        (Option.value ~default:"-" r.Autotune.best.Autotune.top_suspect)
+        (Config.name best.Ranking.config) best.Ranking.bscore
+        (Option.value ~default:"-" best.Ranking.top_suspect)
   in
   Cmd.v (Cmd.info "autotune" ~doc)
     Term.(const action $ workload_t $ np_t $ seed_t $ fault_t $ all_images_t
@@ -1166,14 +1163,7 @@ let campaign_cmd =
           "difftrace: campaign run needs at least one --fault (repeatable)";
         exit 2
       end;
-      (* corpus cells hold foreign traces; the MPI default filter would
-         empty them (an explicit --filter still wins) *)
-      let params =
-        if String.length kind >= 7 && String.sub kind 0 7 = "corpus:" then
-          frontend_filter ~frontend:(Some kind) params
-        else params
-      in
-      let config = config_or_exit ~engine params in
+      let config = config_or_exit ~engine (campaign_filter ~kind params) in
       run_profiled prof ~config @@ fun () ->
       (* campaigns persist analysis by default, beside their archives;
          a resumed campaign re-adopts the store like everything else *)
@@ -1250,13 +1240,15 @@ let campaign_cmd =
                cells.")
     in
     let action dir diffnlr variational params engine store prof =
-      let config = config_or_exit ~engine params in
-      run_profiled prof ~config @@ fun () ->
       match C.status ~dir with
       | Error e ->
         Printf.eprintf "difftrace: %s\n" (C.error_to_string e);
         exit 1
       | Ok o -> (
+        let config =
+          config_or_exit ~engine (campaign_filter ~kind:o.C.matrix.C.kind params)
+        in
+        run_profiled prof ~config @@ fun () ->
         print_outcome o;
         if diffnlr || variational then begin
           let store = open_store (campaign_store_of ~dir store) in

@@ -69,16 +69,15 @@ let () =
   let app_filter =
     F.make [ F.Custom "Token$"; F.Mpi_send_recv ]
   in
-  let rows =
-    Ranking.sweep
-      (Ranking.grid ~filters:[ app_filter ]
-         ~attrs:
-           [ { A.granularity = A.Single; freq_mode = A.Actual };
-             { A.granularity = A.Double; freq_mode = A.Actual } ]
-         ())
-      ~normal:normal.R.traces ~faulty:faulty.R.traces
-  in
-  print_string (Ranking.render rows);
+  (match
+     Ranking.sweep ~filters:[ app_filter ]
+       ~attrs:
+         [ { A.granularity = A.Single; freq_mode = A.Actual };
+           { A.granularity = A.Double; freq_mode = A.Actual } ]
+       ~normal:normal.R.traces ~faulty:faulty.R.traces ()
+   with
+  | Ok s -> print_string (Ranking.render s.Ranking.rows)
+  | Error e -> prerr_endline (Session.error_to_string e));
 
   let c =
     Pipeline.compare_runs

@@ -11,6 +11,10 @@ module A = Attributes
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+let print_ranking ?max_rows = function
+  | Ok s -> print_string (Ranking.render ?max_rows s.Ranking.rows)
+  | Error e -> prerr_endline (Session.error_to_string e)
+
 let render_diffnlr ~title c label =
   match Pipeline.find_diffnlr c label with
   | Ok d -> print_string (Diffnlr.render ~title d)
@@ -41,12 +45,8 @@ let () =
     faulty_outcome.R.races;
   let mem_filter = F.make [ F.Sys_memory; F.Omp_critical; F.Custom "CPU_Exec" ] in
   let plt_filter = F.make ~drop_plt:false [ F.Sys_memory; F.Custom "CPU_Exec" ] in
-  let rows =
-    Ranking.sweep
-      (Ranking.grid ~filters:[ mem_filter; plt_filter ] ())
-      ~normal ~faulty
-  in
-  print_string (Ranking.render ~max_rows:10 rows);
+  print_ranking ~max_rows:10
+    (Ranking.sweep ~filters:[ mem_filter; plt_filter ] ~normal ~faulty ());
   let c =
     Pipeline.compare_runs
       (Config.default
@@ -74,8 +74,7 @@ let () =
     [ F.make [ F.Mpi_collectives; F.Custom "CPU_Exec|CPU_Init|memcpy" ];
       F.make [ F.Mpi_all; F.Custom "CPU_Exec|CPU_Init|memcpy" ] ]
   in
-  let rows = Ranking.sweep (Ranking.grid ~filters:mpi_filters ()) ~normal ~faulty in
-  print_string (Ranking.render ~max_rows:10 rows);
+  print_ranking ~max_rows:10 (Ranking.sweep ~filters:mpi_filters ~normal ~faulty ());
   let c =
     Pipeline.compare_runs
       (Config.default |> Config.with_filter (List.nth mpi_filters 1))
@@ -93,8 +92,7 @@ let () =
     "run terminates but computes the WORST answer; rounds per rank: %s\n"
     (String.concat ","
        (Array.to_list (Array.map string_of_int faulty_result.Ilcs.rounds)));
-  let rows = Ranking.sweep (Ranking.grid ~filters:mpi_filters ()) ~normal ~faulty in
-  print_string (Ranking.render ~max_rows:10 rows);
+  print_ranking ~max_rows:10 (Ranking.sweep ~filters:mpi_filters ~normal ~faulty ());
   let c =
     Pipeline.compare_runs
       (Config.default

@@ -41,12 +41,12 @@ let () =
   Printf.printf "deadlocked threads: %s\n"
     (String.concat ", "
        (List.map (fun (p, t) -> Printf.sprintf "%d.%d" p t) faulty.R.deadlocked));
-  let rows =
-    Ranking.sweep
-      (Ranking.grid ~filters:[ F.make [ F.Everything ] ] ())
-      ~normal:normal.R.traces ~faulty:faulty.R.traces
-  in
-  print_string (Ranking.render rows);
+  (match
+     Ranking.sweep ~filters:[ F.make [ F.Everything ] ] ~normal:normal.R.traces
+       ~faulty:faulty.R.traces ()
+   with
+  | Ok s -> print_string (Ranking.render s.Ranking.rows)
+  | Error e -> prerr_endline (Session.error_to_string e));
 
   section "diffNLR of the skipped rank's master thread";
   let c =

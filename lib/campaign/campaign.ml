@@ -95,6 +95,8 @@ let parse_corpus name =
           String.sub rest (i + 1) (String.length rest - i - 1) )
     | _ -> None
 
+let corpus_frontend kind = Option.map fst (parse_corpus kind)
+
 (* the corpus members, sorted; raises [Sys_error] on an unreadable DIR *)
 let corpus_files dir =
   Sys.readdir dir |> Array.to_list
@@ -911,12 +913,11 @@ let render o =
   Buffer.contents buf
 
 let top_cell_diffnlr ?(config = Config.default) ?store ~dir o =
-  let candidates =
-    rank o.results
-    |> List.filter (fun r -> r.bscore <> None && r.suspects <> [])
-  in
-  match candidates with
-  | [] -> Error "no analyzable cell with a suspicious trace"
+  (* the best cell with a suspicious trace; failing that the best
+     analyzable one, drilled into the way [compare] picks its trace *)
+  let analyzable = List.filter (fun r -> r.bscore <> None) (rank o.results) in
+  match List.filter (fun r -> r.suspects <> []) analyzable @ analyzable with
+  | [] -> Error "no analyzable cell"
   | top :: _ -> (
     let ses = Session.create () in
     let load adir =
@@ -931,14 +932,17 @@ let top_cell_diffnlr ?(config = Config.default) ?store ~dir o =
       match Pipeline.compare_runs ?store config ~normal ~faulty with
       | exception e -> Error ("analysis: " ^ Printexc.to_string e)
       | cmp -> (
-        let label = fst (List.hd top.suspects) in
-        match Session.diffnlr_section ~normal ~faulty cmp (Some label) with
+        let label = Option.map fst (List.nth_opt top.suspects 0) in
+        match Session.diffnlr_section ~normal ~faulty cmp label with
         | Error e -> Error (Session.error_to_string e)
         | Ok section ->
           Ok
             (Printf.sprintf "cell %d [%s]:\n%s" top.cell.index
                (cell_label top.cell)
-               (Option.value section ~default:"")))))
+               (Option.value section
+                  ~default:
+                    "no diffNLR: the cell and its reference run have no \
+                     trace in common\n")))))
 
 (* the n-way drill-down: merge every archived run of the campaign —
    the per-seed fault-free references plus every recorded cell that

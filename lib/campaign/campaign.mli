@@ -87,6 +87,10 @@ val error_to_string : error -> string
     without a file; an ingestion failure at run time surfaces as a
     [Failed] verdict through the campaign's crash isolation. *)
 
+(** [corpus_frontend kind] — [Some "FRONTEND"] for a
+    ["corpus:FRONTEND:DIR"] kind, [None] for every other kind. *)
+val corpus_frontend : string -> string option
+
 (** [run ~np ~seed ~max_steps ~fault] — execute one cell program.
     [max_steps] is the campaign's per-cell step budget (None = the
     runtime default); implementations should thread it through to
@@ -220,11 +224,15 @@ val status : dir:string -> (outcome, error) result
 val render : outcome -> string
 
 (** [top_cell_diffnlr ?config ?store ~dir o] — re-load the archives of the
-    best-ranked analyzable cell and render the diffNLR of its top
+    best-ranked cell with a suspicious trace (failing that, of the
+    best-ranked analyzable cell) and render the diffNLR of its top
     suspect against the reference run (the drill-down step of the
     triage loop), with the event-DB divergence footer pinning the
-    suspect to a raw-event position. [Error] when no cell is
-    analyzable or the archives are gone. *)
+    suspect to a raw-event position. The trace is picked the way
+    [compare] picks it ({!Difftrace_core.Session.diffnlr_section}), so a
+    cell whose traces all score 0 still shows its top trace; a cell
+    sharing no trace with its reference says so. [Error] when no cell
+    is analyzable or the archives are gone. *)
 val top_cell_diffnlr :
   ?config:Difftrace_core.Config.t ->
   ?store:Difftrace_core.Store.t ->

@@ -47,7 +47,8 @@ let with_filter filter t = { t with filter }
 let with_attrs attrs t = { t with attrs }
 (* the NLR window: [Nlr.of_ids] would raise the same message mid-run *)
 let with_k k t =
-  if k < 1 then invalid_arg "Nlr.of_ids: k must be >= 1";
+  if k < 1 then
+    invalid_arg (Printf.sprintf "config: NLR constant K must be >= 1, got %d" k);
   { t with k }
 let with_repeats repeats t = { t with repeats }
 let with_linkage linkage t = { t with linkage }

@@ -51,7 +51,7 @@ val default : t
 
     Functional updates for deriving configurations, in pipeline order:
     [Config.default |> Config.with_k 50 |> Config.with_linkage Average].
-    Grid construction ({!Autotune}, {!Ranking}) and the CLI build their
+    Grid construction ({!Ranking}) and the CLI build their
     configurations this way instead of rebuilding records by hand. *)
 
 val with_filter : Difftrace_filter.Filter.t -> t -> t

@@ -1,6 +1,6 @@
 (** Content-addressed memoization of NLR trace summaries.
 
-    {!Autotune}'s grid sweep and repeated {!Pipeline.compare_runs}
+    {!Ranking}'s grid sweep and repeated {!Pipeline.compare_runs}
     calls re-summarize identical filtered traces for every grid point:
     two configurations that differ only in FCA attributes or linkage
     produce the exact same per-trace summaries. A memo carries the

@@ -12,7 +12,7 @@
     JSM — execute under the configuration's {!Engine.t}; parallel
     engines produce byte-identical results to the sequential one.
     Passing a {!Memo.t} additionally caches NLR summaries across calls,
-    which is what {!Autotune}'s grid sweep relies on. *)
+    which is what {!Ranking}'s grid sweep relies on. *)
 
 type analysis = {
   config : Config.t;

@@ -1,41 +1,119 @@
 module Filter = Difftrace_filter.Filter
 module Attributes = Difftrace_fca.Attributes
+module Linkage = Difftrace_cluster.Linkage
+module Telemetry = Difftrace_obs.Telemetry
+
+let c_evaluated = Telemetry.Counter.make "autotune.configs.evaluated"
 
 type row = {
   config : Config.t;
   bscore : float;
+  concentration : float;
   top_processes : int list;
   top_threads : string list;
+  top_suspect : string option;
 }
 
-let grid ~filters ?attrs ?(k = 10) ?linkage ?engine () =
-  let attrs = match attrs with Some a -> a | None -> Attributes.all in
-  let base =
-    Config.default
-    |> Config.with_k k
-    |> (match linkage with None -> Fun.id | Some l -> Config.with_linkage l)
-    |> match engine with None -> Fun.id | Some e -> Config.with_engine e
-  in
-  List.concat_map
-    (fun f ->
-      List.map
-        (fun a -> base |> Config.with_filter f |> Config.with_attrs a)
-        attrs)
-    filters
+type sweep = { rows : row list; cache : Memo.stats }
 
-let sweep ?memo ?store configs ~normal ~faulty =
-  Difftrace_obs.Telemetry.Span.with_ "ranking.sweep" @@ fun () ->
-  let rows =
-    List.map
-      (fun config ->
-        let c = Pipeline.compare_runs ?memo ?store config ~normal ~faulty in
-        { config;
-          bscore = c.Pipeline.bscore;
-          top_processes = Pipeline.top_processes c;
-          top_threads = Pipeline.top_threads c })
-      configs
+(* the cross product in nesting order filters, attrs, K, linkage; a K
+   below 1 makes [Config.with_k] raise, caught here as the same typed
+   error a parsed config gives *)
+let grid ~engine ~filters ~attrs ~ks ~linkages =
+  let empty_axes =
+    List.filter_map
+      (fun (name, empty) -> if empty then Some name else None)
+      [ ("filters", filters = []);
+        ("attrs", attrs = []);
+        ("K", ks = []);
+        ("linkages", linkages = []) ]
   in
-  List.stable_sort (fun a b -> Float.compare a.bscore b.bscore) rows
+  if empty_axes <> [] then
+    Error
+      (Session.Invalid
+         (Printf.sprintf "autotune: empty parameter axis (%s): nothing to sweep"
+            (String.concat ", " empty_axes)))
+  else
+    try
+      Ok
+        (List.concat_map
+           (fun filter ->
+             List.concat_map
+               (fun attr ->
+                 List.concat_map
+                   (fun k ->
+                     List.map
+                       (fun linkage ->
+                         Config.default
+                         |> Config.with_filter filter
+                         |> Config.with_attrs attr
+                         |> Config.with_k k
+                         |> Config.with_linkage linkage
+                         |> Config.with_engine engine)
+                       linkages)
+                   ks)
+               attrs)
+           filters)
+    with Invalid_argument m -> Error (Session.Invalid m)
+
+let evaluate ?memo ?store config ~normal ~faulty =
+  Telemetry.Counter.incr c_evaluated;
+  let c = Pipeline.compare_runs ?memo ?store config ~normal ~faulty in
+  let suspects = c.Pipeline.suspects in
+  let total = Array.fold_left (fun acc (_, s) -> acc +. s) 0.0 suspects in
+  { config;
+    bscore = c.Pipeline.bscore;
+    concentration =
+      (if total <= 1e-12 || Array.length suspects = 0 then 0.0
+       else snd suspects.(0) /. total);
+    top_processes = Pipeline.top_processes c;
+    top_threads = Pipeline.top_threads c;
+    top_suspect =
+      (if Array.length suspects > 0 && snd suspects.(0) > 1e-9 then
+         Some (fst suspects.(0))
+       else None) }
+
+let sweep ?store ?(engine = Engine.Sequential) ?filters
+    ?(attrs = Attributes.all) ?(ks = [ 10 ]) ?(linkages = [ Linkage.Ward ])
+    ~normal ~faulty () =
+  let filters =
+    match filters with
+    | Some f -> f
+    | None -> [ Filter.make [ Filter.Mpi_all ]; Filter.make [ Filter.Everything ] ]
+  in
+  Result.map
+    (fun configs ->
+      Telemetry.Span.with_ "ranking.sweep" @@ fun () ->
+      (* one cache for the whole sweep: grid points that differ only in
+         attributes or linkage reuse every NLR summary. A store brings
+         its own memo (pre-warmed from disk) and persists the work. *)
+      let memo, own =
+        match store with
+        | Some st -> (Store.memo st, None)
+        | None ->
+          let m = Memo.create () in
+          (m, Some m)
+      in
+      let before = Memo.stats memo in
+      let rows =
+        List.map
+          (fun config -> evaluate ?memo:own ?store config ~normal ~faulty)
+          configs
+      in
+      let after = Memo.stats memo in
+      { rows = List.stable_sort (fun a b -> Float.compare a.bscore b.bscore) rows;
+        cache =
+          { Memo.hits = after.Memo.hits - before.Memo.hits;
+            misses = after.Memo.misses - before.Memo.misses } })
+    (grid ~engine ~filters ~attrs ~ks ~linkages)
+
+let refine rows =
+  List.stable_sort
+    (fun a b ->
+      match Float.compare a.bscore b.bscore with
+      | 0 -> Float.compare b.concentration a.concentration
+      | c -> c)
+    rows
 
 let render ?max_rows rows =
   let rows =
@@ -43,16 +121,24 @@ let render ?max_rows rows =
     | None -> rows
     | Some n -> List.filteri (fun i _ -> i < n) rows
   in
-  let cells =
-    List.map
-      (fun r ->
-        [ Config.filter_name r.config;
-          Config.attrs_name r.config;
-          Printf.sprintf "%.3f" r.bscore;
-          String.concat ", " (List.map string_of_int r.top_processes);
-          String.concat ", " r.top_threads ])
-      rows
-  in
   Difftrace_util.Texttable.render
     ~headers:[ "Filter"; "Attributes"; "B-score"; "Top Processes"; "Top Threads" ]
-    cells
+    (List.map
+       (fun r ->
+         [ Config.filter_name r.config;
+           Config.attrs_name r.config;
+           Printf.sprintf "%.3f" r.bscore;
+           String.concat ", " (List.map string_of_int r.top_processes);
+           String.concat ", " r.top_threads ])
+       rows)
+
+let render_refined rows =
+  Difftrace_util.Texttable.render
+    ~headers:[ "Configuration"; "B-score"; "Concentration"; "Top suspect" ]
+    (List.map
+       (fun r ->
+         [ Config.name r.config;
+           Printf.sprintf "%.3f" r.bscore;
+           Printf.sprintf "%.2f" r.concentration;
+           Option.value ~default:"-" r.top_suspect ])
+       rows)

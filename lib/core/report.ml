@@ -29,35 +29,33 @@ let generate ?(engine = Engine.Sequential) ~fault_label ~(normal : R.outcome)
         r.R.race_pid r.R.cell_name
         (String.concat "," (List.map string_of_int r.R.tids)))
     faulty.R.races;
-  let search =
+  let ranked =
     match
-      Autotune.search ~engine ~normal:normal.R.traces ~faulty:faulty.R.traces ()
+      Ranking.sweep ~engine ~normal:normal.R.traces ~faulty:faulty.R.traces ()
     with
-    | Ok r -> r
+    | Ok s -> Ranking.refine s.Ranking.rows
     | Error e ->
       (* unreachable: the default axes are non-empty *)
       invalid_arg (Session.error_to_string e)
   in
-  let best = search.Autotune.best.Autotune.config in
+  let best = List.hd ranked in
   pf "\n## Configuration search (%d evaluated)\n\n```\n%s```\n"
-    search.Autotune.evaluated (Autotune.render search);
+    (List.length ranked) (Ranking.render_refined ranked);
   (* the final comparison runs against fresh tables (no memo) so the
      rendered diffNLR gets pristine L-ids *)
-  let c = Pipeline.compare_runs best ~normal:normal.R.traces ~faulty:faulty.R.traces in
-  pf "\n## Comparison under `%s`\n\n" (Config.name best);
+  let c =
+    Pipeline.compare_runs best.Ranking.config ~normal:normal.R.traces
+      ~faulty:faulty.R.traces
+  in
+  pf "\n## Comparison under `%s`\n\n" (Config.name best.Ranking.config);
   pf "B-score: %.3f\n\nSuspicious traces:\n\n```\n" c.Pipeline.bscore;
   Array.iteri
     (fun i (l, s) -> if i < 8 && s > 1e-9 then pf "%-6s %.3f\n" l s)
     c.Pipeline.suspects;
   pf "```\n";
-  let top_suspect =
-    match search.Autotune.best.Autotune.top_suspect with
-    | Some s -> Some s
-    | None ->
-      if Array.length c.Pipeline.suspects > 0 && snd c.Pipeline.suspects.(0) > 1e-9
-      then Some (fst c.Pipeline.suspects.(0))
-      else None
-  in
+  (* the sweep's row came from the same comparison: results never
+     depend on its cache *)
+  let top_suspect = best.Ranking.top_suspect in
   (match top_suspect with
   | Some suspect ->
     (match Pipeline.find_diffnlr c suspect with
@@ -86,4 +84,4 @@ let generate ?(engine = Engine.Sequential) ~fault_label ~(normal : R.outcome)
     pf "\n## Least-progressed threads (logical clocks)\n\n```\n%s```\n"
       (Difftrace_temporal.Progress.render (List.filteri (fun i _ -> i < 8) entries))
   end;
-  { markdown = Buffer.contents buf; best_config = best; top_suspect }
+  { markdown = Buffer.contents buf; best_config = best.Ranking.config; top_suspect }

@@ -17,7 +17,6 @@ module Store = Difftrace_core.Store
 module Pipeline = Difftrace_core.Pipeline
 module Session = Difftrace_core.Session
 module Ranking = Difftrace_core.Ranking
-module Autotune = Difftrace_core.Autotune
 module Report = Difftrace_core.Report
 
 (* Traces and symbols. *)

@@ -7,8 +7,6 @@ let c_chunks = Telemetry.Counter.make "archive.chunks"
 let c_crc_fail = Telemetry.Counter.make "archive.crc_fail"
 let c_salvaged = Telemetry.Counter.make "archive.salvaged_events"
 
-type format = V1 | V2
-
 type error = { err_path : string; err_reason : string }
 
 let error_to_string e =
@@ -101,7 +99,7 @@ let encode_trace (tr : Trace.t) =
     tr.Trace.events;
   Lzw.finish enc
 
-let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
+let save ?(chunk_size = default_chunk_size) ~dir ts =
   if chunk_size < 1 then invalid_arg "Archive.save: chunk_size must be >= 1";
   Span.with_ "archive.save" @@ fun () ->
   (match Framed.mkdir_p dir with
@@ -109,9 +107,7 @@ let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
   | Error m -> invalid_arg ("Archive.save: " ^ m));
   let symtab = Trace_set.symtab ts in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "difftrace-archive %d\n"
-       (match format with V1 -> 1 | V2 -> 2));
+  Buffer.add_string buf "difftrace-archive 2\n";
   Buffer.add_string buf (Printf.sprintf "symbols %d\n" (Symtab.size symtab));
   Array.iter
     (fun name -> Buffer.add_string buf (Printf.sprintf "%S\n" name))
@@ -127,17 +123,12 @@ let save ?(format = V2) ?(chunk_size = default_chunk_size) ~dir ts =
     traces;
   (* the v2 manifest is sealed with a CRC-32 footer over everything
      above it, so manifest corruption is detected, not misparsed *)
-  write_file (manifest_file dir)
-    (match format with
-    | V1 -> Buffer.contents buf
-    | V2 -> Framed.seal (Buffer.contents buf));
+  write_file (manifest_file dir) (Framed.seal (Buffer.contents buf));
   Array.iter
     (fun (tr : Trace.t) ->
-      let data = encode_trace tr in
-      let path = trace_file dir ~pid:tr.Trace.pid ~tid:tr.Trace.tid in
-      match format with
-      | V1 -> write_file path data
-      | V2 -> write_v2_trace path data ~chunk_size)
+      write_v2_trace
+        (trace_file dir ~pid:tr.Trace.pid ~tid:tr.Trace.tid)
+        (encode_trace tr) ~chunk_size)
     traces;
   Array.length traces
 
@@ -507,5 +498,5 @@ let repair ?runner ~src ~dst () =
   match load ?runner ~salvage:true ~dir:src () with
   | Error e -> Error e
   | Ok l ->
-    let files = save ~format:V2 ~dir:dst l.set in
+    let files = save ~dir:dst l.set in
     Ok (l, files)

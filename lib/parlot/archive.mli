@@ -9,7 +9,7 @@
     a CRC-32, and a {e salvage} mode recovers the longest checksum-valid
     prefix of each damaged trace instead of discarding the run.
 
-    Layout (version 2, the default):
+    Layout (version 2, the only one {!save} writes):
     {v
     <dir>/manifest        version, symbols, one line per thread,
                           closed by a "crc %08x" footer line
@@ -35,11 +35,6 @@
     and a wrong count costs only array growth before it is reported as
     the usual [trace length mismatch]. *)
 
-(** Archive wire format. [V2] (framed + checksummed) is the default for
-    {!save}; [V1] is the legacy format, still written for
-    interoperability tests and always readable. *)
-type format = V1 | V2
-
 (** A hard ingestion failure: which file, and why. *)
 type error = { err_path : string; err_reason : string }
 
@@ -63,16 +58,15 @@ type loaded = {
   salvaged : salvage list;
 }
 
-(** [save ?format ?chunk_size ~dir ts] writes the archive (creating
+(** [save ?chunk_size ~dir ts] writes a version 2 archive (creating
     [dir] and any missing parents) and returns the number of trace
     files written. Re-encodes each decoded trace with the streaming LZW
-    codec; under [V2] the compressed stream is framed into
-    [chunk_size]-byte (default 4096) checksummed chunks.
+    codec and frames the compressed stream into [chunk_size]-byte
+    (default 4096) checksummed chunks.
     Raises [Invalid_argument] if [dir] cannot be created (it or a
     parent exists and is not a directory) or if [chunk_size < 1];
     [Sys_error] on IO failure. *)
 val save :
-  ?format:format ->
   ?chunk_size:int ->
   dir:string ->
   Difftrace_trace.Trace_set.t ->

@@ -131,16 +131,42 @@ let test_stream_empty_input () =
   Alcotest.(check int) "empty trace" 0 (Trace.length tr);
   Alcotest.(check bool) "flags preserved" false tr.Trace.truncated
 
-let make_archive ?format ?chunk_size name ts =
+let make_archive ?chunk_size name ts =
   let dir = tmpdir name in
-  ignore (Archive.save ?format ?chunk_size ~dir ts);
+  ignore (Archive.save ?chunk_size ~dir ts);
   dir
+
+(* v1 archives are read, never written: fixtures/v1_oddeven4 holds
+   [sample_traces ()] saved in the v1 format. Each test takes a fresh
+   copy, so the damage it does never reaches the fixture. *)
+let v1_fixture name =
+  let src = Filename.concat "fixtures" "v1_oddeven4" in
+  let dir = tmpdir name in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Array.iter
+    (fun f -> write_file (Filename.concat dir f) (read_file (Filename.concat src f)))
+    (Sys.readdir src);
+  dir
+
+(* rewrite the event count of thread [pid].0 in a v1 manifest, which
+   carries no checksum to catch the edit *)
+let set_v1_length dir ~pid f =
+  let path = Archive.manifest_file dir in
+  let prefix = Printf.sprintf "thread %d 0 complete " pid in
+  let plen = String.length prefix in
+  String.split_on_char '\n' (read_file path)
+  |> List.map (fun line ->
+         if String.starts_with ~prefix line then
+           prefix ^ f (String.sub line plen (String.length line - plen))
+         else line)
+  |> String.concat "\n"
+  |> write_file path
 
 let par_runner = Difftrace.Engine.runner (Difftrace.Engine.parallel ~domains:4 ())
 
 let test_v1_still_loads () =
   let ts = sample_traces () in
-  let dir = make_archive ~format:Archive.V1 "v1_compat" ts in
+  let dir = v1_fixture "v1_compat" in
   match Archive.load ~dir () with
   | Error e -> Alcotest.fail (Archive.error_to_string e)
   | Ok l ->
@@ -150,8 +176,8 @@ let test_v1_still_loads () =
 
 let test_v1_v2_identical () =
   let ts = sample_traces () in
-  let v1 = load_set ~dir:(make_archive ~format:Archive.V1 "x_v1" ts) () in
-  let v2 = load_set ~dir:(make_archive ~format:Archive.V2 "x_v2" ts) () in
+  let v1 = load_set ~dir:(v1_fixture "x_v1") () in
+  let v2 = load_set ~dir:(make_archive "x_v2" ts) () in
   Alcotest.(check bool) "v1 load = original" true (set_equal ts v1);
   Alcotest.(check bool) "v2 load = v1 load" true (set_equal v1 v2)
 
@@ -163,8 +189,8 @@ let test_runner_parity () =
   Alcotest.(check bool) "sequential = parallel" true (set_equal seq par);
   Alcotest.(check bool) "both = original" true (set_equal ts seq)
 
-(* random event streams through Varint/Lzw/Archive, both formats and
-   several chunk sizes (1 forces every LZW code to straddle frames) *)
+(* random event streams through Varint/Lzw/Archive at several chunk
+   sizes (1 forces every LZW code to straddle frames) *)
 let random_set seed =
   let prng = Prng.create seed in
   let symtab = Symtab.create () in
@@ -188,17 +214,14 @@ let test_random_roundtrips () =
   for seed = 1 to 6 do
     let ts = random_set seed in
     List.iter
-      (fun (format, chunk_size, tag) ->
+      (fun (chunk_size, tag) ->
         let name = Printf.sprintf "rand_%d_%s" seed tag in
-        let dir = make_archive ~format ?chunk_size name ts in
+        let dir = make_archive ?chunk_size name ts in
         let loaded = load_set ~dir () in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d %s roundtrips" seed tag)
           true (set_equal ts loaded))
-      [ (Archive.V1, None, "v1");
-        (Archive.V2, Some 1, "v2c1");
-        (Archive.V2, Some 3, "v2c3");
-        (Archive.V2, None, "v2") ]
+      [ (Some 1, "v2c1"); (Some 3, "v2c3"); (None, "v2") ]
   done
 
 (* Deterministic fault injector: every mutation of a valid v2 archive
@@ -260,10 +283,9 @@ let test_corruption_corpus () =
   done
 
 let test_v1_corruption () =
-  let ts = sample_traces () in
   List.iter
     (fun (name, mutate) ->
-      let dir = make_archive ~format:Archive.V1 ("v1_" ^ name) ts in
+      let dir = v1_fixture ("v1_" ^ name) in
       let victim = List.hd (trace_paths dir) in
       mutate victim;
       (match Archive.load ~dir () with
@@ -372,41 +394,30 @@ let test_zero_byte_trace_file () =
   (* the file a crashed writer leaves behind: created, never flushed —
      a byte-less stream must load as the valid empty trace the manifest
      promised, with nothing salvaged *)
-  let symtab = Symtab.create () in
-  let f = Symtab.intern symtab "f" in
-  let full =
-    Trace.make ~pid:0 ~tid:0 ~truncated:false [| Event.Call f; Event.Return f |]
+  let ts = sample_traces () in
+  let expected =
+    Trace_set.create (Trace_set.symtab ts)
+      (List.map
+         (fun (tr : Trace.t) ->
+           if tr.Trace.pid = 1 then Trace.make ~pid:1 ~tid:0 ~truncated:false [||]
+           else tr)
+         (Array.to_list (Trace_set.traces ts)))
   in
-  let empty = Trace.make ~pid:1 ~tid:0 ~truncated:false [||] in
-  let ts = Trace_set.create symtab [ full; empty ] in
-  let dir = make_archive ~format:Archive.V1 "zero_byte" ts in
-  let oc = open_out_bin (Archive.trace_file dir ~pid:1 ~tid:0) in
-  close_out oc;
+  let dir = v1_fixture "zero_byte" in
+  write_file (Archive.trace_file dir ~pid:1 ~tid:0) "";
+  set_v1_length dir ~pid:1 (fun _ -> "0");
   match Archive.load ~dir () with
   | Error e -> Alcotest.fail (Archive.error_to_string e)
   | Ok l ->
     Alcotest.(check int) "nothing salvaged" 0 (List.length l.Archive.salvaged);
-    Alcotest.(check bool) "identical traces" true (set_equal ts l.Archive.set)
+    Alcotest.(check bool) "identical traces" true (set_equal expected l.Archive.set)
 
 let test_v1_length_mismatch () =
   (* v1 manifests carry no checksum, so a tampered length must be
      caught by the decoded-event count instead *)
-  let ts = sample_traces () in
-  let dir = make_archive ~format:Archive.V1 "v1_len" ts in
-  let path = Archive.manifest_file dir in
-  let text = read_file path in
+  let dir = v1_fixture "v1_len" in
   (* bump the first thread's event count by prepending a digit *)
-  let tampered =
-    String.split_on_char '\n' text
-    |> List.map (fun line ->
-           let prefix = "thread 0 0 complete " in
-           let plen = String.length prefix in
-           if String.length line > plen && String.sub line 0 plen = prefix then
-             prefix ^ "9" ^ String.sub line plen (String.length line - plen)
-           else line)
-    |> String.concat "\n"
-  in
-  write_file path tampered;
+  set_v1_length dir ~pid:0 (fun n -> "9" ^ n);
   match Archive.load ~dir () with
   | Ok _ -> Alcotest.fail "length mismatch went undetected"
   | Error e ->

@@ -178,18 +178,16 @@ let test_parallel_identical_analysis () =
 (* Memo cache: hits on the autotune grid, never a different answer     *)
 (* ------------------------------------------------------------------ *)
 
+let sweep_exn ?filters ?attrs ?ks ?linkages ~normal ~faulty () =
+  match Ranking.sweep ?filters ?attrs ?ks ?linkages ~normal ~faulty () with
+  | Ok s -> s
+  | Error e -> Alcotest.fail (Session.error_to_string e)
+
 let test_autotune_cache_hit_rate () =
-  let r =
-    match
-      Autotune.search
-        ~normal:(Lazy.force oe16_normal)
-        ~faulty:(Lazy.force oe16_swap)
-        ()
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.fail (Session.error_to_string e)
+  let s =
+    sweep_exn ~normal:(Lazy.force oe16_normal) ~faulty:(Lazy.force oe16_swap) ()
   in
-  let c = r.Autotune.cache in
+  let c = s.Ranking.cache in
   Alcotest.(check bool) "summaries were reused" true (c.Memo.hits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "hit rate %.2f above 0.5" (Memo.hit_rate c))
@@ -198,27 +196,37 @@ let test_autotune_cache_hit_rate () =
 
 let test_autotune_memo_correctness () =
   let normal = Lazy.force oe16_normal and faulty = Lazy.force oe16_swap in
-  let with_memo =
-    match Autotune.search ~normal ~faulty () with
-    | Ok r -> r
-    | Error e -> Alcotest.fail (Session.error_to_string e)
-  in
-  (* force every evaluation to miss: a fresh memo per configuration *)
+  let shared = Ranking.refine (sweep_exn ~normal ~faulty ()).Ranking.rows in
+  (* force every evaluation to miss: a one-configuration sweep owns a
+     fresh memo *)
   let sweep_no_reuse =
     List.map
-      (fun cand ->
-        Autotune.evaluate cand.Autotune.config ~normal ~faulty)
-      with_memo.Autotune.ranked
+      (fun r ->
+        let c = r.Ranking.config in
+        match
+          (sweep_exn ~filters:[ c.Config.filter ] ~attrs:[ c.Config.attrs ]
+             ~ks:[ c.Config.k ] ~linkages:[ c.Config.linkage ] ~normal ~faulty ())
+            .Ranking.rows
+        with
+        | [ fresh ] -> fresh
+        | rows -> Alcotest.failf "one configuration gave %d rows" (List.length rows))
+      shared
   in
   List.iter2
     (fun a b ->
-      Alcotest.(check string) "same config" (Config.name a.Autotune.config)
-        (Config.name b.Autotune.config);
-      Alcotest.(check (float 0.0)) "same bscore" b.Autotune.bscore
-        a.Autotune.bscore;
-      Alcotest.(check (option string)) "same top suspect" b.Autotune.top_suspect
-        a.Autotune.top_suspect)
-    with_memo.Autotune.ranked sweep_no_reuse
+      Alcotest.(check string) "same config" (Config.name a.Ranking.config)
+        (Config.name b.Ranking.config);
+      Alcotest.(check (float 0.0)) "same bscore" b.Ranking.bscore
+        a.Ranking.bscore;
+      Alcotest.(check (float 0.0)) "same concentration" b.Ranking.concentration
+        a.Ranking.concentration;
+      Alcotest.(check (option string)) "same top suspect" b.Ranking.top_suspect
+        a.Ranking.top_suspect;
+      Alcotest.(check (list int)) "same top processes" b.Ranking.top_processes
+        a.Ranking.top_processes;
+      Alcotest.(check (list string)) "same top threads" b.Ranking.top_threads
+        a.Ranking.top_threads)
+    shared sweep_no_reuse
 
 let test_memo_cold_equals_plain () =
   (* the first compare_runs against a fresh memo is byte-identical to a

@@ -163,68 +163,71 @@ let test_cct_render () =
     (String.length shallow < String.length deep)
 
 (* ------------------------------------------------------------------ *)
-(* Autotune                                                            *)
+(* Autotune: the sweep in refinement order                             *)
 (* ------------------------------------------------------------------ *)
+
+let refined ?ks ?linkages ~normal ~faulty () =
+  Result.map
+    (fun s -> Ranking.refine s.Ranking.rows)
+    (Ranking.sweep ?ks ?linkages ~normal ~faulty ())
 
 let test_autotune_finds_discriminating_config () =
   let normal, _ = Heat.run ~fault:Fault.No_fault () in
   let faulty, _ =
     Heat.run ~fault:(Fault.Swap_send_recv { rank = 3; after_iter = 2 }) ()
   in
-  let r =
-    match Autotune.search ~normal:normal.R.traces ~faulty:faulty.R.traces () with
+  let ranked =
+    match refined ~normal:normal.R.traces ~faulty:faulty.R.traces () with
     | Ok r -> r
     | Error e -> Alcotest.fail (Session.error_to_string e)
   in
-  Alcotest.(check int) "2 filters x 6 attrs" 12 r.Autotune.evaluated;
+  Alcotest.(check int) "2 filters x 6 attrs" 12 (List.length ranked);
+  let best = List.hd ranked in
   Alcotest.(check bool) "best config separates the runs" true
-    (r.Autotune.best.Autotune.bscore < 1.0);
+    (best.Ranking.bscore < 1.0);
   Alcotest.(check (option string)) "and points at rank 3" (Some "3.0")
-    r.Autotune.best.Autotune.top_suspect;
+    best.Ranking.top_suspect;
   (* ranked list is sorted by the (bscore, -concentration) objective *)
   let rec sorted = function
     | a :: (b :: _ as rest) ->
-      (a.Autotune.bscore < b.Autotune.bscore
-      || (a.Autotune.bscore = b.Autotune.bscore
-         && a.Autotune.concentration >= b.Autotune.concentration))
+      (a.Ranking.bscore < b.Ranking.bscore
+      || (a.Ranking.bscore = b.Ranking.bscore
+         && a.Ranking.concentration >= b.Ranking.concentration))
       && sorted rest
     | _ -> true
   in
-  Alcotest.(check bool) "ranked order" true (sorted r.Autotune.ranked);
-  Alcotest.(check bool) "renders" true (String.length (Autotune.render r) > 100)
+  Alcotest.(check bool) "ranked order" true (sorted ranked);
+  Alcotest.(check bool) "renders" true
+    (String.length (Ranking.render_refined ranked) > 100)
 
 let test_autotune_identity_runs () =
   let normal, _ = Heat.run ~max_iters:5 ~fault:Fault.No_fault () in
-  let r =
-    match Autotune.search ~normal:normal.R.traces ~faulty:normal.R.traces () with
-    | Ok r -> r
+  let best =
+    match refined ~normal:normal.R.traces ~faulty:normal.R.traces () with
+    | Ok (best :: _) -> best
+    | Ok [] -> Alcotest.fail "empty sweep"
     | Error e -> Alcotest.fail (Session.error_to_string e)
   in
   Alcotest.(check (float 1e-9)) "identical runs: best bscore 1" 1.0
-    r.Autotune.best.Autotune.bscore;
-  Alcotest.(check (option string)) "no suspect" None
-    r.Autotune.best.Autotune.top_suspect
+    best.Ranking.bscore;
+  Alcotest.(check (option string)) "no suspect" None best.Ranking.top_suspect
 
 let test_autotune_empty_axis () =
   let normal, _ = Heat.run ~np:2 ~max_iters:2 ~fault:Fault.No_fault () in
+  let error ?ks ?linkages () =
+    match refined ?ks ?linkages ~normal:normal.R.traces ~faulty:normal.R.traces () with
+    | Ok _ -> Alcotest.fail "expected Error"
+    | Error e -> Session.error_to_string e
+  in
   (* an empty sweep is request data, not a bug: a typed error, not a raise *)
-  (match
-     Autotune.search ~ks:[] ~normal:normal.R.traces ~faulty:normal.R.traces ()
-   with
-  | Ok _ -> Alcotest.fail "empty ks: expected Error"
-  | Error e ->
-    Alcotest.(check string) "empty ks"
-      "autotune: empty parameter axis (K): nothing to sweep"
-      (Session.error_to_string e));
-  match
-    Autotune.search ~ks:[] ~linkages:[] ~normal:normal.R.traces
-      ~faulty:normal.R.traces ()
-  with
-  | Ok _ -> Alcotest.fail "two empty axes: expected Error"
-  | Error e ->
-    Alcotest.(check string) "names every empty axis"
-      "autotune: empty parameter axis (K, linkages): nothing to sweep"
-      (Session.error_to_string e)
+  Alcotest.(check string) "empty ks"
+    "autotune: empty parameter axis (K): nothing to sweep" (error ~ks:[] ());
+  Alcotest.(check string) "names every empty axis"
+    "autotune: empty parameter axis (K, linkages): nothing to sweep"
+    (error ~ks:[] ~linkages:[] ());
+  (* so is a K below 1: the message a parsed config gives *)
+  Alcotest.(check string) "K below 1"
+    "config: NLR constant K must be >= 1, got 0" (error ~ks:[ 10; 0 ] ())
 
 let () =
   Alcotest.run "heat+cct+autotune"

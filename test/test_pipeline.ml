@@ -160,11 +160,14 @@ let test_dlbug_truncation_visible () =
 (* ranking sweeps                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let sweep_rows ?attrs ~filters ~normal ~faulty () =
+  match Ranking.sweep ?attrs ~filters ~normal ~faulty () with
+  | Ok s -> s.Ranking.rows
+  | Error e -> Alcotest.fail (Session.error_to_string e)
+
 let test_ranking_sorted_and_rendered () =
   let normal = Lazy.force oe16_normal and faulty = Lazy.force oe16_swap in
-  let rows =
-    Ranking.sweep (Ranking.grid ~filters:[ F.make [ F.Mpi_all ] ] ()) ~normal ~faulty
-  in
+  let rows = sweep_rows ~filters:[ F.make [ F.Mpi_all ] ] ~normal ~faulty () in
   Alcotest.(check int) "six rows (6 attribute specs)" 6 (List.length rows);
   let scores = List.map (fun r -> r.Ranking.bscore) rows in
   Alcotest.(check bool) "ascending bscore" true
@@ -173,12 +176,13 @@ let test_ranking_sorted_and_rendered () =
   Alcotest.(check bool) "renders a table" true (String.length rendered > 100)
 
 let test_ranking_grid_size () =
-  let g =
-    Ranking.grid
+  let normal = Lazy.force oe16_normal and faulty = Lazy.force oe16_swap in
+  let rows =
+    sweep_rows
       ~filters:[ F.make [ F.Mpi_all ]; F.make [ F.Sys_memory ] ]
-      ~attrs:[ spec A.Single A.Actual ] ()
+      ~attrs:[ spec A.Single A.Actual ] ~normal ~faulty ()
   in
-  Alcotest.(check int) "filters x attrs" 2 (List.length g)
+  Alcotest.(check int) "filters x attrs" 2 (List.length rows)
 
 let test_ilcs_nocritical_top_thread () =
   let normal = (fst (Ilcs.run ~fault:Fault.No_fault ())).R.traces in
@@ -186,7 +190,7 @@ let test_ilcs_nocritical_top_thread () =
     (fst (Ilcs.run ~fault:(Fault.No_critical { rank = 6; thread = 4 }) ())).R.traces
   in
   let filt = F.make [ F.Sys_memory; F.Omp_critical; F.Custom "CPU_Exec" ] in
-  let rows = Ranking.sweep (Ranking.grid ~filters:[ filt ] ()) ~normal ~faulty in
+  let rows = sweep_rows ~filters:[ filt ] ~normal ~faulty () in
   (* Table VI: thread 6.4 flagged first in every row *)
   List.iter
     (fun r ->
