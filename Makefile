@@ -27,9 +27,11 @@ campaign-smoke:
 
 # the persistent-store smoke pass: the same compare twice against one
 # --store directory under _build/store-smoke; the warm run must answer
-# from the store (store.hits present, no nlr.summaries row at all) and
-# the store must verify. CI caches the directory across runs, so once
-# the cache is primed even the first compare is warm.
+# from the store (store.hits present, no nlr.summaries row at all).
+# Then store gc at the default caps runs the kind table's eviction over
+# the store, and the store must still verify. CI caches the directory
+# across runs, so once the cache is primed even the first compare is
+# warm and gc works on a long-lived store.
 store-smoke: build
 	mkdir -p _build/store-smoke
 	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
@@ -40,6 +42,7 @@ store-smoke: build
 	  --profile > _build/store-smoke/warm.txt
 	grep -q 'store.hits' _build/store-smoke/warm.txt
 	! grep -q 'nlr.summaries' _build/store-smoke/warm.txt
+	_build/default/bin/difftrace_cli.exe store gc -d _build/store-smoke/store
 	_build/default/bin/difftrace_cli.exe store verify -d _build/store-smoke/store
 
 # the serve smoke pass: boot a socket daemon, run one scripted client

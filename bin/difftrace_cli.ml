@@ -1287,9 +1287,8 @@ let store_cmd =
       & opt (some string) None
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Analysis store directory.")
   in
-  let load_or_exit dir =
-    match Store.load ~dir with
-    | Ok st -> st
+  let or_exit = function
+    | Ok v -> v
     | Error e ->
       Printf.eprintf "difftrace: %s\n" (Store.error_to_string e);
       exit 1
@@ -1299,7 +1298,10 @@ let store_cmd =
       "Print what the store holds: summaries, matrices, shared-table sizes \
        and the file size on disk."
     in
-    let action dir = print_string (Store.render_stats (Store.stats (load_or_exit dir))) in
+    let action dir =
+      let st = or_exit (Store.load ~dir) in
+      print_string (Store.render_stats (Store.stats st))
+    in
     Cmd.v (Cmd.info "stats" ~doc) Term.(const action $ dir_t)
   in
   let gc_cmd =
@@ -1307,52 +1309,35 @@ let store_cmd =
       "Evict the oldest cached entries beyond the retention caps and rewrite \
        the store file."
     in
-    let keep_summaries_t =
-      Arg.(
-        value
-        & opt int 4096
-        & info [ "keep-summaries" ] ~docv:"N"
-            ~doc:"Keep at most $(docv) newest NLR summaries.")
-    in
-    let keep_matrices_t =
-      Arg.(
-        value
-        & opt int 64
-        & info [ "keep-matrices" ] ~docv:"N"
-            ~doc:"Keep at most $(docv) newest JSM matrices.")
-    in
-    let keep_signatures_t =
-      Arg.(
-        value
-        & opt int 4096
-        & info [ "keep-signatures" ] ~docv:"N"
-            ~doc:"Keep at most $(docv) newest MinHash signatures.")
-    in
-    let keep_vdiffs_t =
-      Arg.(
-        value
-        & opt int 64
-        & info [ "keep-vdiffs" ] ~docv:"N"
-            ~doc:"Keep at most $(docv) newest variational alignments.")
-    in
-    let action dir keep_summaries keep_matrices keep_signatures keep_vdiffs =
-      let st = load_or_exit dir in
-      let s, m, g, v =
-        Store.gc ~keep_summaries ~keep_matrices ~keep_signatures ~keep_vdiffs st
+    (* one --keep-<kind> flag per record kind; [flush] re-applies the
+       default caps, so a cap is taken only in 0..default *)
+    let keep_flag (name, default, doc) =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 0 && n <= default -> Ok n
+        | _ ->
+          let msg = Printf.sprintf "invalid value '%s', expected 0..%d" in
+          Error (`Msg (msg s default))
       in
-      (match Store.flush st with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "difftrace: %s\n" (Store.error_to_string e);
-        exit 1);
-      (* the vdiff field appears only when something was dropped, keeping
-         the long-standing three-field line byte-stable *)
-      Printf.printf "evicted %d summaries, %d matrices, %d signatures%s\n" s m g
-        (if v > 0 then Printf.sprintf ", %d vdiffs" v else "")
+      Arg.(
+        value
+        & opt (conv (parse, Format.pp_print_int)) default
+        & info [ "keep-" ^ name ] ~docv:"N"
+            ~doc:("Keep at most $(docv) newest " ^ doc ^ "."))
+      |> Term.map (fun n -> (name, n))
     in
-    Cmd.v (Cmd.info "gc" ~doc)
-      Term.(const action $ dir_t $ keep_summaries_t $ keep_matrices_t
-            $ keep_signatures_t $ keep_vdiffs_t)
+    let keep_t =
+      List.fold_right
+        (fun k rest -> Term.(const List.cons $ keep_flag k $ rest))
+        Store.kinds (Term.const [])
+    in
+    let action dir keep =
+      let st = or_exit (Store.load ~dir) in
+      let dropped = Store.gc ~keep st in
+      or_exit (Store.flush st);
+      print_string (Store.render_evicted dropped)
+    in
+    Cmd.v (Cmd.info "gc" ~doc) Term.(const action $ dir_t $ keep_t)
   in
   let verify_cmd =
     let doc =
@@ -1361,13 +1346,9 @@ let store_cmd =
        next load)."
     in
     let action dir =
-      match Store.verify ~dir with
-      | Error e ->
-        Printf.eprintf "difftrace: %s\n" (Store.error_to_string e);
-        exit 1
-      | Ok c ->
-        print_string (Store.render_check c);
-        if c.Store.c_damage <> None then exit 1
+      let c = or_exit (Store.verify ~dir) in
+      print_string (Store.render_check c);
+      if c.Store.c_damage <> None then exit 1
     in
     Cmd.v (Cmd.info "verify" ~doc) Term.(const action $ dir_t)
   in

@@ -79,11 +79,11 @@ let find t key =
 let add t key nlr = Hashtbl.replace t.cache key nlr
 
 (* persistence hooks for the analysis store: adopt a disk entry
-   without disturbing the hit/miss counters, and enumerate the cache
-   for rewriting. Keys are exposed as their raw digest bytes. *)
+   without disturbing the hit/miss counters, and enumerate and read
+   the cache for rewriting. Keys are exposed as their raw digest bytes. *)
 let restore t ~key nlr = Hashtbl.replace t.cache key nlr
 
-let mem t ~key = Hashtbl.mem t.cache key
+let lookup t ~key = Hashtbl.find_opt t.cache key
 
 let fold t ~init ~f = Hashtbl.fold (fun key nlr acc -> f key nlr acc) t.cache init
 

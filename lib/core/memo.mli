@@ -64,8 +64,9 @@ val add : t -> key -> Difftrace_nlr.Nlr.t -> unit
     digest bytes) without touching the hit/miss counters. *)
 val restore : t -> key:string -> Difftrace_nlr.Nlr.t -> unit
 
-(** [mem t ~key] — is the raw key cached? (No hit/miss accounting.) *)
-val mem : t -> key:string -> bool
+(** [lookup t ~key] — the entry under the raw key, without hit/miss
+    accounting. *)
+val lookup : t -> key:string -> Difftrace_nlr.Nlr.t option
 
 (** [fold t ~init ~f] — fold over every cached entry; [f] receives the
     raw key bytes. Iteration order is unspecified. *)

@@ -21,12 +21,6 @@ let c_sig_misses = Telemetry.Counter.make "store.sig_misses"
 let c_vdiff_hits = Telemetry.Counter.make "store.vdiff_hits"
 let c_vdiff_misses = Telemetry.Counter.make "store.vdiff_misses"
 
-(* retention caps applied by [flush]; [gc] takes explicit ones *)
-let default_keep_summaries = 4096
-let default_keep_matrices = 64
-let default_keep_signatures = 4096
-let default_keep_vdiffs = 64
-
 let magic = "difftrace-store 1\n"
 let store_file = "analysis.store"
 
@@ -79,6 +73,15 @@ type t = {
 
 let dir t = t.dir
 let memo t = t.memo
+
+(* the one insertion-stamp counter every kind draws from; adoption
+   advances it past each stamp read back from disk *)
+let fresh_stamp t =
+  let s = t.next_stamp in
+  t.next_stamp <- s + 1;
+  s
+
+let note_stamp t s = if s >= t.next_stamp then t.next_stamp <- s + 1
 
 let matrix_identity (e : matrix_entry) =
   let pairs =
@@ -210,6 +213,14 @@ type raw =
   | Rmatrix of matrix_entry
   | Rsignature of { digest : string; entry : sig_entry }
   | Rvdiff of { key : string; entry : vdiff_entry }
+
+let tag_of = function
+  | Rsymbol _ -> tag_symbol
+  | Rbody _ -> tag_body
+  | Rsummary _ -> tag_summary
+  | Rmatrix _ -> tag_matrix
+  | Rsignature _ -> tag_signature
+  | Rvdiff _ -> tag_vdiff
 
 (* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
    records of this load — the only IDs a well-formed record may cite *)
@@ -355,18 +366,16 @@ let adopt t records =
          | Rsummary { key; stamp; nlr } ->
            Memo.restore t.memo ~key nlr;
            Hashtbl.replace t.stamps key stamp;
-           if stamp >= t.next_stamp then t.next_stamp <- stamp + 1
+           note_stamp t stamp
          | Rmatrix e ->
            Hashtbl.replace t.matrices (matrix_identity e) e;
-           if e.stamp >= t.next_stamp then t.next_stamp <- e.stamp + 1
+           note_stamp t e.stamp
          | Rsignature { digest; entry } ->
            Hashtbl.replace t.signatures digest entry;
-           if entry.sg_stamp >= t.next_stamp then
-             t.next_stamp <- entry.sg_stamp + 1
+           note_stamp t entry.sg_stamp
          | Rvdiff { key; entry } ->
            Hashtbl.replace t.vdiffs key entry;
-           if entry.vd_stamp >= t.next_stamp then
-             t.next_stamp <- entry.vd_stamp + 1)
+           note_stamp t entry.vd_stamp)
        records
    with Bad_record reason -> damage := Some reason);
   !damage
@@ -431,9 +440,8 @@ let signatures_of t ctx digests =
       | None ->
         Telemetry.Counter.incr c_sig_misses;
         let mins = (Lazy.force hash) i in
-        let stamp = t.next_stamp in
-        t.next_stamp <- stamp + 1;
-        Hashtbl.replace t.signatures digest { sg_stamp = stamp; sg_mins = mins };
+        Hashtbl.replace t.signatures digest
+          { sg_stamp = fresh_stamp t; sg_mins = mins };
         t.dirty <- true;
         mins)
     digests
@@ -513,9 +521,9 @@ let jsm t ~config ~init ctx =
         false )
   in
   if not covered then begin
-    let stamp = t.next_stamp in
-    t.next_stamp <- stamp + 1;
-    let e = { ns; stamp; labels; digests; matrix = result.Jsm.m } in
+    let e =
+      { ns; stamp = fresh_stamp t; labels; digests; matrix = result.Jsm.m }
+    in
     Hashtbl.replace t.matrices (matrix_identity e) e;
     t.dirty <- true
   end;
@@ -533,95 +541,127 @@ let find_vdiff t ~key =
     None
 
 let add_vdiff t ~key ~nruns cols =
-  let stamp = t.next_stamp in
-  t.next_stamp <- stamp + 1;
   Hashtbl.replace t.vdiffs key
-    { vd_stamp = stamp; vd_nruns = nruns; vd_cols = cols };
+    { vd_stamp = fresh_stamp t; vd_nruns = nruns; vd_cols = cols };
   t.dirty <- true
 
-(* {2 Eviction, flush, stats} *)
+(* {2 Record kinds}
 
-(* summaries not yet persisted (no stamp) sort newest; among them key
-   order decides — everything deterministic for a given workload *)
-let summary_entries t =
-  Memo.fold t.memo ~init:[] ~f:(fun key nlr acc ->
-      if Hashtbl.mem t.evicted key then acc
-      else
+   One entry per evictable record kind; everything below iterates the
+   table. [entries] lists live [(stamp, key)] pairs in any order, one
+   not yet persisted stamped [max_int]; [payload] renders a live key. *)
+
+type kind = {
+  name : string;
+  tag : int;
+  default_keep : int;  (* the retention cap [flush] applies *)
+  doc : string;  (* what one record holds, for help text *)
+  listed_when_zero : bool;
+  entries : t -> (int * string) list;
+  drop : t -> string -> unit;
+  payload : t -> string -> string;
+}
+
+(* summaries live in the memo; the store keeps their stamps and the
+   keys gc dropped, and stamps a new summary when it first writes it *)
+let summaries =
+  { name = "summaries";
+    tag = tag_summary;
+    default_keep = 4096;
+    doc = "NLR summaries";
+    listed_when_zero = true;
+    entries =
+      (fun t ->
+        Memo.fold t.memo ~init:[] ~f:(fun key _ acc ->
+            if Hashtbl.mem t.evicted key then acc
+            else
+              let stamp = Hashtbl.find_opt t.stamps key in
+              (Option.value stamp ~default:max_int, key) :: acc));
+    drop = (fun t key -> Hashtbl.replace t.evicted key ());
+    payload =
+      (fun t key ->
         let stamp =
           match Hashtbl.find_opt t.stamps key with
           | Some s -> s
-          | None -> max_int
+          | None ->
+            let s = fresh_stamp t in
+            Hashtbl.replace t.stamps key s;
+            s
         in
-        (key, stamp, nlr) :: acc)
-  |> List.sort (fun (k1, s1, _) (k2, s2, _) ->
-         match compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
+        payload_summary ~key ~stamp (Option.get (Memo.lookup t.memo ~key))) }
 
-let matrix_entries t =
-  Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.matrices []
-  |> List.sort (fun (i1, e1) (i2, e2) ->
-         match compare e1.stamp e2.stamp with
-         | 0 -> String.compare i1 i2
-         | c -> c)
+let table_kind ?(listed_when_zero = true) name ~tag ~default_keep ~doc table
+    stamp payload =
+  { name;
+    tag;
+    default_keep;
+    doc;
+    listed_when_zero;
+    entries =
+      (fun t -> Hashtbl.fold (fun k e acc -> (stamp e, k) :: acc) (table t) []);
+    drop = (fun t k -> Hashtbl.remove (table t) k);
+    payload = (fun t k -> payload k (Hashtbl.find (table t) k)) }
 
-let signature_entries t =
-  Hashtbl.fold (fun d e acc -> (d, e) :: acc) t.signatures []
-  |> List.sort (fun (d1, e1) (d2, e2) ->
-         match compare e1.sg_stamp e2.sg_stamp with
-         | 0 -> String.compare d1 d2
-         | c -> c)
+let matrices =
+  table_kind "matrices" ~tag:tag_matrix ~default_keep:64 ~doc:"JSM matrices"
+    (fun t -> t.matrices) (fun e -> e.stamp) (fun _ e -> payload_matrix e)
 
-let vdiff_entries t =
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.vdiffs []
-  |> List.sort (fun (k1, e1) (k2, e2) ->
-         match compare e1.vd_stamp e2.vd_stamp with
-         | 0 -> String.compare k1 k2
-         | c -> c)
+let signatures =
+  table_kind "signatures" ~tag:tag_signature ~default_keep:4096
+    ~doc:"MinHash signatures" (fun t -> t.signatures) (fun e -> e.sg_stamp)
+    (fun digest e -> payload_signature ~digest e)
 
-let drop_oldest entries ~keep =
-  let total = List.length entries in
-  if total <= keep then ([], entries)
-  else
-    let excess = total - keep in
-    let rec split n = function
-      | dropped when n = 0 -> ([], dropped)
-      | [] -> ([], [])
-      | e :: rest ->
-        let d, k = split (n - 1) rest in
-        (e :: d, k)
-    in
-    split excess entries
+(* stores that never served a vdiff render exactly as they always have *)
+let vdiffs =
+  table_kind "vdiffs" ~listed_when_zero:false ~tag:tag_vdiff ~default_keep:64
+    ~doc:"variational alignments" (fun t -> t.vdiffs) (fun e -> e.vd_stamp)
+    (fun key e -> payload_vdiff ~key e)
 
-let evict ?(keep_summaries = default_keep_summaries)
-    ?(keep_matrices = default_keep_matrices)
-    ?(keep_signatures = default_keep_signatures)
-    ?(keep_vdiffs = default_keep_vdiffs) t =
-  let drop_s, _ = drop_oldest (summary_entries t) ~keep:keep_summaries in
-  List.iter (fun (key, _, _) -> Hashtbl.replace t.evicted key ()) drop_s;
-  let drop_m, _ = drop_oldest (matrix_entries t) ~keep:keep_matrices in
-  List.iter (fun (id, _) -> Hashtbl.remove t.matrices id) drop_m;
-  (* signatures ride the same stamp order as everything else, so a
-     sketch-heavy store ages out its oldest sketches first instead of
-     growing without bound (they used to escape eviction entirely) *)
-  let drop_g, _ = drop_oldest (signature_entries t) ~keep:keep_signatures in
-  List.iter (fun (d, _) -> Hashtbl.remove t.signatures d) drop_g;
-  let drop_v, _ = drop_oldest (vdiff_entries t) ~keep:keep_vdiffs in
-  List.iter (fun (k, _) -> Hashtbl.remove t.vdiffs k) drop_v;
-  let ns = List.length drop_s
-  and nm = List.length drop_m
-  and ng = List.length drop_g
-  and nv = List.length drop_v in
-  if ns + nm + ng + nv > 0 then begin
-    Telemetry.Counter.add c_evictions (ns + nm + ng + nv);
+(* display order: gc results, stats, verify and the store gc flags *)
+let kind_table = [ summaries; matrices; signatures; vdiffs ]
+
+(* write order, part of the format: every reference points backwards *)
+let file_order = [ summaries; signatures; matrices; vdiffs ]
+
+let kinds = List.map (fun k -> (k.name, k.default_keep, k.doc)) kind_table
+
+(* oldest first: stamp order, key-tiebroken, so eviction and the
+   rendered bytes are deterministic *)
+let live t k =
+  List.sort
+    (fun (s1, k1) (s2, k2) ->
+      match Int.compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
+    (k.entries t)
+
+(* {2 Eviction, flush} *)
+
+let gc ?(keep = []) t =
+  List.iter
+    (fun (name, cap) ->
+      if not (List.exists (fun k -> k.name = name) kind_table) then
+        invalid_arg ("Store.gc: unknown record kind " ^ name);
+      if cap < 0 then
+        invalid_arg
+          (Printf.sprintf "Store.gc: negative cap %d for %s" cap name))
+    keep;
+  let dropped =
+    List.map
+      (fun k ->
+        let entries = live t k in
+        let cap =
+          Option.value (List.assoc_opt k.name keep) ~default:k.default_keep
+        in
+        let excess = List.length entries - cap in
+        List.iteri (fun i (_, key) -> if i < excess then k.drop t key) entries;
+        (k.name, max 0 excess))
+      kind_table
+  in
+  let n = List.fold_left (fun n (_, d) -> n + d) 0 dropped in
+  if n > 0 then begin
+    Telemetry.Counter.add c_evictions n;
     t.dirty <- true
   end;
-  (ns, nm, ng, nv)
-
-let gc ?keep_summaries ?keep_matrices ?keep_signatures ?keep_vdiffs t =
-  evict ?keep_summaries ?keep_matrices ?keep_signatures ?keep_vdiffs t
-
-let has_new_summaries t =
-  Memo.fold t.memo ~init:false ~f:(fun key _ acc ->
-      acc || not (Hashtbl.mem t.stamps key))
+  dropped
 
 let render t =
   let buf = Buffer.create 4096 in
@@ -634,32 +674,18 @@ let render t =
     Framed.add_record buf (payload_body (Nlr.Loop_table.body table id))
   done;
   List.iter
-    (fun (key, stamp, nlr) ->
-      let stamp =
-        if stamp = max_int then begin
-          let s = t.next_stamp in
-          t.next_stamp <- s + 1;
-          Hashtbl.replace t.stamps key s;
-          s
-        end
-        else stamp
-      in
-      Framed.add_record buf (payload_summary ~key ~stamp nlr))
-    (summary_entries t);
-  List.iter
-    (fun (digest, e) -> Framed.add_record buf (payload_signature ~digest e))
-    (signature_entries t);
-  List.iter
-    (fun (_, e) -> Framed.add_record buf (payload_matrix e))
-    (matrix_entries t);
-  List.iter (fun (key, e) -> Framed.add_record buf (payload_vdiff ~key e))
-    (vdiff_entries t);
+    (fun k ->
+      List.iter
+        (fun (_, key) -> Framed.add_record buf (k.payload t key))
+        (live t k))
+    file_order;
   Buffer.contents buf
 
 let flush t =
-  if not (t.dirty || has_new_summaries t) then Ok ()
+  let unstamped k = List.exists (fun (s, _) -> s = max_int) (k.entries t) in
+  if not (t.dirty || List.exists unstamped kind_table) then Ok ()
   else begin
-    ignore (evict t : int * int * int * int);
+    ignore (gc t : (string * int) list);
     match Framed.mkdir_p t.dir with
     | Error _ as e -> e
     | Ok () -> (
@@ -671,11 +697,32 @@ let flush t =
       | Error reason -> Error (t.file ^ ": " ^ reason))
   end
 
+(* {2 Stats and verify} *)
+
+(* the kinds a render lists, with their counts, in display order *)
+let listed counts =
+  List.filter_map
+    (fun k ->
+      let n = Option.value (List.assoc_opt k.name counts) ~default:0 in
+      if n > 0 || k.listed_when_zero then Some (k.name, n) else None)
+    kind_table
+
+let render_counts buf counts ~symbols ~loop_bodies =
+  List.iter (fun (name, n) -> Printf.bprintf buf "%-11s %d\n" name n)
+    (listed counts);
+  Printf.bprintf buf "symbols     %d\nloop bodies %d\n" symbols loop_bodies
+
+let render_evicted dropped =
+  "evicted "
+  ^ String.concat ", "
+      (List.map (fun (name, n) -> Printf.sprintf "%d %s" n name)
+         (listed dropped))
+  ^ "\n"
+
 type stats = {
   summaries : int;
   matrices : int;
-  signatures : int;
-  vdiffs : int;
+  kinds : (string * int) list;
   symbols : int;
   loop_bodies : int;
   file_bytes : int;
@@ -683,10 +730,12 @@ type stats = {
 }
 
 let stats t =
-  { summaries = List.length (summary_entries t);
-    matrices = Hashtbl.length t.matrices;
-    signatures = Hashtbl.length t.signatures;
-    vdiffs = Hashtbl.length t.vdiffs;
+  let counts =
+    List.map (fun k -> (k.name, List.length (k.entries t))) kind_table
+  in
+  { summaries = List.assoc "summaries" counts;
+    matrices = List.assoc "matrices" counts;
+    kinds = counts;
     symbols = Difftrace_trace.Symtab.size (Memo.symtab t.memo);
     loop_bodies = Nlr.Loop_table.size (Memo.loop_table t.memo);
     file_bytes =
@@ -695,24 +744,14 @@ let stats t =
 
 let render_stats s =
   let buf = Buffer.create 128 in
-  Printf.bprintf buf "summaries   %d\n" s.summaries;
-  Printf.bprintf buf "matrices    %d\n" s.matrices;
-  Printf.bprintf buf "signatures  %d\n" s.signatures;
-  (* conditional like [salvaged]: stores that never served a vdiff
-     render exactly as they always have *)
-  if s.vdiffs > 0 then Printf.bprintf buf "vdiffs      %d\n" s.vdiffs;
-  Printf.bprintf buf "symbols     %d\n" s.symbols;
-  Printf.bprintf buf "loop bodies %d\n" s.loop_bodies;
+  render_counts buf s.kinds ~symbols:s.symbols ~loop_bodies:s.loop_bodies;
   Printf.bprintf buf "file bytes  %d\n" s.file_bytes;
   if s.salvaged then Buffer.add_string buf "salvaged    yes\n";
   Buffer.contents buf
 
 type check = {
   c_records : int;
-  c_summaries : int;
-  c_matrices : int;
-  c_signatures : int;
-  c_vdiffs : int;
+  c_kinds : (string * int) list;
   c_symbols : int;
   c_loop_bodies : int;
   c_bytes : int;
@@ -721,43 +760,24 @@ type check = {
 
 let verify ~dir =
   let file = Filename.concat dir store_file in
-  if not (Sys.file_exists file) then
-    Ok
-      { c_records = 0;
-        c_summaries = 0;
-        c_matrices = 0;
-        c_signatures = 0;
-        c_vdiffs = 0;
-        c_symbols = 0;
-        c_loop_bodies = 0;
-        c_bytes = 0;
-        c_damage = None }
+  let check ~bytes ~damage records =
+    let count tag =
+      List.length (List.filter (fun r -> tag_of r = tag) records)
+    in
+    { c_records = List.length records;
+      c_kinds = List.map (fun k -> (k.name, count k.tag)) kind_table;
+      c_symbols = count tag_symbol;
+      c_loop_bodies = count tag_body;
+      c_bytes = bytes;
+      c_damage = damage }
+  in
+  if not (Sys.file_exists file) then Ok (check ~bytes:0 ~damage:None [])
   else
     match Framed.read_file file with
     | Error reason -> Error (file ^ ": " ^ reason)
     | Ok image ->
       let records, damage = scan image in
-      let sy = ref 0 and bo = ref 0 and su = ref 0 and ma = ref 0 in
-      let sg = ref 0 and vd = ref 0 in
-      List.iter
-        (function
-          | Rsymbol _ -> incr sy
-          | Rbody _ -> incr bo
-          | Rsummary _ -> incr su
-          | Rmatrix _ -> incr ma
-          | Rsignature _ -> incr sg
-          | Rvdiff _ -> incr vd)
-        records;
-      Ok
-        { c_records = List.length records;
-          c_summaries = !su;
-          c_matrices = !ma;
-          c_signatures = !sg;
-          c_vdiffs = !vd;
-          c_symbols = !sy;
-          c_loop_bodies = !bo;
-          c_bytes = String.length image;
-          c_damage = damage }
+      Ok (check ~bytes:(String.length image) ~damage records)
 
 let render_check c =
   let buf = Buffer.create 128 in
@@ -766,10 +786,6 @@ let render_check c =
   | Some reason ->
     Printf.bprintf buf "store: damaged — %s (%d records salvageable)\n" reason
       c.c_records);
-  Printf.bprintf buf "summaries   %d\n" c.c_summaries;
-  Printf.bprintf buf "matrices    %d\n" c.c_matrices;
-  Printf.bprintf buf "signatures  %d\n" c.c_signatures;
-  if c.c_vdiffs > 0 then Printf.bprintf buf "vdiffs      %d\n" c.c_vdiffs;
-  Printf.bprintf buf "symbols     %d\n" c.c_symbols;
-  Printf.bprintf buf "loop bodies %d\n" c.c_loop_bodies;
+  render_counts buf c.c_kinds ~symbols:c.c_symbols
+    ~loop_bodies:c.c_loop_bodies;
   Buffer.contents buf

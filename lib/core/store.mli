@@ -1,12 +1,12 @@
 (** Persistent, content-addressed analysis store.
 
-    {!Memo} (PR 1) amortizes NLR summarization {e within} one process;
-    every CLI invocation still starts cold. The store extends that
-    across processes: a single on-disk file persists the memo's shared
-    symbol/loop tables, its cached summaries, and completed JSM
-    matrices, so the second [difftrace compare] over the same corpus
-    performs zero summarizations and mirrors (almost) every Jaccard
-    cell from disk — near-pure I/O instead of O(n²) recompute.
+    {!Memo} amortizes NLR summarization {e within} one process; every
+    CLI invocation still starts cold. The store extends that across
+    processes: a single on-disk file persists the memo's shared
+    symbol/loop tables and four evictable record kinds ({!kinds}), so
+    the second [difftrace compare] over the same corpus performs zero
+    summarizations and mirrors (almost) every Jaccard cell from disk —
+    near-pure I/O instead of O(n²) recompute.
 
     {2 Correctness model}
 
@@ -101,11 +101,15 @@ val jsm :
     [store.evictions]. Creates [dir] if needed. *)
 val flush : t -> (unit, error) result
 
+(** The evictable record kinds — summaries, matrices, signatures,
+    vdiffs — as [(name, cap {!flush} applies, help text)], in the order
+    every per-kind list below follows. *)
+val kinds : (string * int * string) list
+
 type stats = {
   summaries : int;
   matrices : int;
-  signatures : int;
-  vdiffs : int;  (** persisted variational alignments *)
+  kinds : (string * int) list;  (** live entries per kind *)
   symbols : int;
   loop_bodies : int;
   file_bytes : int;  (** store file size on disk; 0 before first flush *)
@@ -114,28 +118,22 @@ type stats = {
 
 val stats : t -> stats
 
-(** Text rendering of {!stats} for [difftrace store stats]. *)
+(** Text rendering of {!stats} for [difftrace store stats]. The vdiffs
+    line appears only when the count is non-zero. *)
 val render_stats : stats -> string
 
-(** [gc ?keep_summaries ?keep_matrices ?keep_signatures ?keep_vdiffs t]
-    — drop all but the newest [keep_summaries] summaries (default
-    4096), [keep_matrices] matrices (default 64), [keep_signatures]
-    MinHash signatures (default 4096) and [keep_vdiffs] variational
-    alignments (default 64); ties resolve by key so the outcome is
-    deterministic. Signatures and vdiffs participate in the same
-    stamp-ordered aging as everything else, so a sketch- or
-    vdiff-heavy store cannot grow unbounded. Returns
-    [(summaries_dropped, matrices_dropped, signatures_dropped,
-    vdiffs_dropped)], also counted into [store.evictions]. Takes
-    effect on disk at the next {!flush}. Shared symbol/loop tables are
-    never shrunk — live summaries index into them. *)
-val gc :
-  ?keep_summaries:int ->
-  ?keep_matrices:int ->
-  ?keep_signatures:int ->
-  ?keep_vdiffs:int ->
-  t ->
-  int * int * int * int
+(** [gc ?keep t] — per kind, drop all but the newest [n] entries, [n]
+    being the kind's cap in [keep] or else its default; ties resolve by
+    key. Returns the number dropped per kind, also counted into
+    [store.evictions]. Takes effect at the next {!flush}, which
+    re-applies the default caps. Symbol/loop tables are never shrunk.
+    @raise Invalid_argument on an unknown kind or a negative cap,
+    before anything is dropped. *)
+val gc : ?keep:(string * int) list -> t -> (string * int) list
+
+(** [store gc]'s line for {!gc}'s result; like the renders above, it
+    names vdiffs only when their count is non-zero. *)
+val render_evicted : (string * int) list -> string
 
 (** [find_vdiff t ~key] — the persisted variational alignment keyed by
     [key] (a digest over the aligned runs' element sequences, in run
@@ -152,10 +150,7 @@ val add_vdiff : t -> key:string -> nruns:int -> (string * int list) array -> uni
 
 type check = {
   c_records : int;
-  c_summaries : int;
-  c_matrices : int;
-  c_signatures : int;
-  c_vdiffs : int;
+  c_kinds : (string * int) list;  (** valid records per kind *)
   c_symbols : int;
   c_loop_bodies : int;
   c_bytes : int;

@@ -1,9 +1,9 @@
-(* Pipeline-wide telemetry: hierarchical timing spans, named counters
-   and pluggable sinks.
+(* Pipeline-wide telemetry: hierarchical timing spans and named
+   counters.
 
    The whole module is off by default: instrumented code pays one
-   atomic load (and a branch) per span or counter touch until a sink
-   is installed, so the hot kernels can stay instrumented permanently.
+   atomic load (and a branch) per span or counter touch until it is
+   enabled, so the hot kernels can stay instrumented permanently.
    When recording, spans aggregate under their slash-joined path
    ("compare_runs/analyze/summarize") into a mutex-protected table, so
    domains spawned by the parallel engine can record concurrently;
@@ -287,15 +287,8 @@ end
 (* Global switch and clock                                            *)
 (* ------------------------------------------------------------------ *)
 
-type sink =
-  | Recording
-  | Printer of out_channel
-  | Custom of (path:string -> wall_ns:int -> alloc_bytes:int -> unit)
-
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
-
-let sinks_ref : sink list ref = ref []
 
 (* [Unix.gettimeofday] is the best stdlib-only approximation of a
    monotonic clock; tests inject a deterministic one instead *)
@@ -364,25 +357,16 @@ let span_table : (string, agg) Hashtbl.t = Hashtbl.create 32
 let span_mu = Mutex.create ()
 
 let record_span path wall alloc =
-  let wall_ns = int_of_float (Float.round (wall *. 1e9)) in
-  let alloc_bytes = int_of_float (Float.round alloc) in
-  List.iter
-    (function
-      | Recording ->
-        Mutex.lock span_mu;
-        (match Hashtbl.find_opt span_table path with
-        | Some a ->
-          a.a_count <- a.a_count + 1;
-          a.a_wall <- a.a_wall +. wall;
-          a.a_alloc <- a.a_alloc +. alloc
-        | None ->
-          Hashtbl.add span_table path
-            { a_count = 1; a_wall = wall; a_alloc = alloc });
-        Mutex.unlock span_mu
-      | Printer oc ->
-        Printf.fprintf oc "[span] %-40s %.6fs %d B\n%!" path wall alloc_bytes
-      | Custom f -> f ~path ~wall_ns ~alloc_bytes)
-    !sinks_ref
+  Mutex.lock span_mu;
+  (match Hashtbl.find_opt span_table path with
+  | Some a ->
+    a.a_count <- a.a_count + 1;
+    a.a_wall <- a.a_wall +. wall;
+    a.a_alloc <- a.a_alloc +. alloc
+  | None ->
+    Hashtbl.add span_table path
+      { a_count = 1; a_wall = wall; a_alloc = alloc });
+  Mutex.unlock span_mu
 
 module Span = struct
   (* each domain tracks its own span stack; the stored strings are the
@@ -433,15 +417,11 @@ let reset () =
   Mutex.unlock span_mu;
   Counter.reset_all ()
 
-let enable ?(sinks = [ Recording ]) () =
-  (match sinks with [] -> invalid_arg "Telemetry.enable: no sinks" | _ -> ());
+let enable () =
   reset ();
-  sinks_ref := sinks;
   Atomic.set enabled_flag true
 
-let disable () =
-  Atomic.set enabled_flag false;
-  sinks_ref := []
+let disable () = Atomic.set enabled_flag false
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                            *)

@@ -1,9 +1,9 @@
-(** Pipeline-wide telemetry: hierarchical timing spans, named counters
-    and pluggable sinks.
+(** Pipeline-wide telemetry: hierarchical timing spans and named
+    counters.
 
-    Everything is {e off by default}: until {!enable} installs a sink,
-    an instrumented call site costs a single atomic load and a branch,
-    so the hot kernels (JSM cells, NLR summarization, LZW capture) can
+    Everything is {e off by default}: until {!enable} is called, an
+    instrumented call site costs a single atomic load and a branch, so
+    the hot kernels (JSM cells, NLR summarization, LZW capture) can
     stay instrumented permanently. Enabling records into a process-wide
     aggregation table that is safe to touch from every domain the
     parallel engine spawns.
@@ -49,19 +49,10 @@ module Json : sig
   val to_str : t -> string option
 end
 
-(** Where closed spans are delivered. [Recording] aggregates per path
-    (the default, queried via {!report}); [Printer] writes one line per
-    span close (a debug trace); [Custom] calls back. Counters are
-    pull-based and only surface in {!report}. *)
-type sink =
-  | Recording
-  | Printer of out_channel
-  | Custom of (path:string -> wall_ns:int -> alloc_bytes:int -> unit)
-
-(** [enable ?sinks ()] resets all recorded state and turns telemetry
-    on. [sinks] defaults to [[Recording]].
-    @raise Invalid_argument if [sinks] is empty. *)
-val enable : ?sinks:sink list -> unit -> unit
+(** [enable ()] resets all recorded state and turns telemetry on:
+    closed spans aggregate per path (queried via {!report}), counters
+    count. *)
+val enable : unit -> unit
 
 (** Turn telemetry off; instrumented code reverts to the almost-free
     path. Recorded data survives until the next [enable]. *)

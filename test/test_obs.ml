@@ -1,6 +1,6 @@
 (* Telemetry tests: span nesting and aggregation, the disabled fast
-   path, sink plumbing, counter determinism under the parallel engine
-   and the stability of the difftrace-telemetry/1 JSON schema. *)
+   path, counter determinism under the parallel engine and the
+   stability of the difftrace-telemetry/1 JSON schema. *)
 
 open Difftrace
 module R = Difftrace_simulator.Runtime
@@ -87,7 +87,7 @@ let test_span_exception_safe () =
   Alcotest.(check int) "span still recorded" 4_000_000 s.Telemetry.wall_ns
 
 (* ------------------------------------------------------------------ *)
-(* Disabled fast path and sinks                                        *)
+(* Disabled fast path                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_disabled_is_noop () =
@@ -103,30 +103,6 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "no spans recorded" 0 (List.length r.Telemetry.spans);
   Alcotest.(check int) "no counters recorded" 0
     (List.length r.Telemetry.counters)
-
-let test_enable_rejects_empty_sinks () =
-  Alcotest.check_raises "no sinks is a caller bug"
-    (Invalid_argument "Telemetry.enable: no sinks") (fun () ->
-      Telemetry.enable ~sinks:[] ())
-
-let test_custom_sink () =
-  let advance = fake_clock () in
-  let seen = ref [] in
-  Telemetry.enable
-    ~sinks:
-      [ Telemetry.Custom
-          (fun ~path ~wall_ns ~alloc_bytes ->
-            seen := (path, wall_ns, alloc_bytes) :: !seen) ]
-    ();
-  Telemetry.Span.with_ "a" (fun () ->
-      advance 0.001;
-      Telemetry.Span.with_ "b" (fun () -> advance 0.002));
-  (* children close first; no Recording sink means an empty report *)
-  Alcotest.(check bool)
-    "custom sink saw both closes in order" true
-    (!seen = [ ("a", 3_000_000, 0); ("a/b", 2_000_000, 0) ]);
-  Alcotest.(check int) "recording sink not installed" 0
-    (List.length (Telemetry.report ()).Telemetry.spans)
 
 (* ------------------------------------------------------------------ *)
 (* Counter determinism across engines                                  *)
@@ -251,11 +227,7 @@ let () =
             (scrubbed test_span_exception_safe) ] );
       ( "switch",
         [ Alcotest.test_case "disabled is a no-op" `Quick
-            (scrubbed test_disabled_is_noop);
-          Alcotest.test_case "empty sinks rejected" `Quick
-            (scrubbed test_enable_rejects_empty_sinks);
-          Alcotest.test_case "custom sink" `Quick (scrubbed test_custom_sink) ]
-      );
+            (scrubbed test_disabled_is_noop) ] );
       ( "counters",
         [ Alcotest.test_case "engine parity (compare_runs)" `Quick
             (scrubbed test_counters_engine_parity);

@@ -71,6 +71,9 @@ let with_telemetry f =
       Telemetry.disable ();
       Telemetry.reset ())
 
+(* one kind's count out of a per-kind list *)
+let count name counts = List.assoc name counts
+
 let c_crc_fail = Telemetry.Counter.make "store.crc_fail"
 let c_evictions = Telemetry.Counter.make "store.evictions"
 
@@ -295,11 +298,15 @@ let test_gc_and_eviction_accounting () =
   let s0 = Store.stats st in
   with_telemetry (fun () ->
       let before = Telemetry.Counter.value c_evictions in
-      let ds, dm, dg, _ = Store.gc ~keep_summaries:1 ~keep_matrices:0 st in
-      Alcotest.(check int) "summaries dropped" (s0.Store.summaries - 1) ds;
-      Alcotest.(check int) "matrices dropped" s0.Store.matrices dm;
-      Alcotest.(check int) "no signatures in an exact-mode store" 0 dg;
-      Alcotest.(check int) "store.evictions counted" (before + ds + dm + dg)
+      let dropped = Store.gc ~keep:[ ("summaries", 1); ("matrices", 0) ] st in
+      Alcotest.(check int) "summaries dropped" (s0.Store.summaries - 1)
+        (count "summaries" dropped);
+      Alcotest.(check int) "matrices dropped" s0.Store.matrices
+        (count "matrices" dropped);
+      Alcotest.(check int) "no signatures in an exact-mode store" 0
+        (count "signatures" dropped);
+      Alcotest.(check int) "store.evictions counted"
+        (before + List.fold_left (fun n (_, d) -> n + d) 0 dropped)
         (Telemetry.Counter.value c_evictions));
   get (Store.flush st);
   let st2 = get (Store.load ~dir) in
@@ -332,7 +339,8 @@ let test_signatures_persist_and_gc_caps () =
   get (Store.flush st);
   let st2 = get (Store.load ~dir) in
   let s0 = Store.stats st2 in
-  Alcotest.(check bool) "signatures persisted" true (s0.Store.signatures > 0);
+  let n_sigs = count "signatures" s0.Store.kinds in
+  Alcotest.(check bool) "signatures persisted" true (n_sigs > 0);
   with_telemetry (fun () ->
       let warm = Pipeline.analyze ~store:st2 sketch_config ts in
       Alcotest.(check bool) "warm sketch JSM bit-identical" true
@@ -342,18 +350,20 @@ let test_signatures_persist_and_gc_caps () =
       (* one lookup per object, all hits; objects sharing an attribute
          digest share one persisted signature, so hits ≥ records *)
       Alcotest.(check bool) "every lookup served from disk" true
-        (Telemetry.Counter.value c_sig_hits >= s0.Store.signatures));
+        (Telemetry.Counter.value c_sig_hits >= n_sigs));
   (* verify counts the signature records too *)
   let c = get (Store.verify ~dir) in
-  Alcotest.(check int) "verify counts signatures" s0.Store.signatures
-    c.Store.c_signatures;
+  Alcotest.(check int) "verify counts signatures" n_sigs
+    (count "signatures" c.Store.c_kinds);
   (* the gc cap: signatures age out stamp-ordered like summaries and
      matrices, and the cap survives the next flush *)
-  let _, _, dg, _ = Store.gc ~keep_signatures:1 st2 in
-  Alcotest.(check int) "all but the newest dropped" (s0.Store.signatures - 1) dg;
+  let dropped = Store.gc ~keep:[ ("signatures", 1) ] st2 in
+  Alcotest.(check int) "all but the newest dropped" (n_sigs - 1)
+    (count "signatures" dropped);
   get (Store.flush st2);
   let s1 = Store.stats (get (Store.load ~dir)) in
-  Alcotest.(check int) "cap holds on disk" 1 s1.Store.signatures;
+  Alcotest.(check int) "cap holds on disk" 1
+    (count "signatures" s1.Store.kinds);
   (* exact mode never touches signature records: same store, exact
      config, counters stay flat *)
   with_telemetry (fun () ->
@@ -362,6 +372,87 @@ let test_signatures_persist_and_gc_caps () =
       Alcotest.(check int) "exact mode: no signature lookups" 0
         (Telemetry.Counter.value c_sig_hits
         + Telemetry.Counter.value c_sig_misses))
+
+(* vdiff records age like every other kind: [flush] holds them to the
+   default cap of 64, and [gc] to an explicit one, newest kept *)
+let test_vdiff_retention () =
+  let dir = tmpdir "vdiffs" in
+  let st = get (Store.load ~dir) in
+  let key i = Digest.string (Printf.sprintf "vdiff %d" i) in
+  for i = 0 to 69 do
+    Store.add_vdiff st ~key:(key i) ~nruns:2 [| ("MPI_Init", [ 0; 1 ]) |]
+  done;
+  get (Store.flush st);
+  let st = get (Store.load ~dir) in
+  Alcotest.(check int) "flush keeps the default 64" 64
+    (count "vdiffs" (Store.stats st).Store.kinds);
+  Alcotest.(check bool) "the oldest aged out" true
+    (Store.find_vdiff st ~key:(key 5) = None);
+  Alcotest.(check bool) "the newest survives" true
+    (Store.find_vdiff st ~key:(key 69) <> None);
+  Alcotest.(check int) "gc drops all but one" 63
+    (count "vdiffs" (Store.gc ~keep:[ ("vdiffs", 1) ] st));
+  get (Store.flush st);
+  let st = get (Store.load ~dir) in
+  Alcotest.(check int) "gc cap holds on disk" 1
+    (count "vdiffs" (Store.stats st).Store.kinds);
+  Alcotest.(check bool) "and it is the newest" true
+    (Store.find_vdiff st ~key:(key 69) <> None)
+
+(* gc, stats and verify each report every kind of the table, in table
+   order, and agree on a store holding all four kinds *)
+let test_kinds_agree () =
+  let dir = tmpdir "kinds" in
+  let st = get (Store.load ~dir) in
+  let sketch = Config.with_mode Config.Sketch (config ()) in
+  ignore (Pipeline.analyze ~store:st sketch (sample_traces ()));
+  Store.add_vdiff st ~key:(Digest.string "kinds") ~nruns:2
+    [| ("MPI_Init", [ 0; 1 ]) |];
+  get (Store.flush st);
+  let st = get (Store.load ~dir) in
+  let names = List.map (fun (name, _, _) -> name) Store.kinds in
+  Alcotest.(check (list string)) "the four kinds"
+    [ "summaries"; "matrices"; "signatures"; "vdiffs" ] names;
+  let s = Store.stats st in
+  let c = get (Store.verify ~dir) in
+  let dropped = Store.gc st in
+  Alcotest.(check (list string)) "stats names every kind" names
+    (List.map fst s.Store.kinds);
+  Alcotest.(check (list string)) "verify names every kind" names
+    (List.map fst c.Store.c_kinds);
+  Alcotest.(check (list string)) "gc names every kind" names
+    (List.map fst dropped);
+  Alcotest.(check bool) "all four kinds present" true
+    (List.for_all (fun (_, n) -> n > 0) s.Store.kinds);
+  Alcotest.(check (list (pair string int))) "stats and verify agree"
+    s.Store.kinds c.Store.c_kinds;
+  Alcotest.(check bool) "default caps drop nothing" true
+    (List.for_all (fun (_, n) -> n = 0) dropped)
+
+(* summaries gc dropped before they were ever written leave nothing to
+   persist: the flush after the first is a no-op, not a rewrite *)
+let test_dropped_new_summaries () =
+  let dir = tmpdir "dropped_new" in
+  let st = get (Store.load ~dir) in
+  ignore (Pipeline.analyze ~store:st (config ()) (sample_traces ()));
+  ignore (Store.gc ~keep:[ ("summaries", 0) ] st);
+  get (Store.flush st);
+  let inode () = (Unix.stat (store_path dir)).Unix.st_ino in
+  let first = inode () in
+  get (Store.flush st);
+  Alcotest.(check bool) "second flush leaves the file" true (inode () = first)
+
+let test_gc_rejects_bad_caps () =
+  let dir = make_store "badcaps" (sample_traces ()) in
+  let st = get (Store.load ~dir) in
+  let before = Store.stats st in
+  Alcotest.check_raises "negative cap"
+    (Invalid_argument "Store.gc: negative cap -1 for summaries") (fun () ->
+      ignore (Store.gc ~keep:[ ("matrices", 0); ("summaries", -1) ] st));
+  Alcotest.check_raises "unknown kind"
+    (Invalid_argument "Store.gc: unknown record kind bodies") (fun () ->
+      ignore (Store.gc ~keep:[ ("matrices", 0); ("bodies", 1) ] st));
+  Alcotest.(check bool) "nothing dropped" true (Store.stats st = before)
 
 (* ------------------------------------------------------------------ *)
 (* Verify                                                              *)
@@ -375,9 +466,9 @@ let test_verify_clean_and_damaged () =
   let c = get (Store.verify ~dir) in
   Alcotest.(check bool) "no damage" true (c.Store.c_damage = None);
   Alcotest.(check int) "summary count agrees" s.Store.summaries
-    c.Store.c_summaries;
+    (count "summaries" c.Store.c_kinds);
   Alcotest.(check int) "matrix count agrees" s.Store.matrices
-    c.Store.c_matrices;
+    (count "matrices" c.Store.c_kinds);
   Alcotest.(check int) "symbol count agrees" s.Store.symbols c.Store.c_symbols;
   Alcotest.(check int) "byte count agrees" s.Store.file_bytes c.Store.c_bytes;
   (* damage the tail: verify must report it without adopting anything *)
@@ -425,7 +516,15 @@ let () =
         [ Alcotest.test_case "gc drops oldest and counts evictions" `Quick
             test_gc_and_eviction_accounting;
           Alcotest.test_case "signatures persist and obey the gc cap" `Quick
-            test_signatures_persist_and_gc_caps ] );
+            test_signatures_persist_and_gc_caps;
+          Alcotest.test_case "vdiffs obey flush's and gc's caps" `Quick
+            test_vdiff_retention;
+          Alcotest.test_case "gc, stats and verify list every kind" `Quick
+            test_kinds_agree;
+          Alcotest.test_case "gc rejects negative caps, unknown kinds" `Quick
+            test_gc_rejects_bad_caps;
+          Alcotest.test_case "dropped new summaries flush once" `Quick
+            test_dropped_new_summaries ] );
       ( "verify",
         [ Alcotest.test_case "verify: clean, damaged, missing" `Quick
             test_verify_clean_and_damaged ] ) ]
