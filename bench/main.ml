@@ -397,8 +397,8 @@ let ablations () =
   let cswap = Pipeline.compare_runs (Config.make ()) ~normal ~faulty in
   let jn, jf = Jsm.align cswap.Pipeline.normal.Pipeline.jsm
                  cswap.Pipeline.faulty.Pipeline.jsm in
-  let dn = Linkage.cluster Linkage.Ward (Jsm.rows (Jsm.to_distance jn)) in
-  let df = Linkage.cluster Linkage.Ward (Jsm.rows (Jsm.to_distance jf)) in
+  let dn = Linkage.of_similarity Linkage.Ward jn in
+  let df = Linkage.of_similarity Linkage.Ward jf in
   List.iter
     (fun (k, bk) -> Printf.printf "  k=%-3d B_k=%.3f\n" k bk)
     (Bscore.series dn df);
@@ -628,6 +628,14 @@ let perf () =
     let j = Jsm.of_context big_ctx in
     Jsm.rows (Jsm.to_distance j)
   in
+  (* the ilcs-wide shape: 320 traces over 4 distinct attribute sets *)
+  let ctx320 =
+    Context.of_attr_sets
+      (List.init 320 (fun i ->
+           ( Printf.sprintf "%d.%d" (i / 5) (i mod 5),
+             List.init (20 + (i mod 4)) (fun j -> Printf.sprintf "a%d" ((i mod 4) + j)) )))
+  in
+  let jsm320 = Jsm.of_context ctx320 in
   let seq_a = Array.init 600 (fun i -> (i * 37) mod 11) in
   let seq_b = Array.init 600 (fun i -> (i * 53) mod 11) in
   (* a hung run's shape: the normal trace against the short prefix the
@@ -684,6 +692,8 @@ let perf () =
         (Staged.stage (fun () -> Lattice.of_context_batch big_ctx));
       Test.make ~name:"jsm.of-context-40"
         (Staged.stage (fun () -> Jsm.of_context big_ctx));
+      Test.make ~name:"jsm.compute-320x4classes"
+        (Staged.stage (fun () -> Jsm.compute ~init:Array.init ctx320));
       Test.make ~name:"myers.diff-600"
         (Staged.stage (fun () -> Myers.diff ~equal:Int.equal seq_a seq_b));
       Test.make ~name:"myers.diff-hung-1700x11"
@@ -696,13 +706,15 @@ let perf () =
         (Staged.stage (fun () -> Linkage.cluster Linkage.Ward dist));
       Test.make ~name:"linkage.single-40"
         (Staged.stage (fun () -> Linkage.cluster Linkage.Single dist));
+      Test.make ~name:"linkage.ward-320"
+        (Staged.stage (fun () -> Linkage.of_similarity Linkage.Ward jsm320));
       Test.make ~name:"tsp.2opt-40-cities"
         (Staged.stage (fun () -> Tsp.solve tsp ~seed:9));
       Test.make ~name:"pipeline.analyze-oddeven16"
         (Staged.stage (fun () -> Pipeline.analyze (Config.make ()) ts));
       Test.make ~name:"bscore.16"
         (Staged.stage (fun () ->
-             let d = Linkage.cluster Linkage.Ward (Jsm.rows (Jsm.to_distance analysis.Pipeline.jsm)) in
+             let d = Linkage.of_similarity Linkage.Ward analysis.Pipeline.jsm in
              Bscore.score d d)) ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in

@@ -3,13 +3,13 @@ module Telemetry = Difftrace_obs.Telemetry
 module Symmat = Difftrace_util.Symmat
 module Bitset = Difftrace_util.Bitset
 
-(* one count per similarity cell; bumped once per row so the counter
-   stays off the innermost loop. The row function may run on any
-   engine domain — the atomic add keeps the total deterministic.
-   [jsm.cells] counts matrix cells filled (n², stable across commits);
-   [jsm.jaccard_evals] counts actual Jaccard evaluations: n(n+1)/2 for
-   an exact matrix (symmetry halves the work), and only the LSH
-   candidate pairs for a sketch matrix. *)
+(* [jsm.cells] counts matrix cells filled (n², stable across commits),
+   bumped once per row so the counter stays off the innermost loop;
+   [jsm.jaccard_evals] counts actual Jaccard evaluations: one per
+   class pair of the context, d(d+1)/2 for an exact matrix over d
+   distinct attribute sets, and only the LSH candidate pairs for a
+   sketch matrix. Rows may run on any engine domain — the atomic adds
+   keep the totals deterministic. *)
 let c_cells = Telemetry.Counter.make "jsm.cells"
 let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
 
@@ -41,20 +41,46 @@ let of_dense ~labels rows =
     rows;
   { labels; m = Symmat.init n (fun i j -> rows.(i).(j)) }
 
+(* Jaccard depends only on the two attribute sets, so the matrix is a
+   lookup into the d x d matrix of its context's classes: [pair a b]
+   tells which class pairs are needed, and only those are evaluated
+   (the rest hold nan and are never read). Class rows are fanned over
+   [init] like the matrix rows. *)
+let class_matrix ~init ~pair ctx =
+  let d = Context.n_classes ctx in
+  let rep = Context.class_rep ctx in
+  Symmat.of_upper_rows ~n:d
+    (init d (fun a ->
+         let evals = ref 0 in
+         let row =
+           Array.init (d - a) (fun k ->
+               if pair a (a + k) then begin
+                 incr evals;
+                 Context.jaccard ctx (rep a) (rep (a + k))
+               end
+               else Float.nan)
+         in
+         Telemetry.Counter.add c_evals !evals;
+         row))
+
+let classes ctx = Array.init (Context.n_objects ctx) (Context.class_of ctx)
+
+(* Cell (i, j) is the class cell (class i, class j), the very float
+   [Context.jaccard ctx i j] returns. Rows are independent, so any
+   [Array.init]-contract engine initializer schedules them freely. *)
 let compute ~init ctx =
   let n = Context.n_objects ctx in
   let labels = Array.init n (Context.object_label ctx) in
-  (* Jaccard is symmetric, so each row evaluates only its upper
-     triangle (j >= i) — a ragged row of n-i cells that packs straight
-     into the Symmat. Rows stay independent, so any
-     [Array.init]-contract engine initializer schedules them freely. *)
+  let cm = class_matrix ~init ~pair:(fun _ _ -> true) ctx in
+  let cls = classes ctx in
   let m =
     init n (fun i ->
-        let row =
-          Array.init (n - i) (fun d -> Context.jaccard ctx i (i + d))
-        in
+        let crow = Symmat.row cm cls.(i) in
+        let row = Array.make (n - i) 0.0 in
+        for d = 0 to n - i - 1 do
+          row.(d) <- crow.(cls.(i + d))
+        done;
         Telemetry.Counter.add c_cells n;
-        Telemetry.Counter.add c_evals (n - i);
         row)
   in
   { labels; m = Symmat.of_upper_rows ~n m }
@@ -113,32 +139,38 @@ let base_map ~op ~base ~fresh ctx =
 (* Incrementally extend a cached matrix to a grown corpus. The
    contract with [compute] is bit-for-bit equality: every cell whose
    two objects are vouched for by the caller ([fresh.(i) = false]) is
-   mirrored from [base], every other upper-triangle cell is evaluated.
-   Mirroring is sound because a Jaccard value depends only on the two
-   objects' attribute sets: when those are unchanged (the caller's
-   burden, discharged by the analysis store's per-object attribute
-   digests), the cached float is the very value [Context.jaccard]
-   would recompute. *)
+   mirrored from [base], every other upper-triangle cell is looked up
+   in the class matrix, which evaluates only the class pairs touching
+   a class with a fresh object. Mirroring is sound because a Jaccard
+   value depends only on the two objects' attribute sets: when those
+   are unchanged (the caller's burden, discharged by the analysis
+   store's per-object attribute digests), the cached float is the very
+   value [Context.jaccard] would recompute. *)
 let extend ~init ~base ~fresh ctx =
   let n = Context.n_objects ctx in
   let labels, bmap = base_map ~op:"extend" ~base ~fresh ctx in
+  let cls = classes ctx in
+  let hot = Array.make (Context.n_classes ctx) false in
+  Array.iteri (fun i f -> if f then hot.(cls.(i)) <- true) fresh;
+  let cm = class_matrix ~init ~pair:(fun a b -> hot.(a) || hot.(b)) ctx in
   let m =
     init n (fun i ->
-        let evals = ref 0 in
+        let looked_up = ref false in
         let bi = bmap.(i) in
-        let row =
-          Array.init (n - i) (fun d ->
-              let j = i + d in
-              let bj = bmap.(j) in
-              if bi >= 0 && bj >= 0 then Symmat.get base.m bi bj
-              else begin
-                incr evals;
-                Context.jaccard ctx i j
-              end)
-        in
+        let crow = Symmat.row cm cls.(i) in
+        let brow = if bi >= 0 then Symmat.row base.m bi else [||] in
+        let row = Array.make (n - i) 0.0 in
+        for d = 0 to n - i - 1 do
+          let j = i + d in
+          let bj = bmap.(j) in
+          if bi >= 0 && bj >= 0 then row.(d) <- brow.(bj)
+          else begin
+            looked_up := true;
+            row.(d) <- crow.(cls.(j))
+          end
+        done;
         Telemetry.Counter.add c_cells n;
-        Telemetry.Counter.add c_evals !evals;
-        if !evals = 0 then Telemetry.Counter.incr c_rows_reused;
+        if not !looked_up then Telemetry.Counter.incr c_rows_reused;
         row)
   in
   { labels; m = Symmat.of_upper_rows ~n m }
@@ -215,33 +247,47 @@ let extend_sketch ~init ~base ~fresh ~candidates ctx =
   in
   { labels; m = Symmat.of_upper_rows ~n m }
 
+let same_labels a b =
+  a == b
+  || (Array.length a = Array.length b && Array.for_all2 String.equal a b)
+
+(* Two matrices over the same distinct labels are already aligned and
+   come back as they are; otherwise each side is picked into [a]'s
+   order of the common labels, a repeated label taking its first
+   occurrence's row. *)
 let align a b =
   check_shape "first" a;
   check_shape "second" b;
-  let a_index = index_table a.labels and b_index = index_table b.labels in
-  let resolve side tbl l =
-    match Hashtbl.find_opt tbl l with
-    | Some i -> i
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Jsm.align: label %S missing from the %s matrix" l side)
-  in
-  let common =
-    Array.to_list a.labels |> List.filter (fun l -> Hashtbl.mem b_index l)
-  in
-  let labels = Array.of_list common in
-  let n = Array.length labels in
-  let ai = Array.map (fun l -> resolve "first" a_index l) labels in
-  let bi = Array.map (fun l -> resolve "second" b_index l) labels in
-  let pick src idx =
-    Symmat.init n (fun i j -> Symmat.get src idx.(i) idx.(j))
-  in
-  ({ labels; m = pick a.m ai }, { labels; m = pick b.m bi })
+  let a_index = index_table a.labels in
+  if same_labels a.labels b.labels && Hashtbl.length a_index = Array.length a.labels
+  then (a, b)
+  else begin
+    let b_index = index_table b.labels in
+    let resolve side tbl l =
+      match Hashtbl.find_opt tbl l with
+      | Some i -> i
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Jsm.align: label %S missing from the %s matrix" l side)
+    in
+    let common =
+      Array.to_list a.labels |> List.filter (fun l -> Hashtbl.mem b_index l)
+    in
+    let labels = Array.of_list common in
+    let ai = Array.map (fun l -> resolve "first" a_index l) labels in
+    let bi = Array.map (fun l -> resolve "second" b_index l) labels in
+    ({ labels; m = Symmat.sub a.m ai }, { labels; m = Symmat.sub b.m bi })
+  end
+
+let diff_aligned a b =
+  if not (same_labels a.labels b.labels) then
+    invalid_arg "Jsm.diff_aligned: the matrices are not aligned";
+  { labels = a.labels;
+    m = Symmat.map2 (fun x y -> Float.abs (y -. x)) a.m b.m }
 
 let diff a b =
   let a', b' = align a b in
-  { labels = a'.labels;
-    m = Symmat.map2 (fun x y -> Float.abs (y -. x)) a'.m b'.m }
+  diff_aligned a' b'
 
 (* an aligned diff of two runs sharing no labels is a legal 0-trace
    matrix; scoring and rendering it must degrade, not raise *)

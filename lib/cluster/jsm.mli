@@ -26,16 +26,20 @@ val rows : t -> float array array
     live in [align] now happens at construction. *)
 val of_dense : labels:string array -> float array array -> t
 
-(** [compute ~init ctx] — pairwise Jaccard over the context's objects,
-    with row construction delegated to [init] (same contract as
-    [Array.init]; each row [i] is its n-i upper-triangle cells).
-    Rows are independent, so passing a parallel initializer — e.g. the
-    core library's [Engine.init engine] — computes the matrix on
-    several domains; because each row lands in its own slot the result
-    is identical whatever the schedule. [Context.jaccard] only reads
-    the context, so rows may be built concurrently. Jaccard similarity
-    is symmetric, so only the upper triangle is ever evaluated — half
-    the work, and the packed storage keeps exactly those cells. *)
+(** [compute ~init ctx] — pairwise Jaccard over the context's objects.
+    Jaccard depends only on the two attribute sets, so it is evaluated
+    once per pair of the context's classes ({!Difftrace_fca.Context.class_of}):
+    d(d+1)/2 evaluations for d distinct attribute sets, then an n²
+    fill that looks each cell up — an SPMD run of 320 traces over 4
+    distinct sets costs 10 evaluations instead of 51,360. The
+    [jsm.jaccard_evals] counter counts those class pairs and
+    [jsm.cells] the n² cells. Both the class rows and the n matrix
+    rows are delegated to [init] (same contract as [Array.init]; a row
+    holds its upper-triangle cells), so passing a parallel
+    initializer — e.g. the core library's [Engine.init engine] —
+    computes them on several domains; because each row lands in its
+    own slot the result is identical whatever the schedule, and every
+    cell is the float [Context.jaccard ctx i j] returns. *)
 val compute :
   init:(int -> (int -> float array) -> float array array) ->
   Difftrace_fca.Context.t ->
@@ -51,13 +55,14 @@ val of_context : Difftrace_fca.Context.t -> t
     object's label must appear in [base], and the caller asserts its
     attribute set is unchanged since [base] was computed (the analysis
     store discharges this with per-object attribute digests). Cells
-    between two non-fresh objects are mirrored from [base]; everything
-    else is evaluated upper-triangle-first exactly like [compute], so
-    the result is bit-for-bit identical to
-    [compute ~init ctx] — adding k traces to an n-trace corpus costs
-    k·(n+k) Jaccard evaluations instead of (n+k)². Rows are fanned
-    over [init] just like [compute]; rows needing zero evaluations are
-    counted by the [jsm.rows_reused] telemetry counter.
+    between two non-fresh objects are mirrored from [base]; every other
+    cell is looked up in the class matrix like [compute], which
+    evaluates only the class pairs where at least one class holds a
+    fresh object, so the result is bit-for-bit identical to
+    [compute ~init ctx] — when k' of the context's d classes hold a
+    fresh object, it costs k'·d − k'(k'−1)/2 evaluations. Rows are
+    fanned over [init] just like [compute]; rows whose every cell is
+    mirrored are counted by the [jsm.rows_reused] telemetry counter.
     Raises [Invalid_argument] when [fresh] has the wrong length, when a
     non-fresh label is missing from [base], or when [base]'s labels
     disagree with its dimension. *)
@@ -101,14 +106,22 @@ val extend_sketch :
 val size : t -> int
 
 (** [align a b] — both matrices restricted to their common labels, in
-    [a]'s label order. Label resolution is hash-indexed, so alignment
-    is O(n²) in trace count (the former per-lookup linear scan made it
-    O(n³)). *)
+    [a]'s label order (a repeated label takes its first occurrence's
+    row). When both label arrays are equal and hold no duplicate, the
+    inputs already are that alignment and come back unchanged, with no
+    copy. Otherwise label resolution is hash-indexed and the cells are
+    picked straight from the packed storage: O(n²) in trace count. *)
 val align : t -> t -> t * t
 
+(** [diff_aligned a b] = |b − a| cell-wise, for two matrices already
+    aligned by {!align}. Raises [Invalid_argument] when their labels
+    differ. *)
+val diff_aligned : t -> t -> t
+
 (** [diff a b] = |b − a| over the traces common to both (in [a]'s
-    label order). Traces present in only one run are dropped; they are
-    reported separately by the pipeline. *)
+    label order): [diff_aligned] of [align a b]. Traces present in only
+    one run are dropped; they are reported separately by the
+    pipeline. *)
 val diff : t -> t -> t
 
 (** [row_change t i] = Σ_j t[i][j] — how much trace [i]'s similarity
@@ -116,8 +129,9 @@ val diff : t -> t -> t
     matrix (two runs sharing no labels diff to one). *)
 val row_change : t -> int -> float
 
-(** [to_distance t] — 1 − similarity, for clustering a plain JSM.
-    A JSM_D is already a dissimilarity and is clustered as is. *)
+(** [to_distance t] — 1 − similarity, for clustering a plain JSM
+    through {!Linkage.cluster}. {!Linkage.of_similarity} clusters a
+    JSM straight from its packed cells without this copy. *)
 val to_distance : t -> t
 
 (** [heatmap t] — text rendering (Fig. 4); ["(no traces)\n"] for a

@@ -1,3 +1,5 @@
+module Symmat = Difftrace_util.Symmat
+
 let c_merges = Difftrace_obs.Telemetry.Counter.make "linkage.merges"
 
 type method_ = Single | Complete | Average | Weighted | Centroid | Median | Ward
@@ -75,16 +77,12 @@ let row_min row act own lo len =
   done;
   (!bj, !bv)
 
-let cluster meth m =
-  let n = validate m in
-  if n = 0 then invalid_arg "Linkage.cluster: empty matrix";
+(* The merge sweep over [d], the n x n distances between active
+   clusters in working space; a cluster's distances live in the row
+   and column of the slot it owns. [d] is overwritten. *)
+let sweep meth d =
+  let n = Array.length d in
   let sq = squared_space meth in
-  (* distances between active clusters, in working space; a cluster's
-     distances live in the row and column of the slot it owns *)
-  let d =
-    Array.init n (fun i ->
-        Array.init n (fun j -> if sq then m.(i).(j) *. m.(i).(j) else m.(i).(j)))
-  in
   (* the active ids in ascending order and their slots: a new cluster
      is the largest id, and takes over the slot of its first child *)
   let act = Array.init n Fun.id and own = Array.init n Fun.id and nact = ref n in
@@ -163,6 +161,41 @@ let cluster meth m =
   done;
   Difftrace_obs.Telemetry.Counter.add c_merges (max 0 (n - 1));
   { n; merges = Array.of_list (List.rev !merges) }
+
+let cluster meth m =
+  let n = validate m in
+  if n = 0 then invalid_arg "Linkage.cluster: empty matrix";
+  let sq = squared_space meth in
+  sweep meth
+    (Array.init n (fun i ->
+         Array.init n (fun j -> if sq then m.(i).(j) *. m.(i).(j) else m.(i).(j))))
+
+(* The working matrix straight from the packed similarity cells: the
+   same [1.0 -. s] as [Jsm.to_distance], squared as [cluster] squares
+   it, so the sweep sees the very floats [cluster] would build. A
+   packed matrix is square and symmetric by construction; only its
+   diagonal needs checking. *)
+let of_similarity meth (j : Jsm.t) =
+  let s = j.Jsm.m in
+  let n = Symmat.dim s in
+  if n = 0 then invalid_arg "Linkage.of_similarity: empty matrix";
+  let cells = Symmat.cells s in
+  let sq = squared_space meth in
+  let d = Array.make_matrix n n 0.0 in
+  let base = ref 0 in
+  for i = 0 to n - 1 do
+    if Float.abs (1.0 -. cells.(!base)) > 1e-12 then
+      invalid_arg "Linkage.of_similarity: nonzero diagonal";
+    let di = d.(i) in
+    for k = 0 to n - i - 1 do
+      let x = 1.0 -. cells.(!base + k) in
+      let v = if sq then x *. x else x in
+      di.(i + k) <- v;
+      d.(i + k).(i) <- v
+    done;
+    base := !base + (n - i)
+  done;
+  sweep meth d
 
 (* Flat cuts: a union-find over the merges [applied] selects, with
    cluster ids renumbered by first appearance over the leaves. *)

@@ -44,6 +44,24 @@ type t = { n : int; merges : merge array }
     typical inputs (O(n³) in the worst case), and O(n²) memory. *)
 val cluster : method_ -> float array array -> t
 
+(** [of_similarity method jsm] = [cluster method (Jsm.rows
+    (Jsm.to_distance jsm))], merge for merge and bit for bit, without
+    either copy: the working matrix is built straight from the packed
+    similarity cells with the same [1 − s] (squared for centroid,
+    median and ward). A packed matrix is square and symmetric by
+    construction, so only the diagonal is checked. Raises
+    [Invalid_argument] on an empty matrix or a similarity diagonal
+    further than 1e-12 from 1.
+
+    The sweep itself stays dense over all n traces, even when many of
+    them are identical (distance 0). Collapsing those height-0 merges
+    up front would need every Lance–Williams update of two equal
+    distances to return that distance exactly, and ward's
+    [((nk+ni)·x + (nk+nj)·x − nk·0) / (nk+ni+nj)] need not round back
+    to [x] in floating point, so the collapsed sweep could not be shown
+    identical merge for merge. *)
+val of_similarity : method_ -> Jsm.t -> t
+
 (** [cut_k t k] — the flat clustering with exactly [k] clusters
     (1 ≤ k ≤ n): an array mapping each leaf to a cluster id in
     [0..k-1] (ids are normalized by first appearance). *)

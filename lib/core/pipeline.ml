@@ -72,7 +72,7 @@ let remap_calls ~shared ~own traces =
    own reduction and re-interning would have produced (they would add
    no body). The output is byte-identical across engines and to the
    historical direct-interning implementation (see {!Nlr.reintern}). *)
-let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
+let summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts =
   Span.with_ "summarize" @@ fun () ->
   let idss = remap_calls ~shared:symtab ~own:(Trace_set.symtab ts) (Trace_set.traces ts) in
   let n = Array.length idss in
@@ -118,7 +118,10 @@ let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
         Option.iter (fun m -> Memo.add m keys.(i) nlr) memo;
         nlr)
   done;
-  summaries
+  (summaries, first)
+
+let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
+  fst (summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts)
 
 (* [tables] are the shared symbol and loop tables to intern into when
    there is no memo; a memo (the store's, when there is one) carries
@@ -148,20 +151,25 @@ let analyze_into ~tables ?memo ?store (config : Config.t) ts =
      matching the paper's tables *)
   let short = Array.for_all (fun tr -> tr.Trace.tid = 0) traces in
   let labels = Array.map (fun tr -> Trace.label ~short tr) traces in
-  let summaries =
-    summarize ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
+  let summaries, first =
+    summarize_firsts ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
       ~repeats:config.Config.repeats filtered
   in
   let nlrs =
     Array.mapi (fun i nlr -> (nlr, traces.(i).Trace.truncated)) summaries
   in
+  (* a repeated call sequence has its first copy's summary, hence its
+     attributes *)
   let rows =
     Span.with_ "attributes" @@ fun () ->
-    Array.to_list
-      (Array.mapi
-         (fun i (nlr, _) ->
-           (labels.(i), Attributes.of_nlr config.Config.attrs shared nlr))
-         nlrs)
+    let attrs = Array.make (Array.length summaries) [] in
+    Array.iteri
+      (fun i nlr ->
+        attrs.(i) <-
+          (if first.(i) = i then Attributes.of_nlr config.Config.attrs shared nlr
+           else attrs.(first.(i))))
+      summaries;
+    Array.to_list (Array.mapi (fun i a -> (labels.(i), a)) attrs)
   in
   let context = Span.with_ "context" (fun () -> Context.of_attr_sets rows) in
   { config;
@@ -223,25 +231,32 @@ let compare_runs ?memo ?store (config : Config.t) ~normal ~faulty =
   let a_n = analyze_into ~tables ?memo ?store config normal in
   let a_f = analyze_into ~tables ?memo ?store config faulty in
   let jn, jf = Span.with_ "align" (fun () -> Jsm.align a_n.jsm a_f.jsm) in
-  let jsm_d = Span.with_ "jsm_d" (fun () -> Jsm.diff a_n.jsm a_f.jsm) in
+  let jsm_d = Span.with_ "jsm_d" (fun () -> Jsm.diff_aligned jn jf) in
   let bscore =
     Span.with_ "cluster" @@ fun () ->
     if Jsm.size jsm_d < 2 then 1.0
     else
       let meth = config.Config.linkage in
-      let dn = Linkage.cluster meth (Jsm.rows (Jsm.to_distance jn)) in
-      let df = Linkage.cluster meth (Jsm.rows (Jsm.to_distance jf)) in
+      let dn = Linkage.of_similarity meth jn in
+      let df = Linkage.of_similarity meth jf in
       Bscore.score dn df
   in
   let suspects =
     Array.mapi (fun i l -> (l, Jsm.row_change jsm_d i)) jsm_d.Jsm.labels
   in
   Array.sort (fun (_, a) (_, b) -> Float.compare b a) suspects;
-  let members m =
-    Array.to_list m |> List.map (fun l -> l)
+  (* per label: 1 if the normal run has it, 2 if the faulty run has
+     it, 3 if both do *)
+  let sides = Hashtbl.create (Array.length a_n.labels) in
+  let mark bit =
+    Array.iter (fun l ->
+        let s = Option.value ~default:0 (Hashtbl.find_opt sides l) in
+        Hashtbl.replace sides l (s lor bit))
   in
-  let diff_only a b =
-    List.filter (fun l -> not (Array.exists (String.equal l) b)) (members a)
+  mark 1 a_n.labels;
+  mark 2 a_f.labels;
+  let only bit labels =
+    List.filter (fun l -> Hashtbl.find sides l = bit) (Array.to_list labels)
   in
   { cmp_config = config;
     normal = a_n;
@@ -249,8 +264,8 @@ let compare_runs ?memo ?store (config : Config.t) ~normal ~faulty =
     jsm_d;
     bscore;
     suspects;
-    only_normal = diff_only a_n.labels a_f.labels;
-    only_faulty = diff_only a_f.labels a_n.labels }
+    only_normal = only 1 a_n.labels;
+    only_faulty = only 2 a_f.labels }
 
 let split_label l =
   match String.split_on_char '.' l with
@@ -325,10 +340,9 @@ let render_triage entries =
              (if e.tr_truncated then "yes" else "") ]))
 
 let dendrogram analysis =
-  let dist = Jsm.rows (Jsm.to_distance analysis.jsm) in
-  if Array.length dist < 2 then "(fewer than two traces)\n"
+  if Jsm.size analysis.jsm < 2 then "(fewer than two traces)\n"
   else
-    let t = Linkage.cluster analysis.config.Config.linkage dist in
+    let t = Linkage.of_similarity analysis.config.Config.linkage analysis.jsm in
     Difftrace_cluster.Dendrogram.render ~labels:analysis.jsm.Jsm.labels t
 
 let raw_calls analysis (nlr : Nlr.t) =

@@ -450,7 +450,12 @@ let jsm t ~config ~init ctx =
   let ns = Config.digest config in
   let n = Context.n_objects ctx in
   let labels = Array.init n (Context.object_label ctx) in
-  let digests = Array.init n (object_digest ctx) in
+  (* a digest depends only on the attribute set: one per class *)
+  let class_digests =
+    Array.init (Context.n_classes ctx) (fun c ->
+        object_digest ctx (Context.class_rep ctx c))
+  in
+  let digests = Array.init n (fun i -> class_digests.(Context.class_of ctx i)) in
   (* per-candidate (label -> digest, base row) view, first occurrence
      winning exactly as [Jsm.extend]'s own label resolution does *)
   let entry_map (e : matrix_entry) =

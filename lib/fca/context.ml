@@ -4,7 +4,29 @@ type t = {
   objects : string array;
   attrs : string array;
   incidence : Bitset.t array; (* per object: attribute set *)
+  class_of : int array; (* per object: its class of equal attribute sets *)
+  reps : int array; (* per class: its first object *)
 }
+
+module Rows = Hashtbl.Make (Bitset)
+
+(* Classes numbered in first-occurrence order; the table hashes the
+   bitset words and confirms a hit with [Bitset.equal]. *)
+let classes incidence =
+  let tbl = Rows.create 16 and reps = Vec.create () in
+  let class_of =
+    Array.mapi
+      (fun i s ->
+        match Rows.find_opt tbl s with
+        | Some c -> c
+        | None ->
+          let c = Vec.length reps in
+          Rows.add tbl s c;
+          Vec.push reps i;
+          c)
+      incidence
+  in
+  (class_of, Vec.to_array reps)
 
 let of_attr_sets rows =
   let attr_ids = Hashtbl.create 256 in
@@ -24,13 +46,17 @@ let of_attr_sets rows =
   let incidence =
     Array.of_list (List.map (fun (_, ids) -> Bitset.of_list n_attrs ids) prelim)
   in
-  { objects; attrs = Vec.to_array attr_names; incidence }
+  let class_of, reps = classes incidence in
+  { objects; attrs = Vec.to_array attr_names; incidence; class_of; reps }
 
 let n_objects t = Array.length t.objects
 let n_attrs t = Array.length t.attrs
 
 let object_label t i = t.objects.(i)
 let attr_name t j = t.attrs.(j)
+let n_classes t = Array.length t.reps
+let class_of t i = t.class_of.(i)
+let class_rep t c = t.reps.(c)
 let has t i j = Bitset.mem t.incidence.(i) j
 let object_attrs t i = t.incidence.(i)
 

@@ -41,6 +41,16 @@ val cells : t -> float array
 (** [to_rows t] is a fresh dense mirror (both triangles filled). *)
 val to_rows : t -> float array array
 
+(** [row t i] is a fresh copy of row i, both triangles: its cell j is
+    [get t i j]. *)
+val row : t -> int -> float array
+
+(** [sub t idx] is the m x m matrix whose cell (i, j) is
+    [get t idx.(i) idx.(j)], m = [Array.length idx]; indices may repeat
+    and come in any order. Raises [Invalid_argument] when an index is
+    out of range. *)
+val sub : t -> int array -> t
+
 (** [map f t] applies [f] to every stored cell. *)
 val map : (float -> float) -> t -> t
 

@@ -580,6 +580,237 @@ let test_jsm_empty_matrix_views () =
   Alcotest.(check string) "heatmap placeholder" "(no traces)\n" (Jsm.heatmap d);
   Alcotest.(check (float 1e-9)) "row change on empty" 0.0 (Jsm.row_change d 0)
 
+(* ------------------------------------------------------------------ *)
+(* Class-quotiented JSM: oracles over duplicate-heavy contexts          *)
+(* ------------------------------------------------------------------ *)
+
+module Bitset = Difftrace_util.Bitset
+module Engine = Difftrace.Engine
+module Telemetry = Difftrace_obs.Telemetry
+
+let shuffle st a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* n objects over exactly min(d, n) distinct attribute sets, shuffled:
+   row r holds the bits of r as attributes "b.." (so rows differ) plus
+   a random subset of "x.." extras; row 0 is often the empty set *)
+let dup_rows ~n ~d ~seed =
+  let st = Random.State.make [| seed |] in
+  let d = min d n in
+  let empty0 = Random.State.bool st in
+  let row r =
+    let bits = List.filter (fun k -> (r lsr k) land 1 = 1) (List.init 7 Fun.id) in
+    let extras =
+      if r = 0 && empty0 then []
+      else List.filter (fun _ -> Random.State.int st 3 = 0) (List.init 6 Fun.id)
+    in
+    Array.to_list
+      (shuffle st
+         (Array.of_list
+            (List.map (Printf.sprintf "b%d") bits @ List.map (Printf.sprintf "x%d") extras)))
+  in
+  let rows = Array.init d row in
+  let pick =
+    shuffle st (Array.init n (fun i -> if i < d then i else Random.State.int st d))
+  in
+  (d, Array.to_list (Array.mapi (fun i r -> (Printf.sprintf "t%d" i, rows.(r))) pick))
+
+let dup_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 60 in
+    let* d = oneofl [ 1; 2; 4; n ] in
+    let* seed = int_bound 1_000_000 in
+    return (n, d, seed))
+
+let print_dup_case (n, d, seed) = Printf.sprintf "n=%d d=%d seed=%d" n d seed
+
+let dup_test ?(count = 100) name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:print_dup_case dup_case_gen prop)
+
+let par4 = Engine.init (Engine.parallel ~domains:4 ())
+
+let naive_jsm ctx =
+  let n = Context.n_objects ctx in
+  Array.init n (fun i -> Array.init n (fun j -> Context.jaccard ctx i j))
+
+let same_bits_rows x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun r s ->
+         Array.length r = Array.length s
+         && Array.for_all2 (fun a b -> bits a = bits b) r s)
+       x y
+
+let same_jsm (a : Jsm.t) (b : Jsm.t) =
+  a.Jsm.labels = b.Jsm.labels && same_bits_rows (Jsm.rows a) (Jsm.rows b)
+
+let prop_classes =
+  dup_test "classes: equal bitsets, first-occurrence ids" (fun (n, d, seed) ->
+      let d, rows = dup_rows ~n ~d ~seed in
+      let ctx = Context.of_attr_sets rows in
+      let cls = Array.init n (Context.class_of ctx) in
+      let same_class_iff_equal =
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun j ->
+                (cls.(i) = cls.(j))
+                = Bitset.equal (Context.object_attrs ctx i) (Context.object_attrs ctx j))
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let next = ref 0 and first_occurrence = ref true in
+      Array.iteri
+        (fun i c ->
+          if c = !next then begin
+            if Context.class_rep ctx c <> i then first_occurrence := false;
+            incr next
+          end
+          else if c > !next then first_occurrence := false)
+        cls;
+      Context.n_classes ctx = d && !next = d && same_class_iff_equal
+      && !first_occurrence)
+
+let c_cells = Telemetry.Counter.make "jsm.cells"
+let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
+
+let counted f =
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      let c0 = Telemetry.Counter.value c_cells
+      and e0 = Telemetry.Counter.value c_evals in
+      let r = f () in
+      (r, Telemetry.Counter.value c_cells - c0, Telemetry.Counter.value c_evals - e0))
+
+let prop_compute_oracle =
+  dup_test "compute = naive all-pairs Jaccard, d(d+1)/2 evals, seq and 4 domains"
+    (fun (n, d, seed) ->
+      let d, rows = dup_rows ~n ~d ~seed in
+      let ctx = Context.of_attr_sets rows in
+      let expected = naive_jsm ctx in
+      List.for_all
+        (fun init ->
+          let j, cells, evals = counted (fun () -> Jsm.compute ~init ctx) in
+          same_bits_rows (Jsm.rows j) expected
+          && j.Jsm.labels = Array.of_list (List.map fst rows)
+          && cells = n * n
+          && evals = d * (d + 1) / 2)
+        [ Array.init; par4 ])
+
+(* fresh flags at random; the base is computed from the cached objects
+   alone (a different context, so a different attribute interning),
+   listed in reverse so base indices differ from ctx indices *)
+let prop_extend_oracle =
+  dup_test "extend over random fresh/cached splits = compute" (fun (n, d, seed) ->
+      let _, rows = dup_rows ~n ~d ~seed in
+      let ctx = Context.of_attr_sets rows in
+      let st = Random.State.make [| seed; 7 |] in
+      let fresh = Array.init n (fun _ -> Random.State.bool st) in
+      let cached = List.filteri (fun i _ -> not fresh.(i)) rows in
+      let base = Jsm.of_context (Context.of_attr_sets (List.rev cached)) in
+      let expected = Jsm.compute ~init:Array.init ctx in
+      List.for_all
+        (fun init -> same_jsm (Jsm.extend ~init ~base ~fresh ctx) expected)
+        [ Array.init; par4 ])
+
+let prop_of_similarity_oracle =
+  dup_test ~count:60 "of_similarity = cluster of rows of to_distance, all methods"
+    (fun (n, d, seed) ->
+      let _, rows = dup_rows ~n ~d ~seed in
+      let j = Jsm.of_context (Context.of_attr_sets rows) in
+      List.for_all
+        (fun meth ->
+          same_linkage (Linkage.of_similarity meth j)
+            (Linkage.cluster meth (Jsm.rows (Jsm.to_distance j))))
+        Linkage.all_methods)
+
+let test_of_similarity_validation () =
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Linkage.of_similarity: empty matrix") (fun () ->
+      ignore (Linkage.of_similarity Linkage.Ward (Jsm.of_dense ~labels:[||] [||])));
+  Alcotest.check_raises "diagonal"
+    (Invalid_argument "Linkage.of_similarity: nonzero diagonal") (fun () ->
+      ignore
+        (Linkage.of_similarity Linkage.Ward
+           (Jsm.of_dense ~labels:[| "a"; "b" |] [| [| 1.0; 0.5 |]; [| 0.5; 0.9 |] |])))
+
+(* align as it was specified before its fast path: the common labels in
+   a's order, each resolved to its first occurrence on either side *)
+let naive_align (a : Jsm.t) (b : Jsm.t) =
+  let first labels l =
+    let rec go i = if labels.(i) = l then i else go (i + 1) in
+    go 0
+  in
+  let labels =
+    Array.of_list
+      (List.filter (fun l -> Array.mem l b.Jsm.labels) (Array.to_list a.Jsm.labels))
+  in
+  let pick (m : Jsm.t) =
+    let idx = Array.map (first m.Jsm.labels) labels in
+    Jsm.of_dense ~labels
+      (Array.map (fun i -> Array.map (fun j -> Jsm.get m i j) idx) idx)
+  in
+  (pick a, pick b)
+
+let align_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 30 in
+    let* kind = oneofl [ `Same; `Permuted; `Duplicates; `Overlap ] in
+    let* seed = int_bound 1_000_000 in
+    return (n, kind, seed))
+
+let print_align_case (n, kind, seed) =
+  Printf.sprintf "n=%d %s seed=%d" n
+    (match kind with
+    | `Same -> "same"
+    | `Permuted -> "permuted"
+    | `Duplicates -> "duplicates"
+    | `Overlap -> "overlap")
+    seed
+
+let prop_align_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"align fast path = general path = naive"
+       ~print:print_align_case align_case_gen (fun (n, kind, seed) ->
+         let st = Random.State.make [| seed |] in
+         let matrix labels =
+           let n = Array.length labels in
+           let m = Array.make_matrix n n 1.0 in
+           for i = 0 to n - 1 do
+             for j = i + 1 to n - 1 do
+               let v = Random.State.float st 1.0 in
+               m.(i).(j) <- v;
+               m.(j).(i) <- v
+             done
+           done;
+           Jsm.of_dense ~labels m
+         in
+         let distinct = Array.init n (Printf.sprintf "t%d") in
+         let la, lb =
+           match kind with
+           | `Same -> (distinct, Array.copy distinct)
+           | `Permuted -> (distinct, shuffle st (Array.copy distinct))
+           | `Duplicates ->
+             let dup = Array.init n (fun _ -> distinct.(Random.State.int st n)) in
+             (dup, Array.copy dup)
+           | `Overlap ->
+             ( Array.init n (fun _ -> distinct.(Random.State.int st n)),
+               Array.init n (fun _ -> distinct.(Random.State.int st n)) )
+         in
+         let a = matrix la and b = matrix lb in
+         let a', b' = Jsm.align a b and na, nb = naive_align a b in
+         let fast_path_taken = a' == a && b' == b in
+         same_jsm a' na && same_jsm b' nb
+         && same_jsm (Jsm.diff a b) (Jsm.diff_aligned na nb)
+         && (kind <> `Same || fast_path_taken)))
+
 let () =
   Alcotest.run "cluster"
     [ ( "linkage",
@@ -628,4 +859,12 @@ let () =
           Alcotest.test_case "diff disjoint labels" `Quick
             test_jsm_diff_disjoint_labels;
           Alcotest.test_case "empty matrix views" `Quick
-            test_jsm_empty_matrix_views ] ) ]
+            test_jsm_empty_matrix_views ] );
+      ( "classes",
+        [ prop_classes;
+          prop_compute_oracle;
+          prop_extend_oracle;
+          prop_of_similarity_oracle;
+          Alcotest.test_case "of_similarity validation" `Quick
+            test_of_similarity_validation;
+          prop_align_oracle ] ) ]
