@@ -28,6 +28,9 @@ campaign-smoke:
 # the persistent-store smoke pass: the same compare twice against one
 # --store directory under _build/store-smoke; the warm run must answer
 # from the store (store.hits present, no nlr.summaries row at all).
+# The same compare in sketch mode, cold then warm, must print the same
+# bytes, the warm run answering every JSM from the store (store.hits,
+# no store.misses).
 # Then store gc at the default caps runs the kind table's eviction over
 # the store, and the store must still verify. CI caches the directory
 # across runs, so once the cache is primed even the first compare is
@@ -42,6 +45,16 @@ store-smoke: build
 	  --profile > _build/store-smoke/warm.txt
 	grep -q 'store.hits' _build/store-smoke/warm.txt
 	! grep -q 'nlr.summaries' _build/store-smoke/warm.txt
+	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
+	  -f 'swapBug(rank=3,after=5)' --sketch --store _build/store-smoke/store \
+	  > _build/store-smoke/sketch-cold.txt
+	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
+	  -f 'swapBug(rank=3,after=5)' --sketch --store _build/store-smoke/store \
+	  --profile-json _build/store-smoke/sketch-warm.json \
+	  > _build/store-smoke/sketch-warm.txt
+	cmp _build/store-smoke/sketch-cold.txt _build/store-smoke/sketch-warm.txt
+	grep -q 'store.hits' _build/store-smoke/sketch-warm.json
+	! grep -q 'store.misses' _build/store-smoke/sketch-warm.json
 	_build/default/bin/difftrace_cli.exe store gc -d _build/store-smoke/store
 	_build/default/bin/difftrace_cli.exe store verify -d _build/store-smoke/store
 

@@ -7,8 +7,8 @@ module Bitset = Difftrace_util.Bitset
    bumped once per row so the counter stays off the innermost loop;
    [jsm.jaccard_evals] counts actual Jaccard evaluations: one per
    class pair of the context, d(d+1)/2 for an exact matrix over d
-   distinct attribute sets, and only the LSH candidate pairs for a
-   sketch matrix. Rows may run on any engine domain — the atomic adds
+   distinct attribute sets, and only the LSH candidate class pairs for
+   a sketch matrix. Rows may run on any engine domain — the atomic adds
    keep the totals deterministic. *)
 let c_cells = Telemetry.Counter.make "jsm.cells"
 let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
@@ -42,36 +42,48 @@ let of_dense ~labels rows =
   { labels; m = Symmat.init n (fun i j -> rows.(i).(j)) }
 
 (* Jaccard depends only on the two attribute sets, so the matrix is a
-   lookup into the d x d matrix of its context's classes: [pair a b]
-   tells which class pairs are needed, and only those are evaluated
-   (the rest hold nan and are never read). Class rows are fanned over
-   [init] like the matrix rows. *)
-let class_matrix ~init ~pair ctx =
+   lookup into the d x d matrix of its context's classes. Exact mode is
+   the full mask: a class row evaluates the pairs that are candidates
+   and that [need a b] says are read; every other cell holds 0.0, the
+   value of a pair the sketch mask pruned (an unneeded cell is never
+   read). Class rows are fanned over [init] like the matrix rows. *)
+let class_matrix ?candidates ~init ~need ctx =
   let d = Context.n_classes ctx in
   let rep = Context.class_rep ctx in
+  let candidates =
+    match candidates with
+    | None -> Array.make d (Bitset.full d)
+    | Some adj
+      when Array.length adj = d
+           && Array.for_all (fun row -> Bitset.capacity row = d) adj ->
+      adj
+    | Some _ ->
+      invalid_arg (Printf.sprintf "Jsm: the candidate mask is not %d x %d" d d)
+  in
   Symmat.of_upper_rows ~n:d
     (init d (fun a ->
          let evals = ref 0 in
-         let row =
-           Array.init (d - a) (fun k ->
-               if pair a (a + k) then begin
-                 incr evals;
-                 Context.jaccard ctx (rep a) (rep (a + k))
-               end
-               else Float.nan)
-         in
+         let row = Array.make (d - a) 0.0 in
+         Bitset.iter
+           (fun b ->
+             if b >= a && need a b then begin
+               incr evals;
+               row.(b - a) <- Context.jaccard ctx (rep a) (rep b)
+             end)
+           candidates.(a);
          Telemetry.Counter.add c_evals !evals;
          row))
 
 let classes ctx = Array.init (Context.n_objects ctx) (Context.class_of ctx)
 
-(* Cell (i, j) is the class cell (class i, class j), the very float
-   [Context.jaccard ctx i j] returns. Rows are independent, so any
+(* Cell (i, j) is the class cell (class i, class j): the very float
+   [Context.jaccard ctx i j] returns, or 0.0 where a sketch mask pruned
+   the class pair. Rows are independent, so any
    [Array.init]-contract engine initializer schedules them freely. *)
-let compute ~init ctx =
+let compute ?candidates ~init ctx =
   let n = Context.n_objects ctx in
   let labels = Array.init n (Context.object_label ctx) in
-  let cm = class_matrix ~init ~pair:(fun _ _ -> true) ctx in
+  let cm = class_matrix ?candidates ~init ~need:(fun _ _ -> true) ctx in
   let cls = classes ctx in
   let m =
     init n (fun i ->
@@ -110,11 +122,11 @@ let check_shape side t =
 
 (* ctx index -> base index for [extend]: -1 marks objects that must be
    evaluated, everything else must resolve into [base]. *)
-let base_map ~op ~base ~fresh ctx =
+let base_map ~base ~fresh ctx =
   let n = Context.n_objects ctx in
   if Array.length fresh <> n then
     invalid_arg
-      (Printf.sprintf "Jsm.%s: %d fresh flags for %d objects" op
+      (Printf.sprintf "Jsm.extend: %d fresh flags for %d objects"
          (Array.length fresh) n);
   check_shape "base" base;
   let labels = Array.init n (Context.object_label ctx) in
@@ -129,9 +141,9 @@ let base_map ~op ~base ~fresh ctx =
           | None ->
             invalid_arg
               (Printf.sprintf
-                 "Jsm.%s: label %S is not fresh but missing from the base \
-                  matrix"
-                 op l))
+                 "Jsm.extend: label %S is not fresh but missing from the \
+                  base matrix"
+                 l))
       labels
   in
   (labels, bmap)
@@ -146,13 +158,15 @@ let base_map ~op ~base ~fresh ctx =
    are unchanged (the caller's burden, discharged by the analysis
    store's per-object attribute digests), the cached float is the very
    value [Context.jaccard] would recompute. *)
-let extend ~init ~base ~fresh ctx =
+let extend ?candidates ~init ~base ~fresh ctx =
   let n = Context.n_objects ctx in
-  let labels, bmap = base_map ~op:"extend" ~base ~fresh ctx in
+  let labels, bmap = base_map ~base ~fresh ctx in
   let cls = classes ctx in
   let hot = Array.make (Context.n_classes ctx) false in
   Array.iteri (fun i f -> if f then hot.(cls.(i)) <- true) fresh;
-  let cm = class_matrix ~init ~pair:(fun a b -> hot.(a) || hot.(b)) ctx in
+  let cm =
+    class_matrix ?candidates ~init ~need:(fun a b -> hot.(a) || hot.(b)) ctx
+  in
   let m =
     init n (fun i ->
         let looked_up = ref false in
@@ -171,78 +185,6 @@ let extend ~init ~base ~fresh ctx =
         done;
         Telemetry.Counter.add c_cells n;
         if not !looked_up then Telemetry.Counter.incr c_rows_reused;
-        row)
-  in
-  { labels; m = Symmat.of_upper_rows ~n m }
-
-let check_candidates op candidates n =
-  if Array.length candidates <> n then
-    invalid_arg
-      (Printf.sprintf "Jsm.%s: %d candidate rows for %d objects" op
-         (Array.length candidates) n)
-
-(* Sketch-mode [compute]: exact Jaccard inside LSH candidate pairs,
-   0.0 everywhere else, 1.0 on the diagonal without an evaluation.
-   The matrix is a pure function of the context and the adjacency, so
-   it is deterministic across engines, and [jsm.jaccard_evals] counts
-   only the candidate evaluations — the number test_sketch's pruning
-   case asserts on. *)
-let compute_sketch ~init ~candidates ctx =
-  let n = Context.n_objects ctx in
-  check_candidates "compute_sketch" candidates n;
-  let labels = Array.init n (Context.object_label ctx) in
-  let m =
-    init n (fun i ->
-        let evals = ref 0 in
-        let cand = candidates.(i) in
-        let row =
-          Array.init (n - i) (fun d ->
-              if d = 0 then 1.0
-              else
-                let j = i + d in
-                if Bitset.mem cand j then begin
-                  incr evals;
-                  Context.jaccard ctx i j
-                end
-                else 0.0)
-        in
-        Telemetry.Counter.add c_cells n;
-        Telemetry.Counter.add c_evals !evals;
-        row)
-  in
-  { labels; m = Symmat.of_upper_rows ~n m }
-
-(* Sketch-mode [extend]. Bit-identical to [compute_sketch] over the
-   same signatures because candidacy is pairwise: whether (i, j) is a
-   candidate depends only on the two signatures, and a non-fresh
-   object's signature is unchanged (same attribute set, vouched by its
-   digest), so a mirrored base cell — candidate or pruned — is exactly
-   what recomputation would produce. *)
-let extend_sketch ~init ~base ~fresh ~candidates ctx =
-  let n = Context.n_objects ctx in
-  check_candidates "extend_sketch" candidates n;
-  let labels, bmap = base_map ~op:"extend_sketch" ~base ~fresh ctx in
-  let m =
-    init n (fun i ->
-        let evals = ref 0 in
-        let bi = bmap.(i) in
-        let cand = candidates.(i) in
-        let row =
-          Array.init (n - i) (fun d ->
-              if d = 0 then 1.0
-              else
-                let j = i + d in
-                let bj = bmap.(j) in
-                if bi >= 0 && bj >= 0 then Symmat.get base.m bi bj
-                else if Bitset.mem cand j then begin
-                  incr evals;
-                  Context.jaccard ctx i j
-                end
-                else 0.0)
-        in
-        Telemetry.Counter.add c_cells n;
-        Telemetry.Counter.add c_evals !evals;
-        if !evals = 0 then Telemetry.Counter.incr c_rows_reused;
         row)
   in
   { labels; m = Symmat.of_upper_rows ~n m }

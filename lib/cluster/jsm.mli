@@ -26,21 +26,31 @@ val rows : t -> float array array
     live in [align] now happens at construction. *)
 val of_dense : labels:string array -> float array array -> t
 
-(** [compute ~init ctx] — pairwise Jaccard over the context's objects.
-    Jaccard depends only on the two attribute sets, so it is evaluated
-    once per pair of the context's classes ({!Difftrace_fca.Context.class_of}):
-    d(d+1)/2 evaluations for d distinct attribute sets, then an n²
-    fill that looks each cell up — an SPMD run of 320 traces over 4
-    distinct sets costs 10 evaluations instead of 51,360. The
-    [jsm.jaccard_evals] counter counts those class pairs and
-    [jsm.cells] the n² cells. Both the class rows and the n matrix
-    rows are delegated to [init] (same contract as [Array.init]; a row
-    holds its upper-triangle cells), so passing a parallel
-    initializer — e.g. the core library's [Engine.init engine] —
-    computes them on several domains; because each row lands in its
-    own slot the result is identical whatever the schedule, and every
-    cell is the float [Context.jaccard ctx i j] returns. *)
+(** [compute ?candidates ~init ctx] — pairwise Jaccard over the
+    context's objects. Jaccard depends only on the two attribute sets,
+    so it is evaluated once per pair of the context's classes
+    ({!Difftrace_fca.Context.class_of}): d(d+1)/2 evaluations for d
+    distinct attribute sets, then an n² fill that looks each cell up —
+    an SPMD run of 320 traces over 4 distinct sets costs 10 evaluations
+    instead of 51,360. The [jsm.jaccard_evals] counter counts those
+    class pairs and [jsm.cells] the n² cells. Both the class rows and
+    the n matrix rows are delegated to [init] (same contract as
+    [Array.init]; a row holds its upper-triangle cells), so passing a
+    parallel initializer — e.g. the core library's [Engine.init
+    engine] — computes them on several domains; because each row lands
+    in its own slot the result is identical whatever the schedule, and
+    without a mask every cell is the float [Context.jaccard ctx i j]
+    returns.
+
+    [candidates] is the sketch tier's mask: a d×d class adjacency as
+    {!Sketch.class_candidates} builds it. With it, only candidate class
+    pairs are evaluated and every cell between two classes outside the
+    mask reads 0.0 — near-linear instead of quadratic on a corpus of
+    many distinct, mostly dissimilar attribute sets. The mask is
+    reflexive, so the diagonal still reads 1.0. Raises
+    [Invalid_argument] when [candidates] is not d×d. *)
 val compute :
+  ?candidates:Difftrace_util.Bitset.t array ->
   init:(int -> (int -> float array) -> float array array) ->
   Difftrace_fca.Context.t ->
   t
@@ -48,57 +58,33 @@ val compute :
 (** [of_context ctx] = [compute ~init:Array.init ctx]. *)
 val of_context : Difftrace_fca.Context.t -> t
 
-(** [extend ~init ~base ~fresh ctx] — incremental {!compute}: grow a
-    previously computed matrix to a larger corpus, evaluating only the
-    cells that involve at least one {e fresh} object. [fresh.(i)]
-    declares whether ctx object [i] must be (re)evaluated; a non-fresh
-    object's label must appear in [base], and the caller asserts its
-    attribute set is unchanged since [base] was computed (the analysis
-    store discharges this with per-object attribute digests). Cells
-    between two non-fresh objects are mirrored from [base]; every other
-    cell is looked up in the class matrix like [compute], which
-    evaluates only the class pairs where at least one class holds a
-    fresh object, so the result is bit-for-bit identical to
-    [compute ~init ctx] — when k' of the context's d classes hold a
-    fresh object, it costs k'·d − k'(k'−1)/2 evaluations. Rows are
-    fanned over [init] just like [compute]; rows whose every cell is
-    mirrored are counted by the [jsm.rows_reused] telemetry counter.
+(** [extend ?candidates ~init ~base ~fresh ctx] — incremental
+    {!compute}: grow a previously computed matrix to a larger corpus,
+    evaluating only the cells that involve at least one {e fresh}
+    object. [fresh.(i)] declares whether ctx object [i] must be
+    (re)evaluated; a non-fresh object's label must appear in [base],
+    and the caller asserts its attribute set is unchanged since [base]
+    was computed (the analysis store discharges this with per-object
+    attribute digests). Cells between two non-fresh objects are
+    mirrored from [base]; every other cell is looked up in the class
+    matrix like [compute], which evaluates only the class pairs where
+    at least one class holds a fresh object, so the result is
+    bit-for-bit identical to [compute ?candidates ~init ctx] — when k'
+    of the context's d classes hold a fresh object, it costs
+    k'·d − k'(k'−1)/2 evaluations at most. With a sketch mask, [base]
+    must have been built with the same kind of mask: candidacy is a
+    pairwise predicate of two attribute sets, so a mirrored cell —
+    evaluated or pruned — is what recomputation would produce. Rows
+    are fanned over [init] just like [compute]; rows whose every cell
+    is mirrored are counted by the [jsm.rows_reused] telemetry counter.
     Raises [Invalid_argument] when [fresh] has the wrong length, when a
-    non-fresh label is missing from [base], or when [base]'s labels
-    disagree with its dimension. *)
+    non-fresh label is missing from [base], when [base]'s labels
+    disagree with its dimension, or on a mask of the wrong size. *)
 val extend :
+  ?candidates:Difftrace_util.Bitset.t array ->
   init:(int -> (int -> float array) -> float array array) ->
   base:t ->
   fresh:bool array ->
-  Difftrace_fca.Context.t ->
-  t
-
-(** [compute_sketch ~init ~candidates ctx] — the sketch tier's
-    {!compute}: exact Jaccard for every LSH candidate pair
-    ([candidates] as produced by {!Sketch.candidates}), 0.0 for pruned
-    pairs, 1.0 on the diagonal with no evaluation. On a corpus whose
-    similar pairs are sparse this is near-linear: [jsm.jaccard_evals]
-    counts only the candidate evaluations. The result is a pure
-    function of [ctx] and [candidates] — deterministic across engines.
-    Raises [Invalid_argument] when [candidates] has the wrong length. *)
-val compute_sketch :
-  init:(int -> (int -> float array) -> float array array) ->
-  candidates:Difftrace_util.Bitset.t array ->
-  Difftrace_fca.Context.t ->
-  t
-
-(** [extend_sketch ~init ~base ~fresh ~candidates ctx] — incremental
-    {!compute_sketch}, bit-for-bit identical to it over the same
-    signatures: candidacy is a pairwise predicate of two signatures,
-    and a non-fresh object's signature is unchanged (same attribute
-    set, vouched by its digest), so cells between two non-fresh
-    objects — computed or pruned alike — mirror from [base] exactly.
-    Raises like {!extend} plus {!compute_sketch}. *)
-val extend_sketch :
-  init:(int -> (int -> float array) -> float array array) ->
-  base:t ->
-  fresh:bool array ->
-  candidates:Difftrace_util.Bitset.t array ->
   Difftrace_fca.Context.t ->
   t
 

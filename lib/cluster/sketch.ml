@@ -3,10 +3,10 @@ module Bitset = Difftrace_util.Bitset
 module Telemetry = Difftrace_obs.Telemetry
 
 (* MinHash signatures computed from attribute sets, and the LSH banding
-   index that turns them into a candidate-pair adjacency. Everything
-   here is a pure function of the attribute *names* (never the
-   context-local attribute ids), so an object's signature is stable
-   across contexts and safe to persist next to its attribute digest. *)
+   index that turns them into a candidate adjacency over a context's
+   classes. Everything here is a pure function of the attribute *names*
+   (never the context-local attribute ids), so a class's signature is
+   the same in every context that holds its attribute set. *)
 
 let c_signatures = Telemetry.Counter.make "sketch.signatures"
 let c_candidate_pairs = Telemetry.Counter.make "sketch.candidate_pairs"
@@ -23,8 +23,9 @@ let threshold k =
 type signature = int array
 
 (* FNV-1a-style rolling hash of an attribute name, masked non-negative.
-   Signatures are persisted, so this must stay deterministic across
-   processes and OCaml versions: it uses only native int arithmetic
+   A sketch matrix cached in the analysis store was pruned by these
+   hashes, so they must stay deterministic across processes and OCaml
+   versions: it uses only native int arithmetic
    (fixed 63-bit semantics on every 64-bit platform) and no
    [Hashtbl.hash]-style seeding. *)
 let base_hash s =
@@ -69,60 +70,43 @@ let hasher ?(k = default_k) ctx =
     Telemetry.Counter.incr c_signatures;
     mins
 
-let of_context ?k ctx =
-  let h = hasher ?k ctx in
-  Array.init (Context.n_objects ctx) h
-
-let estimate a b =
-  let k = Array.length a in
-  if Array.length b <> k then
-    invalid_arg "Sketch.estimate: signature length mismatch";
-  if k = 0 then 1.0
-  else begin
-    let eq = ref 0 in
-    for r = 0 to k - 1 do
-      if a.(r) = b.(r) then incr eq
-    done;
-    float_of_int !eq /. float_of_int k
-  end
-
-let candidates sigs =
-  let n = Array.length sigs in
-  let adj = Array.init n (fun _ -> Bitset.create n) in
-  if n > 1 then begin
-    let k = Array.length sigs.(0) in
-    Array.iteri
-      (fun i s ->
-        if Array.length s <> k then
-          invalid_arg
-            (Printf.sprintf
-               "Sketch.candidates: signature %d has %d rows, expected %d" i
-               (Array.length s) k))
-      sigs;
-    let b = bands_for k in
-    (* one bucket table per band, keyed by the band's min values; two
-       signatures land in the same bucket iff the band is equal, so the
-       adjacency is exactly "shares >= 1 band" — a pairwise predicate,
-       which is what keeps extend_sketch bit-identical to
-       compute_sketch on the same signature set. *)
-    let tbl = Hashtbl.create (2 * n) in
-    for band = 0 to b - 1 do
-      Hashtbl.reset tbl;
-      let r0 = band * rows_per_band in
-      let r1 = if r0 + 1 < k then r0 + 1 else r0 in
-      for i = 0 to n - 1 do
-        let key = (sigs.(i).(r0), sigs.(i).(r1)) in
-        let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-        List.iter
-          (fun j ->
-            if not (Bitset.mem adj.(i) j) then begin
-              Telemetry.Counter.incr c_candidate_pairs;
-              Bitset.add adj.(i) j;
-              Bitset.add adj.(j) i
-            end)
-          prev;
-        Hashtbl.replace tbl key (i :: prev)
-      done
+(* Every member of a class has the class representative's attribute
+   set, hence its signature, so candidacy is decided once per class
+   pair: d signatures instead of n, and the banding buckets d keys. *)
+let class_candidates ?(k = default_k) ctx =
+  let h = hasher ~k ctx in
+  let d = Context.n_classes ctx in
+  let sigs = Array.init d (fun c -> h (Context.class_rep ctx c)) in
+  (* a class is its own candidate: its members' signatures share every
+     band *)
+  let adj =
+    Array.init d (fun a ->
+        let row = Bitset.create d in
+        Bitset.add row a;
+        row)
+  in
+  (* one bucket table per band, keyed by the band's min values; two
+     signatures land in the same bucket iff the band is equal, so the
+     adjacency is exactly "shares >= 1 band" — a pairwise predicate of
+     two attribute sets, which is what keeps an extended sketch matrix
+     bit-identical to a recomputed one *)
+  let tbl = Hashtbl.create (2 * d) in
+  for band = 0 to bands_for k - 1 do
+    Hashtbl.reset tbl;
+    let r0 = band * rows_per_band in
+    let r1 = if r0 + 1 < k then r0 + 1 else r0 in
+    for a = 0 to d - 1 do
+      let key = (sigs.(a).(r0), sigs.(a).(r1)) in
+      let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
+      List.iter
+        (fun b ->
+          if not (Bitset.mem adj.(a) b) then begin
+            Telemetry.Counter.incr c_candidate_pairs;
+            Bitset.add adj.(a) b;
+            Bitset.add adj.(b) a
+          end)
+        prev;
+      Hashtbl.replace tbl key (a :: prev)
     done
-  end;
+  done;
   adj

@@ -1,25 +1,22 @@
 (** MinHash signatures and LSH candidate bucketing for the JSM.
 
-    A signature is [k] independent min-hashes of an object's attribute
-    {e name} set. Because names (not context-local attribute ids) are
-    hashed, a signature depends only on the object's attribute set —
-    the same thing the analysis store's per-object digests certify —
-    so signatures can be persisted and reused across contexts, runs and
-    processes.
-
-    For two objects with Jaccard similarity J, each signature row
-    matches with probability exactly J, so the fraction of matching
-    rows ({!estimate}) is an unbiased estimator with standard error
-    [sqrt (J (1-J) / k)].
+    A signature is [k] independent min-hashes of an attribute {e name}
+    set. Because names (not context-local attribute ids) are hashed, a
+    signature depends only on the attribute set — the same thing the
+    analysis store's per-object digests certify — so it is the same in
+    every context, run and process. For two sets with Jaccard
+    similarity J, each signature row matches with probability exactly
+    J.
 
     The LSH index groups each signature's rows into [k/2] bands of 2
     rows and buckets signatures by band value: a pair becomes a
     {e candidate} iff at least one band matches, which happens with
     probability [1 - (1 - J^2)^(k/2)] — a sharp S-curve around
     {!threshold}. Candidacy is a pairwise predicate of the two
-    signatures alone (never of the rest of the corpus), which is what
-    makes sketch-mode matrix extension bit-identical to sketch-mode
-    recomputation. *)
+    attribute sets alone (never of the rest of the corpus), so it is
+    decided once per pair of a context's classes, and a sketch-mode
+    matrix extended from a cached one is bit-identical to one
+    recomputed from scratch. *)
 
 (** Number of min-hash rows used when [?k] is omitted: 64. *)
 val default_k : int
@@ -36,27 +33,29 @@ val bands_for : int -> int
 val threshold : int -> float
 
 (** A signature: [k] row minima. An object with no attributes hashes
-    to all-[max_int], so two empty objects estimate 1.0, matching
-    [Context.jaccard] on two empty sets. *)
+    to all-[max_int], so two empty objects share every band, as
+    [Context.jaccard] rates two empty sets 1.0. *)
 type signature = int array
 
 (** [hasher ?k ctx] precomputes the per-attribute row hashes of [ctx]
-    once and returns a function from object index to signature — use
-    this to sketch only the objects a store lookup missed.
+    once and returns a function from object index to signature; each
+    call counts one [sketch.signatures].
     Raises [Invalid_argument] if [k < 1]. *)
 val hasher : ?k:int -> Difftrace_fca.Context.t -> int -> signature
 
-(** [of_context ?k ctx] — every object's signature. *)
-val of_context : ?k:int -> Difftrace_fca.Context.t -> signature array
-
-(** [estimate a b] — fraction of matching rows, the MinHash estimate of
-    the two objects' Jaccard similarity. Raises [Invalid_argument] on
-    length mismatch. *)
-val estimate : signature -> signature -> float
-
-(** [candidates sigs] — the LSH adjacency: bit [j] of row [i] is set
-    iff signatures [i] and [j] share at least one band. Symmetric,
-    irreflexive, and a pure function of [sigs] (deterministic whatever
-    engine later consumes it). Candidate pairs are counted by the
-    [sketch.candidate_pairs] telemetry counter. *)
-val candidates : signature array -> Difftrace_util.Bitset.t array
+(** [class_candidates ?k ctx] — the LSH adjacency over [ctx]'s classes
+    ({!Difftrace_fca.Context.class_of}): bit [b] of row [a] is set iff
+    the signatures of classes [a] and [b] share at least one band. A
+    signature depends only on the attribute set, so every member of a
+    class has its class's signature, and only one representative per
+    class is signed ([sketch.signatures] grows by
+    [Context.n_classes ctx], not by the object count). Symmetric and
+    reflexive — the members of one class share every band — and a pure
+    function of the classes' attribute-name sets, so it is the same
+    whatever engine later consumes it and in every context holding
+    those sets. Off-diagonal candidate class pairs are counted by the
+    [sketch.candidate_pairs] telemetry counter. This is the mask
+    {!Jsm.compute} and {!Jsm.extend} take. Raises [Invalid_argument]
+    if [k < 1]. *)
+val class_candidates :
+  ?k:int -> Difftrace_fca.Context.t -> Difftrace_util.Bitset.t array

@@ -82,6 +82,11 @@ let digest t =
        t.k t.repeats
        (match t.mode with Exact -> "" | Sketch -> "\x00sketch"))
 
+let candidates t ctx =
+  match t.mode with
+  | Exact -> None
+  | Sketch -> Some (Difftrace_cluster.Sketch.class_candidates ctx)
+
 let to_json t =
   let module Json = Difftrace_obs.Telemetry.Json in
   Json.Obj

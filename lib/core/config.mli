@@ -6,11 +6,13 @@
     changes analysis results (see {!Engine}), so it is not part of the
     configuration's {!name}. *)
 
-(** How the JSM is built. [Exact] (the default) evaluates every pair
-    and pins today's byte-identical output; [Sketch] routes through
-    the MinHash/LSH tier ({!Difftrace_cluster.Sketch}): only LSH
-    candidate pairs are evaluated exactly, pruned pairs read 0.0 —
-    near-linear instead of quadratic on sparse-similarity corpora. *)
+(** How the JSM is built. [Exact] (the default) evaluates every class
+    pair and pins today's byte-identical output; [Sketch] masks the
+    same computation with the MinHash/LSH tier
+    ({!Difftrace_cluster.Sketch}, see {!candidates}): only LSH
+    candidate class pairs are evaluated exactly, pruned pairs read 0.0
+    — near-linear instead of quadratic on corpora of many distinct,
+    mostly dissimilar traces. *)
 type mode = Exact | Sketch
 
 (** ["exact"] / ["sketch"]. *)
@@ -88,6 +90,14 @@ val name : t -> string
     per-object attribute digests, not on this partition key — a
     collision costs lookup efficiency, never wrong results. *)
 val digest : t -> string
+
+(** [candidates t ctx] — the JSM mask of [t]'s mode over [ctx]: [None]
+    in exact mode, the class candidate adjacency
+    ({!Difftrace_cluster.Sketch.class_candidates}) in sketch mode. The
+    one argument by which {!Difftrace_cluster.Jsm.compute} and
+    [Jsm.extend] tell the two modes apart. *)
+val candidates :
+  t -> Difftrace_fca.Context.t -> Difftrace_util.Bitset.t array option
 
 (** The configuration as a JSON object (filter/attrs/k/repeats/linkage
     by name plus the engine, plus ["mode"] when it is not the exact

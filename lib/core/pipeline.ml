@@ -183,17 +183,10 @@ let analyze_into ~tables ?memo ?store (config : Config.t) ts =
       (Span.with_ "jsm" @@ fun () ->
        match store with
        | Some st -> Store.jsm st ~config ~init:(Engine.init engine) context
-       | None -> (
-         match config.Config.mode with
-         | Config.Exact -> Jsm.compute ~init:(Engine.init engine) context
-         | Config.Sketch ->
-           (* storeless sketch: signatures are rebuilt each run; the
-              candidate adjacency is a pure function of them, so the
-              matrix is still deterministic across engines *)
-           let sigs = Difftrace_cluster.Sketch.of_context context in
-           Jsm.compute_sketch ~init:(Engine.init engine)
-             ~candidates:(Difftrace_cluster.Sketch.candidates sigs)
-             context)) }
+       | None ->
+         Jsm.compute
+           ?candidates:(Config.candidates config context)
+           ~init:(Engine.init engine) context) }
 
 let fresh_tables () = (Symtab.create (), Nlr.Loop_table.create ())
 

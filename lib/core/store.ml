@@ -1,7 +1,6 @@
 module Nlr = Difftrace_nlr.Nlr
 module Context = Difftrace_fca.Context
 module Jsm = Difftrace_cluster.Jsm
-module Sketch = Difftrace_cluster.Sketch
 module Telemetry = Difftrace_obs.Telemetry
 module Framed = Difftrace_util.Framed
 module Symmat = Difftrace_util.Symmat
@@ -11,11 +10,6 @@ let c_hits = Telemetry.Counter.make "store.hits"
 let c_misses = Telemetry.Counter.make "store.misses"
 let c_evictions = Telemetry.Counter.make "store.evictions"
 let c_crc_fail = Telemetry.Counter.make "store.crc_fail"
-
-(* per-object MinHash signature lookups; these move only in sketch
-   mode, so a warm exact run's counter table is unchanged *)
-let c_sig_hits = Telemetry.Counter.make "store.sig_hits"
-let c_sig_misses = Telemetry.Counter.make "store.sig_misses"
 
 (* merged variational alignments served warm (vdiff skips re-alignment) *)
 let c_vdiff_hits = Telemetry.Counter.make "store.vdiff_hits"
@@ -41,12 +35,6 @@ type matrix_entry = {
   matrix : Symmat.t;
 }
 
-(* a persisted MinHash signature, keyed by the attribute-set digest of
-   the object it sketches — the same digest that gates matrix-row
-   reuse, so a signature hit carries the same vouching: same digest,
-   same attribute-name set, same signature bit for bit. *)
-type sig_entry = { sg_stamp : int; sg_mins : int array }
-
 (* a persisted variational alignment: the merged column sequence of an
    n-way vdiff, keyed by a digest over the aligned runs' element
    sequences (in run order) — same runs, same columns, so a hit skips
@@ -64,7 +52,6 @@ type t = {
   stamps : (string, int) Hashtbl.t;  (* summary key -> stamp *)
   evicted : (string, unit) Hashtbl.t;  (* summary keys gc'd, skip at flush *)
   matrices : (string, matrix_entry) Hashtbl.t;  (* identity -> entry *)
-  signatures : (string, sig_entry) Hashtbl.t;  (* object digest -> entry *)
   vdiffs : (string, vdiff_entry) Hashtbl.t;  (* run-set digest -> entry *)
   mutable next_stamp : int;
   mutable dirty : bool;
@@ -111,12 +98,18 @@ let object_digest ctx i =
 
    File = magic line, then {!Framed} records. Payload byte 0 is the
    type.
-   Write order is symbols, loop bodies, summaries, signatures,
-   matrices, vdiffs, so every reference points backwards and a
-   salvaged prefix is self-consistent. Signature and vdiff records are
-   standalone (they reference nothing), and a store that never served
-   a sketch run or a vdiff holds none, so the historical byte layout
-   is unchanged. *)
+   Write order is symbols, loop bodies, summaries, matrices, vdiffs,
+   so every reference points backwards and a salvaged prefix is
+   self-consistent. Vdiff records are standalone (they reference
+   nothing), and a store that never served a vdiff holds none, so the
+   historical byte layout is unchanged.
+
+   Tag 5 held a per-object MinHash signature. Signatures are no longer
+   persisted — signing one representative per attribute class costs
+   less than decoding them — but older stores hold such records, so
+   they still decode and are checked like any other record, then are
+   dropped at adoption; the next flush rewrites the file without
+   them. *)
 
 let tag_symbol = 1
 let tag_body = 2
@@ -166,16 +159,6 @@ let payload_matrix (e : matrix_entry) =
     (Symmat.cells e.matrix);
   Buffer.contents b
 
-let payload_signature ~digest (e : sig_entry) =
-  let k = Array.length e.sg_mins in
-  let b = Buffer.create (32 + (8 * k)) in
-  Buffer.add_char b (Char.chr tag_signature);
-  Buffer.add_string b digest;
-  Varint.write b e.sg_stamp;
-  Varint.write b k;
-  Array.iter (fun m -> Buffer.add_int64_le b (Int64.of_int m)) e.sg_mins;
-  Buffer.contents b
-
 let payload_vdiff ~key (e : vdiff_entry) =
   let b = Buffer.create 256 in
   Buffer.add_char b (Char.chr tag_vdiff);
@@ -211,7 +194,7 @@ type raw =
   | Rbody of Nlr.elem array
   | Rsummary of { key : string; stamp : int; nlr : Nlr.t }
   | Rmatrix of matrix_entry
-  | Rsignature of { digest : string; entry : sig_entry }
+  | Rsignature  (* a retired tag-5 record: decoded, checked, dropped *)
   | Rvdiff of { key : string; entry : vdiff_entry }
 
 let tag_of = function
@@ -219,7 +202,7 @@ let tag_of = function
   | Rbody _ -> tag_body
   | Rsummary _ -> tag_summary
   | Rmatrix _ -> tag_matrix
-  | Rsignature _ -> tag_signature
+  | Rsignature -> tag_signature
   | Rvdiff _ -> tag_vdiff
 
 (* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
@@ -271,19 +254,12 @@ let decode_payload ~n_syms ~n_bodies s =
        !pos)
     end
     else if tag = tag_signature then begin
-      let digest, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
+      (* object digest, stamp, k, then k 8-byte row minima *)
+      let _, pos = read_digest s 1 in
+      let _, pos = Varint.read s pos in
       let k, pos = Varint.read s pos in
-      if pos + (8 * k) > len then bad "truncated signature rows";
-      let pos = ref pos in
-      let mins =
-        Array.init k (fun _ ->
-            let v = Int64.to_int (String.get_int64_le s !pos) in
-            pos := !pos + 8;
-            v)
-      in
-      (Rsignature { digest; entry = { sg_stamp = stamp; sg_mins = mins } },
-       !pos)
+      if k > (len - pos) / 8 then bad "truncated signature rows";
+      (Rsignature, pos + (8 * k))
     end
     else if tag = tag_vdiff then begin
       let key, pos = read_digest s 1 in
@@ -370,9 +346,7 @@ let adopt t records =
          | Rmatrix e ->
            Hashtbl.replace t.matrices (matrix_identity e) e;
            note_stamp t e.stamp
-         | Rsignature { digest; entry } ->
-           Hashtbl.replace t.signatures digest entry;
-           note_stamp t entry.sg_stamp
+         | Rsignature -> t.dirty <- true
          | Rvdiff { key; entry } ->
            Hashtbl.replace t.vdiffs key entry;
            note_stamp t entry.vd_stamp)
@@ -392,7 +366,6 @@ let load ~dir =
         stamps = Hashtbl.create 64;
         evicted = Hashtbl.create 16;
         matrices = Hashtbl.create 16;
-        signatures = Hashtbl.create 64;
         vdiffs = Hashtbl.create 16;
         next_stamp = 0;
         dirty = false;
@@ -423,28 +396,6 @@ let load ~dir =
   end
 
 (* {2 JSM reuse} *)
-
-(* Look up — or compute, persist and stamp — each object's MinHash
-   signature, keyed by its attribute-set digest. The hasher's
-   per-attribute row-hash table is only built if at least one object
-   misses. Signatures depend solely on the attribute-name set the
-   digest certifies, so a hit is bit-identical to recomputation. *)
-let signatures_of t ctx digests =
-  let hash = lazy (Sketch.hasher ctx) in
-  Array.mapi
-    (fun i digest ->
-      match Hashtbl.find_opt t.signatures digest with
-      | Some e ->
-        Telemetry.Counter.incr c_sig_hits;
-        e.sg_mins
-      | None ->
-        Telemetry.Counter.incr c_sig_misses;
-        let mins = (Lazy.force hash) i in
-        Hashtbl.replace t.signatures digest
-          { sg_stamp = fresh_stamp t; sg_mins = mins };
-        t.dirty <- true;
-        mins)
-    digests
 
 let jsm t ~config ~init ctx =
   let ns = Config.digest config in
@@ -492,16 +443,11 @@ let jsm t ~config ~init ctx =
           | _ -> best := Some (e, map, m, e.stamp, id)
       end)
     t.matrices;
-  (* in sketch mode the candidate adjacency is rebuilt from (mostly
-     cached) signatures either way; because candidacy is a pairwise
-     function of two signatures, extending a cached sketch matrix is
-     bit-identical to sketching from scratch — the exact reuse
-     guarantee the store gives exact matrices *)
-  let candidates =
-    match config.Config.mode with
-    | Config.Exact -> None
-    | Config.Sketch -> Some (Sketch.candidates (signatures_of t ctx digests))
-  in
+  (* in sketch mode the class mask is rebuilt either way; candidacy is
+     a pairwise function of two attribute sets, so extending a cached
+     sketch matrix is bit-identical to sketching from scratch — the
+     reuse guarantee the store gives exact matrices *)
+  let candidates = Config.candidates config ctx in
   let result, covered =
     match !best with
     | Some (e, map, m, _, _) ->
@@ -513,17 +459,10 @@ let jsm t ~config ~init ctx =
             | _ -> true)
       in
       let base = { Jsm.labels = e.labels; m = e.matrix } in
-      ( (match candidates with
-        | None -> Jsm.extend ~init ~base ~fresh ctx
-        | Some candidates ->
-          Jsm.extend_sketch ~init ~base ~fresh ~candidates ctx),
-        m = n )
+      (Jsm.extend ?candidates ~init ~base ~fresh ctx, m = n)
     | None ->
       Telemetry.Counter.incr c_misses;
-      ( (match candidates with
-        | None -> Jsm.compute ~init ctx
-        | Some candidates -> Jsm.compute_sketch ~init ~candidates ctx),
-        false )
+      (Jsm.compute ?candidates ~init ctx, false)
   in
   if not covered then begin
     let e =
@@ -611,11 +550,6 @@ let matrices =
   table_kind "matrices" ~tag:tag_matrix ~default_keep:64 ~doc:"JSM matrices"
     (fun t -> t.matrices) (fun e -> e.stamp) (fun _ e -> payload_matrix e)
 
-let signatures =
-  table_kind "signatures" ~tag:tag_signature ~default_keep:4096
-    ~doc:"MinHash signatures" (fun t -> t.signatures) (fun e -> e.sg_stamp)
-    (fun digest e -> payload_signature ~digest e)
-
 (* stores that never served a vdiff render exactly as they always have *)
 let vdiffs =
   table_kind "vdiffs" ~listed_when_zero:false ~tag:tag_vdiff ~default_keep:64
@@ -623,10 +557,10 @@ let vdiffs =
     (fun key e -> payload_vdiff ~key e)
 
 (* display order: gc results, stats, verify and the store gc flags *)
-let kind_table = [ summaries; matrices; signatures; vdiffs ]
+let kind_table = [ summaries; matrices; vdiffs ]
 
 (* write order, part of the format: every reference points backwards *)
-let file_order = [ summaries; signatures; matrices; vdiffs ]
+let file_order = [ summaries; matrices; vdiffs ]
 
 let kinds = List.map (fun k -> (k.name, k.default_keep, k.doc)) kind_table
 

@@ -3,7 +3,7 @@
     {!Memo} amortizes NLR summarization {e within} one process; every
     CLI invocation still starts cold. The store extends that across
     processes: a single on-disk file persists the memo's shared
-    symbol/loop tables and four evictable record kinds ({!kinds}), so
+    symbol/loop tables and three evictable record kinds ({!kinds}), so
     the second [difftrace compare] over the same corpus performs zero
     summarizations and mirrors (almost) every Jaccard cell from disk —
     near-pure I/O instead of O(n²) recompute.
@@ -25,14 +25,15 @@
       — so mirrored values are bit-identical to recomputation
       ({!Jsm.extend}'s contract). Matrices are namespaced by
       {!Config.digest} purely for lookup efficiency.
-    - MinHash signatures ({!Difftrace_cluster.Sketch}) are keyed by the
-      same per-object attribute digests; a signature is a pure function
-      of the attribute-name set the digest certifies, so a hit is
-      bit-identical to recomputation, and sketch-mode matrix extension
-      inherits the exact tier's reuse guarantee (candidacy is pairwise
-      in the two signatures). Exact-mode runs never write or read
-      signature records, so existing store files keep their historical
-      byte layout.
+    - Sketch-mode matrices ({!Difftrace_cluster.Sketch}) live in their
+      own {!Config.digest} namespace and are reused the same way: LSH
+      candidacy is a pairwise function of two attribute-name sets, so a
+      mirrored cell — evaluated or pruned — is what recomputation would
+      produce. MinHash signatures are not persisted: one per attribute
+      class is cheaper to recompute than to decode. Stores written
+      while they were persisted hold tag-5 signature records; those
+      still decode and are checked like any other record, are then
+      dropped, and the next {!flush} rewrites the file without them.
 
     - Merged variational alignments ({!Difftrace_variational}) are
       keyed by a digest over the aligned runs' element sequences in run
@@ -48,8 +49,7 @@
     cold store — instead of raising.
 
     Telemetry: [store.hits]/[store.misses] (JSM base lookups),
-    [store.sig_hits]/[store.sig_misses] (signature lookups, sketch mode
-    only), [store.vdiff_hits]/[store.vdiff_misses] (variational
+    [store.vdiff_hits]/[store.vdiff_misses] (variational
     alignment lookups), [store.evictions] (gc and flush caps),
     [store.crc_fail] (damaged files/records encountered). *)
 
@@ -80,11 +80,11 @@ val memo : t -> Memo.t
     (label, attribute-digest) pairs with [ctx], mirrors those cells via
     {!Jsm.extend}, and evaluates the rest. Falls back to {!Jsm.compute}
     when nothing is reusable. Bit-identical to [Jsm.compute ~init ctx]
-    either way. In sketch mode ([config.mode = Sketch]) the same
-    machinery runs over {!Jsm.compute_sketch}/{!Jsm.extend_sketch} with
-    per-object signatures looked up from — or computed into — the
-    store ([store.sig_hits]/[store.sig_misses]); sketch matrices live
-    in their own {!Config.digest} namespace. Counts [store.hits] /
+    either way. In sketch mode ([config.mode = Sketch]) the same two
+    calls take the class candidate mask ({!Config.candidates}), so the
+    result is bit-identical to [Jsm.compute ?candidates ~init ctx];
+    sketch matrices live in their own {!Config.digest} namespace.
+    Counts [store.hits] /
     [store.misses] once per call, and records the finished matrix for
     future runs (unless a cached matrix already covered every
     object). *)
@@ -101,8 +101,8 @@ val jsm :
     [store.evictions]. Creates [dir] if needed. *)
 val flush : t -> (unit, error) result
 
-(** The evictable record kinds — summaries, matrices, signatures,
-    vdiffs — as [(name, cap {!flush} applies, help text)], in the order
+(** The evictable record kinds — summaries, matrices, vdiffs — as
+    [(name, cap {!flush} applies, help text)], in the order
     every per-kind list below follows. *)
 val kinds : (string * int * string) list
 

@@ -68,9 +68,13 @@ let classify tok =
   else if is_numeric tok || is_numeric_with_unit tok then "<n>"
   else tok
 
+(* a stray CR is a separator too: kept inside a token it would name a
+   leaf that re-ingesting the rendered text cannot reproduce, since
+   line splitting strips a CR before the newline *)
 let normalize line =
   String.split_on_char ' ' line
   |> List.concat_map (String.split_on_char '\t')
+  |> List.concat_map (String.split_on_char '\r')
   |> List.filter (fun t -> t <> "")
   |> List.map classify
   |> String.concat " "

@@ -5,7 +5,6 @@ module Bitset = Difftrace_util.Bitset
 module Myers = Difftrace_diff.Myers
 module Diffnlr = Difftrace_diff.Diffnlr
 module Context = Difftrace_fca.Context
-module Sketch = Difftrace_cluster.Sketch
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
 
@@ -27,11 +26,12 @@ let n_runs t = Array.length t.runs
 (* Progressive merge                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* sketch-tier merge order: the two most similar runs anchor the
-   profile, then always the unmerged run most similar to anything
-   already merged — the classical progressive-alignment guide tree,
-   flattened to a greedy chain. Ties break toward lower indices so the
-   order (and therefore the column order) is deterministic. *)
+(* merge order: the two most similar runs anchor the profile, then
+   always the unmerged run most similar to anything already merged —
+   the classical progressive-alignment guide tree, flattened to a
+   greedy chain. Similarity is the exact Jaccard of the runs' element
+   sets. Ties break toward lower indices so the order (and therefore
+   the column order) is deterministic. *)
 let merge_order runs =
   let n = Array.length runs in
   let ctx =
@@ -42,11 +42,10 @@ let merge_order runs =
               (Printf.sprintf "r%d" i, List.sort_uniq String.compare r.vr_elems))
             runs))
   in
-  let sigs = Sketch.of_context ctx in
   let sim = Array.make_matrix n n 0.0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let s = Sketch.estimate sigs.(i) sigs.(j) in
+      let s = Context.jaccard ctx i j in
       sim.(i).(j) <- s;
       sim.(j).(i) <- s
     done

@@ -11,8 +11,8 @@
 
     This module merges k NLR element sequences into one {e variational
     NLR} by pairwise-anchored progressive alignment: the two most
-    similar runs (by the MinHash sketch tier, {!Difftrace_cluster.Sketch})
-    merge first, every later run is aligned against the running profile
+    similar runs (by exact Jaccard over their element sets) merge
+    first, every later run is aligned against the running profile
     with the same {!Difftrace_diff.Myers} machinery diffNLR uses. The
     result is a single column sequence where every column carries a
     {!Difftrace_util.Bitset} of the runs it appears in; maximal runs of

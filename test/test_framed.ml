@@ -39,23 +39,91 @@ let traces () =
 let check_md5 what expected path =
   Alcotest.(check string) what expected (file_md5 path)
 
-(* summaries, symbols and loop bodies from an analysis; a matrix and
-   MinHash signatures from sketch mode; one variational alignment *)
+let get = function Ok v -> v | Error e -> Alcotest.fail (Store.error_to_string e)
+
+let sketch_config () =
+  Config.with_mode Config.Sketch (Config.make ~filter:(F.make []) ())
+
+let golden_vdiff_key = Digest.string "golden vdiff"
+
+let golden_vdiff =
+  [| ("MPI_Init", [ 0; 1; 2 ]); ("MPI_Send", [ 1 ]); ("MPI_Finalize", [ 0; 2 ]) |]
+
+(* summaries, symbols and loop bodies from an analysis; a matrix from
+   sketch mode; one variational alignment *)
 let test_store () =
   let dir = fresh_dir "store" in
-  let get = function Ok v -> v | Error e -> Alcotest.fail (Store.error_to_string e) in
   let st = get (Store.load ~dir) in
-  let config = Config.with_mode Config.Sketch (Config.make ~filter:(F.make []) ()) in
-  ignore (Pipeline.analyze ~store:st config (traces ()));
-  Store.add_vdiff st ~key:(Digest.string "golden vdiff") ~nruns:3
-    [| ("MPI_Init", [ 0; 1; 2 ]); ("MPI_Send", [ 1 ]); ("MPI_Finalize", [ 0; 2 ]) |];
+  ignore (Pipeline.analyze ~store:st (sketch_config ()) (traces ()));
+  Store.add_vdiff st ~key:golden_vdiff_key ~nruns:3 golden_vdiff;
   get (Store.flush st);
   let s = Store.stats st in
   Alcotest.(check bool) "every record kind present" true
     (s.Store.summaries > 0 && s.Store.matrices > 0
-    && List.assoc "signatures" s.Store.kinds > 0
     && List.assoc "vdiffs" s.Store.kinds = 1);
-  check_md5 "analysis.store" "8021f2199cd123fa63d47c43b31e7c71" (Filename.concat dir "analysis.store")
+  check_md5 "analysis.store" "b6bc936cfb20b13df513e7280097e884" (Filename.concat dir "analysis.store")
+
+let store_magic = "difftrace-store 1\n"
+
+(* the store's records as (tag, payload), in file order *)
+let store_records image =
+  let records, damage =
+    Difftrace_util.Framed.fold ~magic:store_magic image ~init:[]
+      ~f:(fun acc p -> Ok ((Char.code p.[0], p) :: acc))
+  in
+  Alcotest.(check (option string)) "records intact" None damage;
+  List.rev records
+
+(* The same store as written while MinHash signatures were persisted
+   (tag-5 records; the golden bytes MD5 8021f2199cd123fa63d47c43b31e7c71
+   of the test above at the time). It loads without damage, keeps
+   every summary, matrix and vdiff, and its next flush writes exactly
+   its old bytes with the tag-5 records removed. *)
+let test_store_with_signatures () =
+  let fixture =
+    In_channel.with_open_bin "fixtures/store_v1_signatures/analysis.store"
+      In_channel.input_all
+  in
+  check_md5 "fixture" "8021f2199cd123fa63d47c43b31e7c71"
+    "fixtures/store_v1_signatures/analysis.store";
+  let old = store_records fixture in
+  Alcotest.(check int) "the fixture holds signature records" 3
+    (List.length (List.filter (fun (tag, _) -> tag = 5) old));
+  let dir = fresh_dir "store_signatures" in
+  (match Difftrace_util.Framed.mkdir_p dir with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let file = Filename.concat dir "analysis.store" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc fixture);
+  let c = get (Store.verify ~dir) in
+  Alcotest.(check (option string)) "verifies clean" None c.Store.c_damage;
+  Alcotest.(check int) "every record decodes" (List.length old) c.Store.c_records;
+  let st = get (Store.load ~dir) in
+  let s = Store.stats st in
+  Alcotest.(check bool) "loads without damage" false s.Store.salvaged;
+  Alcotest.(check (list (pair string int))) "every summary, matrix and vdiff kept"
+    [ ("summaries", 4); ("matrices", 1); ("vdiffs", 1) ]
+    s.Store.kinds;
+  Alcotest.(check bool) "the vdiff reads back" true
+    (Store.find_vdiff st ~key:golden_vdiff_key = Some golden_vdiff);
+  let ts = traces () in
+  let warm = Pipeline.analyze ~store:st (sketch_config ()) ts in
+  let cold = Pipeline.analyze (sketch_config ()) ts in
+  Alcotest.(check bool) "the cached sketch matrix is today's" true
+    (warm.Pipeline.jsm = cold.Pipeline.jsm);
+  Alcotest.(check bool) "the cached summaries are today's" true
+    (warm.Pipeline.nlrs = cold.Pipeline.nlrs);
+  get (Store.flush st);
+  let flushed = In_channel.with_open_bin file In_channel.input_all in
+  let stripped = Buffer.create (String.length fixture) in
+  Buffer.add_string stripped store_magic;
+  List.iter
+    (fun (tag, p) -> if tag <> 5 then Difftrace_util.Framed.add_record stripped p)
+    old;
+  Alcotest.(check bool) "no signature record after a flush" false
+    (List.exists (fun (tag, _) -> tag = 5) (store_records flushed));
+  Alcotest.(check bool) "flushed = old bytes without their tag-5 records" true
+    (String.equal flushed (Buffer.contents stripped))
 
 let test_eventdb () =
   let dir = fresh_dir "eventdb" in
@@ -95,6 +163,8 @@ let () =
   Alcotest.run "framed"
     [ ( "golden bytes",
         [ Alcotest.test_case "analysis store" `Quick test_store;
+          Alcotest.test_case "analysis store with signature records" `Quick
+            test_store_with_signatures;
           Alcotest.test_case "event-DB index" `Quick test_eventdb;
           Alcotest.test_case "v2 archive" `Quick test_archive;
           Alcotest.test_case "campaign manifest and cell.meta" `Quick test_campaign ] ) ]

@@ -16,8 +16,8 @@ module Trace_set = Difftrace_trace.Trace_set
 module Symtab = Difftrace_trace.Symtab
 module Event = Difftrace_trace.Event
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -180,8 +180,10 @@ let structured_gen =
     in
     map (String.concat "\n") (list_size (0 -- 40) (oneof [ cilog_line; strace_line ])))
 
+(* inputs print escaped, so a counterexample can be pasted back as a
+   regression case *)
 let never_violates fe gen label =
-  qtest
+  qtest ~print:(Printf.sprintf "%S")
     (Printf.sprintf "%s conformant on %s input" fe.Fe.name label)
     gen
     (fun input ->
@@ -319,6 +321,20 @@ let test_syscall_blank_lines_open_no_process () =
     [ ("\n", 0); ("10:04:33 ", 0); ("[pid 3] ", 0);
       ("[pid 2] read() = 0\n\n[pid 3] \n", 1) ]
 
+(* a stray CR became a leaf named "\r" that render wrote before the
+   newline, where line splitting stripped it, so the re-ingest came
+   back empty and its digest differed (the random property found
+   these two) *)
+let test_cilog_stray_cr_round_trips () =
+  List.iter
+    (fun input ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%S conformant" input)
+        []
+        (List.map Conformance.violation_to_string
+           (Conformance.check Cilog.frontend input)))
+    [ "\r\027"; "\r\t" ]
+
 (* ---------------------------------------------------------------- *)
 (* registry                                                          *)
 (* ---------------------------------------------------------------- *)
@@ -366,7 +382,9 @@ let () =
           Alcotest.test_case "streams split" `Quick test_cilog_streams_split;
           Alcotest.test_case "ansi invisible" `Quick test_cilog_ansi_invisible;
           Alcotest.test_case "steps are calls" `Quick
-            test_cilog_steps_are_calls ] );
+            test_cilog_steps_are_calls;
+          Alcotest.test_case "stray CR round-trips" `Quick
+            test_cilog_stray_cr_round_trips ] );
       ( "syscall",
         [ Alcotest.test_case "pids renumbered" `Quick
             test_syscall_pids_renumbered;

@@ -1,21 +1,18 @@
-(* MinHash/LSH sketch tier: the probabilistic contracts the sketch-mode
-   pipeline rides on, pinned as qcheck properties with explicit failure
-   budgets.
+(* MinHash/LSH sketch tier: the contracts the sketch-mode pipeline
+   rides on, pinned as qcheck properties.
 
-   - MinHash error: at the default k, |estimate − exact Jaccard| stays
-     within ε for (almost) every pair. k = 64 rows gives a Hoeffding
-     bound of 2·exp(−2·64·0.2²) ≈ 1.2% per pair for ε = 0.2, so a 10%
-     per-context budget is generous; ε = 0.35 (bound ≈ 3e-7 per pair)
-     gets no budget at all.
    - LSH recall: every pair whose exact Jaccard clears the banding
      threshold with margin (0.6 ≫ ~0.177 at the default geometry) lands
      in at least one shared bucket — miss probability (1−0.6²)^32 ≈
      6e-7, so a single miss is a real bug, not noise.
-   - Engine/extension identity: [compute_sketch] is a pure function of
-     (context, candidates) — bit-identical across sequential and
-     parallel engines — and [extend_sketch] over any cold/warm split
-     reproduces it bit for bit (candidacy is pairwise in the two
-     signatures, so a warm base can never change a verdict).
+   - Class mask = per-object sketch: a signature depends only on the
+     attribute set, so masking the class matrix with the class
+     candidate adjacency gives, bit for bit, the matrix of the
+     per-object definition (sign every object, a pair is a candidate
+     when any band is equal, exact Jaccard for candidates, 0.0
+     otherwise, 1.0 on the diagonal) — on random contexts and on
+     contexts of repeated rows, on every engine, and through
+     [Jsm.extend] over any cold/warm split.
    - Pruning: on a clustered corpus the sketch tier evaluates strictly
      fewer Jaccard pairs than exact at every size, and under 25% of
      exact's at the largest, counted by [jsm.jaccard_evals]. *)
@@ -31,22 +28,42 @@ let qtest ?(count = 25) name gen prop =
 
 let seed_gen = QCheck2.Gen.(int_range 0 100_000)
 
-(* a random context over a small attribute pool: pair similarities
-   spread over the whole [0, 1] range, including empty sets *)
+(* a random attribute set over a small pool: dense sets (p = 1/2) make
+   most pairs candidates, sparse ones (p = 1/4 over a wider pool) leave
+   many pruned, and both include the empty set now and then *)
+let random_set rng ~sparse =
+  let pool, keep = if sparse then (24, 4) else (16, 2) in
+  List.init pool (fun i -> Printf.sprintf "a%d" i)
+  |> List.filter (fun _ -> Prng.int rng keep = 0)
+
 let random_rows rng n =
-  let pool =
-    Array.init 16 (fun i -> Printf.sprintf "a%d" i)
-  in
-  List.init n (fun i ->
-      let attrs =
-        Array.to_list pool |> List.filter (fun _ -> Prng.bool rng)
-      in
-      (Printf.sprintf "t%d" i, attrs))
+  let sparse = Prng.bool rng in
+  List.init n (fun i -> (Printf.sprintf "t%d" i, random_set rng ~sparse))
 
 let random_context seed =
   let rng = Prng.create seed in
   let n = 2 + Prng.int rng 11 in
   Context.of_attr_sets (random_rows rng n)
+
+(* n objects over exactly d distinct attribute sets (d ∈ {1, 2, 4, n},
+   capped at n), each set used at least once, in shuffled order — the
+   SPMD shape the class quotient is for *)
+let repeated_context seed =
+  let rng = Prng.create (seed + 104_729) in
+  let n = 1 + Prng.int rng 24 in
+  let d = min n (List.nth [ 1; 2; 4; n ] (Prng.int rng 4)) in
+  let sparse = Prng.bool rng in
+  let sets = ref [] in
+  while List.length !sets < d do
+    let s = random_set rng ~sparse in
+    if not (List.mem s !sets) then sets := s :: !sets
+  done;
+  let sets = Array.of_list !sets in
+  let pick = Array.init n (fun i -> if i < d then i else Prng.int rng d) in
+  Prng.shuffle rng pick;
+  Context.of_attr_sets
+    (Array.to_list
+       (Array.mapi (fun i c -> (Printf.sprintf "t%d" i, sets.(c))) pick))
 
 (* a clustered context guaranteeing high-similarity pairs: each base
    object is followed by a near-clone (one attribute dropped), J ≥ 8/9 *)
@@ -67,37 +84,19 @@ let clustered_context seed =
   in
   Context.of_attr_sets rows
 
-let prop_minhash_error_bounded =
-  qtest "MinHash estimate within ε of exact Jaccard (budgeted)" ~count:50
-    seed_gen (fun seed ->
-      let ctx = random_context seed in
-      let n = Context.n_objects ctx in
-      let sigs = Sketch.of_context ctx in
-      let pairs = ref 0 and over_soft = ref 0 and over_hard = ref 0 in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          incr pairs;
-          let err =
-            Float.abs (Sketch.estimate sigs.(i) sigs.(j) -. Context.jaccard ctx i j)
-          in
-          if err > 0.2 then incr over_soft;
-          if err > 0.35 then incr over_hard
-        done
-      done;
-      (* ≤ 10% of pairs may exceed ε = 0.2; none may exceed 0.35 *)
-      !over_hard = 0
-      && float_of_int !over_soft <= 0.1 *. float_of_int (max 1 !pairs))
+let candidate mask ctx i j =
+  Bitset.mem mask.(Context.class_of ctx i) (Context.class_of ctx j)
 
 let prop_lsh_recall_above_threshold =
   qtest "LSH: every pair above J = 0.6 shares a band bucket" ~count:50
     seed_gen (fun seed ->
       let ctx = clustered_context seed in
       let n = Context.n_objects ctx in
-      let candidates = Sketch.candidates (Sketch.of_context ctx) in
+      let mask = Sketch.class_candidates ctx in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          if Context.jaccard ctx i j >= 0.6 && not (Bitset.mem candidates.(i) j)
+          if Context.jaccard ctx i j >= 0.6 && not (candidate mask ctx i j)
           then ok := false
         done
       done;
@@ -113,16 +112,39 @@ let jsm_bits_equal a b =
     (Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y))
     ra rb
 
-let prop_compute_sketch_engine_identity =
-  qtest "compute_sketch bit-identical across engines" ~count:50 seed_gen
-    (fun seed ->
-      let ctx = random_context seed in
-      let candidates = Sketch.candidates (Sketch.of_context ctx) in
-      match
-        List.map (fun init -> Jsm.compute_sketch ~init ~candidates ctx) engines
-      with
-      | [ a; b ] -> jsm_bits_equal a b
-      | _ -> false)
+(* the per-object sketch matrix, built the way sketch mode defined it
+   before candidacy moved to classes: every object signed on its own *)
+let oracle ctx =
+  let n = Context.n_objects ctx in
+  let sigs = Array.init n (Sketch.hasher ctx) in
+  let k = Sketch.default_k in
+  let shares_band i j =
+    List.exists
+      (fun band ->
+        let r0 = band * Sketch.rows_per_band in
+        let r1 = if r0 + 1 < k then r0 + 1 else r0 in
+        sigs.(i).(r0) = sigs.(j).(r0) && sigs.(i).(r1) = sigs.(j).(r1))
+      (List.init (Sketch.bands_for k) Fun.id)
+  in
+  Jsm.of_dense
+    ~labels:(Array.init n (Context.object_label ctx))
+    (Array.init n (fun i ->
+         Array.init n (fun j ->
+             if i = j then 1.0
+             else if shares_band i j then Context.jaccard ctx i j
+             else 0.0)))
+
+let masked ~init ctx =
+  Jsm.compute ~candidates:(Sketch.class_candidates ctx) ~init ctx
+
+let prop_mask_equals_oracle name context =
+  qtest
+    (Printf.sprintf "%s: mask == per-object oracle, bit for bit" name)
+    ~count:100 seed_gen (fun seed ->
+      let ctx = context seed in
+      let expected = oracle ctx in
+      List.for_all (fun init -> jsm_bits_equal expected (masked ~init ctx))
+        engines)
 
 (* the cold/warm split idiom from test_properties.ml: non-fresh objects
    come from a previously computed base matrix *)
@@ -133,53 +155,63 @@ let random_split seed =
   let fresh = Array.init n (fun _ -> Prng.bool rng) in
   (rows, fresh)
 
-let prop_extend_sketch_equals_compute_sketch =
-  qtest "extend_sketch == compute_sketch bit-for-bit, seq and parallel"
+let prop_masked_extend_equals_compute =
+  qtest "masked extend == masked compute bit-for-bit, seq and parallel"
     ~count:100 seed_gen (fun seed ->
       let rows, fresh = random_split seed in
       let ctx = Context.of_attr_sets rows in
-      let candidates = Sketch.candidates (Sketch.of_context ctx) in
+      let candidates = Sketch.class_candidates ctx in
       let warm_rows = List.filteri (fun i _ -> not fresh.(i)) rows in
-      let warm_ctx = Context.of_attr_sets warm_rows in
       (* the base the store would hold: the warm subset's own sketch
-         matrix — same signatures, so same pairwise verdicts *)
-      let base =
-        Jsm.compute_sketch ~init:Array.init
-          ~candidates:(Sketch.candidates (Sketch.of_context warm_ctx))
-          warm_ctx
-      in
-      let expected = Jsm.compute_sketch ~init:Array.init ~candidates ctx in
+         matrix — same attribute sets, so same pairwise verdicts *)
+      let base = masked ~init:Array.init (Context.of_attr_sets warm_rows) in
+      let expected = Jsm.compute ~candidates ~init:Array.init ctx in
       List.for_all
         (fun init ->
           jsm_bits_equal expected
-            (Jsm.extend_sketch ~init ~base ~fresh ~candidates ctx))
+            (Jsm.extend ~candidates ~init ~base ~fresh ctx))
         engines)
-
-let test_estimate_identical_and_disjoint () =
-  let ctx =
-    Context.of_attr_sets
-      [ ("a", [ "x"; "y"; "z" ]); ("b", [ "x"; "y"; "z" ]); ("c", [ "q" ]);
-        ("d", []); ("e", []) ]
-  in
-  let s = Sketch.of_context ctx in
-  Alcotest.(check (float 0.0)) "identical sets estimate 1" 1.0
-    (Sketch.estimate s.(0) s.(1));
-  Alcotest.(check (float 0.0)) "both-empty sets estimate 1 (as Context.jaccard)"
-    1.0
-    (Sketch.estimate s.(3) s.(4));
-  Alcotest.(check bool) "disjoint sets estimate near 0" true
-    (Sketch.estimate s.(0) s.(2) < 0.2)
 
 let test_candidates_shape () =
   let ctx =
     Context.of_attr_sets
-      [ ("a", [ "x"; "y" ]); ("b", [ "x"; "y" ]); ("c", [ "z" ]) ]
+      [ ("a", [ "x"; "y" ]); ("b", [ "x"; "y" ]); ("c", [ "z" ]);
+        ("d", [ "x"; "y"; "w" ]) ]
   in
-  let c = Sketch.candidates (Sketch.of_context ctx) in
-  Alcotest.(check int) "one adjacency row per object" 3 (Array.length c);
-  Alcotest.(check bool) "identical pair is a candidate" true (Bitset.mem c.(0) 1);
-  Alcotest.(check bool) "adjacency is symmetric" true (Bitset.mem c.(1) 0);
-  Alcotest.(check bool) "no self loops" false (Bitset.mem c.(0) 0)
+  let c = Sketch.class_candidates ctx in
+  Alcotest.(check int) "one adjacency row per class" 3 (Array.length c);
+  Alcotest.(check bool) "a class is its own candidate" true (Bitset.mem c.(0) 0);
+  Alcotest.(check bool) "disjoint classes are pruned" false (Bitset.mem c.(0) 1);
+  Alcotest.(check bool) "similar classes are candidates" true
+    (Bitset.mem c.(0) 2);
+  Alcotest.(check bool) "adjacency is symmetric" true (Bitset.mem c.(2) 0)
+
+let test_mask_size_validated () =
+  let ctx = Context.of_attr_sets [ ("a", [ "x" ]); ("b", [ "y" ]) ] in
+  List.iter
+    (fun (what, candidates) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Jsm: the candidate mask is not 2 x 2") (fun () ->
+          ignore (Jsm.compute ~candidates ~init:Array.init ctx : Jsm.t)))
+    [ ("one mask row per class", [| Bitset.create 2 |]);
+      ("one mask column per class", [| Bitset.create 3; Bitset.create 3 |]) ]
+
+let c_signatures = Telemetry.Counter.make "sketch.signatures"
+
+let counted counter f =
+  let before = Telemetry.Counter.value counter in
+  f ();
+  Telemetry.Counter.value counter - before
+
+let prop_one_signature_per_class =
+  qtest "class_candidates signs one representative per class" ~count:50
+    seed_gen (fun seed ->
+      let ctx = repeated_context seed in
+      Telemetry.enable ();
+      Fun.protect ~finally:Telemetry.disable (fun () ->
+          counted c_signatures (fun () ->
+              ignore (Sketch.class_candidates ctx : Bitset.t array))
+          = Context.n_classes ctx))
 
 (* the corpus shape the sketch tier is built for: groups of 12 traces
    sharing 20 core attributes, plus 6 noise attributes per trace — most
@@ -194,10 +226,7 @@ let grouped_context n =
 
 let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
 
-let evals f =
-  let before = Telemetry.Counter.value c_evals in
-  ignore (f () : Jsm.t);
-  Telemetry.Counter.value c_evals - before
+let evals f = counted c_evals (fun () -> ignore (f () : Jsm.t))
 
 let test_sketch_prunes_evals () =
   Telemetry.enable ();
@@ -206,12 +235,7 @@ let test_sketch_prunes_evals () =
         (fun n ->
           let ctx = grouped_context n in
           let exact = evals (fun () -> Jsm.compute ~init:Array.init ctx) in
-          let sketch =
-            evals (fun () ->
-                Jsm.compute_sketch ~init:Array.init
-                  ~candidates:(Sketch.candidates (Sketch.of_context ctx))
-                  ctx)
-          in
+          let sketch = evals (fun () -> masked ~init:Array.init ctx) in
           Alcotest.(check bool)
             (Printf.sprintf "n=%d: sketch %d < exact %d evals" n sketch exact)
             true (sketch < exact);
@@ -232,11 +256,9 @@ let test_hasher_k_validated () =
 let () =
   Alcotest.run "sketch"
     [ ( "minhash",
-        [ prop_minhash_error_bounded;
-          Alcotest.test_case "estimate endpoints" `Quick
-            test_estimate_identical_and_disjoint;
-          Alcotest.test_case "hasher validates k" `Quick
-            test_hasher_k_validated ] );
+        [ Alcotest.test_case "hasher validates k" `Quick
+            test_hasher_k_validated;
+          prop_one_signature_per_class ] );
       ( "lsh",
         [ prop_lsh_recall_above_threshold;
           Alcotest.test_case "candidate adjacency shape" `Quick
@@ -244,5 +266,8 @@ let () =
           Alcotest.test_case "sketch prunes Jaccard evals on clustered corpora"
             `Quick test_sketch_prunes_evals ] );
       ( "jsm",
-        [ prop_compute_sketch_engine_identity;
-          prop_extend_sketch_equals_compute_sketch ] ) ]
+        [ prop_mask_equals_oracle "random contexts" random_context;
+          prop_mask_equals_oracle "repeated rows" repeated_context;
+          prop_masked_extend_equals_compute;
+          Alcotest.test_case "mask size validated" `Quick
+            test_mask_size_validated ] ) ]
