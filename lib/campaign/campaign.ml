@@ -97,6 +97,10 @@ let parse_corpus name =
 
 let corpus_frontend kind = Option.map fst (parse_corpus kind)
 
+(* corpus cells hold foreign traces *)
+let config_for ~kind config =
+  if corpus_frontend kind = None then config else Config.foreign config
+
 (* the corpus members, sorted; raises [Sys_error] on an unreadable DIR *)
 let corpus_files dir =
   Sys.readdir dir |> Array.to_list
@@ -666,6 +670,7 @@ let result_of_stored all_cells st =
 let run ?(config = Config.default) ?on_cell ?store ~dir m =
   Span.with_ "campaign.run" @@ fun () ->
   Printexc.record_backtrace true;
+  let config = config_for ~kind:m.kind config in
   let config_name = Config.name config in
   (* the kind must resolve before anything touches disk: a resumed
      matrix can name a kind that was never re-registered in this
@@ -913,6 +918,7 @@ let render o =
   Buffer.contents buf
 
 let top_cell_diffnlr ?(config = Config.default) ?store ~dir o =
+  let config = config_for ~kind:o.matrix.kind config in
   (* the best cell with a suspicious trace; failing that the best
      analyzable one, drilled into the way [compare] picks its trace *)
   let analyzable = List.filter (fun r -> r.bscore <> None) (rank o.results) in
@@ -950,6 +956,7 @@ let top_cell_diffnlr ?(config = Config.default) ?store ~dir o =
    into one variational NLR conditioned on the fault and seed axes,
    with each cell's verdict as its bad/good label. *)
 let variational ?(config = Config.default) ?store ~dir o =
+  let config = config_for ~kind:o.matrix.kind config in
   let archived =
     List.filter
       (fun r -> match r.verdict with Failed _ -> false | _ -> true)

@@ -69,6 +69,14 @@ val with_linkage : Difftrace_cluster.Linkage.method_ -> t -> t
 val with_engine : Engine.t -> t -> t
 val with_mode : mode -> t -> t
 
+(** [foreign t] — [t] for foreign-format traces (frontend ingests,
+    corpus campaign cells): they carry no [MPI_*] calls, so the default
+    MPI-all filter, which would empty them, becomes keep-everything
+    (["11.all"]); any other filter is kept. The one home of that rule:
+    the daemon applies it to requests whose every source is a file,
+    [Campaign] to corpus kinds. *)
+val foreign : t -> t
+
 (** [filter_name t] — e.g. ["11.mpiall.cust.K10"] (the paper's filter
     column, K folded in). *)
 val filter_name : t -> string

@@ -245,16 +245,6 @@ type compare_response = {
   cp_output : string;
 }
 
-let render_salvage buf salvaged =
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "salvaged trace %d.%d: %d events recovered, %d bytes dropped (%s)\n"
-           s.Archive.sv_pid s.Archive.sv_tid s.Archive.sv_events
-           s.Archive.sv_dropped_bytes s.Archive.sv_reason))
-    salvaged
-
 let render_suspects buf (c : Pipeline.comparison) =
   Buffer.add_string buf "suspicious traces:\n";
   Array.iteri
@@ -305,7 +295,7 @@ let compare_common ~style t config req =
         let salvaged = sv_n @ sv_f in
         let buf = Buffer.create 512 in
         (match style with
-        | `Analyze -> render_salvage buf salvaged
+        | `Analyze -> Buffer.add_string buf (Archive.render_salvaged salvaged)
         | `Compare -> ());
         Buffer.add_string buf
           (Printf.sprintf "configuration: %s\n" (Config.name config));

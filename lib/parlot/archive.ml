@@ -494,6 +494,15 @@ let render_report r =
              (match t.tc_issue with None -> "ok" | Some i -> i) ])
          r.rp_traces)
 
+let render_salvaged salvaged =
+  String.concat ""
+    (List.map
+       (fun s ->
+         Printf.sprintf
+           "salvaged trace %d.%d: %d events recovered, %d bytes dropped (%s)\n"
+           s.sv_pid s.sv_tid s.sv_events s.sv_dropped_bytes s.sv_reason)
+       salvaged)
+
 let repair ?runner ~src ~dst () =
   match load ?runner ~salvage:true ~dir:src () with
   | Error e -> Error e

@@ -122,6 +122,11 @@ val verify :
 (** Human-readable rendering of a verify report (one row per trace). *)
 val render_report : report -> string
 
+(** One line per salvaged trace ("salvaged trace P.T: N events
+    recovered, B bytes dropped (REASON)"), as [archive repair] and
+    [analyze --salvage] print them. *)
+val render_salvaged : salvage list -> string
+
 (** [repair ?runner ~src ~dst] loads [src] with salvage and rewrites
     the recovered set as a clean v2 archive at [dst]. Returns what was
     loaded plus the number of files written. *)

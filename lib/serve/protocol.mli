@@ -63,11 +63,19 @@ val config_of_params :
 
 type workload_spec = {
   ws_workload : string;
-  ws_np : int;  (** default 8 *)
-  ws_seed : int;  (** default 1 *)
+  ws_np : int;  (** ranks, at least 1 *)
+  ws_seed : int;
   ws_fault : string;  (** {!Difftrace_simulator.Fault.of_string} syntax *)
   ws_all_images : bool;
 }
+
+(** [default_workload name] — workload [name] with every optional
+    field at its wire default: np 8, seed 1, fault ["none"], main image
+    only. The CLI's flags default to the same values. *)
+val default_workload : string -> workload_spec
+
+(** A [triage] request's default outlier limit (8). *)
+val default_limit : int
 
 (** Where a request's traces come from: a run registered by [record],
     an on-disk archive, a workload the daemon executes, or a
@@ -110,7 +118,7 @@ type call =
   | Triage of {
       rq_subject : source_spec;
       rq_config : config_params;
-      rq_limit : int;  (** default 8 *)
+      rq_limit : int;  (** default {!default_limit} *)
     }
   | Query of {
       rq_q : string;  (** one event-DB query (grammar in MANUAL.md) *)
