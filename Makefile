@@ -82,16 +82,15 @@ vdiff-smoke: build
 # "resilience"), the analysis-store corruption corpus (test_store
 # "corruption"), the damaged and hostile event-DB indexes (test_eventdb
 # "persistence" 1 and 3), the corrupt campaign manifests (test_campaign
-# "resume" 2-3) and the framing module itself (test_util "framed"); then
-# the same mutation battery against the ingestion frontends through the
-# conformance checker (scripts/frontend_fuzz.sh)
+# "resume" 2-3) and the framing module itself (test_util "framed"), all
+# through the test/dune fuzz-smoke alias, which runs them in the build's
+# test directory where their fixtures resolve (--force: every step runs
+# on every call); then the same mutation battery against the ingestion
+# frontends through the conformance checker (scripts/frontend_fuzz.sh,
+# its log under _build)
 fuzz-smoke: build
-	dune exec test/test_archive.exe -- test resilience
-	dune exec test/test_store.exe -- test corruption
-	dune exec test/test_eventdb.exe -- test persistence 1,3
-	dune exec test/test_campaign.exe -- test resume 2,3
-	dune exec test/test_util.exe -- test framed
-	sh scripts/frontend_fuzz.sh
+	dune build @test/fuzz-smoke --force
+	FUZZ_LOG=$${FUZZ_LOG:-_build/frontend-fuzz.log} sh scripts/frontend_fuzz.sh
 
 # the frontend smoke pass: ingest + compare the checked-in CI-log and
 # strace fixtures end to end

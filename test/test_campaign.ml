@@ -390,6 +390,29 @@ let test_corpus_campaign () =
              (Filename.concat dir (Printf.sprintf "cell_%d" index))))
       [ (0, "build_fail.log"); (1, "build_pass.log"); (2, "ansi_interleaved.log") ]
 
+(* a library caller with the default config gets the configuration
+   `difftrace campaign run -w corpus:cilog:DIR` records: corpus cells
+   hold foreign traces, so the MPI default filter gives way to 11.all *)
+let test_corpus_default_config () =
+  let dir = tmpdir "corpus_default" in
+  let m =
+    C.matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
+      ~seeds:[ 1 ] ()
+  in
+  (match C.run ~config:Difftrace_core.Config.default ~dir m with
+  | Error e -> Alcotest.fail (C.error_to_string e)
+  | Ok _ -> ());
+  let text =
+    In_channel.with_open_bin (Filename.concat dir "campaign.manifest")
+      In_channel.input_all
+  in
+  Alcotest.(check (list string))
+    "manifest config line"
+    [ "config 11.all.K10 / sing.noFreq / ward" ]
+    (List.filter
+       (String.starts_with ~prefix:"config ")
+       (String.split_on_char '\n' text))
+
 let invalid_message f =
   match f () with
   | _ -> Alcotest.fail "matrix accepted"
@@ -478,6 +501,8 @@ let () =
       ( "corpus",
         [ Alcotest.test_case "cilog sweep picks files by seed" `Quick
             test_corpus_campaign;
+          Alcotest.test_case "default config is the foreign one" `Quick
+            test_corpus_default_config;
           Alcotest.test_case "unknown frontend rejected" `Quick
             test_corpus_unknown_frontend;
           Alcotest.test_case "empty directory rejected" `Quick
