@@ -55,13 +55,15 @@ let summarize verdicts =
       List.filter_map (fun v -> if v.timed_out then Some v.seed else None) verdicts;
     distinct_outcomes = List.length fps }
 
-let verdict_of ?np ?eager_limit ?max_steps ~seed program =
-  let o = Runtime.run ?np ?eager_limit ?max_steps ~seed program in
+let classify ~seed o =
   { seed;
     deadlocked = o.Runtime.deadlocked <> [];
     timed_out = o.Runtime.timed_out;
     races = List.length o.Runtime.races;
     fingerprint = fingerprint_of o.Runtime.traces }
+
+let verdict_of ?np ?eager_limit ?max_steps ~seed program =
+  classify ~seed (Runtime.run ?np ?eager_limit ?max_steps ~seed program)
 
 let run ?np ?eager_limit ?max_steps ?on_verdict ~seeds program =
   if seeds = [] then invalid_arg "Explore.run: no seeds";

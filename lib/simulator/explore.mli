@@ -36,6 +36,10 @@ type summary = {
     count toward [distinct_outcomes]. *)
 val summarize : verdict list -> summary
 
+(** [classify ~seed o] — the verdict of [o], an executed run of
+    [seed] (for drivers that execute runs themselves). *)
+val classify : seed:int -> Runtime.outcome -> verdict
+
 (** [verdict_of ?np ?eager_limit ?max_steps ~seed program] — execute
     one seed and classify it ([max_steps] is the step budget standing
     in for the cluster job time limit). *)
