@@ -82,7 +82,9 @@ vdiff-smoke: build
 # "resilience"), the analysis-store corruption corpus (test_store
 # "corruption"), the damaged and hostile event-DB indexes (test_eventdb
 # "persistence" 1 and 3), the corrupt campaign manifests (test_campaign
-# "resume" 2-3) and the framing module itself (test_util "framed"), all
+# "resume" 2-3), the framing module itself (test_util "framed") and the
+# request-path fuzz (test_fuzz under QCHECK_LONG=1: ten times the
+# generated and mutated RPC lines dune runtest sends), all
 # through the test/dune fuzz-smoke alias, which runs them in the build's
 # test directory where their fixtures resolve (--force: every step runs
 # on every call); then the same mutation battery against the ingestion

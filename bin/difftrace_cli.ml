@@ -49,13 +49,12 @@ let workload_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let fault_conv =
-  let parse s =
-    match Fault.of_string s with
-    | f -> Ok f
-    | exception Invalid_argument m -> Error (`Msg m)
-  in
-  Arg.conv (parse, Fault.pp)
+(* a flag converter over a library parser: its error is the usage
+   error *)
+let parsed_conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
+
+let fault_conv = parsed_conv Fault.of_string Fault.pp
 
 (* an int flag in lo..hi (unbounded above without [hi]); anything else
    is a usage error naming the flag *)
@@ -140,15 +139,13 @@ let k_t =
   Arg.(
     value & opt int d_config.P.pc_k & info [ "k" ] ~docv:"K" ~doc:"NLR constant K.")
 
-let engine_conv =
-  let parse s =
-    match Engine.of_string s with
-    | e -> Ok e
-    | exception Invalid_argument _ ->
-      Error (`Msg ("unknown engine (expected sequential or parallel[:N]): " ^ s))
-  in
-  let print ppf e = Format.pp_print_string ppf (Engine.to_string e) in
-  Arg.conv (parse, print)
+let print_engine ppf e = Format.pp_print_string ppf (Engine.to_string e)
+
+(* --jobs N: an int flag that [Engine.of_jobs] bounds *)
+let jobs =
+  let of_int n = Result.map_error (fun m -> `Msg m) (Engine.of_jobs n) in
+  Arg.conv
+    ((fun s -> Result.bind (Arg.conv_parser Arg.int s) of_int), print_engine)
 
 (* --engine names an engine explicitly; --jobs N is shorthand for
    parallel:N (0 = auto-detect) and wins when both are given. *)
@@ -156,26 +153,25 @@ let engine_t =
   let engine =
     Arg.(
       value
-      & opt engine_conv Engine.Sequential
+      & opt (parsed_conv Engine.of_string print_engine) Engine.Sequential
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Execution engine for the analysis pipeline: 'sequential' \
-             (default) or 'parallel[:N]' (N domains, auto-detected when \
-             omitted). Results are byte-identical across engines.")
+             (default) or 'parallel[:N]' (N domains, at most 128, \
+             auto-detected when omitted). Results are byte-identical \
+             across engines.")
   in
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some jobs) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Run the NLR and JSM stages on N domains (0 = auto-detect); \
              shorthand for --engine=parallel:N.")
   in
-  let combine engine jobs =
-    match jobs with Some n -> Engine.of_jobs n | None -> engine
-  in
-  Term.(const combine $ engine $ jobs)
+  Term.(const (fun engine jobs -> Option.value jobs ~default:engine)
+        $ engine $ jobs)
 
 let linkage_t =
   Arg.(
@@ -225,9 +221,10 @@ let frontend_t =
         ~doc:
           "Ingest foreign-format trace files (CI logs, strace captures) \
            through the named frontend instead of reading archives or \
-           executing workloads. Unless --filter is given explicitly, the \
-           filter defaults to '11.all' (foreign traces have no MPI calls \
-           to keep). See $(b,difftrace frontend list).")
+           executing workloads. The default filter '11.mpiall' becomes \
+           '11.all' here, also when given explicitly (foreign traces have \
+           no MPI calls to keep); any other --filter is kept. See \
+           $(b,difftrace frontend list).")
 
 (* with --frontend a path names a foreign-format file, else an archive
    directory; the handler gives file sources the foreign default filter *)
@@ -802,8 +799,7 @@ let frontend_cmd =
                 (Frontend.digest ts)
             | Error e ->
               Printf.printf "ok (typed reject): %s\n"
-                (Frontend.error_to_string e)
-            | exception _ -> assert false (* totality just passed *))
+                (Frontend.error_to_string e))
           | vs ->
             List.iter
               (fun v ->
@@ -1103,6 +1099,8 @@ let campaign_cmd =
     let action dir kind np faults nseeds max_steps params engine store prof =
       if faults = [] then
         die ~code:2 "campaign run needs at least one --fault (repeatable)";
+      (* the runner's refusal, as run/table/report give it *)
+      Result.iter_error fail_with (Session.check_np np);
       let config = C.config_for ~kind (config_or_exit ~engine params) in
       run_profiled prof ~config @@ fun () ->
       (* campaigns persist analysis by default, beside their archives;
@@ -1113,8 +1111,8 @@ let campaign_cmd =
           ~seeds:(List.init nseeds (fun i -> i + 1))
           ()
       with
-      | exception Invalid_argument m -> die ~code:2 "%s" m
-      | m ->
+      | Error e -> die ~code:2 "%s" (C.error_to_string e)
+      | Ok m ->
         let on_cell (r : C.cell_result) =
           Printf.printf "cell %d [%s]: %s%s\n%!" r.C.cell.C.index
             (C.cell_label r.C.cell)
@@ -1393,6 +1391,8 @@ let client_cmd =
 let () =
   let doc = "whole-program trace analysis and diffing for HPC debugging" in
   let info = Cmd.info "difftrace" ~version:"1.0.0" ~doc in
+  (* an [internal] answer logs where the bug raised *)
+  Printexc.record_backtrace true;
   exit
     (Cmd.eval
        (Cmd.group info

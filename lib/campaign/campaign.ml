@@ -33,6 +33,7 @@ type error =
   | No_manifest of string
   | Unknown_kind of string
   | Io of string
+  | Bad_matrix of string
 
 (* ------------------------------------------------------------------ *)
 (* Cell kinds                                                          *)
@@ -170,7 +171,7 @@ let error_to_string = function
        kind must be re-registered before resuming its campaign"
       kind
       (String.concat ", " (kinds ()))
-  | Io reason -> reason
+  | Io reason | Bad_matrix reason -> reason
 
 (* ------------------------------------------------------------------ *)
 (* Matrix                                                              *)
@@ -187,35 +188,38 @@ type matrix = {
 (* a corpus kind must name a registered frontend and a DIR with at
    least one file, so a typo fails before any cell runs *)
 let check_corpus kind =
-  Option.iter
-    (fun (frontend, dir) ->
-      let fail m =
-        invalid_arg (Printf.sprintf "Campaign.matrix: corpus kind %S: %s" kind m)
-      in
-      if Frontend_registry.find frontend = None then
-        fail
-          (Session.error_to_string
-             (Session.Unknown_frontend
-                { name = frontend; known = Frontend_registry.known () }));
-      match corpus_files dir with
-      | [] -> fail (Printf.sprintf "no regular file in %s" dir)
-      | _ :: _ -> ()
-      | exception Sys_error m -> fail m)
-    (parse_corpus kind)
+  match parse_corpus kind with
+  | None -> Ok ()
+  | Some (frontend, _) when Frontend_registry.find frontend = None ->
+    Error
+      (Session.error_to_string
+         (Session.Unknown_frontend
+            { name = frontend; known = Frontend_registry.known () }))
+  | Some (_, dir) -> (
+    match corpus_files dir with
+    | [] -> Error (Printf.sprintf "no regular file in %s" dir)
+    | _ :: _ -> Ok ()
+    | exception Sys_error m -> Error m)
 
 let matrix ?max_steps ~kind ~np ~faults ~seeds () =
+  let fail m = Error (Bad_matrix ("Campaign.matrix: " ^ m)) in
   if Option.is_none (find_kind kind) then
-    invalid_arg
-      (Printf.sprintf "Campaign.matrix: unknown cell kind %S (known: %s)" kind
-         (String.concat ", " (kinds ())));
-  check_corpus kind;
-  if np < 1 then invalid_arg "Campaign.matrix: np must be >= 1";
-  if faults = [] then invalid_arg "Campaign.matrix: no faults";
-  if seeds = [] then invalid_arg "Campaign.matrix: no seeds";
-  (match max_steps with
-  | Some s when s < 1 -> invalid_arg "Campaign.matrix: max_steps must be >= 1"
-  | _ -> ());
-  { kind; np; faults; seeds = List.sort_uniq Int.compare seeds; max_steps }
+    fail
+      (Printf.sprintf "unknown cell kind %S (known: %s)" kind
+         (String.concat ", " (kinds ())))
+  else
+    match (check_corpus kind, Session.check_np np) with
+    | Error m, _ -> fail (Printf.sprintf "corpus kind %S: %s" kind m)
+    | Ok (), Error e -> Error (Bad_matrix (Session.error_to_string e))
+    | Ok (), Ok () ->
+      if faults = [] then fail "no faults"
+      else if seeds = [] then fail "no seeds"
+      else if Option.fold max_steps ~none:false ~some:(fun s -> s < 1) then
+        fail "max_steps must be >= 1"
+      else
+        Ok
+          { kind; np; faults; seeds = List.sort_uniq Int.compare seeds;
+            max_steps }
 
 type cell = { index : int; fault : Fault.t; seed : int }
 
@@ -306,7 +310,11 @@ let manifest_magic = "difftrace-campaign 1"
 let none_tok = "-"
 
 let esc s = "!" ^ String.escaped s
-let unesc s = if s = none_tok then "" else Scanf.unescaped (String.sub s 1 (String.length s - 1))
+let unesc s =
+  if s = none_tok then ""
+  else if String.starts_with ~prefix:"!" s then
+    Scanf.unescaped (String.sub s 1 (String.length s - 1))
+  else failwith "bad escaped field"
 
 let encode_verdict = function
   | Completed -> "completed"
@@ -378,7 +386,7 @@ type loaded_manifest = {
   lm_kind : string option;
   lm_np : int option;
   lm_seeds : int list option;
-  lm_faults : string list;
+  lm_faults : Fault.t list;
   lm_budget : int option option;  (** [None] = budget line lost *)
   lm_config : string option;
   lm_cells : stored_cell list;
@@ -501,18 +509,17 @@ let load_manifest ~dir =
             | Some v -> lm := { !lm with lm_config = Some v }
             | None ->
             match field "fault" with
-            | Some v ->
-              (* validate now: a damaged fault line must be dropped
-                 here, not explode later in [Fault.of_string] *)
-              ignore (Fault.of_string v : Fault.t);
-              lm := { !lm with lm_faults = !lm.lm_faults @ [ v ] }
+            | Some v -> (
+              match Fault.of_string v with
+              | Ok f -> lm := { !lm with lm_faults = !lm.lm_faults @ [ f ] }
+              | Error _ -> drop ())
             | None ->
               if String.length line >= 5 && String.sub line 0 5 = "cell\t" then
                 lm :=
                   { !lm with
                     lm_cells = !lm.lm_cells @ [ parse_cell_line_exn line ] }
               else failwith "unrecognized manifest line"
-          with _ -> drop ())
+          with Failure _ | Scanf.Scan_failure _ | End_of_file -> drop ())
       lines;
     Telemetry.Counter.add c_manifest_salvaged !salvaged;
     Some
@@ -538,9 +545,8 @@ let manifest_matches m ~config_name lm =
   else if differs lm.lm_np m.np then mismatch "np"
   else if differs lm.lm_seeds m.seeds then mismatch "seeds"
   else if
-    (let fs = List.map Fault.to_string m.faults in
-     if lm.lm_intact then lm.lm_faults <> fs
-     else not (is_subseq lm.lm_faults fs))
+    if lm.lm_intact then lm.lm_faults <> m.faults
+    else not (is_subseq lm.lm_faults m.faults)
   then mismatch "faults"
   else if differs lm.lm_budget m.max_steps then mismatch "step budget"
   else if differs lm.lm_config config_name then mismatch "configuration"
@@ -812,27 +818,23 @@ let status ~dir =
   | None -> Error (No_manifest dir)
   | Some lm -> (
     match (lm.lm_kind, lm.lm_np, lm.lm_seeds, lm.lm_faults) with
-    | Some kind, Some np, Some seeds, (_ :: _ as fault_names) -> (
-      match List.map Fault.of_string fault_names with
-      | exception Invalid_argument reason ->
-        Error (Manifest_damaged { dir; reason })
-      | faults ->
-        (* reconstructed directly: [status] must work even when the
-           manifest's kind is not registered in this process *)
-        let m =
-          { kind;
-            np;
-            faults;
-            seeds;
-            max_steps = Option.value lm.lm_budget ~default:None }
-        in
-        let all = cells m in
-        let results = List.filter_map (result_of_stored all) lm.lm_cells in
-        Ok
-          { matrix = m;
-            results;
-            executed = 0;
-            resumed_cells = List.length results })
+    | Some kind, Some np, Some seeds, (_ :: _ as faults) ->
+      (* reconstructed directly: [status] must work even when the
+         manifest's kind is not registered in this process *)
+      let m =
+        { kind;
+          np;
+          faults;
+          seeds;
+          max_steps = Option.value lm.lm_budget ~default:None }
+      in
+      let all = cells m in
+      let results = List.filter_map (result_of_stored all) lm.lm_cells in
+      Ok
+        { matrix = m;
+          results;
+          executed = 0;
+          resumed_cells = List.length results }
     | _ ->
       Error
         (Manifest_damaged

@@ -62,6 +62,7 @@ type error =
           such a campaign (inspection needs no runner), only {!run}
           refuses. *)
   | Io of string  (** the initial manifest write failed *)
+  | Bad_matrix of string  (** {!matrix} refused its arguments *)
 
 val error_to_string : error -> string
 
@@ -131,10 +132,11 @@ type matrix = private {
 }
 
 (** [matrix ?max_steps ~kind ~np ~faults ~seeds ()] — validate and
-    build. Raises [Invalid_argument] on an unknown kind, a corpus
+    build. [Bad_matrix] names the first of: an unknown kind, a corpus
     kind whose frontend is unregistered (the message lists the known
-    frontends) or whose [DIR] holds no file, an empty fault or seed
-    list, or [np < 1]. Cells are the cross product
+    frontends) or whose [DIR] holds no file, [np < 1] (in
+    {!Difftrace_core.Session.check_np}'s words), an empty fault or seed
+    list, or [max_steps < 1]. Cells are the cross product
     faults × seeds, numbered fault-major from 0. *)
 val matrix :
   ?max_steps:int ->
@@ -143,7 +145,7 @@ val matrix :
   faults:Difftrace_simulator.Fault.t list ->
   seeds:int list ->
   unit ->
-  matrix
+  (matrix, error) result
 
 type cell = { index : int; fault : Difftrace_simulator.Fault.t; seed : int }
 

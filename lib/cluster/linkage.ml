@@ -13,17 +13,12 @@ let method_name = function
   | Median -> "median"
   | Ward -> "ward"
 
-let method_of_string = function
-  | "single" -> Single
-  | "complete" -> Complete
-  | "average" -> Average
-  | "weighted" -> Weighted
-  | "centroid" -> Centroid
-  | "median" -> Median
-  | "ward" -> Ward
-  | s -> invalid_arg ("Linkage.method_of_string: " ^ s)
-
 let all_methods = [ Single; Complete; Average; Weighted; Centroid; Median; Ward ]
+
+let method_of_string s =
+  match List.find_opt (fun m -> method_name m = s) all_methods with
+  | Some m -> Ok m
+  | None -> Error ("Linkage.method_of_string: " ^ s)
 
 type merge = { a : int; b : int; dist : float; size : int }
 type t = { n : int; merges : merge array }

@@ -18,11 +18,11 @@ type method_ =
 
 val method_name : method_ -> string
 
-(** [method_of_string s] parses lowercase method names.
-    Raises [Invalid_argument] on unknown names. *)
-val method_of_string : string -> method_
-
 val all_methods : method_ list
+
+(** [method_of_string s] parses {!method_name}'s output; anything else
+    is [Error "Linkage.method_of_string: S"]. *)
+val method_of_string : string -> (method_, string) result
 
 type merge = { a : int; b : int; dist : float; size : int }
 

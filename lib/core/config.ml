@@ -6,10 +6,10 @@ type mode = Exact | Sketch
 let mode_name = function Exact -> "exact" | Sketch -> "sketch"
 
 let mode_of_string = function
-  | "exact" -> Exact
-  | "sketch" -> Sketch
+  | "exact" -> Ok Exact
+  | "sketch" -> Ok Sketch
   | s ->
-    invalid_arg
+    Error
       (Printf.sprintf "unknown similarity mode %S (expected exact or sketch)" s)
 
 type t = {
@@ -45,11 +45,12 @@ let default = make ()
 
 let with_filter filter t = { t with filter }
 let with_attrs attrs t = { t with attrs }
-(* the NLR window: [Nlr.of_ids] would raise the same message mid-run *)
-let with_k k t =
-  if k < 1 then
-    invalid_arg (Printf.sprintf "config: NLR constant K must be >= 1, got %d" k);
-  { t with k }
+(* the NLR window: [Nlr.of_ids] would raise mid-run on a K below 1 *)
+let check_k k =
+  if k >= 1 then Ok ()
+  else Error (Printf.sprintf "config: NLR constant K must be >= 1, got %d" k)
+
+let with_k k t = { t with k }
 let with_repeats repeats t = { t with repeats }
 let with_linkage linkage t = { t with linkage }
 let with_engine engine t = { t with engine }

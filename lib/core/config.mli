@@ -18,9 +18,9 @@ type mode = Exact | Sketch
 (** ["exact"] / ["sketch"]. *)
 val mode_name : mode -> string
 
-(** Inverse of {!mode_name}; raises [Invalid_argument] (with the
-    offending string named) on anything else. *)
-val mode_of_string : string -> mode
+(** Inverse of {!mode_name}; anything else is an [Error] naming the
+    offending string. *)
+val mode_of_string : string -> (mode, string) result
 
 type t = {
   filter : Difftrace_filter.Filter.t;
@@ -59,9 +59,10 @@ val default : t
 val with_filter : Difftrace_filter.Filter.t -> t -> t
 val with_attrs : Difftrace_fca.Attributes.spec -> t -> t
 
-(** [with_k k t] sets the NLR window. Raises [Invalid_argument] when
-    [k < 1], so a bad [-k] fails where the config is parsed, as a typed
-    error, instead of inside a campaign cell. *)
+(** [check_k k] — [Error] naming [k] when [k < 1]; request parsing
+    calls it, so a bad [-k] never reaches a campaign cell. *)
+val check_k : int -> (unit, string) result
+
 val with_k : int -> t -> t
 
 val with_repeats : int -> t -> t

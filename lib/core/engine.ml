@@ -11,10 +11,18 @@ let parallel ?domains () =
   if domains < 1 then invalid_arg "Engine.parallel: domains must be >= 1";
   Parallel { domains }
 
+(* OCaml 5's default cap on live domains: one request asking for more
+   would only fail inside [Domain.spawn] *)
+let max_domains = 128
+
+let bounded what n =
+  if n <= max_domains then Ok (Parallel { domains = n })
+  else Error (Printf.sprintf "%s exceeds %d domains" what max_domains)
+
 let of_jobs n =
-  if n = 1 then Sequential
-  else if n <= 0 then parallel ()
-  else Parallel { domains = n }
+  if n = 1 then Ok Sequential
+  else if n <= 0 then Ok (parallel ())
+  else bounded (Printf.sprintf "Engine.of_jobs: %d" n) n
 
 let domains = function Sequential -> 1 | Parallel { domains } -> domains
 
@@ -23,23 +31,18 @@ let to_string = function
   | Parallel { domains } -> Printf.sprintf "parallel:%d" domains
 
 let of_string s =
-  match String.lowercase_ascii s with
-  | "sequential" | "seq" -> Sequential
-  | "parallel" | "par" -> parallel ()
-  | s -> (
-    let parse prefix =
-      let p = prefix ^ ":" in
-      let pl = String.length p in
-      if String.length s > pl && String.sub s 0 pl = p then
-        int_of_string_opt (String.sub s pl (String.length s - pl))
-      else None
-    in
-    match parse "parallel" with
-    | Some n when n >= 1 -> Parallel { domains = n }
-    | _ -> (
-      match parse "par" with
-      | Some n when n >= 1 -> Parallel { domains = n }
-      | _ -> invalid_arg ("Engine.of_string: " ^ s)))
+  let s = String.lowercase_ascii s in
+  let count =
+    match String.index_opt s ':' with
+    | Some i when List.mem (String.sub s 0 i) [ "parallel"; "par" ] ->
+      int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+    | _ -> None
+  in
+  match (s, count) with
+  | ("sequential" | "seq"), _ -> Ok Sequential
+  | ("parallel" | "par"), _ -> Ok (parallel ())
+  | _, Some n when n >= 1 -> bounded ("Engine.of_string: " ^ s) n
+  | _ -> Error ("Engine.of_string: " ^ s)
 
 (* Work-stealing chunked map: a mutex-protected cursor hands out chunks
    of indices; every domain (the caller included) loops claiming the

@@ -25,10 +25,13 @@ val sequential : t
     degrades to sequential execution. *)
 val parallel : ?domains:int -> unit -> t
 
+(** 128, OCaml 5's default limit on live domains. *)
+val max_domains : int
+
 (** [of_jobs n] — the CLI's [--jobs] semantics: [1] is [Sequential],
     [n > 1] is [Parallel {domains = n}], and [n <= 0] auto-detects like
-    {!parallel}. *)
-val of_jobs : int -> t
+    {!parallel}. [n > max_domains] is an [Error]. *)
+val of_jobs : int -> (t, string) result
 
 (** [domains t] — 1 for [Sequential]. *)
 val domains : t -> int
@@ -37,9 +40,9 @@ val domains : t -> int
 val to_string : t -> string
 
 (** Accepts ["sequential"]/["seq"], ["parallel"]/["par"] (auto domain
-    count) and ["parallel:N"]/["par:N"]. Raises [Invalid_argument] on
-    anything else. *)
-val of_string : string -> t
+    count) and ["parallel:N"]/["par:N"] with [1 <= N <= max_domains];
+    anything else is [Error "Engine.of_string: S"] (S lowercased). *)
+val of_string : string -> (t, string) result
 
 (** [init t n f] = [Array.init n f], scheduled by the engine. [f] must
     be safe to call from any domain and, for determinism, should not

@@ -16,9 +16,9 @@ type row = {
 
 type sweep = { rows : row list; cache : Memo.stats }
 
-(* the cross product in nesting order filters, attrs, K, linkage; a K
-   below 1 makes [Config.with_k] raise, caught here as the same typed
-   error a parsed config gives *)
+(* the cross product in nesting order filters, attrs, K, linkage; an
+   empty axis or a K below 1 is the same typed error a parsed config
+   gives *)
 let grid ~engine ~filters ~attrs ~ks ~linkages =
   let empty_axes =
     List.filter_map
@@ -28,33 +28,32 @@ let grid ~engine ~filters ~attrs ~ks ~linkages =
         ("K", ks = []);
         ("linkages", linkages = []) ]
   in
-  if empty_axes <> [] then
+  let valid_ks =
+    List.fold_left (fun ok k -> Result.bind ok (fun () -> Config.check_k k))
+      (Ok ()) ks
+  in
+  match (empty_axes, valid_ks) with
+  | _ :: _, _ ->
     Error
       (Session.Invalid
          (Printf.sprintf "autotune: empty parameter axis (%s): nothing to sweep"
             (String.concat ", " empty_axes)))
-  else
-    try
-      Ok
-        (List.concat_map
-           (fun filter ->
-             List.concat_map
-               (fun attr ->
-                 List.concat_map
-                   (fun k ->
-                     List.map
-                       (fun linkage ->
-                         Config.default
-                         |> Config.with_filter filter
-                         |> Config.with_attrs attr
-                         |> Config.with_k k
-                         |> Config.with_linkage linkage
-                         |> Config.with_engine engine)
-                       linkages)
-                   ks)
-               attrs)
-           filters)
-    with Invalid_argument m -> Error (Session.Invalid m)
+  | [], Error m -> Error (Session.Invalid m)
+  | [], Ok () ->
+    Ok
+      (List.concat_map
+         (fun filter ->
+           List.concat_map
+             (fun attr ->
+               List.concat_map
+                 (fun k ->
+                   List.map
+                     (fun linkage ->
+                       Config.make ~filter ~attrs:attr ~k ~linkage ~engine ())
+                     linkages)
+                 ks)
+             attrs)
+         filters)
 
 let evaluate ?memo ?store config ~normal ~faulty =
   Telemetry.Counter.incr c_evaluated;

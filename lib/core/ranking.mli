@@ -42,7 +42,7 @@ type sweep = {
 
     An empty axis or a K below 1 is request data, not a bug: it returns
     [Error (Session.Invalid _)] (naming every empty axis, or the bad K
-    with {!Config.with_k}'s message) instead of raising, so a caller
+    with {!Config.check_k}'s message) instead of raising, so a caller
     sweeping a user-supplied grid can report it and live. *)
 val sweep :
   ?store:Store.t ->

@@ -27,6 +27,7 @@ type error =
   | Store_failed of string
   | Run_failed of string
   | Protocol of string
+  | Internal of string
 
 let error_kind = function
   | Invalid _ -> "invalid-params"
@@ -39,6 +40,7 @@ let error_kind = function
   | Store_failed _ -> "store-error"
   | Run_failed _ -> "run-failed"
   | Protocol _ -> "invalid-request"
+  | Internal _ -> "internal"
 
 let error_to_string = function
   | Invalid m -> m
@@ -57,6 +59,11 @@ let error_to_string = function
   | Store_failed m -> m
   | Run_failed m -> Printf.sprintf "workload failed: %s" m
   | Protocol m -> m
+  | Internal m -> Printf.sprintf "internal error: %s" m
+
+let check_np np =
+  if np >= 1 then Ok ()
+  else Error (Invalid (Printf.sprintf "workload: np must be >= 1, got %d" np))
 
 type t = {
   ses_store : Store.t option;
@@ -84,6 +91,20 @@ type source =
   | Archive of { dir : string; salvage : bool }
   | Run of string
   | Ingest of { path : string; frontend : string }
+
+(* the one place [Archive.save]'s documented exceptions become a typed
+   error; a line naming the archive goes to [buf] *)
+let save_archive buf ~dir ts =
+  match dir with
+  | None -> Ok 0
+  | Some dir -> (
+    match Archive.save ~dir ts with
+    | n ->
+      Buffer.add_string buf
+        (Printf.sprintf "archived %d trace files to %s\n" n dir);
+      Ok n
+    | exception (Invalid_argument m | Sys_error m) ->
+      Error (Archive_failed { Archive.err_path = dir; err_reason = m }))
 
 let run_names t =
   Hashtbl.fold (fun k ts acc -> (k, Trace_set.cardinal ts) :: acc) t.runs []
@@ -137,19 +158,7 @@ let record t ~outcome req =
     let ts = outcome.Runtime.traces in
     let hung = List.length outcome.Runtime.deadlocked in
     let buf = Buffer.create 128 in
-    let archived =
-      match req.rc_dir with
-      | None -> Ok 0
-      | Some dir -> (
-        match Archive.save ~dir ts with
-        | n ->
-          Buffer.add_string buf
-            (Printf.sprintf "archived %d trace files to %s\n" n dir);
-          Ok n
-        | exception (Invalid_argument m | Sys_error m) ->
-          Error (Archive_failed { Archive.err_path = dir; err_reason = m }))
-    in
-    match archived with
+    match save_archive buf ~dir:req.rc_dir ts with
     | Error e -> Error e
     | Ok files -> (
       (* what later requests see is what a separate process would
@@ -205,19 +214,7 @@ let ingest config req =
     Buffer.add_string buf
       (Printf.sprintf "ingested %s via %s: %d traces, %d events\n" req.ig_path
          req.ig_frontend (Trace_set.cardinal ts) (Trace_set.total_events ts));
-    let archived =
-      match req.ig_dir with
-      | None -> Ok 0
-      | Some dir -> (
-        match Archive.save ~dir ts with
-        | n ->
-          Buffer.add_string buf
-            (Printf.sprintf "archived %d trace files to %s\n" n dir);
-          Ok n
-        | exception (Invalid_argument m | Sys_error m) ->
-          Error (Archive_failed { Archive.err_path = dir; err_reason = m }))
-    in
-    match archived with
+    match save_archive buf ~dir:req.ig_dir ts with
     | Error e -> Error e
     | Ok files ->
       Ok

@@ -35,12 +35,17 @@ type error =
   | Run_failed of string  (** the workload itself raised *)
   | Protocol of string
       (** malformed, oversized or version-incompatible protocol input *)
+  | Internal of string  (** a bug: an exception escaped a request *)
 
 (** Stable kebab-case tag for the wire ("invalid-params",
     "unknown-run", "archive-error", ...). *)
 val error_kind : error -> string
 
 val error_to_string : error -> string
+
+(** [check_np np] — [Invalid] naming [np] when [np < 1]: the one
+    wording of a bad rank count, for the runner and campaigns. *)
+val check_np : int -> (unit, error) result
 
 (** {2 Sessions} *)
 

@@ -11,24 +11,16 @@ let name s =
   in
   g ^ "." ^ f
 
-let of_name str =
+let parse str =
   match String.split_on_char '.' str with
-  | [ g; f ] ->
-    let granularity =
-      match g with
-      | "sing" -> Single
-      | "doub" -> Double
-      | _ -> invalid_arg ("Attributes.of_name: " ^ str)
-    in
-    let freq_mode =
-      match f with
-      | "actual" -> Actual
-      | "log10" -> Log10
-      | "noFreq" -> No_freq
-      | _ -> invalid_arg ("Attributes.of_name: " ^ str)
-    in
-    { granularity; freq_mode }
-  | _ -> invalid_arg ("Attributes.of_name: " ^ str)
+  | [ ("sing" | "doub") as g; ("actual" | "log10" | "noFreq") as f ] ->
+    Ok
+      { granularity = (if g = "sing" then Single else Double);
+        freq_mode =
+          (match f with "actual" -> Actual | "log10" -> Log10 | _ -> No_freq) }
+  | _ -> Error ("Attributes.of_name: " ^ str)
+
+let of_name str = Result.fold ~ok:Fun.id ~error:invalid_arg (parse str)
 
 let all =
   [ { granularity = Single; freq_mode = Actual };

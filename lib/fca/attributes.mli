@@ -20,8 +20,12 @@ type spec = { granularity : granularity; freq_mode : freq_mode }
     ["sing.log10"], … *)
 val name : spec -> string
 
-(** [of_name s] parses [name]'s output.
-    Raises [Invalid_argument] on unknown names. *)
+(** [parse s] parses [name]'s output; anything else is
+    [Error "Attributes.of_name: S"]. *)
+val parse : string -> (spec, string) result
+
+(** [of_name s] — {!parse} for constant names; raises
+    [Invalid_argument] with {!parse}'s message. *)
 val of_name : string -> spec
 
 (** [all] — the six specs, in the paper's table order. *)

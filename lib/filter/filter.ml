@@ -41,39 +41,49 @@ let name t =
     (Printf.sprintf "%s%s" (digit t.drop_returns) (digit t.drop_plt)
     :: List.map keep_name t.keeps)
 
-let of_spec ?(custom = []) s =
+let keep_of_name = function
+  | "mpi" -> Some Mpi_all
+  | "omp" -> Some Omp_all
+  | n ->
+    List.find_opt
+      (fun k -> keep_name k = n)
+      [ Mpi_all; Mpi_collectives; Mpi_send_recv; Mpi_internal; Omp_all;
+        Omp_critical; Omp_mutex; Sys_memory; Sys_network; Sys_poll;
+        Sys_string; Custom ".*"; Everything ]
+
+let compiles re =
+  match Re.compile (Re.Perl.re re) with
+  | _ -> true
+  | exception (Re.Perl.Parse_error | Re.Perl.Not_supported) -> false
+
+let parse ?(custom = []) s =
+  let fail fmt = Printf.ksprintf (fun m -> Error ("Filter.of_spec: " ^ m)) fmt in
+  (* each "cust" takes the next regex *)
+  let rec keeps customs = function
+    | [] -> Ok []
+    | name :: rest -> (
+      match (keep_of_name name, customs) with
+      | None, _ -> fail "unknown component %s" name
+      | Some (Custom _), re :: customs ->
+        Result.map (List.cons (Custom re)) (keeps customs rest)
+      | Some k, _ -> Result.map (List.cons k) (keeps customs rest))
+  in
   match String.split_on_char '.' s with
-  | [] -> invalid_arg "Filter.of_spec: empty spec"
-  | digits :: rest ->
-    if String.length digits <> 2 || String.exists (fun c -> c <> '0' && c <> '1') digits
-    then invalid_arg ("Filter.of_spec: bad drop digits in " ^ s);
-    let customs = ref custom in
-    let next_custom () =
-      match !customs with
-      | [] -> ".*"
-      | c :: tl ->
-        customs := tl;
-        c
-    in
-    let keep_of = function
-      | "mpiall" | "mpi" -> Mpi_all
-      | "mpicol" -> Mpi_collectives
-      | "mpisr" -> Mpi_send_recv
-      | "mpilib" -> Mpi_internal
-      | "ompall" | "omp" -> Omp_all
-      | "ompcrit" -> Omp_critical
-      | "ompmutex" -> Omp_mutex
-      | "mem" -> Sys_memory
-      | "net" -> Sys_network
-      | "poll" -> Sys_poll
-      | "str" -> Sys_string
-      | "cust" -> Custom (next_custom ())
-      | "all" -> Everything
-      | other -> invalid_arg ("Filter.of_spec: unknown component " ^ other)
-    in
-    { drop_returns = digits.[0] = '1';
-      drop_plt = digits.[1] = '1';
-      keeps = List.map keep_of rest }
+  | [] -> fail "empty spec"
+  | digits :: _
+    when String.length digits <> 2
+         || String.exists (fun c -> c <> '0' && c <> '1') digits ->
+    fail "bad drop digits in %s" s
+  | digits :: rest -> (
+    match List.find_opt (fun re -> not (compiles re)) custom with
+    | Some re -> fail "bad custom regex %S" re
+    | None ->
+      Result.map
+        (fun keeps ->
+          { drop_returns = digits.[0] = '1'; drop_plt = digits.[1] = '1'; keeps })
+        (keeps custom rest))
+
+let of_spec ?custom s = Result.fold ~ok:Fun.id ~error:invalid_arg (parse ?custom s)
 
 let contains_any hay needles =
   List.exists
@@ -91,37 +101,28 @@ let collectives =
 
 let send_recvs = [ "MPI_Send"; "MPI_Isend"; "MPI_Recv"; "MPI_Irecv"; "MPI_Wait"; "MPI_Waitall" ]
 
-let keep_matches k fname =
-  match k with
-  | Mpi_all -> starts_with "MPI_" fname
-  | Mpi_collectives -> List.mem fname collectives
-  | Mpi_send_recv -> List.mem fname send_recvs
-  | Mpi_internal -> starts_with "MPID" fname
-  | Omp_all -> starts_with "GOMP_" fname || starts_with "omp_" fname
-  | Omp_critical -> fname = "GOMP_critical_start" || fname = "GOMP_critical_end"
+(* the keep test of [k]; a [Custom] regex is compiled per call *)
+let matcher = function
+  | Mpi_all -> starts_with "MPI_"
+  | Mpi_collectives -> fun f -> List.mem f collectives
+  | Mpi_send_recv -> fun f -> List.mem f send_recvs
+  | Mpi_internal -> starts_with "MPID"
+  | Omp_all -> fun f -> starts_with "GOMP_" f || starts_with "omp_" f
+  | Omp_critical -> fun f -> f = "GOMP_critical_start" || f = "GOMP_critical_end"
   | Omp_mutex ->
-    contains_any fname [ "mutex" ] || fname = "omp_set_lock" || fname = "omp_unset_lock"
-  | Sys_memory -> contains_any fname [ "memcpy"; "memchk"; "memset"; "memmove"; "alloc" ]
-  | Sys_network -> contains_any fname [ "network"; "tcp"; "socket"; "sched" ]
-  | Sys_poll -> contains_any fname [ "poll"; "yield"; "sched" ]
-  | Sys_string -> starts_with "str" fname
-  | Custom re -> Re.execp (Re.compile (Re.Perl.re re)) fname
-  | Everything -> true
+    fun f -> contains_any f [ "mutex" ] || f = "omp_set_lock" || f = "omp_unset_lock"
+  | Sys_memory -> fun f -> contains_any f [ "memcpy"; "memchk"; "memset"; "memmove"; "alloc" ]
+  | Sys_network -> fun f -> contains_any f [ "network"; "tcp"; "socket"; "sched" ]
+  | Sys_poll -> fun f -> contains_any f [ "poll"; "yield"; "sched" ]
+  | Sys_string -> starts_with "str"
+  | Custom re -> Re.execp (Re.compile (Re.Perl.re re))
+  | Everything -> fun _ -> true
 
-let matches t fname =
-  t.keeps = [] || List.exists (fun k -> keep_matches k fname) t.keeps
+let matches t fname = t.keeps = [] || List.exists (fun k -> matcher k fname) t.keeps
 
 (* Per-symbol keep decision, precompiled once per (filter, symtab). *)
 let keep_table t symtab =
-  let compiled =
-    List.map
-      (function
-        | Custom re ->
-          let re = Re.compile (Re.Perl.re re) in
-          fun fname -> Re.execp re fname
-        | k -> fun fname -> keep_matches k fname)
-      t.keeps
-  in
+  let compiled = List.map matcher t.keeps in
   let names = Symtab.names symtab in
   Array.map
     (fun fname ->

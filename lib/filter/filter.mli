@@ -40,9 +40,14 @@ val keep_name : keep -> string
     keep names dot-separated (e.g. ["11.mem.ompcrit.cust"]). *)
 val name : t -> string
 
-(** [of_spec ?custom s] parses [name]'s format. Each ["cust"] component
-    takes the next regex from [custom] (default [".*"]).
-    Raises [Invalid_argument] on unknown components. *)
+(** [parse ?custom s] parses [name]'s format. Each ["cust"] component
+    takes the next regex from [custom] (default [".*"]). Bad digits, an
+    unknown component or a [custom] regex that does not compile (Perl
+    syntax) is an [Error] naming it. *)
+val parse : ?custom:string list -> string -> (t, string) result
+
+(** [of_spec ?custom s] — {!parse} for constant specs; raises
+    [Invalid_argument] with {!parse}'s message. *)
 val of_spec : ?custom:string list -> string -> t
 
 (** [matches t fname] — would a call to [fname] survive the keep

@@ -60,20 +60,11 @@ let flush_warn t =
 
 (* --- request dispatch ------------------------------------------------- *)
 
-let fault_of_string s =
-  match Fault.of_string s with
-  | f -> Ok f
-  | exception Invalid_argument m -> Error (Session.Invalid m)
-
 let run_workload (ws : P.workload_spec) =
-  let* fault = fault_of_string ws.P.ws_fault in
-  let* () =
-    if ws.P.ws_np >= 1 then Ok ()
-    else
-      Error
-        (Session.Invalid
-           (Printf.sprintf "workload: np must be >= 1, got %d" ws.P.ws_np))
+  let* fault =
+    Result.map_error (fun m -> Session.Invalid m) (Fault.of_string ws.P.ws_fault)
   in
+  let* () = Session.check_np ws.P.ws_np in
   let level =
     if ws.P.ws_all_images then Tracer.All_images else Tracer.Main_image
   in
@@ -244,12 +235,17 @@ let dispatch t ~client ~emit call =
            pv_condition = r.Session.vd_condition;
            pv_output = r.Session.vd_output })
 
-(* the daemon must survive anything a request throws at it *)
+(* the daemon must survive anything a request throws at it; bad input
+   is typed before this point, so whatever arrives here is a bug *)
 let handle t ~client ~emit call =
   match dispatch t ~client ~emit call with
   | r -> r
-  | exception Invalid_argument m -> Error (Session.Invalid m)
-  | exception exn -> Error (Session.Run_failed (Printexc.to_string exn))
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    let m = Printexc.to_string exn in
+    Printf.eprintf "difftrace serve: internal error: %s\n%s%!" m
+      (Printexc.raw_backtrace_to_string bt);
+    Error (Session.Internal m)
 
 let on_line t ~client ~emit line =
   let reply r = emit (Send { client; line = P.encode_response r }) in
@@ -325,8 +321,7 @@ let write_all fd s =
   go 0
 
 let serve_socket ?(accept = Unix.accept ?cloexec:None) t ~path =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists path then Sys.remove path;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX path);

@@ -55,13 +55,14 @@ type directive = Send of { client : int; line : string }
 
 (** [handle t ~client ~emit call] runs one call against the daemon's
     session — the one request path behind both {!on_line} and the
-    one-shot CLI subcommands. Total: an exception escaping the session
-    becomes [Invalid] ([Invalid_argument]) or [Run_failed] (anything
-    else). [emit] receives the events the call broadcasts to
-    subscribers. A call whose every source is a [file] source runs
-    under {!Difftrace_core.Config.foreign} of its config (the [11.all]
-    default filter). Unlike {!on_line} it opens no telemetry span, counts
-    no request and flushes nothing; the caller owns those. *)
+    one-shot CLI subcommands. Total: bad input is a typed error before
+    anything runs, and an exception escaping the session is a bug,
+    answered as [Internal] with its backtrace logged to stderr. [emit]
+    receives the events the call broadcasts to subscribers. A call
+    whose every source is a [file] source runs under
+    {!Difftrace_core.Config.foreign} of its config (the [11.all] default
+    filter). Unlike {!on_line} it opens no telemetry span, counts no
+    request and flushes nothing; the caller owns those. *)
 val handle :
   t ->
   client:int ->

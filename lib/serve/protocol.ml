@@ -38,21 +38,18 @@ let default_config =
     pc_mode = "exact" }
 
 let config_of_params ~default_engine p =
-  try
-    let engine =
-      match p.pc_engine with
-      | None -> default_engine
-      | Some s -> Engine.of_string s
-    in
-    Ok
-      (Config.default
-      |> Config.with_filter (Filter.of_spec ~custom:p.pc_custom p.pc_filter)
-      |> Config.with_attrs (Attributes.of_name p.pc_attrs)
-      |> Config.with_k p.pc_k
-      |> Config.with_linkage (Linkage.method_of_string p.pc_linkage)
-      |> Config.with_engine engine
-      |> Config.with_mode (Config.mode_of_string p.pc_mode))
-  with Invalid_argument m -> Error (Session.Invalid m)
+  let invalid r = Result.map_error (fun m -> Session.Invalid m) r in
+  let* engine =
+    match p.pc_engine with
+    | None -> Ok default_engine
+    | Some s -> invalid (Engine.of_string s)
+  in
+  let* filter = invalid (Filter.parse ~custom:p.pc_custom p.pc_filter) in
+  let* attrs = invalid (Attributes.parse p.pc_attrs) in
+  let* () = invalid (Config.check_k p.pc_k) in
+  let* linkage = invalid (Linkage.method_of_string p.pc_linkage) in
+  let* mode = invalid (Config.mode_of_string p.pc_mode) in
+  Ok (Config.make ~filter ~attrs ~k:p.pc_k ~linkage ~engine ~mode ())
 
 type workload_spec = {
   ws_workload : string;

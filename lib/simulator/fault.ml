@@ -22,44 +22,38 @@ let to_string = function
   | Skip_function { rank; func } ->
     Printf.sprintf "skipFunction(rank=%d,func=%s)" rank func
 
-(* Parses "name" or "name(k=v,...)". *)
+(* Parses "name" or "name(k=v,...)"; [Bad] never leaves the function *)
 let of_string s =
-  let fail () = invalid_arg ("Fault.of_string: " ^ s) in
-  let name, args =
-    match String.index_opt s '(' with
-    | None -> (s, [])
-    | Some i ->
-      if s.[String.length s - 1] <> ')' then fail ();
-      let name = String.sub s 0 i in
-      let inner = String.sub s (i + 1) (String.length s - i - 2) in
-      let args =
-        if inner = "" then []
-        else
-          List.map
-            (fun kv ->
-              match String.split_on_char '=' kv with
-              | [ k; v ] -> (String.trim k, String.trim v)
-              | _ -> fail ())
-            (String.split_on_char ',' inner)
-      in
-      (name, args)
+  let exception Bad in
+  let parse () =
+    let name, args =
+      match String.index_opt s '(' with
+      | None -> (s, [])
+      | Some i when s.[String.length s - 1] = ')' ->
+        let inner = String.sub s (i + 1) (String.length s - i - 2) in
+        let kv p =
+          match String.split_on_char '=' p with
+          | [ k; v ] -> (String.trim k, String.trim v)
+          | _ -> raise Bad
+        in
+        ( String.sub s 0 i,
+          if inner = "" then [] else List.map kv (String.split_on_char ',' inner) )
+      | Some _ -> raise Bad
+    in
+    let gets k = match List.assoc_opt k args with Some v -> v | None -> raise Bad in
+    let geti k = match int_of_string_opt (gets k) with Some n -> n | None -> raise Bad in
+    match name with
+    | "none" -> No_fault
+    | "swapBug" -> Swap_send_recv { rank = geti "rank"; after_iter = geti "after" }
+    | "dlBug" -> Deadlock_recv { rank = geti "rank"; after_iter = geti "after" }
+    | "wrongSize" -> Wrong_collective_size { rank = geti "rank" }
+    | "wrongOp" -> Wrong_collective_op { rank = geti "rank" }
+    | "noCritical" -> No_critical { rank = geti "rank"; thread = geti "thread" }
+    | "skipFunction" -> Skip_function { rank = geti "rank"; func = gets "func" }
+    | _ -> raise Bad
   in
-  let geti k =
-    (* int_of_string_opt, not int_of_string: a malformed number must
-       surface as the documented Invalid_argument, not Failure *)
-    match List.assoc_opt k args with
-    | Some v -> ( match int_of_string_opt v with Some n -> n | None -> fail ())
-    | None -> fail ()
-  in
-  let gets k = match List.assoc_opt k args with Some v -> v | None -> fail () in
-  match name with
-  | "none" -> No_fault
-  | "swapBug" -> Swap_send_recv { rank = geti "rank"; after_iter = geti "after" }
-  | "dlBug" -> Deadlock_recv { rank = geti "rank"; after_iter = geti "after" }
-  | "wrongSize" -> Wrong_collective_size { rank = geti "rank" }
-  | "wrongOp" -> Wrong_collective_op { rank = geti "rank" }
-  | "noCritical" -> No_critical { rank = geti "rank"; thread = geti "thread" }
-  | "skipFunction" -> Skip_function { rank = geti "rank"; func = gets "func" }
-  | _ -> fail ()
+  match parse () with
+  | f -> Ok f
+  | exception Bad -> Error ("Fault.of_string: " ^ s)
 
 let pp ppf f = Format.pp_print_string ppf (to_string f)

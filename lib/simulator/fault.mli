@@ -33,8 +33,8 @@ val equal : t -> t -> bool
     ["swapBug(rank=5,after=7)"]. *)
 val to_string : t -> string
 
-(** [of_string s] parses [to_string]'s output.
-    Raises [Invalid_argument] on malformed input. *)
-val of_string : string -> t
+(** [of_string s] parses [to_string]'s output; malformed input is
+    [Error "Fault.of_string: S"]. *)
+val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

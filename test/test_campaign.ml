@@ -24,6 +24,12 @@ let tmpdir name =
   rm_rf dir;
   dir
 
+(* a well-formed matrix; the refusals are tested on [C.matrix] itself *)
+let matrix ?max_steps ~kind ~np ~faults ~seeds () =
+  match C.matrix ?max_steps ~kind ~np ~faults ~seeds () with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "matrix refused: %s" (C.error_to_string e)
+
 let dl_fault = Fault.Deadlock_recv { rank = 1; after_iter = 0 }
 let crash_fault = Fault.Skip_function { rank = 0; func = "raise" }
 let swap_fault = Fault.Swap_send_recv { rank = 1; after_iter = 0 }
@@ -31,7 +37,7 @@ let swap_fault = Fault.Swap_send_recv { rank = 1; after_iter = 0 }
 (* the acceptance matrix: one deadlocking cell, one raising cell, one
    clean cell *)
 let mixed_matrix () =
-  C.matrix ~kind:"selftest" ~np:4 ~faults:[ dl_fault; crash_fault; swap_fault ]
+  matrix ~kind:"selftest" ~np:4 ~faults:[ dl_fault; crash_fault; swap_fault ]
     ~seeds:[ 1 ] ()
 
 (* ------------------------------------------------------------------ *)
@@ -40,8 +46,9 @@ let mixed_matrix () =
 
 let expect_invalid name f =
   match f () with
-  | _ -> Alcotest.failf "%s: accepted" name
-  | exception Invalid_argument _ -> ()
+  | Ok _ -> Alcotest.failf "%s: accepted" name
+  | Error (C.Bad_matrix _) -> ()
+  | Error e -> Alcotest.failf "%s: %s" name (C.error_to_string e)
 
 let test_matrix_validation () =
   expect_invalid "unknown kind" (fun () ->
@@ -50,12 +57,15 @@ let test_matrix_validation () =
       C.matrix ~kind:"oddeven" ~np:2 ~faults:[] ~seeds:[ 1 ] ());
   expect_invalid "no seeds" (fun () ->
       C.matrix ~kind:"oddeven" ~np:2 ~faults:[ swap_fault ] ~seeds:[] ());
-  expect_invalid "np < 1" (fun () ->
-      C.matrix ~kind:"oddeven" ~np:0 ~faults:[ swap_fault ] ~seeds:[ 1 ] ())
+  (* np < 1, in the workload runner's words *)
+  match C.matrix ~kind:"oddeven" ~np:0 ~faults:[ swap_fault ] ~seeds:[ 1 ] () with
+  | Error (C.Bad_matrix m) ->
+    Alcotest.(check string) "np < 1" "workload: np must be >= 1, got 0" m
+  | _ -> Alcotest.fail "np < 1: accepted"
 
 let test_matrix_cells () =
   let m =
-    C.matrix ~kind:"oddeven" ~np:2 ~faults:[ dl_fault; swap_fault ]
+    matrix ~kind:"oddeven" ~np:2 ~faults:[ dl_fault; swap_fault ]
       ~seeds:[ 3; 1; 3 ] ()
   in
   Alcotest.(check (list int)) "seeds sorted + deduped" [ 1; 3 ] m.C.seeds;
@@ -119,7 +129,7 @@ let test_run_isolates_failures () =
 let test_run_timeout_verdict () =
   let dir = tmpdir "timeout" in
   let m =
-    C.matrix ~max_steps:40 ~kind:"selftest" ~np:4
+    matrix ~max_steps:40 ~kind:"selftest" ~np:4
       ~faults:[ Fault.Skip_function { rank = 0; func = "spin" } ]
       ~seeds:[ 1 ] ()
   in
@@ -321,7 +331,7 @@ let test_mismatched_matrix_rejected () =
   | Error e -> Alcotest.fail (C.error_to_string e)
   | Ok _ -> ());
   let other =
-    C.matrix ~kind:"selftest" ~np:8 ~faults:[ dl_fault; crash_fault; swap_fault ]
+    matrix ~kind:"selftest" ~np:8 ~faults:[ dl_fault; crash_fault; swap_fault ]
       ~seeds:[ 1 ] ()
   in
   match C.run ~dir other with
@@ -360,7 +370,7 @@ let test_corpus_campaign () =
       with_filter (Difftrace_filter.Filter.of_spec "11.all") default)
   in
   let m =
-    C.matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
+    matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
       ~seeds:[ 1; 2; 3 ] ()
   in
   match C.run ~config ~dir m with
@@ -396,7 +406,7 @@ let test_corpus_campaign () =
 let test_corpus_default_config () =
   let dir = tmpdir "corpus_default" in
   let m =
-    C.matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
+    matrix ~kind:("corpus:cilog:" ^ cilog_dir) ~np:1 ~faults:[ swap_fault ]
       ~seeds:[ 1 ] ()
   in
   (match C.run ~config:Difftrace_core.Config.default ~dir m with
@@ -415,8 +425,8 @@ let test_corpus_default_config () =
 
 let invalid_message f =
   match f () with
-  | _ -> Alcotest.fail "matrix accepted"
-  | exception Invalid_argument m -> m
+  | Ok _ -> Alcotest.fail "matrix accepted"
+  | Error e -> C.error_to_string e
 
 let test_corpus_unknown_frontend () =
   let m =

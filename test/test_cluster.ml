@@ -87,8 +87,11 @@ let test_method_names () =
   List.iter
     (fun m ->
       Alcotest.(check bool) "roundtrip" true
-        (Linkage.method_of_string (Linkage.method_name m) = m))
+        (Linkage.method_of_string (Linkage.method_name m) = Ok m))
     Linkage.all_methods;
+  Alcotest.(check bool) "unknown named" true
+    (Linkage.method_of_string "bogus"
+    = Error "Linkage.method_of_string: bogus");
   Alcotest.(check int) "seven methods" 7 (List.length Linkage.all_methods)
 
 let dist_gen =

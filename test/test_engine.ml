@@ -62,31 +62,45 @@ let test_map () =
     (Array.map (fun x -> x * x) arr)
     (Engine.map par4 (fun x -> x * x) arr)
 
+let engine_result =
+  Alcotest.(result (testable (Fmt.of_to_string Engine.to_string) ( = )) string)
+
+(* only the parser is exercised: no engine here spawns a domain *)
 let test_of_jobs () =
-  Alcotest.(check string) "1 job is sequential" "sequential"
-    (Engine.to_string (Engine.of_jobs 1));
-  Alcotest.(check string) "4 jobs" "parallel:4"
-    (Engine.to_string (Engine.of_jobs 4));
+  Alcotest.check engine_result "1 job is sequential" (Ok Engine.Sequential)
+    (Engine.of_jobs 1);
+  Alcotest.check engine_result "4 jobs" (Ok (Engine.Parallel { domains = 4 }))
+    (Engine.of_jobs 4);
+  Alcotest.check engine_result "the domain cap"
+    (Ok (Engine.Parallel { domains = Engine.max_domains }))
+    (Engine.of_jobs Engine.max_domains);
+  Alcotest.check engine_result "past the cap"
+    (Error "Engine.of_jobs: 129 exceeds 128 domains")
+    (Engine.of_jobs (Engine.max_domains + 1));
   (match Engine.of_jobs 0 with
-  | Engine.Parallel { domains } ->
+  | Ok (Engine.Parallel { domains }) ->
     Alcotest.(check bool) "auto-detect gives >= 1 domain" true (domains >= 1)
-  | Engine.Sequential -> Alcotest.fail "of_jobs 0 should auto-parallelize")
+  | _ -> Alcotest.fail "of_jobs 0 should auto-parallelize")
 
 let test_string_roundtrip () =
-  Alcotest.(check bool) "seq" true
-    (Engine.of_string "seq" = Engine.Sequential);
-  Alcotest.(check bool) "par:3" true
-    (Engine.of_string "par:3" = Engine.Parallel { domains = 3 });
+  Alcotest.check engine_result "seq" (Ok Engine.Sequential)
+    (Engine.of_string "seq");
+  Alcotest.check engine_result "par:3" (Ok (Engine.Parallel { domains = 3 }))
+    (Engine.of_string "par:3");
   List.iter
     (fun e ->
-      Alcotest.(check bool)
-        (Engine.to_string e)
-        true
-        (Engine.of_string (Engine.to_string e) = e))
+      Alcotest.check engine_result (Engine.to_string e) (Ok e)
+        (Engine.of_string (Engine.to_string e)))
     [ Engine.Sequential; par4; Engine.Parallel { domains = 1 } ];
-  (match Engine.of_string "bogus" with
-  | _ -> Alcotest.fail "of_string should reject bogus"
-  | exception Invalid_argument _ -> ())
+  List.iter
+    (fun (s, m) ->
+      Alcotest.check engine_result s (Error ("Engine.of_string: " ^ m))
+        (Engine.of_string s))
+    [ ("bogus", "bogus");
+      ("parallel:0", "parallel:0");
+      ("par:-2", "par:-2");
+      ("PARALLEL:100000", "parallel:100000 exceeds 128 domains");
+      ("par:129", "par:129 exceeds 128 domains") ]
 
 (* ------------------------------------------------------------------ *)
 (* Config builders                                                     *)

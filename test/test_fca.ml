@@ -35,7 +35,12 @@ let test_attr_names () =
       Alcotest.(check string) "roundtrip" (Attributes.name s) (Attributes.name s'))
     Attributes.all;
   Alcotest.check_raises "bad name" (Invalid_argument "Attributes.of_name: nope")
-    (fun () -> ignore (Attributes.of_name "nope"))
+    (fun () -> ignore (Attributes.of_name "nope"));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("parse " ^ s) true
+        (Attributes.parse s = Error ("Attributes.of_name: " ^ s)))
+    [ "nope"; "sing"; "sing.noFreq.x"; "Sing.noFreq"; "" ]
 
 let test_single_nofreq () =
   let st, nlr = nlr_of "abab" in

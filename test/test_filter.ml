@@ -112,7 +112,17 @@ let test_spec_errors () =
   Alcotest.check_raises "bad digits" (Invalid_argument "Filter.of_spec: bad drop digits in 2x.mpiall")
     (fun () -> ignore (Filter.of_spec "2x.mpiall"));
   Alcotest.check_raises "unknown keep" (Invalid_argument "Filter.of_spec: unknown component nope")
-    (fun () -> ignore (Filter.of_spec "11.nope"))
+    (fun () -> ignore (Filter.of_spec "11.nope"));
+  (* a regex that does not compile is refused at parse time, named *)
+  List.iter
+    (fun (custom, spec, expect) ->
+      Alcotest.(check (result string string)) spec expect
+        (Result.map Filter.name (Filter.parse ~custom spec)))
+    [ ([ "(" ], "11.cust", Error "Filter.of_spec: bad custom regex \"(\"");
+      ([ "^CPU_"; "[" ], "11.cust.cust",
+        Error "Filter.of_spec: bad custom regex \"[\"");
+      ([ "^CPU_" ], "11.cust", Ok "11.cust");
+      ([], "", Error "Filter.of_spec: bad drop digits in ") ]
 
 let test_apply_set_shares_decision () =
   let symtab = Symtab.create () in

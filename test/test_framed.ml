@@ -146,11 +146,12 @@ let test_archive () =
 let test_campaign () =
   let dir = fresh_dir "campaign" in
   let m =
-    C.matrix ~kind:"selftest" ~np:4
-      ~faults:
-        [ Fault.Deadlock_recv { rank = 1; after_iter = 0 };
-          Fault.Swap_send_recv { rank = 1; after_iter = 0 } ]
-      ~seeds:[ 1 ] ()
+    Result.get_ok
+      (C.matrix ~kind:"selftest" ~np:4
+         ~faults:
+           [ Fault.Deadlock_recv { rank = 1; after_iter = 0 };
+             Fault.Swap_send_recv { rank = 1; after_iter = 0 } ]
+         ~seeds:[ 1 ] ())
   in
   (match C.run ~dir m with
   | Ok o -> Alcotest.(check int) "cells executed" 2 o.C.executed

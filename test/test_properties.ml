@@ -234,16 +234,14 @@ let fault_gen =
 
 let prop_fault_string_roundtrip =
   qtest "Fault.of_string inverts Fault.to_string" ~count:200 fault_gen
-    (fun f -> Fault.equal (Fault.of_string (Fault.to_string f)) f)
+    (fun f -> Fault.of_string (Fault.to_string f) = Ok f)
 
 let test_fault_of_string_malformed () =
   let expect_invalid s =
     match Fault.of_string s with
-    | f -> Alcotest.failf "%S accepted as %s" s (Fault.to_string f)
-    | exception Invalid_argument _ -> ()
-    | exception e ->
-      Alcotest.failf "%S raised %s, not Invalid_argument" s
-        (Printexc.to_string e)
+    | Ok f -> Alcotest.failf "%S accepted as %s" s (Fault.to_string f)
+    | Error m -> Alcotest.(check string) s ("Fault.of_string: " ^ s) m
+    | exception e -> Alcotest.failf "%S raised %s" s (Printexc.to_string e)
   in
   List.iter expect_invalid
     [ "";

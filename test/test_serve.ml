@@ -84,7 +84,7 @@ let misses d = (Memo.stats (Session.memo (Daemon.session d))).Memo.misses
 let oneshot_compare () =
   let normal, _ = Workloads.Odd_even.run ~np:6 ~fault:Fault.No_fault () in
   let faulty, _ =
-    Workloads.Odd_even.run ~np:6 ~fault:(Fault.of_string swap_fault) ()
+    Workloads.Odd_even.run ~np:6 ~fault:(Result.get_ok (Fault.of_string swap_fault)) ()
   in
   let r =
     match

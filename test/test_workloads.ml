@@ -276,10 +276,10 @@ let test_fault_roundtrip () =
       Alcotest.(check bool)
         ("roundtrip " ^ Fault.to_string f)
         true
-        (Fault.equal f (Fault.of_string (Fault.to_string f))))
+        (Fault.of_string (Fault.to_string f) = Ok f))
     faults;
-  Alcotest.check_raises "bad fault" (Invalid_argument "Fault.of_string: bogus")
-    (fun () -> ignore (Fault.of_string "bogus"))
+  Alcotest.(check bool) "bad fault" true
+    (Fault.of_string "bogus" = Error "Fault.of_string: bogus")
 
 let () =
   Alcotest.run "workloads"
