@@ -94,15 +94,33 @@ fuzz-smoke: build
 	dune build @test/fuzz-smoke --force
 	FUZZ_LOG=$${FUZZ_LOG:-_build/frontend-fuzz.log} sh scripts/frontend_fuzz.sh
 
-# the frontend smoke pass: ingest + compare the checked-in CI-log and
-# strace fixtures end to end
+# the frontend smoke pass: compare the checked-in CI-log and strace
+# fixtures end to end, each twice against one fresh --store under
+# _build/frontend-smoke. The cold and warm reports must be the same
+# bytes, and the warm run must load its sources from the store's
+# ingest cache (frontend.cache_hits in its profile).
+FS = _build/frontend-smoke
+CILOG = test/corpus/cilog
+STRACE = test/corpus/syscall
 frontend-smoke: build
-	_build/default/bin/difftrace_cli.exe compare \
-	  test/corpus/cilog/build_pass.log test/corpus/cilog/build_fail.log \
-	  --frontend cilog > /dev/null
-	_build/default/bin/difftrace_cli.exe compare \
-	  test/corpus/syscall/normal.strace test/corpus/syscall/faulty.strace \
-	  --frontend syscall > /dev/null
+	rm -rf $(FS)
+	mkdir -p $(FS)
+	_build/default/bin/difftrace_cli.exe compare $(CILOG)/build_pass.log \
+	  $(CILOG)/build_fail.log --frontend cilog --store $(FS)/store \
+	  > $(FS)/cilog-cold.txt
+	_build/default/bin/difftrace_cli.exe compare $(CILOG)/build_pass.log \
+	  $(CILOG)/build_fail.log --frontend cilog --store $(FS)/store \
+	  --profile-json $(FS)/cilog-warm.json > $(FS)/cilog-warm.txt
+	cmp $(FS)/cilog-cold.txt $(FS)/cilog-warm.txt
+	grep -q 'frontend.cache_hits' $(FS)/cilog-warm.json
+	_build/default/bin/difftrace_cli.exe compare $(STRACE)/normal.strace \
+	  $(STRACE)/faulty.strace --frontend syscall --store $(FS)/store \
+	  > $(FS)/syscall-cold.txt
+	_build/default/bin/difftrace_cli.exe compare $(STRACE)/normal.strace \
+	  $(STRACE)/faulty.strace --frontend syscall --store $(FS)/store \
+	  --profile-json $(FS)/syscall-warm.json > $(FS)/syscall-warm.txt
+	cmp $(FS)/syscall-cold.txt $(FS)/syscall-warm.txt
+	grep -q 'frontend.cache_hits' $(FS)/syscall-warm.json
 
 # the end-to-end perf gate: every bench/e2e workload, plain and
 # traced, twice for 5 s each at seed 1 (into e2e-ci.json), then judged

@@ -9,75 +9,88 @@ let name = "cilog"
 
 (* --- log-aware tokenization ------------------------------------------ *)
 
+(* Every test below reads the token [s.[i..j-1]] in place, so
+   normalizing a line allocates only its output. *)
+
 let is_digit c = c >= '0' && c <= '9'
 
 let is_hex c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+
+let rec for_all_in p s i j = i >= j || (p s.[i] && for_all_in p s (i + 1) j)
+let rec exists_in p s i j = i < j && (p s.[i] || exists_in p s (i + 1) j)
+
 (* a "NN:NN:NN" wall-clock shape anywhere in the token marks it as a
    timestamp (catches ISO-8601, bracketed clocks, bare HH:MM:SS) *)
-let has_clock tok =
-  let n = String.length tok in
-  let at i = tok.[i] in
-  let rec go i =
-    if i + 8 > n then false
-    else if
-      is_digit (at i)
-      && is_digit (at (i + 1))
-      && at (i + 2) = ':'
-      && is_digit (at (i + 3))
-      && is_digit (at (i + 4))
-      && at (i + 5) = ':'
-      && is_digit (at (i + 6))
-      && is_digit (at (i + 7))
-    then true
-    else go (i + 1)
+let has_clock s i j =
+  let rec go p =
+    p + 8 <= j
+    && ((is_digit s.[p]
+        && is_digit s.[p + 1]
+        && s.[p + 2] = ':'
+        && is_digit s.[p + 3]
+        && is_digit s.[p + 4]
+        && s.[p + 5] = ':'
+        && is_digit s.[p + 6]
+        && is_digit s.[p + 7])
+       || go (p + 1))
   in
-  go 0
+  go i
 
-let numeric_chars = ".,%+-#()"
+let is_numeric_char c =
+  is_digit c
+  || match c with '.' | ',' | '%' | '+' | '-' | '#' | '(' | ')' -> true | _ -> false
 
-let is_numeric tok =
-  String.length tok > 0
-  && String.exists is_digit tok
-  && String.for_all
-       (fun c -> is_digit c || String.contains numeric_chars c)
-       tok
+let is_numeric s i j =
+  j > i && exists_in is_digit s i j && for_all_in is_numeric_char s i j
 
 (* "3.2s", "120ms", "45GiB": a short alphabetic unit suffix on a
    numeric core still reads as a counter *)
-let is_numeric_with_unit tok =
-  let n = String.length tok in
-  let rec core i =
-    if i > 0
-       && n - i < 3
-       &&
-       let c = tok.[i - 1] in
-       (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-    then core (i - 1)
-    else i
+let is_numeric_with_unit s i j =
+  let rec core k =
+    if k > i && j - k < 3 && is_alpha s.[k - 1] then core (k - 1) else k
   in
-  let i = core n in
-  i < n && is_numeric (String.sub tok 0 i)
+  let k = core j in
+  k < j && is_numeric s i k
+
+(* the placeholder the token [s.[i..j-1]] normalizes to; [None] keeps
+   it verbatim *)
+let class_of s i j =
+  if has_clock s i j then Some "<ts>"
+  else if j - i >= 8 && for_all_in is_hex s i j then Some "<hex>"
+  else if exists_in (fun c -> c = '/' || c = '\\') s i j then Some "<path>"
+  else if is_numeric s i j || is_numeric_with_unit s i j then Some "<n>"
+  else None
 
 let classify tok =
-  if tok = "" then tok
-  else if has_clock tok then "<ts>"
-  else if String.length tok >= 8 && String.for_all is_hex tok then "<hex>"
-  else if String.contains tok '/' || String.contains tok '\\' then "<path>"
-  else if is_numeric tok || is_numeric_with_unit tok then "<n>"
-  else tok
+  Option.value (class_of tok 0 (String.length tok)) ~default:tok
 
 (* a stray CR is a separator too: kept inside a token it would name a
    leaf that re-ingesting the rendered text cannot reproduce, since
    line splitting strips a CR before the newline *)
+let is_sep c = c = ' ' || c = '\t' || c = '\r'
+
 let normalize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun t -> t <> "")
-  |> List.map classify
-  |> String.concat " "
+  let n = String.length line in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if is_sep line.[!i] then incr i
+    else begin
+      let j = ref (!i + 1) in
+      while !j < n && not (is_sep line.[!j]) do
+        incr j
+      done;
+      if Buffer.length b > 0 then Buffer.add_char b ' ';
+      (match class_of line !i !j with
+      | Some c -> Buffer.add_string b c
+      | None -> Buffer.add_substring b line !i (!j - !i));
+      i := !j
+    end
+  done;
+  Buffer.contents b
 
 (* --- structure ------------------------------------------------------- *)
 
@@ -103,13 +116,9 @@ let split_stream line =
 let group_marker = "##[group]"
 let endgroup_marker = "##[endgroup]"
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* docker build step header: "Step N/M : CMD" *)
 let docker_step rest =
-  if starts_with ~prefix:"Step " rest then
+  if String.starts_with ~prefix:"Step " rest then
     match String.index_opt rest ':' with
     | Some i when i + 1 < String.length rest ->
       let head = String.sub rest 0 i in
@@ -152,11 +161,11 @@ let parse_stream lines =
           String.trim (String.sub t (sp + 1) (String.length t - sp - 1))
         | _ -> t
       in
-      if starts_with ~prefix:group_marker struct_line then
+      if String.starts_with ~prefix:group_marker struct_line then
         open_new
           (String.sub struct_line (String.length group_marker)
              (String.length struct_line - String.length group_marker))
-      else if starts_with ~prefix:endgroup_marker struct_line then
+      else if String.starts_with ~prefix:endgroup_marker struct_line then
         close_step ()
       else
         match docker_step struct_line with
@@ -248,7 +257,7 @@ let render ts =
         | Event.Call id ->
           let nm = Symtab.name symtab id in
           let title =
-            if starts_with ~prefix:"step:" nm then
+            if String.starts_with ~prefix:"step:" nm then
               String.sub nm 5 (String.length nm - 5)
             else nm
           in
@@ -262,6 +271,7 @@ let render ts =
 
 let frontend =
   { Frontend.name;
+    version = "1";
     description =
       "CI/build logs: log-aware tokenization (<ts>/<hex>/<path>/<n>), step \
        headers as call boundaries, 'name |' interleaving as threads";

@@ -28,6 +28,7 @@ let max_line_bytes = 1 lsl 20
 
 type t = {
   name : string;
+  version : string;
   description : string;
   ingest : runner:Runner.t -> string -> (Trace_set.t, error) result;
   render : Trace_set.t -> string;
@@ -70,14 +71,16 @@ let ingest_string fe ?(runner = Runner.sequential) s =
   | Error _ -> Telemetry.Counter.incr c_errors);
   r
 
-let ingest_file fe ?runner path =
-  match Framed.read_file path with
-  | Error m ->
-    Error
+let read_source fe path =
+  Result.map_error
+    (fun m ->
       { fe_frontend = fe.name;
         fe_line = None;
-        fe_reason = "cannot read " ^ path ^ ": " ^ m }
-  | Ok bytes -> ingest_string fe ?runner bytes
+        fe_reason = "cannot read " ^ path ^ ": " ^ m })
+    (Framed.read_file path)
+
+let ingest_file fe ?runner path =
+  Result.bind (read_source fe path) (ingest_string fe ?runner)
 
 (* --- canonical digest ------------------------------------------------- *)
 
@@ -177,7 +180,7 @@ let split_lines ~frontend s =
 
 (* CSI sequences (ESC [ params final-byte) and bare two-byte escapes;
    an unterminated escape at end of input is dropped rather than kept *)
-let strip_ansi s =
+let strip_escapes s =
   let n = String.length s in
   let b = Buffer.create n in
   let i = ref 0 in
@@ -202,3 +205,5 @@ let strip_ansi s =
     end
   done;
   Buffer.contents b
+
+let strip_ansi s = if String.contains s '\027' then strip_escapes s else s

@@ -42,6 +42,11 @@ val max_line_bytes : int
 
 type t = {
   name : string;
+  version : string;
+      (** the version of the set [ingest] builds from given bytes. A
+          store-backed session caches ingested sets keyed by name,
+          version and source digest, so a change that alters what
+          [ingest] produces for some input must bump it *)
   description : string;
   ingest :
     runner:Difftrace_util.Runner.t ->
@@ -79,8 +84,12 @@ val ingest_string :
   string ->
   (Difftrace_trace.Trace_set.t, error) result
 
-(** [ingest_file fe path] — {!ingest_string} over the file's bytes;
-    unreadable files are a typed error. *)
+(** [read_source fe path] — the file's bytes; an unreadable file (or
+    a directory) is [fe]'s typed error. *)
+val read_source : t -> string -> (string, error) result
+
+(** [ingest_file fe path] — {!ingest_string} over {!read_source}'s
+    bytes. *)
 val ingest_file :
   t ->
   ?runner:Difftrace_util.Runner.t ->

@@ -297,6 +297,7 @@ let render ts =
 
 let frontend =
   { Frontend.name;
+    version = "1";
     description =
       "strace captures: pid -> thread, syscall -> function, \
        unfinished/resumed nesting, directly-follows-graph view";

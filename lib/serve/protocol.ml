@@ -453,6 +453,23 @@ let source =
               ctx name)
         | _ -> fail "%s: source %S must be a string or an object" ctx name) }
 
+(* a recorded run's name becomes a directory under the daemon's state
+   directory, so it must be one plain path component *)
+let run_name =
+  { str with
+    F.dec =
+      (fun ctx name j ->
+        let* s = str.F.dec ctx name j in
+        if
+          s = "" || s = "." || s = ".."
+          || String.exists (fun c -> c = '/' || c = '\\' || c = '\000') s
+        then
+          fail
+            "%s: field %S must be a plain run name (not empty, \".\" or \"..\", \
+             no '/', '\\' or NUL), got %S"
+            ctx name s
+        else Ok s) }
+
 let src name = req ~what:"source" name source
 let config_field = opt "config" (obj config) default_config
 let str_opt name = opt name (nullable str) None
@@ -469,7 +486,8 @@ let compare_fields =
 
 (* the methods, in the order the unknown-method error lists them *)
 let calls =
-  [ case "record" F.[ Inline workload; str_opt "name"; str_opt "out" ]
+  [ case "record"
+      F.[ Inline workload; opt "name" (nullable run_name) None; str_opt "out" ]
       (fun H.[ rq_workload; rq_name; rq_out ] ->
         Record { rq_workload; rq_name; rq_out })
       (function

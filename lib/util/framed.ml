@@ -40,17 +40,22 @@ let unseal text =
     | crc -> if Crc32.string body = crc then Ok body else Error `Mismatch
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> Error `Missing
 
+(* a directory opens, but its length then reads as an overflow error *)
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | s -> Ok s
-        | exception Sys_error m -> Error m
-        | exception End_of_file -> Error (path ^ ": file shrank while being read"))
+  match Sys.is_directory path with
+  | true -> Error (path ^ ": is a directory")
+  | false | (exception Sys_error _) -> (
+    match open_in_bin path with
+    | exception Sys_error m -> Error m
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic (in_channel_length ic) with
+          | s -> Ok s
+          | exception Sys_error m -> Error m
+          | exception End_of_file ->
+            Error (path ^ ": file shrank while being read")))
 
 let write_atomic ~path contents =
   let tmp = path ^ ".tmp" in

@@ -59,7 +59,8 @@ val seal : string -> string
     not match the body. *)
 val unseal : string -> (string, [ `Missing | `Mismatch ]) result
 
-(** [read_file path] is the whole file. *)
+(** [read_file path] is the whole file; a directory is an error
+    (["PATH: is a directory"]). *)
 val read_file : string -> (string, string) result
 
 (** [write_atomic ~path contents] writes [contents] to a [path ^

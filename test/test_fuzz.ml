@@ -240,7 +240,8 @@ let wild key =
           "par:4611686018427387903"; "parallel:x"; "bogus"; "" ])
   | "mode" -> Some (str [ "fast"; "" ])
   | "frontend" -> Some (str [ "nope"; "" ])
-  | "run" | "name" -> Some (str [ "nope"; ""; "r0" ])
+  | "run" | "name" ->
+    Some (str [ "nope"; ""; "r0"; "."; ".."; "../../escaped"; "a/b"; "a\\b"; "a\000b" ])
   | "archive" | "file" | "out" ->
     Some
       (str [ under "no_such"; under "a_file"; under (Filename.concat "a_file" "x"); tmp ])
@@ -331,20 +332,21 @@ let line srcs =
 
 (* --- the gate --------------------------------------------------------- *)
 
-let answers_typed d l =
+(* every response [d] sends for line [l], events skipped *)
+let responses d l =
   let out = ref [] in
   let emit (Daemon.Send { line; _ }) = out := line :: !out in
   ignore (Daemon.on_line d ~client:0 ~emit l : [ `Continue | `Shutdown ]);
-  let responses =
-    List.filter_map
-      (fun line ->
-        match P.decode_message line with
-        | Ok (P.Response r) -> Some r
-        | Ok (P.Event _) -> None
-        | Error m -> QCheck2.Test.fail_reportf "undecodable answer %S: %s" line m)
-      !out
-  in
-  match responses with
+  List.filter_map
+    (fun line ->
+      match P.decode_message line with
+      | Ok (P.Response r) -> Some r
+      | Ok (P.Event _) -> None
+      | Error m -> QCheck2.Test.fail_reportf "undecodable answer %S: %s" line m)
+    !out
+
+let answers_typed d l =
+  match responses d l with
   | [ { P.rsp_body = Error { P.err_kind = "internal"; err_message }; _ } ] ->
     QCheck2.Test.fail_reportf "answered %s" err_message
   | [ _ ] -> true
@@ -364,6 +366,63 @@ let test_request_path () =
   QCheck2.Test.make ~count:2000 ~long_factor:10 ~name:"on_line answers typed"
     ~print:Fun.id (G.no_shrink (line srcs)) (answers_typed d)
 
+(* --- pinned answers ------------------------------------------------- *)
+
+(* the one answer [d] gives to [meth] with [params] *)
+let answer d meth params =
+  let line =
+    Json.to_string
+      (Json.Obj
+         [ ("difftrace-rpc", Json.Int 1); ("id", Json.String "p");
+           ("method", Json.String meth); ("params", Json.Obj params) ])
+  in
+  match responses d line with
+  | [ r ] -> r.P.rsp_body
+  | rs -> Alcotest.failf "%d answers" (List.length rs)
+
+let error_of = function
+  | Error { P.err_kind; err_message } -> (err_kind, err_message)
+  | Ok _ -> Alcotest.fail "answered ok"
+
+(* a record name is joined under STATE/runs/, so only one plain path
+   component is accepted; nothing lands outside the state directory *)
+let test_record_names_refused () =
+  let state = under "pinned_state" in
+  rm_rf state;
+  let d = Daemon.create ~state_dir:state ~default_engine:Engine.sequential () in
+  List.iter
+    (fun name ->
+      let kind, _ =
+        error_of
+          (answer d "record"
+             [ ("workload", Json.String "oddeven"); ("np", Json.Int 2);
+               ("name", Json.String name) ])
+      in
+      Alcotest.(check string) (Printf.sprintf "%S" name) "invalid-params" kind)
+    [ ""; "."; ".."; "../../escaped"; "a/b"; "a\\b"; "a\000b" ];
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists state);
+  match
+    answer d "record"
+      [ ("workload", Json.String "oddeven"); ("np", Json.Int 2);
+        ("name", Json.String "plain") ]
+  with
+  | Ok _ ->
+    Alcotest.(check bool) "plain name archived" true
+      (Sys.file_exists (Filename.concat (Filename.concat state "runs") "plain"))
+  | Error { P.err_message; _ } -> Alcotest.fail err_message
+
+let test_directory_source () =
+  let d = Daemon.create ~default_engine:Engine.sequential () in
+  let dir = Filename.concat "corpus" "cilog" in
+  let src = Json.Obj [ ("file", Json.String dir); ("frontend", Json.String "cilog") ] in
+  Alcotest.(check (pair string string))
+    "answer" ("frontend-error",
+      Printf.sprintf "frontend cilog: cannot read %s: %s: is a directory" dir dir)
+    (error_of (answer d "triage" [ ("subject", src) ]))
+
 let () =
   Alcotest.run "fuzz"
-    [ ("request path", [ QCheck_alcotest.to_alcotest (test_request_path ()) ]) ]
+    [ ("request path", [ QCheck_alcotest.to_alcotest (test_request_path ()) ]);
+      ( "pinned",
+        [ Alcotest.test_case "record names refused" `Quick test_record_names_refused;
+          Alcotest.test_case "directory source" `Quick test_directory_source ] ) ]
