@@ -248,7 +248,7 @@ let diffnlr_t doc =
 (* --- the persistent analysis store ---------------------------------- *)
 
 (* every analysis command takes --store DIR (reuse NLR summaries and
-   JSM matrices across invocations) and --no-store (wins over --store;
+   vdiff alignments across invocations) and --no-store (wins over --store;
    for campaigns it disables the default per-campaign store). The raw
    pair is interpreted per command: [store_of] for commands where the
    store is opt-in, [campaign_store_of] for campaign run, which
@@ -260,10 +260,11 @@ let store_flags_t =
       & opt (some string) None
       & info [ "store" ] ~docv:"DIR"
           ~doc:
-            "Persistent analysis store: reload cached NLR summaries and JSM \
-             matrices from $(docv) and save new ones back, so repeated \
-             analyses skip recomputation. Results are byte-identical with \
-             or without a store.")
+            "Persistent analysis store: reload cached NLR summaries and vdiff \
+             alignments from $(docv) and save new ones back, so repeated \
+             analyses skip recomputation. The JSM is recomputed every \
+             time; it costs less than decoding a stored one. Results are \
+             byte-identical with or without a store.")
   in
   let no_store =
     Arg.(
@@ -1204,8 +1205,8 @@ let store_cmd =
   let or_exit r = or_die Store.error_to_string r in
   let stats_cmd =
     let doc =
-      "Print what the store holds: summaries, matrices, shared-table sizes \
-       and the file size on disk."
+      "Print what the store holds: NLR summaries, vdiff alignments (when \
+       there are any), shared-table sizes and the file size on disk."
     in
     let action dir =
       let st = or_exit (Store.load ~dir) in

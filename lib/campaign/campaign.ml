@@ -606,7 +606,7 @@ let obtain ~adir (execute : unit -> sim) : (sim, string * string) result =
 
 let max_suspects = 8
 
-let analyze_cell ?memo ?store ~config c ~normal ~faulty =
+let analyze_cell ~memo ~config c ~normal ~faulty =
   match (faulty, normal) with
   | Error (error, backtrace), _ ->
     { cell = c;
@@ -629,7 +629,7 @@ let analyze_cell ?memo ?store ~config c ~normal ~faulty =
       else Completed
     in
     match
-      Pipeline.compare_runs ?memo ?store config ~normal:nsim.sm_set
+      Pipeline.compare_runs ~memo config ~normal:nsim.sm_set
         ~faulty:sim.sm_set
     with
     | cmp ->
@@ -757,19 +757,19 @@ let run ?(config = Config.default) ?on_cell ?store ~dir m =
       (* analysis: sequential, one shared memo — every cell of a seed
          reuses the reference run's NLR summaries — with the manifest
          rewritten after each cell so an interruption loses at most
-         the cell in flight. A store replaces the throwaway memo, so a
-         resumed campaign re-adopts its summaries and JSMs from disk;
+         the cell in flight. A store's memo replaces the throwaway one,
+         so a resumed campaign re-adopts its summaries from disk;
          flushing after every cell keeps the store as current as the
          manifest. *)
       let memo =
-        match store with Some _ -> None | None -> Some (Memo.create ())
+        match store with Some st -> Store.memo st | None -> Memo.create ()
       in
       let completed = ref (List.rev prior) in
       Array.iteri
         (fun i c ->
           let res =
             Span.with_ "campaign.analyze" @@ fun () ->
-            analyze_cell ?memo ?store ~config c ~normal:(normal_for c.seed)
+            analyze_cell ~memo ~config c ~normal:(normal_for c.seed)
               ~faulty:sims.(i)
           in
           Telemetry.Counter.incr c_cells;

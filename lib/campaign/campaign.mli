@@ -197,7 +197,7 @@ type outcome = {
     non-resumed cell's result as its analysis finishes. [store]
     replaces the campaign's per-run memo with a persistent
     {!Difftrace_core.Store}: a resumed campaign re-adopts its cached
-    summaries and JSMs, and the store is flushed after every analyzed
+    summaries, and the store is flushed after every analyzed
     cell (best-effort, like cell archives).
 
     Errors (as [Error _], never an exception): the state directory

@@ -13,10 +13,6 @@ module Bitset = Difftrace_util.Bitset
 let c_cells = Telemetry.Counter.make "jsm.cells"
 let c_evals = Telemetry.Counter.make "jsm.jaccard_evals"
 
-(* rows of [extend] whose every upper-triangle cell was mirrored from
-   the cached base matrix — zero Jaccard evaluations *)
-let c_rows_reused = Telemetry.Counter.make "jsm.rows_reused"
-
 (* The matrix is symmetric, so only the packed upper triangle is
    stored — n(n+1)/2 cells instead of the former dense n² mirror —
    and structural equality on [t] is matrix equality. *)
@@ -43,11 +39,10 @@ let of_dense ~labels rows =
 
 (* Jaccard depends only on the two attribute sets, so the matrix is a
    lookup into the d x d matrix of its context's classes. Exact mode is
-   the full mask: a class row evaluates the pairs that are candidates
-   and that [need a b] says are read; every other cell holds 0.0, the
-   value of a pair the sketch mask pruned (an unneeded cell is never
-   read). Class rows are fanned over [init] like the matrix rows. *)
-let class_matrix ?candidates ~init ~need ctx =
+   the full mask: a class row evaluates the pairs that are candidates;
+   every other cell holds 0.0, the value of a pair the sketch mask
+   pruned. Class rows are fanned over [init] like the matrix rows. *)
+let class_matrix ?candidates ~init ctx =
   let d = Context.n_classes ctx in
   let rep = Context.class_rep ctx in
   let candidates =
@@ -66,15 +61,13 @@ let class_matrix ?candidates ~init ~need ctx =
          let row = Array.make (d - a) 0.0 in
          Bitset.iter
            (fun b ->
-             if b >= a && need a b then begin
+             if b >= a then begin
                incr evals;
                row.(b - a) <- Context.jaccard ctx (rep a) (rep b)
              end)
            candidates.(a);
          Telemetry.Counter.add c_evals !evals;
          row))
-
-let classes ctx = Array.init (Context.n_objects ctx) (Context.class_of ctx)
 
 (* Cell (i, j) is the class cell (class i, class j): the very float
    [Context.jaccard ctx i j] returns, or 0.0 where a sketch mask pruned
@@ -83,8 +76,8 @@ let classes ctx = Array.init (Context.n_objects ctx) (Context.class_of ctx)
 let compute ?candidates ~init ctx =
   let n = Context.n_objects ctx in
   let labels = Array.init n (Context.object_label ctx) in
-  let cm = class_matrix ?candidates ~init ~need:(fun _ _ -> true) ctx in
-  let cls = classes ctx in
+  let cm = class_matrix ?candidates ~init ctx in
+  let cls = Array.init n (Context.class_of ctx) in
   let m =
     init n (fun i ->
         let crow = Symmat.row cm cls.(i) in
@@ -119,75 +112,6 @@ let check_shape side t =
     invalid_arg
       (Printf.sprintf "Jsm.align: %s matrix has %d labels but %d rows" side n
          (Symmat.dim t.m))
-
-(* ctx index -> base index for [extend]: -1 marks objects that must be
-   evaluated, everything else must resolve into [base]. *)
-let base_map ~base ~fresh ctx =
-  let n = Context.n_objects ctx in
-  if Array.length fresh <> n then
-    invalid_arg
-      (Printf.sprintf "Jsm.extend: %d fresh flags for %d objects"
-         (Array.length fresh) n);
-  check_shape "base" base;
-  let labels = Array.init n (Context.object_label ctx) in
-  let base_index = index_table base.labels in
-  let bmap =
-    Array.mapi
-      (fun i l ->
-        if fresh.(i) then -1
-        else
-          match Hashtbl.find_opt base_index l with
-          | Some bi -> bi
-          | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Jsm.extend: label %S is not fresh but missing from the \
-                  base matrix"
-                 l))
-      labels
-  in
-  (labels, bmap)
-
-(* Incrementally extend a cached matrix to a grown corpus. The
-   contract with [compute] is bit-for-bit equality: every cell whose
-   two objects are vouched for by the caller ([fresh.(i) = false]) is
-   mirrored from [base], every other upper-triangle cell is looked up
-   in the class matrix, which evaluates only the class pairs touching
-   a class with a fresh object. Mirroring is sound because a Jaccard
-   value depends only on the two objects' attribute sets: when those
-   are unchanged (the caller's burden, discharged by the analysis
-   store's per-object attribute digests), the cached float is the very
-   value [Context.jaccard] would recompute. *)
-let extend ?candidates ~init ~base ~fresh ctx =
-  let n = Context.n_objects ctx in
-  let labels, bmap = base_map ~base ~fresh ctx in
-  let cls = classes ctx in
-  let hot = Array.make (Context.n_classes ctx) false in
-  Array.iteri (fun i f -> if f then hot.(cls.(i)) <- true) fresh;
-  let cm =
-    class_matrix ?candidates ~init ~need:(fun a b -> hot.(a) || hot.(b)) ctx
-  in
-  let m =
-    init n (fun i ->
-        let looked_up = ref false in
-        let bi = bmap.(i) in
-        let crow = Symmat.row cm cls.(i) in
-        let brow = if bi >= 0 then Symmat.row base.m bi else [||] in
-        let row = Array.make (n - i) 0.0 in
-        for d = 0 to n - i - 1 do
-          let j = i + d in
-          let bj = bmap.(j) in
-          if bi >= 0 && bj >= 0 then row.(d) <- brow.(bj)
-          else begin
-            looked_up := true;
-            row.(d) <- crow.(cls.(j))
-          end
-        done;
-        Telemetry.Counter.add c_cells n;
-        if not !looked_up then Telemetry.Counter.incr c_rows_reused;
-        row)
-  in
-  { labels; m = Symmat.of_upper_rows ~n m }
 
 let same_labels a b =
   a == b

@@ -58,36 +58,6 @@ val compute :
 (** [of_context ctx] = [compute ~init:Array.init ctx]. *)
 val of_context : Difftrace_fca.Context.t -> t
 
-(** [extend ?candidates ~init ~base ~fresh ctx] — incremental
-    {!compute}: grow a previously computed matrix to a larger corpus,
-    evaluating only the cells that involve at least one {e fresh}
-    object. [fresh.(i)] declares whether ctx object [i] must be
-    (re)evaluated; a non-fresh object's label must appear in [base],
-    and the caller asserts its attribute set is unchanged since [base]
-    was computed (the analysis store discharges this with per-object
-    attribute digests). Cells between two non-fresh objects are
-    mirrored from [base]; every other cell is looked up in the class
-    matrix like [compute], which evaluates only the class pairs where
-    at least one class holds a fresh object, so the result is
-    bit-for-bit identical to [compute ?candidates ~init ctx] — when k'
-    of the context's d classes hold a fresh object, it costs
-    k'·d − k'(k'−1)/2 evaluations at most. With a sketch mask, [base]
-    must have been built with the same kind of mask: candidacy is a
-    pairwise predicate of two attribute sets, so a mirrored cell —
-    evaluated or pruned — is what recomputation would produce. Rows
-    are fanned over [init] just like [compute]; rows whose every cell
-    is mirrored are counted by the [jsm.rows_reused] telemetry counter.
-    Raises [Invalid_argument] when [fresh] has the wrong length, when a
-    non-fresh label is missing from [base], when [base]'s labels
-    disagree with its dimension, or on a mask of the wrong size. *)
-val extend :
-  ?candidates:Difftrace_util.Bitset.t array ->
-  init:(int -> (int -> float array) -> float array array) ->
-  base:t ->
-  fresh:bool array ->
-  Difftrace_fca.Context.t ->
-  t
-
 (** [size t] is the number of traces. *)
 val size : t -> int
 

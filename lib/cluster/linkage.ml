@@ -27,8 +27,9 @@ type t = { n : int; merges : merge array }
    the reported height is the square root (SciPy's convention). *)
 let squared_space = function Centroid | Median | Ward -> true | Single | Complete | Average | Weighted -> false
 
-(* d(k, i∪j) from d(k,i), d(k,j), d(i,j) and the cluster sizes. *)
-let lance_williams meth ~ni ~nj ~nk dki dkj dij =
+(* d(k, i∪j) from d(k,i), d(k,j), d(i,j) and the cluster sizes;
+   inlined so the sweep's float stays unboxed *)
+let[@inline] lance_williams meth ~ni ~nj ~nk dki dkj dij =
   let fi = float_of_int ni
   and fj = float_of_int nj
   and fk = float_of_int nk in
@@ -59,9 +60,10 @@ let validate m =
   done;
   n
 
-(* Id and value of the smallest non-NaN [row.(own.(q))] over the
-   active positions [lo..len-1]; (-1, infinity) when there is none. *)
-let row_min row act own lo len =
+(* Sets [rarg.(k)] and [rmin.(k)] to the id and value of the smallest
+   non-NaN [row.(own.(q))] over the active positions [lo..len-1], or
+   to (-1, infinity) when there is none; no tuple, so no allocation. *)
+let row_min ~rarg ~rmin k row act own lo len =
   let bj = ref (-1) and bv = ref infinity in
   for q = lo to len - 1 do
     let v = row.(own.(q)) in
@@ -70,7 +72,8 @@ let row_min row act own lo len =
       bv := v
     end
   done;
-  (!bj, !bv)
+  rarg.(k) <- !bj;
+  rmin.(k) <- !bv
 
 (* The merge sweep over [d], the n x n distances between active
    clusters in working space; a cluster's distances live in the row
@@ -87,9 +90,7 @@ let sweep meth d =
      entry that can, so the sweep skips it *)
   let rmin = Array.make (2 * n) infinity and rarg = Array.make (2 * n) (-1) in
   for p = 0 to n - 1 do
-    let j, v = row_min d.(p) act own (p + 1) n in
-    rarg.(p) <- j;
-    rmin.(p) <- v
+    row_min ~rarg ~rmin p d.(p) act own (p + 1) n
   done;
   let merges = ref [] in
   for step = 0 to n - 2 do
@@ -141,11 +142,8 @@ let sweep meth d =
        every other row only folds in its new entry *)
     for p = 0 to !len - 1 do
       let k = act.(p) in
-      if rarg.(k) = a || rarg.(k) = b then begin
-        let j, v = row_min d.(own.(p)) act own (p + 1) !nact in
-        rarg.(k) <- j;
-        rmin.(k) <- v
-      end
+      if rarg.(k) = a || rarg.(k) = b then
+        row_min ~rarg ~rmin k d.(own.(p)) act own (p + 1) !nact
       else if d.(own.(p)).(sa) < rmin.(k) then begin
         rarg.(k) <- newc;
         rmin.(k) <- d.(own.(p)).(sa)

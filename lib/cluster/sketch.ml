@@ -23,9 +23,9 @@ let threshold k =
 type signature = int array
 
 (* FNV-1a-style rolling hash of an attribute name, masked non-negative.
-   A sketch matrix cached in the analysis store was pruned by these
-   hashes, so they must stay deterministic across processes and OCaml
-   versions: it uses only native int arithmetic
+   Sketch output is pinned across runs, so these hashes must stay
+   deterministic across processes and OCaml versions: it uses only
+   native int arithmetic
    (fixed 63-bit semantics on every 64-bit platform) and no
    [Hashtbl.hash]-style seeding. *)
 let base_hash s =
@@ -88,8 +88,7 @@ let class_candidates ?(k = default_k) ctx =
   (* one bucket table per band, keyed by the band's min values; two
      signatures land in the same bucket iff the band is equal, so the
      adjacency is exactly "shares >= 1 band" — a pairwise predicate of
-     two attribute sets, which is what keeps an extended sketch matrix
-     bit-identical to a recomputed one *)
+     two attribute sets *)
   let tbl = Hashtbl.create (2 * d) in
   for band = 0 to bands_for k - 1 do
     Hashtbl.reset tbl;

@@ -2,8 +2,7 @@
 
     A signature is [k] independent min-hashes of an attribute {e name}
     set. Because names (not context-local attribute ids) are hashed, a
-    signature depends only on the attribute set — the same thing the
-    analysis store's per-object digests certify — so it is the same in
+    signature depends only on the attribute set, so it is the same in
     every context, run and process. For two sets with Jaccard
     similarity J, each signature row matches with probability exactly
     J.
@@ -14,9 +13,7 @@
     probability [1 - (1 - J^2)^(k/2)] — a sharp S-curve around
     {!threshold}. Candidacy is a pairwise predicate of the two
     attribute sets alone (never of the rest of the corpus), so it is
-    decided once per pair of a context's classes, and a sketch-mode
-    matrix extended from a cached one is bit-identical to one
-    recomputed from scratch. *)
+    decided once per pair of a context's classes. *)
 
 (** Number of min-hash rows used when [?k] is omitted: 64. *)
 val default_k : int
@@ -55,7 +52,6 @@ val hasher : ?k:int -> Difftrace_fca.Context.t -> int -> signature
     whatever engine later consumes it and in every context holding
     those sets. Off-diagonal candidate class pairs are counted by the
     [sketch.candidate_pairs] telemetry counter. This is the mask
-    {!Jsm.compute} and {!Jsm.extend} take. Raises [Invalid_argument]
-    if [k < 1]. *)
+    {!Jsm.compute} takes. Raises [Invalid_argument] if [k < 1]. *)
 val class_candidates :
   ?k:int -> Difftrace_fca.Context.t -> Difftrace_util.Bitset.t array

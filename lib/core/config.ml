@@ -76,21 +76,6 @@ let name t =
     (Difftrace_cluster.Linkage.method_name t.linkage)
     (match t.mode with Exact -> "" | Sketch -> " [sketch]")
 
-(* The store's JSM namespace key: everything that shapes attribute
-   sets — filter, attrs, K, repeats — and nothing cosmetic (linkage
-   reclusters a finished matrix; the engine never changes results).
-   Sketch mode appends a marker because a sketch matrix holds 0.0 for
-   pruned pairs — a different object from the exact matrix — while
-   exact mode keeps the historical digest so existing warm stores stay
-   valid. Safety does not ride on this digest: reuse is gated per
-   object by attribute-set digests, so a collision here merely files
-   two configurations' matrices in one namespace. *)
-let digest t =
-  Digest.string
-    (Printf.sprintf "%s\x00%s\x00%d\x00%d%s" (filter_name t) (attrs_name t)
-       t.k t.repeats
-       (match t.mode with Exact -> "" | Sketch -> "\x00sketch"))
-
 let candidates t ctx =
   match t.mode with
   | Exact -> None

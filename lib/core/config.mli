@@ -89,22 +89,12 @@ val attrs_name : t -> string
     [" [sketch]"], exact mode renders exactly as it always has. *)
 val name : t -> string
 
-(** [digest t] — 16 raw bytes identifying the analysis-shaping part of
-    the configuration (filter, attrs, K, repeats, and the sketch/exact
-    mode; {e not} linkage or engine, which never change attribute
-    sets). The analysis store namespaces cached JSM matrices by this
-    digest; sketch matrices get their own namespace because pruned
-    cells hold 0.0, while exact mode keeps the historical digest so
-    existing stores stay warm. Correctness of JSM reuse rests on
-    per-object attribute digests, not on this partition key — a
-    collision costs lookup efficiency, never wrong results. *)
-val digest : t -> string
-
 (** [candidates t ctx] — the JSM mask of [t]'s mode over [ctx]: [None]
     in exact mode, the class candidate adjacency
     ({!Difftrace_cluster.Sketch.class_candidates}) in sketch mode. The
-    one argument by which {!Difftrace_cluster.Jsm.compute} and
-    [Jsm.extend] tell the two modes apart. *)
+    one argument by which {!Difftrace_cluster.Jsm.compute} tells the
+    two modes apart; every analysis, with or without a store, builds
+    its JSM as [Jsm.compute ?candidates:(candidates t ctx)]. *)
 val candidates :
   t -> Difftrace_fca.Context.t -> Difftrace_util.Bitset.t array option
 

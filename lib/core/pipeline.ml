@@ -125,7 +125,7 @@ let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
 
 (* [tables] are the shared symbol and loop tables to intern into when
    there is no memo; a memo (the store's, when there is one) carries
-   its own *)
+   its own. A store supplies only its memo. *)
 let analyze_into ~tables ?memo ?store (config : Config.t) ts =
   let memo =
     match store with
@@ -180,13 +180,10 @@ let analyze_into ~tables ?memo ?store (config : Config.t) ts =
     context;
     lattice = lazy (Span.with_ "lattice" (fun () -> Lattice.of_context_incremental context));
     jsm =
-      (Span.with_ "jsm" @@ fun () ->
-       match store with
-       | Some st -> Store.jsm st ~config ~init:(Engine.init engine) context
-       | None ->
-         Jsm.compute
-           ?candidates:(Config.candidates config context)
-           ~init:(Engine.init engine) context) }
+      Span.with_ "jsm" (fun () ->
+          Jsm.compute
+            ?candidates:(Config.candidates config context)
+            ~init:(Engine.init engine) context) }
 
 let fresh_tables () = (Symtab.create (), Nlr.Loop_table.create ())
 

@@ -54,10 +54,11 @@ val summarize :
 (** [analyze ?memo ?store config ts] — without [memo], the analysis
     interns into fresh shared tables. When [memo] is given it provides
     the shared tables itself and NLR summaries are looked up in /
-    added to its cache. When [store] is given it provides the memo
-    (passing [?memo] too raises [Invalid_argument]) {e and} the JSM
-    stage reuses/extends cached matrices via {!Store.jsm}; results are
-    bit-identical either way. The caller owns {!Store.flush}. *)
+    added to its cache. When [store] is given it provides the memo,
+    {!Store.memo} (passing [?memo] too raises [Invalid_argument]);
+    results are bit-identical either way. The JSM is always
+    [Jsm.compute ?candidates:(Config.candidates config ctx)]. The
+    caller owns {!Store.flush}. *)
 val analyze :
   ?memo:Memo.t ->
   ?store:Store.t ->
@@ -89,8 +90,8 @@ type comparison = {
     given, both analyses share its tables and summary cache (so a
     repeated comparison, or one inside a grid sweep, reuses every
     summary whose filtered input and NLR constants are unchanged).
-    [store] does the same with a {!Store}'s memo and additionally
-    reuses cached JSM matrices across processes. Results are
+    [store] does the same with a {!Store}'s memo, so summaries persist
+    across processes. Results are
     independent of [memo], [store], and the configuration's engine. *)
 val compare_runs :
   ?memo:Memo.t ->

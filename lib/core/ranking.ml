@@ -55,9 +55,9 @@ let grid ~engine ~filters ~attrs ~ks ~linkages =
              attrs)
          filters)
 
-let evaluate ?memo ?store config ~normal ~faulty =
+let evaluate ~memo config ~normal ~faulty =
   Telemetry.Counter.incr c_evaluated;
-  let c = Pipeline.compare_runs ?memo ?store config ~normal ~faulty in
+  let c = Pipeline.compare_runs ~memo config ~normal ~faulty in
   let suspects = c.Pipeline.suspects in
   let total = Array.fold_left (fun acc (_, s) -> acc +. s) 0.0 suspects in
   { config;
@@ -86,17 +86,13 @@ let sweep ?store ?(engine = Engine.Sequential) ?filters
       (* one cache for the whole sweep: grid points that differ only in
          attributes or linkage reuse every NLR summary. A store brings
          its own memo (pre-warmed from disk) and persists the work. *)
-      let memo, own =
-        match store with
-        | Some st -> (Store.memo st, None)
-        | None ->
-          let m = Memo.create () in
-          (m, Some m)
+      let memo =
+        match store with Some st -> Store.memo st | None -> Memo.create ()
       in
       let before = Memo.stats memo in
       let rows =
         List.map
-          (fun config -> evaluate ?memo:own ?store config ~normal ~faulty)
+          (fun config -> evaluate ~memo config ~normal ~faulty)
           configs
       in
       let after = Memo.stats memo in

@@ -37,7 +37,7 @@ type sweep = {
     nesting order filters, attrs, K, linkage. Defaults: MPI-all +
     everything filters, all six Table V attribute specs, K ∈ {10},
     ward linkage, sequential engine. With [store] the sweep is warmed
-    from disk and persists its summaries and matrices, and [cache]
+    from disk and persists its summaries, and [cache]
     reports the disk-backed reuse too.
 
     An empty axis or a K below 1 is request data, not a bug: it returns

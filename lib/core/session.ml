@@ -64,9 +64,27 @@ let error_to_string = function
   | Protocol m -> m
   | Internal m -> Printf.sprintf "internal error: %s" m
 
+(* the simulator keeps one vector clock per rank, np words each, so a
+   run holds np² words of clocks: 8 MB at the cap *)
+let max_np = 1024
+
 let check_np np =
-  if np >= 1 then Ok ()
-  else Error (Invalid (Printf.sprintf "workload: np must be >= 1, got %d" np))
+  if np < 1 then
+    Error (Invalid (Printf.sprintf "workload: np must be >= 1, got %d" np))
+  else if np > max_np then
+    Error
+      (Invalid (Printf.sprintf "workload: np must be <= %d, got %d" max_np np))
+  else Ok ()
+
+let max_vdiff_runs = 64
+
+let check_vdiff_runs n =
+  if n <= max_vdiff_runs then Ok ()
+  else
+    Error
+      (Invalid
+         (Printf.sprintf "vdiff: at most %d runs can be aligned, got %d"
+            max_vdiff_runs n))
 
 type t = {
   ses_store : Store.t option;
@@ -366,11 +384,7 @@ let compare_common ~style t config req =
     match resolve t ~engine req.cp_faulty with
     | Error e -> Error e
     | Ok (faulty, sv_f) -> (
-      let c =
-        match t.ses_store with
-        | Some st -> Pipeline.compare_runs ~store:st config ~normal ~faulty
-        | None -> Pipeline.compare_runs ~memo:t.ses_memo config ~normal ~faulty
-      in
+      let c = Pipeline.compare_runs ~memo:t.ses_memo config ~normal ~faulty in
       match diffnlr_section ~normal ~faulty c req.cp_diffnlr with
       | Error e -> Error e
       | Ok diff -> (
@@ -423,11 +437,7 @@ let triage ?outcome t config req =
   match resolve t ~engine:config.Config.engine req.tg_subject with
   | Error e -> Error e
   | Ok (ts, _salvaged) ->
-    let a =
-      match t.ses_store with
-      | Some st -> Pipeline.analyze ~store:st config ts
-      | None -> Pipeline.analyze ~memo:t.ses_memo config ts
-    in
+    let a = Pipeline.analyze ~memo:t.ses_memo config ts in
     let entries = Pipeline.triage a in
     let limit = max 0 req.tg_limit in
     let buf = Buffer.create 512 in
@@ -635,11 +645,7 @@ let vdiff t config req =
         match resolve t ~engine r.vdr_source with
         | Error e -> Error e
         | Ok (ts, _salvaged) ->
-          let a =
-            match t.ses_store with
-            | Some st -> Pipeline.analyze ~store:st config ts
-            | None -> Pipeline.analyze ~memo:t.ses_memo config ts
-          in
+          let a = Pipeline.analyze ~memo:t.ses_memo config ts in
           gather ((r, ts, a) :: acc) rest)
     in
     match gather [] req.vd_runs with
@@ -758,8 +764,8 @@ let status t =
   (match (t.ses_store, store_stats) with
   | Some st, Some s ->
     Buffer.add_string buf
-      (Printf.sprintf "store: %s — %d summaries, %d matrices\n" (Store.dir st)
-         s.Store.summaries s.Store.matrices)
+      (Printf.sprintf "store: %s — %d summaries\n" (Store.dir st)
+         s.Store.summaries)
   | _ -> Buffer.add_string buf "store: (none)\n");
   { st_runs = runs;
     st_summaries = Memo.length t.ses_memo;

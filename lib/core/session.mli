@@ -43,9 +43,23 @@ val error_kind : error -> string
 
 val error_to_string : error -> string
 
-(** [check_np np] — [Invalid] naming [np] when [np < 1]: the one
-    wording of a bad rank count, for the runner and campaigns. *)
+(** The largest rank count a workload may ask for: 1024. The
+    simulator's per-rank vector clocks take np² words, 8 MB at the
+    cap. *)
+val max_np : int
+
+(** [check_np np] — [Invalid] naming [np] when [np < 1] or
+    [np > max_np]: the one wording of a bad rank count, for the runner
+    and campaigns. *)
 val check_np : int -> (unit, error) result
+
+(** The most runs one [vdiff] request may align: 64. *)
+val max_vdiff_runs : int
+
+(** [check_vdiff_runs n] — [Invalid] when [n > max_vdiff_runs]. A
+    request path calls it before it resolves any run source, because a
+    workload source executes. *)
+val check_vdiff_runs : int -> (unit, error) result
 
 (** {2 Sessions} *)
 

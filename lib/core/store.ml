@@ -1,13 +1,9 @@
 module Nlr = Difftrace_nlr.Nlr
-module Context = Difftrace_fca.Context
 module Jsm = Difftrace_cluster.Jsm
 module Telemetry = Difftrace_obs.Telemetry
 module Framed = Difftrace_util.Framed
-module Symmat = Difftrace_util.Symmat
 module Varint = Difftrace_util.Varint
 
-let c_hits = Telemetry.Counter.make "store.hits"
-let c_misses = Telemetry.Counter.make "store.misses"
 let c_evictions = Telemetry.Counter.make "store.evictions"
 let c_crc_fail = Telemetry.Counter.make "store.crc_fail"
 
@@ -22,18 +18,6 @@ let store_file = "analysis.store"
 type error = string
 
 let error_to_string e = e
-
-(* a persisted JSM: labels with one attribute-set digest per object,
-   plus the full (symmetric) matrix. [ns] partitions by Config.digest;
-   [stamp] orders entries for eviction; [identity] content-addresses
-   the (ns, label/digest multiset) so re-recording replaces. *)
-type matrix_entry = {
-  ns : string;
-  stamp : int;
-  labels : string array;
-  digests : string array;
-  matrix : Symmat.t;
-}
 
 (* a persisted variational alignment: the merged column sequence of an
    n-way vdiff, keyed by a digest over the aligned runs' element
@@ -51,7 +35,6 @@ type t = {
   memo : Memo.t;
   stamps : (string, int) Hashtbl.t;  (* summary key -> stamp *)
   evicted : (string, unit) Hashtbl.t;  (* summary keys gc'd, skip at flush *)
-  matrices : (string, matrix_entry) Hashtbl.t;  (* identity -> entry *)
   vdiffs : (string, vdiff_entry) Hashtbl.t;  (* run-set digest -> entry *)
   mutable next_stamp : int;
   mutable dirty : bool;
@@ -70,46 +53,21 @@ let fresh_stamp t =
 
 let note_stamp t s = if s >= t.next_stamp then t.next_stamp <- s + 1
 
-let matrix_identity (e : matrix_entry) =
-  let pairs =
-    Array.to_list (Array.map2 (fun l d -> l ^ "\x00" ^ d) e.labels e.digests)
-    |> List.sort String.compare
-  in
-  Digest.string (String.concat "\x01" (e.ns :: pairs))
-
-(* digest of one object's attribute-name set. Names are sorted —
-   bitset iteration order follows the context's first-seen attribute
-   interning, which varies with corpus composition, while the set
-   itself (what Jaccard depends on) does not. *)
-let object_digest ctx i =
-  let names = ref [] in
-  Difftrace_util.Bitset.iter
-    (fun j -> names := Context.attr_name ctx j :: !names)
-    (Context.object_attrs ctx i);
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun n ->
-      Buffer.add_string buf n;
-      Buffer.add_char buf '\x00')
-    (List.sort String.compare !names);
-  Digest.string (Buffer.contents buf)
-
 (* {2 Record encoding}
 
    File = magic line, then {!Framed} records. Payload byte 0 is the
    type.
-   Write order is symbols, loop bodies, summaries, matrices, vdiffs,
-   so every reference points backwards and a salvaged prefix is
+   Write order is symbols, loop bodies, summaries, vdiffs, so every
+   reference points backwards and a salvaged prefix is
    self-consistent. Vdiff records are standalone (they reference
-   nothing), and a store that never served a vdiff holds none, so the
-   historical byte layout is unchanged.
+   nothing), and a store that never served a vdiff holds none.
 
-   Tag 5 held a per-object MinHash signature. Signatures are no longer
-   persisted — signing one representative per attribute class costs
-   less than decoding them — but older stores hold such records, so
-   they still decode and are checked like any other record, then are
-   dropped at adoption; the next flush rewrites the file without
-   them. *)
+   Two kinds are retired. Tag 4 held a finished JSM, tag 5 a
+   per-object MinHash signature; recomputing either from the attribute
+   classes costs less than decoding it. Older stores hold such
+   records, so they still decode and are checked like any other
+   record, then are dropped at adoption; the next flush rewrites the
+   file without them. *)
 
 let tag_symbol = 1
 let tag_body = 2
@@ -137,26 +95,6 @@ let payload_summary ~key ~stamp (nlr : Nlr.t) =
   Varint.write b stamp;
   Varint.write b nlr.input_length;
   Nlr.write_elems b nlr.elems;
-  Buffer.contents b
-
-let payload_matrix (e : matrix_entry) =
-  let n = Array.length e.labels in
-  let b = Buffer.create (64 + (4 * n * n)) in
-  Buffer.add_char b (Char.chr tag_matrix);
-  Buffer.add_string b e.ns;
-  Varint.write b e.stamp;
-  Varint.write b n;
-  for i = 0 to n - 1 do
-    Varint.write b (String.length e.labels.(i));
-    Buffer.add_string b e.labels.(i);
-    Buffer.add_string b e.digests.(i)
-  done;
-  (* the packed storage is exactly the row-major upper triangle the
-     format has always written, so this is byte-identical to the old
-     dense-matrix loop *)
-  Array.iter
-    (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v))
-    (Symmat.cells e.matrix);
   Buffer.contents b
 
 let payload_vdiff ~key (e : vdiff_entry) =
@@ -193,16 +131,14 @@ type raw =
   | Rsymbol of string
   | Rbody of Nlr.elem array
   | Rsummary of { key : string; stamp : int; nlr : Nlr.t }
-  | Rmatrix of matrix_entry
-  | Rsignature  (* a retired tag-5 record: decoded, checked, dropped *)
+  | Rretired of int  (* a tag-4 or tag-5 record: decoded, checked, dropped *)
   | Rvdiff of { key : string; entry : vdiff_entry }
 
 let tag_of = function
   | Rsymbol _ -> tag_symbol
   | Rbody _ -> tag_body
   | Rsummary _ -> tag_summary
-  | Rmatrix _ -> tag_matrix
-  | Rsignature -> tag_signature
+  | Rretired tag -> tag
   | Rvdiff _ -> tag_vdiff
 
 (* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
@@ -227,31 +163,22 @@ let decode_payload ~n_syms ~n_bodies s =
       (Rsummary { key; stamp; nlr = { Nlr.elems; input_length } }, pos)
     end
     else if tag = tag_matrix then begin
-      let ns, pos = read_digest s 1 in
-      let stamp, pos = Varint.read s pos in
+      let _, pos = read_digest s 1 in
+      let _, pos = Varint.read s pos in
       let n, pos = Varint.read s pos in
-      (* each object costs ≥ 17 bytes (label length + digest) *)
+      (* namespace, stamp, n, then n labels each with an attribute
+         digest (so each object costs ≥ 17 bytes), then the n(n+1)/2
+         8-byte cells of the packed upper triangle *)
       if n * 17 > len - pos then bad "object count %d overruns record" n;
-      let labels = Array.make n "" and digests = Array.make n "" in
       let pos = ref pos in
-      for i = 0 to n - 1 do
+      for _ = 1 to n do
         let ll, p = Varint.read s !pos in
         if p + ll > len then bad "truncated matrix label";
-        labels.(i) <- String.sub s p ll;
-        let d, p = read_digest s (p + ll) in
-        digests.(i) <- d;
-        pos := p
+        pos := snd (read_digest s (p + ll))
       done;
       let cells = n * (n + 1) / 2 in
       if !pos + (8 * cells) > len then bad "truncated matrix cells";
-      let flat =
-        Array.init cells (fun _ ->
-            let v = Int64.float_of_bits (String.get_int64_le s !pos) in
-            pos := !pos + 8;
-            v)
-      in
-      (Rmatrix { ns; stamp; labels; digests; matrix = Symmat.of_cells ~n flat },
-       !pos)
+      (Rretired tag_matrix, !pos + (8 * cells))
     end
     else if tag = tag_signature then begin
       (* object digest, stamp, k, then k 8-byte row minima *)
@@ -259,7 +186,7 @@ let decode_payload ~n_syms ~n_bodies s =
       let _, pos = Varint.read s pos in
       let k, pos = Varint.read s pos in
       if k > (len - pos) / 8 then bad "truncated signature rows";
-      (Rsignature, pos + (8 * k))
+      (Rretired tag_signature, pos + (8 * k))
     end
     else if tag = tag_vdiff then begin
       let key, pos = read_digest s 1 in
@@ -343,10 +270,7 @@ let adopt t records =
            Memo.restore t.memo ~key nlr;
            Hashtbl.replace t.stamps key stamp;
            note_stamp t stamp
-         | Rmatrix e ->
-           Hashtbl.replace t.matrices (matrix_identity e) e;
-           note_stamp t e.stamp
-         | Rsignature -> t.dirty <- true
+         | Rretired _ -> t.dirty <- true
          | Rvdiff { key; entry } ->
            Hashtbl.replace t.vdiffs key entry;
            note_stamp t entry.vd_stamp)
@@ -365,7 +289,6 @@ let load ~dir =
         memo = Memo.create ();
         stamps = Hashtbl.create 64;
         evicted = Hashtbl.create 16;
-        matrices = Hashtbl.create 16;
         vdiffs = Hashtbl.create 16;
         next_stamp = 0;
         dirty = false;
@@ -395,83 +318,10 @@ let load ~dir =
         Ok t
   end
 
-(* {2 JSM reuse} *)
-
-let jsm t ~config ~init ctx =
-  let ns = Config.digest config in
-  let n = Context.n_objects ctx in
-  let labels = Array.init n (Context.object_label ctx) in
-  (* a digest depends only on the attribute set: one per class *)
-  let class_digests =
-    Array.init (Context.n_classes ctx) (fun c ->
-        object_digest ctx (Context.class_rep ctx c))
-  in
-  let digests = Array.init n (fun i -> class_digests.(Context.class_of ctx i)) in
-  (* per-candidate (label -> digest, base row) view, first occurrence
-     winning exactly as [Jsm.extend]'s own label resolution does *)
-  let entry_map (e : matrix_entry) =
-    let tbl = Hashtbl.create (2 * Array.length e.labels) in
-    Array.iteri
-      (fun i l -> if not (Hashtbl.mem tbl l) then Hashtbl.add tbl l e.digests.(i))
-      e.labels;
-    tbl
-  in
-  let matches map =
-    let c = ref 0 in
-    for i = 0 to n - 1 do
-      match Hashtbl.find_opt map labels.(i) with
-      | Some d when String.equal d digests.(i) -> incr c
-      | _ -> ()
-    done;
-    !c
-  in
-  (* best base: most matched objects; stamp then identity break ties so
-     the choice is independent of hashtable iteration order *)
-  let best = ref None in
-  Hashtbl.iter
-    (fun id (e : matrix_entry) ->
-      if String.equal e.ns ns then begin
-        let map = entry_map e in
-        let m = matches map in
-        if m > 0 then
-          match !best with
-          | Some (_, _, bm, bstamp, bid)
-            when bm > m
-                 || (bm = m && (e.stamp < bstamp
-                               || (e.stamp = bstamp && String.compare id bid >= 0)))
-            -> ()
-          | _ -> best := Some (e, map, m, e.stamp, id)
-      end)
-    t.matrices;
-  (* in sketch mode the class mask is rebuilt either way; candidacy is
-     a pairwise function of two attribute sets, so extending a cached
-     sketch matrix is bit-identical to sketching from scratch — the
-     reuse guarantee the store gives exact matrices *)
-  let candidates = Config.candidates config ctx in
-  let result, covered =
-    match !best with
-    | Some (e, map, m, _, _) ->
-      Telemetry.Counter.incr c_hits;
-      let fresh =
-        Array.init n (fun i ->
-            match Hashtbl.find_opt map labels.(i) with
-            | Some d when String.equal d digests.(i) -> false
-            | _ -> true)
-      in
-      let base = { Jsm.labels = e.labels; m = e.matrix } in
-      (Jsm.extend ?candidates ~init ~base ~fresh ctx, m = n)
-    | None ->
-      Telemetry.Counter.incr c_misses;
-      (Jsm.compute ?candidates ~init ctx, false)
-  in
-  if not covered then begin
-    let e =
-      { ns; stamp = fresh_stamp t; labels; digests; matrix = result.Jsm.m }
-    in
-    Hashtbl.replace t.matrices (matrix_identity e) e;
-    t.dirty <- true
-  end;
-  result
+(* kept for the end-to-end benchmark's replay, which calls it; it goes
+   when that copy of the pipeline does *)
+let jsm _ ~config ~init ctx =
+  Jsm.compute ?candidates:(Config.candidates config ctx) ~init ctx
 
 (* {2 Variational alignments} *)
 
@@ -534,33 +384,23 @@ let summaries =
         in
         payload_summary ~key ~stamp (Option.get (Memo.lookup t.memo ~key))) }
 
-let table_kind ?(listed_when_zero = true) name ~tag ~default_keep ~doc table
-    stamp payload =
-  { name;
-    tag;
-    default_keep;
-    doc;
-    listed_when_zero;
-    entries =
-      (fun t -> Hashtbl.fold (fun k e acc -> (stamp e, k) :: acc) (table t) []);
-    drop = (fun t k -> Hashtbl.remove (table t) k);
-    payload = (fun t k -> payload k (Hashtbl.find (table t) k)) }
-
-let matrices =
-  table_kind "matrices" ~tag:tag_matrix ~default_keep:64 ~doc:"JSM matrices"
-    (fun t -> t.matrices) (fun e -> e.stamp) (fun _ e -> payload_matrix e)
-
-(* stores that never served a vdiff render exactly as they always have *)
+(* a store that never served a vdiff lists none *)
 let vdiffs =
-  table_kind "vdiffs" ~listed_when_zero:false ~tag:tag_vdiff ~default_keep:64
-    ~doc:"variational alignments" (fun t -> t.vdiffs) (fun e -> e.vd_stamp)
-    (fun key e -> payload_vdiff ~key e)
+  { name = "vdiffs";
+    tag = tag_vdiff;
+    default_keep = 64;
+    doc = "variational alignments";
+    listed_when_zero = false;
+    entries =
+      (fun t ->
+        Hashtbl.fold (fun k e acc -> (e.vd_stamp, k) :: acc) t.vdiffs []);
+    drop = (fun t k -> Hashtbl.remove t.vdiffs k);
+    payload = (fun t k -> payload_vdiff ~key:k (Hashtbl.find t.vdiffs k)) }
 
-(* display order: gc results, stats, verify and the store gc flags *)
-let kind_table = [ summaries; matrices; vdiffs ]
-
-(* write order, part of the format: every reference points backwards *)
-let file_order = [ summaries; matrices; vdiffs ]
+(* display order (gc results, stats, verify, the store gc flags) and
+   write order, which is part of the format: every reference points
+   backwards *)
+let kind_table = [ summaries; vdiffs ]
 
 let kinds = List.map (fun k -> (k.name, k.default_keep, k.doc)) kind_table
 
@@ -617,7 +457,7 @@ let render t =
       List.iter
         (fun (_, key) -> Framed.add_record buf (k.payload t key))
         (live t k))
-    file_order;
+    kind_table;
   Buffer.contents buf
 
 let flush t =
@@ -673,7 +513,7 @@ let stats t =
     List.map (fun k -> (k.name, List.length (k.entries t))) kind_table
   in
   { summaries = List.assoc "summaries" counts;
-    matrices = List.assoc "matrices" counts;
+    matrices = 0;
     kinds = counts;
     symbols = Difftrace_trace.Symtab.size (Memo.symtab t.memo);
     loop_bodies = Nlr.Loop_table.size (Memo.loop_table t.memo);

@@ -3,10 +3,12 @@
     {!Memo} amortizes NLR summarization {e within} one process; every
     CLI invocation still starts cold. The store extends that across
     processes: a single on-disk file persists the memo's shared
-    symbol/loop tables and three evictable record kinds ({!kinds}), so
+    symbol/loop tables and two evictable record kinds ({!kinds}), so
     the second [difftrace compare] over the same corpus performs zero
-    summarizations and mirrors (almost) every Jaccard cell from disk —
-    near-pure I/O instead of O(n²) recompute.
+    summarizations. It keeps only what is costly to recompute: NLR
+    summaries and variational alignments. A JSM is not stored; it costs
+    one Jaccard per pair of attribute classes plus an n² lookup fill,
+    which is less than decoding a stored one.
 
     {2 Correctness model}
 
@@ -18,29 +20,17 @@
       IDs {e with respect to the store's own persisted symbol table},
       which the loader replays in creation order, so equal keys mean
       equal name sequences; there are no cross-workload collisions.
-    - Cached JSM matrices carry one digest per object over its {e
-      sorted} attribute-name set. A cached cell is mirrored only when
-      both endpoints' digests match the current context, and
-      [Context.jaccard] is a pure function of those two attribute sets
-      — so mirrored values are bit-identical to recomputation
-      ({!Jsm.extend}'s contract). Matrices are namespaced by
-      {!Config.digest} purely for lookup efficiency.
-    - Sketch-mode matrices ({!Difftrace_cluster.Sketch}) live in their
-      own {!Config.digest} namespace and are reused the same way: LSH
-      candidacy is a pairwise function of two attribute-name sets, so a
-      mirrored cell — evaluated or pruned — is what recomputation would
-      produce. MinHash signatures are not persisted: one per attribute
-      class is cheaper to recompute than to decode. Stores written
-      while they were persisted hold tag-5 signature records; those
-      still decode and are checked like any other record, are then
-      dropped, and the next {!flush} rewrites the file without them.
-
+    - Two record kinds are retired: tag-4 JSM matrices and tag-5
+      MinHash signatures. Stores written while they were persisted
+      still hold such records; they decode and are checked like any
+      other record (a damaged one is a salvage point), are then
+      dropped, and mark the store dirty, so the next {!flush} rewrites
+      the file without them.
     - Merged variational alignments ({!Difftrace_variational}) are
       keyed by a digest over the aligned runs' element sequences in run
       order; a hit replays the persisted column/presence sequence and
       skips the whole progressive re-alignment. Stores that never
-      served a vdiff hold no such records, keeping the historical byte
-      layout.
+      served a vdiff hold no such records.
 
     Robustness follows {!Archive}/{!Campaign} discipline, through the
     same {!Difftrace_util.Framed} module: CRC-32/varint record framing,
@@ -48,8 +38,7 @@
     salvages the valid prefix of a damaged file — or falls back to a
     cold store — instead of raising.
 
-    Telemetry: [store.hits]/[store.misses] (JSM base lookups),
-    [store.vdiff_hits]/[store.vdiff_misses] (variational
+    Telemetry: [store.vdiff_hits]/[store.vdiff_misses] (variational
     alignment lookups), [store.evictions] (gc and flush caps),
     [store.crc_fail] (damaged files/records encountered). *)
 
@@ -75,19 +64,11 @@ val dir : t -> string
     are persisted by the next {!flush}. *)
 val memo : t -> Memo.t
 
-(** [jsm t ~config ~init ctx] — the context's JSM, reusing cached work:
-    picks the cached matrix (in [config]'s namespace) sharing the most
-    (label, attribute-digest) pairs with [ctx], mirrors those cells via
-    {!Jsm.extend}, and evaluates the rest. Falls back to {!Jsm.compute}
-    when nothing is reusable. Bit-identical to [Jsm.compute ~init ctx]
-    either way. In sketch mode ([config.mode = Sketch]) the same two
-    calls take the class candidate mask ({!Config.candidates}), so the
-    result is bit-identical to [Jsm.compute ?candidates ~init ctx];
-    sketch matrices live in their own {!Config.digest} namespace.
-    Counts [store.hits] /
-    [store.misses] once per call, and records the finished matrix for
-    future runs (unless a cached matrix already covered every
-    object). *)
+(** [jsm t ~config ~init ctx] =
+    [Jsm.compute ?candidates:(Config.candidates config ctx) ~init ctx];
+    [t] is unused. No library code calls it. It remains for the
+    end-to-end benchmark's replay ([bench/e2e/replay.ml]) and goes with
+    that file (ROADMAP, the spans item). *)
 val jsm :
   t ->
   config:Config.t ->
@@ -101,7 +82,7 @@ val jsm :
     [store.evictions]. Creates [dir] if needed. *)
 val flush : t -> (unit, error) result
 
-(** The evictable record kinds — summaries, matrices, vdiffs — as
+(** The evictable record kinds — summaries, vdiffs — as
     [(name, cap {!flush} applies, help text)], in the order
     every per-kind list below follows. *)
 val kinds : (string * int * string) list
@@ -109,6 +90,9 @@ val kinds : (string * int * string) list
 type stats = {
   summaries : int;
   matrices : int;
+      (** always 0: the store holds no matrices. It remains for the
+          end-to-end benchmark's replay and goes with it (ROADMAP, the
+          spans item). *)
   kinds : (string * int) list;  (** live entries per kind *)
   symbols : int;
   loop_bodies : int;

@@ -112,9 +112,10 @@ let dispatch t ~client ~emit call =
            pr_summaries = s.Session.st_summaries;
            pr_hits = s.Session.st_memo.Memo.hits;
            pr_misses = s.Session.st_memo.Memo.misses;
+           (* the wire keeps its matrices field; the store holds none *)
            pr_store =
              Option.map
-               (fun (st : Store.stats) -> (st.Store.summaries, st.Store.matrices))
+               (fun (st : Store.stats) -> (st.Store.summaries, 0))
                s.Session.st_store;
            pr_output =
              Printf.sprintf "requests: %d\n" t.requests ^ s.Session.st_output })
@@ -206,6 +207,7 @@ let dispatch t ~client ~emit call =
            pq_warm = r.Session.qy_warm;
            pq_output = r.Session.qy_output })
   | P.Vdiff { rq_runs; rq_trace; rq_config } ->
+    let* () = Session.check_vdiff_runs (List.length rq_runs) in
     let* config =
       config_of t rq_config (List.map (fun r -> r.P.vs_source) rq_runs)
     in

@@ -187,7 +187,9 @@ type payload =
       pr_summaries : int;
       pr_hits : int;
       pr_misses : int;
-      pr_store : (int * int) option;  (** store summaries, matrices *)
+      pr_store : (int * int) option;
+          (** store summaries, and matrices, which always reads 0: the
+              store no longer holds matrices *)
       pr_output : string;
     }
   | P_subscribe of { pr_events : bool; pr_output : string }

@@ -57,13 +57,6 @@ let of_upper_rows ~n rows =
     rows;
   t
 
-let of_cells ~n cells =
-  if Array.length cells <> cells_for n then
-    invalid_arg
-      (Printf.sprintf "Symmat.of_cells: %d cells for dimension %d"
-         (Array.length cells) n);
-  { n; cells = Array.copy cells }
-
 let cells t = t.cells
 
 let sub t idx =

@@ -29,10 +29,6 @@ val init : int -> (int -> int -> float) -> t
     on a row-count or row-length mismatch. *)
 val of_upper_rows : n:int -> float array array -> t
 
-(** [of_cells ~n cells] wraps a copy of a flat packed-triangle array of
-    exactly n*(n+1)/2 cells (the {!cells} layout). *)
-val of_cells : n:int -> float array -> t
-
 (** [cells t] is the flat packed storage, row-major upper rows: row i's
     cells (i,i)..(i,n-1) start at offset i*n - i*(i-1)/2. Shared, do
     not mutate. *)

@@ -94,6 +94,33 @@ let test_method_names () =
     = Error "Linkage.method_of_string: bogus");
   Alcotest.(check int) "seven methods" 7 (List.length Linkage.all_methods)
 
+(* The ward sweep over the ilcs-wide shape, 320 traces over 4 distinct
+   attribute sets. The working matrix and the per-cluster arrays are
+   longer than the minor heap's largest block, so they go straight to
+   the major heap; the minor heap sees little more than the merge list,
+   about 4k words a call. A boxed float per Lance–Williams update or a
+   tuple per row scan (about 400k words a call) fails the bound. The
+   mean over 20 calls smooths out the lag in the runtime's allocation
+   counters. *)
+let test_ward_sweep_allocation () =
+  let ctx =
+    Context.of_attr_sets
+      (List.init 320 (fun i ->
+           ( Printf.sprintf "%d.%d" (i / 5) (i mod 5),
+             List.init (20 + (i mod 4)) (fun j -> Printf.sprintf "a%d" ((i mod 4) + j)) )))
+  in
+  let j = Jsm.of_context ctx in
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Linkage.of_similarity Linkage.Ward j))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  let bound = 64. *. 320. in
+  if words > bound then
+    Alcotest.failf "Linkage.of_similarity Ward allocated %.0f minor words a call (bound %.0f)"
+      words bound
+
 let dist_gen =
   QCheck2.Gen.(
     let* n = int_range 2 8 in
@@ -707,22 +734,6 @@ let prop_compute_oracle =
           && evals = d * (d + 1) / 2)
         [ Array.init; par4 ])
 
-(* fresh flags at random; the base is computed from the cached objects
-   alone (a different context, so a different attribute interning),
-   listed in reverse so base indices differ from ctx indices *)
-let prop_extend_oracle =
-  dup_test "extend over random fresh/cached splits = compute" (fun (n, d, seed) ->
-      let _, rows = dup_rows ~n ~d ~seed in
-      let ctx = Context.of_attr_sets rows in
-      let st = Random.State.make [| seed; 7 |] in
-      let fresh = Array.init n (fun _ -> Random.State.bool st) in
-      let cached = List.filteri (fun i _ -> not fresh.(i)) rows in
-      let base = Jsm.of_context (Context.of_attr_sets (List.rev cached)) in
-      let expected = Jsm.compute ~init:Array.init ctx in
-      List.for_all
-        (fun init -> same_jsm (Jsm.extend ~init ~base ~fresh ctx) expected)
-        [ Array.init; par4 ])
-
 let prop_of_similarity_oracle =
   dup_test ~count:60 "of_similarity = cluster of rows of to_distance, all methods"
     (fun (n, d, seed) ->
@@ -831,7 +842,9 @@ let () =
           prop_all_methods_terminate;
           prop_single_below_complete;
           prop_cut_k_counts;
-          prop_cuts_match_oracle ] );
+          prop_cuts_match_oracle;
+          Alcotest.test_case "ward sweep allocation bound" `Quick
+            test_ward_sweep_allocation ] );
       ( "oracle",
         [ prop_oracle_small; prop_oracle_large ] );
       ( "dendrogram",
@@ -866,7 +879,6 @@ let () =
       ( "classes",
         [ prop_classes;
           prop_compute_oracle;
-          prop_extend_oracle;
           prop_of_similarity_oracle;
           Alcotest.test_case "of_similarity validation" `Quick
             test_of_similarity_validation;

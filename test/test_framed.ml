@@ -49,8 +49,8 @@ let golden_vdiff_key = Digest.string "golden vdiff"
 let golden_vdiff =
   [| ("MPI_Init", [ 0; 1; 2 ]); ("MPI_Send", [ 1 ]); ("MPI_Finalize", [ 0; 2 ]) |]
 
-(* summaries, symbols and loop bodies from an analysis; a matrix from
-   sketch mode; one variational alignment *)
+(* summaries, symbols and loop bodies from a sketch-mode analysis (which
+   writes no matrix and no signature); one variational alignment *)
 let test_store () =
   let dir = fresh_dir "store" in
   let st = get (Store.load ~dir) in
@@ -59,9 +59,8 @@ let test_store () =
   get (Store.flush st);
   let s = Store.stats st in
   Alcotest.(check bool) "every record kind present" true
-    (s.Store.summaries > 0 && s.Store.matrices > 0
-    && List.assoc "vdiffs" s.Store.kinds = 1);
-  check_md5 "analysis.store" "b6bc936cfb20b13df513e7280097e884" (Filename.concat dir "analysis.store")
+    (s.Store.summaries > 0 && List.assoc "vdiffs" s.Store.kinds = 1);
+  check_md5 "analysis.store" "f4a3c731fa15a4fe5e6f877e2ac28bee" (Filename.concat dir "analysis.store")
 
 let store_magic = "difftrace-store 1\n"
 
@@ -74,11 +73,13 @@ let store_records image =
   Alcotest.(check (option string)) "records intact" None damage;
   List.rev records
 
-(* The same store as written while MinHash signatures were persisted
-   (tag-5 records; the golden bytes MD5 8021f2199cd123fa63d47c43b31e7c71
-   of the test above at the time). It loads without damage, keeps
-   every summary, matrix and vdiff, and its next flush writes exactly
-   its old bytes with the tag-5 records removed. *)
+(* The same store as written while JSM matrices (tag 4) and MinHash
+   signatures (tag 5) were persisted (the golden bytes MD5
+   8021f2199cd123fa63d47c43b31e7c71 of the test above at the time). It
+   verifies and loads without damage, keeps every summary and vdiff,
+   warm exact and sketch analyses over it equal cold ones, and its next
+   flush writes exactly its old bytes with the tag-4 and tag-5 records
+   removed. *)
 let test_store_with_signatures () =
   let fixture =
     In_channel.with_open_bin "fixtures/store_v1_signatures/analysis.store"
@@ -87,6 +88,9 @@ let test_store_with_signatures () =
   check_md5 "fixture" "8021f2199cd123fa63d47c43b31e7c71"
     "fixtures/store_v1_signatures/analysis.store";
   let old = store_records fixture in
+  let retired (tag, _) = tag = 4 || tag = 5 in
+  Alcotest.(check int) "the fixture holds a matrix record" 1
+    (List.length (List.filter (fun (tag, _) -> tag = 4) old));
   Alcotest.(check int) "the fixture holds signature records" 3
     (List.length (List.filter (fun (tag, _) -> tag = 5) old));
   let dir = fresh_dir "store_signatures" in
@@ -101,29 +105,38 @@ let test_store_with_signatures () =
   let st = get (Store.load ~dir) in
   let s = Store.stats st in
   Alcotest.(check bool) "loads without damage" false s.Store.salvaged;
-  Alcotest.(check (list (pair string int))) "every summary, matrix and vdiff kept"
-    [ ("summaries", 4); ("matrices", 1); ("vdiffs", 1) ]
+  Alcotest.(check (list (pair string int))) "every summary and vdiff kept"
+    [ ("summaries", 4); ("vdiffs", 1) ]
     s.Store.kinds;
   Alcotest.(check bool) "the vdiff reads back" true
     (Store.find_vdiff st ~key:golden_vdiff_key = Some golden_vdiff);
   let ts = traces () in
-  let warm = Pipeline.analyze ~store:st (sketch_config ()) ts in
-  let cold = Pipeline.analyze (sketch_config ()) ts in
-  Alcotest.(check bool) "the cached sketch matrix is today's" true
-    (warm.Pipeline.jsm = cold.Pipeline.jsm);
-  Alcotest.(check bool) "the cached summaries are today's" true
-    (warm.Pipeline.nlrs = cold.Pipeline.nlrs);
+  List.iter
+    (fun (mode, config) ->
+      let warm = Pipeline.analyze ~store:st config ts in
+      let cold = Pipeline.analyze config ts in
+      Alcotest.(check bool) (mode ^ ": warm JSM = cold JSM") true
+        (warm.Pipeline.jsm = cold.Pipeline.jsm);
+      Alcotest.(check bool) (mode ^ ": the cached summaries are today's") true
+        (warm.Pipeline.nlrs = cold.Pipeline.nlrs))
+    [ ("exact", Config.make ~filter:(F.make []) ()); ("sketch", sketch_config ()) ];
+  Alcotest.(check int) "every summary a memo hit" 0
+    (Memo.stats (Store.memo st)).Memo.misses;
   get (Store.flush st);
   let flushed = In_channel.with_open_bin file In_channel.input_all in
   let stripped = Buffer.create (String.length fixture) in
   Buffer.add_string stripped store_magic;
   List.iter
-    (fun (tag, p) -> if tag <> 5 then Difftrace_util.Framed.add_record stripped p)
+    (fun r -> if not (retired r) then Difftrace_util.Framed.add_record stripped (snd r))
     old;
-  Alcotest.(check bool) "no signature record after a flush" false
-    (List.exists (fun (tag, _) -> tag = 5) (store_records flushed));
-  Alcotest.(check bool) "flushed = old bytes without their tag-5 records" true
-    (String.equal flushed (Buffer.contents stripped))
+  Alcotest.(check bool) "no matrix or signature record after a flush" false
+    (List.exists retired (store_records flushed));
+  Alcotest.(check bool) "flushed = old bytes without their tag-4 and tag-5 records"
+    true
+    (String.equal flushed (Buffer.contents stripped));
+  let c = get (Store.verify ~dir) in
+  Alcotest.(check (option string)) "the flushed store verifies clean" None
+    c.Store.c_damage
 
 let test_eventdb () =
   let dir = fresh_dir "eventdb" in

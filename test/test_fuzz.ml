@@ -209,12 +209,28 @@ let wild_int =
     (fun i -> Json.Int i)
     (G.oneofl [ 0; -1; -7; max_int; min_int; 1 lsl 40; 1_000_000_000 ])
 
+(* one more vdiff run than [Session.max_vdiff_runs]; refused before
+   any of their sources runs *)
+let too_many_runs =
+  Json.List
+    (List.init (Session.max_vdiff_runs + 1) (fun i ->
+         Json.Obj
+           [ ("name", Json.String (Printf.sprintf "r%d" i));
+             ( "source",
+               Json.Obj [ ("workload", Json.String "oddeven"); ("np", Json.Int 2) ] ) ]))
+
 (* what a corrupted field of each name holds: bad specs, unknown enum
    values, huge and negative counts; [None] for the fields that only
-   get the wrong JSON type *)
+   get the wrong JSON type. An [np] above [Session.max_np] is refused
+   before the simulator runs. *)
 let wild key =
   match key with
-  | "np" -> Some (int_in (-5) 0)
+  | "np" ->
+    Some
+      (G.oneofl
+         (List.map
+            (fun i -> Json.Int i)
+            [ -5; -1; 0; Session.max_np + 1; 100_000; 1 lsl 40; max_int ]))
   | "seed" | "k" | "limit" -> Some wild_int
   | "workload" -> Some (str [ "nope"; ""; "ODDEVEN" ])
   | "fault" ->
@@ -257,7 +273,9 @@ let wild key =
           "count"; "list MPI_Send on"; "sites"; "count MPI_Send between" ])
   | "diffnlr" | "trace" -> Some (str [ "9.9"; "nope"; ""; "-1" ])
   | "axes" -> Some (G.oneofl [ Json.Obj [ ("k", Json.Int 1) ]; Json.String "x" ])
-  | "runs" -> Some (G.oneofl [ Json.List []; Json.List [ Json.Obj [] ]; Json.Obj [] ])
+  | "runs" ->
+    Some
+      (G.oneofl [ Json.List []; Json.List [ Json.Obj [] ]; Json.Obj []; too_many_runs ])
   | "difftrace-rpc" -> Some (G.oneofl [ Json.Int 2; Json.Int 0; Json.String "1" ])
   | "id" -> Some (G.oneofl [ Json.Int 7; Json.Null; Json.String "" ])
   | "method" -> Some (str [ "bogus"; ""; "COMPARE" ])
@@ -411,6 +429,33 @@ let test_record_names_refused () =
       (Sys.file_exists (Filename.concat (Filename.concat state "runs") "plain"))
   | Error { P.err_message; _ } -> Alcotest.fail err_message
 
+(* a rank count above the cap and a vdiff over too many runs are
+   request errors; the runs' sources name an unknown workload, so
+   resolving any of them would answer unknown-workload instead *)
+let test_caps () =
+  let d = Daemon.create ~default_engine:Engine.sequential () in
+  let workload np =
+    Json.Obj [ ("workload", Json.String "oddeven"); ("np", Json.Int np) ]
+  in
+  List.iter
+    (fun np ->
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "np %d" np)
+        ("invalid-params", Printf.sprintf "workload: np must be <= 1024, got %d" np)
+        (error_of (answer d "triage" [ ("subject", workload np) ])))
+    [ Session.max_np + 1; 100_000; max_int ];
+  let run i =
+    Json.Obj
+      [ ("name", Json.String (Printf.sprintf "r%d" i));
+        ("source", Json.Obj [ ("workload", Json.String "nope") ]) ]
+  in
+  Alcotest.(check (pair string string))
+    "65 runs"
+    ("invalid-params", "vdiff: at most 64 runs can be aligned, got 65")
+    (error_of
+       (answer d "vdiff"
+          [ ("runs", Json.List (List.init 65 run)); ("config", Json.Obj []) ]))
+
 let test_directory_source () =
   let d = Daemon.create ~default_engine:Engine.sequential () in
   let dir = Filename.concat "corpus" "cilog" in
@@ -425,4 +470,5 @@ let () =
     [ ("request path", [ QCheck_alcotest.to_alcotest (test_request_path ()) ]);
       ( "pinned",
         [ Alcotest.test_case "record names refused" `Quick test_record_names_refused;
-          Alcotest.test_case "directory source" `Quick test_directory_source ] ) ]
+          Alcotest.test_case "directory source" `Quick test_directory_source;
+          Alcotest.test_case "np and vdiff run count capped" `Quick test_caps ] ) ]

@@ -258,7 +258,7 @@ let test_fault_of_string_malformed () =
       "skipFunction(rank=1)" ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental JSM extension and the persistent analysis store         *)
+(* The persistent analysis store                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Jsm = Difftrace_cluster.Jsm
@@ -275,39 +275,6 @@ let bits_equal a b =
               (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
               ra rb)
        a b
-
-(* A random formal context plus a random cold/warm split, all derived
-   from one seed. *)
-let random_split seed =
-  let rng = Difftrace_util.Prng.create seed in
-  let n = 1 + Difftrace_util.Prng.int rng 12 in
-  let pool = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |] in
-  let rows =
-    List.init n (fun i ->
-        let attrs =
-          Array.to_list pool
-          |> List.filter (fun _ -> Difftrace_util.Prng.bool rng)
-        in
-        (Printf.sprintf "t%d" i, attrs))
-  in
-  let fresh = Array.init n (fun _ -> Difftrace_util.Prng.bool rng) in
-  (rows, fresh)
-
-let prop_jsm_extend_equals_compute =
-  qtest "Jsm.extend == Jsm.compute bit-for-bit, seq and parallel" ~count:100
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rows, fresh = random_split seed in
-      let ctx = Context.of_attr_sets rows in
-      let warm_rows = List.filteri (fun i _ -> not fresh.(i)) rows in
-      let base = Jsm.of_context (Context.of_attr_sets warm_rows) in
-      let expected = Jsm.of_context ctx in
-      List.for_all
-        (fun init ->
-          let got = Jsm.extend ~init ~base ~fresh ctx in
-          got.Jsm.labels = expected.Jsm.labels
-          && bits_equal (Jsm.rows got) (Jsm.rows expected))
-        [ Array.init; Engine.init (Engine.parallel ~domains:3 ()) ])
 
 (* The store's warm path must be invisible: a second run over the same
    traces sees only memo hits, zero fresh summarizations, and lands on
@@ -356,7 +323,7 @@ let () =
           prop_fault_sweep_total;
           prop_heat_conservation_shape ] );
       ( "incremental-store",
-        [ prop_jsm_extend_equals_compute; prop_store_roundtrip_warm ] );
+        [ prop_store_roundtrip_warm ] );
       ( "fault-strings",
         [ prop_fault_string_roundtrip;
           Alcotest.test_case "malformed strings rejected" `Quick

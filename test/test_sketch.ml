@@ -11,8 +11,7 @@
      per-object definition (sign every object, a pair is a candidate
      when any band is equal, exact Jaccard for candidates, 0.0
      otherwise, 1.0 on the diagonal) — on random contexts and on
-     contexts of repeated rows, on every engine, and through
-     [Jsm.extend] over any cold/warm split.
+     contexts of repeated rows, on every engine.
    - Pruning: on a clustered corpus the sketch tier evaluates strictly
      fewer Jaccard pairs than exact at every size, and under 25% of
      exact's at the largest, counted by [jsm.jaccard_evals]. *)
@@ -146,32 +145,6 @@ let prop_mask_equals_oracle name context =
       List.for_all (fun init -> jsm_bits_equal expected (masked ~init ctx))
         engines)
 
-(* the cold/warm split idiom from test_properties.ml: non-fresh objects
-   come from a previously computed base matrix *)
-let random_split seed =
-  let rng = Prng.create (seed + 7919) in
-  let n = 1 + Prng.int rng 12 in
-  let rows = random_rows rng n in
-  let fresh = Array.init n (fun _ -> Prng.bool rng) in
-  (rows, fresh)
-
-let prop_masked_extend_equals_compute =
-  qtest "masked extend == masked compute bit-for-bit, seq and parallel"
-    ~count:100 seed_gen (fun seed ->
-      let rows, fresh = random_split seed in
-      let ctx = Context.of_attr_sets rows in
-      let candidates = Sketch.class_candidates ctx in
-      let warm_rows = List.filteri (fun i _ -> not fresh.(i)) rows in
-      (* the base the store would hold: the warm subset's own sketch
-         matrix — same attribute sets, so same pairwise verdicts *)
-      let base = masked ~init:Array.init (Context.of_attr_sets warm_rows) in
-      let expected = Jsm.compute ~candidates ~init:Array.init ctx in
-      List.for_all
-        (fun init ->
-          jsm_bits_equal expected
-            (Jsm.extend ~candidates ~init ~base ~fresh ctx))
-        engines)
-
 let test_candidates_shape () =
   let ctx =
     Context.of_attr_sets
@@ -268,6 +241,5 @@ let () =
       ( "jsm",
         [ prop_mask_equals_oracle "random contexts" random_context;
           prop_mask_equals_oracle "repeated rows" repeated_context;
-          prop_masked_extend_equals_compute;
           Alcotest.test_case "mask size validated" `Quick
             test_mask_size_validated ] ) ]

@@ -76,6 +76,7 @@ let count name counts = List.assoc name counts
 
 let c_crc_fail = Telemetry.Counter.make "store.crc_fail"
 let c_evictions = Telemetry.Counter.make "store.evictions"
+let c_summaries = Telemetry.Counter.make "nlr.summaries"
 
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                          *)
@@ -88,15 +89,17 @@ let test_roundtrip_warm_all_hit () =
   let st = get (Store.load ~dir) in
   let s = Store.stats st in
   Alcotest.(check bool) "has summaries" true (s.Store.summaries > 0);
-  Alcotest.(check int) "one matrix" 1 s.Store.matrices;
   Alcotest.(check bool) "clean load" false s.Store.salvaged;
   Alcotest.(check bool) "file on disk" true (s.Store.file_bytes > 0);
-  let warm = Pipeline.analyze ~store:st (config ()) ts in
-  let ms = Memo.stats (Store.memo st) in
-  Alcotest.(check int) "zero summarizations on the warm run" 0 ms.Memo.misses;
-  Alcotest.(check bool) "summaries served from disk" true (ms.Memo.hits > 0);
-  Alcotest.(check bool) "warm JSM bit-identical" true
-    (jsm_equal cold.Pipeline.jsm warm.Pipeline.jsm)
+  with_telemetry (fun () ->
+      let warm = Pipeline.analyze ~store:st (config ()) ts in
+      let ms = Memo.stats (Store.memo st) in
+      Alcotest.(check int) "every lookup a memo hit" 0 ms.Memo.misses;
+      Alcotest.(check bool) "summaries served from disk" true (ms.Memo.hits > 0);
+      Alcotest.(check int) "zero summarizations on the warm run" 0
+        (Telemetry.Counter.value c_summaries);
+      Alcotest.(check bool) "warm JSM bit-identical" true
+        (jsm_equal cold.Pipeline.jsm warm.Pipeline.jsm))
 
 let test_warm_flush_is_noop () =
   let ts = sample_traces () in
@@ -120,7 +123,6 @@ let test_cold_start_missing () =
   let st = get (Store.load ~dir) in
   let s = Store.stats st in
   Alcotest.(check int) "no summaries" 0 s.Store.summaries;
-  Alcotest.(check int) "no matrices" 0 s.Store.matrices;
   Alcotest.(check int) "no file yet" 0 s.Store.file_bytes
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +208,6 @@ let test_stale_version_is_cold () =
   let st = get (Store.load ~dir) in
   let s = Store.stats st in
   Alcotest.(check int) "unknown version adopts nothing" 0 s.Store.summaries;
-  Alcotest.(check int) "no matrices either" 0 s.Store.matrices;
   Alcotest.(check bool) "flagged as salvaged" true s.Store.salvaged
 
 let test_empty_file_is_cold () =
@@ -287,6 +288,51 @@ let test_short_loop_record_salvaged () =
       ( "body with count 1",
         record 2 (fun b -> Nlr.write_elems b [| Nlr.Sym 0; Nlr.Loop { body = 0; count = 1 } |]) ) ]
 
+(* A tag-4 record (a JSM matrix, a retired kind) appended to a valid
+   store: well-formed, it loads clean and is dropped, and the next flush
+   rewrites exactly the store it was appended to; damaged, it is a
+   salvage point like any other record. *)
+let test_retired_matrix_record () =
+  let ts = sample_traces () in
+  let matrix ~cells =
+    let b = Buffer.create 64 in
+    Buffer.add_char b '\004';
+    Buffer.add_string b (String.make 16 'n');
+    Difftrace_util.Varint.write b 0;
+    Difftrace_util.Varint.write b 2;
+    List.iter
+      (fun label ->
+        Difftrace_util.Varint.write b (String.length label);
+        Buffer.add_string b label;
+        Buffer.add_string b (String.make 16 'd'))
+      [ "0"; "1" ];
+    for _ = 1 to cells do
+      Buffer.add_int64_le b (Int64.bits_of_float 0.5)
+    done;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, payload, damaged) ->
+      let dir = make_store "retired" ts in
+      let victim = store_path dir in
+      let clean = read_file victim in
+      let image = Buffer.create 4096 in
+      Buffer.add_string image clean;
+      Difftrace_util.Framed.add_record image payload;
+      write_file victim (Buffer.contents image);
+      let c = get (Store.verify ~dir) in
+      Alcotest.(check bool) (name ^ ": verify") damaged (c.Store.c_damage <> None);
+      let st = get (Store.load ~dir) in
+      Alcotest.(check bool) (name ^ ": salvaged") damaged (Store.stats st).Store.salvaged;
+      Alcotest.(check bool) (name ^ ": analysis unaffected") true
+        (jsm_equal (Pipeline.analyze (config ()) ts).Pipeline.jsm
+           (Pipeline.analyze ~store:st (config ()) ts).Pipeline.jsm);
+      get (Store.flush st);
+      Alcotest.(check bool) (name ^ ": the flush drops it") true
+        (read_file victim = clean))
+    [ ("well-formed", matrix ~cells:3, false);
+      ("truncated cells", matrix ~cells:2, true) ]
+
 (* ------------------------------------------------------------------ *)
 (* Gc / eviction                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -298,11 +344,9 @@ let test_gc_and_eviction_accounting () =
   let s0 = Store.stats st in
   with_telemetry (fun () ->
       let before = Telemetry.Counter.value c_evictions in
-      let dropped = Store.gc ~keep:[ ("summaries", 1); ("matrices", 0) ] st in
+      let dropped = Store.gc ~keep:[ ("summaries", 1) ] st in
       Alcotest.(check int) "summaries dropped" (s0.Store.summaries - 1)
         (count "summaries" dropped);
-      Alcotest.(check int) "matrices dropped" s0.Store.matrices
-        (count "matrices" dropped);
       Alcotest.(check int) "store.evictions counted"
         (before + List.fold_left (fun n (_, d) -> n + d) 0 dropped)
         (Telemetry.Counter.value c_evictions));
@@ -310,23 +354,20 @@ let test_gc_and_eviction_accounting () =
   let st2 = get (Store.load ~dir) in
   let s1 = Store.stats st2 in
   Alcotest.(check int) "one summary survives on disk" 1 s1.Store.summaries;
-  Alcotest.(check int) "no matrices survive" 0 s1.Store.matrices;
   (* a gc'd store is still just a cache: analysis repopulates it *)
   let a = Pipeline.analyze ~store:st2 (config ()) ts in
   Alcotest.(check bool) "analysis unaffected" true
     (jsm_equal (Pipeline.analyze (config ()) ts).Pipeline.jsm a.Pipeline.jsm);
   get (Store.flush st2);
   let s2 = Store.stats (get (Store.load ~dir)) in
-  Alcotest.(check int) "matrix re-recorded" 1 s2.Store.matrices;
   Alcotest.(check int) "summaries repopulated" s0.Store.summaries
     s2.Store.summaries
 
 (* A sketch run over a store: cold it matches a storeless sketch run,
-   warm it answers from the cached matrix bit for bit, and the file
-   holds no tag-5 (MinHash signature) record — class signatures are
-   recomputed on every run, never persisted. *)
-let c_hits = Telemetry.Counter.make "store.hits"
-
+   warm it summarizes nothing and lands on the same matrix bit for bit,
+   and the file holds no tag-4 (matrix) or tag-5 (MinHash signature)
+   record — the JSM and the class signatures are recomputed on every
+   run, never persisted. *)
 let test_warm_sketch_bit_identical () =
   let ts = sample_traces () in
   let sketch_config = Config.with_mode Config.Sketch (config ()) in
@@ -341,15 +382,15 @@ let test_warm_sketch_bit_identical () =
       let warm = Pipeline.analyze ~store:(get (Store.load ~dir)) sketch_config ts in
       Alcotest.(check bool) "warm sketch JSM bit-identical" true
         (jsm_equal cold.Pipeline.jsm warm.Pipeline.jsm);
-      Alcotest.(check int) "served from the cached matrix" 1
-        (Telemetry.Counter.value c_hits));
+      Alcotest.(check int) "zero summarizations on the warm run" 0
+        (Telemetry.Counter.value c_summaries));
   let tags, damage =
     Difftrace_util.Framed.fold ~magic:"difftrace-store 1\n"
       (read_file (store_path dir)) ~init:[] ~f:(fun acc p ->
         Ok (Char.code p.[0] :: acc))
   in
   Alcotest.(check bool) "file intact" true (damage = None);
-  Alcotest.(check bool) "a sketch matrix was written" true (List.mem 4 tags);
+  Alcotest.(check bool) "no matrix record written" false (List.mem 4 tags);
   Alcotest.(check bool) "no signature record written" false (List.mem 5 tags)
 
 (* vdiff records age like every other kind: [flush] holds them to the
@@ -379,7 +420,7 @@ let test_vdiff_retention () =
     (Store.find_vdiff st ~key:(key 69) <> None)
 
 (* gc, stats and verify each report every kind of the table, in table
-   order, and agree on a store holding all three kinds *)
+   order, and agree on a store holding both kinds *)
 let test_kinds_agree () =
   let dir = tmpdir "kinds" in
   let st = get (Store.load ~dir) in
@@ -390,8 +431,8 @@ let test_kinds_agree () =
   get (Store.flush st);
   let st = get (Store.load ~dir) in
   let names = List.map (fun (name, _, _) -> name) Store.kinds in
-  Alcotest.(check (list string)) "the three kinds"
-    [ "summaries"; "matrices"; "vdiffs" ] names;
+  Alcotest.(check (list string)) "the two kinds" [ "summaries"; "vdiffs" ]
+    names;
   let s = Store.stats st in
   let c = get (Store.verify ~dir) in
   let dropped = Store.gc st in
@@ -401,7 +442,7 @@ let test_kinds_agree () =
     (List.map fst c.Store.c_kinds);
   Alcotest.(check (list string)) "gc names every kind" names
     (List.map fst dropped);
-  Alcotest.(check bool) "all three kinds present" true
+  Alcotest.(check bool) "both kinds present" true
     (List.for_all (fun (_, n) -> n > 0) s.Store.kinds);
   Alcotest.(check (list (pair string int))) "stats and verify agree"
     s.Store.kinds c.Store.c_kinds;
@@ -427,10 +468,10 @@ let test_gc_rejects_bad_caps () =
   let before = Store.stats st in
   Alcotest.check_raises "negative cap"
     (Invalid_argument "Store.gc: negative cap -1 for summaries") (fun () ->
-      ignore (Store.gc ~keep:[ ("matrices", 0); ("summaries", -1) ] st));
+      ignore (Store.gc ~keep:[ ("vdiffs", 0); ("summaries", -1) ] st));
   Alcotest.check_raises "unknown kind"
-    (Invalid_argument "Store.gc: unknown record kind bodies") (fun () ->
-      ignore (Store.gc ~keep:[ ("matrices", 0); ("bodies", 1) ] st));
+    (Invalid_argument "Store.gc: unknown record kind matrices") (fun () ->
+      ignore (Store.gc ~keep:[ ("vdiffs", 0); ("matrices", 1) ] st));
   Alcotest.(check bool) "nothing dropped" true (Store.stats st = before)
 
 (* ------------------------------------------------------------------ *)
@@ -446,8 +487,6 @@ let test_verify_clean_and_damaged () =
   Alcotest.(check bool) "no damage" true (c.Store.c_damage = None);
   Alcotest.(check int) "summary count agrees" s.Store.summaries
     (count "summaries" c.Store.c_kinds);
-  Alcotest.(check int) "matrix count agrees" s.Store.matrices
-    (count "matrices" c.Store.c_kinds);
   Alcotest.(check int) "symbol count agrees" s.Store.symbols c.Store.c_symbols;
   Alcotest.(check int) "byte count agrees" s.Store.file_bytes c.Store.c_bytes;
   (* damage the tail: verify must report it without adopting anything *)
@@ -492,7 +531,9 @@ let () =
           Alcotest.test_case "dir being a regular file is an error" `Quick
             test_dir_is_a_file;
           Alcotest.test_case "re-sealed loop count below 2 salvages" `Quick
-            test_short_loop_record_salvaged ] );
+            test_short_loop_record_salvaged;
+          Alcotest.test_case "retired matrix records drop or salvage" `Quick
+            test_retired_matrix_record ] );
       ( "gc",
         [ Alcotest.test_case "gc drops oldest and counts evictions" `Quick
             test_gc_and_eviction_accounting;
