@@ -32,10 +32,16 @@ campaign-smoke:
 # The same compare in sketch mode, cold then warm, must print the same
 # bytes, the warm run again without an nlr.summaries row.
 # Then store gc at the default caps runs the kind table's eviction over
-# the store, and the store must still verify. CI caches the directory
+# the store, and the store must still verify. The archive pass records
+# two 8-rank runs and analyzes them cold, then warm, against a fresh
+# store: the reports must be the same bytes, and the warm run must
+# decode at most two traces (parlot.traces.decoded: the diffNLR trace
+# of each run) and verify all 16 without decoding them
+# (parlot.traces.verified). CI caches the directory
 # across runs, so once the cache is primed even the first compare is
 # warm and gc works on a long-lived store; a store cached before JSM
 # matrices were retired is rewritten without them on its first flush.
+SSA = _build/store-smoke/archives
 store-smoke: build
 	mkdir -p _build/store-smoke
 	_build/default/bin/difftrace_cli.exe compare -w ilcs --np 6 \
@@ -59,6 +65,23 @@ store-smoke: build
 	! grep -q 'nlr.summaries' _build/store-smoke/sketch-warm.json
 	_build/default/bin/difftrace_cli.exe store gc -d _build/store-smoke/store
 	_build/default/bin/difftrace_cli.exe store verify -d _build/store-smoke/store
+	rm -rf $(SSA)
+	mkdir -p $(SSA)
+	_build/default/bin/difftrace_cli.exe record -w oddeven --np 8 \
+	  --out $(SSA)/normal > /dev/null
+	_build/default/bin/difftrace_cli.exe record -w oddeven --np 8 \
+	  -f 'swapBug(rank=3,after=2)' --out $(SSA)/faulty > /dev/null
+	for t in cold warm; do \
+	  _build/default/bin/difftrace_cli.exe analyze --normal $(SSA)/normal \
+	    --faulty $(SSA)/faulty --store $(SSA)/store \
+	    --profile-json $(SSA)/$$t.json > $(SSA)/$$t.txt || exit 1; \
+	done
+	cmp $(SSA)/cold.txt $(SSA)/warm.txt
+	count() { sed -n "s/.*\"$$1\",\"value\":\([0-9]*\).*/\1/p" $(SSA)/warm.json; }; \
+	decoded=$$(count parlot.traces.decoded); \
+	verified=$$(count parlot.traces.verified); \
+	echo "warm archive analyze: $${decoded:-0} decoded, $${verified:-0} verified"; \
+	test "$${decoded:-0}" -le 2 && test "$${verified:-0}" -eq 16
 
 # the serve smoke pass: boot a socket daemon, run one scripted client
 # transcript (record -> analyze -> compare -> shutdown), and check the

@@ -1205,8 +1205,9 @@ let store_cmd =
   let or_exit r = or_die Store.error_to_string r in
   let stats_cmd =
     let doc =
-      "Print what the store holds: NLR summaries, vdiff alignments (when \
-       there are any), shared-table sizes and the file size on disk."
+      "Print what the store holds: NLR summaries, trace sources and vdiff \
+       alignments (each of the last two when there are any), shared-table \
+       sizes and the file size on disk."
     in
     let action dir =
       let st = or_exit (Store.load ~dir) in
@@ -1216,8 +1217,10 @@ let store_cmd =
   in
   let gc_cmd =
     let doc =
-      "Evict the oldest cached entries beyond the retention caps and rewrite \
-       the store file."
+      "Evict the oldest cached entries beyond the retention caps (trace \
+       sources go with the summaries they name) and rewrite the store file; \
+       remove ingest-cache directories left half-written by a process that \
+       no longer runs."
     in
     (* one --keep-<kind> flag per record kind; [flush] re-applies the
        default caps, so a cap is taken only in 0..default *)
@@ -1238,7 +1241,10 @@ let store_cmd =
       let st = or_exit (Store.load ~dir) in
       let dropped = Store.gc ~keep st in
       or_exit (Store.flush st);
-      print_string (Store.render_evicted dropped)
+      print_string (Store.render_evicted dropped);
+      match Session.remove_orphan_ingests st with
+      | 0 -> ()
+      | n -> Printf.printf "removed %d orphaned ingest directories\n" n
     in
     Cmd.v (Cmd.info "gc" ~doc) Term.(const action $ dir_t $ keep_t)
   in

@@ -83,6 +83,9 @@ let add t key nlr = Hashtbl.replace t.cache key nlr
    the cache for rewriting. Keys are exposed as their raw digest bytes. *)
 let restore t ~key nlr = Hashtbl.replace t.cache key nlr
 
+let of_raw key = key
+let to_raw key = key
+
 let lookup t ~key = Hashtbl.find_opt t.cache key
 
 let fold t ~init ~f = Hashtbl.fold (fun key nlr acc -> f key nlr acc) t.cache init

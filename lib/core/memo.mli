@@ -64,6 +64,12 @@ val add : t -> key -> Difftrace_nlr.Nlr.t -> unit
     digest bytes) without touching the hit/miss counters. *)
 val restore : t -> key:string -> Difftrace_nlr.Nlr.t -> unit
 
+(** [of_raw key] / [to_raw key] — a key from / as its raw digest
+    bytes, the form {!Store} persists it in. *)
+val of_raw : string -> key
+
+val to_raw : key -> string
+
 (** [lookup t ~key] — the entry under the raw key, without hit/miss
     accounting. *)
 val lookup : t -> key:string -> Difftrace_nlr.Nlr.t option

@@ -31,33 +31,56 @@ let lookup_error_to_string e =
   Printf.sprintf "unknown trace label %S (known labels: %s)" e.unknown
     (String.concat ", " (Array.to_list e.known))
 
+type slot =
+  | Decoded of { trace : Trace.t; source : string option }
+  | Summarized of { header : Trace.t; key : Memo.key }
+
+type run = { run_symtab : Symtab.t; run_slots : slot array }
+
+let run_of_set ts =
+  { run_symtab = Trace_set.symtab ts;
+    run_slots =
+      Array.map (fun trace -> Decoded { trace; source = None }) (Trace_set.traces ts) }
+
+let slot_trace = function
+  | Decoded { trace; _ } -> trace
+  | Summarized { header; _ } -> header
+
+(* What the NLR stage gets of one trace: its filtered events, or the
+   memo key of a summary the caller found by the trace's source. *)
+type probe = Events of Event.t array | Known of Memo.key
+
 (* The call IDs of every trace, re-interned into the shared symbol
    table so that the normal and faulty runs (separate captures) agree
    on IDs — a precondition for sharing the loop table across the two
    runs. [map] sends an own ID to its shared one and is filled on first
    sight, so [Symtab.intern] sees each name once, in the order of a
-   per-event pass, and assigns the same IDs. *)
-let remap_calls ~shared ~own traces =
+   per-event pass, and assigns the same IDs. A [Known] trace is skipped:
+   its summary was made in these tables, so its names are interned
+   already. *)
+let remap_calls ~shared ~own probes =
   let map = Array.make (Symtab.size own) (-1) in
   Array.map
-    (fun (tr : Trace.t) ->
-      let calls =
-        Array.fold_left
-          (fun n -> function Event.Call _ -> n + 1 | Event.Return _ -> n)
-          0 tr.Trace.events
-      in
-      let ids = Array.make calls 0 in
-      let j = ref 0 in
-      Array.iter
-        (function
-          | Event.Call id ->
-            if map.(id) < 0 then map.(id) <- Symtab.intern shared (Symtab.name own id);
-            ids.(!j) <- map.(id);
-            incr j
-          | Event.Return _ -> ())
-        tr.Trace.events;
-      ids)
-    traces
+    (function
+      | Known _ -> [||]
+      | Events events ->
+        let calls =
+          Array.fold_left
+            (fun n -> function Event.Call _ -> n + 1 | Event.Return _ -> n)
+            0 events
+        in
+        let ids = Array.make calls 0 in
+        let j = ref 0 in
+        Array.iter
+          (function
+            | Event.Call id ->
+              if map.(id) < 0 then map.(id) <- Symtab.intern shared (Symtab.name own id);
+              ids.(!j) <- map.(id);
+              incr j
+            | Event.Return _ -> ())
+          events;
+        ids)
+    probes
 
 (* Summarize every trace, in three stages:
    1. key every trace and probe the memo cache (sequential);
@@ -71,19 +94,29 @@ let remap_calls ~shared ~own traces =
    a repeat takes its first copy's shared summary, which is what its
    own reduction and re-interning would have produced (they would add
    no body). The output is byte-identical across engines and to the
-   historical direct-interning implementation (see {!Nlr.reintern}). *)
-let summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts =
+   historical direct-interning implementation (see {!Nlr.reintern}).
+   A [Known] trace arrives keyed, and the memo holds its summary. *)
+let summarize_probes ~engine ?memo ~symtab ~table ~k ~repeats ~own probes =
   Span.with_ "summarize" @@ fun () ->
-  let idss = remap_calls ~shared:symtab ~own:(Trace_set.symtab ts) (Trace_set.traces ts) in
+  let idss = remap_calls ~shared:symtab ~own probes in
   let n = Array.length idss in
-  let keys = Array.map (fun ids -> Memo.key ~ids ~k ~repeats) idss in
-  (* first.(i): the lowest index whose ids equal trace i's *)
+  let keys =
+    Array.mapi
+      (fun i -> function
+        | Known key -> key
+        | Events _ -> Memo.key ~ids:idss.(i) ~k ~repeats)
+      probes
+  in
+  (* first.(i): the lowest index whose ids equal trace i's; a [Known]
+     trace shares by key alone, since the memo answers that key for
+     every trace that has it *)
+  let known i = match probes.(i) with Known _ -> true | Events _ -> false in
   let first = Array.init n Fun.id in
   let seen = Hashtbl.create n in
   Array.iteri
     (fun i key ->
       match Hashtbl.find_opt seen key with
-      | Some j when idss.(j) = idss.(i) -> first.(i) <- j
+      | Some j when known i || known j || idss.(j) = idss.(i) -> first.(i) <- j
       | Some _ -> () (* a digest collision: reduce it on its own *)
       | None -> Hashtbl.add seen key i)
     keys;
@@ -96,6 +129,7 @@ let summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts =
     Engine.init engine n (fun i ->
         match cached.(i) with
         | None when first.(i) = i ->
+          if known i then invalid_arg "Pipeline: a summarized trace the memo lacks";
           let local = Nlr.Loop_table.create () in
           Some (local, Nlr.of_ids ~table:local ~k ~repeats idss.(i))
         | _ -> None)
@@ -118,15 +152,21 @@ let summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts =
         Option.iter (fun m -> Memo.add m keys.(i) nlr) memo;
         nlr)
   done;
-  (summaries, first)
+  (summaries, first, keys)
 
 let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
-  fst (summarize_firsts ~engine ?memo ~symtab ~table ~k ~repeats ts)
+  let probes = Array.map (fun tr -> Events tr.Trace.events) (Trace_set.traces ts) in
+  let summaries, _, _ =
+    summarize_probes ~engine ?memo ~symtab ~table ~k ~repeats
+      ~own:(Trace_set.symtab ts) probes
+  in
+  summaries
 
 (* [tables] are the shared symbol and loop tables to intern into when
    there is no memo; a memo (the store's, when there is one) carries
-   its own. A store supplies only its memo. *)
-let analyze_into ~tables ?memo ?store (config : Config.t) ts =
+   its own. A store supplies only its memo, and files the summary key
+   of every decoded trace that names its source. *)
+let analyze_into ~tables ?memo ?store (config : Config.t) run =
   let memo =
     match store with
     | None -> memo
@@ -144,17 +184,34 @@ let analyze_into ~tables ?memo ?store (config : Config.t) ts =
   in
   Span.with_ "analyze" @@ fun () ->
   let engine = config.Config.engine in
-  let filtered = Span.with_ "filter" (fun () -> Filter.apply_set config.Config.filter ts) in
-  let traces = Trace_set.traces filtered in
+  let slots = run.run_slots in
+  let probes =
+    Span.with_ "filter" @@ fun () ->
+    let filter = Filter.compile config.Config.filter run.run_symtab in
+    Array.map
+      (function
+        | Decoded { trace; _ } -> Events (filter trace.Trace.events)
+        | Summarized { key; _ } -> Known key)
+      slots
+  in
+  let traces = Array.map slot_trace slots in
   Telemetry.Counter.add c_traces (Array.length traces);
   (* single-threaded runs are labeled "5", hybrid runs "5.0"/"5.4",
      matching the paper's tables *)
   let short = Array.for_all (fun tr -> tr.Trace.tid = 0) traces in
   let labels = Array.map (fun tr -> Trace.label ~short tr) traces in
-  let summaries, first =
-    summarize_firsts ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
-      ~repeats:config.Config.repeats filtered
+  let summaries, first, keys =
+    summarize_probes ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
+      ~repeats:config.Config.repeats ~own:run.run_symtab probes
   in
+  Option.iter
+    (fun st ->
+      Array.iteri
+        (fun i -> function
+          | Decoded { source = Some key; _ } -> Store.add_source st ~key keys.(i)
+          | _ -> ())
+        slots)
+    store;
   let nlrs =
     Array.mapi (fun i nlr -> (nlr, traces.(i).Trace.truncated)) summaries
   in
@@ -188,7 +245,7 @@ let analyze_into ~tables ?memo ?store (config : Config.t) ts =
 let fresh_tables () = (Symtab.create (), Nlr.Loop_table.create ())
 
 let analyze ?memo ?store config ts =
-  analyze_into ~tables:(fresh_tables ()) ?memo ?store config ts
+  analyze_into ~tables:(fresh_tables ()) ?memo ?store config (run_of_set ts)
 
 let index_of labels label =
   let found = ref None in
@@ -213,7 +270,7 @@ type comparison = {
   only_faulty : string list;
 }
 
-let compare_runs ?memo ?store (config : Config.t) ~normal ~faulty =
+let compare_slots ?memo ?store (config : Config.t) ~normal ~faulty =
   Span.with_ "compare_runs" @@ fun () ->
   (* without a memo, both runs still intern into one pair of tables,
      so their NLR element IDs mean the same thing *)
@@ -256,6 +313,10 @@ let compare_runs ?memo ?store (config : Config.t) ~normal ~faulty =
     suspects;
     only_normal = only 1 a_n.labels;
     only_faulty = only 2 a_f.labels }
+
+let compare_runs ?memo ?store config ~normal ~faulty =
+  compare_slots ?memo ?store config ~normal:(run_of_set normal)
+    ~faulty:(run_of_set faulty)
 
 let split_label l =
   match String.split_on_char '.' l with

@@ -12,7 +12,15 @@
     JSM — execute under the configuration's {!Engine.t}; parallel
     engines produce byte-identical results to the sequential one.
     Passing a {!Memo.t} additionally caches NLR summaries across calls,
-    which is what {!Ranking}'s grid sweep relies on. *)
+    which is what {!Ranking}'s grid sweep relies on.
+
+    A run reaches the pipeline as a {!run}: its traces in (pid, tid)
+    order, each either decoded or already summarized. {!analyze} and
+    {!compare_runs} take decoded trace sets; a store-backed
+    archive compare ({!Session.compare}) hands {!compare_slots} the
+    traces whose summaries its store found by source key
+    ({!Store.source_key}) as [Summarized], and those skip the filter,
+    the re-interning and {!Memo.key}. *)
 
 type analysis = {
   config : Config.t;
@@ -50,6 +58,26 @@ val summarize :
   repeats:int ->
   Difftrace_trace.Trace_set.t ->
   Difftrace_nlr.Nlr.t array
+
+(** One trace of a run. *)
+type slot =
+  | Decoded of { trace : Difftrace_trace.Trace.t; source : string option }
+      (** filtered, re-keyed and summarized (or found in the memo).
+          With [source] (a {!Store.source_key}) and a store, the
+          analysis files the summary's memo key under it. *)
+  | Summarized of { header : Difftrace_trace.Trace.t; key : Memo.key }
+      (** a trace whose summary the memo holds under [key]; [header]
+          carries its pid, tid and truncation flag, and no events *)
+
+(** A run: the symbol table of its decoded traces' IDs, and its traces
+    in (pid, tid) order. *)
+type run = { run_symtab : Difftrace_trace.Symtab.t; run_slots : slot array }
+
+(** [slot_trace s] — the decoded trace, or the summarized one's header. *)
+val slot_trace : slot -> Difftrace_trace.Trace.t
+
+(** [run_of_set ts] — every trace of [ts], [Decoded] without a source. *)
+val run_of_set : Difftrace_trace.Trace_set.t -> run
 
 (** [analyze ?memo ?store config ts] — without [memo], the analysis
     interns into fresh shared tables. When [memo] is given it provides
@@ -99,6 +127,21 @@ val compare_runs :
   Config.t ->
   normal:Difftrace_trace.Trace_set.t ->
   faulty:Difftrace_trace.Trace_set.t ->
+  comparison
+
+(** [compare_slots ?memo ?store config ~normal ~faulty] —
+    {!compare_runs} over {!run}s; [compare_runs] is [compare_slots]
+    over {!run_of_set}. A [Summarized] slot needs the memo (or the
+    store's) that holds its key, and yields exactly what decoding,
+    filtering and summarizing that trace would: its summary and its
+    place in the shared tables were fixed when the key was filed.
+    @raise Invalid_argument when the memo lacks a [Summarized] key. *)
+val compare_slots :
+  ?memo:Memo.t ->
+  ?store:Store.t ->
+  Config.t ->
+  normal:run ->
+  faulty:run ->
   comparison
 
 (** [top_processes ?limit c] — pids ranked by their most-changed

@@ -4,6 +4,7 @@
    so the one-shot CLI and the daemon cannot drift apart. *)
 
 module Archive = Difftrace_parlot.Archive
+module Trace = Difftrace_trace.Trace
 module Trace_set = Difftrace_trace.Trace_set
 module Runtime = Difftrace_simulator.Runtime
 module Progress = Difftrace_temporal.Progress
@@ -175,6 +176,33 @@ let save_entry ~dir ts =
   | Ok _ -> (
     rm_rf dir;
     try Sys.rename tmp dir with Sys_error _ -> rm_rf tmp)
+
+(* "<key>.tmp<pid>" -> pid: an entry [save_entry] was still writing *)
+let writer_pid name =
+  match Scanf.sscanf_opt name "%_[0-9a-f].tmp%u%!" Fun.id with
+  | Some pid when pid > 0 -> Some pid
+  | _ -> None
+
+(* signal 0 sends nothing; EPERM means the pid runs as another user *)
+let running pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+let remove_orphan_ingests st =
+  let dir = Filename.concat (Store.dir st) "ingest" in
+  match Sys.readdir dir with
+  | exception Sys_error _ -> 0
+  | names ->
+    Array.fold_left
+      (fun n name ->
+        match writer_pid name with
+        | Some pid when not (running pid) ->
+          rm_rf (Filename.concat dir name);
+          n + 1
+        | _ -> n)
+      0 names
 
 (* A lookup digests the file as it streams past, so a hit never holds
    the source on the heap. A miss reads the bytes, ingests them and
@@ -353,11 +381,130 @@ let render_suspects buf (c : Pipeline.comparison) =
         Buffer.add_string buf (Printf.sprintf "  %-6s %.3f\n" l s))
     c.Pipeline.suspects
 
+(* One side of a compare, as the pipeline takes it: the run, its
+   salvage outcomes, and [note_set label], the trace set
+   [Eventdb.divergence_note] reads for [label]. *)
+type prepared = {
+  pr_run : Pipeline.run;
+  pr_salvaged : Archive.salvage list;
+  pr_note_set : string -> (Trace_set.t, error) result;
+}
+
+let prepared_of_set (ts, salvaged) =
+  { pr_run = Pipeline.run_of_set ts;
+    pr_salvaged = salvaged;
+    pr_note_set = (fun _ -> Ok ts) }
+
+(* [save] writes threads in strict (pid, tid) order, the order of the
+   pipeline's runs; a manifest in any other order is loaded whole *)
+let strictly_sorted threads =
+  let ok = ref true in
+  for i = 1 to Array.length threads - 1 do
+    let a = threads.(i - 1) and b = threads.(i) in
+    if compare (a.Archive.th_pid, a.Archive.th_tid) (b.Archive.th_pid, b.Archive.th_tid) >= 0
+    then ok := false
+  done;
+  !ok
+
+(* A store-backed archive run: a thread whose source key the store
+   knows is checked, not decoded, and enters the run [Summarized]; the
+   rest are decoded, each with its source key when the manifest has a
+   digest, for the pipeline to file. The first damaged thread in
+   manifest order is the error, as for [Archive.load]. Only the one
+   trace the diffNLR footer names is decoded later, on demand. *)
+let prepare_indexed st config ~runner (ix : Archive.index) =
+  let symtab = Archive.index_symtab ix in
+  let threads = ix.Archive.ix_threads in
+  let source_key = Store.source_key config in
+  let plan =
+    Array.map
+      (fun (th : Archive.thread) ->
+        match th.Archive.th_digest with
+        | None -> `Decode None
+        | Some stream -> (
+          let key = source_key ~stream in
+          match Store.find_source st ~key with
+          | Some summary -> `Check summary
+          | None -> `Decode (Some key)))
+      threads
+  in
+  let slots =
+    runner.Difftrace_util.Runner.run (Array.length threads) (fun i ->
+        let th = threads.(i) in
+        match plan.(i) with
+        | `Check key ->
+          Result.map
+            (fun () ->
+              Pipeline.Summarized
+                { header =
+                    Trace.make ~pid:th.Archive.th_pid
+                      ~tid:th.Archive.th_tid ~truncated:th.Archive.th_truncated
+                      [||];
+                  key })
+            (Archive.check_thread ix th)
+        | `Decode source ->
+          Result.map
+            (fun trace -> Pipeline.Decoded { trace; source })
+            (Archive.decode_thread ix th))
+  in
+  match Array.find_map (function Error e -> Some e | Ok _ -> None) slots with
+  | Some e -> Error (Archive_failed e)
+  | None ->
+    let slots = Array.map Result.get_ok slots in
+    (* the first trace [label] names, as [Eventdb]'s lookup finds it *)
+    let note_set label =
+      let named slot =
+        let tr = Pipeline.slot_trace slot in
+        Trace.label ~short:true tr = label || Trace.label tr = label
+      in
+      let set traces = Trace_set.create symtab traces in
+      match Array.find_index named slots with
+      | None -> Ok (set [])
+      | Some i -> (
+        match slots.(i) with
+        | Pipeline.Decoded { trace; _ } -> Ok (set [ trace ])
+        | Pipeline.Summarized _ -> (
+          match Archive.decode_thread ix threads.(i) with
+          | Ok trace -> Ok (set [ trace ])
+          | Error e -> Error (Archive_failed e)))
+    in
+    Ok
+      { pr_run = { Pipeline.run_symtab = symtab; run_slots = slots };
+        pr_salvaged = [];
+        pr_note_set = note_set }
+
+(* A store-backed compare of an archive without salvage takes the
+   indexed path; everything else — storeless sessions, salvage, v1
+   archives and manifests without a single digest — loads the whole
+   run as [resolve] does. *)
+let prepare t config source =
+  let engine = config.Config.engine in
+  match (t.ses_store, source) with
+  | Some st, Archive { dir; salvage = false } ->
+    Telemetry.Span.with_ "archive.load" @@ fun () ->
+    let runner = Engine.runner engine in
+    let* ix =
+      Result.map_error (fun e -> Archive_failed e) (Archive.open_index ~dir)
+    in
+    let threads = ix.Archive.ix_threads in
+    if
+      ix.Archive.ix_version = 2
+      && Array.exists (fun th -> th.Archive.th_digest <> None) threads
+      && strictly_sorted threads
+    then prepare_indexed st config ~runner ix
+    else
+      Result.map
+        (fun l -> prepared_of_set (l.Archive.set, l.Archive.salvaged))
+        (Result.map_error
+           (fun e -> Archive_failed e)
+           (Archive.load_index ~runner ~salvage:false ix))
+  | _ -> Result.map prepared_of_set (resolve t ~engine source)
+
 (* the diffNLR section shared by the compare and analyze renderings;
    [Ok None] = the runs have no trace in common. The event-DB footer
    pins the suspect to a raw-event position so a ranked suspect is one
-   [difftrace query] away from its events. *)
-let diffnlr_section ~normal ~faulty (c : Pipeline.comparison) diffnlr =
+   [difftrace query] away from its events; [note label] renders it. *)
+let diffnlr_with ~note (c : Pipeline.comparison) diffnlr =
   match (diffnlr, c.Pipeline.suspects) with
   | None, [||] -> Ok None
   | _ -> (
@@ -366,29 +513,40 @@ let diffnlr_section ~normal ~faulty (c : Pipeline.comparison) diffnlr =
     in
     match Pipeline.find_diffnlr c target with
     | Ok d ->
-      let note =
-        Option.value ~default:""
-          (Eventdb.divergence_note ~normal ~faulty ~label:target)
-      in
+      let* note = note target in
       Ok
         (Some
            (Diffnlr.render ~title:(Printf.sprintf "diffNLR(%s)" target) d
-           ^ note))
+           ^ Option.value ~default:"" note))
     | Error e -> Error (Unknown_label e))
 
+let diffnlr_section ~normal ~faulty c diffnlr =
+  diffnlr_with c diffnlr ~note:(fun label ->
+      Ok (Eventdb.divergence_note ~normal ~faulty ~label))
+
 let compare_common ~style t config req =
-  let engine = config.Config.engine in
-  match resolve t ~engine req.cp_normal with
+  match prepare t config req.cp_normal with
   | Error e -> Error e
-  | Ok (normal, sv_n) -> (
-    match resolve t ~engine req.cp_faulty with
+  | Ok normal -> (
+    match prepare t config req.cp_faulty with
     | Error e -> Error e
-    | Ok (faulty, sv_f) -> (
-      let c = Pipeline.compare_runs ~memo:t.ses_memo config ~normal ~faulty in
-      match diffnlr_section ~normal ~faulty c req.cp_diffnlr with
+    | Ok faulty -> (
+      (* the store's memo is the session's; passing the store also
+         files the sources of the traces decoded here *)
+      let memo = if Option.is_none t.ses_store then Some t.ses_memo else None in
+      let c =
+        Pipeline.compare_slots ?memo ?store:t.ses_store config
+          ~normal:normal.pr_run ~faulty:faulty.pr_run
+      in
+      let note label =
+        let* n = normal.pr_note_set label in
+        let* f = faulty.pr_note_set label in
+        Ok (Eventdb.divergence_note ~normal:n ~faulty:f ~label)
+      in
+      match diffnlr_with ~note c req.cp_diffnlr with
       | Error e -> Error e
       | Ok diff -> (
-        let salvaged = sv_n @ sv_f in
+        let salvaged = normal.pr_salvaged @ faulty.pr_salvaged in
         let buf = Buffer.create 512 in
         (match style with
         | `Analyze -> Buffer.add_string buf (Archive.render_salvaged salvaged)

@@ -103,6 +103,14 @@ type source =
           ingested afresh and replaced ([frontend.cache_damaged]), never
           an error. Storeless sessions ingest every time. *)
 
+(** [remove_orphan_ingests store] — delete every
+    [<store>/ingest/<key>.tmp<pid>] directory whose writer [pid] no
+    longer runs on this host, and return how many went. A writer builds
+    an ingest-cache entry under that name and renames it into place, so
+    such a directory is what a process killed mid-write leaves behind;
+    one whose writer still runs is left alone. [store gc] calls it. *)
+val remove_orphan_ingests : Store.t -> int
+
 (** [resolve t ~engine source] — the trace set plus any salvage
     outcomes (always [[]] for [Traces]/[Run]/[Ingest]). Archive loads
     and frontend ingestion fan per-thread work over [engine]. *)
@@ -190,7 +198,18 @@ type compare_response = {
 }
 
 (** [compare t config req] — the relative-debugging loop; [cp_output]
-    is byte-identical to [difftrace compare]'s report. *)
+    is byte-identical to [difftrace compare]'s report.
+
+    With a store, an [Archive] source without [salvage] is not loaded
+    whole: each thread whose source key ({!Store.source_key} of its
+    manifest's stream digest) the store knows has its checksums
+    verified ({!Difftrace_parlot.Archive.check_thread}) and its summary
+    taken from the memo; the others are decoded, and the pipeline files
+    their sources. Only the trace the diffNLR footer names is then
+    decoded in each run. A damaged archive gives the error
+    [Archive.load] gives, and files no source. Without a store, with
+    [salvage], and for v1 archives or manifests without digests the
+    archive is loaded whole. *)
 val compare :
   t -> Config.t -> compare_request -> (compare_response, error) result
 

@@ -11,6 +11,11 @@ let c_crc_fail = Telemetry.Counter.make "store.crc_fail"
 let c_vdiff_hits = Telemetry.Counter.make "store.vdiff_hits"
 let c_vdiff_misses = Telemetry.Counter.make "store.vdiff_misses"
 
+(* trace sources whose summary was found by source key, so the trace
+   was verified instead of decoded, filtered and re-keyed *)
+let c_source_hits = Telemetry.Counter.make "store.source_hits"
+let c_source_misses = Telemetry.Counter.make "store.source_misses"
+
 let magic = "difftrace-store 1\n"
 let store_file = "analysis.store"
 
@@ -29,12 +34,17 @@ type vdiff_entry = {
   vd_cols : (string * int list) array;  (* (text, presence indices) *)
 }
 
+(* a trace source: the summary key its filtered, re-keyed events have
+   under this store's tables; stamped [max_int] until first written *)
+type source_entry = { mutable so_stamp : int; so_summary : string }
+
 type t = {
   dir : string;
   file : string;
   memo : Memo.t;
   stamps : (string, int) Hashtbl.t;  (* summary key -> stamp *)
   evicted : (string, unit) Hashtbl.t;  (* summary keys gc'd, skip at flush *)
+  sources : (string, source_entry) Hashtbl.t;  (* source key -> entry *)
   vdiffs : (string, vdiff_entry) Hashtbl.t;  (* run-set digest -> entry *)
   mutable next_stamp : int;
   mutable dirty : bool;
@@ -57,10 +67,11 @@ let note_stamp t s = if s >= t.next_stamp then t.next_stamp <- s + 1
 
    File = magic line, then {!Framed} records. Payload byte 0 is the
    type.
-   Write order is symbols, loop bodies, summaries, vdiffs, so every
-   reference points backwards and a salvaged prefix is
-   self-consistent. Vdiff records are standalone (they reference
-   nothing), and a store that never served a vdiff holds none.
+   Write order is symbols, loop bodies, summaries, sources, vdiffs, so
+   every reference points backwards and a salvaged prefix is
+   self-consistent. A source record names a summary written before it.
+   Vdiff records are standalone (they reference nothing), and a store
+   that never served a vdiff or a source holds none of either.
 
    Two kinds are retired. Tag 4 held a finished JSM, tag 5 a
    per-object MinHash signature; recomputing either from the attribute
@@ -75,6 +86,7 @@ let tag_summary = 3
 let tag_matrix = 4
 let tag_signature = 5
 let tag_vdiff = 6
+let tag_source = 7
 
 let payload_symbol name =
   let b = Buffer.create (1 + String.length name) in
@@ -95,6 +107,14 @@ let payload_summary ~key ~stamp (nlr : Nlr.t) =
   Varint.write b stamp;
   Varint.write b nlr.input_length;
   Nlr.write_elems b nlr.elems;
+  Buffer.contents b
+
+let payload_source ~key (e : source_entry) =
+  let b = Buffer.create 40 in
+  Buffer.add_char b (Char.chr tag_source);
+  Buffer.add_string b key;
+  Varint.write b e.so_stamp;
+  Buffer.add_string b e.so_summary;
   Buffer.contents b
 
 let payload_vdiff ~key (e : vdiff_entry) =
@@ -132,6 +152,7 @@ type raw =
   | Rbody of Nlr.elem array
   | Rsummary of { key : string; stamp : int; nlr : Nlr.t }
   | Rretired of int  (* a tag-4 or tag-5 record: decoded, checked, dropped *)
+  | Rsource of { key : string; entry : source_entry }
   | Rvdiff of { key : string; entry : vdiff_entry }
 
 let tag_of = function
@@ -139,11 +160,13 @@ let tag_of = function
   | Rbody _ -> tag_body
   | Rsummary _ -> tag_summary
   | Rretired tag -> tag
+  | Rsource _ -> tag_source
   | Rvdiff _ -> tag_vdiff
 
 (* [n_syms]/[n_bodies] are the table sizes accumulated from preceding
-   records of this load — the only IDs a well-formed record may cite *)
-let decode_payload ~n_syms ~n_bodies s =
+   records of this load — the only IDs a well-formed record may cite —
+   and [summarized] tells the summary keys read so far *)
+let decode_payload ~n_syms ~n_bodies ~summarized s =
   if String.length s = 0 then bad "empty payload";
   let len = String.length s in
   let tag = Char.code s.[0] in
@@ -187,6 +210,13 @@ let decode_payload ~n_syms ~n_bodies s =
       let k, pos = Varint.read s pos in
       if k > (len - pos) / 8 then bad "truncated signature rows";
       (Rretired tag_signature, pos + (8 * k))
+    end
+    else if tag = tag_source then begin
+      let key, pos = read_digest s 1 in
+      let stamp, pos = Varint.read s pos in
+      let summary, pos = read_digest s pos in
+      if not (summarized summary) then bad "source names an unknown summary";
+      (Rsource { key; entry = { so_stamp = stamp; so_summary = summary } }, pos)
     end
     else if tag = tag_vdiff then begin
       let key, pos = read_digest s 1 in
@@ -235,12 +265,17 @@ let decode_payload ~n_syms ~n_bodies s =
    the [damage] component. *)
 
 let scan image =
+  let summaries = Hashtbl.create 64 in
+  let summarized key = Hashtbl.mem summaries key in
   let (records, _, _), damage =
     Framed.fold ~magic image ~init:([], 0, 0)
       ~f:(fun (records, n_syms, n_bodies) payload ->
-        match decode_payload ~n_syms ~n_bodies payload with
+        match decode_payload ~n_syms ~n_bodies ~summarized payload with
         | Rsymbol _ as r -> Ok (r :: records, n_syms + 1, n_bodies)
         | Rbody _ as r -> Ok (r :: records, n_syms, n_bodies + 1)
+        | Rsummary { key; _ } as r ->
+          Hashtbl.replace summaries key ();
+          Ok (r :: records, n_syms, n_bodies)
         | r -> Ok (r :: records, n_syms, n_bodies)
         | exception (Bad_record reason | Nlr.Corrupt reason) -> Error reason)
   in
@@ -271,6 +306,9 @@ let adopt t records =
            Hashtbl.replace t.stamps key stamp;
            note_stamp t stamp
          | Rretired _ -> t.dirty <- true
+         | Rsource { key; entry } ->
+           Hashtbl.replace t.sources key entry;
+           note_stamp t entry.so_stamp
          | Rvdiff { key; entry } ->
            Hashtbl.replace t.vdiffs key entry;
            note_stamp t entry.vd_stamp)
@@ -289,6 +327,7 @@ let load ~dir =
         memo = Memo.create ();
         stamps = Hashtbl.create 64;
         evicted = Hashtbl.create 16;
+        sources = Hashtbl.create 64;
         vdiffs = Hashtbl.create 16;
         next_stamp = 0;
         dirty = false;
@@ -323,6 +362,40 @@ let load ~dir =
 let jsm _ ~config ~init ctx =
   Jsm.compute ?candidates:(Config.candidates config ctx) ~init ctx
 
+(* {2 Trace sources} *)
+
+(* a test override bumps it; see store.mli *)
+let source_derivation = ref "1"
+
+(* everything but the stream is computed once per partial application *)
+let source_key (config : Config.t) =
+  let part s = Printf.sprintf "%d:%s" (String.length s) s in
+  let prefix =
+    String.concat ""
+      [ "difftrace-source\n";
+        part !source_derivation;
+        part (Difftrace_filter.Filter.identity config.Config.filter);
+        Printf.sprintf "%d %d\n" config.Config.k config.Config.repeats ]
+  in
+  fun ~stream -> Digest.string (prefix ^ stream)
+
+let find_source t ~key =
+  match Hashtbl.find_opt t.sources key with
+  | Some e when Memo.lookup t.memo ~key:e.so_summary <> None ->
+    Telemetry.Counter.incr c_source_hits;
+    Some (Memo.of_raw e.so_summary)
+  | _ ->
+    Telemetry.Counter.incr c_source_misses;
+    None
+
+let add_source t ~key summary =
+  let summary = Memo.to_raw summary in
+  match Hashtbl.find_opt t.sources key with
+  | Some e when e.so_summary = summary -> ()
+  | _ ->
+    Hashtbl.replace t.sources key { so_stamp = max_int; so_summary = summary };
+    t.dirty <- true
+
 (* {2 Variational alignments} *)
 
 let find_vdiff t ~key =
@@ -345,10 +418,16 @@ let add_vdiff t ~key ~nruns cols =
    table. [entries] lists live [(stamp, key)] pairs in any order, one
    not yet persisted stamped [max_int]; [payload] renders a live key. *)
 
+type retention =
+  | Cap of int  (* the newest [n] stay; [flush] applies this cap *)
+  | Rides of (t -> string -> bool)
+      (* no cap of its own: an entry goes when this says the record it
+         names went *)
+
 type kind = {
   name : string;
   tag : int;
-  default_keep : int;  (* the retention cap [flush] applies *)
+  retention : retention;
   doc : string;  (* what one record holds, for help text *)
   listed_when_zero : bool;
   entries : t -> (int * string) list;
@@ -361,7 +440,7 @@ type kind = {
 let summaries =
   { name = "summaries";
     tag = tag_summary;
-    default_keep = 4096;
+    retention = Cap 4096;
     doc = "NLR summaries";
     listed_when_zero = true;
     entries =
@@ -384,11 +463,34 @@ let summaries =
         in
         payload_summary ~key ~stamp (Option.get (Memo.lookup t.memo ~key))) }
 
+(* a source rides its summary's cap: it goes when that summary goes.
+   A store that never served a source lists none. *)
+let sources =
+  { name = "sources";
+    tag = tag_source;
+    retention =
+      Rides
+        (fun t k ->
+          let summary = (Hashtbl.find t.sources k).so_summary in
+          Hashtbl.mem t.evicted summary
+          || Memo.lookup t.memo ~key:summary = None);
+    doc = "trace sources";
+    listed_when_zero = false;
+    entries =
+      (fun t ->
+        Hashtbl.fold (fun k e acc -> (e.so_stamp, k) :: acc) t.sources []);
+    drop = (fun t k -> Hashtbl.remove t.sources k);
+    payload =
+      (fun t k ->
+        let e = Hashtbl.find t.sources k in
+        if e.so_stamp = max_int then e.so_stamp <- fresh_stamp t;
+        payload_source ~key:k e) }
+
 (* a store that never served a vdiff lists none *)
 let vdiffs =
   { name = "vdiffs";
     tag = tag_vdiff;
-    default_keep = 64;
+    retention = Cap 64;
     doc = "variational alignments";
     listed_when_zero = false;
     entries =
@@ -400,9 +502,15 @@ let vdiffs =
 (* display order (gc results, stats, verify, the store gc flags) and
    write order, which is part of the format: every reference points
    backwards *)
-let kind_table = [ summaries; vdiffs ]
+let kind_table = [ summaries; sources; vdiffs ]
 
-let kinds = List.map (fun k -> (k.name, k.default_keep, k.doc)) kind_table
+let kinds =
+  List.filter_map
+    (fun k ->
+      match k.retention with
+      | Cap cap -> Some (k.name, cap, k.doc)
+      | Rides _ -> None)
+    kind_table
 
 (* oldest first: stamp order, key-tiebroken, so eviction and the
    rendered bytes are deterministic *)
@@ -417,22 +525,27 @@ let live t k =
 let gc ?(keep = []) t =
   List.iter
     (fun (name, cap) ->
-      if not (List.exists (fun k -> k.name = name) kind_table) then
+      if not (List.exists (fun (k, _, _) -> k = name) kinds) then
         invalid_arg ("Store.gc: unknown record kind " ^ name);
       if cap < 0 then
         invalid_arg
           (Printf.sprintf "Store.gc: negative cap %d for %s" cap name))
     keep;
+  (* in table order, so a riding kind sees what its owner dropped *)
   let dropped =
     List.map
       (fun k ->
         let entries = live t k in
-        let cap =
-          Option.value (List.assoc_opt k.name keep) ~default:k.default_keep
+        let doomed =
+          match k.retention with
+          | Rides gone -> List.filter (fun (_, key) -> gone t key) entries
+          | Cap default ->
+            let cap = Option.value (List.assoc_opt k.name keep) ~default in
+            let excess = List.length entries - cap in
+            List.filteri (fun i _ -> i < excess) entries
         in
-        let excess = List.length entries - cap in
-        List.iteri (fun i (_, key) -> if i < excess then k.drop t key) entries;
-        (k.name, max 0 excess))
+        List.iter (fun (_, key) -> k.drop t key) doomed;
+        (k.name, List.length doomed))
       kind_table
   in
   let n = List.fold_left (fun n (_, d) -> n + d) 0 dropped in

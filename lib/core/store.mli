@@ -3,10 +3,11 @@
     {!Memo} amortizes NLR summarization {e within} one process; every
     CLI invocation still starts cold. The store extends that across
     processes: a single on-disk file persists the memo's shared
-    symbol/loop tables and two evictable record kinds ({!kinds}), so
-    the second [difftrace compare] over the same corpus performs zero
+    symbol/loop tables and three record kinds, so the second
+    [difftrace compare] over the same corpus performs zero
     summarizations. It keeps only what is costly to recompute: NLR
-    summaries and variational alignments. A JSM is not stored; it costs
+    summaries, the trace sources that name them, and variational
+    alignments. A JSM is not stored; it costs
     one Jaccard per pair of attribute classes plus an n² lookup fill,
     which is less than decoding a stored one.
 
@@ -20,6 +21,15 @@
       IDs {e with respect to the store's own persisted symbol table},
       which the loader replays in creation order, so equal keys mean
       equal name sequences; there are no cross-workload collisions.
+    - A trace source maps a source key ({!source_key}: an archived
+      trace's stream digest, the filter identity, K, repeats and the
+      kind's derivation string) to the key of the summary that trace's
+      filtered events have in this store. A hit lets an archive-backed
+      compare verify the trace's checksums instead of decoding,
+      filtering and re-keying it. A source record names a summary
+      written before it (a record naming no summary read so far is
+      damage); it has no retention cap of its own and is evicted with
+      that summary. Stores that never served an archive hold none.
     - Two record kinds are retired: tag-4 JSM matrices and tag-5
       MinHash signatures. Stores written while they were persisted
       still hold such records; they decode and are checked like any
@@ -38,7 +48,8 @@
     salvages the valid prefix of a damaged file — or falls back to a
     cold store — instead of raising.
 
-    Telemetry: [store.vdiff_hits]/[store.vdiff_misses] (variational
+    Telemetry: [store.source_hits]/[store.source_misses] (trace source
+    lookups), [store.vdiff_hits]/[store.vdiff_misses] (variational
     alignment lookups), [store.evictions] (gc and flush caps),
     [store.crc_fail] (damaged files/records encountered). *)
 
@@ -82,9 +93,12 @@ val jsm :
     [store.evictions]. Creates [dir] if needed. *)
 val flush : t -> (unit, error) result
 
-(** The evictable record kinds — summaries, vdiffs — as
-    [(name, cap {!flush} applies, help text)], in the order
-    every per-kind list below follows. *)
+(** The record kinds with a retention cap of their own — summaries,
+    vdiffs — as [(name, cap {!flush} applies, help text)]; one
+    [store gc --keep-<name>] flag each. Sources ride their summary's
+    cap, so they have no entry here, but every per-kind list below
+    ({!stats}, {!gc}'s result, {!check}) names them, in the order
+    summaries, sources, vdiffs. *)
 val kinds : (string * int * string) list
 
 type stats = {
@@ -106,18 +120,49 @@ val stats : t -> stats
     line appears only when the count is non-zero. *)
 val render_stats : stats -> string
 
-(** [gc ?keep t] — per kind, drop all but the newest [n] entries, [n]
-    being the kind's cap in [keep] or else its default; ties resolve by
-    key. Returns the number dropped per kind, also counted into
+(** [gc ?keep t] — per capped kind ({!kinds}), drop all but the newest
+    [n] entries, [n] being the kind's cap in [keep] or else its
+    default; ties resolve by key. Then drop every source whose summary
+    went. Returns the number dropped per kind, also counted into
     [store.evictions]. Takes effect at the next {!flush}, which
     re-applies the default caps. Symbol/loop tables are never shrunk.
-    @raise Invalid_argument on an unknown kind or a negative cap,
-    before anything is dropped. *)
+    @raise Invalid_argument on a kind not in {!kinds} or a negative
+    cap, before anything is dropped. *)
 val gc : ?keep:(string * int) list -> t -> (string * int) list
 
 (** [store gc]'s line for {!gc}'s result; like the renders above, it
     names vdiffs only when their count is non-zero. *)
 val render_evicted : (string * int) list -> string
+
+(** {2 Trace sources} *)
+
+(** [source_key config ~stream] — the key of an archived trace whose
+    {!Difftrace_parlot.Archive.stream_digest} is [stream] (in hex, as
+    the manifest holds it), under
+    [config]'s filter ({!Difftrace_filter.Filter.identity}: custom
+    regexes included), K and repeats, and the sources kind's derivation
+    string. Equal keys mean equal filtered name sequences, hence one
+    summary. [source_key config] can be applied once per run: it
+    digests only the stream per trace. *)
+val source_key : Config.t -> stream:string -> string
+
+(** [find_source t ~key] — the memo key of the summary filed under
+    source [key], when the memo holds it; counts [store.source_hits] or
+    [store.source_misses]. *)
+val find_source : t -> key:string -> Memo.key option
+
+(** [add_source t ~key summary] — file [summary] (a key the memo holds)
+    under source [key]; persisted at the next {!flush}. *)
+val add_source : t -> key:string -> Memo.key -> unit
+
+(**/**)
+
+(** The sources kind's derivation string, folded into every
+    {!source_key}. Tests bump it to show that a changed derivation
+    turns every source record into a miss; nothing else writes it. *)
+val source_derivation : string ref
+
+(**/**)
 
 (** [find_vdiff t ~key] — the persisted variational alignment keyed by
     [key] (a digest over the aligned runs' element sequences, in run

@@ -144,11 +144,19 @@ let apply_with_table t table events =
     events;
   Difftrace_util.Vec.to_array out
 
-let apply t symtab events = apply_with_table t (keep_table t symtab) events
+let compile t symtab = apply_with_table t (keep_table t symtab)
+
+let apply t symtab events = compile t symtab events
 
 let apply_set t ts =
-  let table = keep_table t (Trace_set.symtab ts) in
-  Trace_set.map_events (fun tr -> apply_with_table t table tr.Trace.events) ts
+  let f = compile t (Trace_set.symtab ts) in
+  Trace_set.map_events (fun tr -> f tr.Trace.events) ts
+
+let identity t =
+  let part s = Printf.sprintf "%d:%s" (String.length s) s in
+  String.concat ""
+    (part (name t)
+    :: List.filter_map (function Custom re -> Some (part re) | _ -> None) t.keeps)
 
 let predefined =
   [ ("Primary", "Returns", "Filter out all returns");

@@ -61,6 +61,20 @@ val apply :
   Difftrace_trace.Event.t array ->
   Difftrace_trace.Event.t array
 
+(** [compile t symtab] — [apply t symtab] with the per-symbol keep
+    decisions made once, for filtering many traces over one symbol
+    table. *)
+val compile :
+  t ->
+  Difftrace_trace.Symtab.t ->
+  Difftrace_trace.Event.t array ->
+  Difftrace_trace.Event.t array
+
+(** [identity t] — {!name} with every custom regex spelled out, each
+    part length-prefixed: two filters with equal identities keep exactly
+    the same events of every trace. *)
+val identity : t -> string
+
 (** [apply_set t ts] — filter every trace of a set. *)
 val apply_set : t -> Difftrace_trace.Trace_set.t -> Difftrace_trace.Trace_set.t
 

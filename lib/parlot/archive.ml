@@ -7,6 +7,10 @@ let c_chunks = Telemetry.Counter.make "archive.chunks"
 let c_crc_fail = Telemetry.Counter.make "archive.crc_fail"
 let c_salvaged = Telemetry.Counter.make "archive.salvaged_events"
 
+(* trace files whose checksums were verified and whose events were not
+   decoded ({!check_thread}) *)
+let c_verified = Telemetry.Counter.make "parlot.traces.verified"
+
 type error = { err_path : string; err_reason : string }
 
 let error_to_string e =
@@ -99,6 +103,38 @@ let encode_trace (tr : Trace.t) =
     tr.Trace.events;
   Lzw.finish enc
 
+(* The MD5 of the events with their IDs renumbered in first-use order,
+   followed by the names in that order: two traces get the same digest
+   exactly when they make the same calls and returns by name, however
+   their symbol tables are ordered. The event count, each event (as
+   varint renumbered-ID * 2, plus 1 for a return) and each name are
+   length-prefixed or self-delimiting. *)
+let stream_digest symtab (tr : Trace.t) =
+  let events = tr.Trace.events in
+  let renum = Array.make (Symtab.size symtab) (-1) in
+  let names = Buffer.create 256 in
+  let used = ref 0 in
+  let b = Buffer.create (24 + (2 * Array.length events)) in
+  Buffer.add_string b "difftrace-stream 1\n";
+  Varint.write b (Array.length events);
+  Array.iter
+    (fun ev ->
+      let id = Event.id ev in
+      let ret = match ev with Event.Call _ -> 0 | Event.Return _ -> 1 in
+      if renum.(id) < 0 then begin
+        renum.(id) <- !used;
+        incr used;
+        let name = Symtab.name symtab id in
+        Varint.write names (String.length name);
+        Buffer.add_string names name
+      end;
+      let code = (renum.(id) lsl 1) lor ret in
+      if code < 0x80 then Buffer.add_char b (Char.unsafe_chr code)
+      else Varint.write b code)
+    events;
+  Buffer.add_buffer b names;
+  Digest.string (Buffer.contents b)
+
 let save ?(chunk_size = default_chunk_size) ~dir ts =
   if chunk_size < 1 then invalid_arg "Archive.save: chunk_size must be >= 1";
   Span.with_ "archive.save" @@ fun () ->
@@ -117,9 +153,10 @@ let save ?(chunk_size = default_chunk_size) ~dir ts =
   Array.iter
     (fun (tr : Trace.t) ->
       Buffer.add_string buf
-        (Printf.sprintf "thread %d %d %s %d\n" tr.Trace.pid tr.Trace.tid
+        (Printf.sprintf "thread %d %d %s %d %s\n" tr.Trace.pid tr.Trace.tid
            (if tr.Trace.truncated then "truncated" else "complete")
-           (Trace.length tr)))
+           (Trace.length tr)
+           (Digest.to_hex (stream_digest symtab tr))))
     traces;
   (* the v2 manifest is sealed with a CRC-32 footer over everything
      above it, so manifest corruption is detected, not misparsed *)
@@ -136,15 +173,61 @@ let save ?(chunk_size = default_chunk_size) ~dir ts =
 (* Manifest parsing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type manifest = {
-  m_version : int;
-  m_symbols : string list;
-  m_threads : (int * int * bool * int) list; (* pid, tid, truncated, len *)
+type thread = {
+  th_pid : int;
+  th_tid : int;
+  th_truncated : bool;
+  th_length : int;
+  th_digest : string option;
+}
+
+type index = {
+  ix_dir : string;
+  ix_version : int;
+  ix_symbols : string array;
+  ix_threads : thread array;
 }
 
 exception Bad of string
 
-let parse_manifest text =
+(* A decimal field as [save] writes it (an optional minus sign, then
+   digits), so the fields read as [Scanf]'s "%d" would read them. *)
+let decimal s =
+  let n = String.length s in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  if n > start && digits start then int_of_string_opt s else None
+
+(* "thread P T STATUS EVENTS[ DIGEST]", single-spaced as [save] writes
+   it; manifests written before the stream digest existed end at the
+   event count. The digest stays hex text: it only ever keys a lookup. *)
+let parse_thread line =
+  let fail msg = raise (Bad msg) in
+  let pid, tid, status, len, digest =
+    match String.split_on_char ' ' line with
+    | "thread" :: p :: t :: status :: n :: rest -> (
+      match (decimal p, decimal t, decimal n) with
+      | Some p, Some t, Some n -> (p, t, status, n, rest)
+      | _ -> fail "bad thread line")
+    | _ -> fail "bad thread line"
+  in
+  let truncated =
+    match status with
+    | "truncated" -> true
+    | "complete" -> false
+    | _ -> fail "bad thread status"
+  in
+  { th_pid = pid;
+    th_tid = tid;
+    th_truncated = truncated;
+    th_length = len;
+    th_digest =
+      (match digest with
+      | [] -> None
+      | [ d ] when String.length d = 32 -> Some d
+      | _ -> fail "bad thread digest") }
+
+let parse_manifest ~dir text =
   let fail msg = raise (Bad msg) in
   let version, body =
     if String.length text >= 20 && String.sub text 0 20 = "difftrace-archive 1\n"
@@ -192,51 +275,50 @@ let parse_manifest text =
       if n = 0 then List.rev acc
       else
         match rest with
-        | l :: rest ->
-          let pid, tid, status, len =
-            try Scanf.sscanf l "thread %d %d %s %d" (fun a b c d -> (a, b, c, d))
-            with _ -> fail "bad thread line"
-          in
-          let truncated =
-            match status with
-            | "truncated" -> true
-            | "complete" -> false
-            | _ -> fail "bad thread status"
-          in
-          read_threads (n - 1) rest ((pid, tid, truncated, len) :: acc)
+        | l :: rest -> read_threads (n - 1) rest (parse_thread l :: acc)
         | [] -> fail "truncated thread list"
     in
     let threads = read_threads nthreads rest [] in
-    { m_version = version; m_symbols = symbols; m_threads = threads }
+    { ix_dir = dir;
+      ix_version = version;
+      ix_symbols = Array.of_list symbols;
+      ix_threads = Array.of_list threads }
   | [] -> fail "bad magic"
 
 (* ------------------------------------------------------------------ *)
 (* Reading one trace file                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Outcome of scanning one trace file: chunk accounting plus the
-   decoder holding every event recovered before the first problem.
-   [sc_consumed] is the file offset just past the last fully validated
-   chunk — dropped bytes under salvage are measured from there. *)
+(* Outcome of scanning one trace file: chunk accounting plus, when the
+   scan decodes, the decoder holding every event recovered before the
+   first problem. [sc_consumed] is the file offset just past the last
+   fully validated chunk — dropped bytes under salvage are measured
+   from there. *)
 type scan = {
   sc_chunks : int;
   sc_bytes : int; (* validated payload bytes *)
   sc_consumed : int;
   sc_size : int;
   sc_issue : string option;
-  sc_stream : Tracer.stream;
+  sc_stream : Tracer.stream option; (* [None]: checksums only *)
 }
 
 let read_block_size = 65536
 
-(* Shared by load and verify; IO errors (missing file) are reported as
-   an issue, never an exception. [expect] is the manifest's event count,
-   passed to the decoder as a preallocation hint only: it is untrusted,
-   and {!Tracer.stream} clamps it. Chunks are read into one reused
-   buffer and fed as slices, so no chunk is copied into a fresh string;
-   the decoder keeps nothing of a slice once the feed returns, which is
-   what makes viewing the buffer as a string safe. *)
-let scan_trace ~version ~expect path =
+(* The one trace-file scanner, shared by load, verify and check; IO
+   errors (missing file) are reported as an issue, never an exception.
+   Without [decode] a v2 file is read and every chunk checksum and the
+   whole-stream checksum are verified, but no byte goes through the
+   decoder, so a CRC-valid file's event-level checks (stream
+   termination, the manifest's event count) are skipped; a v1 file has
+   no checksums, so its scan always decodes. [expect] is the manifest's
+   event count, passed to the decoder as a preallocation hint only: it
+   is untrusted, and {!Tracer.stream} clamps it. Chunks are read into
+   one reused buffer and fed as slices, so no chunk is copied into a
+   fresh string; the decoder keeps nothing of a slice once the feed
+   returns, which is what makes viewing the buffer as a string safe. *)
+let scan_trace ~version ~decode ~expect path =
+  let decode = decode || version = 1 in
   match open_in_bin path with
   | exception Sys_error m ->
     { sc_chunks = 0;
@@ -244,13 +326,19 @@ let scan_trace ~version ~expect path =
       sc_consumed = 0;
       sc_size = 0;
       sc_issue = Some ("cannot open trace file: " ^ m);
-      sc_stream = Tracer.stream () }
+      sc_stream = (if decode then Some (Tracer.stream ()) else None) }
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let size = in_channel_length ic in
-        let st = Tracer.stream ~expect () in
+        let st =
+          if decode then Some (Tracer.stream ~expect ()) else None
+        in
+        let feed data ~len =
+          Option.iter (fun st -> Tracer.stream_feed_sub st data ~pos:0 ~len) st
+        in
+        let complete () = Option.fold ~none:true ~some:Tracer.stream_complete st in
         let chunks = ref 0 in
         let bytes = ref 0 in
         let consumed = ref 0 in
@@ -264,16 +352,14 @@ let scan_trace ~version ~expect path =
              let rec go () =
                let n = input ic buf 0 read_block_size in
                if n > 0 then begin
-                 Tracer.stream_feed_sub st (Bytes.unsafe_to_string buf) ~pos:0
-                   ~len:n;
+                 feed (Bytes.unsafe_to_string buf) ~len:n;
                  bytes := !bytes + n;
                  consumed := pos_in ic;
                  go ()
                end
              in
              go ();
-             if not (Tracer.stream_complete st) then
-               set_issue "unterminated event stream"
+             if not (complete ()) then set_issue "unterminated event stream"
            with Invalid_argument m -> set_issue ("decode error: " ^ m))
         | _ ->
           let read_varint () =
@@ -304,7 +390,7 @@ let scan_trace ~version ~expect path =
                      consumed := pos_in ic;
                      if pos_in ic <> size then
                        set_issue "trailing garbage after terminator"
-                     else if not (Tracer.stream_complete st) then
+                     else if not (complete ()) then
                        set_issue "unterminated event stream"
                    end
                  end
@@ -325,7 +411,7 @@ let scan_trace ~version ~expect path =
                      Telemetry.Counter.incr c_chunks;
                      bytes := !bytes + len;
                      stream_crc := Crc32.update !stream_crc data ~pos:0 ~len;
-                     match Tracer.stream_feed_sub st data ~pos:0 ~len with
+                     match feed data ~len with
                      | () ->
                        consumed := pos_in ic;
                        loop ()
@@ -346,46 +432,60 @@ let scan_trace ~version ~expect path =
           sc_issue = !issue;
           sc_stream = st })
 
+let scan_thread ~decode ix th =
+  scan_trace ~version:ix.ix_version ~decode ~expect:th.th_length
+    (trace_file ix.ix_dir ~pid:th.th_pid ~tid:th.th_tid)
+
+let decoded_events sc = Option.fold ~none:0 ~some:Tracer.stream_events sc.sc_stream
+
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_manifest dir =
+let open_index ~dir =
   let path = manifest_file dir in
   match Framed.read_file path with
   | Error m -> Error { err_path = path; err_reason = "cannot read manifest: " ^ m }
   | Ok text -> (
-    match parse_manifest text with
-    | m -> Ok m
+    match parse_manifest ~dir text with
+    | ix -> Ok ix
     | exception Bad reason -> Error { err_path = path; err_reason = reason })
+
+let index_symtab ix =
+  let symtab = Symtab.create () in
+  Array.iter (fun name -> ignore (Symtab.intern symtab name)) ix.ix_symbols;
+  symtab
 
 type thread_outcome =
   | T_ok of Trace.t
   | T_salvaged of Trace.t * salvage
   | T_err of error
 
-let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
-  let path = trace_file dir ~pid ~tid in
-  let sc = scan_trace ~version ~expect:len path in
+let load_thread ~salvage ix th =
+  let { th_pid = pid; th_tid = tid; th_truncated = truncated; th_length = len; _ } =
+    th
+  in
+  let sc = scan_thread ~decode:true ix th in
+  let st = Option.get sc.sc_stream in
   let outcome =
     match sc.sc_issue with
     | Some reason -> Error reason
     | None ->
-      if Tracer.stream_events sc.sc_stream <> len then
+      if Tracer.stream_events st <> len then
         Error
           (Printf.sprintf "trace length mismatch (manifest %d, decoded %d)" len
-             (Tracer.stream_events sc.sc_stream))
+             (Tracer.stream_events st))
       else (
         (* a clean scan already verified completeness, but never let a
            decoder refusal escape as an exception *)
-        match Tracer.stream_finish sc.sc_stream ~pid ~tid ~truncated with
+        match Tracer.stream_finish st ~pid ~tid ~truncated with
         | tr -> Ok tr
         | exception Invalid_argument _ -> Error "incomplete event stream")
   in
   match outcome with
   | Ok tr -> T_ok tr
   | Error reason when salvage ->
-    let tr = Tracer.stream_salvage sc.sc_stream ~pid ~tid in
+    let tr = Tracer.stream_salvage st ~pid ~tid in
     Telemetry.Counter.add c_salvaged (Trace.length tr);
     T_salvaged
       ( tr,
@@ -394,44 +494,58 @@ let load_thread ~version ~salvage dir (pid, tid, truncated, len) =
           sv_events = Trace.length tr;
           sv_dropped_bytes = sc.sc_size - sc.sc_consumed;
           sv_reason = reason } )
-  | Error reason -> T_err { err_path = path; err_reason = reason }
+  | Error reason ->
+    T_err { err_path = trace_file ix.ix_dir ~pid ~tid; err_reason = reason }
 
-let load ?(runner = Runner.sequential) ?(salvage = false) ~dir () =
+let decode_thread ix th =
+  match load_thread ~salvage:false ix th with
+  | T_ok tr | T_salvaged (tr, _) -> Ok tr
+  | T_err e -> Error e
+
+let check_thread ix th =
+  let sc = scan_thread ~decode:false ix th in
+  match sc.sc_issue with
+  | Some reason ->
+    Error
+      { err_path = trace_file ix.ix_dir ~pid:th.th_pid ~tid:th.th_tid;
+        err_reason = reason }
+  | None ->
+    Telemetry.Counter.incr c_verified;
+    Ok ()
+
+let load_index ?(runner = Runner.sequential) ?(salvage = false) ix =
+  let outcomes =
+    runner.run (Array.length ix.ix_threads) (fun i ->
+        load_thread ~salvage ix ix.ix_threads.(i))
+  in
+  let err =
+    Array.fold_left
+      (fun acc o ->
+        match (acc, o) with Some _, _ -> acc | None, T_err e -> Some e | None, _ -> None)
+      None outcomes
+  in
+  match err with
+  | Some e -> Error e
+  | None ->
+    let traces =
+      Array.to_list
+        (Array.map
+           (function
+             | T_ok tr | T_salvaged (tr, _) -> tr | T_err _ -> assert false)
+           outcomes)
+    in
+    let salvaged =
+      Array.to_list outcomes
+      |> List.filter_map (function T_salvaged (_, s) -> Some s | _ -> None)
+    in
+    Ok
+      { set = Trace_set.create (index_symtab ix) traces;
+        version = ix.ix_version;
+        salvaged }
+
+let load ?runner ?salvage ~dir () =
   Span.with_ "archive.load" @@ fun () ->
-  match read_manifest dir with
-  | Error e -> Error e
-  | Ok m -> (
-    let symtab = Symtab.create () in
-    List.iter (fun name -> ignore (Symtab.intern symtab name)) m.m_symbols;
-    let threads = Array.of_list m.m_threads in
-    let outcomes =
-      runner.run (Array.length threads) (fun i ->
-          load_thread ~version:m.m_version ~salvage dir threads.(i))
-    in
-    let err =
-      Array.fold_left
-        (fun acc o ->
-          match (acc, o) with Some _, _ -> acc | None, T_err e -> Some e | None, _ -> None)
-        None outcomes
-    in
-    match err with
-    | Some e -> Error e
-    | None ->
-      let traces =
-        Array.to_list
-          (Array.map
-             (function
-               | T_ok tr | T_salvaged (tr, _) -> tr | T_err _ -> assert false)
-             outcomes)
-      in
-      let salvaged =
-        Array.to_list outcomes
-        |> List.filter_map (function T_salvaged (_, s) -> Some s | _ -> None)
-      in
-      Ok
-        { set = Trace_set.create symtab traces;
-          version = m.m_version;
-          salvaged })
+  Result.bind (open_index ~dir) (load_index ?runner ?salvage)
 
 (* ------------------------------------------------------------------ *)
 (* Verify / repair                                                     *)
@@ -439,28 +553,25 @@ let load ?(runner = Runner.sequential) ?(salvage = false) ~dir () =
 
 let verify ?(runner = Runner.sequential) ~dir () =
   Span.with_ "archive.verify" @@ fun () ->
-  match read_manifest dir with
+  match open_index ~dir with
   | Error e -> Error e
-  | Ok m ->
-    let threads = Array.of_list m.m_threads in
+  | Ok ix ->
     let checks =
-      runner.run (Array.length threads) (fun i ->
-          let pid, tid, _, len = threads.(i) in
-          let sc =
-            scan_trace ~version:m.m_version ~expect:len (trace_file dir ~pid ~tid)
-          in
-          let events = Tracer.stream_events sc.sc_stream in
+      runner.run (Array.length ix.ix_threads) (fun i ->
+          let th = ix.ix_threads.(i) in
+          let sc = scan_thread ~decode:true ix th in
+          let events = decoded_events sc in
           let issue =
             match sc.sc_issue with
             | Some _ as i -> i
-            | None when events <> len ->
+            | None when events <> th.th_length ->
               Some
                 (Printf.sprintf "trace length mismatch (manifest %d, decoded %d)"
-                   len events)
+                   th.th_length events)
             | None -> None
           in
-          { tc_pid = pid;
-            tc_tid = tid;
+          { tc_pid = th.th_pid;
+            tc_tid = th.th_tid;
             tc_chunks = sc.sc_chunks;
             tc_events = events;
             tc_bytes = sc.sc_bytes;
@@ -469,7 +580,7 @@ let verify ?(runner = Runner.sequential) ~dir () =
     let traces = Array.to_list checks in
     Ok
       { rp_dir = dir;
-        rp_version = m.m_version;
+        rp_version = ix.ix_version;
         rp_traces = traces;
         rp_ok = List.for_all (fun t -> t.tc_issue = None) traces }
 

@@ -19,7 +19,10 @@
                           carries the whole-stream CRC-32
     v}
     The footer line and the chunk records are
-    {!Difftrace_util.Framed}'s sealed text and framed records.
+    {!Difftrace_util.Framed}'s sealed text and framed records. A thread
+    line reads ["thread P T complete|truncated EVENTS DIGEST"]; the
+    trailing [DIGEST] ({!stream_digest}, 32 hex digits) is optional, and
+    manifests written before it existed end at the event count.
 
     Version 1 archives (bare LZW streams, no checksums) remain
     readable. Trace files are decoded incrementally — chunk by chunk
@@ -58,6 +61,14 @@ type loaded = {
   salvaged : salvage list;
 }
 
+(** [stream_digest symtab tr] — the MD5 of [tr]'s events with their IDs
+    renumbered in first-use order, followed by the names in that order.
+    Two traces have equal digests exactly when they make the same calls
+    and returns by name, whatever the order of their symbol tables, so
+    runs recorded with differently ordered tables still share digests.
+    {!save} writes it on each thread line. *)
+val stream_digest : Difftrace_trace.Symtab.t -> Difftrace_trace.Trace.t -> Digest.t
+
 (** [save ?chunk_size ~dir ts] writes a version 2 archive (creating
     [dir] and any missing parents) and returns the number of trace
     files written. Re-encodes each decoded trace with the streaming LZW
@@ -85,13 +96,78 @@ val save :
     With [salvage:true], each damaged trace file is recovered up to its
     last checksum-valid, cleanly-decoding point; the recovered trace is
     marked [truncated] and reported in [salvaged]. Only manifest-level
-    damage still yields [Error]. *)
+    damage still yields [Error].
+
+    [load] is {!open_index} followed by {!load_index}. *)
 val load :
   ?runner:Difftrace_util.Runner.t ->
   ?salvage:bool ->
   dir:string ->
   unit ->
   (loaded, error) result
+
+(** {1 Reading thread by thread}
+
+    A store-backed compare that already holds a trace's summary needs
+    its events only to know the trace is intact. It opens the index,
+    verifies the checksums of each trace it has summarized
+    ({!check_thread}) and decodes the rest ({!decode_thread}); {!load}
+    decodes every thread through the same scanner.
+
+    Trust model: the manifest and every chunk are CRC-checked, so a
+    trace's digest is trusted exactly as far as its events are. A
+    flipped, truncated or deleted byte anywhere in a v2 trace file fails
+    {!check_thread} with the error {!load} reports. What only a decode
+    can find — a CRC-valid file whose compressed stream is malformed or
+    whose event count disagrees with the manifest, which no {!save}
+    writes — goes unseen by a check. *)
+
+(** One thread line of a manifest. *)
+type thread = {
+  th_pid : int;
+  th_tid : int;
+  th_truncated : bool;
+  th_length : int;  (** the manifest's event count (untrusted) *)
+  th_digest : string option;
+      (** the {!stream_digest} {!save} recorded, as its 32 hex digits;
+          [None] in manifests written before the field existed *)
+}
+
+(** An opened archive: its parsed, checksum-verified manifest. *)
+type index = {
+  ix_dir : string;
+  ix_version : int;
+  ix_symbols : string array;  (** the archive's symbol table, in ID order *)
+  ix_threads : thread array;  (** in manifest order *)
+}
+
+(** [open_index ~dir] reads and checks the manifest only; its errors are
+    {!load}'s manifest errors. *)
+val open_index : dir:string -> (index, error) result
+
+(** [index_symtab ix] — a fresh symbol table holding [ix_symbols]. *)
+val index_symtab : index -> Difftrace_trace.Symtab.t
+
+(** [load_index ?runner ?salvage ix] — decode every thread of [ix];
+    [load ~dir] without the manifest read. *)
+val load_index :
+  ?runner:Difftrace_util.Runner.t ->
+  ?salvage:bool ->
+  index ->
+  (loaded, error) result
+
+(** [decode_thread ix th] — one thread as {!load} without salvage
+    decodes it (counting [parlot.traces.decoded]), or the error {!load}
+    would report for it. Its events are in [index_symtab ix]'s IDs. *)
+val decode_thread : index -> thread -> (Difftrace_trace.Trace.t, error) result
+
+(** [check_thread ix th] — read [th]'s file and verify every chunk
+    checksum and the whole-stream checksum without decoding a byte
+    (counting [parlot.traces.verified] on success). On damage the error
+    is the one {!load} reports for that file. A v1 file has no
+    checksums: its check decodes the stream and checks only that it
+    terminates. *)
+val check_thread : index -> thread -> (unit, error) result
 
 (** {1 Verification} *)
 

@@ -1,0 +1,428 @@
+(* Trace sources: a store-backed archive compare verifies, instead of
+   decoding, every trace whose summary its store already filed under the
+   trace's source key. Every case here holds that path against the full
+   one: the same report, B-score and suspects as a compare of the same
+   traces handed over in memory, the same archive error on damage, a
+   miss for every changed derivation or filter, and the full path for
+   manifests written before the stream digest existed. *)
+
+open Difftrace
+module F = Difftrace_filter.Filter
+module Prng = Difftrace_util.Prng
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let fresh_dir name =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) ("difftrace_sources_" ^ name)
+  in
+  rm_rf dir;
+  dir
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let copy_dir ~src ~dst =
+  rm_rf dst;
+  Sys.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      write_file (Filename.concat dst f) (read_file (Filename.concat src f)))
+    (Sys.readdir src)
+
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Session.error_to_string e)
+
+let store_of dir =
+  match Store.load ~dir with
+  | Ok st -> st
+  | Error e -> Alcotest.fail (Store.error_to_string e)
+
+(* counters only move while telemetry is enabled; always restore *)
+let with_telemetry f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect f ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+
+let counter name = Telemetry.Counter.value (Telemetry.Counter.make name)
+let decoded () = counter "parlot.traces.decoded"
+let verified () = counter "parlot.traces.verified"
+let source_hits () = counter "store.source_hits"
+let source_misses () = counter "store.source_misses"
+
+let sources st = List.assoc "sources" (Store.stats st).Store.kinds
+
+let archive_source dir = Session.Archive { dir; salvage = false }
+
+let request ~normal ~faulty =
+  { Session.cp_normal = normal; cp_faulty = faulty; cp_diffnlr = None }
+
+(* one compare or analyze through a fresh session over [store] (none:
+   storeless), flushed like a CLI invocation *)
+let run_compare ?store ~style config req =
+  let st = Option.map store_of store in
+  let s = Session.create ?store:st () in
+  let r =
+    (match style with `Compare -> Session.compare | `Analyze -> Session.analyze)
+      s config req
+  in
+  ignore (ok "flush" (Session.flush s));
+  (st, r)
+
+let same_answer what (a : Session.compare_response) (b : Session.compare_response) =
+  Alcotest.(check string) (what ^ ": report") a.Session.cp_output b.Session.cp_output;
+  Alcotest.(check bool) (what ^ ": B-score bits") true
+    (Int64.bits_of_float a.Session.cp_bscore
+    = Int64.bits_of_float b.Session.cp_bscore);
+  Alcotest.(check bool) (what ^ ": suspects") true
+    (a.Session.cp_suspects = b.Session.cp_suspects)
+
+let run_of name ~np ~seed fault =
+  match Workloads.Catalog.run name ~np ~seed ~fault with
+  | Some o -> o.Runtime.traces
+  | None -> Alcotest.failf "no workload %s" name
+
+let oddeven_pair () =
+  ( run_of "oddeven" ~np:8 ~seed:1 Fault.No_fault,
+    run_of "oddeven" ~np:8 ~seed:2 (Fault.Swap_send_recv { rank = 3; after_iter = 2 })
+  )
+
+(* the pair archived under [dir]/normal and [dir]/faulty *)
+let archive_pair dir (normal, faulty) =
+  Sys.mkdir dir 0o755;
+  let save name ts =
+    let d = Filename.concat dir name in
+    ignore (Archive.save ~dir:d ts);
+    d
+  in
+  (save "normal" normal, save "faulty" faulty)
+
+(* --- differential oracle ------------------------------------------------ *)
+
+(* small random runs with random faults: oddeven, heat and ilcs *)
+let random_case rng =
+  let pick l = List.nth l (Prng.int rng (List.length l)) in
+  let np = 3 + Prng.int rng 4 in
+  let rank = Prng.int rng np and after_iter = Prng.int rng 4 in
+  let name, fault =
+    match Prng.int rng 3 with
+    | 0 ->
+      ( "oddeven",
+        pick
+          [ Fault.Swap_send_recv { rank; after_iter };
+            Fault.Deadlock_recv { rank; after_iter };
+            Fault.No_fault ] )
+    | 1 ->
+      ( "heat",
+        pick
+          [ Fault.Swap_send_recv { rank; after_iter };
+            Fault.Wrong_collective_size { rank };
+            Fault.No_critical { rank; thread = 1 } ] )
+    | _ ->
+      ( "ilcs",
+        pick
+          [ Fault.No_critical { rank; thread = 1 };
+            Fault.Wrong_collective_size { rank };
+            Fault.Wrong_collective_op { rank } ] )
+  in
+  let seed = 1 + Prng.int rng 1000 in
+  let config =
+    if name = "oddeven" then Config.default
+    else Config.make ~filter:(F.of_spec "11.mpiall.ompall") ()
+  in
+  ( Printf.sprintf "%s np=%d seed=%d %s" name np seed (Fault.to_string fault),
+    config,
+    (run_of name ~np ~seed Fault.No_fault, run_of name ~np ~seed:(seed + 1) fault) )
+
+let distinct_streams sets =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun ts ->
+      Array.iter
+        (fun tr -> Hashtbl.replace seen (Archive.stream_digest (Trace_set.symtab ts) tr) ())
+        (Trace_set.traces ts))
+    sets;
+  Hashtbl.length seen
+
+(* The same request twice per temperature, once with archive sources
+   (the indexed path) on one copy of a store and once with in-memory
+   sources (the full path) on another: equal answers cold and warm,
+   and a warm repeat decodes at most the one diffNLR trace per run. *)
+let test_oracle () =
+  let rng = Prng.create 29 in
+  let root = fresh_dir "oracle" in
+  Sys.mkdir root 0o755;
+  for case = 0 to 5 do
+    let what, config, ((normal, faulty) as pair) = random_case rng in
+    let dir = Filename.concat root (string_of_int case) in
+    let n_dir, f_dir = archive_pair dir pair in
+    let via_archive = Filename.concat dir "store-archive"
+    and via_traces = Filename.concat dir "store-traces" in
+    let style = if case mod 2 = 0 then `Compare else `Analyze in
+    let storeless =
+      ok what
+        (snd
+           (run_compare ~style config
+              (request ~normal:(Session.Traces normal) ~faulty:(Session.Traces faulty))))
+    in
+    List.iter
+      (fun temperature ->
+        let what = Printf.sprintf "%s, %s" what temperature in
+        with_telemetry @@ fun () ->
+        let st, a =
+          run_compare ~store:via_archive ~style config
+            (request ~normal:(archive_source n_dir) ~faulty:(archive_source f_dir))
+        in
+        let a = ok what a in
+        let decodes = decoded () in
+        let _, b =
+          run_compare ~store:via_traces ~style config
+            (request ~normal:(Session.Traces normal) ~faulty:(Session.Traces faulty))
+        in
+        same_answer what a (ok what b);
+        let traces = Trace_set.cardinal normal + Trace_set.cardinal faulty in
+        Alcotest.(check int) (what ^ ": one source per distinct stream")
+          (distinct_streams [ normal; faulty ])
+          (sources (Option.get st));
+        if temperature = "warm" then begin
+          Alcotest.(check bool) (what ^ ": at most one decode per run") true
+            (decodes <= 2);
+          Alcotest.(check int) (what ^ ": every trace verified") traces
+            (verified ());
+          Alcotest.(check int) (what ^ ": every source a hit") traces
+            (source_hits ())
+        end)
+      [ "cold"; "warm" ];
+    (* loop labels depend on what the store saw before, so the storeless
+       answer matches in everything but those *)
+    let _, warm =
+      run_compare ~store:via_archive ~style config
+        (request ~normal:(archive_source n_dir) ~faulty:(archive_source f_dir))
+    in
+    let warm = ok what warm in
+    Alcotest.(check bool) (what ^ ": storeless B-score") true
+      (storeless.Session.cp_bscore = warm.Session.cp_bscore
+      && storeless.Session.cp_suspects = warm.Session.cp_suspects)
+  done
+
+(* two filters that differ only in a custom regex never share a source *)
+let test_custom_regex_keys () =
+  let root = fresh_dir "regex" in
+  let n_dir, f_dir = archive_pair root (oddeven_pair ()) in
+  let store = Filename.concat root "store" in
+  let config re = Config.make ~filter:(F.of_spec ~custom:[ re ] "11.cust") () in
+  let req = request ~normal:(archive_source n_dir) ~faulty:(archive_source f_dir) in
+  List.iter
+    (fun re ->
+      with_telemetry @@ fun () ->
+      let _, warm = run_compare ~store ~style:`Compare (config re) req in
+      let _, cold = run_compare ~style:`Compare (config re) req in
+      Alcotest.(check int) (re ^ ": no source shared") 0 (source_hits ());
+      Alcotest.(check int) (re ^ ": every trace decoded, twice") 32 (decoded ());
+      Alcotest.(check bool) (re ^ ": storeless answer") true
+        ((ok re warm).Session.cp_bscore = (ok re cold).Session.cp_bscore))
+    [ "MPI_S.*"; "MPI_R.*" ];
+  let st = store_of store in
+  let normal, faulty = oddeven_pair () in
+  Alcotest.(check int) "a source per stream and filter"
+    (2 * distinct_streams [ normal; faulty ])
+    (sources st);
+  Alcotest.(check bool) "distinct keys" true
+    (Store.source_key (config "a") ~stream:"s"
+    <> Store.source_key (config "b") ~stream:"s")
+
+(* bumping the sources kind's derivation turns exactly the source
+   records into misses: every summary still comes from the memo, and
+   the answer is the cold one *)
+let test_derivation_bump () =
+  let root = fresh_dir "derivation" in
+  let n_dir, f_dir = archive_pair root (oddeven_pair ()) in
+  let store = Filename.concat root "store" in
+  let req = request ~normal:(archive_source n_dir) ~faulty:(archive_source f_dir) in
+  let cold = ok "cold" (snd (run_compare ~store ~style:`Compare Config.default req)) in
+  let saved = !Store.source_derivation in
+  Fun.protect
+    ~finally:(fun () -> Store.source_derivation := saved)
+    (fun () ->
+      Store.source_derivation := saved ^ "+bumped";
+      with_telemetry @@ fun () ->
+      let bumped = ok "bumped" (snd (run_compare ~store ~style:`Compare Config.default req)) in
+      same_answer "bumped" cold bumped;
+      Alcotest.(check int) "no source hit" 0 (source_hits ());
+      Alcotest.(check int) "every source a miss" 16 (source_misses ());
+      Alcotest.(check int) "no summary recomputed" 0 (counter "nlr.summaries");
+      Alcotest.(check int) "every summary a memo hit" 16 (counter "memo.hits");
+      Alcotest.(check int) "every trace decoded" 16 (decoded ()));
+  with_telemetry @@ fun () ->
+  let again = ok "again" (snd (run_compare ~store ~style:`Compare Config.default req)) in
+  same_answer "restored" cold again;
+  Alcotest.(check int) "the old records hit again" 16 (source_hits ())
+
+(* --- damage parity -------------------------------------------------------- *)
+
+let flip_byte path pos =
+  let s = Bytes.of_string (read_file path) in
+  Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x10));
+  write_file path (Bytes.to_string s)
+
+(* a different hex digit in the first thread line's digest *)
+let flip_digest_char path =
+  let s = read_file path in
+  let rec find i =
+    if String.sub s i 8 = "\nthread " then i + 1 else find (i + 1)
+  in
+  let eol = String.index_from s (find 0) '\n' in
+  let pos = eol - 1 in
+  let c = if s.[pos] = '0' then '1' else '0' in
+  write_file path (String.mapi (fun i x -> if i = pos then c else x) s)
+
+(* Every damage a storeless compare refuses, a warm store-backed one
+   refuses with the same error, adding no source entry. *)
+let test_damage_parity () =
+  let root = fresh_dir "damage" in
+  Sys.mkdir root 0o755;
+  let n_dir, f_dir = archive_pair (Filename.concat root "pristine") (oddeven_pair ()) in
+  let store = Filename.concat root "store" in
+  let req n f = request ~normal:(archive_source n) ~faulty:(archive_source f) in
+  ignore (ok "warm-up" (snd (run_compare ~store ~style:`Analyze Config.default (req n_dir f_dir))));
+  let store_bytes = read_file (Filename.concat store "analysis.store") in
+  let filed = sources (store_of store) in
+  (* not a suspect of the swapBug at rank 3, so the only read of its
+     file in a warm analyze is the checksum check *)
+  let trace dir = Archive.trace_file dir ~pid:6 ~tid:0 in
+  let cases =
+    [ ("flipped chunk byte", fun dir ->
+          let p = trace dir in
+          flip_byte p (String.length (read_file p) / 2));
+      ("truncated trace file", fun dir ->
+          let p = trace dir in
+          let s = read_file p in
+          write_file p (String.sub s 0 (String.length s - 3)));
+      ("deleted trace file", fun dir -> Sys.remove (trace dir));
+      ("flipped manifest digest character", fun dir ->
+          flip_digest_char (Archive.manifest_file dir)) ]
+  in
+  List.iter
+    (fun (what, damage) ->
+      let dir = Filename.concat root "damaged" in
+      copy_dir ~src:f_dir ~dst:dir;
+      damage dir;
+      let expect =
+        match snd (run_compare ~style:`Analyze Config.default (req n_dir dir)) with
+        | Error e -> e
+        | Ok _ -> Alcotest.failf "%s: a storeless analyze accepted it" what
+      in
+      with_telemetry @@ fun () ->
+      let st, warm = run_compare ~store ~style:`Analyze Config.default (req n_dir dir) in
+      (match warm with
+      | Ok _ -> Alcotest.failf "%s: a warm analyze accepted it" what
+      | Error e ->
+        Alcotest.(check string) (what ^ ": error kind") (Session.error_kind expect)
+          (Session.error_kind e);
+        Alcotest.(check string) (what ^ ": error text")
+          (Session.error_to_string expect) (Session.error_to_string e));
+      Alcotest.(check bool) (what ^ ": the intact run was verified") true
+        (source_hits () >= 8);
+      Alcotest.(check int) (what ^ ": no source added") filed (sources (Option.get st));
+      Alcotest.(check bool) (what ^ ": the store file is untouched") true
+        (read_file (Filename.concat store "analysis.store") = store_bytes))
+    cases
+
+(* --- archives written before the stream digest ------------------------- *)
+
+let fixture name = Filename.concat (Filename.concat "fixtures" "v2_nodigest") name
+
+(* A parent-written v2 archive pair without digests: it loads, a
+   store-backed analyze decodes every trace cold and warm and files no
+   source, and the reports equal the storeless one and that of the same
+   traces re-saved with digests. *)
+let test_nodigest_fixture () =
+  let n_dir = fixture "normal" and f_dir = fixture "faulty" in
+  let loaded dir =
+    match Archive.load ~dir () with
+    | Ok l -> l
+    | Error e -> Alcotest.fail (Archive.error_to_string e)
+  in
+  List.iter
+    (fun dir ->
+      let l = loaded dir in
+      Alcotest.(check int) (dir ^ ": v2") 2 l.Archive.version;
+      Alcotest.(check int) (dir ^ ": traces") 4 (Trace_set.cardinal l.Archive.set);
+      match Archive.open_index ~dir with
+      | Ok ix ->
+        Alcotest.(check bool) (dir ^ ": no digest") true
+          (Array.for_all (fun th -> th.Archive.th_digest = None) ix.Archive.ix_threads)
+      | Error e -> Alcotest.fail (Archive.error_to_string e))
+    [ n_dir; f_dir ];
+  let root = fresh_dir "nodigest" in
+  Sys.mkdir root 0o755;
+  let store = Filename.concat root "store" in
+  let req n f = request ~normal:(archive_source n) ~faulty:(archive_source f) in
+  let storeless = ok "storeless" (snd (run_compare ~style:`Analyze Config.default (req n_dir f_dir))) in
+  List.iter
+    (fun temperature ->
+      with_telemetry @@ fun () ->
+      let st, r = run_compare ~store ~style:`Analyze Config.default (req n_dir f_dir) in
+      same_answer temperature storeless (ok temperature r);
+      Alcotest.(check int) (temperature ^ ": every trace decoded") 8 (decoded ());
+      Alcotest.(check int) (temperature ^ ": nothing verified only") 0 (verified ());
+      Alcotest.(check int) (temperature ^ ": no source") 0 (sources (Option.get st)))
+    [ "cold"; "warm" ];
+  let resaved = archive_pair (Filename.concat root "resaved")
+      ((loaded n_dir).Archive.set, (loaded f_dir).Archive.set)
+  in
+  let r = ok "resaved" (snd (run_compare ~style:`Analyze Config.default (req (fst resaved) (snd resaved)))) in
+  same_answer "re-saved with digests" storeless r
+
+(* --- stream digest ------------------------------------------------------ *)
+
+(* the digest names the stream, not its symbol table's order *)
+let test_digest_ignores_symtab_order () =
+  let events names = List.map (fun n -> `C n) names in
+  let build order stream =
+    let symtab = Symtab.create () in
+    List.iter (fun n -> ignore (Symtab.intern symtab n)) order;
+    let evs =
+      Array.of_list
+        (List.map (function `C n -> Event.Call (Symtab.intern symtab n)) stream)
+    in
+    Archive.stream_digest symtab (Trace.make ~pid:0 ~tid:0 ~truncated:false evs)
+  in
+  let s = events [ "MPI_Init"; "f"; "MPI_Send"; "f"; "MPI_Finalize" ] in
+  let a = build [ "MPI_Init"; "f"; "MPI_Send"; "MPI_Finalize" ] s in
+  let b = build [ "MPI_Finalize"; "MPI_Send"; "zzz"; "f"; "MPI_Init" ] s in
+  Alcotest.(check string) "reordered table, same digest" (Digest.to_hex a) (Digest.to_hex b);
+  let c = build [] (events [ "MPI_Init"; "g"; "MPI_Send"; "g"; "MPI_Finalize" ]) in
+  Alcotest.(check bool) "renamed call, other digest" true (a <> c);
+  let d = build [] (events [ "MPI_Init"; "f"; "MPI_Send"; "MPI_Finalize"; "f" ]) in
+  Alcotest.(check bool) "reordered calls, other digest" true (a <> d)
+
+let () =
+  Alcotest.run "sources"
+    [ ( "digest",
+        [ Alcotest.test_case "independent of symbol-table order" `Quick
+            test_digest_ignores_symtab_order ] );
+      ( "oracle",
+        [ Alcotest.test_case "archive = in-memory sources, cold and warm" `Quick
+            test_oracle;
+          Alcotest.test_case "custom regexes never share a source" `Quick
+            test_custom_regex_keys;
+          Alcotest.test_case "a bumped derivation misses only sources" `Quick
+            test_derivation_bump ] );
+      ( "damage",
+        [ Alcotest.test_case "warm errors equal storeless ones" `Quick
+            test_damage_parity ] );
+      ( "old archives",
+        [ Alcotest.test_case "v2 without digests decodes in full" `Quick
+            test_nodigest_fixture ] ) ]

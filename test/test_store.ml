@@ -419,8 +419,46 @@ let test_vdiff_retention () =
   Alcotest.(check bool) "and it is the newest" true
     (Store.find_vdiff st ~key:(key 69) <> None)
 
+(* a source record appended after the summaries: naming one of them it
+   is adopted, naming no summary of the file it is damage, salvaged *)
+let test_source_reference () =
+  let ts = sample_traces () in
+  let source ~summary =
+    let b = Buffer.create 40 in
+    Buffer.add_char b '\007';
+    Buffer.add_string b (String.make 16 's');
+    Difftrace_util.Varint.write b 0;
+    Buffer.add_string b summary;
+    Buffer.contents b
+  in
+  let known dir =
+    Option.get
+      (Memo.fold (Store.memo (get (Store.load ~dir))) ~init:None ~f:(fun key _ _ ->
+           Some key))
+  in
+  List.iter
+    (fun (name, summary_of, damaged) ->
+      let dir = make_store "source_ref" ts in
+      let summary = summary_of dir in
+      let victim = store_path dir in
+      let image = Buffer.create 4096 in
+      Buffer.add_string image (read_file victim);
+      Difftrace_util.Framed.add_record image (source ~summary);
+      write_file victim (Buffer.contents image);
+      let c = get (Store.verify ~dir) in
+      Alcotest.(check bool) (name ^ ": verify") damaged (c.Store.c_damage <> None);
+      let st = get (Store.load ~dir) in
+      Alcotest.(check bool) (name ^ ": salvaged") damaged (Store.stats st).Store.salvaged;
+      Alcotest.(check int) (name ^ ": sources adopted") (if damaged then 0 else 1)
+        (count "sources" (Store.stats st).Store.kinds);
+      Alcotest.(check bool) (name ^ ": lookup") (not damaged)
+        (Store.find_source st ~key:(String.make 16 's') = Some (Memo.of_raw summary)))
+    [ ("names a summary", known, false);
+      ("names no summary", (fun _ -> String.make 16 'x'), true) ]
+
 (* gc, stats and verify each report every kind of the table, in table
-   order, and agree on a store holding both kinds *)
+   order, and agree on a store holding all three kinds; only the two
+   kinds with a cap of their own have one *)
 let test_kinds_agree () =
   let dir = tmpdir "kinds" in
   let st = get (Store.load ~dir) in
@@ -428,26 +466,104 @@ let test_kinds_agree () =
   ignore (Pipeline.analyze ~store:st sketch (sample_traces ()));
   Store.add_vdiff st ~key:(Digest.string "kinds") ~nruns:2
     [| ("MPI_Init", [ 0; 1 ]) |];
+  let summary =
+    Memo.fold (Store.memo st) ~init:None ~f:(fun key _ _ -> Some key)
+  in
+  Store.add_source st ~key:(Digest.string "kinds source")
+    (Memo.of_raw (Option.get summary));
   get (Store.flush st);
   let st = get (Store.load ~dir) in
   let names = List.map (fun (name, _, _) -> name) Store.kinds in
-  Alcotest.(check (list string)) "the two kinds" [ "summaries"; "vdiffs" ]
+  Alcotest.(check (list string)) "the two capped kinds" [ "summaries"; "vdiffs" ]
     names;
+  let all = [ "summaries"; "sources"; "vdiffs" ] in
   let s = Store.stats st in
   let c = get (Store.verify ~dir) in
   let dropped = Store.gc st in
-  Alcotest.(check (list string)) "stats names every kind" names
+  Alcotest.(check (list string)) "stats names every kind" all
     (List.map fst s.Store.kinds);
-  Alcotest.(check (list string)) "verify names every kind" names
+  Alcotest.(check (list string)) "verify names every kind" all
     (List.map fst c.Store.c_kinds);
-  Alcotest.(check (list string)) "gc names every kind" names
+  Alcotest.(check (list string)) "gc names every kind" all
     (List.map fst dropped);
-  Alcotest.(check bool) "both kinds present" true
+  Alcotest.(check bool) "every kind present" true
     (List.for_all (fun (_, n) -> n > 0) s.Store.kinds);
   Alcotest.(check (list (pair string int))) "stats and verify agree"
     s.Store.kinds c.Store.c_kinds;
   Alcotest.(check bool) "default caps drop nothing" true
-    (List.for_all (fun (_, n) -> n = 0) dropped)
+    (List.for_all (fun (_, n) -> n = 0) dropped);
+  Alcotest.check_raises "sources take no cap"
+    (Invalid_argument "Store.gc: unknown record kind sources") (fun () ->
+      ignore (Store.gc ~keep:[ ("sources", 0) ] st))
+
+(* a source rides its summary's cap: evicting every summary drops every
+   source with it, and a reload finds neither *)
+let test_sources_ride_summaries () =
+  let dir = tmpdir "ride" in
+  let st = get (Store.load ~dir) in
+  ignore (Pipeline.analyze ~store:st (config ()) (sample_traces ()));
+  Memo.fold (Store.memo st) ~init:() ~f:(fun key _ () ->
+      Store.add_source st ~key:(Digest.string ("source " ^ key)) (Memo.of_raw key));
+  get (Store.flush st);
+  let st = get (Store.load ~dir) in
+  let n = count "summaries" (Store.stats st).Store.kinds in
+  Alcotest.(check int) "a source per summary" n
+    (count "sources" (Store.stats st).Store.kinds);
+  let dropped = Store.gc ~keep:[ ("summaries", 0) ] st in
+  Alcotest.(check (list (pair string int))) "both dropped"
+    [ ("summaries", n); ("sources", n); ("vdiffs", 0) ]
+    dropped;
+  get (Store.flush st);
+  let c = get (Store.verify ~dir) in
+  Alcotest.(check (option string)) "verifies clean" None c.Store.c_damage;
+  Alcotest.(check (list (pair string int))) "neither on disk"
+    [ ("summaries", 0); ("sources", 0); ("vdiffs", 0) ]
+    c.Store.c_kinds
+
+(* store gc removes an ingest-cache temp directory whose writer is gone
+   and leaves one whose writer still runs *)
+let test_orphan_ingests () =
+  let dir = tmpdir "orphans" in
+  let ingest = Filename.concat dir "ingest" in
+  let rec rm path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm ingest;
+  (match Difftrace_util.Framed.mkdir_p ingest with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  (* a child that has exited and been reaped: its pid runs no more *)
+  let dead =
+    let pid =
+      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+    in
+    ignore (Unix.waitpid [] pid);
+    pid
+  in
+  let key = String.make 32 'a' in
+  let entry pid =
+    let d = Filename.concat ingest (Printf.sprintf "%s.tmp%d" key pid) in
+    Sys.mkdir d 0o755;
+    write_file (Filename.concat d "manifest") "partial";
+    d
+  in
+  let orphan = entry dead and live = entry (Unix.getpid ()) in
+  let finished = Filename.concat ingest key in
+  Sys.mkdir finished 0o755;
+  let st = get (Store.load ~dir) in
+  Alcotest.(check int) "one orphan removed" 1 (Session.remove_orphan_ingests st);
+  Alcotest.(check bool) "the dead writer's directory is gone" false
+    (Sys.file_exists orphan);
+  Alcotest.(check bool) "the live writer's directory stays" true
+    (Sys.file_exists live);
+  Alcotest.(check bool) "finished entries stay" true (Sys.file_exists finished);
+  Alcotest.(check int) "nothing left to remove" 0
+    (Session.remove_orphan_ingests st)
 
 (* summaries gc dropped before they were ever written leave nothing to
    persist: the flush after the first is a no-op, not a rewrite *)
@@ -533,7 +649,9 @@ let () =
           Alcotest.test_case "re-sealed loop count below 2 salvages" `Quick
             test_short_loop_record_salvaged;
           Alcotest.test_case "retired matrix records drop or salvage" `Quick
-            test_retired_matrix_record ] );
+            test_retired_matrix_record;
+          Alcotest.test_case "a source naming no summary is damage" `Quick
+            test_source_reference ] );
       ( "gc",
         [ Alcotest.test_case "gc drops oldest and counts evictions" `Quick
             test_gc_and_eviction_accounting;
@@ -541,6 +659,10 @@ let () =
             test_vdiff_retention;
           Alcotest.test_case "gc, stats and verify list every kind" `Quick
             test_kinds_agree;
+          Alcotest.test_case "sources go with their summaries" `Quick
+            test_sources_ride_summaries;
+          Alcotest.test_case "gc removes orphaned ingest directories" `Quick
+            test_orphan_ingests;
           Alcotest.test_case "gc rejects negative caps, unknown kinds" `Quick
             test_gc_rejects_bad_caps;
           Alcotest.test_case "dropped new summaries flush once" `Quick
