@@ -37,8 +37,14 @@ campaign-smoke:
 # store: the reports must be the same bytes, and the warm run must
 # decode at most two traces (parlot.traces.decoded: the diffNLR trace
 # of each run) and verify all 16 without decoding them
-# (parlot.traces.verified). CI caches the directory
-# across runs, so once the cache is primed even the first compare is
+# (parlot.traces.verified). Against the same store, two queries (a
+# count on the normal run, a diverge against the faulty one) and a
+# two-run vdiff of trace 3 (the swapped rank) run cold, then warm:
+# each warm answer must equal its cold one, the warm queries must
+# decode no trace (no parlot.traces.decoded row; the diverge loads
+# both event DBs) and the warm vdiff must decode at most one trace per
+# run. CI caches the directory across runs, so once the cache is
+# primed even the first compare is
 # warm and gc works on a long-lived store; a store cached before JSM
 # matrices were retired is rewritten without them on its first flush.
 SSA = _build/store-smoke/archives
@@ -82,6 +88,28 @@ store-smoke: build
 	verified=$$(count parlot.traces.verified); \
 	echo "warm archive analyze: $${decoded:-0} decoded, $${verified:-0} verified"; \
 	test "$${decoded:-0}" -le 2 && test "$${verified:-0}" -eq 16
+	for t in cold warm; do \
+	  _build/default/bin/difftrace_cli.exe query 'count MPI_Send' \
+	    --archive $(SSA)/normal --store $(SSA)/store \
+	    --profile-json $(SSA)/query-count-$$t.json \
+	    > $(SSA)/query-$$t.txt || exit 1; \
+	  _build/default/bin/difftrace_cli.exe query 'diverge' \
+	    --archive $(SSA)/normal --against $(SSA)/faulty --store $(SSA)/store \
+	    --profile-json $(SSA)/query-diverge-$$t.json \
+	    >> $(SSA)/query-$$t.txt || exit 1; \
+	  _build/default/bin/difftrace_cli.exe vdiff -r normal=$(SSA)/normal \
+	    -r faulty=$(SSA)/faulty --bad faulty --trace 3 --store $(SSA)/store \
+	    --profile-json $(SSA)/vdiff-$$t.json > $(SSA)/vdiff-$$t.txt || exit 1; \
+	done
+	cmp $(SSA)/query-cold.txt $(SSA)/query-warm.txt
+	cmp $(SSA)/vdiff-cold.txt $(SSA)/vdiff-warm.txt
+	! grep -q 'parlot.traces.decoded' $(SSA)/query-count-warm.json
+	! grep -q 'parlot.traces.decoded' $(SSA)/query-diverge-warm.json
+	count() { sed -n "s/.*\"$$1\",\"value\":\([0-9]*\).*/\1/p" $(SSA)/$$2; }; \
+	loads=$$(count eventdb.loads query-diverge-warm.json); \
+	decoded=$$(count parlot.traces.decoded vdiff-warm.json); \
+	echo "warm query: $${loads:-0} event DBs loaded; warm vdiff: $${decoded:-0} decoded"; \
+	test "$${loads:-0}" -eq 2 && test "$${decoded:-0}" -le 2
 
 # the serve smoke pass: boot a socket daemon, run one scripted client
 # transcript (record -> analyze -> compare -> shutdown), and check the

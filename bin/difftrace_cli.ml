@@ -1242,9 +1242,12 @@ let store_cmd =
       let dropped = Store.gc ~keep st in
       or_exit (Store.flush st);
       print_string (Store.render_evicted dropped);
-      match Session.remove_orphan_ingests st with
+      (match Session.remove_orphan_ingests st with
       | 0 -> ()
-      | n -> Printf.printf "removed %d orphaned ingest directories\n" n
+      | n -> Printf.printf "removed %d orphaned ingest directories\n" n);
+      match Session.remove_orphan_temps st with
+      | 0 -> ()
+      | n -> Printf.printf "removed %d orphaned temporary files\n" n
     in
     Cmd.v (Cmd.info "gc" ~doc) Term.(const action $ dir_t $ keep_t)
   in

@@ -162,11 +162,19 @@ let summarize ~engine ?memo ~symtab ~table ~k ~repeats ts =
   in
   summaries
 
-(* [tables] are the shared symbol and loop tables to intern into when
-   there is no memo; a memo (the store's, when there is one) carries
-   its own. A store supplies only its memo, and files the summary key
-   of every decoded trace that names its source. *)
-let analyze_into ~tables ?memo ?store (config : Config.t) run =
+type run_summary = {
+  rs_symtab : Symtab.t;
+  rs_loop_table : Nlr.Loop_table.t;
+  rs_labels : string array;
+  rs_nlrs : (Nlr.t * bool) array;
+}
+
+(* The NLR stage of one run. [tables] are the shared symbol and loop
+   tables to intern into when there is no memo; a memo (the store's,
+   when there is one) carries its own. A store supplies only its memo,
+   and files the summary key of every decoded trace that names its
+   source. [first.(i)] is the first trace with trace i's summary. *)
+let summarize_into ~tables ?memo ?store (config : Config.t) run =
   let memo =
     match store with
     | None -> memo
@@ -182,8 +190,6 @@ let analyze_into ~tables ?memo ?store (config : Config.t) run =
     | Some m -> (Memo.symtab m, Memo.loop_table m)
     | None -> tables
   in
-  Span.with_ "analyze" @@ fun () ->
-  let engine = config.Config.engine in
   let slots = run.run_slots in
   let probes =
     Span.with_ "filter" @@ fun () ->
@@ -201,8 +207,8 @@ let analyze_into ~tables ?memo ?store (config : Config.t) run =
   let short = Array.for_all (fun tr -> tr.Trace.tid = 0) traces in
   let labels = Array.map (fun tr -> Trace.label ~short tr) traces in
   let summaries, first, keys =
-    summarize_probes ~engine ?memo ~symtab:shared ~table ~k:config.Config.k
-      ~repeats:config.Config.repeats ~own:run.run_symtab probes
+    summarize_probes ~engine:config.Config.engine ?memo ~symtab:shared ~table
+      ~k:config.Config.k ~repeats:config.Config.repeats ~own:run.run_symtab probes
   in
   Option.iter
     (fun st ->
@@ -212,52 +218,59 @@ let analyze_into ~tables ?memo ?store (config : Config.t) run =
           | _ -> ())
         slots)
     store;
-  let nlrs =
-    Array.mapi (fun i nlr -> (nlr, traces.(i).Trace.truncated)) summaries
-  in
+  ( { rs_symtab = shared;
+      rs_loop_table = table;
+      rs_labels = labels;
+      rs_nlrs =
+        Array.mapi (fun i nlr -> (nlr, traces.(i).Trace.truncated)) summaries },
+    first )
+
+let analyze_into ~tables ?memo ?store (config : Config.t) run =
+  Span.with_ "analyze" @@ fun () ->
+  let rs, first = summarize_into ~tables ?memo ?store config run in
+  let shared = rs.rs_symtab in
   (* a repeated call sequence has its first copy's summary, hence its
      attributes *)
   let rows =
     Span.with_ "attributes" @@ fun () ->
-    let attrs = Array.make (Array.length summaries) [] in
+    let attrs = Array.make (Array.length rs.rs_nlrs) [] in
     Array.iteri
-      (fun i nlr ->
+      (fun i (nlr, _) ->
         attrs.(i) <-
           (if first.(i) = i then Attributes.of_nlr config.Config.attrs shared nlr
            else attrs.(first.(i))))
-      summaries;
-    Array.to_list (Array.mapi (fun i a -> (labels.(i), a)) attrs)
+      rs.rs_nlrs;
+    Array.to_list (Array.mapi (fun i a -> (rs.rs_labels.(i), a)) attrs)
   in
   let context = Span.with_ "context" (fun () -> Context.of_attr_sets rows) in
   { config;
     symtab = shared;
-    loop_table = table;
-    labels;
-    nlrs;
+    loop_table = rs.rs_loop_table;
+    labels = rs.rs_labels;
+    nlrs = rs.rs_nlrs;
     context;
     lattice = lazy (Span.with_ "lattice" (fun () -> Lattice.of_context_incremental context));
     jsm =
       Span.with_ "jsm" (fun () ->
           Jsm.compute
             ?candidates:(Config.candidates config context)
-            ~init:(Engine.init engine) context) }
+            ~init:(Engine.init config.Config.engine) context) }
 
 let fresh_tables () = (Symtab.create (), Nlr.Loop_table.create ())
 
 let analyze ?memo ?store config ts =
   analyze_into ~tables:(fresh_tables ()) ?memo ?store config (run_of_set ts)
 
-let index_of labels label =
-  let found = ref None in
-  Array.iteri
-    (fun i l -> if l = label && !found = None then found := Some i)
-    labels;
-  !found
+let summarize_run ?memo ?store config run =
+  fst (summarize_into ~tables:(fresh_tables ()) ?memo ?store config run)
 
-let find_nlr analysis label =
-  match index_of analysis.labels label with
-  | Some i -> Ok analysis.nlrs.(i)
-  | None -> Error { unknown = label; known = analysis.labels }
+let lookup labels nlrs label =
+  match Array.find_index (String.equal label) labels with
+  | Some i -> Ok nlrs.(i)
+  | None -> Error { unknown = label; known = labels }
+
+let find_nlr analysis label = lookup analysis.labels analysis.nlrs label
+let find_summary rs label = lookup rs.rs_labels rs.rs_nlrs label
 
 type comparison = {
   cmp_config : Config.t;

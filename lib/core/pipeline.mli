@@ -99,6 +99,28 @@ val analyze :
 val find_nlr :
   analysis -> string -> (Difftrace_nlr.Nlr.t * bool, lookup_error) result
 
+(** The NLR stage of one run, which {!analyze} builds its FCA context
+    and JSM on. *)
+type run_summary = {
+  rs_symtab : Difftrace_trace.Symtab.t;  (** shared, unified symbol table *)
+  rs_loop_table : Difftrace_nlr.Nlr.Loop_table.t;  (** shared loop table *)
+  rs_labels : string array;
+  rs_nlrs : (Difftrace_nlr.Nlr.t * bool) array;
+      (** per trace: summary + truncation flag, indexed like [rs_labels] *)
+}
+
+(** [summarize_run ?memo ?store config run] — filter and summarize
+    every trace of [run] exactly as {!compare_slots} does (same memo
+    and store rules, same shared tables, same sources filed), and stop
+    there: no attributes, context, JSM or clustering. What a caller
+    that needs a run's summaries and nothing else ({!Session.vdiff})
+    runs. @raise Invalid_argument as {!compare_slots} does. *)
+val summarize_run : ?memo:Memo.t -> ?store:Store.t -> Config.t -> run -> run_summary
+
+(** [find_summary rs label] — {!find_nlr} on a {!run_summary}. *)
+val find_summary :
+  run_summary -> string -> (Difftrace_nlr.Nlr.t * bool, lookup_error) result
+
 
 type comparison = {
   cmp_config : Config.t;

@@ -177,10 +177,15 @@ let save_entry ~dir ts =
     rm_rf dir;
     try Sys.rename tmp dir with Sys_error _ -> rm_rf tmp)
 
-(* "<key>.tmp<pid>" -> pid: an entry [save_entry] was still writing *)
+(* "<name>.tmp<pid>" -> pid: an ingest entry [save_entry] or a file
+   [Framed.write_atomic] was still writing *)
 let writer_pid name =
-  match Scanf.sscanf_opt name "%_[0-9a-f].tmp%u%!" Fun.id with
-  | Some pid when pid > 0 -> Some pid
+  match String.rindex_opt name '.' with
+  | Some dot when dot > 0 -> (
+    let suffix = String.sub name (dot + 1) (String.length name - dot - 1) in
+    match Scanf.sscanf_opt suffix "tmp%u%!" Fun.id with
+    | Some pid when pid > 0 -> Some pid
+    | _ -> None)
   | _ -> None
 
 (* signal 0 sends nothing; EPERM means the pid runs as another user *)
@@ -190,8 +195,8 @@ let running pid =
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
   | exception Unix.Unix_error _ -> true
 
-let remove_orphan_ingests st =
-  let dir = Filename.concat (Store.dir st) "ingest" in
+(* remove what a writer that no longer runs left in [dir] *)
+let remove_orphans dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> 0
   | names ->
@@ -203,6 +208,13 @@ let remove_orphan_ingests st =
           n + 1
         | _ -> n)
       0 names
+
+let remove_orphan_ingests st =
+  remove_orphans (Filename.concat (Store.dir st) "ingest")
+
+let remove_orphan_temps st =
+  let dir = Store.dir st in
+  remove_orphans dir + remove_orphans (Filename.concat dir "eventdb")
 
 (* A lookup digests the file as it streams past, so a hit never holds
    the source on the heap. A miss reads the bytes, ingests them and
@@ -642,6 +654,77 @@ type query_response = {
 let eventdb_dir t =
   Option.map (fun st -> Filename.concat (Store.dir st) "eventdb") t.ses_store
 
+(* [Eventdb.digest] of the set [ix] loads to, from its manifest alone:
+   a v2 manifest with a stream digest on every thread, in the set's
+   strict (pid, tid) order *)
+let manifest_eventdb_digest (ix : Archive.index) =
+  let threads = ix.Archive.ix_threads in
+  if
+    ix.Archive.ix_version = 2
+    && Array.for_all (fun th -> th.Archive.th_digest <> None) threads
+    && strictly_sorted threads
+  then
+    Some
+      (Eventdb.digest_of ~symbols:ix.Archive.ix_symbols
+         (Array.map
+            (fun (th : Archive.thread) ->
+              ( th.Archive.th_pid,
+                th.Archive.th_tid,
+                th.Archive.th_truncated,
+                Option.get th.Archive.th_digest ))
+            threads))
+  else None
+
+(* every thread's checksums, without decoding; the first damaged
+   thread in manifest order is the error, as for [Archive.load] *)
+let check_threads ~runner (ix : Archive.index) =
+  let threads = ix.Archive.ix_threads in
+  let checks =
+    runner.Difftrace_util.Runner.run (Array.length threads) (fun i ->
+        Archive.check_thread ix threads.(i))
+  in
+  match Array.find_map (function Error e -> Some e | Ok () -> None) checks with
+  | Some e -> Error (Archive_failed e)
+  | None -> Ok ()
+
+(* A store-backed query of an archive whose manifest names every
+   stream knows its index's name before decoding anything: when that
+   index exists, the traces are checked, not decoded, and the index is
+   loaded. Everything else — no index yet, a damaged one, storeless
+   sessions, salvage, v1 and digest-less manifests — loads the run and
+   goes through [Eventdb.open_]. *)
+let open_eventdb t config source =
+  let runner = Engine.runner config.Config.engine in
+  let dir = eventdb_dir t in
+  let of_set ts = Eventdb.open_ ~runner ?dir ts in
+  match (dir, source) with
+  | Some edb, Archive { dir = adir; salvage = false } -> (
+    let decode ix =
+      Result.map_error
+        (fun e -> Archive_failed e)
+        (Archive.load_index ~runner ~salvage:false ix)
+    in
+    let* found =
+      Telemetry.Span.with_ "archive.load" @@ fun () ->
+      let* ix =
+        Result.map_error (fun e -> Archive_failed e) (Archive.open_index ~dir:adir)
+      in
+      match manifest_eventdb_digest ix with
+      | Some digest when Sys.file_exists (Eventdb.index_file ~dir:edb ~digest) ->
+        Result.map (fun () -> `Indexed (ix, digest)) (check_threads ~runner ix)
+      | _ -> Result.map (fun l -> `Decoded l) (decode ix)
+    in
+    match found with
+    | `Decoded l -> Ok (of_set l.Archive.set)
+    | `Indexed (ix, digest) -> (
+      match Eventdb.load ~dir:edb ~digest with
+      | Ok db -> Ok (db, `Loaded)
+      | Error _ -> Result.map (fun l -> of_set l.Archive.set) (decode ix)))
+  | _ ->
+    Result.map
+      (fun (ts, _salvaged) -> of_set ts)
+      (resolve t ~engine:config.Config.engine source)
+
 let db_labels (db : Eventdb.t) =
   Array.map Eventdb.label db.Eventdb.db_threads
 
@@ -655,13 +738,7 @@ let query t config req =
            "query: this query compares two runs; provide a second source \
             (--against)")
     else
-      let engine = config.Config.engine in
-      let open_db source =
-        match resolve t ~engine source with
-        | Error e -> Error e
-        | Ok (ts, _salvaged) ->
-          Ok (Eventdb.open_ ~runner:(Engine.runner engine) ?dir:(eventdb_dir t) ts)
-      in
+      let open_db = open_eventdb t config in
       match open_db req.qy_source with
       | Error e -> Error e
       | Ok (db, how) -> (
@@ -751,18 +828,20 @@ let vdiff_key ~label runs =
 
 (* per-suspect event-DB footer: pin the region to the first raw-event
    divergence between a run that lacks it and one that has it, so a
-   conditioned suspect is one [difftrace query] away from its events *)
-let vdiff_footers ~label ~trace_sets sps =
+   conditioned suspect is one [difftrace query] away from its events.
+   [note_set i] is run i's trace set for [label], read only for the
+   runs a footer compares. *)
+let vdiff_footers ~label ~note_set ~nruns sps =
   let buf = Buffer.create 128 in
   let seen = Hashtbl.create 4 in
-  List.iter
-    (fun (sp : Variational.suspect) ->
+  let first_where p =
+    let rec go i = if i >= nruns then None else if p i then Some i else go (i + 1) in
+    go 0
+  in
+  let rec go = function
+    | [] -> Ok (Buffer.contents buf)
+    | (sp : Variational.suspect) :: rest -> (
       let pres = sp.Variational.sp_region.Variational.rg_present in
-      let first_where p =
-        let n = Array.length trace_sets in
-        let rec go i = if i >= n then None else if p i then Some i else go (i + 1) in
-        go 0
-      in
       match
         ( first_where (fun i -> not (Bitset.mem pres i)),
           first_where (fun i -> Bitset.mem pres i) )
@@ -776,35 +855,39 @@ let vdiff_footers ~label ~trace_sets sps =
           | Variational.Present -> (without, with_)
           | Variational.Absent -> (with_, without)
         in
+        let* normal = note_set normal_i in
+        let* faulty = note_set faulty_i in
         Option.iter
           (fun note ->
             if not (Hashtbl.mem seen note) then begin
               Hashtbl.replace seen note ();
               Buffer.add_string buf note
             end)
-          (Eventdb.divergence_note ~normal:trace_sets.(normal_i)
-             ~faulty:trace_sets.(faulty_i) ~label)
-      | _ -> ())
-    sps;
-  Buffer.contents buf
+          (Eventdb.divergence_note ~normal ~faulty ~label);
+        go rest
+      | _ -> go rest)
+  in
+  go sps
 
 let vdiff t config req =
   let n = List.length req.vd_runs in
   if n < 2 then
     Error (Invalid "vdiff: need at least two runs to align")
   else
-    let engine = config.Config.engine in
-    (* resolve + analyze every run against the session's shared tables
-       (the store's memo when there is one), so NLR element strings
-       mean the same thing across runs *)
+    (* every run through [prepare] (a store-backed archive verifies the
+       traces its store knows instead of decoding them) and only the
+       NLR stage, against the session's shared tables (the store's memo
+       when there is one), so NLR element strings mean the same thing
+       across runs; the store files the sources of what was decoded *)
+    let memo = if Option.is_none t.ses_store then Some t.ses_memo else None in
     let rec gather acc = function
       | [] -> Ok (List.rev acc)
       | r :: rest -> (
-        match resolve t ~engine r.vdr_source with
+        match prepare t config r.vdr_source with
         | Error e -> Error e
-        | Ok (ts, _salvaged) ->
-          let a = Pipeline.analyze ~memo:t.ses_memo config ts in
-          gather ((r, ts, a) :: acc) rest)
+        | Ok p ->
+          let s = Pipeline.summarize_run ?memo ?store:t.ses_store config p.pr_run in
+          gather ((r, p, s) :: acc) rest)
     in
     match gather [] req.vd_runs with
     | Error e -> Error e
@@ -815,23 +898,23 @@ let vdiff t config req =
         match req.vd_trace with
         | Some l -> Ok l
         | None -> (
-          let _, _, a0 = List.hd resolved in
+          let _, _, s0 = List.hd resolved in
           let common l =
             List.for_all
-              (fun (_, _, a) -> Array.exists (String.equal l) a.Pipeline.labels)
+              (fun (_, _, s) -> Array.exists (String.equal l) s.Pipeline.rs_labels)
               resolved
           in
-          match Array.find_opt common a0.Pipeline.labels with
+          match Array.find_opt common s0.Pipeline.rs_labels with
           | Some l -> Ok l
           | None -> Error (Invalid "vdiff: the runs have no trace in common"))
       in
       match label_of with
       | Error e -> Error e
       | Ok label -> (
-        let nlr_of (_, _, a) =
-          match Pipeline.find_nlr a label with
+        let nlr_of (_, _, s) =
+          match Pipeline.find_summary s label with
           | Ok (nlr, _truncated) ->
-            Ok (Difftrace_nlr.Nlr.to_strings a.Pipeline.symtab nlr)
+            Ok (Difftrace_nlr.Nlr.to_strings s.Pipeline.rs_symtab nlr)
           | Error e -> Error (Unknown_label e)
         in
         let rec elems acc = function
@@ -843,7 +926,7 @@ let vdiff t config req =
         in
         match elems [] resolved with
         | Error e -> Error e
-        | Ok elem_lists ->
+        | Ok elem_lists -> (
           let runs =
             List.map2
               (fun (r, _, _) es ->
@@ -874,25 +957,32 @@ let vdiff t config req =
                 t.ses_store;
               (v, false)
           in
-          let trace_sets =
-            Array.of_list (List.map (fun (_, ts, _) -> ts) resolved)
+          (* each run's [label] trace, read at most once *)
+          let note_sets =
+            Array.of_list
+              (List.map (fun (_, p, _) -> lazy (p.pr_note_set label)) resolved)
           in
-          let sps = Variational.suspects v in
-          let buf = Buffer.create 1024 in
-          Buffer.add_string buf
-            (Variational.render
-               ~title:(Printf.sprintf "variational NLR(%s): %d runs" label n)
-               v);
-          Buffer.add_string buf (vdiff_footers ~label ~trace_sets sps);
-          Ok
-            { vd_nruns = n;
-              vd_columns = Array.length v.Variational.columns;
-              vd_regions = List.length (Variational.regions v);
-              vd_warm = warm;
-              vd_condition =
-                Option.map Variational.condition_to_string
-                  (Variational.discriminating v);
-              vd_output = Buffer.contents buf }))
+          let note_set i = Lazy.force note_sets.(i) in
+          match
+            vdiff_footers ~label ~note_set ~nruns:n (Variational.suspects v)
+          with
+          | Error e -> Error e
+          | Ok footers ->
+            let buf = Buffer.create 1024 in
+            Buffer.add_string buf
+              (Variational.render
+                 ~title:(Printf.sprintf "variational NLR(%s): %d runs" label n)
+                 v);
+            Buffer.add_string buf footers;
+            Ok
+              { vd_nruns = n;
+                vd_columns = Array.length v.Variational.columns;
+                vd_regions = List.length (Variational.regions v);
+                vd_warm = warm;
+                vd_condition =
+                  Option.map Variational.condition_to_string
+                    (Variational.discriminating v);
+                vd_output = Buffer.contents buf })))
 
 (* --- status ---------------------------------------------------------- *)
 

@@ -111,6 +111,14 @@ type source =
     one whose writer still runs is left alone. [store gc] calls it. *)
 val remove_orphan_ingests : Store.t -> int
 
+(** [remove_orphan_temps store] — delete every [<name>.tmp<pid>] file
+    in the store directory and in [<store>/eventdb/] whose writer [pid]
+    no longer runs on this host, and return how many went: the
+    temporary a writer killed inside {!Difftrace_util.Framed.write_atomic}
+    leaves behind. One whose writer still runs is left alone. [store
+    gc] calls it. *)
+val remove_orphan_temps : Store.t -> int
+
 (** [resolve t ~engine source] — the trace set plus any salvage
     outcomes (always [[]] for [Traces]/[Run]/[Ingest]). Archive loads
     and frontend ingestion fan per-thread work over [engine]. *)

@@ -42,22 +42,42 @@ let find_thread db l =
 
 (* {2 Content digest} *)
 
-let digest ts =
+(* The symbol names in ID order, then each thread's identity and
+   stream digest ({!Trace.stream_digest}): the stream digest pins the
+   events up to ID renaming and names them, and the symbol table pins
+   the IDs, so this names the exact event streams. An archive manifest
+   holds every part, so the name of a run's index is known before a
+   trace is decoded. *)
+let digest_of ~symbols threads =
   let buf = Buffer.create 4096 in
+  Buffer.add_string buf "difftrace-eventdb-digest 2\n";
+  Varint.write buf (Array.length symbols);
   Array.iter
     (fun name ->
-      Buffer.add_string buf name;
-      Buffer.add_char buf '\x00')
-    (Symtab.names (Trace_set.symtab ts));
+      Varint.write buf (String.length name);
+      Buffer.add_string buf name)
+    symbols;
+  Varint.write buf (Array.length threads);
   Array.iter
-    (fun tr ->
-      Varint.write buf tr.Trace.pid;
-      Varint.write buf tr.Trace.tid;
-      Buffer.add_char buf (if tr.Trace.truncated then '\x01' else '\x00');
-      Varint.write buf (Array.length tr.Trace.events);
-      Array.iter (fun e -> Varint.write buf (Event.encode e)) tr.Trace.events)
-    (Trace_set.traces ts);
+    (fun (pid, tid, truncated, stream) ->
+      Varint.write buf pid;
+      Varint.write buf tid;
+      Buffer.add_char buf (if truncated then '\x01' else '\x00');
+      Varint.write buf (String.length stream);
+      Buffer.add_string buf stream)
+    threads;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let digest ts =
+  let symtab = Trace_set.symtab ts in
+  digest_of ~symbols:(Symtab.names symtab)
+    (Array.map
+       (fun tr ->
+         ( tr.Trace.pid,
+           tr.Trace.tid,
+           tr.Trace.truncated,
+           Digest.to_hex (Trace.stream_digest symtab tr) ))
+       (Trace_set.traces ts))
 
 (* {2 Loop spans}
 
@@ -311,16 +331,24 @@ type partial = {
 
 (* a count of items each at least [width] bytes long: one the rest of
    the record cannot hold is corruption, not a huge allocation *)
-let read_count ~width what s pos =
-  let n, pos = Varint.read s pos in
-  if n > (String.length s - pos) / width then bad "%s count %d overruns record" what n;
-  (n, pos)
+let read_count ~width what (c : Varint.cursor) =
+  let n = Varint.next c in
+  if n > (String.length c.Varint.src - c.Varint.pos) / width then
+    bad "%s count %d overruns record" what n;
+  n
 
+let finish_record what (c : Varint.cursor) =
+  if c.Varint.pos <> String.length c.Varint.src then
+    bad "trailing bytes in %s record" what
+
+(* Every varint goes through one cursor per record, so a read allocates
+   nothing; an event below [Event.decode]'s bound is a shared value. *)
 let decode ~digest image =
   let symtab = Symtab.create () in
   let table = Nlr.Loop_table.create () in
   let threads = ref [] in
-  (* (pid, tid) in record order *)
+  let nthreads = ref 0 in
+  (* record index -> (pid, tid) and the thread's parts so far *)
   let partials = Hashtbl.create 8 in
   let nth ti =
     match Hashtbl.find_opt partials ti with
@@ -330,30 +358,25 @@ let decode ~digest image =
   let record s =
     if String.length s = 0 then bad "empty record";
     let tag = Char.code s.[0] in
-    let pos = 1 in
+    let c = Varint.cursor s 1 in
+    let next () = Varint.next c in
     if tag = tag_symbol then
       ignore (Symtab.intern symtab (String.sub s 1 (String.length s - 1)))
     else if tag = tag_body then begin
       let elems, pos =
         Nlr.read_elems ~n_syms:(Symtab.size symtab)
-          ~n_bodies:(Nlr.Loop_table.size table) s pos
+          ~n_bodies:(Nlr.Loop_table.size table) s 1
       in
       if pos <> String.length s then bad "trailing bytes in body record";
       ignore (Nlr.Loop_table.intern table elems)
     end
     else if tag = tag_thread then begin
-      let pid, pos = Varint.read s pos in
-      let tid, pos = Varint.read s pos in
-      let trunc, pos = Varint.read s pos in
-      let n, pos = read_count ~width:1 "event" s pos in
-      let pos = ref pos in
-      let events =
-        Array.init n (fun _ ->
-            let e, p = Varint.read s !pos in
-            pos := p;
-            Event.decode e)
-      in
-      if !pos <> String.length s then bad "trailing bytes in thread record";
+      let pid = next () in
+      let tid = next () in
+      let trunc = next () in
+      let n = read_count ~width:1 "event" c in
+      let events = Array.init n (fun _ -> Event.decode (next ())) in
+      finish_record "thread" c;
       let p =
         { p_truncated = trunc <> 0;
           p_events = events;
@@ -361,40 +384,36 @@ let decode ~digest image =
           p_intervals = [||];
           p_loops = [||] }
       in
-      Hashtbl.replace partials (List.length !threads) p;
+      Hashtbl.replace partials !nthreads p;
+      incr nthreads;
       threads := (pid, tid) :: !threads
     end
     else if tag = tag_postings then begin
-      let ti, pos = Varint.read s pos in
-      let func, pos = Varint.read s pos in
-      let n, pos = read_count ~width:1 "position" s pos in
-      let pos = ref pos in
+      let ti = next () in
+      let func = next () in
+      let n = read_count ~width:1 "position" c in
+      let positions = Array.make n 0 in
       let prev = ref 0 in
-      let positions =
-        Array.init n (fun _ ->
-            let d, p = Varint.read s !pos in
-            pos := p;
-            prev := !prev + d;
-            !prev)
-      in
-      if !pos <> String.length s then bad "trailing bytes in postings record";
+      for i = 0 to n - 1 do
+        prev := !prev + next ();
+        positions.(i) <- !prev
+      done;
+      finish_record "postings" c;
       if func >= Symtab.size symtab then bad "postings for unknown function";
       let p = nth ti in
       p.p_postings <- (func, positions) :: p.p_postings
     end
     else if tag = tag_intervals then begin
-      let ti, pos = Varint.read s pos in
-      let n, pos = read_count ~width:5 "interval" s pos in
-      let pos = ref pos in
+      let ti = next () in
+      let n = read_count ~width:5 "interval" c in
       let prev = ref 0 in
       let ivs =
         Array.init n (fun _ ->
-            let func, p = Varint.read s !pos in
-            let dstart, p = Varint.read s p in
-            let len, p = Varint.read s p in
-            let depth, p = Varint.read s p in
-            let caller1, p = Varint.read s p in
-            pos := p;
+            let func = next () in
+            let dstart = next () in
+            let len = next () in
+            let depth = next () in
+            let caller1 = next () in
             prev := !prev + dstart;
             { Intervals.iv_func = func;
               iv_start = !prev;
@@ -402,26 +421,24 @@ let decode ~digest image =
               iv_depth = depth;
               iv_caller = caller1 - 1 })
       in
-      if !pos <> String.length s then bad "trailing bytes in interval record";
+      finish_record "interval" c;
       (nth ti).p_intervals <- ivs
     end
     else if tag = tag_loops then begin
-      let ti, pos = Varint.read s pos in
-      let n, pos = read_count ~width:4 "span" s pos in
-      let pos = ref pos in
+      let ti = next () in
+      let n = read_count ~width:4 "span" c in
       let spans =
         Array.init n (fun _ ->
-            let body, p = Varint.read s !pos in
-            let count, p = Varint.read s p in
-            let start, p = Varint.read s p in
-            let len, p = Varint.read s p in
-            pos := p;
+            let body = next () in
+            let count = next () in
+            let start = next () in
+            let len = next () in
             if body >= Nlr.Loop_table.size table then
               bad "span for unknown loop body";
             { lp_body = body; lp_count = count; lp_start = start;
               lp_stop = start + len })
       in
-      if !pos <> String.length s then bad "trailing bytes in loop record";
+      finish_record "loop" c;
       (nth ti).p_loops <- spans
     end
     else bad "unknown record tag %d" tag

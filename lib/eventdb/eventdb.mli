@@ -51,9 +51,24 @@ type t = {
 }
 
 (** [digest ts] is the content digest (hex) that namespaces the on-disk
-    index of [ts]: symbol names plus every thread's identity and exact
-    event stream. *)
+    index of [ts]: its symbol names in ID order plus, per thread in set
+    order, the pid, tid, truncation flag and
+    {!Difftrace_trace.Trace.stream_digest}. The stream digest pins the
+    events up to ID renaming and the symbol table pins the IDs, so the
+    digest names the exact event streams. *)
 val digest : Trace_set.t -> string
+
+(** [digest_of ~symbols threads] — {!digest} from its parts: [symbols]
+    in ID order and, per thread in set order, (pid, tid, truncated, hex
+    stream digest). An archive manifest holds all of them, so a caller
+    can name a run's index without decoding a trace:
+    [digest ts = digest_of ~symbols:(Symtab.names (Trace_set.symtab ts))
+    ...] over the same parts. *)
+val digest_of : symbols:string array -> (int * int * bool * string) array -> string
+
+(** [index_file ~dir ~digest] — the path {!save} writes and {!load}
+    reads: [dir/<digest>.edb]. *)
+val index_file : dir:string -> digest:string -> string
 
 (** [label th] is the paper's thread label, short form (["5"], ["6.4"]). *)
 val label : thread -> string

@@ -103,38 +103,6 @@ let encode_trace (tr : Trace.t) =
     tr.Trace.events;
   Lzw.finish enc
 
-(* The MD5 of the events with their IDs renumbered in first-use order,
-   followed by the names in that order: two traces get the same digest
-   exactly when they make the same calls and returns by name, however
-   their symbol tables are ordered. The event count, each event (as
-   varint renumbered-ID * 2, plus 1 for a return) and each name are
-   length-prefixed or self-delimiting. *)
-let stream_digest symtab (tr : Trace.t) =
-  let events = tr.Trace.events in
-  let renum = Array.make (Symtab.size symtab) (-1) in
-  let names = Buffer.create 256 in
-  let used = ref 0 in
-  let b = Buffer.create (24 + (2 * Array.length events)) in
-  Buffer.add_string b "difftrace-stream 1\n";
-  Varint.write b (Array.length events);
-  Array.iter
-    (fun ev ->
-      let id = Event.id ev in
-      let ret = match ev with Event.Call _ -> 0 | Event.Return _ -> 1 in
-      if renum.(id) < 0 then begin
-        renum.(id) <- !used;
-        incr used;
-        let name = Symtab.name symtab id in
-        Varint.write names (String.length name);
-        Buffer.add_string names name
-      end;
-      let code = (renum.(id) lsl 1) lor ret in
-      if code < 0x80 then Buffer.add_char b (Char.unsafe_chr code)
-      else Varint.write b code)
-    events;
-  Buffer.add_buffer b names;
-  Digest.string (Buffer.contents b)
-
 let save ?(chunk_size = default_chunk_size) ~dir ts =
   if chunk_size < 1 then invalid_arg "Archive.save: chunk_size must be >= 1";
   Span.with_ "archive.save" @@ fun () ->
@@ -156,7 +124,7 @@ let save ?(chunk_size = default_chunk_size) ~dir ts =
         (Printf.sprintf "thread %d %d %s %d %s\n" tr.Trace.pid tr.Trace.tid
            (if tr.Trace.truncated then "truncated" else "complete")
            (Trace.length tr)
-           (Digest.to_hex (stream_digest symtab tr))))
+           (Digest.to_hex (Trace.stream_digest symtab tr))))
     traces;
   (* the v2 manifest is sealed with a CRC-32 footer over everything
      above it, so manifest corruption is detected, not misparsed *)

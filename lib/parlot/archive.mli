@@ -21,8 +21,9 @@
     The footer line and the chunk records are
     {!Difftrace_util.Framed}'s sealed text and framed records. A thread
     line reads ["thread P T complete|truncated EVENTS DIGEST"]; the
-    trailing [DIGEST] ({!stream_digest}, 32 hex digits) is optional, and
-    manifests written before it existed end at the event count.
+    trailing [DIGEST] ({!Difftrace_trace.Trace.stream_digest}, 32 hex
+    digits) is optional, and manifests written before it existed end at
+    the event count.
 
     Version 1 archives (bare LZW streams, no checksums) remain
     readable. Trace files are decoded incrementally — chunk by chunk
@@ -60,14 +61,6 @@ type loaded = {
   version : int;
   salvaged : salvage list;
 }
-
-(** [stream_digest symtab tr] — the MD5 of [tr]'s events with their IDs
-    renumbered in first-use order, followed by the names in that order.
-    Two traces have equal digests exactly when they make the same calls
-    and returns by name, whatever the order of their symbol tables, so
-    runs recorded with differently ordered tables still share digests.
-    {!save} writes it on each thread line. *)
-val stream_digest : Difftrace_trace.Symtab.t -> Difftrace_trace.Trace.t -> Digest.t
 
 (** [save ?chunk_size ~dir ts] writes a version 2 archive (creating
     [dir] and any missing parents) and returns the number of trace
@@ -129,8 +122,9 @@ type thread = {
   th_truncated : bool;
   th_length : int;  (** the manifest's event count (untrusted) *)
   th_digest : string option;
-      (** the {!stream_digest} {!save} recorded, as its 32 hex digits;
-          [None] in manifests written before the field existed *)
+      (** the {!Difftrace_trace.Trace.stream_digest} {!save} recorded,
+          as its 32 hex digits; [None] in manifests written before the
+          field existed *)
 }
 
 (** An opened archive: its parsed, checksum-verified manifest. *)

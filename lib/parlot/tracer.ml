@@ -71,12 +71,10 @@ let finish t =
    Growing it never forces a minor collection: OCaml 5's [Array.make]
    does so for any array above 256 words filled with a young block, so
    fresh arrays are filled with [filler], a static constant. Events
-   with an encoded value below [shared_bound] are taken from [shared],
-   one immutable value per encoding, so a decoded trace allocates
-   nothing per event in the common case. *)
+   come from [Event.decode], which shares one immutable value per
+   small encoding, so a decoded trace allocates nothing per event in
+   the common case. *)
 
-let shared_bound = 4096
-let shared = Array.init shared_bound Event.decode
 let filler = Event.Call 0
 let max_expect = 1 lsl 16
 
@@ -118,7 +116,7 @@ let drain st =
         if st.s_acc < 0 then invalid_arg "Tracer.decode: event varint overflow";
         if b land 0x80 = 0 then begin
           let v = st.s_acc in
-          push st (if v < shared_bound then Array.unsafe_get shared v else Event.decode v);
+          push st (Event.decode v);
           st.s_acc <- 0;
           st.s_shift <- 0;
           st.s_partial <- false

@@ -14,4 +14,12 @@ let to_string symtab = function
   | Return i -> "ret " ^ Symtab.name symtab i
 
 let encode = function Call i -> i lsl 1 | Return i -> (i lsl 1) lor 1
-let decode n = if n land 1 = 0 then Call (n lsr 1) else Return (n lsr 1)
+let fresh n = if n land 1 = 0 then Call (n lsr 1) else Return (n lsr 1)
+
+(* one immutable value per encoding below the bound, so decoding a
+   trace allocates nothing per event in the common case *)
+let shared_bound = 4096
+let shared = Array.init shared_bound fresh
+
+let[@inline] decode n =
+  if n >= 0 && n < shared_bound then Array.unsafe_get shared n else fresh n

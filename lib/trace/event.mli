@@ -24,7 +24,11 @@ val equal : t -> t -> bool
 val to_string : Symtab.t -> t -> string
 
 (** [encode e] packs an event into a single non-negative int
-    (LSB = return flag); [decode] inverts it. Used by the trace codec. *)
+    (LSB = return flag); [decode] inverts it. Used by the trace codec
+    and the event database. [decode] returns one shared, preallocated
+    value for every encoding below 4096 (function IDs below 2048), so
+    decoding a stream allocates nothing per event in the common case;
+    events are immutable, so sharing is invisible but to [==]. *)
 val encode : t -> int
 
 val decode : int -> t

@@ -35,6 +35,15 @@ val call_ids : t -> int array
     appearing in [t]. *)
 val distinct_functions : t -> int
 
+(** [stream_digest symtab t] — the MD5 of [t]'s events with their IDs
+    renumbered in first-use order, followed by the names in that order.
+    Two traces have equal digests exactly when they make the same calls
+    and returns by name, whatever the order of their symbol tables, so
+    runs recorded with differently ordered tables still share digests.
+    The archive writes it on each manifest thread line, and the event
+    database's digest is built from it. *)
+val stream_digest : Symtab.t -> t -> Digest.t
+
 (** [to_strings symtab t] renders each event. *)
 val to_strings : Symtab.t -> t -> string list
 

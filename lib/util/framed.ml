@@ -14,11 +14,15 @@ let fold ~magic image ~init ~f =
         match
           let len, p = Varint.read image pos in
           if p + len + 4 > total then Error "truncated record"
+          else if
+            (* checked in place: a damaged record is never copied *)
+            Crc32.finish (Crc32.update Crc32.init image ~pos:p ~len)
+            <> Crc32.of_le_bytes image (p + len)
+          then Error "CRC mismatch"
           else
-            let payload = String.sub image p len in
-            if Crc32.string payload <> Crc32.of_le_bytes image (p + len) then
-              Error "CRC mismatch"
-            else Result.map (fun acc -> (acc, p + len + 4)) (f acc payload)
+            Result.map
+              (fun acc -> (acc, p + len + 4))
+              (f acc (String.sub image p len))
         with
         | Ok (acc, next) -> go acc next
         | Error reason -> (acc, Some (Printf.sprintf "%s at byte %d" reason pos))
@@ -57,8 +61,10 @@ let read_file path =
           | exception End_of_file ->
             Error (path ^ ": file shrank while being read")))
 
+(* the writer's pid in the temporary name keeps two processes that save
+   the same file from interleaving into one temporary *)
 let write_atomic ~path contents =
-  let tmp = path ^ ".tmp" in
+  let tmp = Printf.sprintf "%s.tmp%d" path (Unix.getpid ()) in
   match open_out_bin tmp with
   | exception Sys_error m -> Error m
   | oc -> (

@@ -63,10 +63,13 @@ val unseal : string -> (string, [ `Missing | `Mismatch ]) result
     (["PATH: is a directory"]). *)
 val read_file : string -> (string, string) result
 
-(** [write_atomic ~path contents] writes [contents] to a [path ^
-    ".tmp"] sibling and renames it over [path], so a reader sees the
-    old file or the new one, never a torn write. On failure the
-    sibling is removed and [path] is untouched. *)
+(** [write_atomic ~path contents] writes [contents] to a
+    [<path>.tmp<pid>] sibling, [pid] being the writer's process id, and
+    renames it over [path], so a reader sees the old file or the new
+    one, never a torn write, and two processes saving the same [path]
+    never share a sibling. On failure the sibling is removed and [path]
+    is untouched; a writer killed mid-write leaves its sibling behind
+    ([store gc] removes those of a store whose pid no longer runs). *)
 val write_atomic : path:string -> string -> (unit, string) result
 
 (** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).

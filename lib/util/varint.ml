@@ -9,20 +9,33 @@ let write buf n =
   in
   go n
 
+type cursor = { src : string; mutable pos : int }
+
+let cursor src pos = { src; pos }
+
+(* a top-level loop over plain arguments: a read allocates nothing *)
+let rec next_at c pos shift acc =
+  let s = c.src in
+  if pos >= String.length s then invalid_arg "Varint.read: truncated input";
+  (* [write] never emits more than 9 bytes (shift 56 holds bits 56..62
+     of a 63-bit int); past that — or once a continuation run would set
+     the sign bit — [lsl] silently wraps, so reject. *)
+  if shift > 56 then invalid_arg "Varint.read: overflow";
+  let b = Char.code (String.unsafe_get s pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if acc < 0 then invalid_arg "Varint.read: overflow";
+  if b land 0x80 = 0 then begin
+    c.pos <- pos + 1;
+    acc
+  end
+  else next_at c (pos + 1) (shift + 7) acc
+
+let next c = next_at c c.pos 0 0
+
 let read s pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len then invalid_arg "Varint.read: truncated input";
-    (* [write] never emits more than 9 bytes (shift 56 holds bits
-       56..62 of a 63-bit int); past that — or once a continuation run
-       would set the sign bit — [lsl] silently wraps, so reject. *)
-    if shift > 56 then invalid_arg "Varint.read: overflow";
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if acc < 0 then invalid_arg "Varint.read: overflow";
-    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+  let c = cursor s pos in
+  let v = next c in
+  (v, c.pos)
 
 let size n =
   if n < 0 then invalid_arg "Varint.size: negative";

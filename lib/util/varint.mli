@@ -15,6 +15,17 @@ val write : Buffer.t -> int -> unit
     produces it). *)
 val read : string -> int -> int * int
 
+(** A read position in a string, for decoders that read many varints
+    in a row: {!next} advances it in place and allocates nothing. *)
+type cursor = { src : string; mutable pos : int }
+
+(** [cursor s pos] — a cursor on [s] at [pos]. *)
+val cursor : string -> int -> cursor
+
+(** [next c] decodes the varint at [c.pos] and moves [c.pos] past it;
+    it raises as {!read} does, leaving [c.pos] where it was. *)
+val next : cursor -> int
+
 (** [size n] is the number of bytes [write] would emit for [n]. *)
 val size : int -> int
 

@@ -300,6 +300,41 @@ let test_open_warm () =
   Alcotest.(check bool) "cold build" true (first = `Built);
   Alcotest.(check bool) "warm load" true (second = `Loaded)
 
+(* A load allocates about what it keeps: the payload copies, the
+   interval and span records and the small arrays go through the minor
+   heap, the event and posting arrays mostly straight to the major
+   heap. A tuple per varint read or a fresh value per event (about
+   nine times the database's words on this run) fails the bound. The
+   mean over 20 loads smooths out the lag in the runtime's allocation
+   counters. *)
+let test_load_allocation () =
+  let dir = tmpdir "alloc" in
+  let ts =
+    (fst (Odd_even.run ~np:32 ~seed:1 ~fault:Fault.No_fault ())).R.traces
+  in
+  let db = Eventdb.build ts in
+  (match Eventdb.save ~dir db with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "save: %s" m);
+  let digest = db.Eventdb.db_digest in
+  let load () =
+    match Eventdb.load ~dir ~digest with
+    | Ok db -> db
+    | Error m -> Alcotest.failf "load: %s" m
+  in
+  let words = float_of_int (Obj.reachable_words (Obj.repr (load ()))) in
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (load ()))
+  done;
+  let minor = (Gc.minor_words () -. before) /. float_of_int calls in
+  if minor > 2. *. words then
+    Alcotest.failf
+      "Eventdb.load allocated %.0f minor words a load for a %.0f-word \
+       database (bound: twice its words)"
+      minor words
+
 (* --- query semantics pinned on a deterministic workload -------------- *)
 
 let test_between_markers () =
@@ -402,7 +437,9 @@ let () =
             test_corrupt_index_rebuilds;
           Alcotest.test_case "warm open loads" `Quick test_open_warm;
           Alcotest.test_case "crafted index rebuilds" `Quick
-            test_crafted_index_rebuilds ] );
+            test_crafted_index_rebuilds;
+          Alcotest.test_case "load allocation bound" `Quick
+            test_load_allocation ] );
       ( "query",
         [ Alcotest.test_case "between markers" `Quick test_between_markers;
           Alcotest.test_case "under function" `Quick test_under_function;

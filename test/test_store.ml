@@ -565,6 +565,42 @@ let test_orphan_ingests () =
   Alcotest.(check int) "nothing left to remove" 0
     (Session.remove_orphan_ingests st)
 
+(* store gc removes the temporary a writer killed inside
+   Framed.write_atomic left in the store or its event-DB directory, and
+   leaves one whose writer still runs *)
+let test_orphan_temps () =
+  let dir = tmpdir "orphan_temps" in
+  let edb = Filename.concat dir "eventdb" in
+  (match Difftrace_util.Framed.mkdir_p edb with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let dead =
+    let pid =
+      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+    in
+    ignore (Unix.waitpid [] pid);
+    pid
+  in
+  let temp d name pid =
+    let p = Filename.concat d (Printf.sprintf "%s.tmp%d" name pid) in
+    write_file p "partial";
+    p
+  in
+  let store_orphan = temp dir "analysis.store" dead in
+  let edb_orphan = temp edb (String.make 32 'b' ^ ".edb") dead in
+  let live = temp edb (String.make 32 'c' ^ ".edb") (Unix.getpid ()) in
+  let not_temp = Filename.concat edb "notes.tmpx" in
+  write_file not_temp "x";
+  let st = get (Store.load ~dir) in
+  Alcotest.(check int) "two orphans removed" 2 (Session.remove_orphan_temps st);
+  Alcotest.(check bool) "the store's orphan is gone" false
+    (Sys.file_exists store_orphan);
+  Alcotest.(check bool) "the event DB's orphan is gone" false
+    (Sys.file_exists edb_orphan);
+  Alcotest.(check bool) "the live writer's file stays" true (Sys.file_exists live);
+  Alcotest.(check bool) "other names stay" true (Sys.file_exists not_temp);
+  Alcotest.(check int) "nothing left to remove" 0 (Session.remove_orphan_temps st)
+
 (* summaries gc dropped before they were ever written leave nothing to
    persist: the flush after the first is a no-op, not a rewrite *)
 let test_dropped_new_summaries () =
@@ -663,6 +699,8 @@ let () =
             test_sources_ride_summaries;
           Alcotest.test_case "gc removes orphaned ingest directories" `Quick
             test_orphan_ingests;
+          Alcotest.test_case "gc removes orphaned temporary files" `Quick
+            test_orphan_temps;
           Alcotest.test_case "gc rejects negative caps, unknown kinds" `Quick
             test_gc_rejects_bad_caps;
           Alcotest.test_case "dropped new summaries flush once" `Quick

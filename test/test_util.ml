@@ -324,7 +324,18 @@ let test_framed_files () =
   Alcotest.(check bool) "write" true (Framed.write_atomic ~path "one" = Ok ());
   Alcotest.(check bool) "replace" true (Framed.write_atomic ~path "two" = Ok ());
   Alcotest.(check bool) "read back" true (Framed.read_file path = Ok "two");
-  Alcotest.(check bool) "no sibling left" false (Sys.file_exists (path ^ ".tmp"));
+  let sibling p = Printf.sprintf "%s.tmp%d" p (Unix.getpid ()) in
+  Alcotest.(check bool) "no sibling left" false (Sys.file_exists (sibling path));
+  (* the sibling carries the writer's pid: another writer's temporary
+     of the same path is neither used nor removed *)
+  let other = path ^ ".tmp1" in
+  Out_channel.with_open_bin other (fun oc -> output_string oc "theirs");
+  Alcotest.(check bool) "write beside another writer" true
+    (Framed.write_atomic ~path "three" = Ok ());
+  Alcotest.(check bool) "ours landed" true (Framed.read_file path = Ok "three");
+  Alcotest.(check bool) "theirs untouched" true
+    (Framed.read_file other = Ok "theirs");
+  Sys.remove other;
   Alcotest.(check bool) "mkdir_p over a file" true
     (Framed.mkdir_p (Filename.concat path "sub")
     = Error (path ^ " exists and is not a directory"));
@@ -332,7 +343,7 @@ let test_framed_files () =
   Alcotest.(check bool) "failed write" true
     (Result.is_error (Framed.write_atomic ~path:dir "x"));
   Alcotest.(check bool) "failed write cleaned up" false
-    (Sys.file_exists (dir ^ ".tmp"));
+    (Sys.file_exists (sibling dir));
   Alcotest.(check bool) "missing file" true
     (Result.is_error (Framed.read_file (Filename.concat dir "absent")))
 
