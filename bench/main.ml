@@ -636,6 +636,8 @@ let perf () =
              List.init (20 + (i mod 4)) (fun j -> Printf.sprintf "a%d" ((i mod 4) + j)) )))
   in
   let jsm320 = Jsm.of_context ctx320 in
+  (* the same matrix with every trace its own class: the d = n sweep *)
+  let jsm320_distinct = Jsm.of_dense ~labels:jsm320.Jsm.labels (Jsm.rows jsm320) in
   let seq_a = Array.init 600 (fun i -> (i * 37) mod 11) in
   let seq_b = Array.init 600 (fun i -> (i * 53) mod 11) in
   (* a hung run's shape: the normal trace against the short prefix the
@@ -708,6 +710,8 @@ let perf () =
         (Staged.stage (fun () -> Linkage.cluster Linkage.Single dist));
       Test.make ~name:"linkage.ward-320"
         (Staged.stage (fun () -> Linkage.of_similarity Linkage.Ward jsm320));
+      Test.make ~name:"linkage.ward-320-distinct"
+        (Staged.stage (fun () -> Linkage.of_similarity Linkage.Ward jsm320_distinct));
       Test.make ~name:"tsp.2opt-40-cities"
         (Staged.stage (fun () -> Tsp.solve tsp ~seed:9));
       Test.make ~name:"pipeline.analyze-oddeven16"

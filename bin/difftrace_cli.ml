@@ -1101,7 +1101,7 @@ let campaign_cmd =
       if faults = [] then
         die ~code:2 "campaign run needs at least one --fault (repeatable)";
       (* the runner's refusal, as run/table/report give it *)
-      Result.iter_error fail_with (Session.check_np np);
+      Result.iter_error fail_with (Session.check_np ~workload:kind np);
       let config = C.config_for ~kind (config_or_exit ~engine params) in
       run_profiled prof ~config @@ fun () ->
       (* campaigns persist analysis by default, beside their archives;

@@ -208,7 +208,7 @@ let matrix ?max_steps ~kind ~np ~faults ~seeds () =
       (Printf.sprintf "unknown cell kind %S (known: %s)" kind
          (String.concat ", " (kinds ())))
   else
-    match (check_corpus kind, Session.check_np np) with
+    match (check_corpus kind, Session.check_np ~workload:kind np) with
     | Error m, _ -> fail (Printf.sprintf "corpus kind %S: %s" kind m)
     | Ok (), Error e -> Error (Bad_matrix (Session.error_to_string e))
     | Ok (), Ok () ->

@@ -134,8 +134,8 @@ type matrix = private {
 (** [matrix ?max_steps ~kind ~np ~faults ~seeds ()] — validate and
     build. [Bad_matrix] names the first of: an unknown kind, a corpus
     kind whose frontend is unregistered (the message lists the known
-    frontends) or whose [DIR] holds no file, [np < 1] (in
-    {!Difftrace_core.Session.check_np}'s words), an empty fault or seed
+    frontends) or whose [DIR] holds no file, a rank count the kind
+    refuses (in {!Difftrace_core.Session.check_np}'s words), an empty fault or seed
     list, or [max_steps < 1]. Cells are the cross product
     faults × seeds, numbered fault-major from 0. *)
 val matrix :

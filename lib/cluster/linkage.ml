@@ -1,6 +1,11 @@
 module Symmat = Difftrace_util.Symmat
+module Counter = Difftrace_obs.Telemetry.Counter
 
-let c_merges = Difftrace_obs.Telemetry.Counter.make "linkage.merges"
+(* [linkage.merges] counts n - 1 merges per dendrogram;
+   [linkage.updates] counts Lance–Williams evaluations, (n-1)(n-2)/2
+   for a dense sweep over n clusters *)
+let c_merges = Counter.make "linkage.merges"
+let c_updates = Counter.make "linkage.updates"
 
 type method_ = Single | Complete | Average | Weighted | Centroid | Median | Ward
 
@@ -75,25 +80,28 @@ let row_min ~rarg ~rmin k row act own lo len =
   rarg.(k) <- !bj;
   rmin.(k) <- !bv
 
-(* The merge sweep over [d], the n x n distances between active
-   clusters in working space; a cluster's distances live in the row
-   and column of the slot it owns. [d] is overwritten. *)
-let sweep meth d =
-  let n = Array.length d in
+let[@inline] height sq dij = if sq then sqrt (Float.max 0.0 dij) else dij
+
+let no_merge = { a = -1; b = -1; dist = Float.nan; size = 0 }
+
+(* The merge sweep from [act], the ids of the m active clusters in
+   ascending order, over [d], their m x m distances in working space:
+   row and column [p] belong to [act.(p)], and a new cluster takes over
+   the slot of its first child. [csize] holds every cluster's size by
+   id; steps [step0 .. n-2] are written to [merges], the cluster formed
+   at step [t] being [n + t]. [act], [csize] and [d] are overwritten. *)
+let sweep meth ~n ~step0 ~act ~csize d merges =
+  let m = Array.length act in
   let sq = squared_space meth in
-  (* the active ids in ascending order and their slots: a new cluster
-     is the largest id, and takes over the slot of its first child *)
-  let act = Array.init n Fun.id and own = Array.init n Fun.id and nact = ref n in
-  let csize = Array.make (2 * n) 1 in
+  let own = Array.init m Fun.id and nact = ref m in
   (* rmin.(i) is the smallest non-NaN d(i, j) over active j > i and
      rarg.(i) its j; a row whose rmin cannot pass the pick test holds no
      entry that can, so the sweep skips it *)
   let rmin = Array.make (2 * n) infinity and rarg = Array.make (2 * n) (-1) in
-  for p = 0 to n - 1 do
-    row_min ~rarg ~rmin p d.(p) act own (p + 1) n
+  for p = 0 to m - 1 do
+    row_min ~rarg ~rmin act.(p) d.(p) act own (p + 1) m
   done;
-  let merges = ref [] in
-  for step = 0 to n - 2 do
+  for step = step0 to n - 2 do
     (* the closest active pair, scanned in ascending (a, b) order; a
        later pair wins only when smaller by more than 1e-15 *)
     let ba = ref (-1) and bb = ref (-1) and bd = ref infinity in
@@ -149,46 +157,272 @@ let sweep meth d =
         rmin.(k) <- d.(own.(p)).(sa)
       end
     done;
-    let height = if sq then sqrt (Float.max 0.0 dij) else dij in
-    merges := { a; b; dist = height; size = ni + nj } :: !merges
+    merges.(step) <- { a; b; dist = height sq dij; size = ni + nj }
   done;
-  Difftrace_obs.Telemetry.Counter.add c_merges (max 0 (n - 1));
-  { n; merges = Array.of_list (List.rev !merges) }
+  Counter.add c_updates ((m - 1) * (m - 2) / 2)
 
 let cluster meth m =
   let n = validate m in
   if n = 0 then invalid_arg "Linkage.cluster: empty matrix";
   let sq = squared_space meth in
-  sweep meth
+  let merges = Array.make (n - 1) no_merge in
+  sweep meth ~n ~step0:0 ~act:(Array.init n Fun.id) ~csize:(Array.make (2 * n) 1)
     (Array.init n (fun i ->
          Array.init n (fun j -> if sq then m.(i).(j) *. m.(i).(j) else m.(i).(j))))
+    merges;
+  Counter.add c_merges (n - 1);
+  { n; merges }
 
-(* The working matrix straight from the packed similarity cells: the
-   same [1.0 -. s] as [Jsm.to_distance], squared as [cluster] squares
-   it, so the sweep sees the very floats [cluster] would build. A
-   packed matrix is square and symmetric by construction; only its
-   diagonal needs checking. *)
-let of_similarity meth (j : Jsm.t) =
+(* The classes of [j] that hold a trace, renumbered by first occurrence
+   over the traces: [cls.(i)] is trace i's, and [key.(c)] is class c
+   of [j]'s number, or -1 when no trace holds it. Checks the
+   similarity diagonal on the way. *)
+let used_classes (j : Jsm.t) =
   let s = j.Jsm.m in
-  let n = Symmat.dim s in
-  if n = 0 then invalid_arg "Linkage.of_similarity: empty matrix";
-  let cells = Symmat.cells s in
+  let key = Array.make (Symmat.dim s) (-1) and d = ref 0 in
+  let cls =
+    Array.map
+      (fun c ->
+        if key.(c) < 0 then begin
+          if Float.abs (1.0 -. Symmat.get s c c) > 1e-12 then
+            invalid_arg "Linkage.of_similarity: nonzero diagonal";
+          key.(c) <- !d;
+          incr d
+        end;
+        key.(c))
+      j.Jsm.cls
+  in
+  (cls, key, !d)
+
+(* The d x d working distances between the used classes: the same
+   [1.0 -. s] as [Jsm.to_distance], squared as [cluster] squares it, so
+   the very floats [cluster] would sweep. Read in the packed cells'
+   row-major order. *)
+let class_distances meth (j : Jsm.t) key d =
   let sq = squared_space meth in
-  let d = Array.make_matrix n n 0.0 in
-  let base = ref 0 in
-  for i = 0 to n - 1 do
-    if Float.abs (1.0 -. cells.(!base)) > 1e-12 then
-      invalid_arg "Linkage.of_similarity: nonzero diagonal";
-    let di = d.(i) in
-    for k = 0 to n - i - 1 do
-      let x = 1.0 -. cells.(!base + k) in
-      let v = if sq then x *. x else x in
-      di.(i + k) <- v;
-      d.(i + k).(i) <- v
-    done;
-    base := !base + (n - i)
+  let cells = Symmat.cells j.Jsm.m and dim = Symmat.dim j.Jsm.m in
+  let w = Array.make_matrix d d 0.0 and base = ref 0 in
+  for c = 0 to dim - 1 do
+    let k = key.(c) in
+    if k >= 0 then begin
+      let wk = w.(k) in
+      for c' = c to dim - 1 do
+        let k' = key.(c') in
+        if k' >= 0 then begin
+          let x = 1.0 -. cells.(!base + (c' - c)) in
+          let v = if sq then x *. x else x in
+          wk.(k') <- v;
+          w.(k').(k) <- v
+        end
+      done
+    end;
+    base := !base + (dim - c)
   done;
-  sweep meth d
+  w
+
+(* The class sweep's precondition: the traces of a class are at
+   distance exactly 0 from each other, and every distance between two
+   classes is too large to tie with 0 (more than twice the sweep's
+   1e-15 tie margin) and not NaN. *)
+let classes_separate w count =
+  let d = Array.length w in
+  let ok = ref true in
+  for k = 0 to d - 1 do
+    if count.(k) > 1 && w.(k).(k) <> 0.0 then ok := false;
+    for k' = k + 1 to d - 1 do
+      if not (w.(k).(k') > 2e-15) then ok := false
+    done
+  done;
+  !ok
+
+(* The within-class merges, steps 0 .. n-d-1, for traces [cls] over d
+   classes of [count] members. *)
+type within = {
+  start : int array;  (* class k's members sit at [start.(k) ..] *)
+  slot : int array;
+      (* by id: a leaf's index among its class's members; a merged
+         cluster takes its first child's *)
+  events : int array;  (* the merges' steps, class k's at [start.(k) - k ..] *)
+  root : int array;  (* class k's final cluster *)
+}
+
+(* While a class has two active members, the dense sweep merges the two
+   smallest members of the class whose smallest member is smallest, at
+   height 0 (see [of_similarity]). The new cluster is the largest id,
+   so per-class queues of active members in ascending id (linked
+   through [qnext]) replay those merges without distances. *)
+let merge_within meth ~n cls count ~csize merges =
+  let d = Array.length count in
+  let start = Array.make (d + 1) 0 in
+  for k = 0 to d - 1 do
+    start.(k + 1) <- start.(k) + count.(k)
+  done;
+  let leaves = Array.make n 0 and slot = Array.make (2 * n) 0 in
+  let fill = Array.sub start 0 d in
+  Array.iteri
+    (fun i k ->
+      leaves.(fill.(k)) <- i;
+      slot.(i) <- fill.(k) - start.(k);
+      fill.(k) <- fill.(k) + 1)
+    cls;
+  let qhead = Array.init d (fun k -> leaves.(start.(k)))
+  and qtail = Array.init d (fun k -> leaves.(start.(k + 1) - 1))
+  and qlen = Array.copy count
+  and qnext = Array.make (2 * n) (-1) in
+  for k = 0 to d - 1 do
+    for p = start.(k) to start.(k + 1) - 2 do
+      qnext.(leaves.(p)) <- leaves.(p + 1)
+    done
+  done;
+  let events = Array.make (n - d) 0 and nev = Array.make d 0 in
+  let h0 = height (squared_space meth) 0.0 in
+  for step = 0 to n - d - 1 do
+    let k = ref (-1) in
+    for c = 0 to d - 1 do
+      if qlen.(c) > 1 && (!k < 0 || qhead.(c) < qhead.(!k)) then k := c
+    done;
+    let k = !k in
+    let a = qhead.(k) in
+    let b = qnext.(a) and newc = n + step in
+    if qlen.(k) = 2 then qhead.(k) <- newc
+    else begin
+      qhead.(k) <- qnext.(b);
+      qnext.(qtail.(k)) <- newc
+    end;
+    qtail.(k) <- newc;
+    qlen.(k) <- qlen.(k) - 1;
+    csize.(newc) <- csize.(a) + csize.(b);
+    slot.(newc) <- slot.(a);
+    events.(start.(k) - k + nev.(k)) <- step;
+    nev.(k) <- nev.(k) + 1;
+    merges.(step) <- { a; b; dist = h0; size = csize.(newc) }
+  done;
+  { start; slot; events; root = qhead }
+
+(* Replays the distances between the clusters of classes [ka] and [kb]
+   over a slot matrix, [na] x [nb] in [buf]: each merge in one class
+   updates its new cluster's distance to every active cluster of the
+   other, with the arguments the dense sweep passes ([dki] to the first
+   child, [dkj] to the second, [dij] = 0). Returns the distance between
+   the two classes' final clusters and the number of updates. *)
+let replay meth ~count ~csize ~w ~within merges buf ka kb =
+  let { start; slot; events; root } = within in
+  let na = count.(ka) and nb = count.(kb) in
+  let m = buf in
+  Array.fill m 0 (na * nb) w.(ka).(kb);
+  let alive_a = Array.make na true and alive_b = Array.make nb true in
+  let size_a = Array.make na 1 and size_b = Array.make nb 1 in
+  let updates = ref 0 in
+  let ea = ref (start.(ka) - ka) and eb = ref (start.(kb) - kb) in
+  let ea_end = !ea + na - 1 and eb_end = !eb + nb - 1 in
+  while !ea < ea_end || !eb < eb_end do
+    if !eb >= eb_end || (!ea < ea_end && events.(!ea) < events.(!eb)) then begin
+      let mg = merges.(events.(!ea)) in
+      let sa = slot.(mg.a) * nb and sb = slot.(mg.b) * nb in
+      let ni = csize.(mg.a) and nj = csize.(mg.b) in
+      for q = 0 to nb - 1 do
+        if alive_b.(q) then begin
+          m.(sa + q) <-
+            lance_williams meth ~ni ~nj ~nk:size_b.(q) m.(sa + q) m.(sb + q) 0.0;
+          incr updates
+        end
+      done;
+      alive_a.(slot.(mg.b)) <- false;
+      size_a.(slot.(mg.a)) <- mg.size;
+      incr ea
+    end
+    else begin
+      let mg = merges.(events.(!eb)) in
+      let sa = slot.(mg.a) and sb = slot.(mg.b) in
+      let ni = csize.(mg.a) and nj = csize.(mg.b) in
+      for p = 0 to na - 1 do
+        if alive_a.(p) then begin
+          m.((p * nb) + sa) <-
+            lance_williams meth ~ni ~nj ~nk:size_a.(p) m.((p * nb) + sa)
+              m.((p * nb) + sb) 0.0;
+          incr updates
+        end
+      done;
+      alive_b.(sb) <- false;
+      size_b.(sa) <- mg.size;
+      incr eb
+    end
+  done;
+  (m.((slot.(root.(ka)) * nb) + slot.(root.(kb))), !updates)
+
+(* [of_similarity] clusters the d classes of [j]'s traces instead of
+   its n traces, merge for merge the dense sweep's result:
+
+   - While a class has two active members, the dense sweep picks a pair
+     inside a class, at distance +0 (every Lance–Williams update maps
+     (0, 0, 0) to +0, and a distance between classes stays above
+     1e-15, so it never beats 0 under the tie rule): the first such
+     pair in (a, b) order. [merge_within] replays these n - d merges.
+   - The distance between a cluster of class A and one of class B
+     changes only when A or B merges. So each pair of classes replays
+     the dense sweep's updates of its own cross distances, in the same
+     order and with the same arguments, and ends at the distance
+     between the two classes' final clusters, bit for bit: n_A·n_B - 1
+     updates for the pair.
+   - The sweep continues from those d clusters at step n - d.
+
+   When the precondition fails, every trace is its own class: the same
+   code at d = n, which is the dense sweep. *)
+let of_similarity meth (j : Jsm.t) =
+  let n = Jsm.size j in
+  if n = 0 then invalid_arg "Linkage.of_similarity: empty matrix";
+  let cls, key, d = used_classes j in
+  let w = class_distances meth j key d in
+  let count = Array.make d 0 in
+  Array.iter (fun k -> count.(k) <- count.(k) + 1) cls;
+  (* at d = n every trace already is its own class, in trace order *)
+  let cls, w, count =
+    if d = n || classes_separate w count then (cls, w, count)
+    else
+      ( Array.init n Fun.id,
+        Array.init n (fun i ->
+            let wi = w.(cls.(i)) and row = Array.make n 0.0 in
+            Array.iteri (fun j k -> row.(j) <- wi.(k)) cls;
+            row),
+        Array.make n 1 )
+  in
+  let d = Array.length w in
+  let csize = Array.make (2 * n) 1 and merges = Array.make (n - 1) no_merge in
+  (* the d final clusters in ascending id, and their distances; at
+     d = n those are the traces, and [w] *)
+  let dd, act =
+    if d = n then (w, Array.init n Fun.id)
+    else begin
+      let within = merge_within meth ~n cls count ~csize merges in
+      let owner = Array.make (2 * n) (-1) in
+      Array.iteri (fun k id -> owner.(id) <- k) within.root;
+      let order = Array.of_list (List.filter (fun k -> k >= 0) (Array.to_list owner)) in
+      let buf = ref [||] and updates = ref 0 in
+      let dd = Array.make_matrix d d 0.0 in
+      for p = 0 to d - 1 do
+        for q = p + 1 to d - 1 do
+          let ka = order.(p) and kb = order.(q) in
+          let v =
+            if count.(ka) = 1 && count.(kb) = 1 then w.(ka).(kb)
+            else begin
+              if Array.length !buf < count.(ka) * count.(kb) then
+                buf := Array.make (count.(ka) * count.(kb)) 0.0;
+              let v, u = replay meth ~count ~csize ~w ~within merges !buf ka kb in
+              updates := !updates + u;
+              v
+            end
+          in
+          dd.(p).(q) <- v;
+          dd.(q).(p) <- v
+        done
+      done;
+      Counter.add c_updates !updates;
+      (dd, Array.map (fun k -> within.root.(k)) order)
+    end
+  in
+  sweep meth ~n ~step0:(n - d) ~act ~csize dd merges;
+  Counter.add c_merges (n - 1);
+  { n; merges }
 
 (* Flat cuts: a union-find over the merges [applied] selects, with
    cluster ids renumbered by first appearance over the leaves. *)

@@ -46,20 +46,28 @@ val cluster : method_ -> float array array -> t
 
 (** [of_similarity method jsm] = [cluster method (Jsm.rows
     (Jsm.to_distance jsm))], merge for merge and bit for bit, without
-    either copy: the working matrix is built straight from the packed
-    similarity cells with the same [1 − s] (squared for centroid,
+    either copy, and over the JSM's d attribute classes instead of its
+    n traces. Distances are the same [1 − s] (squared for centroid,
     median and ward). A packed matrix is square and symmetric by
     construction, so only the diagonal is checked. Raises
     [Invalid_argument] on an empty matrix or a similarity diagonal
     further than 1e-12 from 1.
 
-    The sweep itself stays dense over all n traces, even when many of
-    them are identical (distance 0). Collapsing those height-0 merges
-    up front would need every Lance–Williams update of two equal
-    distances to return that distance exactly, and ward's
-    [((nk+ni)·x + (nk+nj)·x − nk·0) / (nk+ni+nj)] need not round back
-    to [x] in floating point, so the collapsed sweep could not be shown
-    identical merge for merge. *)
+    While a class still has two active members, the dense sweep can
+    only merge a pair inside a class, at height 0: every
+    Lance–Williams update maps (0, 0, 0) to +0, and under the tie rule
+    a distance above 1e-15 never beats 0. So the n − d height-0 merges
+    are replayed from per-class queues without distances, and each pair
+    of classes replays the dense sweep's updates of its cross
+    distances in the same order with the same arguments, at most
+    n_A·n_B of them. Ward's update of two equal distances need not
+    round back to that distance, which is why those updates are
+    replayed rather than skipped. The sweep then continues over the d
+    classes' final clusters. This needs every class of two or more
+    traces to have a diagonal of exactly 1 and every distance between
+    two classes to be above 2e-15 and not NaN; otherwise every trace
+    is its own class and the sweep is dense over the n traces. The
+    [linkage.updates] counter counts Lance–Williams evaluations. *)
 val of_similarity : method_ -> Jsm.t -> t
 
 (** [cut_k t k] — the flat clustering with exactly [k] clusters

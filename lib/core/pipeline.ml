@@ -302,7 +302,8 @@ let compare_slots ?memo ?store (config : Config.t) ~normal ~faulty =
       Bscore.score dn df
   in
   let suspects =
-    Array.mapi (fun i l -> (l, Jsm.row_change jsm_d i)) jsm_d.Jsm.labels
+    let change = Jsm.row_changes jsm_d in
+    Array.mapi (fun i l -> (l, change.(i))) jsm_d.Jsm.labels
   in
   Array.sort (fun (_, a) (_, b) -> Float.compare b a) suspects;
   (* per label: 1 if the normal run has it, 2 if the faulty run has

@@ -69,13 +69,20 @@ let error_to_string = function
    run holds np² words of clocks: 8 MB at the cap *)
 let max_np = 1024
 
-let check_np np =
+let check_np ~workload np =
   if np < 1 then
     Error (Invalid (Printf.sprintf "workload: np must be >= 1, got %d" np))
   else if np > max_np then
     Error
       (Invalid (Printf.sprintf "workload: np must be <= %d, got %d" max_np np))
-  else Ok ()
+  else
+    match Difftrace_workloads.Catalog.max_np workload with
+    | Some limit when np > limit ->
+      Error
+        (Invalid
+           (Printf.sprintf "workload: np must be <= %d for %s, got %d" limit
+              workload np))
+    | Some _ | None -> Ok ()
 
 let max_vdiff_runs = 64
 

@@ -48,10 +48,13 @@ val error_to_string : error -> string
     cap. *)
 val max_np : int
 
-(** [check_np np] — [Invalid] naming [np] when [np < 1] or
-    [np > max_np]: the one wording of a bad rank count, for the runner
-    and campaigns. *)
-val check_np : int -> (unit, error) result
+(** [check_np ~workload np] — [Invalid] naming [np] when [np < 1],
+    [np > max_np] or [np] is above workload [workload]'s own limit
+    ({!Difftrace_workloads.Catalog.max_np}; ilcs runs at most 64
+    ranks): the one wording of a bad rank count, for the runner and
+    campaigns. A name that is not a bundled workload has no limit of
+    its own. *)
+val check_np : workload:string -> int -> (unit, error) result
 
 (** The most runs one [vdiff] request may align: 64. *)
 val max_vdiff_runs : int

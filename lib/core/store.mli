@@ -8,8 +8,8 @@
     summarizations. It keeps only what is costly to recompute: NLR
     summaries, the trace sources that name them, and variational
     alignments. A JSM is not stored; it costs
-    one Jaccard per pair of attribute classes plus an n² lookup fill,
-    which is less than decoding a stored one.
+    one Jaccard per pair of attribute classes, which is less than
+    decoding a stored one.
 
     {2 Correctness model}
 

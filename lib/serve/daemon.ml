@@ -64,7 +64,7 @@ let run_workload (ws : P.workload_spec) =
   let* fault =
     Result.map_error (fun m -> Session.Invalid m) (Fault.of_string ws.P.ws_fault)
   in
-  let* () = Session.check_np ws.P.ws_np in
+  let* () = Session.check_np ~workload:ws.P.ws_workload ws.P.ws_np in
   let level =
     if ws.P.ws_all_images then Tracer.All_images else Tracer.Main_image
   in

@@ -23,12 +23,6 @@ let get t i j =
   let i, j = if i <= j then (i, j) else (j, i) in
   t.cells.(offset t i + (j - i))
 
-let set t i j v =
-  check t i;
-  check t j;
-  let i, j = if i <= j then (i, j) else (j, i) in
-  t.cells.(offset t i + (j - i)) <- v
-
 let init n f =
   if n < 0 then invalid_arg "Symmat.init";
   let t = make n in
@@ -59,47 +53,4 @@ let of_upper_rows ~n rows =
 
 let cells t = t.cells
 
-let sub t idx =
-  Array.iter (check t) idx;
-  let m = Array.length idx in
-  let r = make m in
-  for i = 0 to m - 1 do
-    let base = offset r i and si = idx.(i) in
-    for j = i to m - 1 do
-      let sj = idx.(j) in
-      let a, b = if si <= sj then (si, sj) else (sj, si) in
-      r.cells.(base + (j - i)) <- t.cells.(offset t a + (b - a))
-    done
-  done;
-  r
-
-let row t i =
-  check t i;
-  let r = Array.make t.n 0.0 in
-  for j = 0 to i - 1 do
-    r.(j) <- t.cells.(offset t j + (i - j))
-  done;
-  Array.blit t.cells (offset t i) r i (t.n - i);
-  r
-
-let to_rows t = Array.init t.n (row t)
-
 let map f t = { t with cells = Array.map f t.cells }
-
-let map2 f a b =
-  if a.n <> b.n then invalid_arg "Symmat.map2: dimension mismatch";
-  { a with cells = Array.map2 f a.cells b.cells }
-
-(* cells (j, i) for j < i sit in column i of the earlier rows, the
-   rest in row i itself; summed in the order j = 0 .. n-1 *)
-let row_sum t i =
-  check t i;
-  let acc = ref 0.0 in
-  for j = 0 to i - 1 do
-    acc := !acc +. t.cells.(offset t j + (i - j))
-  done;
-  let base = offset t i in
-  for j = i to t.n - 1 do
-    acc := !acc +. t.cells.(base + (j - i))
-  done;
-  !acc

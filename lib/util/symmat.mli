@@ -8,17 +8,11 @@
 
 type t
 
-(** [make n] is the n x n all-zero matrix. *)
-val make : int -> t
-
 (** [dim t] is n. *)
 val dim : t -> int
 
 (** [get t i j] = [get t j i]. Raises [Invalid_argument] out of range. *)
 val get : t -> int -> int -> float
-
-(** [set t i j v] sets both (i, j) and (j, i) (one cell is stored). *)
-val set : t -> int -> int -> float -> unit
 
 (** [init n f] fills from [f i j], calling [f] only on the upper
     triangle (i <= j), row by row. *)
@@ -34,24 +28,5 @@ val of_upper_rows : n:int -> float array array -> t
     not mutate. *)
 val cells : t -> float array
 
-(** [to_rows t] is a fresh dense mirror (both triangles filled). *)
-val to_rows : t -> float array array
-
-(** [row t i] is a fresh copy of row i, both triangles: its cell j is
-    [get t i j]. *)
-val row : t -> int -> float array
-
-(** [sub t idx] is the m x m matrix whose cell (i, j) is
-    [get t idx.(i) idx.(j)], m = [Array.length idx]; indices may repeat
-    and come in any order. Raises [Invalid_argument] when an index is
-    out of range. *)
-val sub : t -> int array -> t
-
 (** [map f t] applies [f] to every stored cell. *)
 val map : (float -> float) -> t -> t
-
-(** [map2 f a b] combines two matrices cell-wise; dimensions must match. *)
-val map2 : (float -> float -> float) -> t -> t -> t
-
-(** [row_sum t i] = Σ_j [get t i j]. *)
-val row_sum : t -> int -> float

@@ -1,5 +1,7 @@
 let names = [ "heat"; "heat2d"; "ilcs"; "lulesh"; "oddeven" ]
 
+let max_np = function "ilcs" -> Some Ilcs.max_np | _ -> None
+
 let run ?level ?max_steps name ~np ~seed ~fault =
   match name with
   | "oddeven" -> Some (fst (Odd_even.run ~np ~seed ?level ?max_steps ~fault ()))

@@ -7,6 +7,11 @@
     "oddeven"]. *)
 val names : string list
 
+(** [max_np name] — the largest rank count workload [name] accepts
+    below the runner's own cap: [Some 64] for ilcs, [None] for the
+    other bundled workloads and for names that are not bundled. *)
+val max_np : string -> int option
+
 (** [run ?level ?max_steps name ~np ~seed ~fault] executes workload
     [name] once with [np] ranks; [None] when [name] is not bundled.
     heat2d arranges its [np] ranks as an [np/2 × 2] grid ([1 × 1] for

@@ -5,11 +5,13 @@ type result = { global_champion : int; rounds : int array }
 
 (* Ranks are encoded into the low bits of the champion-owner Allreduce
    so MPI_MINLOC can be expressed with a plain MIN. *)
-let rank_bits = 6 (* supports np <= 64 *)
+let rank_bits = 6
+
+let max_np = 1 lsl rank_bits
 
 let run ?(np = 8) ?(workers = 4) ?(seed = 1) ?level ?(cities = 12)
     ?(seeds_per_worker = 40) ?(threshold = 3) ?max_steps ?jitter ~fault () =
-  if np > 1 lsl rank_bits then invalid_arg "Ilcs.run: np too large";
+  if np > max_np then invalid_arg "Ilcs.run: np too large";
   let rounds = Array.make np 0 in
   let best = ref max_int in
   let outcome =

@@ -20,6 +20,10 @@
       since the simulator applies rank 0's operator, injecting into
       rank 0 silently flips the search's semantics (§IV-D). *)
 
+(** The largest rank count [run] accepts: 64. Ranks are packed into the
+    low 6 bits of the champion-owner Allreduce. *)
+val max_np : int
+
 (** Result summary of a clean run. *)
 type result = {
   global_champion : int;  (** best tour length found *)

@@ -444,6 +444,13 @@ let test_caps () =
         ("invalid-params", Printf.sprintf "workload: np must be <= 1024, got %d" np)
         (error_of (answer d "triage" [ ("subject", workload np) ])))
     [ Session.max_np + 1; 100_000; max_int ];
+  let ilcs np =
+    Json.Obj [ ("workload", Json.String "ilcs"); ("np", Json.Int np) ]
+  in
+  Alcotest.(check (pair string string))
+    "ilcs np 65"
+    ("invalid-params", "workload: np must be <= 64 for ilcs, got 65")
+    (error_of (answer d "triage" [ ("subject", ilcs 65) ]));
   let run i =
     Json.Obj
       [ ("name", Json.String (Printf.sprintf "r%d" i));
