@@ -37,7 +37,11 @@ campaign-smoke:
 # store: the reports must be the same bytes, and the warm run must
 # decode at most two traces (parlot.traces.decoded: the diffNLR trace
 # of each run) and verify all 16 without decoding them
-# (parlot.traces.verified). Against the same store, two queries (a
+# (parlot.traces.verified). A storeless analyze of the same archives
+# must print the cold report's bytes, decode at most the first copy of
+# each distinct stream of each run (the thread digests of the two
+# manifests) plus two diffNLR traces, and decode or verify all 16.
+# Against the same store, two queries (a
 # count on the normal run, a diverge against the faulty one) and a
 # two-run vdiff of trace 3 (the swapped rank) run cold, then warm:
 # each warm answer must equal its cold one, the warm queries must
@@ -88,6 +92,18 @@ store-smoke: build
 	verified=$$(count parlot.traces.verified); \
 	echo "warm archive analyze: $${decoded:-0} decoded, $${verified:-0} verified"; \
 	test "$${decoded:-0}" -le 2 && test "$${verified:-0}" -eq 16
+	_build/default/bin/difftrace_cli.exe analyze --normal $(SSA)/normal \
+	  --faulty $(SSA)/faulty --profile-json $(SSA)/storeless.json \
+	  > $(SSA)/storeless.txt
+	cmp $(SSA)/cold.txt $(SSA)/storeless.txt
+	count() { sed -n "s/.*\"$$1\",\"value\":\([0-9]*\).*/\1/p" $(SSA)/storeless.json; }; \
+	decoded=$$(count parlot.traces.decoded); \
+	verified=$$(count parlot.traces.verified); \
+	streams=$$(awk '$$1 == "thread" && NF == 6 && !seen[FILENAME, $$6]++ { n++ } END { print n + 0 }' \
+	  $(SSA)/normal/manifest $(SSA)/faulty/manifest); \
+	echo "storeless archive analyze: $${decoded:-0} decoded, $${verified:-0} verified, $$streams streams"; \
+	test "$${decoded:-0}" -le $$((streams + 2)) && \
+	  test $$(($${decoded:-0} + $${verified:-0})) -ge 16
 	for t in cold warm; do \
 	  _build/default/bin/difftrace_cli.exe query 'count MPI_Send' \
 	    --archive $(SSA)/normal --store $(SSA)/store \

@@ -10,6 +10,7 @@ module Bscore = Difftrace_cluster.Bscore
 module Diffnlr = Difftrace_diff.Diffnlr
 module Telemetry = Difftrace_obs.Telemetry
 module Span = Telemetry.Span
+module Symmat = Difftrace_util.Symmat
 
 let c_summaries = Telemetry.Counter.make "nlr.summaries"
 let c_traces = Telemetry.Counter.make "pipeline.traces.analyzed"
@@ -34,6 +35,7 @@ let lookup_error_to_string e =
 type slot =
   | Decoded of { trace : Trace.t; source : string option }
   | Summarized of { header : Trace.t; key : Memo.key }
+  | Same of { header : Trace.t; first : int }
 
 type run = { run_symtab : Symtab.t; run_slots : slot array }
 
@@ -44,11 +46,12 @@ let run_of_set ts =
 
 let slot_trace = function
   | Decoded { trace; _ } -> trace
-  | Summarized { header; _ } -> header
+  | Summarized { header; _ } | Same { header; _ } -> header
 
-(* What the NLR stage gets of one trace: its filtered events, or the
-   memo key of a summary the caller found by the trace's source. *)
-type probe = Events of Event.t array | Known of Memo.key
+(* What the NLR stage gets of one trace: its filtered events, the memo
+   key of a summary the caller found by the trace's source, or the
+   index of an earlier trace with the same stream. *)
+type probe = Events of Event.t array | Known of Memo.key | Repeat of int
 
 (* The call IDs of every trace, re-interned into the shared symbol
    table so that the normal and faulty runs (separate captures) agree
@@ -57,12 +60,13 @@ type probe = Events of Event.t array | Known of Memo.key
    sight, so [Symtab.intern] sees each name once, in the order of a
    per-event pass, and assigns the same IDs. A [Known] trace is skipped:
    its summary was made in these tables, so its names are interned
-   already. *)
+   already. So is a [Repeat]: its earlier copy interned the same names
+   in the same order. *)
 let remap_calls ~shared ~own probes =
   let map = Array.make (Symtab.size own) (-1) in
   Array.map
     (function
-      | Known _ -> [||]
+      | Known _ | Repeat _ -> [||]
       | Events events ->
         let calls =
           Array.fold_left
@@ -95,35 +99,55 @@ let remap_calls ~shared ~own probes =
    own reduction and re-interning would have produced (they would add
    no body). The output is byte-identical across engines and to the
    historical direct-interning implementation (see {!Nlr.reintern}).
-   A [Known] trace arrives keyed, and the memo holds its summary. *)
+   A [Known] trace arrives keyed, and the memo holds its summary. A
+   [Repeat j] is a copy of the earlier trace j: it takes j's key and
+   first copy, and neither probes nor fills the memo. *)
 let summarize_probes ~engine ?memo ~symtab ~table ~k ~repeats ~own probes =
   Span.with_ "summarize" @@ fun () ->
   let idss = remap_calls ~shared:symtab ~own probes in
   let n = Array.length idss in
-  let keys =
-    Array.mapi
-      (fun i -> function
-        | Known key -> key
-        | Events _ -> Memo.key ~ids:idss.(i) ~k ~repeats)
-      probes
-  in
+  let keys = Array.make n None in
+  Array.iteri
+    (fun i p ->
+      keys.(i) <-
+        (match p with
+        | Known key -> Some key
+        | Events _ -> Some (Memo.key ~ids:idss.(i) ~k ~repeats)
+        | Repeat j ->
+          if j < 0 || j >= i then
+            invalid_arg "Pipeline: a repeated trace without an earlier copy";
+          keys.(j)))
+    probes;
+  let keys = Array.map Option.get keys in
   (* first.(i): the lowest index whose ids equal trace i's; a [Known]
      trace shares by key alone, since the memo answers that key for
      every trace that has it *)
-  let known i = match probes.(i) with Known _ -> true | Events _ -> false in
+  let known i =
+    match probes.(i) with Known _ -> true | Events _ | Repeat _ -> false
+  in
   let first = Array.init n Fun.id in
   let seen = Hashtbl.create n in
   Array.iteri
     (fun i key ->
-      match Hashtbl.find_opt seen key with
-      | Some j when known i || known j || idss.(j) = idss.(i) -> first.(i) <- j
-      | Some _ -> () (* a digest collision: reduce it on its own *)
-      | None -> Hashtbl.add seen key i)
+      match probes.(i) with
+      | Repeat j -> first.(i) <- first.(j)
+      | Known _ | Events _ -> (
+        match Hashtbl.find_opt seen key with
+        | Some j when known i || known j || idss.(j) = idss.(i) ->
+          first.(i) <- j
+        | Some _ -> () (* a digest collision: reduce it on its own *)
+        | None -> Hashtbl.add seen key i))
     keys;
   let cached =
     match memo with
     | None -> Array.make n None
-    | Some m -> Array.map (fun key -> Memo.find m key) keys
+    | Some m ->
+      Array.mapi
+        (fun i key ->
+          match probes.(i) with
+          | Repeat _ -> None
+          | Known _ | Events _ -> Memo.find m key)
+        keys
   in
   let fresh =
     Engine.init engine n (fun i ->
@@ -141,9 +165,10 @@ let summarize_probes ~engine ?memo ~symtab ~table ~k ~repeats ~own probes =
   let summaries = Array.make n { Nlr.elems = [||]; input_length = 0 } in
   for i = 0 to n - 1 do
     summaries.(i) <-
-      (match cached.(i) with
-      | Some nlr -> nlr
-      | None ->
+      (match (probes.(i), cached.(i)) with
+      | Repeat _, _ -> summaries.(first.(i))
+      | _, Some nlr -> nlr
+      | _, None ->
         let nlr =
           match fresh.(i) with
           | Some (local, nlr) -> Nlr.reintern ~from:local ~into:table nlr
@@ -197,7 +222,8 @@ let summarize_into ~tables ?memo ?store (config : Config.t) run =
     Array.map
       (function
         | Decoded { trace; _ } -> Events (filter trace.Trace.events)
-        | Summarized { key; _ } -> Known key)
+        | Summarized { key; _ } -> Known key
+        | Same { first; _ } -> Repeat first)
       slots
   in
   let traces = Array.map slot_trace slots in
@@ -371,15 +397,27 @@ let find_diffnlr c label =
 
 type triage_entry = { tr_label : string; tr_score : float; tr_truncated : bool }
 
+(* Trace i's row is its class's: [row c] holds cell (c, class of k) for
+   every trace k, built once per class and read in place, so the sum
+   adds the same cells in the same ascending-k order as [Jsm.get] would
+   give them, with no call per cell. *)
 let triage analysis =
   let j = analysis.jsm in
   let n = Jsm.size j in
+  let cls = j.Jsm.cls in
+  let rows = Array.make (Symmat.dim j.Jsm.m) [||] in
+  let row c =
+    if Array.length rows.(c) = 0 then
+      rows.(c) <- Array.map (fun c' -> Symmat.get j.Jsm.m c c') cls;
+    rows.(c)
+  in
   let entries =
     Array.mapi
       (fun i label ->
+        let r = row cls.(i) in
         let sum = ref 0.0 in
         for k = 0 to n - 1 do
-          if k <> i then sum := !sum +. Jsm.get j i k
+          if k <> i then sum := !sum +. r.(k)
         done;
         let mean = if n <= 1 then 1.0 else !sum /. float_of_int (n - 1) in
         { tr_label = label;

@@ -15,12 +15,14 @@
     which is what {!Ranking}'s grid sweep relies on.
 
     A run reaches the pipeline as a {!run}: its traces in (pid, tid)
-    order, each either decoded or already summarized. {!analyze} and
-    {!compare_runs} take decoded trace sets; a store-backed
-    archive compare ({!Session.compare}) hands {!compare_slots} the
-    traces whose summaries its store found by source key
-    ({!Store.source_key}) as [Summarized], and those skip the filter,
-    the re-interning and {!Memo.key}. *)
+    order, each decoded, already summarized, or a copy of an earlier
+    trace of the run. {!analyze} and {!compare_runs} take decoded trace
+    sets. An archive compare ({!Session.compare}) hands
+    {!compare_slots} the traces whose summaries its store found by
+    source key ({!Store.source_key}) as [Summarized], and each trace
+    whose manifest stream digest repeats an earlier one's as [Same];
+    both skip the filter, the re-interning and {!Memo.key}, so each
+    distinct stream of a run is decoded and keyed once. *)
 
 type analysis = {
   config : Config.t;
@@ -68,12 +70,17 @@ type slot =
   | Summarized of { header : Difftrace_trace.Trace.t; key : Memo.key }
       (** a trace whose summary the memo holds under [key]; [header]
           carries its pid, tid and truncation flag, and no events *)
+  | Same of { header : Difftrace_trace.Trace.t; first : int }
+      (** a trace whose events equal those of the run's earlier slot
+          [first]; it takes that slot's memo key and summary, with no
+          filter, re-keying or memo probe, and files no source.
+          [header] is as for [Summarized]. *)
 
 (** A run: the symbol table of its decoded traces' IDs, and its traces
     in (pid, tid) order. *)
 type run = { run_symtab : Difftrace_trace.Symtab.t; run_slots : slot array }
 
-(** [slot_trace s] — the decoded trace, or the summarized one's header. *)
+(** [slot_trace s] — the decoded trace, or the header of any other slot. *)
 val slot_trace : slot -> Difftrace_trace.Trace.t
 
 (** [run_of_set ts] — every trace of [ts], [Decoded] without a source. *)
@@ -156,8 +163,10 @@ val compare_runs :
     over {!run_of_set}. A [Summarized] slot needs the memo (or the
     store's) that holds its key, and yields exactly what decoding,
     filtering and summarizing that trace would: its summary and its
-    place in the shared tables were fixed when the key was filed.
-    @raise Invalid_argument when the memo lacks a [Summarized] key. *)
+    place in the shared tables were fixed when the key was filed. A
+    [Same] slot yields its [first] slot's summary.
+    @raise Invalid_argument when the memo lacks a [Summarized] key, or
+    when a [Same] slot's [first] is not an earlier index of its run. *)
 val compare_slots :
   ?memo:Memo.t ->
   ?store:Store.t ->

@@ -425,27 +425,45 @@ let strictly_sorted threads =
   done;
   !ok
 
-(* A store-backed archive run: a thread whose source key the store
-   knows is checked, not decoded, and enters the run [Summarized]; the
-   rest are decoded, each with its source key when the manifest has a
-   digest, for the pipeline to file. The first damaged thread in
-   manifest order is the error, as for [Archive.load]. Only the one
-   trace the diffNLR footer names is decoded later, on demand. *)
-let prepare_indexed st config ~runner (ix : Archive.index) =
+(* An archive run whose manifest names its streams. A thread whose
+   source key the store knows is checked, not decoded, and enters the
+   run [Summarized]. A thread whose stream digest an earlier thread j of
+   the manifest has is checked too, and enters it as [Same] as j: its
+   manifest count must equal j's, which is the length j decodes to (or
+   j's own error comes first). The rest are decoded, each with its
+   source key when there is a store, for the pipeline to file. The
+   first damaged thread in manifest order is the error, as for
+   [Archive.load]. Only the one trace the diffNLR footer names is
+   decoded later, on demand. *)
+let prepare_indexed ?store config ~runner (ix : Archive.index) =
   let symtab = Archive.index_symtab ix in
   let threads = ix.Archive.ix_threads in
   let source_key = Store.source_key config in
+  let firsts = Hashtbl.create 16 in
   let plan =
-    Array.map
-      (fun (th : Archive.thread) ->
+    Array.mapi
+      (fun i (th : Archive.thread) ->
         match th.Archive.th_digest with
         | None -> `Decode None
         | Some stream -> (
-          let key = source_key ~stream in
-          match Store.find_source st ~key with
-          | Some summary -> `Check summary
-          | None -> `Decode (Some key)))
+          let summary, source =
+            match store with
+            | None -> (None, None)
+            | Some st ->
+              let key = source_key ~stream in
+              (Store.find_source st ~key, Some key)
+          in
+          match (summary, Hashtbl.find_opt firsts stream) with
+          | Some summary, _ -> `Check summary
+          | None, Some j -> `Repeat j
+          | None, None ->
+            Hashtbl.add firsts stream i;
+            `Decode source))
       threads
+  in
+  let header (th : Archive.thread) =
+    Trace.make ~pid:th.Archive.th_pid ~tid:th.Archive.th_tid
+      ~truncated:th.Archive.th_truncated [||]
   in
   let slots =
     runner.Difftrace_util.Runner.run (Array.length threads) (fun i ->
@@ -453,14 +471,13 @@ let prepare_indexed st config ~runner (ix : Archive.index) =
         match plan.(i) with
         | `Check key ->
           Result.map
-            (fun () ->
-              Pipeline.Summarized
-                { header =
-                    Trace.make ~pid:th.Archive.th_pid
-                      ~tid:th.Archive.th_tid ~truncated:th.Archive.th_truncated
-                      [||];
-                  key })
+            (fun () -> Pipeline.Summarized { header = header th; key })
             (Archive.check_thread ix th)
+        | `Repeat first ->
+          Result.map
+            (fun () -> Pipeline.Same { header = header th; first })
+            (Archive.check_thread ~events:threads.(first).Archive.th_length ix
+               th)
         | `Decode source ->
           Result.map
             (fun trace -> Pipeline.Decoded { trace; source })
@@ -482,7 +499,7 @@ let prepare_indexed st config ~runner (ix : Archive.index) =
       | Some i -> (
         match slots.(i) with
         | Pipeline.Decoded { trace; _ } -> Ok (set [ trace ])
-        | Pipeline.Summarized _ -> (
+        | Pipeline.Summarized _ | Pipeline.Same _ -> (
           match Archive.decode_thread ix threads.(i) with
           | Ok trace -> Ok (set [ trace ])
           | Error e -> Error (Archive_failed e)))
@@ -492,14 +509,15 @@ let prepare_indexed st config ~runner (ix : Archive.index) =
         pr_salvaged = [];
         pr_note_set = note_set }
 
-(* A store-backed compare of an archive without salvage takes the
-   indexed path; everything else — storeless sessions, salvage, v1
-   archives and manifests without a single digest — loads the whole
-   run as [resolve] does. *)
+(* An archive without salvage whose v2 manifest has stream digests, in
+   the pipeline's (pid, tid) order, takes the indexed path, with or
+   without a store; everything else — salvage, v1 archives and
+   manifests without a single digest — loads the whole run as
+   [resolve] does. *)
 let prepare t config source =
   let engine = config.Config.engine in
-  match (t.ses_store, source) with
-  | Some st, Archive { dir; salvage = false } ->
+  match source with
+  | Archive { dir; salvage = false } ->
     Telemetry.Span.with_ "archive.load" @@ fun () ->
     let runner = Engine.runner engine in
     let* ix =
@@ -510,7 +528,7 @@ let prepare t config source =
       ix.Archive.ix_version = 2
       && Array.exists (fun th -> th.Archive.th_digest <> None) threads
       && strictly_sorted threads
-    then prepare_indexed st config ~runner ix
+    then prepare_indexed ?store:t.ses_store config ~runner ix
     else
       Result.map
         (fun l -> prepared_of_set (l.Archive.set, l.Archive.salvaged))

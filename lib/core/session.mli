@@ -211,16 +211,19 @@ type compare_response = {
 (** [compare t config req] — the relative-debugging loop; [cp_output]
     is byte-identical to [difftrace compare]'s report.
 
-    With a store, an [Archive] source without [salvage] is not loaded
-    whole: each thread whose source key ({!Store.source_key} of its
-    manifest's stream digest) the store knows has its checksums
-    verified ({!Difftrace_parlot.Archive.check_thread}) and its summary
-    taken from the memo; the others are decoded, and the pipeline files
-    their sources. Only the trace the diffNLR footer names is then
-    decoded in each run. A damaged archive gives the error
-    [Archive.load] gives, and files no source. Without a store, with
-    [salvage], and for v1 archives or manifests without digests the
-    archive is loaded whole. *)
+    An [Archive] source without [salvage] whose manifest has stream
+    digests is not loaded whole. With a store, each thread whose source
+    key ({!Store.source_key} of its manifest's stream digest) the store
+    knows has its checksums verified
+    ({!Difftrace_parlot.Archive.check_thread}) and its summary taken
+    from the memo. With or without a store, each thread whose digest an
+    earlier thread of the manifest has is verified too, its event count
+    held to that thread's, and takes that thread's summary. The others
+    are decoded, and with a store the pipeline files their sources.
+    Only the trace the diffNLR footer names is then decoded in each
+    run. A damaged archive gives the error [Archive.load] gives, and
+    files no source. With [salvage], and for v1 archives or manifests
+    without digests the archive is loaded whole. *)
 val compare :
   t -> Config.t -> compare_request -> (compare_response, error) result
 

@@ -429,6 +429,10 @@ type thread_outcome =
   | T_salvaged of Trace.t * salvage
   | T_err of error
 
+let length_mismatch ~manifest ~decoded =
+  Printf.sprintf "trace length mismatch (manifest %d, decoded %d)" manifest
+    decoded
+
 let load_thread ~salvage ix th =
   let { th_pid = pid; th_tid = tid; th_truncated = truncated; th_length = len; _ } =
     th
@@ -440,9 +444,7 @@ let load_thread ~salvage ix th =
     | Some reason -> Error reason
     | None ->
       if Tracer.stream_events st <> len then
-        Error
-          (Printf.sprintf "trace length mismatch (manifest %d, decoded %d)" len
-             (Tracer.stream_events st))
+        Error (length_mismatch ~manifest:len ~decoded:(Tracer.stream_events st))
       else (
         (* a clean scan already verified completeness, but never let a
            decoder refusal escape as an exception *)
@@ -470,14 +472,18 @@ let decode_thread ix th =
   | T_ok tr | T_salvaged (tr, _) -> Ok tr
   | T_err e -> Error e
 
-let check_thread ix th =
+let check_thread ?events ix th =
   let sc = scan_thread ~decode:false ix th in
-  match sc.sc_issue with
-  | Some reason ->
+  let fail reason =
     Error
       { err_path = trace_file ix.ix_dir ~pid:th.th_pid ~tid:th.th_tid;
         err_reason = reason }
-  | None ->
+  in
+  match (sc.sc_issue, events) with
+  | Some reason, _ -> fail reason
+  | None, Some decoded when decoded <> th.th_length ->
+    fail (length_mismatch ~manifest:th.th_length ~decoded)
+  | None, _ ->
     Telemetry.Counter.incr c_verified;
     Ok ()
 
@@ -533,9 +539,7 @@ let verify ?(runner = Runner.sequential) ~dir () =
             match sc.sc_issue with
             | Some _ as i -> i
             | None when events <> th.th_length ->
-              Some
-                (Printf.sprintf "trace length mismatch (manifest %d, decoded %d)"
-                   th.th_length events)
+              Some (length_mismatch ~manifest:th.th_length ~decoded:events)
             | None -> None
           in
           { tc_pid = th.th_pid;

@@ -101,19 +101,24 @@ val load :
 
 (** {1 Reading thread by thread}
 
-    A store-backed compare that already holds a trace's summary needs
-    its events only to know the trace is intact. It opens the index,
-    verifies the checksums of each trace it has summarized
-    ({!check_thread}) and decodes the rest ({!decode_thread}); {!load}
-    decodes every thread through the same scanner.
+    A compare that already holds a trace's summary, or that decoded
+    another thread with the same stream digest, needs its events only
+    to know the trace is intact. It opens the index, verifies the
+    checksums of each such trace ({!check_thread}) and decodes the rest
+    ({!decode_thread}); {!load} decodes every thread through the same
+    scanner.
 
     Trust model: the manifest and every chunk are CRC-checked, so a
     trace's digest is trusted exactly as far as its events are. A
     flipped, truncated or deleted byte anywhere in a v2 trace file fails
-    {!check_thread} with the error {!load} reports. What only a decode
-    can find — a CRC-valid file whose compressed stream is malformed or
-    whose event count disagrees with the manifest, which no {!save}
-    writes — goes unseen by a check. *)
+    {!check_thread} with the error {!load} reports, and so does a
+    manifest count that disagrees with the decoded length of the
+    thread's stream, when the caller passes that length. What only a
+    decode can find — a CRC-valid file whose compressed stream is
+    malformed, that holds another stream than its manifest digest
+    names, or whose count disagrees with the manifest when no copy of
+    its stream was decoded, none of which {!save} writes — goes unseen
+    by a check. *)
 
 (** One thread line of a manifest. *)
 type thread = {
@@ -155,13 +160,16 @@ val load_index :
     would report for it. Its events are in [index_symtab ix]'s IDs. *)
 val decode_thread : index -> thread -> (Difftrace_trace.Trace.t, error) result
 
-(** [check_thread ix th] — read [th]'s file and verify every chunk
-    checksum and the whole-stream checksum without decoding a byte
-    (counting [parlot.traces.verified] on success). On damage the error
-    is the one {!load} reports for that file. A v1 file has no
+(** [check_thread ?events ix th] — read [th]'s file and verify every
+    chunk checksum and the whole-stream checksum without decoding a
+    byte (counting [parlot.traces.verified] on success). On damage the
+    error is the one {!load} reports for that file. A v1 file has no
     checksums: its check decodes the stream and checks only that it
-    terminates. *)
-val check_thread : index -> thread -> (unit, error) result
+    terminates. [events] is the event count the caller knows [th]'s
+    stream decodes to (another thread with its stream digest was
+    decoded): after the checksums, the manifest's count must equal it,
+    or the error is {!load}'s [trace length mismatch] for [th]. *)
+val check_thread : ?events:int -> index -> thread -> (unit, error) result
 
 (** {1 Verification} *)
 

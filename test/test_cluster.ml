@@ -1003,6 +1003,57 @@ let test_class_linkage_updates () =
     Alcotest.failf "linkage.updates %d not below the dense sweep's %d" updates
       ((n - 1) * (n - 2))
 
+(* Triage against the n² [Jsm.get] loop it replaced: each trace's score
+   is 1 − the mean of its cells to every other trace, added in
+   ascending k, so every score must agree bit for bit. *)
+let triage_agrees (a : Difftrace.Pipeline.analysis) =
+  let module P = Difftrace.Pipeline in
+  let j = a.P.jsm in
+  let n = Jsm.size j in
+  let oracle i =
+    let sum = ref 0.0 in
+    for k = 0 to n - 1 do
+      if k <> i then sum := !sum +. Jsm.get j i k
+    done;
+    1.0 -. (if n <= 1 then 1.0 else !sum /. float_of_int (n - 1))
+  in
+  let entries = P.triage a in
+  Array.length entries = n
+  && Array.for_all
+       (fun e ->
+         match Array.find_index (String.equal e.P.tr_label) j.Jsm.labels with
+         | Some i -> bits e.P.tr_score = bits (oracle i)
+         | None -> false)
+       entries
+
+let ilcs_analysis =
+  lazy
+    (let module Ilcs = Difftrace_workloads.Ilcs in
+     let run =
+       (fst (Ilcs.run ~np:64 ~workers:4 ~fault:Difftrace_simulator.Fault.No_fault ()))
+         .Difftrace_simulator.Runtime.traces
+     in
+     Difftrace.Pipeline.analyze (Difftrace.Config.make ()) run)
+
+let test_triage_ilcs () =
+  Alcotest.(check bool) "ilcs np=64 x 4: every score's bits" true
+    (triage_agrees (Lazy.force ilcs_analysis))
+
+(* random class matrices in an analysis's place *)
+let prop_triage_random =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"triage = n² Jsm.get oracle on random matrices"
+       ~print:print_class_case class_case_gen (fun case ->
+         let j = class_jsm case in
+         let n = Jsm.size j in
+         triage_agrees
+           { (Lazy.force ilcs_analysis) with
+             Difftrace.Pipeline.jsm = j;
+             labels = j.Jsm.labels;
+             nlrs =
+               Array.init n (fun i ->
+                   ({ Difftrace_nlr.Nlr.elems = [||]; input_length = 0 }, i mod 3 = 0)) }))
+
 let () =
   Alcotest.run "cluster"
     [ ( "linkage",
@@ -1060,7 +1111,10 @@ let () =
           prop_of_similarity_oracle;
           Alcotest.test_case "of_similarity validation" `Quick
             test_of_similarity_validation;
-          prop_align_oracle ] );
+          prop_align_oracle;
+          prop_triage_random;
+          Alcotest.test_case "triage on ilcs = n² Jsm.get oracle" `Quick
+            test_triage_ilcs ] );
       ( "class-link",
         [ prop_class_linkage_random;
           prop_class_linkage_sketch;
