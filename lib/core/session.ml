@@ -537,11 +537,12 @@ let prepare t config source =
            (Archive.load_index ~runner ~salvage:false ix))
   | _ -> Result.map prepared_of_set (resolve t ~engine source)
 
-(* the diffNLR section shared by the compare and analyze renderings;
-   [Ok None] = the runs have no trace in common. The event-DB footer
-   pins the suspect to a raw-event position so a ranked suspect is one
-   [difftrace query] away from its events; [note label] renders it. *)
-let diffnlr_with ~note (c : Pipeline.comparison) diffnlr =
+(* the diffNLR section shared by the compare and analyze renderings:
+   the label it diffs, the diff and the label's footer; [Ok None] = the
+   runs have no trace in common. The event-DB footer pins the suspect
+   to a raw-event position so a ranked suspect is one [difftrace query]
+   away from its events; [note label] renders it. *)
+let diffnlr_parts ~note (c : Pipeline.comparison) diffnlr =
   match (diffnlr, c.Pipeline.suspects) with
   | None, [||] -> Ok None
   | _ -> (
@@ -551,15 +552,25 @@ let diffnlr_with ~note (c : Pipeline.comparison) diffnlr =
     match Pipeline.find_diffnlr c target with
     | Ok d ->
       let* note = note target in
-      Ok
-        (Some
-           (Diffnlr.render ~title:(Printf.sprintf "diffNLR(%s)" target) d
-           ^ Option.value ~default:"" note))
+      Ok (Some (Printf.sprintf "diffNLR(%s)" target, d, note))
     | Error e -> Error (Unknown_label e))
 
+let section_length (title, d, note) =
+  Diffnlr.rendered_length ~title d
+  + Option.fold ~none:0 ~some:String.length note
+
+let add_section buf (title, d, note) =
+  Diffnlr.render_to buf ~title d;
+  Option.iter (Buffer.add_string buf) note
+
 let diffnlr_section ~normal ~faulty c diffnlr =
-  diffnlr_with c diffnlr ~note:(fun label ->
-      Ok (Eventdb.divergence_note ~normal ~faulty ~label))
+  Result.map
+    (Option.map (fun parts ->
+         let buf = Buffer.create (section_length parts) in
+         add_section buf parts;
+         Buffer.contents buf))
+    (diffnlr_parts c diffnlr ~note:(fun label ->
+         Ok (Eventdb.divergence_note ~normal ~faulty ~label)))
 
 let compare_common ~style t config req =
   match prepare t config req.cp_normal with
@@ -580,11 +591,16 @@ let compare_common ~style t config req =
         let* f = faulty.pr_note_set label in
         Ok (Eventdb.divergence_note ~normal:n ~faulty:f ~label)
       in
-      match diffnlr_with ~note c req.cp_diffnlr with
+      match diffnlr_parts ~note c req.cp_diffnlr with
       | Error e -> Error e
       | Ok diff -> (
         let salvaged = normal.pr_salvaged @ faulty.pr_salvaged in
-        let buf = Buffer.create 512 in
+        (* sized for the diffNLR section, the bulk of the report, plus
+           room for the lines above it, so the section is not copied
+           as the buffer grows *)
+        let buf =
+          Buffer.create (1024 + Option.fold ~none:0 ~some:section_length diff)
+        in
         (match style with
         | `Analyze -> Buffer.add_string buf (Archive.render_salvaged salvaged)
         | `Compare -> ());
@@ -606,7 +622,7 @@ let compare_common ~style t config req =
         (match diff with
         | None ->
           Buffer.add_string buf "  (none: the runs have no trace in common)\n"
-        | Some d -> Buffer.add_string buf d);
+        | Some parts -> add_section buf parts);
         Ok
           { cp_bscore = c.Pipeline.bscore;
             cp_top_processes = Pipeline.top_processes c;

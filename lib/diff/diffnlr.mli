@@ -34,3 +34,10 @@ val changed_length : t -> int
 
 (** [render ?title t] — the two-column text figure. *)
 val render : ?title:string -> t -> string
+
+(** [render_to buf ?title t] appends [render ?title t] to [buf]. *)
+val render_to : Buffer.t -> ?title:string -> t -> unit
+
+(** [rendered_length ?title t] — the length of [render ?title t], to
+    size a buffer before [render_to] writes into it. *)
+val rendered_length : ?title:string -> t -> int

@@ -355,6 +355,73 @@ let test_diffnlr_truncation_note () =
   in
   Alcotest.(check bool) "truncation reported" true (contains "TRUNCATED" r)
 
+(* The Printf-per-line renderer [Diffnlr.render] had before it wrote
+   into one buffer, kept as the byte-for-byte oracle. *)
+let render_oracle ~title (t : Diffnlr.t) =
+  let width =
+    List.fold_left
+      (fun acc b ->
+        let lens =
+          match b with
+          | Myers.Common l -> List.map String.length l
+          | Myers.Changed { del; ins } ->
+            List.map String.length del @ List.map String.length ins
+        in
+        List.fold_left max acc lens)
+      12 t.Diffnlr.blocks
+  in
+  let pad s = s ^ String.make (max 0 (width - String.length s)) ' ' in
+  let buf = Buffer.create 16 in
+  let line fmt = Printf.bprintf buf fmt in
+  line "=== %s ===\n" title;
+  line "    %s | %s\n" (pad "normal") (pad "faulty");
+  let rule () = line "    %s-+-%s\n" (String.make width '-') (String.make width '-') in
+  rule ();
+  List.iter
+    (fun block ->
+      (match block with
+      | Myers.Common lines -> List.iter (fun l -> line "  = %s | %s\n" (pad l) (pad l)) lines
+      | Myers.Changed { del; ins } ->
+        let rec zip d i =
+          match (d, i) with
+          | [], [] -> ()
+          | dh :: dt, [] -> line "  < %s | %s\n" (pad dh) (pad ""); zip dt []
+          | [], ih :: it -> line "  > %s | %s\n" (pad "") (pad ih); zip [] it
+          | dh :: dt, ih :: it -> line "  ~ %s | %s\n" (pad dh) (pad ih); zip dt it
+        in
+        zip del ins);
+      rule ())
+    t.Diffnlr.blocks;
+  (match (t.Diffnlr.normal_truncated, t.Diffnlr.faulty_truncated) with
+  | false, true ->
+    line "    faulty trace is TRUNCATED: the thread hung inside its last call\n"
+  | true, false -> line "    normal trace is TRUNCATED (unexpected)\n"
+  | true, true -> line "    both traces are TRUNCATED\n"
+  | false, false -> ());
+  Buffer.contents buf
+
+(* element strings from a small alphabet, some wider than the
+   12-column minimum *)
+let gen_render =
+  let open QCheck2.Gen in
+  let elem = map (fun (c, n) -> String.make n c) (pair (char_range 'a' 'c') (int_range 1 20)) in
+  let side = list_size (int_range 0 12) elem in
+  tup5 side side bool bool (string_size ~gen:printable (int_range 0 10))
+
+let prop_render_oracle =
+  qtest "render = oracle, length exact" gen_render
+    (fun (normal, faulty, tn, tf, title) ->
+      let d = Diffnlr.of_strings ~normal ~faulty in
+      let d = { d with Diffnlr.normal_truncated = tn; faulty_truncated = tf } in
+      let r = Diffnlr.render ~title d in
+      let buf = Buffer.create 1 in
+      Buffer.add_string buf "head\n";
+      Diffnlr.render_to buf ~title d;
+      r = render_oracle ~title d
+      && String.length r = Diffnlr.rendered_length ~title d
+      && Buffer.contents buf = "head\n" ^ r
+      && Diffnlr.render d = render_oracle ~title:"diffNLR" d)
+
 (* ------------------------------------------------------------------ *)
 (* Phase-aware diffing                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -507,4 +574,5 @@ let () =
             test_phase_pipeline_integration ] );
       ( "diffnlr",
         [ Alcotest.test_case "of_strings + render" `Quick test_diffnlr_of_strings;
-          Alcotest.test_case "truncation note" `Quick test_diffnlr_truncation_note ] ) ]
+          Alcotest.test_case "truncation note" `Quick test_diffnlr_truncation_note;
+          prop_render_oracle ] ) ]
