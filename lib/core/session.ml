@@ -94,15 +94,26 @@ let check_vdiff_runs n =
          (Printf.sprintf "vdiff: at most %d runs can be aligned, got %d"
             max_vdiff_runs n))
 
+(* about 5 words an event loaded: 2^18 events hold some 11 MB, ten of
+   daemon-mix's 64-rank oddeven DBs *)
+let eventdb_budget = ref (1 lsl 18)
+
 type t = {
   ses_store : Store.t option;
   ses_memo : Memo.t;
   runs : (string, Trace_set.t) Hashtbl.t;
+  eventdbs : Eventdb.t Difftrace_util.Lru.t;
+      (* by content digest: equal digests name the same event streams,
+         and queries only read a DB, so a kept one answers as a fresh
+         load would *)
 }
 
 let create ?store () =
   let memo = match store with Some st -> Store.memo st | None -> Memo.create () in
-  { ses_store = store; ses_memo = memo; runs = Hashtbl.create 8 }
+  { ses_store = store;
+    ses_memo = memo;
+    runs = Hashtbl.create 8;
+    eventdbs = Difftrace_util.Lru.create ~budget:!eventdb_budget }
 
 let store t = t.ses_store
 let memo t = t.ses_memo
@@ -229,8 +240,8 @@ let remove_orphan_temps st =
    changed after the lookup, the entry still answers only for what was
    ingested. Every call that reads its source is one hit or one miss;
    [cache_damaged] counts the misses that found an entry which failed
-   to load (and replaced it). *)
-let cached_ingest st fe ~runner path =
+   to load (and replaced it). [load dir] reads an existing entry. *)
+let cached_ingest st fe ~runner ~load path =
   let cached =
     match Digest.file path with
     | exception Sys_error _ -> None
@@ -238,37 +249,48 @@ let cached_ingest st fe ~runner path =
       let dir = ingest_entry st fe d in
       if not (Sys.file_exists dir) then None
       else
-        match Archive.load ~runner ~salvage:false ~dir () with
-        | Ok l -> Some l.Archive.set
+        match load dir with
+        | Ok v -> Some v
         | Error _ | (exception Sys_error _) ->
           Telemetry.Counter.incr c_cache_damaged;
           None)
   in
   match cached with
-  | Some ts ->
+  | Some v ->
     Telemetry.Counter.incr c_cache_hits;
-    Ok ts
+    Ok (`Entry v)
   | None ->
     let* bytes = Frontend.read_source fe path in
     Telemetry.Counter.incr c_cache_misses;
     let* ts = Frontend.ingest_string fe ~runner bytes in
     save_entry ~dir:(ingest_entry st fe (Digest.string bytes)) ts;
-    Ok ts
+    Ok (`Ingested ts)
 
-(* A store-backed session ingests each source once (see
-   [cached_ingest]); a storeless one reads and ingests every time. *)
-let ingest_source ?store ~engine ~path ~frontend () =
+let find_frontend frontend =
   match Frontend_registry.find frontend with
   | None ->
     Error
       (Unknown_frontend { name = frontend; known = Frontend_registry.known () })
-  | Some fe ->
-    let runner = Engine.runner engine in
-    Result.map_error
-      (fun e -> Frontend_failed e)
-      (match store with
-      | None -> Frontend.ingest_file fe ~runner path
-      | Some st -> cached_ingest st fe ~runner path)
+  | Some fe -> Ok fe
+
+(* A store-backed session ingests each source once (see
+   [cached_ingest]); a storeless one reads and ingests every time. *)
+let ingest_source ?store ~engine ~path ~frontend () =
+  let* fe = find_frontend frontend in
+  let runner = Engine.runner engine in
+  Result.map_error
+    (fun e -> Frontend_failed e)
+    (match store with
+    | None -> Frontend.ingest_file fe ~runner path
+    | Some st ->
+      let load dir =
+        Result.map
+          (fun l -> l.Archive.set)
+          (Archive.load ~runner ~salvage:false ~dir ())
+      in
+      Result.map
+        (function `Entry ts | `Ingested ts -> ts)
+        (cached_ingest st fe ~runner ~load path))
 
 let resolve t ~engine = function
   | Traces ts -> Ok (ts, [])
@@ -514,27 +536,39 @@ let prepare_indexed ?store config ~runner (ix : Archive.index) =
    without a store; everything else — salvage, v1 archives and
    manifests without a single digest — loads the whole run as
    [resolve] does. *)
+let prepare_archive t config ~runner ~dir =
+  Telemetry.Span.with_ "archive.load" @@ fun () ->
+  let* ix =
+    Result.map_error (fun e -> Archive_failed e) (Archive.open_index ~dir)
+  in
+  let threads = ix.Archive.ix_threads in
+  if
+    ix.Archive.ix_version = 2
+    && Array.exists (fun th -> th.Archive.th_digest <> None) threads
+    && strictly_sorted threads
+  then prepare_indexed ?store:t.ses_store config ~runner ix
+  else
+    Result.map
+      (fun l -> prepared_of_set (l.Archive.set, l.Archive.salvaged))
+      (Result.map_error
+         (fun e -> Archive_failed e)
+         (Archive.load_index ~runner ~salvage:false ix))
+
+(* A store-backed ingest source whose entry exists is that entry's
+   archive, taken like any other: checked against the store's sources,
+   not decoded. *)
 let prepare t config source =
   let engine = config.Config.engine in
-  match source with
-  | Archive { dir; salvage = false } ->
-    Telemetry.Span.with_ "archive.load" @@ fun () ->
-    let runner = Engine.runner engine in
-    let* ix =
-      Result.map_error (fun e -> Archive_failed e) (Archive.open_index ~dir)
-    in
-    let threads = ix.Archive.ix_threads in
-    if
-      ix.Archive.ix_version = 2
-      && Array.exists (fun th -> th.Archive.th_digest <> None) threads
-      && strictly_sorted threads
-    then prepare_indexed ?store:t.ses_store config ~runner ix
-    else
-      Result.map
-        (fun l -> prepared_of_set (l.Archive.set, l.Archive.salvaged))
-        (Result.map_error
-           (fun e -> Archive_failed e)
-           (Archive.load_index ~runner ~salvage:false ix))
+  let runner = Engine.runner engine in
+  match (source, t.ses_store) with
+  | Archive { dir; salvage = false }, _ -> prepare_archive t config ~runner ~dir
+  | Ingest { path; frontend }, Some st -> (
+    let* fe = find_frontend frontend in
+    let load dir = prepare_archive t config ~runner ~dir in
+    match cached_ingest st fe ~runner ~load path with
+    | Ok (`Entry p) -> Ok p
+    | Ok (`Ingested ts) -> Ok (prepared_of_set (ts, []))
+    | Error e -> Error (Frontend_failed e))
   | _ -> Result.map prepared_of_set (resolve t ~engine source)
 
 (* the diffNLR section shared by the compare and analyze renderings:
@@ -728,16 +762,42 @@ let check_threads ~runner (ix : Archive.index) =
   | Some e -> Error (Archive_failed e)
   | None -> Ok ()
 
+let c_eventdb_hits = Telemetry.Counter.make "eventdb.cache_hits"
+
+let remember t ((db : Eventdb.t), how) =
+  let events =
+    Array.fold_left
+      (fun n th -> n + Array.length th.Eventdb.th_events)
+      0 db.Eventdb.db_threads
+  in
+  Difftrace_util.Lru.add t.eventdbs db.Eventdb.db_digest ~weight:events db;
+  (db, how)
+
+let cache_hit db =
+  Telemetry.Counter.incr c_eventdb_hits;
+  (db, `Cached)
+
 (* A store-backed query of an archive whose manifest names every
-   stream knows its index's name before decoding anything: when that
-   index exists, the traces are checked, not decoded, and the index is
-   loaded. Everything else — no index yet, a damaged one, storeless
+   stream knows its index's name before decoding anything: when the
+   session holds that index or the store has it, the traces are
+   checked, not decoded, and the index is taken from memory or loaded;
+   a damaged file is read once, and the index is built from the decoded
+   run under the same name. Everything else — no index yet, storeless
    sessions, salvage, v1 and digest-less manifests — loads the run and
-   goes through [Eventdb.open_]. *)
+   looks its digest up in the session's cache, then goes through
+   [Eventdb.open_]. Every index opened stays in the cache, within its
+   budget. *)
 let open_eventdb t config source =
   let runner = Engine.runner config.Config.engine in
   let dir = eventdb_dir t in
-  let of_set ts = Eventdb.open_ ~runner ?dir ts in
+  let of_set ts =
+    let digest = Eventdb.digest ts in
+    match Difftrace_util.Lru.find t.eventdbs digest with
+    | Some db -> cache_hit db
+    | None ->
+      let db, how = Eventdb.open_ ~runner ?dir ~digest ts in
+      remember t (db, (how :> [ `Built | `Cached | `Loaded ]))
+  in
   match (dir, source) with
   | Some edb, Archive { dir = adir; salvage = false } -> (
     let decode ix =
@@ -751,16 +811,28 @@ let open_eventdb t config source =
         Result.map_error (fun e -> Archive_failed e) (Archive.open_index ~dir:adir)
       in
       match manifest_eventdb_digest ix with
-      | Some digest when Sys.file_exists (Eventdb.index_file ~dir:edb ~digest) ->
-        Result.map (fun () -> `Indexed (ix, digest)) (check_threads ~runner ix)
-      | _ -> Result.map (fun l -> `Decoded l) (decode ix)
+      | Some digest -> (
+        match Difftrace_util.Lru.find t.eventdbs digest with
+        | Some db -> Result.map (fun () -> `Cached db) (check_threads ~runner ix)
+        | None when Sys.file_exists (Eventdb.index_file ~dir:edb ~digest) ->
+          Result.map (fun () -> `Indexed (ix, digest)) (check_threads ~runner ix)
+        | None -> Result.map (fun l -> `Decoded l) (decode ix))
+      | None -> Result.map (fun l -> `Decoded l) (decode ix)
     in
     match found with
+    | `Cached db -> Ok (cache_hit db)
     | `Decoded l -> Ok (of_set l.Archive.set)
     | `Indexed (ix, digest) -> (
       match Eventdb.load ~dir:edb ~digest with
-      | Ok db -> Ok (db, `Loaded)
-      | Error _ -> Result.map (fun l -> of_set l.Archive.set) (decode ix)))
+      | Ok db -> Ok (remember t (db, `Loaded))
+      | Error _ ->
+        Result.map
+          (fun l ->
+            let db = Eventdb.build ~runner ~digest l.Archive.set in
+            (* best effort, as [Eventdb.open_] *)
+            (match Eventdb.save ~dir:edb db with Ok () | Error _ -> ());
+            remember t (db, `Built))
+          (decode ix)))
   | _ ->
     Result.map
       (fun (ts, _salvaged) -> of_set ts)
@@ -795,9 +867,10 @@ let query t config req =
         | Error e -> Error e
         | Ok against -> (
           let adb = Option.map fst against in
+          (* no index was built for this request *)
           let warm =
-            how = `Loaded
-            && (match against with None -> true | Some (_, h) -> h = `Loaded)
+            how <> `Built
+            && (match against with None -> true | Some (_, h) -> h <> `Built)
           in
           match Equery.eval db ?against:adb q with
           | Error (Equery.Unknown_thread l) ->

@@ -71,7 +71,8 @@ type t
 (** [create ?store ()] — a fresh session. With [store], the session
     analyzes through it (adopting its memo, so a warm store means zero
     summarizations from the first request); without, it uses a fresh
-    in-process memo. *)
+    in-process memo. Either way it keeps the event DBs its queries open,
+    least recently used first out, within {!eventdb_budget} events. *)
 val create : ?store:Store.t -> unit -> t
 
 val store : t -> Store.t option
@@ -285,12 +286,17 @@ type query_request = {
 type query_response = {
   qy_kind : string;  (** stable result-shape tag ("count", "list", ...) *)
   qy_size : int;  (** headline match/row count *)
-  qy_warm : bool;  (** every index came off disk; no rebuild *)
+  qy_warm : bool;
+      (** every index came from the session's cache or off disk; no
+          build *)
   qy_output : string;
 }
 
-(** [query t config req] parses and evaluates one query. With a store,
-    indexes persist under [<store>/eventdb/<digest>.edb] and warm
+(** [query t config req] parses and evaluates one query. The session
+    keeps each index it opens, keyed by its content digest, so a repeat
+    takes it from memory (counting [eventdb.cache_hits]); a store-backed
+    archive query still checks every trace's checksums first. With a
+    store, indexes persist under [<store>/eventdb/<digest>.edb] and warm
     reruns load instead of rebuilding ([qy_warm]); index builds fan
     per-thread work over [config]'s engine. Malformed queries are
     [Invalid]; an unknown thread label is [Unknown_label] listing the
@@ -349,3 +355,10 @@ type status = {
 }
 
 val status : t -> status
+
+(**/**)
+
+(** The most events the event DBs a session keeps may hold: 2^18,
+    about 11 MB. A session reads it when it is created. Tests lower it
+    to force evictions; nothing else writes it. *)
+val eventdb_budget : int ref

@@ -11,6 +11,7 @@ module Telemetry = Difftrace_obs.Telemetry
 let c_builds = Telemetry.Counter.make "eventdb.builds"
 let c_loads = Telemetry.Counter.make "eventdb.loads"
 let c_saved = Telemetry.Counter.make "eventdb.saved"
+let c_damaged = Telemetry.Counter.make "eventdb.damaged"
 
 type loop_span = { lp_body : int; lp_count : int; lp_start : int; lp_stop : int }
 
@@ -176,7 +177,7 @@ let index_events ~n_funcs events =
   in
   (postings, call_pos)
 
-let build ?(runner = Runner.sequential) ts =
+let build ?(runner = Runner.sequential) ?digest:dg ts =
   Telemetry.Counter.incr c_builds;
   let symtab = Trace_set.symtab ts in
   let n_funcs = Symtab.size symtab in
@@ -214,8 +215,8 @@ let build ?(runner = Runner.sequential) ts =
         })
       built
   in
-  { db_digest = digest ts; db_symtab = symtab; db_table = shared;
-    db_threads = threads }
+  { db_digest = (match dg with Some d -> d | None -> digest ts);
+    db_symtab = symtab; db_table = shared; db_threads = threads }
 
 (* {2 On-disk encoding}
 
@@ -475,20 +476,23 @@ let load ~dir ~digest =
   let path = index_file ~dir ~digest in
   if not (Sys.file_exists path) then Error "no index"
   else
-    let* image = Framed.read_file path in
-    let* db = decode ~digest image in
-    Telemetry.Counter.incr c_loads;
-    Ok db
+    match Result.bind (Framed.read_file path) (decode ~digest) with
+    | Ok db ->
+      Telemetry.Counter.incr c_loads;
+      Ok db
+    | Error _ as e ->
+      Telemetry.Counter.incr c_damaged;
+      e
 
-let open_ ?(runner = Runner.sequential) ?dir ts =
-  let dg = digest ts in
+let open_ ?(runner = Runner.sequential) ?dir ?digest:dg ts =
+  let dg = match dg with Some d -> d | None -> digest ts in
   match dir with
-  | None -> (build ~runner ts, `Built)
+  | None -> (build ~runner ~digest:dg ts, `Built)
   | Some d -> (
     match load ~dir:d ~digest:dg with
     | Ok db -> (db, `Loaded)
     | Error _ ->
-      let db = build ~runner ts in
+      let db = build ~runner ~digest:dg ts in
       (* best-effort persist: an unwritable store directory costs the
          warm path, never the query *)
       (match save ~dir:d db with Ok () | Error _ -> ());

@@ -76,11 +76,13 @@ val label : thread -> string
 (** [find_thread db l] accepts both short and long labels. *)
 val find_thread : t -> string -> thread option
 
-(** [build ?runner ts] indexes every thread of [ts], fanning the
-    per-thread work over [runner]. Deterministic: the same traces
-    produce the same database under any runner. Bumps the
-    [eventdb.builds] counter. *)
-val build : ?runner:Difftrace_util.Runner.t -> Trace_set.t -> t
+(** [build ?runner ?digest ts] indexes every thread of [ts], fanning
+    the per-thread work over [runner]. Deterministic: the same traces
+    produce the same database under any runner. [digest], when the
+    caller already holds {!digest}[ ts] (or the manifest's name for it,
+    {!digest_of}), saves recomputing it. Bumps the [eventdb.builds]
+    counter. *)
+val build : ?runner:Difftrace_util.Runner.t -> ?digest:string -> Trace_set.t -> t
 
 (** [save ~dir db] writes [dir/<digest>.edb] atomically, creating
     [dir] as needed. *)
@@ -89,15 +91,17 @@ val save : dir:string -> t -> (unit, string) result
 (** [load ~dir ~digest] reads an index written by {!save}. Any damage
     — missing file, bad magic, CRC mismatch, structural decode failure
     — is an [Error]; the caller rebuilds. Bumps [eventdb.loads] on
-    success. *)
+    success and [eventdb.damaged] when the file exists but does not
+    load. *)
 val load : dir:string -> digest:string -> (t, string) result
 
-(** [open_ ?runner ?dir ts] is the warm path: digest [ts], load the
-    index from [dir] if present and intact, else build (and, with a
-    [dir], persist best-effort). *)
+(** [open_ ?runner ?dir ?digest ts] is the warm path: digest [ts]
+    (unless [digest] is given), load the index from [dir] if present and
+    intact, else build (and, with a [dir], persist best-effort). *)
 val open_ :
   ?runner:Difftrace_util.Runner.t ->
   ?dir:string ->
+  ?digest:string ->
   Trace_set.t ->
   t * [ `Built | `Loaded ]
 

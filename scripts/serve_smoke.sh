@@ -1,8 +1,10 @@
 #!/bin/sh
 # serve-smoke: boot a socket daemon, drive one scripted client session
-# (record -> record -> analyze -> compare -> triage -> a bad-config
-# compare -> status -> shutdown), and check the per-request telemetry
-# profile the daemon writes on exit.
+# (record -> record -> analyze -> compare -> triage -> the same query
+# twice -> a bad-config compare -> status -> shutdown), and check the
+# per-request telemetry profile the daemon writes on exit: the second
+# query takes its event DB from the session's cache (one build, one
+# cache hit, no load).
 #
 #   make serve-smoke                  # local, against the dune build
 #   DIFFTRACE="difftrace" sh scripts/serve_smoke.sh   # installed binary
@@ -32,7 +34,9 @@ $DIFFTRACE client --socket "$SOCK" --decode \
   -e '{"difftrace-rpc":1,"id":"s2","method":"record","params":{"workload":"oddeven","np":8,"fault":"swapBug(rank=3,after=4)","name":"faulty","out":"'"$DIR"'/faulty"}}' \
   -e '{"difftrace-rpc":1,"id":"s3","method":"analyze","params":{"normal":{"archive":"'"$DIR"'/normal"},"faulty":{"archive":"'"$DIR"'/faulty"}}}' \
   -e '{"difftrace-rpc":1,"id":"s4","method":"compare","params":{"normal":"normal","faulty":"faulty"}}' \
-  -e '{"difftrace-rpc":1,"id":"s5","method":"triage","params":{"subject":"faulty"}}'
+  -e '{"difftrace-rpc":1,"id":"s5","method":"triage","params":{"subject":"faulty"}}' \
+  -e '{"difftrace-rpc":1,"id":"s5a","method":"query","params":{"q":"count MPI_Send","source":{"archive":"'"$DIR"'/normal"}}}' \
+  -e '{"difftrace-rpc":1,"id":"s5b","method":"query","params":{"q":"count MPI_Send","source":{"archive":"'"$DIR"'/normal"}}}'
 
 # a bad config is answered with a typed invalid-params error (the
 # decoding client exits 1 on it) ...
@@ -57,11 +61,22 @@ wait "$DAEMON"
 
 # the daemon's lifetime profile must show every per-request span and
 # the request counters
-for needle in rpc.record rpc.analyze rpc.compare rpc.triage rpc.status \
-    rpc.shutdown rpc.requests; do
+for needle in rpc.record rpc.analyze rpc.compare rpc.triage rpc.query \
+    rpc.status rpc.shutdown rpc.requests; do
   grep -q "$needle" "$PROFILE" || {
     echo "serve-smoke: $needle missing from $PROFILE" >&2
     exit 1
   }
 done
+
+# the repeated query built nothing and loaded nothing: its event DB came
+# from the daemon's cache
+count() { sed -n "s/.*\"$1\",\"value\":\([0-9]*\).*/\1/p" "$PROFILE"; }
+builds=$(count eventdb.builds)
+hits=$(count eventdb.cache_hits)
+loads=$(count eventdb.loads)
+if [ "${builds:-0}" -ne 1 ] || [ "${hits:-0}" -ne 1 ] || [ "${loads:-0}" -ne 0 ]; then
+  echo "serve-smoke: two equal queries made ${builds:-0} builds, ${hits:-0} cache hits, ${loads:-0} loads (want 1, 1, 0)" >&2
+  exit 1
+fi
 echo "serve-smoke: OK ($PROFILE)"

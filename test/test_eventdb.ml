@@ -375,6 +375,53 @@ let test_unknown_thread_is_typed () =
     | Error e -> Alcotest.failf "wrong error: %s" (Query.error_to_string e)
     | Ok _ -> Alcotest.fail "accepted an unknown thread")
 
+(* A session keeps the event DBs it opens and hands the same value to
+   every later query of the same digest, so evaluating a query must not
+   change a DB: no symbol interned, no loop body added, no array
+   touched. Every query shape, including the ones that fail on an
+   unknown name, thread or loop, runs twice over a built and a loaded
+   DB (and one against the other); the marshalled bytes of each DB are
+   the same before and after. *)
+let test_queries_leave_db_unchanged () =
+  let dir = tmpdir "unchanged" in
+  let built = Eventdb.build (Lazy.force heat_traces) in
+  (match Eventdb.save ~dir built with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "save: %s" m);
+  let loaded =
+    match Eventdb.load ~dir ~digest:built.Eventdb.db_digest with
+    | Ok db -> db
+    | Error m -> Alcotest.failf "load: %s" m
+  in
+  let snapshot (db : Eventdb.t) = Marshal.to_string db [] in
+  let before = List.map snapshot [ built; loaded ] in
+  let queries =
+    [ "count MPI_Send"; "count MPI_Send on 3 in 0..50";
+      "count MPI_Send on 3 between ExchangeHalo#1 and ExchangeHalo#2";
+      "count no_such_function"; "count MPI_Send on 99";
+      "list MPI_Recv limit 4"; "list MPI_Recv on 1 in 10..90 limit 2";
+      "list unseen_function between a and b";
+      "sites MPI_Send"; "sites MPI_Send under ExchangeHalo";
+      "sites MPI_Send under L0 on 2"; "sites MPI_Send under L999";
+      "sites MPI_Send under never_called";
+      "loops"; "loops on 2"; "loops on 77";
+      "diverge"; "diverge on 1"; "diverge on 42";
+      "threads"; "funcs"; "funcs limit 3" ]
+  in
+  for _ = 1 to 2 do
+    List.iter
+      (fun text ->
+        match Query.parse text with
+        | Error m -> Alcotest.failf "parse %S: %s" text m
+        | Ok q ->
+          List.iter
+            (fun (db, against) -> ignore (Query.eval db ~against q))
+            [ (built, loaded); (loaded, built) ])
+      queries
+  done;
+  Alcotest.(check (list string)) "marshalled DBs" before
+    (List.map snapshot [ built; loaded ])
+
 (* adversarial parser coverage: whatever bytes arrive — NULs, huge
    integers, deeply repeated clauses — parse returns Ok or Error, never
    an exception *)
@@ -444,7 +491,9 @@ let () =
         [ Alcotest.test_case "between markers" `Quick test_between_markers;
           Alcotest.test_case "under function" `Quick test_under_function;
           Alcotest.test_case "unknown thread typed" `Quick
-            test_unknown_thread_is_typed ] );
+            test_unknown_thread_is_typed;
+          Alcotest.test_case "queries leave a DB unchanged" `Quick
+            test_queries_leave_db_unchanged ] );
       ( "parser-adversarial",
         [ prop_parse_total_bytes;
           prop_parse_total_tokens;

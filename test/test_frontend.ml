@@ -632,6 +632,53 @@ let test_cache_unreadable_source () =
           Alcotest.(check (list string)) (fe.Fe.name ^ ": no entry") [] (entries dir)))
     [ Cilog.frontend; Syscall.frontend ]
 
+(* A store-backed compare takes an existing entry as an archive: once
+   the store has its sources (filed by the first hit, which decodes),
+   its traces are checked, not decoded, and every report is the
+   storeless one. A damaged entry is ingested afresh, as for
+   [resolve]. *)
+let test_cache_compare_verifies () =
+  let module Config = Difftrace_core.Config in
+  let config =
+    Config.make ~filter:(Difftrace_filter.Filter.of_spec "11.all") ()
+  in
+  let source path = Session.Ingest { path; frontend = "cilog" } in
+  let req =
+    { Session.cp_normal = source "corpus/cilog/build_pass.log";
+      cp_faulty = source "corpus/cilog/build_fail.log";
+      cp_diffnlr = None }
+  in
+  let report ses =
+    match Session.compare ses config req with
+    | Ok r -> r.Session.cp_output
+    | Error e -> Alcotest.failf "compare: %s" (Session.error_to_string e)
+  in
+  let storeless = report (Session.create ()) in
+  let value name = Telemetry.Counter.value (Telemetry.Counter.make name) in
+  with_cache (fun dir ses ->
+      Alcotest.(check string) "cold" storeless
+        (counts "cold" ~hits:0 ~misses:2 ~damaged:0 (fun () -> report ses));
+      (* the first hit decodes the entries and files their sources *)
+      Alcotest.(check string) "warm" storeless
+        (counts "warm" ~hits:2 ~misses:0 ~damaged:0 (fun () -> report ses));
+      let decoded = value "parlot.traces.decoded" in
+      let verified = value "parlot.traces.verified" in
+      Alcotest.(check string) "warm again" storeless
+        (counts "warm again" ~hits:2 ~misses:0 ~damaged:0 (fun () -> report ses));
+      Alcotest.(check bool) "warm: at most the diffNLR trace decoded per side"
+        true
+        (value "parlot.traces.decoded" - decoded <= 2);
+      Alcotest.(check bool) "warm: the entries' traces verified" true
+        (value "parlot.traces.verified" > verified);
+      let entry = List.hd (entries dir) in
+      let f = Archive.trace_file entry ~pid:0 ~tid:0 in
+      write_file f (flip_middle (read_file f));
+      Alcotest.(check string) "damaged entry" storeless
+        (counts "damaged entry" ~hits:1 ~misses:1 ~damaged:1 (fun () -> report ses));
+      Alcotest.(check string) "rewritten entry" storeless
+        (counts "rewritten entry" ~hits:2 ~misses:0 ~damaged:0 (fun () ->
+             report ses)))
+
 let () =
   Alcotest.run "frontend"
     [ ( "conformance",
@@ -683,4 +730,6 @@ let () =
           Alcotest.test_case "failed ingest stores nothing" `Quick
             test_cache_failure_stores_nothing;
           Alcotest.test_case "unreadable source" `Quick
-            test_cache_unreadable_source ] ) ]
+            test_cache_unreadable_source;
+          Alcotest.test_case "compare hits verify" `Quick
+            test_cache_compare_verifies ] ) ]

@@ -649,9 +649,13 @@ let test_query_vdiff_oracle () =
         | `Query ->
           Alcotest.(check int) "warm query: nothing decoded" 0 (decoded ());
           Alcotest.(check int) "warm query: no build" 0 (counter "eventdb.builds");
-          (* four queries, one of them over two runs *)
-          Alcotest.(check int) "warm query: every index loaded" 5
+          (* four queries, one of them over two runs: five opens of
+             two distinct indexes, each loaded once and then taken from
+             the session's cache *)
+          Alcotest.(check int) "warm query: each index loaded once" 2
             (counter "eventdb.loads");
+          Alcotest.(check int) "warm query: every open loaded or cached" 5
+            (counter "eventdb.loads" + counter "eventdb.cache_hits");
           Alcotest.(check int) "warm query: every trace verified" (5 * 8)
             (verified ())
         | `Vdiff ->
@@ -794,6 +798,218 @@ let test_damaged_index_rebuilt () =
       Alcotest.(check int) "healed: loaded" 1 (counter "eventdb.loads");
       Alcotest.(check int) "healed: nothing decoded" 0 (decoded ()))
 
+(* the event DB of [dir]'s run, as a store-backed query names it *)
+let index_of ~store dir =
+  match Archive.load ~dir () with
+  | Ok l ->
+    Eventdb.index_file
+      ~dir:(Filename.concat store "eventdb")
+      ~digest:(Eventdb.digest l.Archive.set)
+  | Error e -> Alcotest.fail (Archive.error_to_string e)
+
+(* A damaged index is read once: the failed load is followed by a build
+   from the decoded run under the name already in hand, not by a second
+   read. The intact index of the other run loads, both then answer
+   from the session's cache, and the rebuilt file loads clean. *)
+let test_damaged_index_read_once () =
+  let root = fresh_dir "query_damaged_once" in
+  let dirs = four_runs root in
+  let normal = List.hd dirs and against = List.nth dirs 2 in
+  let store = Filename.concat root "store" in
+  let q = ("diverge on 3", Some against) in
+  let expect = query_text (Session.create ()) Config.default q normal in
+  let session () = Session.create ~store:(store_of store) () in
+  ignore (query_text (session ()) Config.default q normal);
+  let damaged = index_of ~store normal in
+  flip_byte damaged (String.length (read_file damaged) / 2);
+  let s = session () in
+  with_telemetry (fun () ->
+      Alcotest.(check string) "same answer" expect
+        (query_text s Config.default q normal);
+      Alcotest.(check (list int)) "failed loads, builds, loads, cache hits"
+        [ 1; 1; 1; 0 ]
+        (List.map counter
+           [ "eventdb.damaged"; "eventdb.builds"; "eventdb.loads";
+             "eventdb.cache_hits" ]));
+  with_telemetry (fun () ->
+      Alcotest.(check string) "cached: same answer" expect
+        (query_text s Config.default q normal);
+      Alcotest.(check (list int)) "cached: builds, loads, cache hits"
+        [ 0; 0; 2 ]
+        (List.map counter [ "eventdb.builds"; "eventdb.loads"; "eventdb.cache_hits" ]);
+      Alcotest.(check int) "cached: every trace verified" 16 (verified ()));
+  with_telemetry (fun () ->
+      Alcotest.(check string) "healed: same answer" expect
+        (query_text (session ()) Config.default q normal);
+      Alcotest.(check (list int)) "healed: failed loads, loads" [ 0; 2 ]
+        (List.map counter [ "eventdb.damaged"; "eventdb.loads" ]))
+
+(* A session's event-DB cache holds [Session.eventdb_budget] events,
+   read when the session is created; a budget of one DB keeps the last
+   one opened only. *)
+let with_budget budget f =
+  let saved = !Session.eventdb_budget in
+  Session.eventdb_budget := budget;
+  Fun.protect ~finally:(fun () -> Session.eventdb_budget := saved) f
+
+let events_of dir =
+  match Archive.load ~dir () with
+  | Ok l -> Trace_set.total_events l.Archive.set
+  | Error e -> Alcotest.fail (Archive.error_to_string e)
+
+let test_budget_evicts () =
+  let root = fresh_dir "query_budget" in
+  let dirs = four_runs root in
+  let a = List.hd dirs and b = List.nth dirs 2 in
+  let store = Filename.concat root "store" in
+  let q = ("count MPI_Send", None) in
+  ignore (query_text (Session.create ~store:(store_of store) ()) Config.default q a);
+  ignore (query_text (Session.create ~store:(store_of store) ()) Config.default q b);
+  let opens budget =
+    with_budget budget (fun () ->
+        let s = Session.create ~store:(store_of store) () in
+        with_telemetry (fun () ->
+            List.iter (fun d -> ignore (query_text s Config.default q d)) [ a; b; a ];
+            List.map counter [ "eventdb.loads"; "eventdb.cache_hits" ]))
+  in
+  let one = max (events_of a) (events_of b) in
+  Alcotest.(check (list int)) "room for both: a cached" [ 2; 1 ]
+    (opens (events_of a + events_of b));
+  Alcotest.(check (list int)) "room for one: a evicted" [ 3; 0 ] (opens one);
+  Alcotest.(check (list int)) "no room: nothing kept" [ 3; 0 ] (opens (one - 1))
+
+(* --- differential property: one session, random query sequences ------- *)
+
+(* Four archives: three distinct oddeven runs and a byte copy of the
+   first, whose index has the first's digest. *)
+let query_pool =
+  lazy
+    (let root = fresh_dir "query_property" in
+     Sys.mkdir root 0o755;
+     let save i fault =
+       let dir = Filename.concat root (Printf.sprintf "run%d" i) in
+       ignore (Archive.save ~dir (run_of "oddeven" ~np:6 ~seed:(i + 1) fault));
+       dir
+     in
+     let swap = Fault.Swap_send_recv { rank = 2; after_iter = 1 } in
+     let a = save 0 Fault.No_fault and b = save 1 Fault.No_fault in
+     let c = save 2 swap in
+     let copy = Filename.concat root "copy0" in
+     copy_dir ~src:a ~dst:copy;
+     (root, [| a; b; c; copy |]))
+
+let property_queries =
+  [| "count MPI_Send"; "count MPI_Recv on 3"; "count nosuch";
+     "list MPI_Recv on 1 limit 3"; "list MPI_Send in 10..40 limit 4";
+     "list MPI_Send on 99"; "threads"; "loops"; "loops on 2"; "diverge";
+     "diverge on 2"; "diverge on 42" |]
+
+type query_op =
+  | Ask of { text : string; src : int; against : int }
+  | Delete_indexes
+  | Corrupt_indexes
+
+let show_op = function
+  | Ask { text; src; against } -> Printf.sprintf "%S %d/%d" text src against
+  | Delete_indexes -> "delete"
+  | Corrupt_indexes -> "corrupt"
+
+let query_case_gen =
+  QCheck2.Gen.(
+    let* budget = oneofl [ `Default; `One_db; `Zero ] in
+    let* k = int_range 2 4 in
+    let* order = shuffle_l [ 0; 1; 2; 3 ] in
+    let archives = List.filteri (fun i _ -> i < k) order in
+    let ask =
+      let* text = oneofa property_queries in
+      let* src = oneofl archives in
+      let* against = oneofl archives in
+      return (Ask { text; src; against })
+    in
+    let* ops =
+      list_size (int_range 1 10)
+        (frequency [ (8, ask); (1, return Delete_indexes); (1, return Corrupt_indexes) ])
+    in
+    return (budget, ops))
+
+let print_query_case (budget, ops) =
+  Printf.sprintf "%s: %s"
+    (match budget with `Default -> "default" | `One_db -> "one DB" | `Zero -> "zero")
+    (String.concat "; " (List.map show_op ops))
+
+let answer_of = function
+  | Ok (r : Session.query_response) ->
+    Printf.sprintf "ok %s %d\n%s" r.Session.qy_kind r.Session.qy_size
+      r.Session.qy_output
+  | Error e ->
+    Printf.sprintf "error %s: %s" (Session.error_kind e) (Session.error_to_string e)
+
+(* One store-backed session answers a random sequence of queries over
+   two to four archives, with its indexes deleted or damaged between
+   queries and its cache at the default budget, one DB's worth or
+   nothing; every answer is a fresh storeless session's, byte for
+   byte, one that keeps no index. *)
+let prop_query_sequence =
+  let storeless = Hashtbl.create 64 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"random query sequences = storeless"
+       ~print:print_query_case query_case_gen (fun (budget, ops) ->
+         let root, pool = Lazy.force query_pool in
+         let request text src against =
+           { Session.qy_text = text;
+             qy_source = archive_source pool.(src);
+             qy_against = Some (archive_source pool.(against)) }
+         in
+         let expected text src against =
+           let key = (text, src, against) in
+           match Hashtbl.find_opt storeless key with
+           | Some a -> a
+           | None ->
+             (* with no cache, so the oracle opens every index afresh *)
+             let a =
+               with_budget 0 (fun () ->
+                   answer_of
+                     (Session.query (Session.create ()) Config.default
+                        (request text src against)))
+             in
+             Hashtbl.add storeless key a;
+             a
+         in
+         let store = Filename.concat root "store" in
+         rm_rf store;
+         let indexes () =
+           let dir = Filename.concat store "eventdb" in
+           if Sys.file_exists dir then
+             List.map (Filename.concat dir) (Array.to_list (Sys.readdir dir))
+           else []
+         in
+         let budget =
+           match budget with
+           | `Default -> !Session.eventdb_budget
+           | `One_db -> Array.fold_left (fun n d -> max n (events_of d)) 0 pool
+           | `Zero -> 0
+         in
+         with_budget budget (fun () ->
+             let s = Session.create ~store:(store_of store) () in
+             List.for_all
+               (function
+                 | Ask { text; src; against } ->
+                   let got =
+                     answer_of (Session.query s Config.default (request text src against))
+                   in
+                   got = expected text src against
+                   || QCheck2.Test.fail_reportf "%S on %d/%d:\n%s\nstoreless:\n%s"
+                        text src against got (expected text src against)
+                 | Delete_indexes ->
+                   List.iter Sys.remove (indexes ());
+                   true
+                 | Corrupt_indexes ->
+                   List.iter
+                     (fun p -> flip_byte p (String.length (read_file p) / 2))
+                     (indexes ());
+                   true)
+               ops)))
+
 (* the digest-less fixture takes the decode path for query and vdiff,
    cold and warm, with the storeless answers *)
 let test_nodigest_query_vdiff () =
@@ -921,5 +1137,9 @@ let () =
             test_query_vdiff_damage;
           Alcotest.test_case "a damaged index is rebuilt" `Quick
             test_damaged_index_rebuilt;
+          Alcotest.test_case "a damaged index is read once" `Quick
+            test_damaged_index_read_once;
+          Alcotest.test_case "the cache budget evicts" `Quick test_budget_evicts;
+          prop_query_sequence;
           Alcotest.test_case "event-DB digest from the manifest" `Quick
             test_eventdb_digest_of_manifest ] ) ]

@@ -448,6 +448,73 @@ let test_stats () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats: empty array")
     (fun () -> ignore (Stats.mean [||]))
 
+(* ------------------------------------------------------------------ *)
+(* Lru                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_lru_evicts_least_recent () =
+  let t = Lru.create ~budget:10 in
+  Lru.add t "a" ~weight:4 1;
+  Lru.add t "b" ~weight:4 2;
+  Alcotest.(check (option int)) "a held" (Some 1) (Lru.find t "a");
+  (* b is now the least recently used *)
+  Lru.add t "c" ~weight:4 3;
+  Alcotest.(check (option int)) "b evicted" None (Lru.find t "b");
+  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find t "a");
+  Alcotest.(check (option int)) "c kept" (Some 3) (Lru.find t "c");
+  Alcotest.(check int) "weight" 8 (Lru.weight t);
+  Lru.add t "a" ~weight:2 9;
+  Alcotest.(check (option int)) "replaced" (Some 9) (Lru.find t "a");
+  Alcotest.(check int) "replaced weight" 6 (Lru.weight t);
+  Lru.add t "big" ~weight:11 4;
+  Alcotest.(check (option int)) "over budget: not kept" None (Lru.find t "big");
+  Alcotest.(check int) "over budget: others stay" 2 (Lru.length t);
+  Lru.add t "c" ~weight:11 5;
+  Alcotest.(check (option int)) "over budget: old entry gone" None (Lru.find t "c");
+  Alcotest.(check int) "over budget: weight" 2 (Lru.weight t);
+  let z = Lru.create ~budget:0 in
+  Lru.add z "free" ~weight:0 1;
+  Lru.add z "costly" ~weight:1 2;
+  Alcotest.(check (list (option int))) "zero budget" [ Some 1; None ]
+    [ Lru.find z "free"; Lru.find z "costly" ]
+
+(* against a list model, most recent first: every find answers as the
+   model does and the weight never passes the budget *)
+let prop_lru_model =
+  let op =
+    QCheck2.Gen.(
+      pair bool (pair (int_range 0 5) (int_range 0 6)))
+  in
+  qtest "lru = list model"
+    QCheck2.Gen.(pair (int_range 0 12) (list_size (0 -- 60) op))
+    (fun (budget, ops) ->
+      let t = Lru.create ~budget in
+      let model = ref [] in
+      let total l = List.fold_left (fun n (_, (w, _)) -> n + w) 0 l in
+      List.for_all
+        (fun (is_add, (k, w)) ->
+          let key = string_of_int k in
+          if is_add then begin
+            Lru.add t key ~weight:w (k * w);
+            let rest = List.remove_assoc key !model in
+            if w <= budget then begin
+              let rec fit l =
+                if total l <= budget then l
+                else fit (List.rev (List.tl (List.rev l)))
+              in
+              model := fit ((key, (w, k * w)) :: rest)
+            end
+            else model := rest;
+            Lru.weight t = total !model && Lru.length t = List.length !model
+          end
+          else
+            let want = Option.map snd (List.assoc_opt key !model) in
+            (match List.assoc_opt key !model with
+            | Some v -> model := (key, v) :: List.remove_assoc key !model
+            | None -> ());
+            Lru.find t key = want)
+        ops)
+
 let () =
   Alcotest.run "util"
     [ ( "bitset",
@@ -495,4 +562,8 @@ let () =
         [ Alcotest.test_case "render alignment" `Quick test_texttable_render;
           Alcotest.test_case "ragged rejected" `Quick test_texttable_ragged;
           Alcotest.test_case "heatmap" `Quick test_texttable_heatmap;
-          Alcotest.test_case "stats" `Quick test_stats ] ) ]
+          Alcotest.test_case "stats" `Quick test_stats ] );
+      ( "lru",
+        [ Alcotest.test_case "evicts least recent" `Quick
+            test_lru_evicts_least_recent;
+          prop_lru_model ] ) ]
